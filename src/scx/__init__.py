@@ -16,6 +16,7 @@ from .complexes import (
 )
 from .errors import (
     FaceNotPresentError,
+    InternalCheckError,
     MalformedInputError,
     ParseError,
     PreconditionError,

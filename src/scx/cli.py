@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 violated
-precondition (including size guards), 4 unknown statement id.
+precondition (including size guards), 4 unknown statement id, 5 failed check.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import click
 
 from . import generators, verify
 from .errors import (
+    InternalCheckError,
     MalformedInputError,
     ParseError,
     PreconditionError,
@@ -38,6 +39,7 @@ from .retriangulate import (
 
 _EXIT_CODES = (
     (UnknownStatementError, 4),
+    (InternalCheckError, 5),
     ((ParseError, MalformedInputError), 2),
     ((PreconditionError, TooLargeError), 3),
     (ScxError, 3),

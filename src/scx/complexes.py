@@ -36,6 +36,11 @@ def as_face(vertices) -> frozenset:
     return frozenset(vs)
 
 
+#: Bound on the sum of 2^|F| over the facets, which bounds the closure size: 21x the
+#: largest sum in the tests, ``run_all()`` and the dmax=7 catalog (6,144).
+CLOSURE_GUARD = 2**17
+
+
 def _maximal(faces) -> frozenset:
     """Inclusion-maximal members of a family of frozensets."""
     uniq = sorted(set(faces), key=len, reverse=True)
@@ -92,6 +97,9 @@ class SimplicialComplex:
     def faces(self) -> frozenset:
         """The full face set (closure of the facets), including the empty face."""
         if self._faces is None:
+            bound = sum(1 << len(f) for f in self._facets)
+            if bound > CLOSURE_GUARD:
+                raise TooLargeError(f"closure bound {bound} exceeds the guard ({CLOSURE_GUARD})")
             with self._lock:
                 if self._faces is None:
                     closure = set()

@@ -27,3 +27,7 @@ class TooLargeError(ScxError):
 
 class UnknownStatementError(ScxError):
     """Raised for a verification statement id that is not registered."""
+
+
+class InternalCheckError(ScxError):
+    """Raised when an internal certificate fails: a bug, not bad input."""

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Everything here works on small dense matrices given as lists of rows of
-Python ints (or Fractions for the kernel routines).  No floating point is
-used anywhere; rank decisions are exact.
+Python ints; ranks and kernels over Q share one fraction-free elimination.
+No floating point is used anywhere; rank decisions are exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import PreconditionError
 
@@ -51,33 +51,42 @@ def validate_field(field) -> object:
     raise PreconditionError(f"unsupported field spec {field!r}")
 
 
-def rank_rational(rows) -> int:
-    """Rank over Q of an integer matrix via Bareiss fraction-free elimination."""
+def _bareiss(rows, reduce_above: bool):
+    """Fraction-free elimination (Bareiss 1968); returns (rows, pivot columns).
+
+    With ``reduce_above`` each pivot also clears the rows above it, across the
+    whole row (Gauss-Jordan), and every pivot entry ends up equal to the last.
+    """
     m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
     prev = 1
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         lead = m[rank][col]
-        for i in range(rank + 1, nrows):
+        first = 0 if reduce_above else col + 1
+        for i in range(0 if reduce_above else rank + 1, nrows):
             fac = m[i][col]
-            if fac == 0 and lead == prev:
+            if (fac == 0 and lead == prev) or i == rank:
                 continue
             row_i, row_r = m[i], m[rank]
-            for j in range(col + 1, ncols):
+            for j in range(first, ncols):
                 row_i[j] = (row_i[j] * lead - fac * row_r[j]) // prev
             row_i[col] = 0
         prev = lead
-        rank += 1
-        if rank == nrows:
+        pivots.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+    return m, pivots
+
+
+def rank_rational(rows) -> int:
+    """Rank over Q of an integer matrix via Bareiss fraction-free elimination."""
+    return len(_bareiss(rows, reduce_above=False)[1])
 
 
 def rank_mod(rows, p: int) -> int:
@@ -116,38 +125,20 @@ def matrix_rank(rows, field="rational") -> int:
 
 
 def right_nullspace(rows) -> list:
-    """Basis of {x : A x = 0} over Q for an integer/Fraction matrix A.
+    """Basis of {x : A x = 0} over Q for an integer matrix A.
 
     Returns primitive integer vectors (content 1, first nonzero entry
     positive), one per free column of the reduced echelon form, in
     free-column order; deterministic for a fixed input.
     """
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][col]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                fac = m[i][col]
-                m[i] = [a - fac * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
+    m, pivots = _bareiss(rows, reduce_above=True)
+    ncols = len(m[0]) if m else 0
+    det = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = det
         for i, pc in enumerate(pivots):
             vec[pc] = -m[i][fc]
         basis.append(_primitive(vec))
@@ -156,25 +147,11 @@ def right_nullspace(rows) -> list:
 
 def left_nullspace(rows) -> list:
     """Basis of {w : w A = 0}; the left kernel of A."""
-    if not rows:
-        return []
-    transpose = [list(col) for col in zip(*rows)]
-    return right_nullspace(transpose)
+    return right_nullspace(list(zip(*rows)))
 
 
 def _primitive(vec):
-    from math import gcd
-
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import SimplicialComplex
+from .errors import InternalCheckError
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ def g_vector(cx: SimplicialComplex) -> GVector:
     entries = []
     for i in range(d // 2 + 1):
         gi = h[i] - h[i - 1] if i >= 1 else 1
-        assert gi == _g_direct(f, i), "g-vector routes disagree"
+        if gi != _g_direct(f, i):
+            raise InternalCheckError("g-vector routes disagree")
         entries.append(gi)
     return GVector(tuple(entries), d=d, impure=f.impure)
 

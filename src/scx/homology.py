@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import exact
 from .complexes import SimplicialComplex, from_faces
-from .errors import PreconditionError, TooLargeError
+from .errors import InternalCheckError, PreconditionError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def _assert_composes_to_zero(low: BoundaryMatrix, high: BoundaryMatrix):
                 for rr, e2 in low_cols[rface].items():
                     acc[rr] = acc.get(rr, 0) + e2 * e
         if any(acc.values()):
-            raise AssertionError("boundary matrices do not compose to zero")
+            raise InternalCheckError("boundary matrices do not compose to zero")
 
 
 def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:

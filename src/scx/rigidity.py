@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import exact
 from .complexes import SimplicialComplex
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .facevectors import g2
 from .homology import is_normal_pseudomanifold
 
@@ -187,14 +186,14 @@ def _verify_stresses(g: Graph, emb: Embedding, vectors):
         incident[v].append((idx, v, u))
     for vec in vectors:
         for v in g.vertices:
-            total = [Fraction(0)] * emb.d
+            total = [0] * emb.d
             for idx, here, other in incident[v]:
                 w = vec[idx]
                 if w:
                     for t in range(emb.d):
                         total[t] += w * (emb.coords[here][t] - emb.coords[other][t])
             if any(total):
-                raise AssertionError("stress vector violates vertex equilibrium")
+                raise InternalCheckError("stress vector violates vertex equilibrium")
 
 
 def vertex_participation(cx: SimplicialComplex, seed: int = 0, trials: int = 3) -> dict:

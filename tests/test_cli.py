@@ -2,7 +2,7 @@ import json
 
 from click.testing import CliRunner
 
-from scx import barnette_sphere, simplex_boundary, write_scx
+from scx import barnette_sphere, facevectors, simplex_boundary, write_scx
 from scx.cli import main
 
 
@@ -123,3 +123,21 @@ def test_stress_command(tmp_path):
     assert result.exit_code == 0
     assert "dimension: 1" in result.output
     assert "non-participating vertices: none" in result.output
+
+
+def test_closure_guard_exits_3(tmp_path):
+    # one facet on 30 vertices: the closure would hold 2**30 faces
+    path = tmp_path / "simplex29.scx"
+    path.write_text(" ".join(str(v) for v in range(30)) + "\n")
+    result = invoke("gvector", str(path))
+    assert result.exit_code == 3
+    assert "closure bound" in result.output
+
+
+def test_failed_certificate_exits_5(tmp_path, monkeypatch):
+    monkeypatch.setattr(facevectors, "_g_direct", lambda f, j: -1)
+    path = tmp_path / "bd3.scx"
+    write_scx(simplex_boundary(3), path)
+    result = invoke("gvector", str(path))
+    assert result.exit_code == 5
+    assert "g-vector routes disagree" in result.output

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from scx import g2_two_catalog, stress_basis
 from scx.errors import PreconditionError
 from scx.exact import (
     DEFAULT_PRIME,
@@ -59,6 +62,56 @@ def test_right_nullspace_basis_is_primitive():
     for vec in basis:
         assert all(isinstance(x, int) for x in vec)
         assert next(x for x in vec if x) > 0
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Integer matrices up to 6x8; half are low-rank products A B, whose
+    zero and dependent columns put free columns in the middle."""
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if not draw(st.booleans()):
+        return block(nrows, ncols)
+    k = draw(st.integers(min_value=1, max_value=3))
+    a, b = block(nrows, k), block(k, ncols)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _free_columns(m):
+    # every minor is below the Hadamard bound (6**0.5 * 243)**6 < DEFAULT_PRIME,
+    # so these modular ranks are the rational ones
+    ranks = [rank_mod([r[:j] for r in m], DEFAULT_PRIME) for j in range(len(m[0]) + 1)]
+    return [j for j in range(len(m[0])) if ranks[j + 1] == ranks[j]]
+
+
+@given(kernel_matrices())
+def test_right_nullspace_is_the_canonical_basis(m):
+    ncols = len(m[0])
+    free = _free_columns(m)
+    basis = right_nullspace(m)
+    assert len(basis) == len(free)
+    for fc, v in zip(free, basis):
+        assert len(v) == ncols and all(isinstance(x, int) for x in v)
+        assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in m)
+        assert v[fc] != 0
+        assert all(v[j] == 0 for j in free if j != fc)
+        assert gcd(*v) == 1
+        assert next(x for x in v if x) > 0
+
+
+def test_stress_basis_of_octahedral_sphere_is_pinned():
+    # sha256 of the vectors' repr as the earlier Fraction Gauss-Jordan kernel
+    # computed them; the fraction-free kernel must give the same basis
+    vectors = stress_basis(g2_two_catalog(4, "octahedral").complex, seed=0).vectors
+    assert len(vectors) == 2 and all(len(v) == 24 for v in vectors)
+    assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (
+        "b6a8c878c27269db32fa1af2dc777230a577b49cb5cb47f3e06f7ae5b4ba5fdc"
+    )
 
 
 def test_validate_field():

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import scx
 from scx import (
     barnette_sphere,
     cycle,
@@ -137,3 +143,24 @@ def test_g1_values(cycle_join):
 
     assert g1(simplex_boundary(6)) == 0
     assert g1(cycle_join) == 7 - 5
+
+
+def test_g_vector_certificate_survives_optimize_flag():
+    # `python -O` strips assert statements; the route check must still run
+    code = (
+        "import sys\n"
+        "import scx.facevectors as fv\n"
+        "from scx import InternalCheckError, simplex_boundary\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(2)\n"
+        "fv._g_direct = lambda f, j: -1\n"
+        "try:\n"
+        "    fv.g_vector(simplex_boundary(3))\n"
+        "except InternalCheckError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(scx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert result.returncode == 0

@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 
 from scx import (
+    InternalCheckError,
     PreconditionError,
     TooLargeError,
     ball_boundary,
     betti,
+    boundary_matrix,
     chain_complex,
     connected_sum,
     cycle,
@@ -21,6 +25,7 @@ from scx import (
     skeleton_completion,
     stacked_sphere,
 )
+from scx.homology import _assert_composes_to_zero
 
 import oracle
 
@@ -59,6 +64,13 @@ def test_chain_complex_composes_to_zero(bd4, oct3, cycle_join):
     for cx in (bd4, oct3, cycle_join):
         mats = chain_complex(cx)
         assert len(mats) == cx.dim + 1
+
+
+def test_failed_composition_certificate_raises(bd3):
+    low, high = boundary_matrix(bd3, 1), boundary_matrix(bd3, 2)
+    flipped = (tuple(-x for x in high.entries[0]),) + high.entries[1:]
+    with pytest.raises(InternalCheckError):
+        _assert_composes_to_zero(low, dataclasses.replace(high, entries=flipped))
 
 
 def test_is_homology_sphere(cycle_join, bd5):

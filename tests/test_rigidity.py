@@ -4,6 +4,7 @@ import pytest
 
 from scx import (
     Graph,
+    InternalCheckError,
     PreconditionError,
     barnette_sphere,
     from_facets,
@@ -21,6 +22,7 @@ from scx import (
     stress_basis,
     vertex_participation,
 )
+from scx.rigidity import _verify_stresses
 
 K4 = Graph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
@@ -95,6 +97,12 @@ def test_stress_basis_participation(cycle_join):
     assert len(basis.vectors) == 1
     assert all(basis.participation.values())
     assert vertex_participation(cycle_join) == basis.participation
+
+
+def test_stress_check_rejects_a_non_stress():
+    emb = random_embedding(K4, 2, seed=0)
+    with pytest.raises(InternalCheckError):
+        _verify_stresses(K4, emb, [(1, 0, 0, 0, 0, 0)])
 
 
 def test_stress_basis_empty_for_stacked():
