@@ -2,8 +2,7 @@
 
 A complex is stored by its inclusion-maximal faces (facets); the full face
 list is materialized lazily, grouped by dimension.  Complexes are immutable
-values: every operation returns a new complex, so concurrent reads are safe
-(the closure cache is built under a lock).
+values: every operation returns a new complex, so concurrent reads are safe.
 
 Vertices are non-negative integer labels; faces are frozensets of labels.
 Every complex contains the empty face; ``from_facets([])`` yields the
@@ -13,7 +12,6 @@ complex whose only face is the empty one (dimension -1).
 from __future__ import annotations
 
 import itertools
-import threading
 
 from .errors import (
     FaceNotPresentError,
@@ -56,7 +54,7 @@ def _maximal(faces) -> frozenset:
 class SimplicialComplex:
     """Immutable simplicial complex identified by its facet set."""
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_by_dim", "_lock")
+    __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_by_dim")
 
     def __init__(self, faces):
         self._facets = _maximal(faces)
@@ -64,7 +62,6 @@ class SimplicialComplex:
         self._dim = max(len(f) for f in self._facets) - 1
         self._faces = None
         self._by_dim = None
-        self._lock = threading.Lock()
 
     @property
     def facets(self) -> frozenset:
@@ -100,22 +97,18 @@ class SimplicialComplex:
             bound = sum(1 << len(f) for f in self._facets)
             if bound > CLOSURE_GUARD:
                 raise TooLargeError(f"closure bound {bound} exceeds the guard ({CLOSURE_GUARD})")
-            with self._lock:
-                if self._faces is None:
-                    closure = set()
-                    for facet in self._facets:
-                        fs = sorted(facet)
-                        for k in range(len(fs) + 1):
-                            closure.update(
-                                frozenset(c) for c in itertools.combinations(fs, k)
-                            )
-                    by_dim = {}
-                    for face in closure:
-                        by_dim.setdefault(len(face) - 1, []).append(face)
-                    self._by_dim = {
-                        k: tuple(sorted(v, key=sorted)) for k, v in by_dim.items()
-                    }
-                    self._faces = frozenset(closure)
+            closure = set()
+            for facet in self._facets:
+                fs = sorted(facet)
+                for k in range(len(fs) + 1):
+                    closure.update(frozenset(c) for c in itertools.combinations(fs, k))
+            by_dim = {}
+            for face in closure:
+                by_dim.setdefault(len(face) - 1, []).append(face)
+            # _by_dim before _faces: a reader that sees the closure sees its
+            # grouping too; a race only computes the same closure twice
+            self._by_dim = {k: tuple(sorted(v, key=sorted)) for k, v in by_dim.items()}
+            self._faces = frozenset(closure)
         return self._faces
 
     def faces_of_dim(self, k: int) -> tuple:
@@ -310,6 +303,25 @@ def is_simplex_boundary(cx: SimplicialComplex) -> bool:
     return cx.facets == expected
 
 
+def _components(items, pairs) -> list:
+    """Connected components of the graph on ``items`` with edges ``pairs``,
+    each listed in item order, sorted by their first item (union-find)."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    comps = {}
+    for x in parent:
+        comps.setdefault(find(x), []).append(x)
+    return sorted(comps.values(), key=lambda comp: comp[0])
+
+
 def detect_join(cx: SimplicialComplex, max_components: int = 16):
     """Find a bipartition (A, B) of the vertices with cx = cx[A] * cx[B].
 
@@ -322,22 +334,8 @@ def detect_join(cx: SimplicialComplex, max_components: int = 16):
     if len(verts) < 2:
         return None
     adj = cx.adjacency()
-    # union-find over the non-edge graph
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in itertools.combinations(verts, 2):
-        if v not in adj[u]:
-            parent[find(u)] = find(v)
-    comps = {}
-    for v in verts:
-        comps.setdefault(find(v), []).append(v)
-    groups = sorted(comps.values(), key=min)
+    non_edges = ((u, v) for u, v in itertools.combinations(verts, 2) if v not in adj[u])
+    groups = _components(verts, non_edges)
     c = len(groups)
     if c < 2:
         return None

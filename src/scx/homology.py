@@ -106,10 +106,20 @@ def _assert_composes_to_zero(low: BoundaryMatrix, high: BoundaryMatrix):
             raise InternalCheckError("boundary matrices do not compose to zero")
 
 
+#: Cells allowed in each dense boundary matrix of :func:`betti`: 9x the largest
+#: built by ``run_all()`` at dmax=7 (56,640; 14,850 in the tests and at the
+#: default scale, 10,000 on the classify-distinct benchmark stream).
+BETTI_GUARD = 2**19
+
+
 def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     """Reduced Betti numbers from exact ranks of the boundary matrices."""
     field = exact.validate_field(field)
     dim = cx.dim
+    sizes = [cx.n_faces(k) for k in range(-1, dim + 1)]  # sizes[k + 1] = f_k
+    cells = max((rows * cols for rows, cols in zip(sizes, sizes[1:])), default=0)
+    if cells > BETTI_GUARD:
+        raise TooLargeError(f"{cells} boundary-matrix cells exceed the Betti guard ({BETTI_GUARD})")
     ranks = [0] * (dim + 2)  # ranks[k] = rank d_k, with rank d_{dim+1} = 0
     for k in range(dim + 1):
         mat = boundary_matrix(cx, k)
@@ -117,7 +127,7 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     entries = []
     for i in range(-1, dim + 1):
         rk = ranks[i] if i >= 0 else 0
-        entries.append(cx.n_faces(i) - rk - ranks[i + 1])
+        entries.append(sizes[i + 1] - rk - ranks[i + 1])
     return BettiProfile(tuple(entries), field)
 
 
@@ -139,12 +149,14 @@ def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResu
     return PredicateResult(True)
 
 
-def _ball_analysis(cx: SimplicialComplex, field):
-    """One pass over all faces: (verdict, boundary faces, interior faces).
+def _ball_analysis(cx: SimplicialComplex, field, check):
+    """One sweep over the face links: (verdict, boundary complex, interior faces).
 
     Boundary faces are the ones with homologically trivial links; a face
     whose link is neither trivial nor sphere-like of complementary dimension
-    makes the verdict negative.
+    makes the verdict negative.  With ``check`` the verdict also requires
+    ball homology and a boundary that is closed downward, of dimension
+    dim - 1 and a homology sphere; without it those tests are skipped.
     """
     d = cx.dim
     boundary, interior = [], []
@@ -159,57 +171,61 @@ def _ball_analysis(cx: SimplicialComplex, field):
                 verdict = PredicateResult(
                     False, tuple(sorted(face)), "link is neither ball- nor sphere-like"
                 )
-    return verdict, boundary, interior
+    bd = from_faces(boundary)
+    if check and verdict:
+        if frozenset() in interior:
+            verdict = PredicateResult(False, (), "complex does not have ball homology")
+        elif bd.faces() != set(boundary):
+            verdict = PredicateResult(False, None, "boundary faces are not closed downward")
+        elif d > 0 and bd.dim != d - 1:
+            verdict = PredicateResult(False, None, "boundary has wrong dimension")
+        elif not (sphere := is_homology_sphere(bd, field)):
+            verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
+    return verdict, bd, interior
 
 
 def is_homology_ball(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """Trivial homology, every face link a ball or sphere of complementary
     dimension, and a boundary subcomplex that is a homology sphere."""
-    d = cx.dim
-    verdict, boundary, interior = _ball_analysis(cx, field)
-    if not verdict:
-        return verdict
-    if frozenset() in set(interior):
-        return PredicateResult(False, (), "complex does not have ball homology")
-    bd = from_faces(boundary)
-    if bd.faces() != set(boundary):
-        return PredicateResult(False, None, "boundary faces are not closed downward")
-    if d > 0 and bd.dim != d - 1:
-        return PredicateResult(False, None, "boundary has wrong dimension")
-    sphere = is_homology_sphere(bd, field)
-    if not sphere:
-        return PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
-    return PredicateResult(True)
+    return _ball_analysis(cx, field, True)[0]
 
 
 def ball_boundary(cx: SimplicialComplex, field="rational", check=True) -> SimplicialComplex:
     """Subcomplex of faces with homologically trivial links."""
-    verdict, boundary, interior = _ball_checked(cx, field, check)
-    return from_faces(boundary)
+    return _ball_checked(cx, field, check)[0]
 
 
 def interior_faces(cx: SimplicialComplex, field="rational", check=True) -> frozenset:
-    verdict, boundary, interior = _ball_checked(cx, field, check)
-    return frozenset(interior)
+    return frozenset(_ball_checked(cx, field, check)[1])
 
 
 def _ball_checked(cx, field, check):
-    if check:
-        res = is_homology_ball(cx, field)
-        if not res:
-            raise PreconditionError(
-                f"not a homology ball: {res.reason} (witness {res.witness})"
-            )
-    return _ball_analysis(cx, field)
+    verdict, boundary, interior = _ball_analysis(cx, field, check)
+    if check and not verdict:
+        raise PreconditionError(
+            f"not a homology ball: {verdict.reason} (witness {verdict.witness})"
+        )
+    return boundary, interior
 
 
 def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateResult:
-    """All vertex links are homology spheres of dimension dim - 1."""
+    """All vertex links are homology spheres of dimension dim - 1.
+
+    The link of a face tau in lk(v) is the link of tau + v in the complex,
+    so this holds exactly when every nonempty face link has the homology of
+    the sphere of complementary dimension; each face link is computed once.
+    Faces are visited by their smallest vertex first, so the witness is the
+    smallest vertex whose link fails.
+    """
     n = cx.dim
-    for v in sorted(cx.vertices):
-        link = cx.link([v])
-        if link.dim != n - 1 or not is_homology_sphere(link, field):
-            return PredicateResult(False, (v,), "vertex link is not a homology sphere")
+    by_vertex = {}  # smallest vertex -> faces, by dimension and then vertex tuple
+    for k in range(n + 1):
+        for face in cx.faces_of_dim(k):
+            by_vertex.setdefault(min(face), []).append(face)
+    for v in sorted(by_vertex):
+        for face in by_vertex[v]:
+            if not betti(cx.link(face), field).is_sphere(n - len(face)):
+                return PredicateResult(False, (v,), "vertex link is not a homology sphere")
     return PredicateResult(True)
 
 
@@ -300,7 +316,7 @@ def is_r_stacked_ball(
     """Certify that a homology d-ball is r-stacked: no interior faces of
     dimension <= d - r - 1 (equivalently, min interior dimension >= d - r)."""
     d = cx.dim
-    verdict, boundary, interior = _ball_checked(cx, field, check)
+    boundary, interior = _ball_checked(cx, field, check)
     by_dim = {}
     for face in interior:
         by_dim[len(face) - 1] = by_dim.get(len(face) - 1, 0) + 1
@@ -311,5 +327,5 @@ def is_r_stacked_ball(
         ok=min_stackedness <= r,
         min_stackedness=min_stackedness,
         interior_by_dim=by_dim,
-        boundary=from_faces(boundary),
+        boundary=boundary,
     )

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, from_faces, is_simplex_boundary
+from .complexes import SimplicialComplex, _components, from_faces, is_simplex_boundary
 from .errors import PreconditionError
 from .facevectors import extended_g, g_vector
 from .homology import (
     PredicateResult,
     ball_boundary,
-    interior_faces,
-    is_homology_ball,
     is_homology_sphere,
     is_normal_pseudomanifold,
     skeleton_completion,
@@ -66,8 +64,8 @@ def central_retriangulation(
             f"ball dimension {ball.dim} differs from complex dimension {cx.dim}"
         )
     _check_subcomplex(cx, ball)
-    interior = interior_faces(ball, field, check=check)
-    boundary = ball_boundary(ball, field, check=False)
+    boundary = ball_boundary(ball, field, check=check)
+    interior = ball.faces() - boundary.faces()
     u = max(cx.vertices) + 1
     out_faces = (cx.faces() - interior) | {f | {u} for f in boundary.faces()}
     out = from_faces(out_faces)
@@ -182,15 +180,10 @@ def inverse_stellar(
     if not 2 <= r <= (d + 1) // 2:
         raise PreconditionError(f"stackedness level r={r} outside 2..(d+1)/2")
     filled = skeleton_completion(link, r - 1)
-    if check:
-        ball = is_homology_ball(filled, field)
-        if not ball:
-            raise PreconditionError(
-                f"link completion is not a homology ball (witness {ball.witness})"
-            )
-        if ball_boundary(filled, field, check=False) != link:
-            raise PreconditionError("link completion does not have the link as boundary")
-    interior = interior_faces(filled, field, check=False)
+    boundary = ball_boundary(filled, field, check=check)
+    if check and boundary != link:
+        raise PreconditionError("link completion does not have the link as boundary")
+    interior = filled.faces() - boundary.faces()
     faces = cx.faces()
     for f in sorted(interior, key=sorted):
         if f in faces:
@@ -236,21 +229,10 @@ def _split_link_along(link: SimplicialComplex, tau: frozenset):
             if ridge <= tau:
                 continue
             ridge_map.setdefault(ridge, []).append(idx)
-    parent = list(range(len(facets)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for members in ridge_map.values():
-        for other in members[1:]:
-            parent[find(members[0])] = find(other)
-    comps = {}
-    for idx in range(len(facets)):
-        comps.setdefault(find(idx), []).append(idx)
-    groups = sorted(comps.values(), key=min)
+    groups = _components(
+        range(len(facets)),
+        ((members[0], other) for members in ridge_map.values() for other in members[1:]),
+    )
     if len(groups) != 2:
         raise PreconditionError(
             f"removing the facet boundary splits the link into {len(groups)} parts, not 2"

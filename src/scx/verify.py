@@ -40,7 +40,6 @@ from .generators import (
     suspension,
 )
 from .homology import (
-    ball_boundary,
     is_homology_ball,
     is_homology_sphere,
     is_normal_pseudomanifold,
@@ -231,8 +230,8 @@ def _run_one_stacked_fill(catalog, scale):
         if not ball:
             yield entry.name, False, f"fill is not a ball ({ball.reason})"
             continue
-        boundary_ok = ball_boundary(filled, check=False) == cx
         cert = is_r_stacked_ball(filled, 1, check=False)
+        boundary_ok = cert.boundary == cx
         ok = boundary_ok and cert.ok
         yield (
             entry.name,

@@ -1,4 +1,5 @@
 import json
+import time
 
 from click.testing import CliRunner
 
@@ -132,6 +133,18 @@ def test_closure_guard_exits_3(tmp_path):
     result = invoke("gvector", str(path))
     assert result.exit_code == 3
     assert "closure bound" in result.output
+
+
+def test_betti_guard_exits_3(tmp_path):
+    # one facet on 16 vertices: the closure (2**16 faces) is within its guard,
+    # but the Betti numbers of the link of vertex 0 need a 6435 x 6435 matrix
+    path = tmp_path / "simplex15.scx"
+    path.write_text(" ".join(str(v) for v in range(16)) + "\n")
+    start = time.perf_counter()
+    result = invoke("info", str(path))
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 3
+    assert "Betti guard" in result.output
 
 
 def test_failed_certificate_exits_5(tmp_path, monkeypatch):

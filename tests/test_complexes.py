@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from scx import (
@@ -236,3 +239,27 @@ def test_is_simplex_boundary(bd3):
     assert is_simplex_boundary(bd3)
     assert not is_simplex_boundary(from_facets([[0, 1, 2]]))
     assert not is_simplex_boundary(cycle(4))
+
+
+def test_closure_is_shared_safely_between_threads():
+    cx = join(cycle(8), simplex_boundary(3))  # fresh: its closure is not built yet
+    closure = sorted(oracle.closure(cx.facets), key=sorted)
+    dims = range(-1, cx.dim + 1)
+    expected = {k: tuple(f for f in closure if len(f) == k + 1) for k in dims}
+    results = [None] * 8
+
+    def read(i):
+        results[i] = {k: cx.faces_of_dim(k) for k in dims}
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)

@@ -1,16 +1,19 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scx import (
     InternalCheckError,
     PreconditionError,
+    SimplicialComplex,
     TooLargeError,
     ball_boundary,
     betti,
     boundary_matrix,
     chain_complex,
     connected_sum,
+    cross_polytope_boundary,
     cycle,
     from_facets,
     g2,
@@ -24,7 +27,9 @@ from scx import (
     simplex_boundary,
     skeleton_completion,
     stacked_sphere,
+    standard_catalog,
 )
+from scx import homology
 from scx.homology import _assert_composes_to_zero
 
 import oracle
@@ -130,6 +135,83 @@ def test_homology_manifold_and_pseudomanifold(cycle_join):
     assert is_normal_pseudomanifold(cycle(4))
 
 
+RP2_FACETS = [
+    [0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 5], [0, 4, 5],
+    [1, 2, 4], [1, 2, 5], [1, 3, 5], [2, 3, 4], [3, 4, 5],
+]
+
+# manifolds on at most 8 vertices, from the 0-sphere up to 3-spheres
+MANIFOLDS = (
+    simplex_boundary(1),
+    cycle(8),
+    cross_polytope_boundary(3),
+    from_facets(RP2_FACETS),
+    simplex_boundary(4),
+    stacked_sphere(3, 7),
+    cross_polytope_boundary(4),
+    join(cycle(4), cycle(4)),
+)
+
+
+@st.composite
+def near_manifolds(draw):
+    """A relabelled small manifold with up to two facets dropped and up to two
+    random faces added, so that failures appear at any vertex."""
+    base = draw(st.sampled_from(MANIFOLDS))
+    perm = draw(st.permutations(range(8)))
+    facets = [[perm[v] for v in f] for f in sorted(base.facets, key=sorted)]
+    drop = draw(st.sets(st.integers(0, len(facets) - 1), max_size=2))
+    extra = draw(
+        st.lists(
+            st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True), max_size=2
+        )
+    )
+    return from_facets([f for i, f in enumerate(facets) if i not in drop] + extra)
+
+
+random_complexes = st.lists(
+    st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+    min_size=1,
+    max_size=8,
+).map(from_facets)
+
+
+def _vertex_link_manifold(cx, field):
+    """The definition: every vertex link is a homology (dim-1)-sphere."""
+    for v in sorted(cx.vertices):
+        link = cx.link([v])
+        if link.dim != cx.dim - 1 or not is_homology_sphere(link, field):
+            return False, (v,), "vertex link is not a homology sphere"
+    return True, None, ""
+
+
+@given(st.one_of(near_manifolds(), random_complexes), st.sampled_from(["rational", 2]))
+@settings(max_examples=150, deadline=None)
+def test_homology_manifold_matches_vertex_link_definition(cx, field):
+    res = is_homology_manifold(cx, field)
+    assert (res.ok, res.witness, res.reason) == _vertex_link_manifold(cx, field)
+
+
+def test_homology_manifold_sweeps_each_face_link_once(cycle_join, monkeypatch):
+    linked = []
+    original_link = SimplicialComplex.link
+    monkeypatch.setattr(
+        SimplicialComplex, "link", lambda cx, f: linked.append(f) or original_link(cx, f)
+    )
+    monkeypatch.setattr(homology, "is_homology_sphere", None)  # never consulted
+    assert is_homology_manifold(cycle_join)
+    nonempty = cycle_join.faces() - {frozenset()}
+    assert len(linked) == len(nonempty) and set(linked) == nonempty
+
+
+def test_interior_is_the_complement_of_the_boundary():
+    for entry in standard_catalog(dmax=4, f0max=8, cycle_max=5):
+        cx = entry.complex
+        for k in range(cx.dim):
+            ball = cx.star(cx.faces_of_dim(k)[0])
+            assert interior_faces(ball) == ball.faces() - ball_boundary(ball).faces()
+
+
 def test_hierarchy_on_catalog_members(oct3, cycle_join, bd4):
     for cx in (oct3, cycle_join, bd4):
         assert is_homology_sphere(cx)
@@ -193,12 +275,7 @@ def test_projective_plane_depends_on_the_field():
     # 6-vertex projective plane (antipodal icosahedron quotient): a normal
     # pseudomanifold and homology manifold that is not a sphere, with
     # 2-torsion separating the rationals from GF(2)
-    rp2 = from_facets(
-        [
-            [0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 5], [0, 4, 5],
-            [1, 2, 4], [1, 2, 5], [1, 3, 5], [2, 3, 4], [3, 4, 5],
-        ]
-    )
+    rp2 = from_facets(RP2_FACETS)
     assert is_normal_pseudomanifold(rp2)
     assert is_homology_manifold(rp2)
     assert not is_homology_sphere(rp2)

@@ -20,6 +20,7 @@ from scx import (
     swartz_all,
     swartz_operation,
 )
+from scx import homology
 
 
 def test_crtr_of_face_star(bd5):
@@ -88,6 +89,20 @@ def test_inverse_stellar_undoes_crtr(bd5):
     assert back == bd5
     assert undo.prediction_holds()
     assert are_isomorphic(back, bd5)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_one_ball_analysis_per_operation(bd5, monkeypatch, check):
+    passes = []
+    original = homology._ball_analysis
+    monkeypatch.setattr(
+        homology, "_ball_analysis", lambda *args: passes.append(1) or original(*args)
+    )
+    out, record = central_retriangulation(bd5, bd5.star([0, 1, 2, 3]), check=check)
+    assert len(passes) == 1
+    back, _ = inverse_stellar(out, record.new_vertices[0], check=check)
+    assert len(passes) == 2
+    assert back == bd5
 
 
 def test_inverse_stellar_on_last_stacking():
