@@ -24,11 +24,7 @@ from .errors import (
 )
 from .facevectors import f_vector, g_vector, h_vector
 from .fileio import load_complex, write_complex, write_scx_text
-from .homology import (
-    is_homology_manifold,
-    is_homology_sphere,
-    is_normal_pseudomanifold,
-)
+from .homology import betti, is_homology_manifold, is_normal_pseudomanifold
 from .isomorphism import are_isomorphic
 from .retriangulate import (
     central_retriangulation,
@@ -107,7 +103,6 @@ def main():
 @main.command()
 @input_path
 @click.option("--field", default="rational", help="homology field: 'rational' or a prime")
-@handles_errors
 def info(input, field):
     """Print face vectors and classification predicates of a complex."""
     cx = load_complex(input)
@@ -124,14 +119,15 @@ def info(input, field):
     click.echo(f"prime: {cx.is_prime()}")
     pm = is_normal_pseudomanifold(cx)
     click.echo(f"normal pseudomanifold: {bool(pm)}")
+    manifold = is_homology_manifold(cx, field)
     if cx.dim >= 1:
-        click.echo(f"homology manifold: {bool(is_homology_manifold(cx, field))}")
-    click.echo(f"homology sphere: {bool(is_homology_sphere(cx, field))}")
+        click.echo(f"homology manifold: {bool(manifold)}")
+    # a homology sphere is a homology manifold with the homology of a sphere
+    click.echo(f"homology sphere: {betti(cx, field).is_sphere(cx.dim) and bool(manifold)}")
 
 
 @main.command()
 @input_path
-@handles_errors
 def gvector(input):
     """Print g_0..g_{floor(d/2)} of a complex."""
     cx = load_complex(input)
@@ -142,7 +138,6 @@ def gvector(input):
 @input_path
 @click.option("--face", required=True, help="comma-separated vertex labels")
 @click.option("--output", type=click.Path(), default=None)
-@handles_errors
 def link(input, face, output):
     """Write or print the link of a face."""
     cx = load_complex(input)
@@ -156,7 +151,6 @@ def link(input, face, output):
 @main.command()
 @input_path
 @click.option("-k", "--k", "k", type=int, required=True, help="dimension of missing faces")
-@handles_errors
 def missing(input, k):
     """List the missing k-faces, one per line."""
     cx = load_complex(input)
@@ -205,7 +199,6 @@ def _op_epilogue(out, record, output, check_iso):
               help="'star:V1,V2,...' for a face star, or a path to a facet list")
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--check-iso", type=click.Path(), default=None)
-@handles_errors
 def crtr(input, ball, output, check_iso):
     """Central retriangulation along a ball subcomplex."""
     cx = load_complex(input)
@@ -223,7 +216,6 @@ def crtr(input, ball, output, check_iso):
 @click.option("--r", type=int, default=None, help="stackedness level (auto-detected)")
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--check-iso", type=click.Path(), default=None)
-@handles_errors
 def sdinv(input, vertex, r, output, check_iso):
     """Inverse stellar retriangulation at a vertex."""
     cx = load_complex(input)
@@ -238,7 +230,6 @@ def sdinv(input, vertex, r, output, check_iso):
 @click.option("--all", "everything", is_flag=True, help="iterate over all missing facets")
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--check-iso", type=click.Path(), default=None)
-@handles_errors
 def swartz(input, vertex, tau, everything, output, check_iso):
     """Swartz operation: one step with --tau, or --all to iterate."""
     cx = load_complex(input)
@@ -255,7 +246,6 @@ def swartz(input, vertex, tau, everything, output, check_iso):
 @input_path
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=int, default=3, show_default=True)
-@handles_errors
 def stress(input, seed, trials):
     """Print an exact basis of the stress space, one vector per line."""
     from .rigidity import stress_basis

@@ -131,22 +131,18 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     return BettiProfile(tuple(entries), field)
 
 
-def _faces_sorted(cx: SimplicialComplex):
-    for k in range(-1, cx.dim + 1):
-        yield from cx.faces_of_dim(k)
-
-
 def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResult:
-    """Every face link (the empty face included) has the homology of the
-    sphere of complementary dimension."""
-    n = cx.dim
-    for face in _faces_sorted(cx):
-        profile = betti(cx.link(face), field)
-        if not profile.is_sphere(n - len(face)):
-            return PredicateResult(
-                False, tuple(sorted(face)), "link does not have sphere homology"
-            )
-    return PredicateResult(True)
+    """A homology manifold with the homology of the sphere of its dimension.
+
+    Equivalently, every face link (the empty face included) has the homology
+    of the sphere of complementary dimension.  The complex's own Betti
+    numbers come first; if they fail, the witness is the empty face ``()``.
+    Otherwise the verdict is that of :func:`is_homology_manifold`, whose
+    witness is the smallest vertex ``(v,)`` with a failing link.
+    """
+    if not betti(cx, field).is_sphere(cx.dim):
+        return PredicateResult(False, (), "complex does not have sphere homology")
+    return is_homology_manifold(cx, field)
 
 
 def _ball_analysis(cx: SimplicialComplex, field, check):
@@ -161,7 +157,7 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
     d = cx.dim
     boundary, interior = [], []
     verdict = PredicateResult(True)
-    for face in _faces_sorted(cx):
+    for face in itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1)):
         profile = betti(cx.link(face), field)
         if profile.is_trivial():
             boundary.append(face)

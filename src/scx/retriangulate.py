@@ -103,36 +103,40 @@ def missing_face_identity_sides(cx: SimplicialComplex, tau, k: int):
     dimension (tau's boundary survives while tau is removed, so it becomes
     a minimal non-face).
     """
+    _, lhs, rhs = next(_identity_sides(cx, tau, (k,)))
+    return lhs, rhs
+
+
+def _identity_sides(cx: SimplicialComplex, tau, dims):
+    """(k, lhs, rhs) for each dimension k in ``dims``, from one retriangulation."""
     t = frozenset(tau)
     star = cx.star(t)
     out, record = central_retriangulation(cx, star)
     u = record.new_vertices[0]
-    lhs = {frozenset(f) for f in out.missing_faces(k)}
-    rhs = {
-        frozenset(f)
-        for f in cx.missing_faces(k)
-        if not t <= frozenset(f)
-    }
-    if k == 1:
-        rhs |= {frozenset({w, u}) for w in cx.vertices - star.vertices}
-    elif k >= 2:
-        faces = cx.faces()
-        rhs |= {
-            frozenset(f) | {u}
-            for f in star.missing_faces(k - 1)
-            if frozenset(f) in faces
+    for k in dims:
+        lhs = {frozenset(f) for f in out.missing_faces(k)}
+        rhs = {
+            frozenset(f)
+            for f in cx.missing_faces(k)
+            if not t <= frozenset(f)
         }
-    if k == len(t) - 1 and len(t) >= 2:
-        rhs.add(t)
-    return lhs, rhs
+        if k == 1:
+            rhs |= {frozenset({w, u}) for w in cx.vertices - star.vertices}
+        elif k >= 2:
+            faces = cx.faces()
+            rhs |= {
+                frozenset(f) | {u}
+                for f in star.missing_faces(k - 1)
+                if frozenset(f) in faces
+            }
+        if k == len(t) - 1 and len(t) >= 2:
+            rhs.add(t)
+        yield k, lhs, rhs
 
 
 def crtr_missing_faces_check(cx: SimplicialComplex, tau) -> PredicateResult:
     """Compare both sides of the missing-face identity at every dimension."""
-    t = frozenset(tau)
-    top = cx.dim + 1
-    for k in range(0, top + 1):
-        lhs, rhs = missing_face_identity_sides(cx, t, k)
+    for k, lhs, rhs in _identity_sides(cx, tau, range(0, cx.dim + 2)):
         if lhs != rhs:
             extra = sorted(tuple(sorted(f)) for f in lhs ^ rhs)
             return PredicateResult(

@@ -40,7 +40,6 @@ from .generators import (
     suspension,
 )
 from .homology import (
-    is_homology_ball,
     is_homology_sphere,
     is_normal_pseudomanifold,
     is_r_stacked_ball,
@@ -226,11 +225,11 @@ def _run_one_stacked_fill(catalog, scale):
             yield entry.name, False, f"stacked entry has g2={g2(cx)}"
             continue
         filled = skeleton_completion(cx, 1)
-        ball = is_homology_ball(filled)
-        if not ball:
-            yield entry.name, False, f"fill is not a ball ({ball.reason})"
+        try:
+            cert = is_r_stacked_ball(filled, 1)
+        except PreconditionError as exc:
+            yield entry.name, False, f"fill is not a ball ({exc})"
             continue
-        cert = is_r_stacked_ball(filled, 1, check=False)
         boundary_ok = cert.boundary == cx
         ok = boundary_ok and cert.ok
         yield (

@@ -1,10 +1,22 @@
 import json
 import time
 
+import pytest
 from click.testing import CliRunner
 
-from scx import barnette_sphere, facevectors, simplex_boundary, write_scx
+from scx import (
+    barnette_sphere,
+    cycle,
+    facevectors,
+    from_facets,
+    homology,
+    join,
+    simplex_boundary,
+    write_scx,
+)
+from scx import cli
 from scx.cli import main
+from test_homology import RP2_FACETS
 
 
 def invoke(*args):
@@ -22,6 +34,69 @@ def test_info_reports_g2_of_fixture(tmp_path):
     assert result.exit_code == 0
     assert "g-vector: 1 3 5" in result.output
     assert "homology sphere: True" in result.output
+
+
+BARNETTE_INFO = """\
+dimension: 3
+f-vector: 1 8 27 38 19
+h-vector: 1 4 9 4 1
+g-vector: 1 3 5
+pure: True
+prime: True
+normal pseudomanifold: True
+homology manifold: True
+homology sphere: True
+"""
+
+RP2_INFO = """\
+dimension: 2
+f-vector: 1 6 15 10
+h-vector: 1 3 6 0
+g-vector: 1 2
+pure: True
+prime: False
+normal pseudomanifold: True
+homology manifold: True
+homology sphere: False
+"""
+
+
+@pytest.mark.parametrize("field", [(), ("--field", "2")])
+def test_info_output_is_pinned(tmp_path, field):
+    rp2 = tmp_path / "rp2.scx"
+    write_scx(from_facets(RP2_FACETS), rp2)
+    for path, expected in ((write_barnette(tmp_path), BARNETTE_INFO), (str(rp2), RP2_INFO)):
+        result = invoke("info", path, *field)
+        assert result.exit_code == 0
+        assert result.output == expected
+
+
+def test_info_computes_one_betti_per_face(tmp_path, monkeypatch):
+    cx = join(cycle(5), simplex_boundary(4))
+    path = tmp_path / "join.scx"
+    write_scx(cx, path)
+    calls = []
+    original = homology.betti
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(homology, "betti", counting)
+    monkeypatch.setattr(cli, "betti", counting)
+    result = invoke("info", str(path))
+    assert result.exit_code == 0
+    assert "homology sphere: True" in result.output
+    assert len(calls) == len(cx.faces()) == 341
+
+
+def test_input_option_and_missing_input(tmp_path):
+    path = write_barnette(tmp_path)
+    assert invoke("info", "--input", path).output == invoke("info", path).output
+    assert invoke("gvector", "--input", path).output.strip() == "1 3 5"
+    result = invoke("gvector")
+    assert result.exit_code == 3
+    assert "no input file given" in result.output
 
 
 def test_gvector_of_simplex_boundary(tmp_path):

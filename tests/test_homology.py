@@ -192,6 +192,34 @@ def test_homology_manifold_matches_vertex_link_definition(cx, field):
     assert (res.ok, res.witness, res.reason) == _vertex_link_manifold(cx, field)
 
 
+def _per_face_sphere(cx, field):
+    """The definition: every face link, the empty face included, has the
+    homology of the sphere of complementary dimension."""
+    return all(
+        betti(cx.link(face), field).is_sphere(cx.dim - len(face)) for face in cx.faces()
+    )
+
+
+@given(st.one_of(near_manifolds(), random_complexes), st.sampled_from(["rational", 2]))
+@settings(max_examples=150, deadline=None)
+def test_homology_sphere_matches_per_face_definition(cx, field):
+    res = is_homology_sphere(cx, field)
+    assert res.ok == _per_face_sphere(cx, field)
+    if not betti(cx, field).is_sphere(cx.dim):
+        assert res.witness == ()
+    else:
+        assert res == is_homology_manifold(cx, field)
+
+
+def test_homology_sphere_computes_one_betti_per_face(monkeypatch):
+    cx = join(cycle(5), simplex_boundary(4))
+    calls = []
+    original = homology.betti
+    monkeypatch.setattr(homology, "betti", lambda *a: calls.append(1) or original(*a))
+    assert is_homology_sphere(cx)
+    assert len(calls) == len(cx.faces()) == 341
+
+
 def test_homology_manifold_sweeps_each_face_link_once(cycle_join, monkeypatch):
     linked = []
     original_link = SimplicialComplex.link

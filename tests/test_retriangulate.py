@@ -20,7 +20,7 @@ from scx import (
     swartz_all,
     swartz_operation,
 )
-from scx import homology
+from scx import homology, retriangulate
 
 
 def test_crtr_of_face_star(bd5):
@@ -80,6 +80,23 @@ def test_missing_face_identity_check(cycle_join, bd5):
     assert crtr_missing_faces_check(bd5, [0, 1, 2, 3])
     face = cycle_join.faces_of_dim(2)[0]
     assert crtr_missing_faces_check(cycle_join, face)
+
+
+def test_missing_face_identity_check_retriangulates_once(cycle_join, bd5, monkeypatch):
+    cases = [(bd5, [0, 1, 2, 3]), (bd5, [0]), (cycle_join, cycle_join.faces_of_dim(1)[0])]
+    for cx, tau in cases:
+        sides = [missing_face_identity_sides(cx, tau, k) for k in range(cx.dim + 2)]
+        assert all(lhs == rhs for lhs, rhs in sides)
+    calls = []
+    original = retriangulate.central_retriangulation
+    monkeypatch.setattr(
+        retriangulate,
+        "central_retriangulation",
+        lambda *args: calls.append(1) or original(*args),
+    )
+    for cx, tau in cases:
+        assert crtr_missing_faces_check(cx, tau)
+    assert len(calls) == len(cases)
 
 
 def test_inverse_stellar_undoes_crtr(bd5):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from scx import Scale, UnknownStatementError, run_statement, statement_ids
+from scx import Scale, UnknownStatementError, homology, run_statement, statement_ids
+from scx import verify
 
 
 def test_registry_contents():
@@ -47,3 +48,26 @@ def test_scale_restricts_instances():
     small = run_statement("Lemma2.2", Scale(dmax=4, f0max=8, cycle_max=4))
     full = run_statement("Lemma2.2", Scale())
     assert small.instances < full.instances
+
+
+def test_theorem_2_3_analyses_each_fill_once(monkeypatch):
+    passes = []
+    original = homology._ball_analysis
+    monkeypatch.setattr(
+        homology, "_ball_analysis", lambda *args: passes.append(1) or original(*args)
+    )
+    rep = run_statement("Theorem2.3", Scale(dmax=5, f0max=9, cycle_max=5))
+    assert rep.passed, rep.failures
+    assert rep.instances > 0
+    assert len(passes) == rep.instances
+
+
+def test_theorem_2_3_reports_a_fill_that_is_not_a_ball(monkeypatch):
+    monkeypatch.setattr(verify, "skeleton_completion", lambda cx, i: cx)  # a sphere
+    rep = run_statement("Theorem2.3", Scale(dmax=4, f0max=8, cycle_max=4))
+    assert len(rep.failures) == rep.instances > 0
+    assert all(
+        f.endswith(": fill is not a ball (not a homology ball: complex does not have"
+                   " ball homology (witness ()))")
+        for f in rep.failures
+    )
