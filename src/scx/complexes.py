@@ -144,18 +144,9 @@ class SimplicialComplex:
         return tuple(tuple(sorted(e)) for e in self.faces_of_dim(1))
 
     def is_connected(self) -> bool:
-        if len(self._vertices) <= 1:
-            return True
-        adj = self.adjacency()
-        start = min(self._vertices)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._vertices)
+        """One component in the 1-skeleton, found from the facets alone."""
+        pairs = ((min(f), v) for f in self._facets for v in f)
+        return len(_components(self._vertices, pairs)) <= 1
 
     # -- subcomplex operations ---------------------------------------------
 

@@ -2,6 +2,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scx import (
     FaceNotPresentError,
@@ -263,3 +264,38 @@ def test_closure_is_shared_safely_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
+
+
+def _one_skeleton_connected(cx):
+    """Depth-first search over the edges of the oracle closure."""
+    edges = [tuple(f) for f in oracle.closure(cx.facets) if len(f) == 2]
+    verts = sorted(cx.vertices)
+    seen, stack = set(verts[:1]), verts[:1]
+    while stack:
+        u = stack.pop()
+        for a, b in edges:
+            if u in (a, b) and (w := b if u == a else a) not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(verts)
+
+
+# facets of up to three vertices, single vertices and the empty face included,
+# so that both connected and disconnected complexes are common
+sparse_complexes = st.lists(
+    st.lists(st.integers(0, 9), max_size=3, unique=True), max_size=7
+).map(from_facets)
+
+
+@given(sparse_complexes)
+@settings(max_examples=300, deadline=None)
+def test_is_connected_matches_one_skeleton_search(cx):
+    assert cx.is_connected() == _one_skeleton_connected(cx)
+
+
+def test_is_connected_edge_cases():
+    assert from_facets([]).is_connected()
+    assert from_facets([[4]]).is_connected()
+    assert not from_facets([[0], [1]]).is_connected()
+    assert not from_facets([[0, 1, 2], [3]]).is_connected()
+    assert from_facets([[0, 1], [1, 2], [2, 3]]).is_connected()

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +192,95 @@ def _vertex_link_manifold(cx, field):
 def test_homology_manifold_matches_vertex_link_definition(cx, field):
     res = is_homology_manifold(cx, field)
     assert (res.ok, res.witness, res.reason) == _vertex_link_manifold(cx, field)
+
+
+@given(
+    st.one_of(near_manifolds(), random_complexes),
+    st.permutations(range(8)),
+    st.sampled_from(["rational", 2]),
+)
+@settings(max_examples=150, deadline=None)
+def test_betti_memo_matches_the_uncached_computation(cx, perm, field):
+    uncached = homology._betti.__wrapped__
+    copy = from_facets([[perm[v] for v in f] for f in cx.facets])
+    for c in (cx, copy, cx, copy):  # misses first, then hits
+        assert betti(c, field) == uncached(c.facets, field)
+    assert betti(copy, field) == betti(cx, field)
+    if field == 2:
+        assert betti(cx, field).entries == oracle.betti_gf2(cx.facets)
+
+
+@pytest.mark.parametrize("fields", [("rational", 2), (2, "rational")])
+def test_betti_memo_keys_on_the_field(fields):
+    homology._betti.cache_clear()
+    rp2 = from_facets(RP2_FACETS)
+    expected = {"rational": (0, 0, 0, 0), 2: (0, 0, 1, 1)}
+    for field in fields + fields:
+        profile = betti(rp2, field)
+        assert (profile.entries, profile.field) == (expected[field], field)
+    info = homology._betti.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_betti_memo_never_holds_a_guard_trip(monkeypatch):
+    homology._betti.cache_clear()
+    betti(cycle(5))
+    monkeypatch.setattr(homology, "BETTI_GUARD", 5)  # 4x6 cells in d_1 of the 3-simplex
+    for _ in range(3):
+        with pytest.raises(TooLargeError):
+            betti(simplex_boundary(3))
+    info = homology._betti.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 4, 0)
+
+
+def test_betti_memo_is_bounded():
+    for v in range(homology.BETTI_MEMO + 40):
+        assert betti(from_facets([[v, v + 1]])).is_trivial()
+    info = homology._betti.cache_info()
+    assert info.maxsize == info.currsize == homology.BETTI_MEMO
+
+
+def test_betti_memo_is_shared_safely_between_threads():
+    shared = [from_facets(RP2_FACETS), join(cycle(4), cycle(4)), stacked_sphere(3, 7)]
+    shared.append(from_facets(sorted(shared[1].facets, key=sorted)[1:]))  # not a manifold
+    jobs = [(cx, field) for cx in shared for field in ("rational", 2)]
+    homology._betti.cache_clear()
+    expected = [is_homology_manifold(cx, field) for cx, field in jobs]
+    homology._betti.cache_clear()
+    results = [None] * 8
+
+    def sweep(i):
+        order = jobs[i % len(jobs):] + jobs[: i % len(jobs)]  # threads start apart
+        got = {job: is_homology_manifold(*job) for job in order}
+        results[i] = [got[job] for job in jobs]
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+    assert [r.ok for r in expected] == [True] * 6 + [False] * 2
+
+
+def test_sphere_after_manifold_builds_only_its_own_boundary_matrices(monkeypatch):
+    cx = join(cycle(4), cycle(4))
+    assert len(cx.faces()) < homology.BETTI_MEMO
+    homology._betti.cache_clear()
+    assert is_homology_manifold(cx)
+    built = []
+    original = homology.boundary_matrix
+    monkeypatch.setattr(
+        homology, "boundary_matrix", lambda c, k: built.append(k) or original(c, k)
+    )
+    assert is_homology_sphere(cx)
+    assert built == list(range(cx.dim + 1))
 
 
 def _per_face_sphere(cx, field):
