@@ -57,9 +57,20 @@ class SimplicialComplex:
     __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_by_dim")
 
     def __init__(self, faces):
-        self._facets = _maximal(faces)
-        self._vertices = frozenset(itertools.chain.from_iterable(self._facets))
-        self._dim = max(len(f) for f in self._facets) - 1
+        self._adopt(_maximal(faces))
+
+    @classmethod
+    def _of_antichain(cls, facets: frozenset) -> "SimplicialComplex":
+        """Trusted constructor: ``facets`` is a nonempty frozenset of frozensets,
+        none contained in another, so ``_maximal`` has nothing to remove."""
+        cx = cls.__new__(cls)
+        cx._adopt(facets)
+        return cx
+
+    def _adopt(self, facets: frozenset):
+        self._facets = facets
+        self._vertices = frozenset(itertools.chain.from_iterable(facets))
+        self._dim = max(len(f) for f in facets) - 1
         self._faces = None
         self._by_dim = None
 
@@ -159,12 +170,17 @@ class SimplicialComplex:
     def link(self, face) -> "SimplicialComplex":
         """Faces disjoint from ``face`` whose union with it is again a face."""
         f = self._require_face(face)
-        return SimplicialComplex(facet - f for facet in self._facets if f <= facet)
+        # the facets through a face, less that face, are still an antichain
+        return SimplicialComplex._of_antichain(
+            frozenset(facet - f for facet in self._facets if f <= facet)
+        )
 
     def star(self, face) -> "SimplicialComplex":
         """Closed star: all faces whose union with ``face`` is a face."""
         f = self._require_face(face)
-        return SimplicialComplex(facet for facet in self._facets if f <= facet)
+        return SimplicialComplex._of_antichain(
+            frozenset(facet for facet in self._facets if f <= facet)
+        )
 
     def restriction(self, verts) -> "SimplicialComplex":
         w = frozenset(verts)

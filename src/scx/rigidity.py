@@ -131,6 +131,13 @@ def g2_via_rigidity(
     which holds for normal pseudomanifolds; pass
     ``require_pseudomanifold=False`` to get the bare kernel dimension for
     other inputs.
+
+    The rank is sampled, and its error is one-sided: each trial is the exact
+    rank, over ``field`` (GF(p) by default), of the matrix at one random
+    integer embedding, and neither a special embedding nor reduction mod p
+    can raise a rank above the generic rank, only lower it.  So the result can only overestimate
+    g_2, never underestimate it, and only when every trial falls short, which
+    for a random embedding has negligible probability (Schwartz-Zippel).
     """
     if require_pseudomanifold:
         res = is_normal_pseudomanifold(cx)
@@ -151,8 +158,12 @@ def stress_basis(
     """Exact rational basis of the left kernel of one sampled rigidity matrix.
 
     The matrix kept is the first among `trials` samples attaining the
-    maximal rational rank; every basis vector is re-checked against the
-    equilibrium condition at every vertex before being returned.
+    maximal rank mod ``exact.DEFAULT_PRIME``; every basis vector is
+    re-checked against the equilibrium condition at every vertex before
+    being returned.  The error is one-sided: the basis is exact for the
+    matrix kept, but a sampled rank can only fall short of the generic rank,
+    never exceed it, so an unlucky sample can only add stresses that a
+    generic embedding does not have, with negligible probability.
     """
     if d is None:
         d = cx.dim + 1

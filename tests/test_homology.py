@@ -32,6 +32,7 @@ from scx import (
     standard_catalog,
 )
 from scx import homology
+from scx.exact import matrix_rank
 from scx.homology import _assert_composes_to_zero
 
 import oracle
@@ -194,20 +195,57 @@ def test_homology_manifold_matches_vertex_link_definition(cx, field):
     assert (res.ok, res.witness, res.reason) == _vertex_link_manifold(cx, field)
 
 
+def _betti_on_own_labels(cx, field):
+    """Reduced Betti numbers from the ranks of ``cx``'s own boundary matrices,
+    never through the memo or its key."""
+    sizes = [cx.n_faces(k) for k in range(-1, cx.dim + 1)]
+    ranks = [0] + [matrix_rank(boundary_matrix(cx, k).entries, field) for k in range(cx.dim + 1)]
+    ranks.append(0)  # ranks[k + 1] = rank d_k, with d_{-1} and d_{dim+1} zero
+    return tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))
+
+
 @given(
     st.one_of(near_manifolds(), random_complexes),
     st.permutations(range(8)),
+    st.sets(st.integers(0, 40), min_size=8, max_size=8).map(sorted),
     st.sampled_from(["rational", 2]),
 )
 @settings(max_examples=150, deadline=None)
-def test_betti_memo_matches_the_uncached_computation(cx, perm, field):
-    uncached = homology._betti.__wrapped__
-    copy = from_facets([[perm[v] for v in f] for f in cx.facets])
-    for c in (cx, copy, cx, copy):  # misses first, then hits
-        assert betti(c, field) == uncached(c.facets, field)
-    assert betti(copy, field) == betti(cx, field)
+def test_betti_memo_matches_the_uncached_computation(cx, perm, rising, field):
+    shuffled = from_facets([[perm[v] for v in f] for f in cx.facets])
+    monotone = from_facets([[rising[v] for v in f] for f in cx.facets])  # order-preserving
+    for c in (cx, shuffled, monotone, cx, shuffled, monotone):  # misses first, then hits
+        assert betti(c, field).entries == _betti_on_own_labels(c, field)
+    assert betti(shuffled, field) == betti(monotone, field) == betti(cx, field)
     if field == 2:
         assert betti(cx, field).entries == oracle.betti_gf2(cx.facets)
+
+
+def test_betti_memo_hits_an_order_preserving_relabelling():
+    homology._betti.cache_clear()
+    cx = join(cycle(4), cycle(5))
+    shifted = from_facets([[3 * v + 10 for v in f] for f in cx.facets])
+    assert shifted != cx
+    assert betti(shifted) == betti(cx)
+    info = homology._betti.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_manifold_sweep_of_a_join_computes_few_profiles():
+    homology._betti.cache_clear()
+    assert is_homology_manifold(join(cycle(5), cycle(6)))
+    assert homology._betti.cache_info().misses <= 7  # 55 when keyed on the facets
+
+
+@pytest.mark.parametrize(
+    "facets, same_type, entries", [([], [], (1,)), ([[5]], [[0]], (0, 0))]
+)
+def test_smallest_complexes_round_trip_through_the_memo_key(facets, same_type, entries):
+    homology._betti.cache_clear()
+    for c in (from_facets(facets), from_facets(same_type)):
+        assert betti(c).entries == entries == oracle.betti_gf2(c.facets)
+    info = homology._betti.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("fields", [("rational", 2), (2, "rational")])
@@ -234,8 +272,8 @@ def test_betti_memo_never_holds_a_guard_trip(monkeypatch):
 
 
 def test_betti_memo_is_bounded():
-    for v in range(homology.BETTI_MEMO + 40):
-        assert betti(from_facets([[v, v + 1]])).is_trivial()
+    for v in range(homology.BETTI_MEMO + 40):  # v + 1 points: distinct order types
+        assert betti(from_facets([[i] for i in range(v + 1)])).b(0) == v
     info = homology._betti.cache_info()
     assert info.maxsize == info.currsize == homology.BETTI_MEMO
 

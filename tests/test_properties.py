@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from scx import (
+    SimplicialComplex,
     betti,
     detect_join,
     f_from_h,
@@ -43,6 +44,21 @@ def test_closure_idempotence(facets):
 def test_closure_matches_powerset_oracle(facets):
     cx = from_facets(facets)
     assert cx.faces() == oracle.closure(facets)
+
+
+@given(facet_lists, st.data())
+def test_link_and_star_match_the_checked_constructor(facets, data):
+    cx = from_facets(facets)
+    face = data.draw(st.sampled_from(sorted(cx.faces(), key=sorted)))
+    through = [f for f in cx.facets if face <= f]
+    link, star = cx.link(face), cx.star(face)
+    for built, checked in ((link, SimplicialComplex(f - face for f in through)),
+                           (star, SimplicialComplex(through))):
+        assert built.facets == checked.facets
+        assert (built.vertices, built.dim) == (checked.vertices, checked.dim)
+    faces = oracle.closure(facets)
+    assert link.faces() == {g for g in faces if not g & face and g | face in faces}
+    assert star.faces() == {g for g in faces if g | face in faces}
 
 
 @given(facet_lists)
