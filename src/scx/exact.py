@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Everything here works on small dense matrices given as lists of rows of
-Python ints; ranks and kernels over Q share one fraction-free elimination.
-No floating point is used anywhere; rank decisions are exact.
+Dense matrices are lists of rows of Python ints, sharing one fraction-free
+elimination over Q; sparse boundary matrices are ``{row: entry}`` columns,
+ranked by unit-pivot elimination.  No floating point; ranks are exact.
 """
 
 from __future__ import annotations
@@ -115,6 +115,47 @@ def rank_mod(rows, p: int) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def rank_unit_pivot(columns, field="rational") -> int:
+    """Rank over Q or GF(p) of ``{row: nonzero int}`` columns (not modified).
+
+    Pivots are units only (+-1 over Q, nonzero over GF(p)), so entries stay
+    integers; of a column's units, the row fewest columns touch is taken.
+    Columns left with no unit go to ``rank_rational`` on the unpivoted rows.
+    """
+    p = None if field == "rational" else field
+    cols = [{r: e % p for r, e in c.items() if e % p} if p else dict(c) for c in columns]
+    touching = {}  # row -> indices of the columns with an entry in it
+    for j, col in enumerate(cols):
+        for r in col:
+            touching.setdefault(r, set()).add(j)
+    stuck = []
+    for j, col in enumerate(cols):
+        units = [r for r, e in col.items() if p or e in (1, -1)]
+        if not units:
+            stuck.append(col)
+            continue
+        piv = min(units, key=lambda r: len(touching[r]))
+        inv = col.pop(piv) if p is None else pow(col.pop(piv), p - 2, p)
+        for r in col:
+            touching[r].discard(j)
+        for i in touching.pop(piv) - {j}:
+            other = cols[i]
+            fac = other.pop(piv) * inv
+            for r, e in col.items():
+                x = other.get(r, 0) - fac * e
+                if p:
+                    x %= p
+                if x:
+                    other[r] = x
+                    touching[r].add(i)
+                else:
+                    del other[r]
+                    touching[r].discard(i)
+    rows = sorted({r for col in stuck for r in col})
+    rest = rank_rational([[col.get(r, 0) for col in stuck] for r in rows]) if rows else 0
+    return len(cols) - len(stuck) + rest
 
 
 def matrix_rank(rows, field="rational") -> int:

@@ -1,10 +1,10 @@
 """Simplicial homology over exact fields and the classification predicates.
 
-Reduced homology is computed from integer boundary matrices (alternating
-sign convention, augmentation map included) via exact rank computations:
-fraction-free elimination over the rationals by default, or Gaussian
-elimination over GF(p).  Predicates return a :class:`PredicateResult`
-carrying one violating face as a witness when they fail.
+Reduced homology is computed from sparse integer boundary columns
+(alternating sign convention, augmentation map included), certified to
+satisfy d.d = 0 and ranked by one exact elimination that pivots on unit
+entries, over the rationals by default or over GF(p).  Predicates return a
+:class:`PredicateResult` carrying one violating face as a witness.
 
 Betti numbers are the one cached homology fact: :func:`betti` keeps the
 last ``BETTI_MEMO`` profiles in a thread-safe LRU keyed by the complex's
@@ -70,54 +70,55 @@ class BettiProfile:
 
 
 def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
-    """Signed incidence matrix of k-faces over (k-1)-faces.
-
-    Dropping the vertex in sorted position j contributes (-1)^j; k = 0 gives
-    the augmentation map onto the empty face.
-    """
-    rows = cx.faces_of_dim(k - 1)
-    cols = cx.faces_of_dim(k)
-    index = {f: i for i, f in enumerate(rows)}
+    """Signed incidence matrix of k-faces over (k-1)-faces: the dense view
+    of :func:`_boundary_columns`."""
+    rows, cols = cx.faces_of_dim(k - 1), cx.faces_of_dim(k)
     entries = [[0] * len(cols) for _ in rows]
-    for c, face in enumerate(cols):
-        fs = sorted(face)
-        for j in range(len(fs)):
-            entries[index[frozenset(fs[:j] + fs[j + 1 :])]][c] = (-1) ** j
-    return BoundaryMatrix(k, rows, cols, tuple(tuple(r) for r in entries))
+    for c, column in enumerate(_boundary_columns(cx, k)):
+        for r, e in column.items():
+            entries[r][c] = e
+    return BoundaryMatrix(k, rows, cols, tuple(map(tuple, entries)))
+
+
+def _boundary_columns(cx: SimplicialComplex, k: int) -> list:
+    """d_k as one ``{row index: +-1}`` column per k-face, in ``faces_of_dim``
+    order.  Dropping the vertex in sorted position j contributes (-1)^j; k = 0
+    gives the augmentation map onto the empty face."""
+    index = {f: i for i, f in enumerate(cx.faces_of_dim(k - 1))}
+    return [
+        {index[face - {v}]: 1 - 2 * (j & 1) for j, v in enumerate(sorted(face))}
+        for face in cx.faces_of_dim(k)
+    ]
 
 
 def chain_complex(cx: SimplicialComplex) -> list:
     """All boundary matrices d_0..d_dim, with the d.d = 0 identity asserted."""
-    mats = [boundary_matrix(cx, k) for k in range(cx.dim + 1)]
-    for low, high in zip(mats, mats[1:]):
+    _checked_columns(cx)
+    return [boundary_matrix(cx, k) for k in range(cx.dim + 1)]
+
+
+def _checked_columns(cx: SimplicialComplex) -> list:
+    """The columns of d_0..d_dim, after certifying d_k . d_{k+1} = 0."""
+    columns = [_boundary_columns(cx, k) for k in range(cx.dim + 1)]
+    for low, high in zip(columns, columns[1:]):
         _assert_composes_to_zero(low, high)
-    return mats
+    return columns
 
 
-def _assert_composes_to_zero(low: BoundaryMatrix, high: BoundaryMatrix):
-    # sparse column maps of the lower matrix, keyed by its column faces
-    low_cols = {
-        face: {
-            r: low.entries[r][c]
-            for r in range(len(low.row_faces))
-            if low.entries[r][c]
-        }
-        for c, face in enumerate(low.col_faces)
-    }
-    for c in range(len(high.col_faces)):
+def _assert_composes_to_zero(low: list, high: list):
+    # low is d_k and high d_{k+1}, as columns: each column of high maps to 0
+    for column in high:
         acc = {}
-        for r, rface in enumerate(high.row_faces):
-            e = high.entries[r][c]
-            if e:
-                for rr, e2 in low_cols[rface].items():
-                    acc[rr] = acc.get(rr, 0) + e2 * e
+        for r, e in column.items():
+            for rr, e2 in low[r].items():
+                acc[rr] = acc.get(rr, 0) + e * e2
         if any(acc.values()):
             raise InternalCheckError("boundary matrices do not compose to zero")
 
 
-#: Cells allowed in each dense boundary matrix of :func:`betti`: 9x the largest
-#: built by ``run_all()`` at dmax=7 (56,640; 14,850 in the tests and at the
-#: default scale, 10,000 on the classify-distinct benchmark stream).
+#: Bound on rows x cols of each d_k in :func:`betti`, which fill-in never exceeds:
+#: 9x the largest in ``run_all()`` at dmax=7 (56,640; 14,850 in the tests and at
+#: the default scale, 10,000 on the classify-distinct benchmark stream).
 BETTI_GUARD = 2**19
 
 #: Profiles kept by the :func:`betti` memo.  The key is the complex's order
@@ -129,16 +130,16 @@ BETTI_MEMO = 256
 
 
 def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
-    """Reduced Betti numbers from exact ranks of the boundary matrices.
+    """Reduced Betti numbers from exact ranks of sparse boundary columns.
 
     Memoised: the last ``BETTI_MEMO`` results are kept in a thread-safe LRU
     keyed by the complex's order type and the normalized field.  The order
     type numbers the vertices 0..n-1 in sorted order and lists each facet as
     a bitmask over that numbering, sorted; two complexes with the same key
     differ by an order-preserving relabelling, which changes no Betti number
-    and no face count, so a relabelled link or star shares its entry.  A
-    ``TooLargeError`` is raised again on every call and never cached;
-    ``_betti.cache_info()`` reports the hits.
+    and no face count, so a relabelled link or star shares its entry.  Each
+    miss certifies d.d = 0 before ranking.  A ``TooLargeError`` is raised
+    again on every call and never cached; ``_betti.cache_info()`` counts hits.
     """
     bit = {v: 1 << i for i, v in enumerate(sorted(cx.vertices))}
     key = tuple(sorted(sum(map(bit.__getitem__, f)) for f in cx.facets))
@@ -156,10 +157,8 @@ def _betti(masks: tuple, field) -> BettiProfile:
     cells = max((rows * cols for rows, cols in zip(sizes, sizes[1:])), default=0)
     if cells > BETTI_GUARD:
         raise TooLargeError(f"{cells} boundary-matrix cells exceed the Betti guard ({BETTI_GUARD})")
-    ranks = [0] * (dim + 2)  # ranks[k] = rank d_k, with rank d_{dim+1} = 0
-    for k in range(dim + 1):
-        mat = boundary_matrix(cx, k)
-        ranks[k] = exact.matrix_rank(mat.entries, field)
+    # ranks[k] = rank d_k, with rank d_{dim+1} = 0
+    ranks = [exact.rank_unit_pivot(c, field) for c in _checked_columns(cx)] + [0]
     entries = []
     for i in range(-1, dim + 1):
         rk = ranks[i] if i >= 0 else 0

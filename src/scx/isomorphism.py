@@ -26,9 +26,16 @@ class IsoCertificate:
 
 def _vertex_classes(cx: SimplicialComplex) -> dict:
     adj = cx.adjacency()
-    base = {
-        v: (len(adj[v]), f_vector(cx.link([v])).entries) for v in cx.vertices
-    }
+    # the f-vector of lk(v): lk_f[v][k] counts the k-faces through v
+    lk_f = {v: [] for v in cx.vertices}
+    for k in range(cx.dim + 1):
+        for face in cx.faces_of_dim(k):
+            for v in face:
+                counts = lk_f[v]
+                if len(counts) == k:
+                    counts.append(0)
+                counts[k] += 1
+    base = {v: (len(adj[v]), tuple(lk_f[v])) for v in cx.vertices}
     # one refinement round: append the sorted multiset of neighbour classes
     refined = {
         v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices

@@ -229,3 +229,11 @@ def test_failed_certificate_exits_5(tmp_path, monkeypatch):
     result = invoke("gvector", str(path))
     assert result.exit_code == 5
     assert "g-vector routes disagree" in result.output
+
+
+def test_failed_boundary_certificate_exits_5(tmp_path, flipped_d1):
+    path = tmp_path / "bd3.scx"
+    write_scx(simplex_boundary(3), path)
+    result = invoke("info", str(path))
+    assert result.exit_code == 5
+    assert "do not compose to zero" in result.output

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from scx import g2_two_catalog, stress_basis
+from scx import exact, g2_two_catalog, stress_basis
 from scx.errors import PreconditionError
 from scx.exact import (
     DEFAULT_PRIME,
@@ -14,6 +14,7 @@ from scx.exact import (
     matrix_rank,
     rank_mod,
     rank_rational,
+    rank_unit_pivot,
     right_nullspace,
     validate_field,
 )
@@ -102,6 +103,42 @@ def test_right_nullspace_is_the_canonical_basis(m):
         assert all(v[j] == 0 for j in free if j != fc)
         assert gcd(*v) == 1
         assert next(x for x in v if x) > 0
+
+
+def _columns(m):
+    return [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(len(m[0]))]
+
+
+@given(
+    kernel_matrices(),
+    st.sampled_from([1, 1, 2, 6]),  # an even scale leaves no +-1 entry over Q
+    st.sampled_from(["rational", 2, 3, 7, DEFAULT_PRIME]),
+)
+def test_unit_pivot_rank_matches_the_dense_ranks(m, scale, field):
+    m = [[scale * x for x in row] for row in m]
+    columns = _columns(m)
+    before = [dict(c) for c in columns]
+    expected = rank_rational(m) if field == "rational" else rank_mod(m, field)
+    assert rank_unit_pivot(columns, field) == expected
+    assert columns == before
+
+
+def test_unit_pivot_rank_hands_columns_without_units_to_bareiss(monkeypatch):
+    calls = []
+    original = exact.rank_rational
+    monkeypatch.setattr(exact, "rank_rational", lambda rows: calls.append(rows) or original(rows))
+    assert rank_unit_pivot([{0: 2, 1: 4}, {0: 4, 1: 2}]) == 2
+    assert calls == [[[2, 4], [4, 2]]]
+    # row 0 is pivoted on the unit of the first column; the second column,
+    # reduced to {1: -4, 2: 4}, goes to Bareiss on rows 1 and 2 only
+    calls.clear()
+    assert rank_unit_pivot([{0: 1, 1: 2}, {0: 3, 1: 2, 2: 4}]) == 2
+    assert calls == [[[-4], [4]]]
+    calls.clear()
+    assert rank_unit_pivot([{0: 1, 1: 2}, {0: 3, 1: 2, 2: 4}], 5) == 2
+    assert rank_unit_pivot([{0: 2, 1: 4}, {0: 4, 1: 2}], 2) == 0
+    assert rank_unit_pivot([]) == 0
+    assert calls == []  # every nonzero entry is a unit over GF(p)
 
 
 def test_stress_basis_of_octahedral_sphere_is_pinned():

@@ -1,6 +1,8 @@
-import dataclasses
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,9 +33,10 @@ from scx import (
     stacked_sphere,
     standard_catalog,
 )
+import scx
 from scx import homology
-from scx.exact import matrix_rank
-from scx.homology import _assert_composes_to_zero
+from scx.exact import matrix_rank, rank_unit_pivot
+from scx.homology import _assert_composes_to_zero, _boundary_columns
 
 import oracle
 
@@ -75,10 +78,55 @@ def test_chain_complex_composes_to_zero(bd4, oct3, cycle_join):
 
 
 def test_failed_composition_certificate_raises(bd3):
-    low, high = boundary_matrix(bd3, 1), boundary_matrix(bd3, 2)
-    flipped = (tuple(-x for x in high.entries[0]),) + high.entries[1:]
+    low, high = _boundary_columns(bd3, 1), _boundary_columns(bd3, 2)
+    high[0][min(high[0])] *= -1
     with pytest.raises(InternalCheckError):
-        _assert_composes_to_zero(low, dataclasses.replace(high, entries=flipped))
+        _assert_composes_to_zero(low, high)
+
+
+def test_betti_certifies_each_miss(bd3, flipped_d1):
+    for field in ("rational", 2):
+        with pytest.raises(InternalCheckError):
+            betti(bd3, field)
+    assert homology._betti.cache_info().currsize == 0
+
+
+def test_betti_certificate_survives_optimize_flag():
+    # `python -O` strips assert statements; the d.d = 0 check must still run
+    code = (
+        "import sys\n"
+        "from scx import InternalCheckError, betti, homology, simplex_boundary\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(2)\n"
+        "original = homology._boundary_columns\n"
+        "def flipped(cx, k):\n"
+        "    columns = original(cx, k)\n"
+        "    if k == 1:\n"
+        "        columns[0][min(columns[0])] *= -1\n"
+        "    return columns\n"
+        "homology._boundary_columns = flipped\n"
+        "try:\n"
+        "    betti(simplex_boundary(3))\n"
+        "except InternalCheckError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(scx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert result.returncode == 0
+
+
+def test_boundary_columns_follow_the_sign_convention(bd4, oct3, cycle_join):
+    for cx in (bd4, oct3, cycle_join):
+        for k in range(cx.dim + 1):
+            rows, columns = cx.faces_of_dim(k - 1), _boundary_columns(cx, k)
+            for face, column in zip(cx.faces_of_dim(k), columns, strict=True):
+                fs = sorted(face)  # dropping the j-th smallest vertex gives (-1)^j
+                drop = {rows.index(frozenset(fs[:j] + fs[j + 1 :])): (-1) ** j for j in range(len(fs))}
+                assert column == drop
+            dense = boundary_matrix(cx, k).entries
+            assert dense == tuple(tuple(col.get(r, 0) for col in columns) for r in range(len(rows)))
 
 
 def test_is_homology_sphere(cycle_join, bd5):
@@ -221,6 +269,19 @@ def test_betti_memo_matches_the_uncached_computation(cx, perm, rising, field):
         assert betti(cx, field).entries == oracle.betti_gf2(cx.facets)
 
 
+@given(st.one_of(near_manifolds(), random_complexes), st.sampled_from(["rational", 2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_unit_pivot_ranks_of_boundary_columns(cx, field):
+    ks = range(cx.dim + 1)
+    ranks = [rank_unit_pivot(_boundary_columns(cx, k), field) for k in ks]
+    assert ranks == [matrix_rank(boundary_matrix(cx, k).entries, field) for k in ks]
+    if field == 2:
+        sizes = [cx.n_faces(k) for k in range(-1, cx.dim + 1)]
+        ranks = [0] + ranks + [0]
+        entries = tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))
+        assert entries == oracle.betti_gf2(cx.facets)
+
+
 def test_betti_memo_hits_an_order_preserving_relabelling():
     homology._betti.cache_clear()
     cx = join(cycle(4), cycle(5))
@@ -313,9 +374,9 @@ def test_sphere_after_manifold_builds_only_its_own_boundary_matrices(monkeypatch
     homology._betti.cache_clear()
     assert is_homology_manifold(cx)
     built = []
-    original = homology.boundary_matrix
+    original = homology._boundary_columns
     monkeypatch.setattr(
-        homology, "boundary_matrix", lambda c, k: built.append(k) or original(c, k)
+        homology, "_boundary_columns", lambda c, k: built.append(k) or original(c, k)
     )
     assert is_homology_sphere(cx)
     assert built == list(range(cx.dim + 1))

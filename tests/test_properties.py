@@ -17,6 +17,7 @@ from scx import (
     reduced_euler,
 )
 from scx.fileio import read_scx_text, write_scx_text
+from scx.isomorphism import _vertex_classes
 
 import oracle
 
@@ -104,3 +105,12 @@ def test_scx_round_trip(facets):
 def test_macaulay_pseudopower_monotone(a, i):
     assert macaulay_pseudopower(a + 1, i) >= macaulay_pseudopower(a, i)
     assert macaulay_pseudopower(a, i) >= a or i == 1
+
+
+@given(facet_lists)
+def test_vertex_classes_count_link_faces(facets):
+    cx = from_facets(facets)
+    adj = cx.adjacency()
+    base = {v: (len(adj[v]), f_vector(cx.link([v])).entries) for v in cx.vertices}
+    expected = {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices}
+    assert _vertex_classes(cx) == expected
