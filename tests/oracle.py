@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here recomputes invariants from raw facet lists with the most
-naive method available (powerset closures, GF(2) Gaussian elimination), on
-purpose sharing no code with the package internals it checks.
+Everything here recomputes invariants from raw facet lists or dense matrices
+with the most naive method available (powerset closures, GF(2) and GF(p)
+Gaussian elimination), on purpose sharing no code with the package internals
+it checks.
 """
 
 from itertools import combinations
@@ -69,6 +70,24 @@ def betti_gf2(facets):
         len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(-1, dim + 1)
     )
+
+
+def rank_gfp(rows, p):
+    """Rank over GF(p) of dense integer rows by Gauss-Jordan elimination."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                f = mat[i][c] * inv % p
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
 
 
 def is_join_partition(facets, side_a, side_b):

@@ -201,6 +201,25 @@ def test_stress_command(tmp_path):
     assert "non-participating vertices: none" in result.output
 
 
+def test_stress_with_no_trials_exits_3(tmp_path):
+    path = tmp_path / "bd4.scx"
+    write_scx(simplex_boundary(4), path)
+    result = invoke("stress", str(path), "--trials", "0")
+    assert result.exit_code == 3
+    assert "need at least one trial" in result.output
+
+
+def test_stress_of_a_stacked_sphere_has_dimension_0(tmp_path):
+    # full rank mod p proves the empty basis; Bareiss took about 7 s on this input
+    path = tmp_path / "stacked.scx"
+    invoke("gen", "stacked-sphere", "4", "60", "--output", str(path))
+    start = time.perf_counter()
+    result = invoke("stress", str(path))
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 0
+    assert "dimension: 0" in result.output
+
+
 def test_closure_guard_exits_3(tmp_path):
     # one facet on 30 vertices: the closure would hold 2**30 faces
     path = tmp_path / "simplex29.scx"

@@ -5,7 +5,14 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from scx import exact, g2_two_catalog, stress_basis
+from scx import (
+    exact,
+    g2_two_catalog,
+    random_embedding,
+    rigidity_matrix,
+    skeleton_graph,
+    stress_basis,
+)
 from scx.errors import PreconditionError
 from scx.exact import (
     DEFAULT_PRIME,
@@ -18,6 +25,9 @@ from scx.exact import (
     right_nullspace,
     validate_field,
 )
+from scx.generators import standard_catalog
+
+import oracle
 
 
 def test_rank_simple():
@@ -118,9 +128,30 @@ def test_unit_pivot_rank_matches_the_dense_ranks(m, scale, field):
     m = [[scale * x for x in row] for row in m]
     columns = _columns(m)
     before = [dict(c) for c in columns]
-    expected = rank_rational(m) if field == "rational" else rank_mod(m, field)
+    expected = rank_rational(m) if field == "rational" else oracle.rank_gfp(m, field)
     assert rank_unit_pivot(columns, field) == expected
     assert columns == before
+
+
+def test_rank_mod_of_rigidity_matrices_matches_the_oracle():
+    pseudomanifolds = [e.complex for e in standard_catalog(dmax=5) if "normal-pm" in e.tags]
+    assert len(pseudomanifolds) > 20
+    for cx in pseudomanifolds:
+        g = skeleton_graph(cx)
+        for seed in range(3):
+            rows = rigidity_matrix(g, random_embedding(g, cx.dim + 1, seed)).entries
+            assert rank_mod(rows, DEFAULT_PRIME) == oracle.rank_gfp(rows, DEFAULT_PRIME)
+
+
+@given(kernel_matrices(), st.data(), st.sampled_from([2, 3, 7, DEFAULT_PRIME]))
+def test_rank_mod_with_a_zero_column_and_a_row_vanishing_mod_p(m, data, p):
+    ncols = len(m[0])
+    at = data.draw(st.integers(min_value=0, max_value=ncols))
+    m = [row[:at] + [0] + row[at:] for row in m]
+    small = st.integers(min_value=-3, max_value=3)
+    vanishing = data.draw(st.lists(small, min_size=ncols + 1, max_size=ncols + 1))
+    m.insert(data.draw(st.integers(min_value=0, max_value=len(m))), [p * x for x in vanishing])
+    assert rank_mod(m, p) == oracle.rank_gfp(m, p)
 
 
 def test_unit_pivot_rank_hands_columns_without_units_to_bareiss(monkeypatch):

@@ -77,6 +77,18 @@ def test_chain_complex_composes_to_zero(bd4, oct3, cycle_join):
         assert len(mats) == cx.dim + 1
 
 
+def test_chain_complex_builds_each_boundary_once(bd4, oct3, cycle_join, monkeypatch):
+    built, original = [], homology._boundary_columns
+    monkeypatch.setattr(
+        homology, "_boundary_columns", lambda cx, k: built.append(k) or original(cx, k)
+    )
+    for cx in (bd4, oct3, cycle_join):
+        built.clear()
+        mats = chain_complex(cx)
+        assert built == list(range(cx.dim + 1))
+        assert mats == [boundary_matrix(cx, k) for k in range(cx.dim + 1)]
+
+
 def test_failed_composition_certificate_raises(bd3):
     low, high = _boundary_columns(bd3, 1), _boundary_columns(bd3, 2)
     high[0][min(high[0])] *= -1

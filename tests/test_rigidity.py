@@ -7,6 +7,7 @@ from scx import (
     InternalCheckError,
     PreconditionError,
     barnette_sphere,
+    exact,
     from_facets,
     g2,
     g2_via_rigidity,
@@ -105,11 +106,22 @@ def test_stress_check_rejects_a_non_stress():
         _verify_stresses(K4, emb, [(1, 0, 0, 0, 0, 0)])
 
 
-def test_stress_basis_empty_for_stacked():
+def test_stress_basis_empty_for_stacked(monkeypatch):
+    calls = []
+    original = exact._bareiss
+    monkeypatch.setattr(exact, "_bareiss", lambda *a, **k: calls.append(a) or original(*a, **k))
     for cx in (stacked_sphere(4, 7), stacked_sphere(4, 8)):
         basis = stress_basis(cx)
         assert basis.vectors == ()
         assert not any(basis.participation.values())
+    assert calls == []  # full rank mod p proves the kernel over Q is {0}
+
+
+def test_sampling_needs_a_trial(cycle_join):
+    with pytest.raises(PreconditionError, match="need at least one trial"):
+        stress_basis(cycle_join, trials=0)
+    with pytest.raises(PreconditionError, match="need at least one trial"):
+        generic_rank_trials(K4, 2, trials=0)
 
 
 def test_participation_stable_across_seeds(oct3):
