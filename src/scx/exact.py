@@ -104,18 +104,28 @@ def rank_unit_pivot(columns, field="rational") -> int:
     integers; of a column's units, the row fewest columns touch is taken.
     Columns left with no unit go to ``rank_rational`` on the unpivoted rows.
     """
+    return _unit_pivot(columns, field)[0]
+
+
+def _unit_pivot(columns, field):
+    """(rank, indices of the columns that took a unit pivot), in column order.
+
+    The pivoted columns are linearly independent over ``field``.  Over GF(p)
+    every nonzero entry is a unit, so they number exactly the rank.
+    """
     p = None if field == "rational" else field
     cols = [{r: e % p for r, e in c.items() if e % p} if p else dict(c) for c in columns]
     touching = {}  # row -> indices of the columns with an entry in it
     for j, col in enumerate(cols):
         for r in col:
             touching.setdefault(r, set()).add(j)
-    stuck = []
+    stuck, pivoted = [], []
     for j, col in enumerate(cols):
         units = [r for r, e in col.items() if p or e in (1, -1)]
         if not units:
             stuck.append(col)
             continue
+        pivoted.append(j)
         piv = min(units, key=lambda r: len(touching[r]))
         inv = col.pop(piv) if p is None else pow(col.pop(piv), p - 2, p)
         if p:  # scaled to pivot 1, each factor below is the entry itself, < p
@@ -137,7 +147,7 @@ def rank_unit_pivot(columns, field="rational") -> int:
                     touching[r].discard(i)
     rows = sorted({r for col in stuck for r in col})
     rest = rank_rational([[col.get(r, 0) for col in stuck] for r in rows]) if rows else 0
-    return len(cols) - len(stuck) + rest
+    return len(pivoted) + rest, pivoted
 
 
 def matrix_rank(rows, field="rational") -> int:

@@ -16,7 +16,7 @@ from math import comb
 
 from . import exact
 from .complexes import SimplicialComplex
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError, TooLargeError
 from .facevectors import g2
 from .homology import is_normal_pseudomanifold
 
@@ -100,29 +100,61 @@ def rigidity_matrix(graph, embedding: Embedding) -> RigidityMatrix:
     return RigidityMatrix(g.edges, g.vertices, d, tuple(rows))
 
 
+def _rank_bound(g: Graph, d: int) -> int:
+    """No embedding of ``g`` in R^d gives a rigidity matrix of higher rank:
+    d*n - C(d+1, 2) for n >= d vertices (Asimow-Roth 1978), and never above
+    the number of edges."""
+    n, f1 = len(g.vertices), len(g.edges)
+    return f1 if n < d else min(f1, d * n - comb(d + 1, 2))
+
+
 def _samples(g: Graph, d: int, trials: int, seed: int, field):
-    """(rank over ``field``, matrix, embedding) of the rigidity matrix at each
-    of ``trials`` seeded random embeddings."""
+    """(rank over ``field``, pivot columns, matrix, embedding) of the rigidity
+    matrix at each of ``trials`` seeded random embeddings.  Over GF(p) the
+    pivot columns are the indices of ``rank`` columns independent mod p, so
+    independent over Q too; over Q they are None."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    # validated once: its primality test costs about 6% of a typical rank_mod here
+    # validated once: its primality test costs about 6% of a typical rank mod p here
     field = exact.validate_field(field)
     for t in range(trials):
         emb = random_embedding(g, d, _trial_seed(seed, t))
         mat = rigidity_matrix(g, emb)
-        rows = mat.entries
-        rank = exact.rank_rational(rows) if field == "rational" else exact.rank_mod(rows, field)
-        yield rank, mat, emb
+        if field == "rational":
+            yield exact.rank_rational(mat.entries), None, mat, emb
+        else:
+            cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*mat.entries)]
+            yield *exact._unit_pivot(cols, field), mat, emb
+
+
+def _kept_sample(g: Graph, d: int, trials: int, seed: int, field):
+    """The first sample of maximal rank, as ``max`` picks it among all
+    ``trials``.  Sampling stops at the first sample that reaches
+    :func:`_rank_bound`, since no later one can exceed it."""
+    bound = _rank_bound(g, d)
+    kept = None
+    for sample in _samples(g, d, trials, seed, field):
+        if kept is None or sample[0] > kept[0]:
+            kept = sample
+            if kept[0] == bound:
+                break
+    return kept
 
 
 def generic_rank_trials(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME):
     """Exact rank of the rigidity matrix for each of `trials` embeddings."""
-    return [rank for rank, _, _ in _samples(_as_graph(graph), d, trials, seed, field)]
+    return [rank for rank, *_ in _samples(_as_graph(graph), d, trials, seed, field)]
 
 
 def generic_rank(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME) -> int:
-    """Maximum exact rank over independent random embeddings."""
-    return max(generic_rank_trials(graph, d, trials, seed, field))
+    """Maximum exact rank over independent random embeddings.
+
+    Sampling stops at the first trial whose rank reaches d*n - C(d+1, 2)
+    (capped at the number of edges; the number of edges when n < d): no
+    embedding exceeds that bound, so the trial is the generic rank and the
+    maximum over all `trials`.  Only graphs below the bound run every trial.
+    """
+    return _kept_sample(_as_graph(graph), d, trials, seed, field)[0]
 
 
 def g2_via_rigidity(
@@ -145,6 +177,9 @@ def g2_via_rigidity(
     can raise a rank above the generic rank, only lower it.  So the result can only overestimate
     g_2, never underestimate it, and only when every trial falls short, which
     for a random embedding has negligible probability (Schwartz-Zippel).
+    Sampling stops at the first trial that reaches d*f_0 - C(d+1, 2) (or f_1,
+    if smaller): the generic rank never exceeds that bound, so such a trial
+    is exact and the result is the one all `trials` give.
     """
     if require_pseudomanifold:
         res = is_normal_pseudomanifold(cx)
@@ -159,27 +194,52 @@ def g2_via_rigidity(
     return len(g.edges) - generic_rank(g, d, trials, seed, field)
 
 
+#: Bound on rows x cols of the matrix whose nullspace :func:`stress_basis`
+#: takes: 9x the largest in ``run_all()`` at dmax=7 (4,970; 3,306 in the tests
+#: and at the default scale, 1,520 on the rigidity-stress benchmark stream).
+RIGIDITY_GUARD = 45_000
+
+
 def stress_basis(
     cx: SimplicialComplex, d: int | None = None, seed: int = 0, trials: int = 3
 ) -> StressBasis:
     """Exact rational basis of the left kernel of one sampled rigidity matrix.
 
     The matrix kept is the first among `trials` samples attaining the
-    maximal rank mod ``exact.DEFAULT_PRIME``; every basis vector is
-    re-checked against the equilibrium condition at every vertex before
-    being returned.  When that rank equals the number of edges the basis is
-    empty with no elimination over Q: a minor nonzero mod p is nonzero, so
-    the rank over Q is full too.  The error is one-sided: the basis is exact
-    for the matrix kept, but a sampled rank can only fall short of the
-    generic rank, never exceed it, so an unlucky sample can only add
-    stresses that a generic embedding does not have, with negligible
-    probability.
+    maximal rank mod ``exact.DEFAULT_PRIME``; sampling stops at the first
+    that reaches the bound of :func:`generic_rank`, which no sample exceeds.
+    Every basis vector is re-checked against the equilibrium condition at
+    every vertex before being returned.
+
+    When the rank mod p equals the number of edges the basis is empty with
+    no elimination over Q: a minor nonzero mod p is nonzero, so the rank over
+    Q is full too.  When it reaches the bound, rank mod p <= rank over Q <=
+    generic rank <= bound makes all four equal, so the columns that took a
+    pivot mod p span the column space over Q; the kernel is taken on those
+    columns alone, with the same reduced echelon form and so the same
+    vectors as on the whole matrix.  Otherwise every column goes in.  A
+    matrix over ``RIGIDITY_GUARD`` cells raises ``TooLargeError``.
+
+    The error is one-sided: the basis is exact for the matrix kept, but a
+    sampled rank can only fall short of the generic rank, never exceed it,
+    so an unlucky sample can only add stresses that a generic embedding does
+    not have, with negligible probability.
     """
     if d is None:
         d = cx.dim + 1
     g = skeleton_graph(cx)
-    rank, mat, emb = max(_samples(g, d, trials, seed, exact.DEFAULT_PRIME), key=lambda s: s[0])
-    vectors = () if rank == len(g.edges) else tuple(exact.left_nullspace(mat.entries))
+    rank, pivoted, mat, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)
+    vectors = ()
+    if rank < len(g.edges):
+        cols = list(zip(*mat.entries))  # the rows of the transpose
+        if rank == _rank_bound(g, d):
+            cols = [cols[j] for j in pivoted]
+        cells = len(cols) * len(g.edges)
+        if cells > RIGIDITY_GUARD:
+            raise TooLargeError(
+                f"{cells} rigidity-matrix cells exceed the stress guard ({RIGIDITY_GUARD})"
+            )
+        vectors = tuple(exact.right_nullspace(cols))
     _verify_stresses(g, emb, vectors)
     participation = {v: False for v in g.vertices}
     for vec in vectors:

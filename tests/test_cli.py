@@ -9,6 +9,7 @@ from scx import (
     cycle,
     facevectors,
     from_facets,
+    g2_one_family,
     homology,
     join,
     simplex_boundary,
@@ -16,6 +17,7 @@ from scx import (
 )
 from scx import cli
 from scx.cli import main
+from scx.rigidity import RIGIDITY_GUARD
 from test_homology import RP2_FACETS
 
 
@@ -218,6 +220,19 @@ def test_stress_of_a_stacked_sphere_has_dimension_0(tmp_path):
     assert time.perf_counter() - start < 2
     assert result.exit_code == 0
     assert "dimension: 0" in result.output
+
+
+def test_stress_guard_exits_3(tmp_path):
+    # the smallest g2 = 1 cycle join whose tight rigidity matrix, (4n + 2) x
+    # (4n + 3), is over the guard; one size below, Bareiss takes about 7 s
+    n = next(n for n in range(4, 200) if (4 * n + 2) * (4 * n + 3) > RIGIDITY_GUARD)
+    path = tmp_path / "cycle-join.scx"
+    write_scx(g2_one_family(4, "cycle", n).complex, path)
+    start = time.perf_counter()
+    result = invoke("stress", str(path))
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 3
+    assert "stress guard" in result.output
 
 
 def test_closure_guard_exits_3(tmp_path):

@@ -7,9 +7,11 @@ from scx import (
     InternalCheckError,
     PreconditionError,
     barnette_sphere,
+    cross_polytope_boundary,
     exact,
     from_facets,
     g2,
+    g2_one_family,
     g2_via_rigidity,
     generic_rank,
     generic_rank_trials,
@@ -23,9 +25,14 @@ from scx import (
     stress_basis,
     vertex_participation,
 )
-from scx.rigidity import _verify_stresses
+from scx.rigidity import _rank_bound, _verify_stresses
 
 K4 = Graph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+
+
+# two disjoint K4 in the plane: rank 2 * 5 = 10, below min(12 edges, 2 * 8 - 3)
+TWO_K4 = Graph(tuple(range(8)), K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges))
+PENDANT = from_facets([[0, 1], [1, 2], [0, 2], [2, 3]])
 
 
 def test_embedding_determinism():
@@ -160,3 +167,70 @@ def test_link_monotonicity(bd5, oct3):
 
     res = link_monotonicity_check(bd5)
     assert res.ok and res.g2_total == 0
+
+
+def test_stress_basis_matches_the_whole_matrix(oct3, cycle_join):
+    # the pivot columns give the kernel of the whole rigidity matrix, exactly
+    inputs = [
+        oct3,
+        cycle_join,
+        cross_polytope_boundary(3),
+        cross_polytope_boundary(5),
+        g2_one_family(4, "join", 2).complex,
+        g2_one_family(5, "cycle", 5).complex,
+        stacked_sphere(4, 8),
+        barnette_sphere().complex,
+        from_facets([[u, v] for u, v in TWO_K4.edges]),  # below the bound: every column
+        PENDANT,
+    ]
+    for cx in inputs:
+        for seed in (0, 1):
+            basis = stress_basis(cx, seed=seed)
+            g = skeleton_graph(cx)
+            whole = rigidity_matrix(g, basis.embedding).entries
+            assert basis.vectors == tuple(exact.left_nullspace(whole))
+            assert len(basis.vectors) == len(g.edges) - exact.rank_rational(whole)
+
+
+def test_generic_rank_is_the_maximum_of_the_trials(oct3, cycle_join):
+    spheres = (oct3, cycle_join, barnette_sphere().complex)
+    graphs = [(skeleton_graph(cx), cx.dim + 1) for cx in spheres]
+    graphs += [(K4, 2), (Graph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3))), 1)]
+    graphs += [(TWO_K4, 2), (skeleton_graph(PENDANT), 2), (skeleton_graph(oct3), 2)]
+    for g, d in graphs:
+        for seed in (0, 1, 2):
+            assert generic_rank(g, d, seed=seed) == max(generic_rank_trials(g, d, seed=seed))
+    assert generic_rank(TWO_K4, 2) == 10 < _rank_bound(TWO_K4, 2)
+
+
+def test_sampling_stops_at_the_rank_bound(monkeypatch, oct3, cycle_join):
+    calls = []
+    original = exact._unit_pivot
+    monkeypatch.setattr(exact, "_unit_pivot", lambda *a: calls.append(a) or original(*a))
+    for cx in (oct3, cycle_join):
+        g = skeleton_graph(cx)
+        del calls[:]
+        generic_rank(g, cx.dim + 1, trials=3)
+        assert len(calls) == 1
+        del calls[:]
+        stress_basis(cx, trials=3)
+        assert len(calls) == 1
+        del calls[:]
+        assert g2_via_rigidity(cx, trials=3) == g2(cx)
+        assert len(calls) == 1
+        del calls[:]
+        assert len(generic_rank_trials(g, cx.dim + 1, trials=3)) == 3
+        assert len(calls) == 3
+    del calls[:]
+    generic_rank(TWO_K4, 2, trials=3)  # below the bound: every trial
+    assert len(calls) == 3
+
+
+def test_complete_graphs_reach_the_rank_bound():
+    for d in (2, 3, 4, 5):
+        for n in (d - 1, d, d + 1, d + 3):
+            kn = Graph(tuple(range(n)), tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+            bound = _rank_bound(kn, d)
+            assert bound == (comb(n, 2) if n <= d + 1 else d * n - comb(d + 1, 2))
+            assert max(generic_rank_trials(kn, d, trials=3)) == generic_rank(kn, d) == bound
+            assert generic_rank(kn, d, field="rational") == bound
