@@ -25,7 +25,7 @@ def as_face(vertices) -> frozenset:
     """Normalize an iterable of vertex labels into a face; rejects repeats."""
     vs = tuple(vertices)
     for v in vs:
-        if not isinstance(v, int) or v < 0:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise MalformedInputError(
                 f"vertex labels must be non-negative integers, got {v!r}"
             )
@@ -139,8 +139,9 @@ class SimplicialComplex:
         return len({len(f) for f in self._facets}) == 1
 
     def is_prime(self) -> bool:
-        """Pure and without missing facets (missing faces of top dimension)."""
-        return self.is_pure() and not self.missing_faces(self._dim)
+        """Pure and without missing facets (missing faces of top dimension);
+        the empty complex, of dimension -1, has none."""
+        return self.is_pure() and (self._dim < 0 or not self.missing_faces(self._dim))
 
     def adjacency(self) -> dict:
         """Vertex -> set of neighbours in the 1-skeleton."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, _components, from_faces, is_simplex_boundary
+from .complexes import SimplicialComplex, _components, is_simplex_boundary
 from .errors import PreconditionError
 from .facevectors import extended_g, g_vector
 from .homology import (
@@ -39,13 +39,29 @@ class RetriangulationRecord:
         return all(after.get(i, 0) == value for i, value in self.predicted)
 
 
-def _check_subcomplex(cx: SimplicialComplex, ball: SimplicialComplex):
-    faces = cx.faces()
-    for facet in ball.facets:
-        if facet not in faces:
-            raise PreconditionError(
-                f"ball facet {tuple(sorted(facet))} is not a face of the complex"
-            )
+def _record(kind: str, cx: SimplicialComplex, out: SimplicialComplex, deltas, **fields):
+    """The record of an operation from ``cx`` to ``out`` that is predicted to
+    change g_i by delta for each pair (i, delta) in ``deltas``."""
+    g_in = g_vector(cx).entries
+    return RetriangulationRecord(
+        kind=kind,
+        g_before=g_in,
+        g_after=g_vector(out).entries,
+        predicted=tuple((i, g_in[i] + delta) for i, delta in deltas),
+        **fields,
+    )
+
+
+def _ball_deltas(d: int, sphere: SimplicialComplex, interior, sign: int) -> tuple:
+    """(i, sign * g_{i-1}(sphere)) for i <= min((d+1)/2, the least dimension
+    of an interior face of the ball): adding (sign 1) or removing (sign -1) a
+    cone over the sphere, as in Lemmas 3.3 and 3.6."""
+    m = min((len(f) - 1 for f in interior), default=d)
+    eg = extended_g(sphere)
+    return tuple(
+        (i, sign * (eg[i - 1] if i - 1 < len(eg) else 0))
+        for i in range(1, min((d + 1) // 2, m) + 1)
+    )
 
 
 def central_retriangulation(
@@ -63,33 +79,22 @@ def central_retriangulation(
         raise PreconditionError(
             f"ball dimension {ball.dim} differs from complex dimension {cx.dim}"
         )
-    _check_subcomplex(cx, ball)
+    faces = cx.faces()
+    for facet in ball.facets:
+        if facet not in faces:
+            raise PreconditionError(
+                f"ball facet {tuple(sorted(facet))} is not a face of the complex"
+            )
     boundary = ball_boundary(ball, field, check=check)
     interior = ball.faces() - boundary.faces()
     u = max(cx.vertices) + 1
-    out_faces = (cx.faces() - interior) | {f | {u} for f in boundary.faces()}
-    out = from_faces(out_faces)
-
-    d = cx.dim
-    m = min((len(f) - 1 for f in interior), default=d)
-    g_in = g_vector(cx).entries
-    g_out = g_vector(out).entries
-    eg_bd = extended_g(boundary)
-    upto = min((d + 1) // 2, m)
-    predicted = tuple(
-        (i, g_in[i] + (eg_bd[i - 1] if i - 1 < len(eg_bd) else 0))
-        for i in range(1, upto + 1)
+    # the maximal faces of (cx.faces() - interior) | cone: the facets of cx in
+    # the ball, and the faces only they covered, are interior or under the cone
+    out = SimplicialComplex((cx.facets - ball.facets) | {f | {u} for f in boundary.facets})
+    return out, _record(
+        "central", cx, out, _ball_deltas(cx.dim, boundary, interior, 1),
+        new_vertices=(u,), removed_vertices=(), ball_used=ball,
     )
-    record = RetriangulationRecord(
-        kind="central",
-        g_before=g_in,
-        g_after=g_out,
-        predicted=predicted,
-        new_vertices=(u,),
-        removed_vertices=(),
-        ball_used=ball,
-    )
-    return out, record
 
 
 def missing_face_identity_sides(cx: SimplicialComplex, tau, k: int):
@@ -194,27 +199,11 @@ def inverse_stellar(
             raise PreconditionError(
                 f"interior face {tuple(sorted(f))} of the completion is already present"
             )
-    out = from_faces(cx.antistar(v).faces() | filled.faces())
-
-    m = min((len(f) - 1 for f in interior), default=d)
-    g_in = g_vector(cx).entries
-    g_out = g_vector(out).entries
-    eg_link = extended_g(link)
-    upto = min((d + 1) // 2, m)
-    predicted = tuple(
-        (i, g_in[i] - (eg_link[i - 1] if i - 1 < len(eg_link) else 0))
-        for i in range(1, upto + 1)
+    out = SimplicialComplex(cx.antistar(v).facets | filled.facets)
+    return out, _record(
+        "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1),
+        new_vertices=(), removed_vertices=(v,), ball_used=filled,
     )
-    record = RetriangulationRecord(
-        kind="inverse-stellar",
-        g_before=g_in,
-        g_after=g_out,
-        predicted=predicted,
-        new_vertices=(),
-        removed_vertices=(v,),
-        ball_used=filled,
-    )
-    return out, record
 
 
 def _split_link_along(link: SimplicialComplex, tau: frozenset):
@@ -272,15 +261,11 @@ def swartz_operation(
                 f"link of {v} is not a homology sphere (witness {sphere.witness})"
             )
     # a missing facet of the link has the link's top dimension
-    if len(t) != link.dim + 1 or t in link.faces():
+    faces = link.faces()
+    if len(t) != link.dim + 1 or t in faces or any(t - {u} not in faces for u in t):
         raise PreconditionError(
             f"{tuple(sorted(t))} is not a missing facet of the link of {v}"
         )
-    for u in sorted(t):
-        if t - {u} not in link.faces():
-            raise PreconditionError(
-                f"{tuple(sorted(t))} is not a missing facet of the link of {v}"
-            )
     spheres = _split_link_along(link, t)
     base = cx.antistar(v)
     new_facets = set(base.facets)
@@ -299,21 +284,10 @@ def swartz_operation(
                 new_facets.add(facet | {cone})
             notes.append(f"coned with vertex {cone}")
     out = SimplicialComplex(new_facets)
-
-    g_in = g_vector(cx).entries
-    g_out = g_vector(out).entries
-    predicted = ((2, g_in[2] - 1),) if cx.dim >= 3 else ()
-    record = RetriangulationRecord(
-        kind="swartz",
-        g_before=g_in,
-        g_after=g_out,
-        predicted=predicted,
-        new_vertices=tuple(new_vertices),
-        removed_vertices=(v,),
-        steps=1,
-        notes=tuple(notes),
+    return out, _record(
+        "swartz", cx, out, ((2, -1),) if cx.dim >= 3 else (),
+        new_vertices=tuple(new_vertices), removed_vertices=(v,), steps=1, notes=tuple(notes),
     )
-    return out, record
 
 
 def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
@@ -329,7 +303,6 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
         raise PreconditionError("iterated operation needs dimension >= 3")
     if v not in cx.vertices:
         raise PreconditionError(f"vertex {v} is not in the complex")
-    g_in = g_vector(cx).entries
     current = cx
     queue = [v]
     steps = 0
@@ -356,16 +329,9 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
         combined_notes.extend(rec.notes)
         cone_vertices.extend(rec.new_vertices)
         queue.extend(rec.new_vertices)
-    g_out = g_vector(current).entries
-    predicted = ((2, g_in[2] - steps),) if cx.dim >= 3 else ()
-    record = RetriangulationRecord(
-        kind="swartz",
-        g_before=g_in,
-        g_after=g_out,
-        predicted=predicted,
-        new_vertices=tuple(v for v in cone_vertices if v in current.vertices),
-        removed_vertices=(v,),
-        steps=steps,
+    return current, _record(
+        "swartz", cx, current, ((2, -steps),),
+        new_vertices=tuple(w for w in cone_vertices if w in current.vertices),
+        removed_vertices=(v,), steps=steps,
         notes=tuple(combined_notes + [f"skipped {s}" for s in sorted(set(skipped))]),
     )
-    return current, record

@@ -110,9 +110,9 @@ def _rank_bound(g: Graph, d: int) -> int:
 
 def _samples(g: Graph, d: int, trials: int, seed: int, field):
     """(rank over ``field``, pivot columns, matrix, embedding) of the rigidity
-    matrix at each of ``trials`` seeded random embeddings.  Over GF(p) the
-    pivot columns are the indices of ``rank`` columns independent mod p, so
-    independent over Q too; over Q they are None."""
+    matrix at each of ``trials`` seeded random embeddings, by ``exact._unit_pivot``
+    on its columns.  Over GF(p) the pivot columns are the indices of ``rank``
+    columns independent mod p, so independent over Q too."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
     # validated once: its primality test costs about 6% of a typical rank mod p here
@@ -120,11 +120,8 @@ def _samples(g: Graph, d: int, trials: int, seed: int, field):
     for t in range(trials):
         emb = random_embedding(g, d, _trial_seed(seed, t))
         mat = rigidity_matrix(g, emb)
-        if field == "rational":
-            yield exact.rank_rational(mat.entries), None, mat, emb
-        else:
-            cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*mat.entries)]
-            yield *exact._unit_pivot(cols, field), mat, emb
+        cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*mat.entries)]
+        yield *exact._unit_pivot(cols, field), mat, emb
 
 
 def _kept_sample(g: Graph, d: int, trials: int, seed: int, field):

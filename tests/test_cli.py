@@ -13,6 +13,8 @@ from scx import (
     homology,
     join,
     simplex_boundary,
+    stacked_sphere,
+    suspension,
     write_scx,
 )
 from scx import cli
@@ -129,6 +131,23 @@ def test_parse_error_exits_2(tmp_path):
     result = invoke("info", str(bad))
     assert result.exit_code == 2
     assert "bad.scx:1" in result.output
+
+
+def test_bool_vertex_label_in_json_exits_2(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text('{"facets": [[true, 2, 3]]}')
+    result = invoke("link", str(path), "--face", "2")
+    assert result.exit_code == 2
+    assert "got True" in result.output
+
+
+@pytest.mark.parametrize("text", ["", "# no facets\n\n"])
+def test_info_of_an_empty_file(tmp_path, text):
+    path = tmp_path / "empty.scx"
+    path.write_text(text)
+    result = invoke("info", str(path))
+    assert result.exit_code == 0
+    assert "prime: True" in result.output
 
 
 def test_gen_and_op_round_trip(tmp_path):
@@ -271,3 +290,65 @@ def test_failed_boundary_certificate_exits_5(tmp_path, flipped_d1):
     result = invoke("info", str(path))
     assert result.exit_code == 5
     assert "do not compose to zero" in result.output
+
+
+# Full output and written file of each retriangulation command, as the
+# closure-built operations gave them.
+OP_CASES = {
+    "crtr": (
+        ("op", "crtr", "bd5.scx", "--ball", "star:0,1,2,3", "--output", "out.scx"),
+        "kind: central\ng before: 1 0 0\ng after: 1 1 1\npredicted: g1=1 g2=1\n"
+        "prediction holds: True\nnew vertices: 6\nwrote out.scx\n",
+        "0 1 2 4 5\n0 1 2 4 6\n0 1 2 5 6\n0 1 3 4 5\n0 1 3 4 6\n0 1 3 5 6\n"
+        "0 2 3 4 5\n0 2 3 4 6\n0 2 3 5 6\n1 2 3 4 5\n1 2 3 4 6\n1 2 3 5 6\n",
+    ),
+    "sdinv": (
+        ("op", "sdinv", "out.scx", "--vertex", "6", "--check-iso", "bd5.scx",
+         "--output", "back.scx"),
+        "kind: inverse-stellar\ng before: 1 1 1\ng after: 1 0 0\npredicted: g1=0 g2=0\n"
+        "prediction holds: True\nremoved vertices: 6\nwrote back.scx\n"
+        "isomorphic to bd5.scx: True\n",
+        "0 1 2 3 4\n0 1 2 3 5\n0 1 2 4 5\n0 1 3 4 5\n0 2 3 4 5\n1 2 3 4 5\n",
+    ),
+    "swartz-tau-filled": (
+        ("op", "swartz", "cj.scx", "--vertex", "0", "--tau", "5,6,7", "--output", "sw.scx"),
+        "kind: swartz\ng before: 1 3 1\ng after: 1 2 0\npredicted: g2=0\n"
+        "prediction holds: True\nremoved vertices: 0\nsteps: 1\n"
+        "note: filled missing facet\nnote: filled missing facet\nwrote sw.scx\n",
+        "1 2 5 6\n1 2 5 7\n1 2 6 7\n1 5 6 7\n2 3 5 6\n2 3 5 7\n2 3 6 7\n"
+        "3 4 5 6\n3 4 5 7\n3 4 6 7\n4 5 6 7\n",
+    ),
+    "swartz-tau-coned": (
+        ("op", "swartz", "hex.scx", "--vertex", "6", "--tau", "0,2", "--output", "sw.scx"),
+        "kind: swartz\ng before: 1 4\ng after: 1 4\npredicted: (none)\n"
+        "prediction holds: True\nnew vertices: 8\nremoved vertices: 6\nsteps: 1\n"
+        "note: filled missing facet\nnote: coned with vertex 8\nwrote sw.scx\n",
+        "0 1 2\n0 1 7\n0 2 8\n0 5 7\n0 5 8\n1 2 7\n2 3 7\n2 3 8\n3 4 7\n3 4 8\n"
+        "4 5 7\n4 5 8\n",
+    ),
+    "swartz-all": (
+        ("op", "swartz", "susp.scx", "--vertex", "6", "--all", "--output", "swall.scx"),
+        "kind: swartz\ng before: 1 3 2\ng after: 1 2 0\npredicted: g2=0\n"
+        "prediction holds: True\nremoved vertices: 6\nsteps: 2\n"
+        "note: filled missing facet\nnote: coned with vertex 8\n"
+        "note: filled missing facet\nnote: filled missing facet\nwrote swall.scx\n",
+        "0 1 2 3\n0 1 2 7\n0 1 3 7\n0 2 3 7\n1 2 3 4\n1 2 4 7\n1 3 4 7\n2 3 4 5\n"
+        "2 3 5 7\n2 4 5 7\n3 4 5 7\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OP_CASES))
+def test_op_outputs_are_pinned(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_scx(simplex_boundary(5), "bd5.scx")
+    write_scx(g2_one_family(4, "cycle", 5).complex, "cj.scx")
+    write_scx(suspension(cycle(6)), "hex.scx")
+    write_scx(suspension(stacked_sphere(3, 6)), "susp.scx")
+    if case == "sdinv":
+        assert invoke(*OP_CASES["crtr"][0]).exit_code == 0
+    args, stdout, written = OP_CASES[case]
+    result = invoke(*args)
+    assert result.exit_code == 0
+    assert result.output == stdout
+    assert (tmp_path / args[-1]).read_text() == written

@@ -135,6 +135,16 @@ def test_primeness(bd5, cycle_join):
     assert not connected_sum(bd5, glued, simplex_boundary(5), glued).is_prime()
 
 
+def test_empty_complex_is_prime():
+    # dimension -1 has no missing facets to ask for
+    assert from_facets([]).is_prime()
+
+
+def test_bool_labels_are_rejected():
+    with pytest.raises(MalformedInputError):
+        from_facets([[True, 2, 3]])
+
+
 def test_join_of_two_point_pairs():
     square = join(simplex_boundary(1), simplex_boundary(1))
     assert f_vector(square).entries == (1, 4, 4)

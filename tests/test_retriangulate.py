@@ -2,11 +2,14 @@ import pytest
 
 from scx import (
     PreconditionError,
+    SimplicialComplex,
     are_isomorphic,
     betti,
     central_retriangulation,
+    cross_polytope_boundary,
     crtr_missing_faces_check,
     cycle,
+    from_faces,
     from_facets,
     g2,
     inverse_stellar,
@@ -20,7 +23,7 @@ from scx import (
     swartz_all,
     swartz_operation,
 )
-from scx import homology, retriangulate
+from scx import homology, retriangulate, verify
 
 
 def test_crtr_of_face_star(bd5):
@@ -210,3 +213,73 @@ def test_swartz_all_matches_inverse_stellar_for_stacked_links():
 def test_swartz_all_needs_dimension_three():
     with pytest.raises(PreconditionError):
         swartz_all(suspension(cycle(5)), 5)
+
+
+# The outputs as they were first built: the maximal faces of the whole closure.
+
+
+def closure_central(cx, ball, check):
+    boundary = homology.ball_boundary(ball, check=check)
+    interior = ball.faces() - boundary.faces()
+    u = max(cx.vertices) + 1
+    return from_faces((cx.faces() - interior) | {f | {u} for f in boundary.faces()})
+
+
+def closure_inverse(cx, v, filled):
+    return from_faces(cx.antistar(v).faces() | filled.faces())
+
+
+def crtr_inputs():
+    """The complexes that Lemma 3.3 retriangulates at dmax=5."""
+    return [e.complex for e in verify._crtr_entries(verify.catalog_for(verify.Scale(dmax=5)))]
+
+
+def test_central_output_matches_the_closure_formula_on_catalog_balls():
+    compared = 0
+    for cx in crtr_inputs():
+        for _, ball in verify._central_balls(cx):
+            out, record = central_retriangulation(cx, ball)
+            assert out == closure_central(cx, ball, True)
+            assert record.prediction_holds()
+            compared += 1
+    assert compared > 50
+
+
+def _non_balls(cx):
+    facets = sorted(cx.facets, key=sorted)
+    first = facets[0]
+    far = next((f for f in facets if not first & f), facets[-1])
+    edge = next(e for e in cx.faces_of_dim(1) if not e <= first)
+    v = min(cx.vertices)
+    yield SimplicialComplex([first, far])  # two facets, apart if they can be
+    yield SimplicialComplex(facets)  # the whole complex
+    yield SimplicialComplex([first, edge])  # not pure
+    yield SimplicialComplex(list(cx.star([v]).facets) + [far])
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [simplex_boundary(4), join(cycle(4), simplex_boundary(2)), cross_polytope_boundary(4),
+     stacked_sphere(4, 7), suspension(cycle(6))],
+    ids=["bd4", "cycle_join", "oct3", "stacked", "hexagon_suspension"],
+)
+def test_central_output_matches_the_closure_formula_without_check(cx):
+    for ball in _non_balls(cx):
+        out, _ = central_retriangulation(cx, ball, check=False)
+        assert out == closure_central(cx, ball, False)
+
+
+def test_inverse_output_matches_the_closure_formula_on_lemma_3_6_cases():
+    cases = []
+    for cx in crtr_inputs():
+        for label, ball in verify._central_balls(cx):
+            if label != "triple":
+                out, record = central_retriangulation(cx, ball)
+                cases.append((out, record.new_vertices[0]))
+    cases += [(stacked_sphere(d, n), n - 1) for d in (4, 5) for n in (d + 2, d + 3)]
+    cases += [(join(cycle(n), simplex_boundary(2)), 0) for n in (4, 5, 6)]
+    for cx, v in cases:
+        out, record = inverse_stellar(cx, v)
+        assert out == closure_inverse(cx, v, record.ball_used)
+        assert record.prediction_holds()
+    assert len(cases) > 50
