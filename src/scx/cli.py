@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 from functools import wraps
 
 import click
@@ -311,11 +312,9 @@ def gen(name, params, output):
 
 
 def _scale_options(fn):
-    fn = click.option("--dmax", type=int, default=6, show_default=True)(fn)
-    fn = click.option("--f0max", type=int, default=14, show_default=True)(fn)
-    fn = click.option("--cycle-max", type=int, default=8, show_default=True)(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
-    fn = click.option("--trials", type=int, default=3, show_default=True)(fn)
+    for f in fields(verify.Scale):
+        fn = click.option("--" + f.name.replace("_", "-"), type=int, default=f.default,
+                          show_default=True)(fn)
     fn = click.option("--report", type=click.Path(), default=None,
                       help="also write the reports as JSON")(fn)
     return fn
@@ -342,20 +341,18 @@ def _emit_reports(reports, report_path) -> int:
 @click.argument("statement")
 @_scale_options
 @handles_errors
-def verify_cmd(statement, dmax, f0max, cycle_max, seed, trials, report):
+def verify_cmd(statement, report, **scale):
     """Run one registered statement check."""
-    scale = verify.Scale(dmax=dmax, f0max=f0max, cycle_max=cycle_max, seed=seed, trials=trials)
-    rep = verify.run_statement(statement, scale)
+    rep = verify.run_statement(statement, verify.Scale(**scale))
     sys.exit(_emit_reports([rep], report))
 
 
 @main.command(name="verify-all")
 @_scale_options
 @handles_errors
-def verify_all_cmd(dmax, f0max, cycle_max, seed, trials, report):
+def verify_all_cmd(report, **scale):
     """Run every registered statement check."""
-    scale = verify.Scale(dmax=dmax, f0max=f0max, cycle_max=cycle_max, seed=seed, trials=trials)
-    sys.exit(_emit_reports(verify.run_all(scale), report))
+    sys.exit(_emit_reports(verify.run_all(verify.Scale(**scale)), report))
 
 
 @main.command()

@@ -38,6 +38,9 @@ def as_face(vertices) -> frozenset:
 #: largest sum in the tests, ``run_all()`` and the dmax=7 catalog (6,144).
 CLOSURE_GUARD = 2**17
 
+#: Most non-edge components :func:`detect_join` splits, trying 2^(c-1) sides.
+JOIN_GUARD = 16
+
 
 def _maximal(faces) -> frozenset:
     """Inclusion-maximal members of a family of frozensets."""
@@ -330,7 +333,7 @@ def _components(items, pairs) -> list:
     return sorted(comps.values(), key=lambda comp: comp[0])
 
 
-def detect_join(cx: SimplicialComplex, max_components: int = 16):
+def detect_join(cx: SimplicialComplex):
     """Find a bipartition (A, B) of the vertices with cx = cx[A] * cx[B].
 
     Candidate sides are unions of connected components of the non-edge graph
@@ -347,9 +350,9 @@ def detect_join(cx: SimplicialComplex, max_components: int = 16):
     c = len(groups)
     if c < 2:
         return None
-    if c > max_components:
+    if c > JOIN_GUARD:
         raise TooLargeError(
-            f"{c} non-edge components exceed the join-search guard ({max_components})"
+            f"{c} non-edge components exceed the join-search guard ({JOIN_GUARD})"
         )
     facets = cx.facets
     for mask in range(1, 2 ** (c - 1)):

@@ -124,6 +124,9 @@ def _assert_composes_to_zero(low: list, high: list):
 #: the default scale, 10,000 on the classify-distinct benchmark stream).
 BETTI_GUARD = 2**19
 
+#: Most vertices :func:`skeleton_completion` accepts.
+COMPLETION_GUARD = 40
+
 #: Profiles kept by the :func:`betti` memo.  The key is the complex's order
 #: type, a tuple of ints, so no facet set or closure stays alive: after one
 #: ``run_all()`` the memo holds about 0.5 kB per entry (tracemalloc), against
@@ -293,9 +296,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     return PredicateResult(True)
 
 
-def skeleton_completion(
-    cx: SimplicialComplex, i: int, max_vertices: int = 40
-) -> SimplicialComplex:
+def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     """Add every vertex set whose i-skeleton already lies in the complex.
 
     Vertex sets of size <= i+1 qualify exactly when they are faces, so the
@@ -304,9 +305,9 @@ def skeleton_completion(
     """
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
-    if len(cx.vertices) > max_vertices:
+    if len(cx.vertices) > COMPLETION_GUARD:
         raise TooLargeError(
-            f"{len(cx.vertices)} vertices exceed the completion guard ({max_vertices})"
+            f"{len(cx.vertices)} vertices exceed the completion guard ({COMPLETION_GUARD})"
         )
     faces = cx.faces()
     adj = cx.adjacency()

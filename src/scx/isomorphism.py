@@ -1,10 +1,10 @@
 """Combinatorial isomorphism of small complexes by pruned backtracking.
 
 Vertices are first partitioned by cheap invariants (degree, link face
-counts, neighbour classes); the search then extends a partial bijection
-vertex by vertex, pruning on adjacency, and accepts only if the induced map
-sends facets onto facets bijectively.  Intended for complexes with at most
-~15 vertices; larger inputs raise instead of running away.
+counts, neighbour classes); the search then extends an injection vertex by
+vertex and checks each facet of the first complex once its last vertex is
+placed: the image must be a facet of the second.  Past ``ISOMORPHISM_GUARD``
+candidate images tried, the search raises instead of running away.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from .complexes import SimplicialComplex
 from .errors import TooLargeError
 from .facevectors import f_vector
+
+#: Search nodes, one per candidate image tried, that one call may visit: 9x the most
+#: in the tests (175,119; 3,773 on the classify-distinct stream, 1,245 in ``run_all()``).
+ISOMORPHISM_GUARD = 1_600_000
 
 
 @dataclass(frozen=True)
@@ -37,36 +41,29 @@ def _vertex_classes(cx: SimplicialComplex) -> dict:
                 counts[k] += 1
     base = {v: (len(adj[v]), tuple(lk_f[v])) for v in cx.vertices}
     # one refinement round: append the sorted multiset of neighbour classes
-    refined = {
-        v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices
-    }
-    return refined
+    return {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices}
 
 
-def are_isomorphic(
-    cx1: SimplicialComplex, cx2: SimplicialComplex, max_vertices: int = 16
-) -> IsoCertificate:
+def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertificate:
     """Search for a vertex bijection sending facets to facets."""
     none = IsoCertificate(None)
     if f_vector(cx1).entries != f_vector(cx2).entries:
         return none
-    n = len(cx1.vertices)
-    if n > max_vertices:
-        raise TooLargeError(
-            f"{n} vertices exceed the isomorphism guard ({max_vertices})"
-        )
-    if n == 0:
+    if not cx1.vertices:
         return IsoCertificate({})
     cls1, cls2 = _vertex_classes(cx1), _vertex_classes(cx2)
     if sorted(cls1.values()) != sorted(cls2.values()):
         return none
-    adj1, adj2 = cx1.adjacency(), cx2.adjacency()
+    adj1 = cx1.adjacency()
     candidates = {
         v: sorted(u for u in cx2.vertices if cls2[u] == cls1[v])
         for v in cx1.vertices
     }
-    # rarest class first, then prefer vertices adjacent to already-placed ones
-    order = []
+    # rarest class first, then prefer vertices adjacent to already-placed ones.
+    # closing[i] holds the facets whose last vertex is order[i]; the map is
+    # injective and the f-vectors agree, so once every facet lands on a facet
+    # of cx2, the image of cx1 is all of cx2
+    order, closing = [], []
     remaining = set(cx1.vertices)
     while remaining:
         placed = set(order)
@@ -74,33 +71,31 @@ def are_isomorphic(
         v = min(pool, key=lambda v: (len(candidates[v]), v))
         order.append(v)
         remaining.discard(v)
-
-    facets2 = cx2.facets
-    mapping = {}
-    used = set()
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            image = {frozenset(mapping[v] for v in f) for f in cx1.facets}
-            return image == facets2
-        v = order[idx]
-        for u in candidates[v]:
+        closing.append([f for f in cx1.facets if v in f and remaining.isdisjoint(f)])
+    mapping, used, nodes = {}, set(), 0
+    # stack[i] yields order[i]'s untried images; no recursion, so no depth limit
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in mapping:  # back from a dead end
+            used.discard(mapping.pop(v))
+        for u in stack[-1]:
             if u in used:
                 continue
-            ok = all(
-                (w in adj1[v]) == (mapping[w] in adj2[u])
-                for w in mapping
-            )
-            if not ok:
-                continue
+            nodes += 1
+            if nodes > ISOMORPHISM_GUARD:
+                raise TooLargeError(
+                    f"search exceeds the isomorphism guard ({ISOMORPHISM_GUARD} nodes)"
+                )
             mapping[v] = u
-            used.add(u)
-            if extend(idx + 1):
-                return True
+            if all(frozenset(map(mapping.get, f)) in cx2.facets for f in closing[len(stack) - 1]):
+                break
             del mapping[v]
-            used.discard(u)
-        return False
-
-    if extend(0):
-        return IsoCertificate(dict(mapping))
+        else:
+            stack.pop()
+            continue
+        used.add(u)
+        if len(stack) == len(order):
+            return IsoCertificate(dict(mapping))
+        stack.append(iter(candidates[order[len(stack)]]))
     return none

@@ -179,11 +179,7 @@ def inverse_stellar(
     link = cx.link([v])
     d = cx.dim
     if check:
-        sphere = is_homology_sphere(link, field)
-        if not sphere:
-            raise PreconditionError(
-                f"link of {v} is not a homology sphere (witness {sphere.witness})"
-            )
+        _require_sphere_link(link, v, field)
     if r is None:
         r = _detect_stack_level(link, d)
     if not 2 <= r <= (d + 1) // 2:
@@ -235,6 +231,14 @@ def _split_link_along(link: SimplicialComplex, tau: frozenset):
     ]
 
 
+def _require_sphere_link(link, v, field):
+    sphere = is_homology_sphere(link, field)
+    if not sphere:
+        raise PreconditionError(
+            f"link of {v} is not a homology sphere (witness {sphere.witness})"
+        )
+
+
 def swartz_operation(
     cx: SimplicialComplex, v: int, tau, field="rational", check=True
 ):
@@ -255,11 +259,7 @@ def swartz_operation(
             raise PreconditionError(
                 f"input is not a normal pseudomanifold ({pm.reason}; witness {pm.witness})"
             )
-        sphere = is_homology_sphere(link, field)
-        if not sphere:
-            raise PreconditionError(
-                f"link of {v} is not a homology sphere (witness {sphere.witness})"
-            )
+        _require_sphere_link(link, v, field)
     # a missing facet of the link has the link's top dimension
     faces = link.faces()
     if len(t) != link.dim + 1 or t in faces or any(t - {u} not in faces for u in t):
@@ -297,7 +297,9 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
     After one step the vertex is gone and the remaining missing facets live
     in the links of the fresh cone vertices, which are processed in FIFO
     order; missing facets of a link that are already faces of the complex
-    are skipped (they cannot be inserted) and recorded.
+    are skipped (they cannot be inserted) and recorded.  With ``check`` the
+    first step checks the whole input; a step on a homology-sphere link keeps
+    a normal pseudomanifold one, so later steps check only their link.
     """
     if cx.dim < 3:
         raise PreconditionError("iterated operation needs dimension >= 3")
@@ -324,7 +326,9 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
                 break
         if chosen is None:
             continue
-        current, rec = swartz_operation(current, w, chosen, field, check=check)
+        if check and steps:
+            _require_sphere_link(link, w, field)
+        current, rec = swartz_operation(current, w, chosen, field, check=check and not steps)
         steps += 1
         combined_notes.extend(rec.notes)
         cone_vertices.extend(rec.new_vertices)

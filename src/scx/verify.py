@@ -274,9 +274,7 @@ def _run_inverse_g_delta(catalog, scale):
                 yield f"{entry.name}:{label}", False, f"precondition: {exc}"
                 continue
             restored = back == cx
-            iso_ok = True
-            if len(out.vertices) <= 15:
-                iso_ok = bool(are_isomorphic(back, cx))
+            iso_ok = bool(are_isomorphic(back, cx))
             ok = undo.prediction_holds() and restored and iso_ok
             yield (
                 f"{entry.name}:{label}",
@@ -311,10 +309,8 @@ def _run_star_properties(catalog, scale):
     # stars of high-dimensional faces are stacked balls, and the missing-face
     # bookkeeping identity holds for the induced central retriangulation
     count = 0
-    for entry in _tagged(catalog, "normal-pm"):
+    for entry in _crtr_entries(catalog):
         cx = entry.complex
-        if len(cx.vertices) > 10 or cx.dim < 3:
-            continue
         d = cx.dim
         for i in range(d // 2 + 1, d):
             faces = cx.faces_of_dim(i)

@@ -102,3 +102,64 @@ def is_join_partition(facets, side_a, side_b):
     fa = maximal(f & a for f in facets)
     fb = maximal(f & b for f in facets)
     return {x | y for x in fa for y in fb} == facets
+
+
+def are_isomorphic_adjacency(facets1, facets2):
+    """A vertex bijection sending facets1 onto facets2, or None.
+
+    Vertices are split by degree, link face counts and neighbour classes, a
+    partial bijection is extended under adjacency pruning only, and each
+    complete bijection is compared with facets2 as a whole.  Nothing prunes
+    on neighborly inputs, so the time is factorial there: keep it to small
+    complexes.
+    """
+    facets1 = {frozenset(f) for f in facets1}
+    facets2 = {frozenset(f) for f in facets2}
+    if face_counts(facets1) != face_counts(facets2):
+        return None
+
+    def adjacency(facets):
+        adj = {v: set() for f in facets for v in f}
+        for f in facets:
+            for u, v in combinations(f, 2):
+                adj[u].add(v)
+                adj[v].add(u)
+        return adj
+
+    def classes(facets, adj):
+        through = {v: [0] * (max(map(len, facets)) + 1) for v in adj}
+        for face in closure(facets):
+            for v in face:
+                through[v][len(face)] += 1
+        base = {v: (len(adj[v]), tuple(through[v])) for v in adj}
+        return {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in adj}
+
+    adj1, adj2 = adjacency(facets1), adjacency(facets2)
+    cls1, cls2 = classes(facets1, adj1), classes(facets2, adj2)
+    if sorted(cls1.values()) != sorted(cls2.values()):
+        return None
+    candidates = {v: sorted(u for u in adj2 if cls2[u] == cls1[v]) for v in adj1}
+    order = []
+    remaining = set(adj1)
+    while remaining:
+        pool = [v for v in remaining if adj1[v] & set(order)] or list(remaining)
+        v = min(pool, key=lambda v: (len(candidates[v]), v))
+        order.append(v)
+        remaining.discard(v)
+    mapping = {}
+
+    def extend(idx):
+        if idx == len(order):
+            return {frozenset(mapping[v] for v in f) for f in facets1} == facets2
+        v = order[idx]
+        for u in candidates[v]:
+            if u in mapping.values():
+                continue
+            if all((w in adj1[v]) == (mapping[w] in adj2[u]) for w in mapping):
+                mapping[v] = u
+                if extend(idx + 1):
+                    return True
+                del mapping[v]
+        return False
+
+    return dict(mapping) if extend(0) else None

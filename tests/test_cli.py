@@ -11,6 +11,7 @@ from scx import (
     from_facets,
     g2_one_family,
     homology,
+    isomorphism,
     join,
     simplex_boundary,
     stacked_sphere,
@@ -273,6 +274,18 @@ def test_betti_guard_exits_3(tmp_path):
     assert time.perf_counter() - start < 2
     assert result.exit_code == 3
     assert "Betti guard" in result.output
+
+
+def test_isomorphism_guard_exits_3(tmp_path, monkeypatch):
+    base, target = tmp_path / "bd5.scx", tmp_path / "join.scx"
+    write_scx(simplex_boundary(5), base)
+    write_scx(join(simplex_boundary(3), simplex_boundary(2)), target)
+    args = ("op", "crtr", str(base), "--ball", "star:0,1,2,3", "--check-iso", str(target))
+    assert f"isomorphic to {target}: True" in invoke(*args).output
+    monkeypatch.setattr(isomorphism, "ISOMORPHISM_GUARD", 3)  # 7 vertices to place
+    result = invoke(*args)
+    assert result.exit_code == 3
+    assert "isomorphism guard" in result.output
 
 
 def test_failed_certificate_exits_5(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from scx import (
     stack_over_facet,
     stacked_sphere,
 )
+from scx import complexes
 
 import oracle
 
@@ -237,13 +238,14 @@ def test_detect_join_absent():
     assert detect_join(simplex_boundary(2)) is None
 
 
-def test_detect_join_guard():
+def test_detect_join_guard(monkeypatch):
     # complete graph: every vertex is its own non-edge component
     from itertools import combinations
 
     complete = from_facets(combinations(range(10), 2))
+    monkeypatch.setattr(complexes, "JOIN_GUARD", 8)
     with pytest.raises(TooLargeError):
-        detect_join(complete, max_components=8)
+        detect_join(complete)
 
 
 def test_is_simplex_boundary(bd3):

@@ -1,16 +1,32 @@
+import random
+import time
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
+import oracle
 from scx import (
     TooLargeError,
     are_isomorphic,
+    barnette_sphere,
     central_retriangulation,
     cycle,
+    f_vector,
     from_facets,
+    is_homology_sphere,
+    isomorphism,
     join,
+    read_scx_text,
     simplex_boundary,
     stack_over_facet,
     stacked_sphere,
+    standard_catalog,
+    suspension,
 )
+from scx.isomorphism import _vertex_classes
+
+CENSUS = Path(__file__).with_name("census_3spheres_8.txt")
 
 
 def relabel(cx, mapping):
@@ -49,14 +65,139 @@ def test_crtr_of_simplex_boundary_is_join(bd5):
     assert are_isomorphic(out, target)
 
 
-def test_size_guard():
-    big = from_facets([[i, i + 1] for i in range(20)])
-    with pytest.raises(TooLargeError):
-        are_isomorphic(big, big)
-    assert are_isomorphic(big, big, max_vertices=32)
+def maps_facets_onto_facets(cert, cx1, cx2):
+    if not cert or set(cert.mapping) != cx1.vertices:
+        return False
+    if set(cert.mapping.values()) != cx2.vertices:
+        return False
+    return {frozenset(cert.mapping[v] for v in f) for f in cx1.facets} == cx2.facets
+
+
+def test_size_guard(monkeypatch):
+    # 21 vertices are answered: the guard counts search nodes, not vertices
+    path = from_facets([[i, i + 1] for i in range(20)])
+    copy = relabel(path, {v: 20 - v for v in path.vertices})
+    assert maps_facets_onto_facets(are_isomorphic(path, copy), path, copy)
+    monkeypatch.setattr(isomorphism, "ISOMORPHISM_GUARD", 10)
+    with pytest.raises(TooLargeError, match="isomorphism guard"):
+        are_isomorphic(path, copy)
 
 
 def test_empty_and_tiny():
     assert are_isomorphic(from_facets([]), from_facets([]))
     assert are_isomorphic(from_facets([[3]]), from_facets([[5]]))
     assert not are_isomorphic(from_facets([[3]]), from_facets([[3], [5]]))
+
+
+@pytest.fixture(scope="module")
+def census():
+    blocks = CENSUS.read_text().split("# sphere ")[1:]
+    return [read_scx_text(block.split("\n", 1)[1]) for block in blocks]
+
+
+def equal_invariant_pairs(complexes):
+    buckets = {}
+    for i, cx in enumerate(complexes):
+        key = (f_vector(cx).entries, tuple(sorted(_vertex_classes(cx).values())))
+        buckets.setdefault(key, []).append(i)
+    return [pair for bucket in buckets.values() for pair in combinations(bucket, 2)]
+
+
+def test_census_spheres_find_their_relabelled_copies(census):
+    assert len(census) == 39
+    rng = random.Random(0)
+    for cx in census:
+        assert len(cx.vertices) == 8 and cx.dim == 3 and is_homology_sphere(cx)
+        copy = relabel(cx, dict(zip(sorted(cx.vertices), rng.sample(range(20), 8))))
+        assert maps_facets_onto_facets(are_isomorphic(cx, copy), cx, copy)
+
+
+def test_census_pairs_with_equal_invariants_are_not_isomorphic(census):
+    # Barnette's census has 39 classes, so its members are pairwise
+    # non-isomorphic and every pair here is a true negative
+    pairs = equal_invariant_pairs(census)
+    assert len(pairs) == 31
+    start = time.perf_counter()
+    for i, j in pairs:
+        assert not are_isomorphic(census[i], census[j])
+    assert time.perf_counter() - start < 1
+
+
+#: the pair the adjacency-pruned search takes longest on (about 1.4 s on a 2-vCPU host)
+WORST_PAIR = (36, 38)
+
+
+@pytest.mark.parametrize(
+    "widen",
+    [suspension, lambda cx: join(cx, simplex_boundary(2))],
+    ids=["suspended", "joined-with-a-triangle"],
+)
+def test_worst_census_pair_stays_fast_when_widened(census, widen):
+    a, b = (widen(census[k]) for k in WORST_PAIR)
+    start = time.perf_counter()
+    assert not are_isomorphic(a, b)
+    assert time.perf_counter() - start < 2
+
+
+def stacked_spheres(d, n, count, rng):
+    # random stacking orders: equal f-vectors, mostly different trees
+    out = []
+    for _ in range(count):
+        cx = simplex_boundary(d)
+        while len(cx.vertices) < n:
+            cx = stack_over_facet(cx, rng.choice(sorted(cx.facets, key=sorted)))
+        out.append(cx)
+    return out
+
+
+def test_search_agrees_with_the_adjacency_oracle():
+    rng = random.Random(1)
+    complexes = [entry.complex for entry in standard_catalog(dmax=5, f0max=10)]
+    complexes.append(barnette_sphere().complex)
+    for d, n in ((3, 8), (4, 9)):
+        complexes += stacked_spheres(d, n, 6, rng)
+    for cx in complexes:
+        labels = sorted(cx.vertices)
+        copy = relabel(cx, dict(zip(labels, rng.sample(range(3 * len(labels)), len(labels)))))
+        cert = are_isomorphic(cx, copy)
+        assert maps_facets_onto_facets(cert, cx, copy)
+        assert oracle.are_isomorphic_adjacency(cx.facets, copy.facets) is not None
+    by_f = {}
+    for i, cx in enumerate(complexes):
+        by_f.setdefault(f_vector(cx).entries, []).append(i)
+    negatives = 0
+    for a, b in (pair for bucket in by_f.values() for pair in combinations(bucket, 2)):
+        expected = oracle.are_isomorphic_adjacency(complexes[a].facets, complexes[b].facets)
+        cert = are_isomorphic(complexes[a], complexes[b])
+        assert bool(cert) == (expected is not None)
+        assert not cert or maps_facets_onto_facets(cert, complexes[a], complexes[b])
+        negatives += not cert
+    assert negatives >= 10
+
+
+#: 2-complexes on six vertices with equal f-vectors and vertex classes, found
+#: by a seeded random search; a search that left the facets through the last
+#: vertex it places unchecked would accept each pair
+SMALL_NEGATIVES = [
+    (
+        [[0, 1, 3], [0, 2, 4], [0, 2, 5], [0, 4, 5], [1, 2, 4], [1, 3, 4], [2, 3, 5]],
+        [[0, 1, 3], [0, 2, 3], [0, 2, 5], [1, 2, 5], [1, 4, 5], [2, 3, 4], [3, 4, 5]],
+    ),
+    (
+        [[0, 3, 4], [0, 4, 5], [1, 2, 3], [1, 3, 4], [1, 3, 5]],
+        [[0, 1, 3], [0, 1, 4], [0, 2, 5], [0, 4, 5], [1, 2, 4]],
+    ),
+    (
+        [[0, 1, 3], [0, 3, 4], [0, 3, 5], [0, 4, 5], [1, 2, 3], [1, 2, 5]],
+        [[0, 3, 4], [0, 3, 5], [1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 5]],
+    ),
+]
+
+
+@pytest.mark.parametrize("facets1, facets2", SMALL_NEGATIVES)
+def test_small_pairs_with_equal_invariants(facets1, facets2):
+    cx1, cx2 = from_facets(facets1), from_facets(facets2)
+    assert equal_invariant_pairs([cx1, cx2]) == [(0, 1)]
+    assert oracle.are_isomorphic_adjacency(cx1.facets, cx2.facets) is None
+    assert not are_isomorphic(cx1, cx2)
+    assert not are_isomorphic(cx2, cx1)

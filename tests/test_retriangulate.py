@@ -215,6 +215,46 @@ def test_swartz_all_needs_dimension_three():
         swartz_all(suspension(cycle(5)), 5)
 
 
+def counted(monkeypatch, name, calls):
+    original = getattr(retriangulate, name)
+    monkeypatch.setattr(
+        retriangulate, name, lambda cx, *args: calls.append(cx) or original(cx, *args)
+    )
+
+
+def test_swartz_all_checks_the_input_once_and_then_each_link(monkeypatch):
+    sphere = suspension(stacked_sphere(4, 12))
+    whole, links = [], []
+    counted(monkeypatch, "is_normal_pseudomanifold", whole)
+    counted(monkeypatch, "is_homology_sphere", links)
+    out, record = swartz_all(sphere, 13)
+    assert whole == [sphere]
+    assert record.steps == len(links) == 7
+    assert links[0] == sphere.link([13])
+    assert (out, record) == swartz_all(sphere, 13, check=False)
+
+
+def test_swartz_all_still_rejects_a_later_link(monkeypatch):
+    # the second link checked is made to fail: a later step still checks
+    links = []
+
+    def first_only(cx, field):
+        links.append(cx)
+        return homology.PredicateResult(len(links) == 1)
+
+    monkeypatch.setattr(retriangulate, "is_homology_sphere", first_only)
+    with pytest.raises(PreconditionError, match="is not a homology sphere"):
+        swartz_all(suspension(stacked_sphere(4, 12)), 13)
+    assert len(links) == 2
+
+
+def test_swartz_all_output_on_the_lemma_3_8_instances():
+    for name, cx, v, steps in verify._swartz_instances(verify.Scale(dmax=7, f0max=16)):
+        out, record = swartz_all(cx, v)
+        assert record.steps == steps, name
+        assert (out, record) == swartz_all(cx, v, check=False), name
+
+
 # The outputs as they were first built: the maximal faces of the whole closure.
 
 
