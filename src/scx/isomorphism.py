@@ -2,8 +2,9 @@
 
 Vertices are first partitioned by cheap invariants (degree, link face
 counts, neighbour classes); the search then extends an injection vertex by
-vertex and checks each facet of the first complex once its last vertex is
-placed: the image must be a facet of the second.  Past ``ISOMORPHISM_GUARD``
+vertex.  Each placed vertex must keep adjacency and non-adjacency to those
+placed before it, and each facet of the first complex, once its last vertex
+is placed, must land on a facet of the second.  Past ``ISOMORPHISM_GUARD``
 candidate images tried, the search raises instead of running away.
 """
 
@@ -16,7 +17,7 @@ from .errors import TooLargeError
 from .facevectors import f_vector
 
 #: Search nodes, one per candidate image tried, that one call may visit: 9x the most
-#: in the tests (175,119; 3,773 on the classify-distinct stream, 1,245 in ``run_all()``).
+#: in the tests (175,119; 1,673 on the classify-distinct stream, 49 in ``run_all()``).
 ISOMORPHISM_GUARD = 1_600_000
 
 
@@ -54,7 +55,7 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
     cls1, cls2 = _vertex_classes(cx1), _vertex_classes(cx2)
     if sorted(cls1.values()) != sorted(cls2.values()):
         return none
-    adj1 = cx1.adjacency()
+    adj1, adj2 = cx1.adjacency(), cx2.adjacency()
     candidates = {
         v: sorted(u for u in cx2.vertices if cls2[u] == cls1[v])
         for v in cx1.vertices
@@ -72,30 +73,38 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
         order.append(v)
         remaining.discard(v)
         closing.append([f for f in cx1.facets if v in f and remaining.isdisjoint(f)])
-    mapping, used, nodes = {}, set(), 0
+    bit = {u: 1 << k for k, u in enumerate(sorted(cx2.vertices))}
+    nbrs2 = {u: sum(map(bit.get, adj2[u])) for u in cx2.vertices}
+    mapping, used, nodes = {}, 0, 0
     # stack[i] yields order[i]'s untried images; no recursion, so no depth limit
     stack = [iter(candidates[order[0]])]
     while stack:
-        v = order[len(stack) - 1]
+        i = len(stack) - 1
+        v = order[i]
         if v in mapping:  # back from a dead end
-            used.discard(mapping.pop(v))
+            used ^= bit[mapping.pop(v)]
+        # the placed neighbours of v's image must be the images of v's: this
+        # prunes long before a facet closes when cx1 is not neighborly
+        want = sum(bit[mapping[w]] for w in adj1[v] if w in mapping)
         for u in stack[-1]:
-            if u in used:
+            if used & bit[u]:
                 continue
             nodes += 1
             if nodes > ISOMORPHISM_GUARD:
                 raise TooLargeError(
                     f"search exceeds the isomorphism guard ({ISOMORPHISM_GUARD} nodes)"
                 )
+            if nbrs2[u] & used != want:
+                continue
             mapping[v] = u
-            if all(frozenset(map(mapping.get, f)) in cx2.facets for f in closing[len(stack) - 1]):
+            if all(frozenset(map(mapping.get, f)) in cx2.facets for f in closing[i]):
                 break
             del mapping[v]
         else:
             stack.pop()
             continue
-        used.add(u)
-        if len(stack) == len(order):
+        used |= bit[u]
+        if i + 1 == len(order):
             return IsoCertificate(dict(mapping))
-        stack.append(iter(candidates[order[len(stack)]]))
+        stack.append(iter(candidates[order[i + 1]]))
     return none
