@@ -24,7 +24,7 @@ from .errors import (
     UnknownStatementError,
 )
 from .facevectors import f_vector, g_vector, h_vector
-from .fileio import load_complex, write_complex, write_scx_text
+from .fileio import _label, load_complex, write_complex, write_scx_text
 from .homology import betti, is_homology_manifold, is_normal_pseudomanifold
 from .isomorphism import are_isomorphic
 from .retriangulate import (
@@ -64,7 +64,7 @@ def handles_errors(fn):
 
 def _parse_face(text: str) -> tuple:
     try:
-        return tuple(int(p) for p in text.replace(",", " ").split())
+        return tuple(_label(p) for p in text.replace(",", " ").split())
     except ValueError as exc:
         raise ParseError(f"not a face: {text!r}") from exc
 

@@ -43,15 +43,24 @@ JOIN_GUARD = 16
 
 
 def _maximal(faces) -> frozenset:
-    """Inclusion-maximal members of a family of frozensets."""
-    uniq = sorted(set(faces), key=len, reverse=True)
+    """Inclusion-maximal members of a family of frozensets.
+
+    Faces are taken largest first, and a kept face that contains f also
+    contains min(f), so f is compared only with the kept faces through it.
+    """
+    faces = frozenset(faces)
+    if len(set(map(len, faces))) == 1:  # distinct faces of one size form an antichain
+        return faces
     kept = []
-    for f in uniq:
-        if not any(f < g for g in kept):
+    through = {}  # vertex -> the kept faces containing it
+    for f in sorted(faces, key=len, reverse=True):
+        if not f:  # the empty face comes last and lies in any kept face
+            break
+        if not any(f < g for g in through.get(min(f), ())):
             kept.append(f)
-    if not kept:
-        kept = [frozenset()]
-    return frozenset(kept)
+            for v in f:
+                through.setdefault(v, []).append(f)
+    return frozenset(kept or [frozenset()])
 
 
 class SimplicialComplex:
@@ -60,20 +69,9 @@ class SimplicialComplex:
     __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_by_dim")
 
     def __init__(self, faces):
-        self._adopt(_maximal(faces))
-
-    @classmethod
-    def _of_antichain(cls, facets: frozenset) -> "SimplicialComplex":
-        """Trusted constructor: ``facets`` is a nonempty frozenset of frozensets,
-        none contained in another, so ``_maximal`` has nothing to remove."""
-        cx = cls.__new__(cls)
-        cx._adopt(facets)
-        return cx
-
-    def _adopt(self, facets: frozenset):
-        self._facets = facets
-        self._vertices = frozenset(itertools.chain.from_iterable(facets))
-        self._dim = max(len(f) for f in facets) - 1
+        self._facets = _maximal(faces)
+        self._vertices = frozenset(itertools.chain.from_iterable(self._facets))
+        self._dim = max(map(len, self._facets)) - 1
         self._faces = None
         self._by_dim = None
 
@@ -174,17 +172,12 @@ class SimplicialComplex:
     def link(self, face) -> "SimplicialComplex":
         """Faces disjoint from ``face`` whose union with it is again a face."""
         f = self._require_face(face)
-        # the facets through a face, less that face, are still an antichain
-        return SimplicialComplex._of_antichain(
-            frozenset(facet - f for facet in self._facets if f <= facet)
-        )
+        return SimplicialComplex(facet - f for facet in self._facets if f <= facet)
 
     def star(self, face) -> "SimplicialComplex":
         """Closed star: all faces whose union with ``face`` is a face."""
         f = self._require_face(face)
-        return SimplicialComplex._of_antichain(
-            frozenset(facet for facet in self._facets if f <= facet)
-        )
+        return SimplicialComplex(facet for facet in self._facets if f <= facet)
 
     def restriction(self, verts) -> "SimplicialComplex":
         w = frozenset(verts)

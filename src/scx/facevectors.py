@@ -13,6 +13,7 @@ which several summation identities need.  Impure complexes are accepted
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -165,9 +166,10 @@ def macaulay_pseudopower(a: int, i: int) -> int:
         return 0
     rem, idx, total = a, i, 0
     while rem > 0 and idx >= 1:
-        top = idx
-        while comb(top + 1, idx) <= rem:
-            top += 1
+        over = idx + 1  # the top is the largest t < over with C(t, idx) <= rem
+        while comb(over, idx) <= rem:
+            over *= 2
+        top = idx - 1 + bisect_right(range(idx, over), rem, key=lambda t: comb(t, idx))
         total += comb(top + 1, idx + 1)
         rem -= comb(top, idx)
         idx -= 1

@@ -11,6 +11,13 @@ from .complexes import SimplicialComplex, from_facets
 from .errors import MalformedInputError, ParseError
 
 
+def _label(token: str) -> int:
+    # ASCII digits only: int() alone would also read 1_0, +1 and other scripts' digits
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a vertex label: {token!r}")
+    return int(token)
+
+
 def read_scx_text(text: str, source: str = "<string>") -> SimplicialComplex:
     """Parse facet-list text: one facet of whitespace-separated non-negative
     integers per line; '#' comment lines and blank lines are ignored."""
@@ -21,11 +28,9 @@ def read_scx_text(text: str, source: str = "<string>") -> SimplicialComplex:
             continue
         parts = line.split()
         try:
-            labels = [int(p) for p in parts]
+            labels = [_label(p) for p in parts]
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: not an integer facet: {line!r}") from exc
-        if any(v < 0 for v in labels):
-            raise ParseError(f"{source}:{lineno}: negative vertex label in {line!r}")
         if len(set(labels)) != len(labels):
             raise ParseError(f"{source}:{lineno}: repeated vertex in {line!r}")
         facets.append(labels)

@@ -14,8 +14,9 @@ import json
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .complexes import SimplicialComplex, from_facets, join, stack_over_facet
-from .errors import ParseError, PreconditionError
+from . import complexes
+from .complexes import SimplicialComplex, from_facets, join
+from .errors import ParseError, PreconditionError, TooLargeError
 from .facevectors import f_vector, g2
 from .fileio import load_complex
 from .homology import is_normal_pseudomanifold
@@ -24,10 +25,19 @@ from .retriangulate import central_retriangulation
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
+def _guard_closure(count: int, size: int):
+    """Raise ``TooLargeError`` before ``count`` facets of ``size`` vertices are
+    built if their closure bound, count * 2^size, is over ``CLOSURE_GUARD``."""
+    guard = complexes.CLOSURE_GUARD
+    if size > guard.bit_length() or count << size > guard:
+        raise TooLargeError(f"closure bound {count} * 2^{size} exceeds the guard ({guard})")
+
+
 def simplex_boundary(d: int) -> SimplicialComplex:
     """Boundary of the d-simplex on labels 0..d."""
     if d < 1:
         raise PreconditionError("simplex boundary needs d >= 1")
+    _guard_closure(d + 1, d)
     return from_facets(itertools.combinations(range(d + 1), d))
 
 
@@ -35,6 +45,7 @@ def cycle(n: int) -> SimplicialComplex:
     """The n-cycle on labels 0..n-1."""
     if n < 3:
         raise PreconditionError("cycle needs n >= 3")
+    _guard_closure(n, 2)
     return from_facets([(i, (i + 1) % n) for i in range(n)])
 
 
@@ -53,14 +64,15 @@ def stacked_sphere(d: int, n: int) -> SimplicialComplex:
     """
     if n < d + 1:
         raise PreconditionError("a stacked (d-1)-sphere needs at least d+1 vertices")
-    cx = simplex_boundary(d)
-    last_new = sorted(cx.facets, key=sorted)
-    for _ in range(n - d - 1):
-        target = max(last_new, key=sorted)
-        before = cx.facets
-        cx = stack_over_facet(cx, target)
-        last_new = sorted(cx.facets - before, key=sorted)
-    return cx
+    facets = set(simplex_boundary(d).facets)
+    _guard_closure(d + 1 + (n - d - 1) * (d - 1), d)  # each step adds d - 1 facets
+    new = list(facets)
+    for w in range(d + 1, n):
+        target = max(new, key=sorted)
+        facets.remove(target)
+        new = [(target - {v}) | {w} for v in target]
+        facets.update(new)
+    return SimplicialComplex(facets)
 
 
 def cross_polytope_boundary(d: int) -> SimplicialComplex:
@@ -68,6 +80,7 @@ def cross_polytope_boundary(d: int) -> SimplicialComplex:
     (2i, 2i+1), one facet per choice of a vertex from every pair."""
     if d < 1:
         raise PreconditionError("cross polytope needs d >= 1")
+    _guard_closure(1, 2 * d)  # 2^d facets of d vertices
     pairs = [(2 * i, 2 * i + 1) for i in range(d)]
     return from_facets(itertools.product(*pairs))
 
@@ -133,14 +146,7 @@ def g2_one_family(d: int, variant: str, param: int) -> CatalogEntry:
         tags = {"g2one", "g2one-cycle"}
     else:
         raise PreconditionError(f"unknown variant {variant!r}")
-    entry = CatalogEntry(
-        name=name,
-        params=(d, param),
-        complex=cx,
-        expected={"g2": 1},
-        tags=frozenset(tags | {"sphere"}),
-    )
-    return entry.verify_expected()
+    return _plain_entry(name, (d, param), cx, 1, tags | {"sphere"})
 
 
 def g2_two_catalog(d: int, kind: str, param: int | None = None) -> CatalogEntry:
@@ -186,14 +192,7 @@ def g2_two_catalog(d: int, kind: str, param: int | None = None) -> CatalogEntry:
         params = (4, n)
     else:
         raise PreconditionError(f"unknown kind {kind!r}")
-    entry = CatalogEntry(
-        name=name,
-        params=params,
-        complex=cx,
-        expected={"g2": 2},
-        tags=frozenset(tags | {"sphere"}),
-    )
-    return entry.verify_expected()
+    return _plain_entry(name, params, cx, 2, tags | {"sphere"})
 
 
 def load_fixture(path) -> CatalogEntry:

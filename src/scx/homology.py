@@ -155,8 +155,8 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
 @functools.lru_cache(maxsize=BETTI_MEMO)
 def _betti(masks: tuple, field) -> BettiProfile:
     # the complex of the order type, on the vertices 0..n-1
-    cx = SimplicialComplex._of_antichain(
-        frozenset(frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks)
+    cx = SimplicialComplex(
+        frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks
     )
     dim = cx.dim
     sizes = [cx.n_faces(k) for k in range(-1, dim + 1)]  # sizes[k + 1] = f_k

@@ -7,6 +7,7 @@ it checks.
 """
 
 from itertools import combinations
+from math import comb
 
 
 def closure(facets):
@@ -90,15 +91,34 @@ def rank_gfp(rows, p):
     return rank
 
 
+def maximal(faces):
+    """Inclusion-maximal members of a family of frozensets, each compared with
+    every member kept so far (quadratic); {frozenset()} if none is nonempty."""
+    kept = []
+    for f in sorted(set(faces), key=len, reverse=True):
+        if not any(f < g for g in kept):
+            kept.append(f)
+    return frozenset(kept or [frozenset()])
+
+
+def macaulay_pseudopower_linear(a, i):
+    """a^<i> from the greedy binomial expansion of a, each top found by
+    stepping up one at a time."""
+    rem, idx, total = a, i, 0
+    while rem > 0 and idx >= 1:
+        top = idx
+        while comb(top + 1, idx) <= rem:
+            top += 1
+        total += comb(top + 1, idx + 1)
+        rem -= comb(top, idx)
+        idx -= 1
+    return total
+
+
 def is_join_partition(facets, side_a, side_b):
     """Check facets == {a | b} over the restrictions' facet sets."""
     facets = {frozenset(f) for f in facets}
     a, b = frozenset(side_a), frozenset(side_b)
-
-    def maximal(sets):
-        sets = set(sets)
-        return {s for s in sets if not any(s < t for t in sets)}
-
     fa = maximal(f & a for f in facets)
     fb = maximal(f & b for f in facets)
     return {x | y for x in fa for y in fb} == facets

@@ -122,6 +122,12 @@ def test_macaulay_pseudopower_values():
     assert macaulay_pseudopower(6, 2) == 10
 
 
+def test_macaulay_pseudopower_matches_the_linear_search():
+    for i in range(1, 7):
+        for a in range(3001):
+            assert macaulay_pseudopower(a, i) == oracle.macaulay_pseudopower_linear(a, i), (a, i)
+
+
 def test_macaulay_pseudopower_validation():
     with pytest.raises(ValueError):
         macaulay_pseudopower(-1, 2)

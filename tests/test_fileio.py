@@ -25,6 +25,14 @@ def test_read_errors_name_the_line():
         read_scx_text("0 1\n1 2\n-1 2\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "9" * 5000])
+def test_labels_are_ascii_digit_strings(token):
+    # int() reads the first three as 10, 1 and 1, which write back as other
+    # bytes, and refuses the last as too long to convert
+    with pytest.raises(ParseError, match=":2:"):
+        read_scx_text(f"0 1\n{token} 2\n")
+
+
 def test_write_is_canonical(bd3):
     text = write_scx_text(bd3)
     assert text == "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"

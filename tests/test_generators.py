@@ -4,6 +4,7 @@ import pytest
 
 from scx import (
     PreconditionError,
+    TooLargeError,
     are_isomorphic,
     barnette_sphere,
     betti,
@@ -18,10 +19,12 @@ from scx import (
     join,
     simplex_boundary,
     stacked_sphere,
+    stack_over_facet,
     stacked_sphere_with_ridge,
     standard_catalog,
     suspension,
 )
+from scx import complexes
 
 
 def test_simplex_boundary_is_small_cycle():
@@ -42,6 +45,8 @@ def test_parameter_validation():
     with pytest.raises(PreconditionError):
         stacked_sphere(4, 4)
     with pytest.raises(PreconditionError):
+        stacked_sphere(-1, 0)
+    with pytest.raises(PreconditionError):
         cross_polytope_boundary(0)
 
 
@@ -55,6 +60,40 @@ def test_stacked_sphere_counts():
     assert cx.n_faces(1) == 4 * 8 - 10
     # each stacking step removes one facet and adds four
     assert len(cx.facets) == 5 + 3 * 3
+
+
+def test_stacked_sphere_matches_the_stepwise_construction():
+    for d in range(2, 7):
+        cx = simplex_boundary(d)
+        last_new = cx.facets
+        for n in range(d + 2, 15):
+            before = cx.facets
+            cx = stack_over_facet(cx, max(last_new, key=sorted))
+            last_new = cx.facets - before
+            assert stacked_sphere(d, n) == cx
+
+
+def test_generators_check_the_closure_guard_first(monkeypatch):
+    monkeypatch.setattr(complexes, "CLOSURE_GUARD", 2**10)
+    # each first call's closure bound is at most the guard, the next one's over it
+    for build, fits, over in (
+        (simplex_boundary, (7,), (8,)),
+        (cycle, (256,), (257,)),
+        (cross_polytope_boundary, (5,), (6,)),
+        (stacked_sphere, (3, 66), (3, 67)),
+    ):
+        assert build(*fits).faces()
+        with pytest.raises(TooLargeError, match="closure bound"):
+            build(*over)
+    # sizes whose facet lists would not fit in memory are refused at once
+    for build, params in (
+        (simplex_boundary, (10**9,)),
+        (cycle, (10**12,)),
+        (cross_polytope_boundary, (10**9,)),
+        (stacked_sphere, (3, 10**12)),
+    ):
+        with pytest.raises(TooLargeError, match="closure bound"):
+            build(*params)
 
 
 def test_stacked_sphere_links_are_stacked():

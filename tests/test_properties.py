@@ -16,6 +16,7 @@ from scx import (
     macaulay_pseudopower,
     reduced_euler,
 )
+from scx.complexes import _maximal
 from scx.fileio import read_scx_text, write_scx_text
 from scx.isomorphism import _vertex_classes
 
@@ -32,6 +33,15 @@ small_facet_lists = st.lists(
     min_size=1,
     max_size=4,
 )
+
+
+@given(st.lists(st.frozensets(st.integers(min_value=0, max_value=5), max_size=4), max_size=12))
+def test_antichain_reduction_matches_the_quadratic_oracle(family):
+    # mixed sizes, the empty face and repeated faces
+    expected = oracle.maximal(family)
+    assert _maximal(family) == expected
+    assert SimplicialComplex(family).facets == expected
+    assert SimplicialComplex(iter(family)).facets == expected
 
 
 @given(facet_lists)
