@@ -24,7 +24,7 @@ from .errors import (
     UnknownStatementError,
 )
 from .facevectors import f_vector, g_vector, h_vector
-from .fileio import _label, load_complex, write_complex, write_scx_text
+from .fileio import _label, _labels, load_complex, write_complex, write_scx_text
 from .homology import betti, is_homology_manifold, is_normal_pseudomanifold
 from .isomorphism import are_isomorphic
 from .retriangulate import (
@@ -64,7 +64,7 @@ def handles_errors(fn):
 
 def _parse_face(text: str) -> tuple:
     try:
-        return tuple(_label(p) for p in text.replace(",", " ").split())
+        return tuple(_labels(text.replace(",", " ")))
     except ValueError as exc:
         raise ParseError(f"not a face: {text!r}") from exc
 
@@ -85,13 +85,32 @@ def input_path(fn):
     return handles_errors(wrapper)
 
 
+class _Integer(click.ParamType):
+    """Every integer the CLI reads: ASCII digits as fileio._label reads them,
+    with an optional leading '-' so that a negative value reaches the
+    library's own checks. click's int would also take 1_0, +1 and other
+    scripts' digits."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        text = str(value)  # a default arrives as an int
+        try:
+            return -_label(text[1:]) if text.startswith("-") else _label(text)
+        except ValueError:
+            self.fail(f"{value!r} is not an integer", param, ctx)
+
+
+_INT = _Integer()
+
+
 def _field_option(value: str):
     if value == "rational":
         return "rational"
     try:
-        return int(value)
-    except ValueError as exc:
-        raise PreconditionError(f"--field must be 'rational' or a prime, got {value!r}") from exc
+        return _INT.convert(value, None, None)
+    except click.BadParameter as exc:
+        raise ParseError(f"--field must be 'rational' or a prime, got {value!r}") from exc
 
 
 @click.group()
@@ -151,7 +170,7 @@ def link(input, face, output):
 
 @main.command()
 @input_path
-@click.option("-k", "--k", "k", type=int, required=True, help="dimension of missing faces")
+@click.option("-k", "--k", "k", type=_INT, required=True, help="dimension of missing faces")
 def missing(input, k):
     """List the missing k-faces, one per line."""
     cx = load_complex(input)
@@ -213,8 +232,8 @@ def crtr(input, ball, output, check_iso):
 
 @op.command()
 @input_path
-@click.option("--vertex", type=int, required=True)
-@click.option("--r", type=int, default=None, help="stackedness level (auto-detected)")
+@click.option("--vertex", type=_INT, required=True)
+@click.option("--r", type=_INT, default=None, help="stackedness level (auto-detected)")
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--check-iso", type=click.Path(), default=None)
 def sdinv(input, vertex, r, output, check_iso):
@@ -226,7 +245,7 @@ def sdinv(input, vertex, r, output, check_iso):
 
 @op.command()
 @input_path
-@click.option("--vertex", type=int, required=True)
+@click.option("--vertex", type=_INT, required=True)
 @click.option("--tau", default=None, help="missing facet of the link (comma-separated)")
 @click.option("--all", "everything", is_flag=True, help="iterate over all missing facets")
 @click.option("--output", type=click.Path(), default=None)
@@ -245,8 +264,8 @@ def swartz(input, vertex, tau, everything, output, check_iso):
 
 @main.command()
 @input_path
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=3, show_default=True)
+@click.option("--seed", type=_INT, default=0, show_default=True)
+@click.option("--trials", type=_INT, default=3, show_default=True)
 def stress(input, seed, trials):
     """Print an exact basis of the stress space, one vector per line."""
     from .rigidity import stress_basis
@@ -271,7 +290,7 @@ _GENERATORS = {
 
 @main.command()
 @click.argument("name")
-@click.argument("params", nargs=-1, type=int)
+@click.argument("params", nargs=-1, type=_INT)
 @click.option("--output", type=click.Path(), default=None)
 @handles_errors
 def gen(name, params, output):
@@ -313,7 +332,7 @@ def gen(name, params, output):
 
 def _scale_options(fn):
     for f in fields(verify.Scale):
-        fn = click.option("--" + f.name.replace("_", "-"), type=int, default=f.default,
+        fn = click.option("--" + f.name.replace("_", "-"), type=_INT, default=f.default,
                           show_default=True)(fn)
     fn = click.option("--report", type=click.Path(), default=None,
                       help="also write the reports as JSON")(fn)

@@ -109,18 +109,17 @@ class SimplicialComplex:
             bound = sum(1 << len(f) for f in self._facets)
             if bound > CLOSURE_GUARD:
                 raise TooLargeError(f"closure bound {bound} exceeds the guard ({CLOSURE_GUARD})")
-            closure = set()
+            # by_size[k]: the k-subsets of the facets as sorted tuples, which
+            # sort natively in vertex-tuple order
+            by_size = [set() for _ in range(self._dim + 2)]
             for facet in self._facets:
                 fs = sorted(facet)
                 for k in range(len(fs) + 1):
-                    closure.update(frozenset(c) for c in itertools.combinations(fs, k))
-            by_dim = {}
-            for face in closure:
-                by_dim.setdefault(len(face) - 1, []).append(face)
+                    by_size[k].update(itertools.combinations(fs, k))
             # _by_dim before _faces: a reader that sees the closure sees its
             # grouping too; a race only computes the same closure twice
-            self._by_dim = {k: tuple(sorted(v, key=sorted)) for k, v in by_dim.items()}
-            self._faces = frozenset(closure)
+            self._by_dim = {k - 1: tuple(map(frozenset, sorted(s))) for k, s in enumerate(by_size)}
+            self._faces = frozenset(itertools.chain.from_iterable(self._by_dim.values()))
         return self._faces
 
     def faces_of_dim(self, k: int) -> tuple:
@@ -147,8 +146,7 @@ class SimplicialComplex:
     def adjacency(self) -> dict:
         """Vertex -> set of neighbours in the 1-skeleton."""
         adj = {v: set() for v in self._vertices}
-        for edge in self.faces_of_dim(1):
-            u, v = edge
+        for u, v in self.faces_of_dim(1):
             adj[u].add(v)
             adj[v].add(u)
         return adj
@@ -203,23 +201,16 @@ class SimplicialComplex:
         """Minimal non-faces of dimension k, as sorted vertex tuples."""
         if k < 0:
             raise PreconditionError("missing-face dimension must be >= 0")
-        if k > self._dim + 1:
-            return []
-        if k == 0:
+        if k == 0 or k > self._dim + 1:
             return []
         faces = self.faces()
-        out = set()
-        for base in self.faces_of_dim(k - 1):
-            base_set = frozenset(base)
-            for v in self._vertices - base_set:
-                cand = base_set | {v}
-                if cand in faces or cand in out:
-                    continue
-                if all(
-                    cand - {u} in faces for u in cand
-                ):
-                    out.add(cand)
-        return sorted((tuple(sorted(f)) for f in out))
+        out = {
+            cand
+            for base in self.faces_of_dim(k - 1)
+            for cand in (base | {v} for v in self._vertices - base)
+            if cand not in faces and all(cand - {u} in faces for u in cand)
+        }
+        return sorted(tuple(sorted(f)) for f in out)
 
 
 def from_facets(facets) -> SimplicialComplex:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import SimplicialComplex
-from .errors import InternalCheckError
+from .errors import InternalCheckError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,20 @@ def f_vector(cx: SimplicialComplex) -> FVector:
     return FVector(entries, impure=not cx.is_pure())
 
 
+def _link_f_vectors(cx: SimplicialComplex) -> dict:
+    """Vertex v -> the f-vector entries of lk(v), read off the closure: each
+    k-face through v is a (k-1)-face of lk(v)."""
+    counts = {v: [] for v in cx.vertices}
+    for k in range(cx.dim + 1):
+        for face in cx.faces_of_dim(k):
+            for v in face:
+                through = counts[v]
+                if len(through) == k:
+                    through.append(0)
+                through[k] += 1
+    return {v: tuple(through) for v, through in counts.items()}
+
+
 def h_from_f(f: FVector) -> HVector:
     d = f.d
     entries = tuple(
@@ -114,7 +128,11 @@ def g_vector(cx: SimplicialComplex) -> GVector:
 
 def extended_g(cx: SimplicialComplex) -> tuple:
     """All h-differences (1, h_1-h_0, ..., h_d-h_{d-1})."""
-    h = h_vector(cx)
+    return _extended_g(f_vector(cx))
+
+
+def _extended_g(f: FVector) -> tuple:
+    h = h_from_f(f)
     return (1,) + tuple(h[j] - h[j - 1] for j in range(1, h.d + 1))
 
 
@@ -124,8 +142,11 @@ def g1(cx: SimplicialComplex) -> int:
 
 def g2(cx: SimplicialComplex) -> int:
     """g_2 = f_1 - d*f_0 + C(d+1, 2) with d = dim + 1."""
-    d = cx.dim + 1
-    return cx.n_faces(1) - d * cx.n_faces(0) + comb(d + 1, 2)
+    return _g2(cx.n_faces(0), cx.n_faces(1), cx.dim + 1)
+
+
+def _g2(f0: int, f1: int, d: int) -> int:
+    return f1 - d * f0 + comb(d + 1, 2)
 
 
 def g3(cx: SimplicialComplex) -> int:
@@ -145,16 +166,16 @@ def link_g_sum(cx: SimplicialComplex, k: int) -> tuple:
 
     with g read as extended h-differences on both sides.
     """
-    d = cx.dim + 1
-    lhs = 0
-    for v in sorted(cx.vertices):
-        gl = extended_g(cx.link([v]))
-        lhs += gl[k] if k < len(gl) else 0
-    eg = extended_g(cx)
-    gk = eg[k] if k < len(eg) else 0
-    gk1 = eg[k + 1] if k + 1 < len(eg) else 0
-    rhs = (k + 1) * gk1 + (d + 1 - k) * gk
-    return lhs, rhs
+    if k < 0:
+        raise PreconditionError(f"link-sum index must be >= 0, got {k}")
+
+    def g(f: FVector, i: int) -> int:  # the i-th h-difference, 0 past the last
+        eg = _extended_g(f)
+        return eg[i] if i < len(eg) else 0
+
+    f = f_vector(cx)
+    lhs = sum(g(FVector(entries), k) for entries in _link_f_vectors(cx).values())
+    return lhs, (k + 1) * g(f, k + 1) + (f.d + 1 - k) * g(f, k)
 
 
 def macaulay_pseudopower(a: int, i: int) -> int:

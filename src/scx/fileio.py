@@ -11,24 +11,36 @@ from .complexes import SimplicialComplex, from_facets
 from .errors import MalformedInputError, ParseError
 
 
-def _label(token: str) -> int:
-    # ASCII digits only: int() alone would also read 1_0, +1 and other scripts' digits
+#: ASCII whitespace but the line feed, which alone ends a line
+_BLANK = " \t\r\v\f"
+
+
+def _label(token) -> int:
+    # ASCII digits only, in a str or bytes token: int() alone would also read
+    # 1_0, +1 and other scripts' digits
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"not a vertex label: {token!r}")
     return int(token)
 
 
+def _labels(text: str) -> list:
+    """The labels in ``text``, separated by ASCII whitespace only: bytes.split()
+    breaks there alone, where str.split() also breaks at U+00A0, U+2028 and
+    other separators."""
+    return [_label(t) for t in text.encode().split()]
+
+
 def read_scx_text(text: str, source: str = "<string>") -> SimplicialComplex:
-    """Parse facet-list text: one facet of whitespace-separated non-negative
-    integers per line; '#' comment lines and blank lines are ignored."""
+    """Parse facet-list text: one facet of non-negative integers separated by
+    ASCII whitespace per line, lines ending in LF or CRLF; '#' comment lines
+    and blank lines are ignored."""
     facets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(_BLANK)
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
         try:
-            labels = [_label(p) for p in parts]
+            labels = _labels(line)
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: not an integer facet: {line!r}") from exc
         if len(set(labels)) != len(labels):
@@ -38,17 +50,13 @@ def read_scx_text(text: str, source: str = "<string>") -> SimplicialComplex:
 
 
 def write_scx_text(cx: SimplicialComplex) -> str:
-    lines = [
-        " ".join(str(v) for v in sorted(facet))
-        for facet in sorted(cx.facets, key=sorted)
-        if facet
-    ]
-    return "".join(line + "\n" for line in lines)
+    facets = sorted(cx.facets, key=sorted)
+    return "".join(" ".join(map(str, sorted(f))) + "\n" for f in facets if f)
 
 
 def read_scx(path) -> SimplicialComplex:
-    path = Path(path)
-    return read_scx_text(path.read_text(), source=str(path))
+    with open(path, newline="") as fh:  # untranslated: a lone CR ends no line
+        return read_scx_text(fh.read(), source=str(path))
 
 
 def write_scx(cx: SimplicialComplex, path):

@@ -210,15 +210,9 @@ def load_fixture(path) -> CatalogEntry:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{meta_path}: invalid JSON: {exc}") from exc
         name = meta.get("name", name)
-        if "f_vector" in meta:
-            expected["f_vector"] = meta["f_vector"]
-        if "g2" in meta:
-            expected["g2"] = meta["g2"]
+        expected = {key: meta[key] for key in ("f_vector", "g2") if key in meta}
         tags |= set(meta.get("tags", ()))
-    entry = CatalogEntry(
-        name=name, params=(), complex=cx, expected=expected, tags=frozenset(tags)
-    )
-    return entry.verify_expected()
+    return CatalogEntry(name, (), cx, expected, frozenset(tags)).verify_expected()
 
 
 def barnette_sphere() -> CatalogEntry:
@@ -226,13 +220,7 @@ def barnette_sphere() -> CatalogEntry:
 
 
 def _plain_entry(name, params, cx, g2_expected, tags) -> CatalogEntry:
-    entry = CatalogEntry(
-        name=name,
-        params=tuple(params),
-        complex=cx,
-        expected={"g2": g2_expected},
-        tags=frozenset(tags),
-    )
+    entry = CatalogEntry(name, tuple(params), cx, {"g2": g2_expected}, frozenset(tags))
     return entry.verify_expected()
 
 
@@ -269,10 +257,8 @@ def standard_catalog(dmax: int = 6, f0max: int = 14, cycle_max: int = 8) -> list
                 entries.append(g2_two_catalog(d, "suspension", i))
     entries.append(barnette_sphere())
     for entry in entries:
-        extra = set()
         if entry.complex.is_prime():
-            extra.add("prime")
+            entry.tags |= {"prime"}
         if is_normal_pseudomanifold(entry.complex):
-            extra.add("normal-pm")
-        entry.tags = entry.tags | extra
+            entry.tags |= {"normal-pm"}
     return entries

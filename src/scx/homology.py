@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import exact
@@ -255,14 +256,11 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     smallest vertex whose link fails.
     """
     n = cx.dim
-    by_vertex = {}  # smallest vertex -> faces, by dimension and then vertex tuple
-    for k in range(n + 1):
-        for face in cx.faces_of_dim(k):
-            by_vertex.setdefault(min(face), []).append(face)
-    for v in sorted(by_vertex):
-        for face in by_vertex[v]:
-            if not betti(cx.link(face), field).is_sphere(n - len(face)):
-                return PredicateResult(False, (v,), "vertex link is not a homology sphere")
+    # stable: faces with one smallest vertex stay by dimension, then vertex tuple
+    faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
+    for face in sorted(faces, key=min):
+        if not betti(cx.link(face), field).is_sphere(n - len(face)):
+            return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
     return PredicateResult(True)
 
 
@@ -277,11 +275,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
         return PredicateResult(False, tuple(sorted(smallest)), "complex is not pure")
     if not cx.is_connected():
         return PredicateResult(False, (), "complex is not connected")
-    ridge_count = {}
-    for facet in cx.facets:
-        for v in facet:
-            ridge = facet - {v}
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+    ridge_count = Counter(facet - {v} for facet in cx.facets for v in facet)
     for ridge, count in sorted(ridge_count.items(), key=lambda kv: sorted(kv[0])):
         if count != 2:
             return PredicateResult(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
 from .errors import TooLargeError
-from .facevectors import f_vector
+from .facevectors import _link_f_vectors, f_vector
 
 #: Search nodes, one per candidate image tried, that one call may visit: 9x the most
 #: in the tests (175,119; 1,673 on the classify-distinct stream, 49 in ``run_all()``).
@@ -31,16 +31,7 @@ class IsoCertificate:
 
 def _vertex_classes(cx: SimplicialComplex) -> dict:
     adj = cx.adjacency()
-    # the f-vector of lk(v): lk_f[v][k] counts the k-faces through v
-    lk_f = {v: [] for v in cx.vertices}
-    for k in range(cx.dim + 1):
-        for face in cx.faces_of_dim(k):
-            for v in face:
-                counts = lk_f[v]
-                if len(counts) == k:
-                    counts.append(0)
-                counts[k] += 1
-    base = {v: (len(adj[v]), tuple(lk_f[v])) for v in cx.vertices}
+    base = {v: (len(adj[v]), lk_f) for v, lk_f in _link_f_vectors(cx).items()}
     # one refinement round: append the sorted multiset of neighbour classes
     return {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices}
 

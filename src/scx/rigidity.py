@@ -17,7 +17,7 @@ from math import comb
 from . import exact
 from .complexes import SimplicialComplex
 from .errors import InternalCheckError, PreconditionError, TooLargeError
-from .facevectors import g2
+from .facevectors import FVector, _g2, _link_f_vectors, g2
 from .homology import is_normal_pseudomanifold
 
 DEFAULT_COORD_BOUND = 2**31
@@ -292,15 +292,13 @@ def link_monotonicity_check(cx: SimplicialComplex) -> LinkMonotonicityResult:
     """Check g_2(link of v) <= g_2(complex) at every vertex (combinatorially)."""
     total = g2(cx)
     per_vertex = []
-    violations = []
-    for v in sorted(cx.vertices):
-        lg = g2(cx.link([v]))
-        per_vertex.append((v, lg))
-        if lg > total:
-            violations.append((v, lg))
+    for v, entries in sorted(_link_f_vectors(cx).items()):
+        f = FVector(entries)  # of lk(v)
+        per_vertex.append((v, _g2(f[0], f[1], f.d)))
+    violations = tuple((v, lg) for v, lg in per_vertex if lg > total)
     return LinkMonotonicityResult(
         ok=not violations,
         g2_total=total,
         per_vertex=tuple(per_vertex),
-        violations=tuple(violations),
+        violations=violations,
     )

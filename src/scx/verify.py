@@ -673,22 +673,12 @@ def run_statement(statement: str, scale: Scale | None = None) -> VerificationRep
     claim, runner = _REGISTRY[statement]
     catalog = catalog_for(scale)
     start = time.perf_counter()
-    instances = passes = 0
-    failures = []
-    for name, ok, detail in runner(catalog, scale):
-        instances += 1
-        if ok:
-            passes += 1
-        else:
-            failures.append(f"{name}: {detail}")
+    results = list(runner(catalog, scale))
     seconds = time.perf_counter() - start
+    failures = [f"{name}: {detail}" for name, ok, detail in results if not ok]
     return VerificationReport(
-        statement=statement,
-        claim=claim,
-        instances=instances,
-        passes=passes,
-        failures=failures,
-        seconds=seconds,
+        statement=statement, claim=claim, instances=len(results),
+        passes=len(results) - len(failures), failures=failures, seconds=seconds,
     )
 
 

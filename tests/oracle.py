@@ -35,6 +35,49 @@ def g2_from_counts(f0, f1, dim):
     return f1 - d * f0 + d * (d + 1) // 2
 
 
+def vertex_links(facets):
+    """Vertex -> the facets of its link, F - {v} for each facet F through v."""
+    links = {}
+    for facet in facets:
+        for v in facet:
+            links.setdefault(v, []).append(frozenset(facet) - {v})
+    return links
+
+
+def h_differences(counts):
+    """(1, h_1-h_0, ..., h_d-h_{d-1}) for face counts (f_-1, ..., f_{d-1}),
+    expanding sum_i f_{i-1} (t-1)^(d-i) into sum_j h_j t^(d-j) term by term."""
+    d = len(counts) - 1
+    h = [0] * (d + 1)
+    for i, f in enumerate(counts):
+        for m in range(d - i + 1):  # the t^m term of (t-1)^(d-i)
+            h[d - m] += f * comb(d - i, m) * (-1) ** (d - i - m)
+    return (1,) + tuple(h[j] - h[j - 1] for j in range(1, d + 1))
+
+
+def _at(seq, i):
+    return seq[i] if i < len(seq) else 0
+
+
+def link_g_sum(facets, k):
+    """Both sides of the link-sum identity, sum_v g_k(lk v) and
+    (k+1) g_{k+1} + (d+1-k) g_k, with every link built from the facets."""
+    eg = h_differences(face_counts(facets))
+    d = len(eg) - 1
+    lhs = sum(_at(h_differences(face_counts(lk)), k) for lk in vertex_links(facets).values())
+    return lhs, (k + 1) * _at(eg, k + 1) + (d + 1 - k) * _at(eg, k)
+
+
+def link_g2s(facets):
+    """g2 of the complex and the (v, g2 of lk v) pairs in vertex order."""
+
+    def g2(counts):
+        return g2_from_counts(_at(counts, 1), _at(counts, 2), len(counts) - 2)
+
+    links = vertex_links(facets)
+    return g2(face_counts(facets)), tuple((v, g2(face_counts(links[v]))) for v in sorted(links))
+
+
 def betti_gf2(facets):
     """Reduced GF(2) Betti numbers (b_-1, ..., b_dim) by naive elimination."""
     faces = closure(facets)

@@ -128,6 +128,27 @@ def test_face_options_take_ascii_digit_strings(tmp_path, command, options, token
     assert "not a face" in result.output
 
 
+@pytest.mark.parametrize("token", ["\u0664", "+1_0", "\u0665"])
+@pytest.mark.parametrize(
+    "args",
+    [("gen", "cycle"), ("missing", "{path}", "-k"), ("verify", "Lemma4.4", "--dmax"),
+     ("info", "{path}", "--field")],
+    ids=["gen", "option", "scale", "field"],
+)
+def test_integers_take_ascii_digit_strings(tmp_path, args, token):
+    # click's int and int() read these as 4, 10 and 5
+    path = write_barnette(tmp_path)
+    result = invoke(*(a.format(path=path) for a in args), token)
+    assert result.exit_code == 2
+    assert repr(token) in result.output
+
+
+def test_negative_integers_reach_the_library_checks(tmp_path):
+    result = invoke("missing", write_barnette(tmp_path), "-k", "-1")
+    assert result.exit_code == 3
+    assert "must be >= 0" in result.output
+
+
 def test_missing_lists_faces(tmp_path):
     path = write_barnette(tmp_path)
     result = invoke("missing", path, "-k", "1")

@@ -7,6 +7,8 @@ import pytest
 
 import scx
 from scx import (
+    PreconditionError,
+    SimplicialComplex,
     barnette_sphere,
     cycle,
     extended_g,
@@ -20,11 +22,13 @@ from scx import (
     is_m_sequence,
     join,
     link_g_sum,
+    link_monotonicity_check,
     macaulay_pseudopower,
     reduced_euler,
     simplex_boundary,
     stacked_sphere,
 )
+from scx.verify import Scale, catalog_for
 
 import oracle
 
@@ -105,6 +109,31 @@ def test_link_g_sum_identity_at_top_k():
     for cx in (simplex_boundary(6), join(cycle(4), simplex_boundary(4))):
         lhs, rhs = link_g_sum(cx, 3)
         assert lhs == rhs
+
+
+def test_link_g_sum_refuses_a_negative_index(bd3):
+    # -1 would read the last entry and -9 past the first
+    for k in (-1, -9):
+        with pytest.raises(PreconditionError):
+            link_g_sum(bd3, k)
+
+
+def test_vertex_link_counts_build_no_link(monkeypatch):
+    pure = [e.complex for e in catalog_for(Scale()) if e.complex.is_pure()]
+    expected = [
+        ([oracle.link_g_sum(cx.facets, k) for k in range(4)], oracle.link_g2s(cx.facets))
+        for cx in pure
+    ]
+
+    def no_link(self, face):
+        raise AssertionError("a link complex was built")
+
+    monkeypatch.setattr(SimplicialComplex, "link", no_link)
+    for cx, (sums, (total, per_vertex)) in zip(pure, expected):
+        assert [link_g_sum(cx, k) for k in range(4)] == sums
+        res = link_monotonicity_check(cx)
+        assert (res.g2_total, res.per_vertex) == (total, per_vertex)
+    assert len(pure) > 40
 
 
 def test_reduced_euler():

@@ -33,6 +33,33 @@ def test_labels_are_ascii_digit_strings(token):
         read_scx_text(f"0 1\n{token} 2\n")
 
 
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\u2029", "\u0085", "\u00a0", "\u3000", "\u1680", "\x1c"]
+)
+def test_only_ascii_whitespace_separates(separator):
+    # str.splitlines() and str.split() break at each of these, so the file
+    # would load and write back as other bytes
+    for text in (f"0 1 2\n0 1 3{separator}1 2 3\n", f"0 1 2\n0{separator}1 3\n"):
+        with pytest.raises(ParseError, match=":2:"):
+            read_scx_text(text)
+
+
+def test_crlf_tabs_and_form_feeds_still_separate(tmp_path, bd3):
+    text = "# c\r\n0 1 2\r\n0\t1 3\r\n\r\n 0 2\v3\f\r\n1 2 3"
+    assert read_scx_text(text) == bd3
+    path = tmp_path / "crlf.scx"
+    path.write_bytes(text.encode())
+    assert load_complex(path) == bd3
+
+
+def test_a_file_reads_as_its_text(tmp_path):
+    # universal newlines would end a line at the lone CR, which read_scx_text does not
+    path = tmp_path / "cr.scx"
+    path.write_bytes(b"0 1 2\r0 1 3\n")
+    with pytest.raises(ParseError, match="cr.scx:1: repeated vertex"):
+        load_complex(path)
+
+
 def test_write_is_canonical(bd3):
     text = write_scx_text(bd3)
     assert text == "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"

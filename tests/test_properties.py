@@ -13,10 +13,13 @@ from scx import (
     g1,
     h_from_f,
     join,
+    link_g_sum,
+    link_monotonicity_check,
     macaulay_pseudopower,
     reduced_euler,
 )
 from scx.complexes import _maximal
+from scx.facevectors import _link_f_vectors
 from scx.fileio import read_scx_text, write_scx_text
 from scx.isomorphism import _vertex_classes
 
@@ -121,6 +124,28 @@ def test_macaulay_pseudopower_monotone(a, i):
 def test_vertex_classes_count_link_faces(facets):
     cx = from_facets(facets)
     adj = cx.adjacency()
-    base = {v: (len(adj[v]), f_vector(cx.link([v])).entries) for v in cx.vertices}
+    lk_f = {v: f_vector(cx.link([v])).entries for v in cx.vertices}
+    assert _link_f_vectors(cx) == lk_f
+    base = {v: (len(adj[v]), lk_f[v]) for v in cx.vertices}
     expected = {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices}
     assert _vertex_classes(cx) == expected
+
+
+@given(facet_lists)
+def test_faces_of_dim_match_the_oracle_closure_by_size(facets):
+    cx = from_facets(facets)
+    closure = oracle.closure(facets)
+    for k in range(-2, cx.dim + 2):
+        expected = sorted((f for f in closure if len(f) == k + 1), key=sorted)
+        assert cx.faces_of_dim(k) == tuple(expected)
+
+
+@given(facet_lists)
+def test_link_sums_and_link_g2_match_links_built_from_the_facets(facets):
+    cx = from_facets(facets)
+    for k in range(cx.dim + 4):
+        assert link_g_sum(cx, k) == oracle.link_g_sum(facets, k)
+    total, per_vertex = oracle.link_g2s(facets)
+    res = link_monotonicity_check(cx)
+    assert (res.g2_total, res.per_vertex) == (total, per_vertex)
+    assert res.violations == tuple((v, g) for v, g in per_vertex if g > total)

@@ -305,8 +305,13 @@ def _non_balls(cx):
 )
 def test_central_output_matches_the_closure_formula_without_check(cx):
     for ball in _non_balls(cx):
-        out, _ = central_retriangulation(cx, ball, check=False)
+        out, record = central_retriangulation(cx, ball, check=False)
         assert out == closure_central(cx, ball, False)
+        # a non-ball's interior is what lies off its boundary's closure: the
+        # faces whose links the ball analysis finds nontrivial can be more
+        boundary = homology.ball_boundary(ball, check=False)
+        deltas = retriangulate._ball_deltas(cx.dim, boundary, ball.faces() - boundary.faces(), 1)
+        assert record.predicted == tuple((i, record.g_before[i] + dx) for i, dx in deltas)
 
 
 def test_inverse_output_matches_the_closure_formula_on_lemma_3_6_cases():
