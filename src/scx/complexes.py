@@ -38,8 +38,10 @@ def as_face(vertices) -> frozenset:
 #: largest sum in the tests, ``run_all()`` and the dmax=7 catalog (6,144).
 CLOSURE_GUARD = 2**17
 
-#: Most non-edge components :func:`detect_join` splits, trying 2^(c-1) sides.
-JOIN_GUARD = 16
+#: Bound on sides x facets in :func:`detect_join`, which tries 2^(c-1) sides for c
+#: non-edge components: 9x the most in ``run_all()`` at dmax=7 (5,120; 2,048 in
+#: the tests and at the default scale).
+JOIN_GUARD = 46_080
 
 
 def _maximal(faces) -> frozenset:
@@ -334,11 +336,12 @@ def detect_join(cx: SimplicialComplex):
     c = len(groups)
     if c < 2:
         return None
-    if c > JOIN_GUARD:
-        raise TooLargeError(
-            f"{c} non-edge components exceed the join-search guard ({JOIN_GUARD})"
-        )
     facets = cx.facets
+    if len(facets) << (c - 1) > JOIN_GUARD:
+        raise TooLargeError(
+            f"{c} non-edge components and {len(facets)} facets exceed the join-search"
+            f" guard ({JOIN_GUARD})"
+        )
     for mask in range(1, 2 ** (c - 1)):
         side_a, side_b = set(groups[0]), set()
         for bit in range(c - 1):

@@ -150,13 +150,6 @@ def _unit_pivot(columns, field):
     return len(pivoted) + rest, pivoted
 
 
-def matrix_rank(rows, field="rational") -> int:
-    field = validate_field(field)
-    if field == "rational":
-        return rank_rational(rows)
-    return rank_mod(rows, field)
-
-
 def right_nullspace(rows) -> list:
     """Basis of {x : A x = 0} over Q for an integer matrix A.
 
@@ -176,11 +169,6 @@ def right_nullspace(rows) -> list:
             vec[pc] = -m[i][fc]
         basis.append(_primitive(vec))
     return basis
-
-
-def left_nullspace(rows) -> list:
-    """Basis of {w : w A = 0}; the left kernel of A."""
-    return right_nullspace(list(zip(*rows)))
 
 
 def _primitive(vec):

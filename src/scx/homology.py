@@ -125,8 +125,9 @@ def _assert_composes_to_zero(low: list, high: list):
 #: the default scale, 10,000 on the classify-distinct benchmark stream).
 BETTI_GUARD = 2**19
 
-#: Most vertices :func:`skeleton_completion` accepts.
-COMPLETION_GUARD = 40
+#: Candidate vertex sets one :func:`skeleton_completion` may test: 9x the most in
+#: ``run_all()`` at dmax=7 (699; 384 in the tests and at the default scale).
+COMPLETION_GUARD = 6_300
 
 #: Profiles kept by the :func:`betti` memo.  The key is the complex's order
 #: type, a tuple of ints, so no facet set or closure stays alive: after one
@@ -190,36 +191,36 @@ def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResu
 def _ball_analysis(cx: SimplicialComplex, field, check):
     """One sweep over the face links: (verdict, boundary complex, interior faces).
 
-    Boundary faces are the ones with homologically trivial links; a face
-    whose link is neither trivial nor sphere-like of complementary dimension
-    makes the verdict negative.  With ``check`` the verdict also requires
-    ball homology and a boundary that is closed downward, of dimension
-    dim - 1 and a homology sphere; without it those tests are skipped.
+    The boundary is the closure of the faces with homologically trivial
+    links, and the interior is every face off it; a face whose link is
+    neither trivial nor sphere-like of complementary dimension makes the
+    verdict negative.  With ``check`` the verdict also requires ball
+    homology and trivial-link faces that are closed downward, a boundary of
+    dimension dim - 1 and a homology sphere; without it those tests are
+    skipped.
     """
     d = cx.dim
-    boundary, interior = [], []
+    trivial = []
     verdict = PredicateResult(True)
     for face in itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1)):
         profile = betti(cx.link(face), field)
         if profile.is_trivial():
-            boundary.append(face)
-        else:
-            interior.append(face)
-            if verdict.ok and not profile.is_sphere(d - len(face)):
-                verdict = PredicateResult(
-                    False, tuple(sorted(face)), "link is neither ball- nor sphere-like"
-                )
-    bd = from_faces(boundary)
+            trivial.append(face)
+        elif verdict.ok and not profile.is_sphere(d - len(face)):
+            verdict = PredicateResult(
+                False, tuple(sorted(face)), "link is neither ball- nor sphere-like"
+            )
+    bd = from_faces(trivial)
     if check and verdict:
-        if frozenset() in interior:
+        if frozenset() not in trivial:
             verdict = PredicateResult(False, (), "complex does not have ball homology")
-        elif bd.faces() != set(boundary):
+        elif len(bd.faces()) != len(trivial):  # the closure contains the list
             verdict = PredicateResult(False, None, "boundary faces are not closed downward")
         elif d > 0 and bd.dim != d - 1:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
         elif not (sphere := is_homology_sphere(bd, field)):
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
-    return verdict, bd, interior
+    return verdict, bd, cx.faces() - bd.faces()
 
 
 def is_homology_ball(cx: SimplicialComplex, field="rational") -> PredicateResult:
@@ -229,12 +230,13 @@ def is_homology_ball(cx: SimplicialComplex, field="rational") -> PredicateResult
 
 
 def ball_boundary(cx: SimplicialComplex, field="rational", check=True) -> SimplicialComplex:
-    """Subcomplex of faces with homologically trivial links."""
+    """Closure of the faces with homologically trivial links."""
     return _ball_checked(cx, field, check)[0]
 
 
 def interior_faces(cx: SimplicialComplex, field="rational", check=True) -> frozenset:
-    return frozenset(_ball_checked(cx, field, check)[1])
+    """The faces of the complex that :func:`ball_boundary` does not contain."""
+    return _ball_checked(cx, field, check)[1]
 
 
 def _ball_checked(cx, field, check):
@@ -299,28 +301,25 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     """
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
-    if len(cx.vertices) > COMPLETION_GUARD:
-        raise TooLargeError(
-            f"{len(cx.vertices)} vertices exceed the completion guard ({COMPLETION_GUARD})"
-        )
     faces = cx.faces()
     adj = cx.adjacency()
-
-    def qualifies(cand: frozenset) -> bool:
-        return all(
-            frozenset(sub) in faces
-            for sub in itertools.combinations(sorted(cand), i + 1)
-        )
-
     level = set(cx.faces_of_dim(i))
     accepted = []
+    tested = 0
     while level:
         nxt = set()
         for face in level:
             common = set.intersection(*(adj[v] for v in face)) - face
-            for v in common:
-                cand = face | {v}
-                if cand not in nxt and qualifies(cand):
+            for cand in {face | {v} for v in common} - nxt:
+                tested += 1
+                if tested > COMPLETION_GUARD:
+                    raise TooLargeError(
+                        f"completion exceeds the completion guard ({COMPLETION_GUARD} candidates)"
+                    )
+                if all(
+                    frozenset(sub) in faces
+                    for sub in itertools.combinations(sorted(cand), i + 1)
+                ):
                     nxt.add(cand)
         accepted.extend(nxt)
         level = nxt
@@ -346,9 +345,7 @@ def is_r_stacked_ball(
     dimension <= d - r - 1 (equivalently, min interior dimension >= d - r)."""
     d = cx.dim
     boundary, interior = _ball_checked(cx, field, check)
-    by_dim = {}
-    for face in interior:
-        by_dim[len(face) - 1] = by_dim.get(len(face) - 1, 0) + 1
+    by_dim = Counter(len(face) - 1 for face in interior)
     min_dim = min(by_dim) if by_dim else d
     min_stackedness = d - min_dim
     return StackedBallCertificate(

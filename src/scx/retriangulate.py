@@ -15,7 +15,7 @@ from .errors import PreconditionError
 from .facevectors import extended_g, g_vector
 from .homology import (
     PredicateResult,
-    ball_boundary,
+    _ball_checked,
     is_homology_sphere,
     is_normal_pseudomanifold,
     skeleton_completion,
@@ -85,8 +85,7 @@ def central_retriangulation(
             raise PreconditionError(
                 f"ball facet {tuple(sorted(facet))} is not a face of the complex"
             )
-    boundary = ball_boundary(ball, field, check=check)
-    interior = ball.faces() - boundary.faces()
+    boundary, interior = _ball_checked(ball, field, check)
     u = max(cx.vertices) + 1
     # the maximal faces of (cx.faces() - interior) | cone: the facets of cx in
     # the ball, and the faces only they covered, are interior or under the cone
@@ -185,10 +184,9 @@ def inverse_stellar(
     if not 2 <= r <= (d + 1) // 2:
         raise PreconditionError(f"stackedness level r={r} outside 2..(d+1)/2")
     filled = skeleton_completion(link, r - 1)
-    boundary = ball_boundary(filled, field, check=check)
+    boundary, interior = _ball_checked(filled, field, check)
     if check and boundary != link:
         raise PreconditionError("link completion does not have the link as boundary")
-    interior = filled.faces() - boundary.faces()
     faces = cx.faces()
     for f in sorted(interior, key=sorted):
         if f in faces:

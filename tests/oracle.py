@@ -3,11 +3,15 @@
 Everything here recomputes invariants from raw facet lists or dense matrices
 with the most naive method available (powerset closures, GF(2) and GF(p)
 Gaussian elimination), on purpose sharing no code with the package internals
-it checks.
+it checks.  The exceptions are :func:`matrix_rank` over Q and
+:func:`left_nullspace`, dense views of the package's fraction-free elimination
+that the tests compare the sparse unit-pivot ranks and the stress bases with.
 """
 
 from itertools import combinations
 from math import comb
+
+from scx.exact import rank_rational, right_nullspace
 
 
 def closure(facets):
@@ -132,6 +136,16 @@ def rank_gfp(rows, p):
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def matrix_rank(rows, field="rational"):
+    """Rank of dense integer rows over Q (fraction-free) or GF(field)."""
+    return rank_rational(rows) if field == "rational" else rank_gfp(rows, field)
+
+
+def left_nullspace(rows):
+    """Basis of {w : w A = 0} over Q: the right kernel of the transpose."""
+    return right_nullspace(list(zip(*rows)))
 
 
 def maximal(faces):

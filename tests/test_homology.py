@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from scx import (
 )
 import scx
 from scx import homology
-from scx.exact import matrix_rank, rank_unit_pivot
+from scx.exact import rank_unit_pivot
 from scx.homology import _assert_composes_to_zero, _boundary_columns
 
 import oracle
@@ -259,7 +260,7 @@ def _betti_on_own_labels(cx, field):
     """Reduced Betti numbers from the ranks of ``cx``'s own boundary matrices,
     never through the memo or its key."""
     sizes = [cx.n_faces(k) for k in range(-1, cx.dim + 1)]
-    ranks = [0] + [matrix_rank(boundary_matrix(cx, k).entries, field) for k in range(cx.dim + 1)]
+    ranks = [0] + [oracle.matrix_rank(boundary_matrix(cx, k).entries, field) for k in range(cx.dim + 1)]
     ranks.append(0)  # ranks[k + 1] = rank d_k, with d_{-1} and d_{dim+1} zero
     return tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))
 
@@ -286,7 +287,7 @@ def test_betti_memo_matches_the_uncached_computation(cx, perm, rising, field):
 def test_unit_pivot_ranks_of_boundary_columns(cx, field):
     ks = range(cx.dim + 1)
     ranks = [rank_unit_pivot(_boundary_columns(cx, k), field) for k in ks]
-    assert ranks == [matrix_rank(boundary_matrix(cx, k).entries, field) for k in ks]
+    assert ranks == [oracle.matrix_rank(boundary_matrix(cx, k).entries, field) for k in ks]
     if field == 2:
         sizes = [cx.n_faces(k) for k in range(-1, cx.dim + 1)]
         ranks = [0] + ranks + [0]
@@ -449,6 +450,19 @@ def test_hierarchy_on_catalog_members(oct3, cycle_join, bd4):
         assert is_normal_pseudomanifold(cx)
 
 
+def test_disconnected_face_link_witness():
+    # two tetrahedron boundaries sharing vertex 0: lk(0) is two triangles
+    cx = from_facets(list(combinations(range(4), 3)) + list(combinations((0, 4, 5, 6), 3)))
+    res = is_normal_pseudomanifold(cx)
+    assert (res.ok, res.witness, res.reason) == (False, (0,), "face link is not connected")
+
+
+def test_disconnected_complex_witness():
+    cx = from_facets(list(combinations(range(4), 3)) + list(combinations(range(4, 8), 3)))
+    res = is_normal_pseudomanifold(cx)
+    assert (res.ok, res.witness, res.reason) == (False, (), "complex is not connected")
+
+
 def test_ridge_count_witness():
     # two triangles sharing an edge: boundary edges lie in one facet only
     cx = from_facets([[0, 1, 2], [1, 2, 3]])
@@ -474,11 +488,12 @@ def test_skeleton_completion_fills_stacked_sphere(bd4):
 
 
 def test_skeleton_completion_guard():
-    path = from_facets([[i, i + 1] for i in range(45)])
+    # every vertex set of K_24 qualifies: about 2^24 candidates
+    complete = from_facets(combinations(range(24), 2))
     with pytest.raises(TooLargeError):
-        skeleton_completion(path, 1)
+        skeleton_completion(complete, 1)
     with pytest.raises(PreconditionError):
-        skeleton_completion(path, 0)
+        skeleton_completion(complete, 0)
 
 
 def test_stackedness_certificates(bd4, bd5):

@@ -314,6 +314,20 @@ def test_central_output_matches_the_closure_formula_without_check(cx):
         assert record.predicted == tuple((i, record.g_before[i] + dx) for i, dx in deltas)
 
 
+def test_interior_lies_off_the_boundary_closure_with_and_without_check():
+    def off_closure(ball, check):
+        boundary = homology.ball_boundary(ball, check=check)
+        return homology.interior_faces(ball, check=check) == ball.faces() - boundary.faces()
+
+    for entry in verify.catalog_for(verify.Scale()):
+        for _, ball in verify._central_balls(entry.complex):
+            assert off_closure(ball, True) and off_closure(ball, False)
+    hosts = [simplex_boundary(4), join(cycle(4), simplex_boundary(2)),
+             cross_polytope_boundary(4), stacked_sphere(4, 7), suspension(cycle(6))]
+    for ball in (b for cx in hosts for b in _non_balls(cx)):
+        assert off_closure(ball, False)
+
+
 def test_inverse_output_matches_the_closure_formula_on_lemma_3_6_cases():
     cases = []
     for cx in crtr_inputs():
