@@ -13,6 +13,11 @@ normalized field, so a link swept by several predicates or statements, or
 met again under an order-preserving relabelling, is eliminated once.
 Nothing seeded is cached, nor is a ``TooLargeError``; ``_betti.cache_info()``
 reports hits and misses, ``_betti.cache_clear()`` empties it.
+
+The predicates that sweep every face link (the manifold, ball and normal
+pseudomanifold tests) build no link complex: :func:`_links` reads each
+link's facets off the complex's facets as bitmasks, and the link's order
+type and components come from those masks.
 """
 
 from __future__ import annotations
@@ -149,9 +154,31 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     miss certifies d.d = 0 before ranking.  A ``TooLargeError`` is raised
     again on every call and never cached; ``_betti.cache_info()`` counts hits.
     """
-    bit = {v: 1 << i for i, v in enumerate(sorted(cx.vertices))}
-    key = tuple(sorted(sum(map(bit.__getitem__, f)) for f in cx.facets))
-    return _betti(key, exact.validate_field(field))
+    ((_, facets),) = _links(cx, [frozenset()])  # the link of the empty face
+    return _betti(_order_type(facets), exact.validate_field(field))
+
+
+def _order_type(masks) -> tuple:
+    """The :func:`betti` key of the complex whose facets are ``masks``.
+
+    Each mask is compressed onto the complex's own vertices, the set bits of
+    the union, in order: bit ``b`` moves to position ``popcount(union & (b -
+    1))``.  The compressed masks are sorted.
+    """
+    union = 0
+    for m in masks:
+        union |= m
+    if union & (union + 1):  # the vertices are not 0..n-1
+        compressed = []
+        for m in masks:
+            c = 0
+            while m:
+                low = m & -m
+                c |= 1 << (union & (low - 1)).bit_count()
+                m ^= low
+            compressed.append(c)
+        masks = compressed
+    return tuple(sorted(masks))
 
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
@@ -172,6 +199,35 @@ def _betti(masks: tuple, field) -> BettiProfile:
         rk = ranks[i] if i >= 0 else 0
         entries.append(sizes[i + 1] - rk - ranks[i + 1])
     return BettiProfile(tuple(entries), field)
+
+
+def _links(cx: SimplicialComplex, faces):
+    """(face, link facets) for each face of ``faces``, in their order.
+
+    Facets are bitmasks over the sorted vertices, masked once per call; the
+    link of a face with mask ``fm`` has the facets ``m ^ fm`` for the facet
+    masks ``m`` that contain it.  These form an antichain, as the facets do.
+    """
+    bit = {v: 1 << i for i, v in enumerate(sorted(cx.vertices))}
+    masks = [sum(map(bit.__getitem__, f)) for f in cx.facets]
+    for face in faces:
+        fm = sum(map(bit.__getitem__, face))
+        yield face, [m ^ fm for m in masks if m & fm == fm]
+
+
+def _is_connected(masks) -> bool:
+    """Whether the facets ``masks`` form one component: each facet absorbs
+    the components it meets, which stay pairwise disjoint."""
+    components = []
+    for m in masks:
+        apart = []
+        for c in components:
+            if c & m:
+                m |= c
+            else:
+                apart.append(c)
+        components = apart + [m]
+    return len(components) <= 1
 
 
 def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResult:
@@ -200,10 +256,12 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
     skipped.
     """
     d = cx.dim
+    field = exact.validate_field(field)
     trivial = []
     verdict = PredicateResult(True)
-    for face in itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1)):
-        profile = betti(cx.link(face), field)
+    faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1))
+    for face, link in _links(cx, faces):
+        profile = _betti(_order_type(link), field)
         if profile.is_trivial():
             trivial.append(face)
         elif verdict.ok and not profile.is_sphere(d - len(face)):
@@ -253,22 +311,25 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
 
     The link of a face tau in lk(v) is the link of tau + v in the complex,
     so this holds exactly when every nonempty face link has the homology of
-    the sphere of complementary dimension; each face link is computed once.
-    Faces are visited by their smallest vertex first, so the witness is the
-    smallest vertex whose link fails.
+    the sphere of complementary dimension; each face link is read once, as
+    facet bitmasks (:func:`_links`), and its Betti numbers are looked up by
+    its order type.  Faces are visited by their smallest vertex first, so
+    the witness is the smallest vertex whose link fails.
     """
     n = cx.dim
+    field = exact.validate_field(field)
     # stable: faces with one smallest vertex stay by dimension, then vertex tuple
     faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
-    for face in sorted(faces, key=min):
-        if not betti(cx.link(face), field).is_sphere(n - len(face)):
+    for face, link in _links(cx, sorted(faces, key=min)):
+        if not _betti(_order_type(link), field).is_sphere(n - len(face)):
             return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
     return PredicateResult(True)
 
 
 def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     """Pure + connected, every ridge in exactly two facets, and connected
-    links in low dimensions.  Purely combinatorial; no homology involved."""
+    links in low dimensions.  Purely combinatorial; no homology involved:
+    each link's connectivity is read off its facet bitmasks (:func:`_links`)."""
     n = cx.dim
     if n < 1:
         return PredicateResult(False, (), "dimension must be at least 1")
@@ -283,12 +344,10 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
             return PredicateResult(
                 False, tuple(sorted(ridge)), f"ridge lies in {count} facets"
             )
-    for k in range(0, n - 1):
-        for face in cx.faces_of_dim(k):
-            if not cx.link(face).is_connected():
-                return PredicateResult(
-                    False, tuple(sorted(face)), "face link is not connected"
-                )
+    faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(n - 1))
+    for face, link in _links(cx, faces):
+        if not _is_connected(link):
+            return PredicateResult(False, tuple(sorted(face)), "face link is not connected")
     return PredicateResult(True)
 
 

@@ -5,7 +5,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from scx import cross_polytope_boundary, cycle, homology, join, simplex_boundary
+from scx import cross_polytope_boundary, cycle, homology, join, read_scx_text, simplex_boundary
+
+CENSUS = Path(__file__).with_name("census_3spheres_8.txt")
+
+
+@pytest.fixture(scope="session")
+def census():
+    """Barnette's 39 combinatorial 3-spheres with 8 vertices."""
+    blocks = CENSUS.read_text().split("# sphere ")[1:]
+    return [read_scx_text(block.split("\n", 1)[1]) for block in blocks]
 
 
 @pytest.fixture(scope="session")

@@ -5,13 +5,20 @@ with the most naive method available (powerset closures, GF(2) and GF(p)
 Gaussian elimination), on purpose sharing no code with the package internals
 it checks.  The exceptions are :func:`matrix_rank` over Q and
 :func:`left_nullspace`, dense views of the package's fraction-free elimination
-that the tests compare the sparse unit-pivot ranks and the stress bases with.
+that the tests compare the sparse unit-pivot ranks and the stress bases with,
+and :func:`is_homology_manifold_by_links` and
+:func:`is_normal_pseudomanifold_by_links`, the link-by-link predicates that
+the facet-bitmask sweeps replaced: they build each face link as a complex
+with the public ``SimplicialComplex.link`` and ask ``betti`` or
+``is_connected`` of it.
 """
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from math import comb
 
 from scx.exact import rank_rational, right_nullspace
+from scx.homology import PredicateResult, betti
 
 
 def closure(facets):
@@ -240,3 +247,36 @@ def are_isomorphic_adjacency(facets1, facets2):
         return False
 
     return dict(mapping) if extend(0) else None
+
+
+def is_homology_manifold_by_links(cx, field="rational"):
+    """``is_homology_manifold`` with one link complex built per face, faces
+    visited by their smallest vertex first."""
+    n = cx.dim
+    faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
+    for face in sorted(faces, key=min):
+        if not betti(cx.link(face), field).is_sphere(n - len(face)):
+            return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
+    return PredicateResult(True)
+
+
+def is_normal_pseudomanifold_by_links(cx):
+    """``is_normal_pseudomanifold`` with one link complex built per face of
+    dimension below n - 1, each tested with ``is_connected``."""
+    n = cx.dim
+    if n < 1:
+        return PredicateResult(False, (), "dimension must be at least 1")
+    if not cx.is_pure():
+        smallest = min(cx.facets, key=len)
+        return PredicateResult(False, tuple(sorted(smallest)), "complex is not pure")
+    if not cx.is_connected():
+        return PredicateResult(False, (), "complex is not connected")
+    ridge_count = Counter(facet - {v} for facet in cx.facets for v in facet)
+    for ridge, count in sorted(ridge_count.items(), key=lambda kv: sorted(kv[0])):
+        if count != 2:
+            return PredicateResult(False, tuple(sorted(ridge)), f"ridge lies in {count} facets")
+    for k in range(0, n - 1):
+        for face in cx.faces_of_dim(k):
+            if not cx.link(face).is_connected():
+                return PredicateResult(False, tuple(sorted(face)), "face link is not connected")
+    return PredicateResult(True)

@@ -9,7 +9,6 @@ from scx import (
     facevectors,
     from_facets,
     g2_one_family,
-    homology,
     isomorphism,
     join,
     simplex_boundary,
@@ -17,10 +16,10 @@ from scx import (
     suspension,
     write_scx,
 )
-from scx import cli, exact
+from scx import exact
 from scx.cli import main
 from scx.rigidity import RIGIDITY_GUARD
-from test_homology import RP2_FACETS
+from test_homology import RP2_FACETS, memo_lookups, record_links
 
 
 def invoke(*args):
@@ -79,19 +78,13 @@ def test_info_computes_one_betti_per_face(tmp_path, monkeypatch):
     cx = join(cycle(5), simplex_boundary(4))
     path = tmp_path / "join.scx"
     write_scx(cx, path)
-    calls = []
-    original = homology.betti
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(homology, "betti", counting)
-    monkeypatch.setattr(cli, "betti", counting)
+    linked = record_links(monkeypatch)
+    before = memo_lookups()
     result = invoke("info", str(path))
     assert result.exit_code == 0
     assert "homology sphere: True" in result.output
-    assert len(calls) == len(cx.faces()) == 341
+    assert memo_lookups() - before == len(cx.faces()) == 341
+    assert linked == []  # neither sweep builds a link complex
 
 
 def test_input_option_and_missing_input(tmp_path):

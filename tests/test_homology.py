@@ -414,25 +414,49 @@ def test_homology_sphere_matches_per_face_definition(cx, field):
         assert res == is_homology_manifold(cx, field)
 
 
+def memo_lookups() -> int:
+    """Calls of the Betti memo so far, hits and misses."""
+    info = homology._betti.cache_info()
+    return info.hits + info.misses
+
+
+def record_links(monkeypatch) -> list:
+    """The faces that ``SimplicialComplex.link`` is asked for from now on."""
+    linked = []
+    original = SimplicialComplex.link
+    monkeypatch.setattr(
+        SimplicialComplex, "link", lambda cx, f: linked.append(f) or original(cx, f)
+    )
+    return linked
+
+
 def test_homology_sphere_computes_one_betti_per_face(monkeypatch):
     cx = join(cycle(5), simplex_boundary(4))
-    calls = []
-    original = homology.betti
-    monkeypatch.setattr(homology, "betti", lambda *a: calls.append(1) or original(*a))
+    linked = record_links(monkeypatch)
+    before = memo_lookups()
     assert is_homology_sphere(cx)
-    assert len(calls) == len(cx.faces()) == 341
+    assert memo_lookups() - before == len(cx.faces()) == 341
+    assert linked == []  # the links are read as facet bitmasks
 
 
 def test_homology_manifold_sweeps_each_face_link_once(cycle_join, monkeypatch):
-    linked = []
-    original_link = SimplicialComplex.link
-    monkeypatch.setattr(
-        SimplicialComplex, "link", lambda cx, f: linked.append(f) or original_link(cx, f)
-    )
+    swept = []
+    original = homology._links
+
+    def recording(cx, faces):
+        for face, link in original(cx, faces):
+            swept.append(face)
+            yield face, link
+
+    monkeypatch.setattr(homology, "_links", recording)
+    linked = record_links(monkeypatch)
     monkeypatch.setattr(homology, "is_homology_sphere", None)  # never consulted
+    before = memo_lookups()
     assert is_homology_manifold(cycle_join)
     nonempty = cycle_join.faces() - {frozenset()}
-    assert len(linked) == len(nonempty) and set(linked) == nonempty
+    assert len(swept) == len(nonempty) and set(swept) == nonempty
+    assert memo_lookups() - before == len(nonempty)
+    assert linked == []
 
 
 def test_interior_is_the_complement_of_the_boundary():

@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +16,6 @@ from scx import (
     is_homology_sphere,
     isomorphism,
     join,
-    read_scx_text,
     simplex_boundary,
     stack_over_facet,
     stacked_sphere,
@@ -25,8 +23,6 @@ from scx import (
     suspension,
 )
 from scx.isomorphism import _vertex_classes
-
-CENSUS = Path(__file__).with_name("census_3spheres_8.txt")
 
 
 def relabel(cx, mapping):
@@ -87,12 +83,6 @@ def test_empty_and_tiny():
     assert are_isomorphic(from_facets([]), from_facets([]))
     assert are_isomorphic(from_facets([[3]]), from_facets([[5]]))
     assert not are_isomorphic(from_facets([[3]]), from_facets([[3], [5]]))
-
-
-@pytest.fixture(scope="module")
-def census():
-    blocks = CENSUS.read_text().split("# sphere ")[1:]
-    return [read_scx_text(block.split("\n", 1)[1]) for block in blocks]
 
 
 def equal_invariant_pairs(complexes):

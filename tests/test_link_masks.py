@@ -1,0 +1,127 @@
+"""The face-link sweeps read links as facet bitmasks; these tests compare
+them with the link-by-link predicates of ``tests/oracle.py``, which build
+every link as a complex, and their keys with the keys ``betti`` gives those
+link complexes."""
+
+from itertools import combinations
+
+import pytest
+
+import oracle
+from scx import (
+    betti,
+    from_facets,
+    homology,
+    is_homology_manifold,
+    is_normal_pseudomanifold,
+    standard_catalog,
+)
+from scx.homology import _links, _order_type
+from test_homology import RP2_FACETS
+from test_retriangulate import NON_BALL_HOSTS, _non_balls
+
+# one failure of each kind, and the projective plane, which passes both sweeps
+HAND_BUILT = {
+    "non-pure": from_facets([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4)]),
+    "disconnected": from_facets(
+        list(combinations(range(4), 3)) + list(combinations(range(4, 8), 3))
+    ),
+    "ridge in 3 facets": from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 2, 4)]),
+    "pinched vertex": from_facets(
+        list(combinations(range(4), 3)) + list(combinations((0, 4, 5, 6), 3))
+    ),
+    "pinched edge": from_facets(
+        list(combinations(range(5), 4)) + list(combinations((0, 1, 5, 6, 7), 4))
+    ),
+    "projective plane": from_facets(RP2_FACETS),
+    "cone over a cycle": from_facets([(0, v, v % 5 + 1) for v in range(1, 6)]),
+}
+
+# (normal pseudomanifold, homology manifold) outcomes, as the oracles give them
+NOT_MANIFOLD = "vertex link is not a homology sphere"
+EXPECTED = {
+    "non-pure": ((False, (3, 4), "complex is not pure"), (False, (3,), NOT_MANIFOLD)),
+    "disconnected": ((False, (), "complex is not connected"), (True, None, "")),
+    "ridge in 3 facets": ((False, (0, 1), "ridge lies in 3 facets"), (False, (0,), NOT_MANIFOLD)),
+    "pinched vertex": ((False, (0,), "face link is not connected"), (False, (0,), NOT_MANIFOLD)),
+    "pinched edge": ((False, (0, 1), "face link is not connected"), (False, (0,), NOT_MANIFOLD)),
+    "projective plane": ((True, None, ""), (True, None, "")),
+    "cone over a cycle": ((False, (1, 2), "ridge lies in 1 facets"), (False, (1,), NOT_MANIFOLD)),
+}
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return [entry.complex for entry in standard_catalog()]
+
+
+def outcome(result):
+    return result.ok, result.witness, result.reason
+
+
+def assert_sweeps_agree(complexes, fields=("rational",)):
+    for cx in complexes:
+        assert outcome(is_normal_pseudomanifold(cx)) == outcome(
+            oracle.is_normal_pseudomanifold_by_links(cx)
+        )
+        for field in fields:
+            assert outcome(is_homology_manifold(cx, field)) == outcome(
+                oracle.is_homology_manifold_by_links(cx, field)
+            )
+
+
+def test_sweeps_agree_with_the_oracle_on_the_catalog(catalog):
+    assert_sweeps_agree(catalog)
+
+
+def test_sweeps_agree_with_the_oracle_on_the_census(census):
+    assert len(census) == 39
+    assert_sweeps_agree(census)
+    assert all(is_normal_pseudomanifold(cx) and is_homology_manifold(cx) for cx in census)
+
+
+def test_sweeps_agree_with_the_oracle_on_non_balls():
+    non_balls = [ball for cx in NON_BALL_HOSTS for ball in _non_balls(cx)]
+    assert len(non_balls) == 20
+    assert_sweeps_agree(non_balls, fields=("rational", 2))
+
+
+def test_sweeps_agree_with_the_oracle_on_hand_built_failures():
+    assert_sweeps_agree(HAND_BUILT.values(), fields=("rational", 2, 3))
+    for name, (pseudomanifold, manifold) in EXPECTED.items():
+        cx = HAND_BUILT[name]
+        assert outcome(is_normal_pseudomanifold(cx)) == pseudomanifold, name
+        assert outcome(is_homology_manifold(cx)) == manifold, name
+
+
+def test_sweep_keys_are_the_betti_keys_of_the_link_complexes(catalog, monkeypatch):
+    asked = []
+    monkeypatch.setattr(homology, "_betti", lambda key, field: asked.append(key))
+    compared = 0
+    for cx in catalog:
+        faces = [f for k in range(-1, cx.dim + 1) for f in cx.faces_of_dim(k)]
+        asked.clear()
+        for face in faces:
+            betti(cx.link(face))
+        swept = [_order_type(link) for _, link in _links(cx, faces)]
+        assert swept == asked
+        # and both are the facets as bitmasks over the link's sorted vertices
+        for face, key in zip(faces, swept):
+            lk = cx.link(face)
+            index = {v: i for i, v in enumerate(sorted(lk.vertices))}
+            assert key == tuple(sorted(sum(1 << index[v] for v in f) for f in lk.facets))
+        compared += len(faces)
+    assert compared == sum(len(cx.faces()) for cx in catalog) > 9000
+
+
+def test_link_masks_are_the_link_facets(cycle_join):
+    verts = sorted(cycle_join.vertices)
+    for face, link in _links(cycle_join, cycle_join.faces()):
+        facets = {frozenset(verts[i] for i in range(len(verts)) if m >> i & 1) for m in link}
+        assert facets == cycle_join.link(face).facets
+
+
+def test_order_type_closes_gaps_and_sorts():
+    assert _order_type([0b1010000, 0b0000101]) == (0b0011, 0b1100)
+    assert _order_type([0b110, 0b011]) == (0b011, 0b110)
+    assert _order_type([0]) == (0,)

@@ -13,6 +13,7 @@ from scx import (
     from_facets,
     g2,
     inverse_stellar,
+    is_homology_ball,
     is_homology_sphere,
     is_normal_pseudomanifold,
     join,
@@ -286,22 +287,32 @@ def test_central_output_matches_the_closure_formula_on_catalog_balls():
 
 
 def _non_balls(cx):
+    """Four non-balls of the host's dimension, each checked to be one."""
     facets = sorted(cx.facets, key=sorted)
     first = facets[0]
     far = next((f for f in facets if not first & f), facets[-1])
+    if len(first & far) == cx.dim:  # every two facets share a ridge: a simplex boundary
+        far -= first
     edge = next(e for e in cx.faces_of_dim(1) if not e <= first)
-    v = min(cx.vertices)
-    yield SimplicialComplex([first, far])  # two facets, apart if they can be
-    yield SimplicialComplex(facets)  # the whole complex
-    yield SimplicialComplex([first, edge])  # not pure
-    yield SimplicialComplex(list(cx.star([v]).facets) + [far])
+    mate = next(f for f in facets if len(f & first) == cx.dim)
+    for ball in (
+        SimplicialComplex([first, far]),  # facets meeting in less than a ridge, or a vertex off one
+        SimplicialComplex(facets),  # the whole complex
+        SimplicialComplex([first, edge]),  # not pure
+        # less two adjacent facets, with the ridge they share spanning a hole
+        SimplicialComplex((cx.facets - {first, mate}) | {first & mate}),
+    ):
+        assert not is_homology_ball(ball) and ball.dim == cx.dim
+        yield ball
+
+
+#: the hosts of :func:`_non_balls`
+NON_BALL_HOSTS = [simplex_boundary(4), join(cycle(4), simplex_boundary(2)),
+                  cross_polytope_boundary(4), stacked_sphere(4, 7), suspension(cycle(6))]
 
 
 @pytest.mark.parametrize(
-    "cx",
-    [simplex_boundary(4), join(cycle(4), simplex_boundary(2)), cross_polytope_boundary(4),
-     stacked_sphere(4, 7), suspension(cycle(6))],
-    ids=["bd4", "cycle_join", "oct3", "stacked", "hexagon_suspension"],
+    "cx", NON_BALL_HOSTS, ids=["bd4", "cycle_join", "oct3", "stacked", "hexagon_suspension"]
 )
 def test_central_output_matches_the_closure_formula_without_check(cx):
     for ball in _non_balls(cx):
@@ -322,9 +333,7 @@ def test_interior_lies_off_the_boundary_closure_with_and_without_check():
     for entry in verify.catalog_for(verify.Scale()):
         for _, ball in verify._central_balls(entry.complex):
             assert off_closure(ball, True) and off_closure(ball, False)
-    hosts = [simplex_boundary(4), join(cycle(4), simplex_boundary(2)),
-             cross_polytope_boundary(4), stacked_sphere(4, 7), suspension(cycle(6))]
-    for ball in (b for cx in hosts for b in _non_balls(cx)):
+    for ball in (b for cx in NON_BALL_HOSTS for b in _non_balls(cx)):
         assert off_closure(ball, False)
 
 
