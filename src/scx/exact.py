@@ -127,7 +127,7 @@ def _unit_pivot(columns, field):
             continue
         pivoted.append(j)
         piv = min(units, key=lambda r: len(touching[r]))
-        inv = col.pop(piv) if p is None else pow(col.pop(piv), p - 2, p)
+        inv = col.pop(piv) if p is None else pow(col.pop(piv), -1, p)
         if p:  # scaled to pivot 1, each factor below is the entry itself, < p
             col, inv = {r: e * inv % p for r, e in col.items()}, 1
         for r in col:

@@ -1,9 +1,14 @@
 """The three retriangulation operations with exact g-vector bookkeeping.
 
-Each operation returns the new complex together with a
-:class:`RetriangulationRecord` holding the g-vectors before and after and
-the predicted entries implied by the operation's arithmetic; the harness
-compares prediction against recomputation on every run.
+Each replaces a ball B of the complex by a ball B' with the same boundary,
+and its output is the maximal faces of (facets - B) | B'.  For the central
+retriangulation B is given and B' is the cone over its boundary; for the
+inverse stellar move B is the star of a vertex v and B' the stacked
+completion of its link; for the Swartz move (Lemma 3.8) B is the star of v
+and B' two balls glued along a missing facet tau of the link: each half of
+the link split along tau is coned from a fresh vertex or filled in.  Each
+returns a :class:`RetriangulationRecord` of the g-vectors before and after
+and the entries its arithmetic predicts, which the harness recomputes.
 """
 
 from __future__ import annotations
@@ -160,11 +165,7 @@ def _detect_stack_level(link: SimplicialComplex, d: int) -> int:
 
 
 def inverse_stellar(
-    cx: SimplicialComplex,
-    v: int,
-    r: int | None = None,
-    field="rational",
-    check=True,
+    cx: SimplicialComplex, v: int, r: int | None = None, field="rational", check=True
 ):
     """Replace the star of a vertex by the stacked ball determined by its
     link: the faces whose (r-1)-skeleton lies in the link.
@@ -193,7 +194,8 @@ def inverse_stellar(
             raise PreconditionError(
                 f"interior face {tuple(sorted(f))} of the completion is already present"
             )
-    out = SimplicialComplex(cx.antistar(v).facets | filled.facets)
+    old = {f for f in cx.facets if v in f}
+    out = SimplicialComplex((cx.facets - old) | filled.facets)
     return out, _record(
         "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1),
         new_vertices=(), removed_vertices=(v,), ball_used=filled,
@@ -211,11 +213,9 @@ def _split_link_along(link: SimplicialComplex, tau: frozenset):
     facets = sorted(link.facets, key=sorted)
     ridge_map = {}
     for idx, facet in enumerate(facets):
-        for v in facet:
-            ridge = facet - {v}
-            if ridge <= tau:
-                continue
-            ridge_map.setdefault(ridge, []).append(idx)
+        for ridge in (facet - {v} for v in facet):
+            if not ridge <= tau:
+                ridge_map.setdefault(ridge, []).append(idx)
     groups = _components(
         range(len(facets)),
         ((members[0], other) for members in ridge_map.values() for other in members[1:]),
@@ -224,9 +224,7 @@ def _split_link_along(link: SimplicialComplex, tau: frozenset):
         raise PreconditionError(
             f"removing the facet boundary splits the link into {len(groups)} parts, not 2"
         )
-    return [
-        SimplicialComplex([facets[i] for i in group] + [tau]) for group in groups
-    ]
+    return [SimplicialComplex([facets[i] for i in group] + [tau]) for group in groups]
 
 
 def _require_sphere_link(link, v, field):
@@ -237,9 +235,36 @@ def _require_sphere_link(link, v, field):
         )
 
 
-def swartz_operation(
-    cx: SimplicialComplex, v: int, tau, field="rational", check=True
-):
+def _require_swartz_input(cx, link, v, field):
+    pm = is_normal_pseudomanifold(cx)
+    if not pm:
+        raise PreconditionError(
+            f"input is not a normal pseudomanifold ({pm.reason}; witness {pm.witness})"
+        )
+    _require_sphere_link(link, v, field)
+
+
+def _swartz_move(cx: SimplicialComplex, v: int, link: SimplicialComplex, tau: frozenset):
+    """(output, new vertices, notes) of one Swartz move: split the link of v
+    along its missing facet tau, and replace the star of v by each half
+    filled in, if it bounds a missing facet, or coned from a fresh vertex."""
+    new = set()
+    fresh = max(cx.vertices) + 1
+    new_vertices, notes = [], []
+    for sphere in _split_link_along(link, tau):
+        if is_simplex_boundary(sphere):
+            new.add(frozenset(sphere.vertices))
+            notes.append("filled missing facet")
+        else:
+            new |= {facet | {fresh} for facet in sphere.facets}
+            new_vertices.append(fresh)
+            notes.append(f"coned with vertex {fresh}")
+            fresh += 1
+    old = {f for f in cx.facets if v in f}
+    return SimplicialComplex((cx.facets - old) | new), tuple(new_vertices), tuple(notes)
+
+
+def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check=True):
     """Remove a vertex, insert a missing facet of its link, and close the two
     resulting spheres: each is coned from a fresh vertex unless it already
     bounds a missing facet, which is then simply filled in."""
@@ -247,44 +272,20 @@ def swartz_operation(
     if v not in cx.vertices:
         raise PreconditionError(f"vertex {v} is not in the complex")
     if t in cx.faces():
-        raise PreconditionError(
-            f"{tuple(sorted(t))} must be a missing face of the complex"
-        )
+        raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
     link = cx.link([v])
     if check:
-        pm = is_normal_pseudomanifold(cx)
-        if not pm:
-            raise PreconditionError(
-                f"input is not a normal pseudomanifold ({pm.reason}; witness {pm.witness})"
-            )
-        _require_sphere_link(link, v, field)
+        _require_swartz_input(cx, link, v, field)
     # a missing facet of the link has the link's top dimension
     faces = link.faces()
     if len(t) != link.dim + 1 or t in faces or any(t - {u} not in faces for u in t):
         raise PreconditionError(
             f"{tuple(sorted(t))} is not a missing facet of the link of {v}"
         )
-    spheres = _split_link_along(link, t)
-    base = cx.antistar(v)
-    new_facets = set(base.facets)
-    fresh = max(cx.vertices) + 1
-    new_vertices = []
-    notes = []
-    for sphere_cx in spheres:
-        if is_simplex_boundary(sphere_cx):
-            new_facets.add(frozenset(sphere_cx.vertices))
-            notes.append("filled missing facet")
-        else:
-            cone = fresh
-            fresh += 1
-            new_vertices.append(cone)
-            for facet in sphere_cx.facets:
-                new_facets.add(facet | {cone})
-            notes.append(f"coned with vertex {cone}")
-    out = SimplicialComplex(new_facets)
+    out, new_vertices, notes = _swartz_move(cx, v, link, t)
     return out, _record(
         "swartz", cx, out, ((2, -1),) if cx.dim >= 3 else (),
-        new_vertices=tuple(new_vertices), removed_vertices=(v,), steps=1, notes=tuple(notes),
+        new_vertices=new_vertices, removed_vertices=(v,), steps=1, notes=notes,
     )
 
 
@@ -296,41 +297,39 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
     in the links of the fresh cone vertices, which are processed in FIFO
     order; missing facets of a link that are already faces of the complex
     are skipped (they cannot be inserted) and recorded.  With ``check`` the
-    first step checks the whole input; a step on a homology-sphere link keeps
-    a normal pseudomanifold one, so later steps check only their link.
+    input must be a normal pseudomanifold with a homology-sphere link at
+    ``v``, tested before any move and even when none is made; a move on a
+    sphere link keeps a normal pseudomanifold one, so each later move tests
+    only the link it moves at.
     """
     if cx.dim < 3:
         raise PreconditionError("iterated operation needs dimension >= 3")
     if v not in cx.vertices:
         raise PreconditionError(f"vertex {v} is not in the complex")
-    current = cx
-    queue = [v]
-    steps = 0
-    skipped = []
-    cone_vertices = []
-    combined_notes = []
+    link = cx.link([v])
+    if check:
+        _require_swartz_input(cx, link, v, field)
+    current, queue, steps = cx, [v], 0
+    skipped, cone_vertices, combined_notes = [], [], []
     while queue:
         w = queue.pop(0)
         if w not in current.vertices:
             continue
-        link = current.link([w])
-        missing = [frozenset(f) for f in link.missing_faces(link.dim)]
-        chosen = None
-        for t in missing:
-            if t in current.faces():
-                skipped.append(tuple(sorted(t)))
-            else:
-                chosen = t
+        if steps:  # before the first move the queue holds only v
+            link = current.link([w])
+        for t in map(frozenset, link.missing_faces(link.dim)):
+            if t not in current.faces():
                 break
-        if chosen is None:
+            skipped.append(tuple(sorted(t)))
+        else:
             continue
         if check and steps:
             _require_sphere_link(link, w, field)
-        current, rec = swartz_operation(current, w, chosen, field, check=check and not steps)
+        current, new_vertices, notes = _swartz_move(current, w, link, t)
         steps += 1
-        combined_notes.extend(rec.notes)
-        cone_vertices.extend(rec.new_vertices)
-        queue.extend(rec.new_vertices)
+        combined_notes.extend(notes)
+        cone_vertices.extend(new_vertices)
+        queue.extend(new_vertices)
     return current, _record(
         "swartz", cx, current, ((2, -steps),),
         new_vertices=tuple(w for w in cone_vertices if w in current.vertices),

@@ -10,15 +10,33 @@ and :func:`is_homology_manifold_by_links` and
 :func:`is_normal_pseudomanifold_by_links`, the link-by-link predicates that
 the facet-bitmask sweeps replaced: they build each face link as a complex
 with the public ``SimplicialComplex.link`` and ask ``betti`` or
-``is_connected`` of it.
+``is_connected`` of it.  The retriangulation references at the end are the
+Swartz moves and the inverse stellar move as first written, built from
+``SimplicialComplex.antistar`` with the package's own record and link
+helpers, and ``swartz_all`` going through the public single move.
 """
 
 from collections import Counter
 from itertools import chain, combinations
 from math import comb
 
+from scx.complexes import SimplicialComplex, is_simplex_boundary
+from scx.errors import PreconditionError
 from scx.exact import rank_rational, right_nullspace
-from scx.homology import PredicateResult, betti
+from scx.homology import (
+    PredicateResult,
+    _ball_checked,
+    betti,
+    is_normal_pseudomanifold,
+    skeleton_completion,
+)
+from scx.retriangulate import (
+    _ball_deltas,
+    _detect_stack_level,
+    _record,
+    _require_sphere_link,
+    _split_link_along,
+)
 
 
 def closure(facets):
@@ -280,3 +298,110 @@ def is_normal_pseudomanifold_by_links(cx):
             if not cx.link(face).is_connected():
                 return PredicateResult(False, tuple(sorted(face)), "face link is not connected")
     return PredicateResult(True)
+
+
+def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
+    """``inverse_stellar`` with the output glued onto the antistar of v."""
+    if v not in cx.vertices:
+        raise PreconditionError(f"vertex {v} is not in the complex")
+    link = cx.link([v])
+    d = cx.dim
+    if check:
+        _require_sphere_link(link, v, field)
+    if r is None:
+        r = _detect_stack_level(link, d)
+    if not 2 <= r <= (d + 1) // 2:
+        raise PreconditionError(f"stackedness level r={r} outside 2..(d+1)/2")
+    filled = skeleton_completion(link, r - 1)
+    boundary, interior = _ball_checked(filled, field, check)
+    if check and boundary != link:
+        raise PreconditionError("link completion does not have the link as boundary")
+    faces = cx.faces()
+    for f in sorted(interior, key=sorted):
+        if f in faces:
+            raise PreconditionError(
+                f"interior face {tuple(sorted(f))} of the completion is already present"
+            )
+    out = SimplicialComplex(cx.antistar(v).facets | filled.facets)
+    return out, _record(
+        "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1),
+        new_vertices=(), removed_vertices=(v,), ball_used=filled,
+    )
+
+
+def swartz_operation_by_antistar(cx, v, tau, field="rational", check=True):
+    """``swartz_operation`` with the output glued onto the antistar of v."""
+    t = frozenset(tau)
+    if v not in cx.vertices:
+        raise PreconditionError(f"vertex {v} is not in the complex")
+    if t in cx.faces():
+        raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
+    link = cx.link([v])
+    if check:
+        pm = is_normal_pseudomanifold(cx)
+        if not pm:
+            raise PreconditionError(
+                f"input is not a normal pseudomanifold ({pm.reason}; witness {pm.witness})"
+            )
+        _require_sphere_link(link, v, field)
+    faces = link.faces()
+    if len(t) != link.dim + 1 or t in faces or any(t - {u} not in faces for u in t):
+        raise PreconditionError(f"{tuple(sorted(t))} is not a missing facet of the link of {v}")
+    new_facets = set(cx.antistar(v).facets)
+    fresh = max(cx.vertices) + 1
+    new_vertices, notes = [], []
+    for sphere_cx in _split_link_along(link, t):
+        if is_simplex_boundary(sphere_cx):
+            new_facets.add(frozenset(sphere_cx.vertices))
+            notes.append("filled missing facet")
+        else:
+            cone = fresh
+            fresh += 1
+            new_vertices.append(cone)
+            new_facets |= {facet | {cone} for facet in sphere_cx.facets}
+            notes.append(f"coned with vertex {cone}")
+    out = SimplicialComplex(new_facets)
+    return out, _record(
+        "swartz", cx, out, ((2, -1),) if cx.dim >= 3 else (),
+        new_vertices=tuple(new_vertices), removed_vertices=(v,), steps=1, notes=tuple(notes),
+    )
+
+
+def swartz_all_by_operation(cx, v, field="rational", check=True):
+    """``swartz_all`` through :func:`swartz_operation_by_antistar`, one
+    record per step, with the whole input checked only at the first move."""
+    if cx.dim < 3:
+        raise PreconditionError("iterated operation needs dimension >= 3")
+    if v not in cx.vertices:
+        raise PreconditionError(f"vertex {v} is not in the complex")
+    current, queue, steps = cx, [v], 0
+    skipped, cone_vertices, combined_notes = [], [], []
+    while queue:
+        w = queue.pop(0)
+        if w not in current.vertices:
+            continue
+        link = current.link([w])
+        chosen = None
+        for t in [frozenset(f) for f in link.missing_faces(link.dim)]:
+            if t in current.faces():
+                skipped.append(tuple(sorted(t)))
+            else:
+                chosen = t
+                break
+        if chosen is None:
+            continue
+        if check and steps:
+            _require_sphere_link(link, w, field)
+        current, rec = swartz_operation_by_antistar(
+            current, w, chosen, field, check=check and not steps
+        )
+        steps += 1
+        combined_notes.extend(rec.notes)
+        cone_vertices.extend(rec.new_vertices)
+        queue.extend(rec.new_vertices)
+    return current, _record(
+        "swartz", cx, current, ((2, -steps),),
+        new_vertices=tuple(w for w in cone_vertices if w in current.vertices),
+        removed_vertices=(v,), steps=steps,
+        notes=tuple(combined_notes + [f"skipped {s}" for s in sorted(set(skipped))]),
+    )

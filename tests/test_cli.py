@@ -20,6 +20,7 @@ from scx import exact
 from scx.cli import main
 from scx.rigidity import RIGIDITY_GUARD
 from test_homology import RP2_FACETS, memo_lookups, record_links
+from test_retriangulate import octahedral_wedge
 
 
 def invoke(*args):
@@ -202,6 +203,14 @@ def test_swartz_all_flag(tmp_path):
     result = invoke("op", "swartz", str(path), "--vertex", "0", "--all")
     assert result.exit_code == 0
     assert "steps: 1" in result.output
+
+
+def test_swartz_all_rejects_a_wedge_with_no_move_exits_3(tmp_path):
+    path = tmp_path / "w.scx"
+    write_scx(octahedral_wedge(), path)
+    result = invoke("op", "swartz", str(path), "--vertex", "1", "--all")
+    assert result.exit_code == 3
+    assert "not a normal pseudomanifold" in result.output
 
 
 def test_gen_barnette_matches_fixture(tmp_path):

@@ -26,6 +26,8 @@ from scx import (
 )
 from scx import homology, retriangulate, verify
 
+import oracle
+
 
 def test_crtr_of_face_star(bd5):
     out, record = central_retriangulation(bd5, bd5.star([0, 1, 2, 3]))
@@ -249,6 +251,65 @@ def test_swartz_all_still_rejects_a_later_link(monkeypatch):
     assert len(links) == 2
 
 
+def octahedral_wedge():
+    """Two octahedral 3-spheres glued at vertex 0, the second relabelled
+    v -> v + 7 off 0: not a normal pseudomanifold, as the link of 0 has two
+    components."""
+    oct3 = cross_polytope_boundary(4)
+    shifted = {frozenset(u if u == 0 else u + 7 for u in f) for f in oct3.facets}
+    return SimplicialComplex(oct3.facets | shifted)
+
+
+def test_swartz_all_checks_the_input_even_without_a_move():
+    wedge = octahedral_wedge()
+    assert len(wedge.vertices) == 15 and not is_normal_pseudomanifold(wedge)
+    with pytest.raises(PreconditionError, match="not a normal pseudomanifold"):
+        swartz_all(wedge, 1)
+    out, record = swartz_all(wedge, 1, check=False)
+    assert out == wedge and record.steps == 0
+
+
+def swartz_instances():
+    return list(verify._swartz_instances(verify.Scale(dmax=7, f0max=16)))
+
+
+def skips_between_moves():
+    """Suspended stacked 2-spheres with a facet at the pole n subdivided: a
+    missing triangle of the pole's link is then a face, so ``swartz_all``
+    skips it while it moves elsewhere."""
+    for n in (6, 7):
+        sphere = suspension(stacked_sphere(3, n))
+        for facet in sorted((f for f in sphere.facets if n in f), key=sorted)[:4]:
+            cx, _ = central_retriangulation(sphere, SimplicialComplex([facet]))
+            yield f"skipped {tuple(sorted(facet - {n}))}", cx, n, n - 4
+
+
+def test_swartz_all_matches_the_antistar_reference():
+    for name, cx, v, steps in swartz_instances() + list(skips_between_moves()):
+        for check in (True, False):
+            out, record = swartz_all(cx, v, check=check)
+            assert (out, record) == oracle.swartz_all_by_operation(cx, v, check=check), name
+            assert record.steps == steps, name
+        if name.startswith("skipped"):
+            assert name in record.notes
+        for w in sorted(cx.vertices - {v}):
+            assert swartz_all(cx, w) == oracle.swartz_all_by_operation(cx, w), (name, w)
+
+
+def test_swartz_operation_matches_the_antistar_reference_on_every_insertable_facet():
+    compared = 0
+    for name, cx, _, _ in swartz_instances():
+        for v in sorted(cx.vertices):
+            link = cx.link([v])
+            for tau in link.missing_faces(link.dim):
+                if frozenset(tau) in cx.faces():
+                    continue
+                got = swartz_operation(cx, v, tau)
+                assert got == oracle.swartz_operation_by_antistar(cx, v, tau), (name, v, tau)
+                compared += 1
+    assert compared > 50
+
+
 def test_swartz_all_output_on_the_lemma_3_8_instances():
     for name, cx, v, steps in verify._swartz_instances(verify.Scale(dmax=7, f0max=16)):
         out, record = swartz_all(cx, v)
@@ -337,7 +398,9 @@ def test_interior_lies_off_the_boundary_closure_with_and_without_check():
         assert off_closure(ball, False)
 
 
-def test_inverse_output_matches_the_closure_formula_on_lemma_3_6_cases():
+def lemma_3_6_cases():
+    """Inverse stellar moves that undo the Lemma 3.3 retriangulations, and
+    on stacked and cycle-join spheres."""
     cases = []
     for cx in crtr_inputs():
         for label, ball in verify._central_balls(cx):
@@ -346,8 +409,17 @@ def test_inverse_output_matches_the_closure_formula_on_lemma_3_6_cases():
                 cases.append((out, record.new_vertices[0]))
     cases += [(stacked_sphere(d, n), n - 1) for d in (4, 5) for n in (d + 2, d + 3)]
     cases += [(join(cycle(n), simplex_boundary(2)), 0) for n in (4, 5, 6)]
-    for cx, v in cases:
+    assert len(cases) > 50
+    return cases
+
+
+def test_inverse_output_matches_the_closure_formula_on_lemma_3_6_cases():
+    for cx, v in lemma_3_6_cases():
         out, record = inverse_stellar(cx, v)
         assert out == closure_inverse(cx, v, record.ball_used)
         assert record.prediction_holds()
-    assert len(cases) > 50
+
+
+def test_inverse_stellar_matches_the_antistar_reference_on_lemma_3_6_cases():
+    for cx, v in lemma_3_6_cases():
+        assert inverse_stellar(cx, v) == oracle.inverse_stellar_by_antistar(cx, v)
