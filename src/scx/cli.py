@@ -267,7 +267,11 @@ def swartz(input, vertex, tau, everything, output, check_iso):
 @click.option("--seed", type=_INT, default=0, show_default=True)
 @click.option("--trials", type=_INT, default=3, show_default=True)
 def stress(input, seed, trials):
-    """Print an exact basis of the stress space, one vector per line."""
+    """Print an exact basis of the stress space, one vector per line.
+
+    The embedding's coordinates are drawn from [-2^16, 2^16] by the seed, and
+    the vectors depend on it.
+    """
     from .rigidity import stress_basis
 
     cx = load_complex(input)

@@ -56,33 +56,42 @@ def validate_field(field) -> object:
 def _bareiss(rows, reduce_above: bool):
     """Fraction-free elimination (Bareiss 1968); returns (rows, pivot columns).
 
-    With ``reduce_above`` each pivot also clears the rows above it, across the
-    whole row (Gauss-Jordan), and every pivot entry ends up equal to the last.
+    With ``reduce_above`` each pivot also clears the rows above it
+    (Gauss-Jordan), and every pivot entry ends up equal to the last.  A step
+    updates only the columns that can still change: the later ones and, with
+    ``reduce_above``, the free columns before it.  An earlier pivot column is
+    0 off its pivot row, and its pivot entry would only track each new lead,
+    so the pivot entries are set to the last lead at the end.
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots = []
+    pivots, free = [], []
     prev = 1
     for col in range(ncols):
         rank = len(pivots)
         pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
         if pivot is None:
+            free.append(col)
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        first = 0 if reduce_above else col + 1
+        row_r = m[rank]
+        lead = row_r[col]
+        live = [*free, *range(col + 1, ncols)] if reduce_above else range(col + 1, ncols)
         for i in range(0 if reduce_above else rank + 1, nrows):
-            fac = m[i][col]
+            row_i = m[i]
+            fac = row_i[col]
             if (fac == 0 and lead == prev) or i == rank:
                 continue
-            row_i, row_r = m[i], m[rank]
-            for j in range(first, ncols):
+            for j in live:
                 row_i[j] = (row_i[j] * lead - fac * row_r[j]) // prev
             row_i[col] = 0
         prev = lead
         pivots.append(col)
         if rank + 1 == nrows:
             break
+    if reduce_above:
+        for i, col in enumerate(pivots):
+            m[i][col] = prev
     return m, pivots
 
 

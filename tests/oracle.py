@@ -6,7 +6,9 @@ Gaussian elimination), on purpose sharing no code with the package internals
 it checks.  The exceptions are :func:`matrix_rank` over Q and
 :func:`left_nullspace`, dense views of the package's fraction-free elimination
 that the tests compare the sparse unit-pivot ranks and the stress bases with,
-and :func:`is_homology_manifold_by_links` and
+:func:`bareiss`, the package's fraction-free elimination as first written,
+which swept every column at every step, and
+:func:`is_homology_manifold_by_links` and
 :func:`is_normal_pseudomanifold_by_links`, the link-by-link predicates that
 the facet-bitmask sweeps replaced: they build each face link as a complex
 with the public ``SimplicialComplex.link`` and ask ``betti`` or
@@ -161,6 +163,37 @@ def rank_gfp(rows, p):
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def bareiss(rows, reduce_above):
+    """``exact._bareiss`` as first written: every step sweeps the whole row,
+    the pivot columns already cleared included (Gauss-Jordan mode) or every
+    later column (echelon mode)."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        lead = m[rank][col]
+        first = 0 if reduce_above else col + 1
+        for i in range(0 if reduce_above else rank + 1, nrows):
+            fac = m[i][col]
+            if (fac == 0 and lead == prev) or i == rank:
+                continue
+            row_i, row_r = m[i], m[rank]
+            for j in range(first, ncols):
+                row_i[j] = (row_i[j] * lead - fac * row_r[j]) // prev
+            row_i[col] = 0
+        prev = lead
+        pivots.append(col)
+        if rank + 1 == nrows:
+            break
+    return m, pivots
 
 
 def matrix_rank(rows, field="rational"):

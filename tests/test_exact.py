@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 from math import gcd
@@ -6,13 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scx import (
+    barnette_sphere,
     exact,
+    g2_one_family,
     g2_two_catalog,
     random_embedding,
     rigidity_matrix,
     skeleton_graph,
     stress_basis,
 )
+import scx.rigidity as rigidity
 from scx.errors import PreconditionError
 from scx.exact import (
     DEFAULT_PRIME,
@@ -113,6 +117,32 @@ def test_right_nullspace_is_the_canonical_basis(m):
         assert next(x for x in v if x) > 0
 
 
+@given(kernel_matrices(), st.data(), st.booleans())
+def test_bareiss_matches_the_full_sweep(m, data, reduce_above):
+    # zero rows and columns anywhere, so free columns and the early stop at
+    # the last row fall before, between and after the pivots
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        at = data.draw(st.integers(min_value=0, max_value=len(m[0])))
+        m = [row[:at] + [0] + row[at:] for row in m]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        m.insert(data.draw(st.integers(min_value=0, max_value=len(m))), [0] * len(m[0]))
+    assert exact._bareiss(m, reduce_above) == oracle.bareiss(m, reduce_above)
+
+
+def test_bareiss_matches_the_full_sweep_on_stress_inputs(monkeypatch):
+    inputs = []
+    original = exact._bareiss
+    monkeypatch.setattr(exact, "_bareiss", lambda rows, **k: inputs.append(rows) or original(rows, **k))
+    spheres = [g2_two_catalog(4, "octahedral").complex, barnette_sphere().complex]
+    spheres += [g2_one_family(5, "cycle", 5).complex, g2_one_family(6, "join", 3).complex]
+    for cx in spheres:
+        stress_basis(cx, seed=0)
+    assert len(inputs) == len(spheres)
+    for rows in inputs:
+        for reduce_above in (False, True):
+            assert original(rows, reduce_above) == oracle.bareiss(rows, reduce_above)
+
+
 def _columns(m):
     return [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(len(m[0]))]
 
@@ -170,9 +200,12 @@ def test_unit_pivot_rank_hands_columns_without_units_to_bareiss(monkeypatch):
     assert calls == []  # every nonzero entry is a unit over GF(p)
 
 
-def test_stress_basis_of_octahedral_sphere_is_pinned():
+def test_stress_basis_of_octahedral_sphere_is_pinned(monkeypatch):
     # sha256 of the vectors' repr as the earlier Fraction Gauss-Jordan kernel
-    # computed them; the fraction-free kernel must give the same basis
+    # computed them, on coordinates from [-2**31, 2**31] as the default bound
+    # then was; the fraction-free kernel must give the same basis
+    wide = functools.partial(rigidity.random_embedding, bound=2**31)
+    monkeypatch.setattr(rigidity, "random_embedding", wide)
     vectors = stress_basis(g2_two_catalog(4, "octahedral").complex, seed=0).vectors
     assert len(vectors) == 2 and all(len(v) == 24 for v in vectors)
     assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (

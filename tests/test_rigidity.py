@@ -25,7 +25,9 @@ from scx import (
     stress_basis,
     vertex_participation,
 )
-from scx.rigidity import _rank_bound, _verify_stresses
+import scx.rigidity as rigidity
+from scx.generators import standard_catalog
+from scx.rigidity import _rank_bound, _verify_stresses, expected_pseudomanifold_rank
 
 import oracle
 
@@ -236,3 +238,17 @@ def test_complete_graphs_reach_the_rank_bound():
             assert bound == (comb(n, 2) if n <= d + 1 else d * n - comb(d + 1, 2))
             assert max(generic_rank_trials(kn, d, trials=3)) == generic_rank(kn, d) == bound
             assert generic_rank(kn, d, field="rational") == bound
+
+
+def test_small_coordinates_reach_the_generic_rank():
+    # trial 0 at each seed is the sample that g2_via_rigidity and stress_basis
+    # start with, and the only one they take when it reaches the bound
+    assert rigidity.DEFAULT_COORD_BOUND == 2**16
+    pseudomanifolds = [
+        e.complex for e in standard_catalog() if "normal-pm" in e.tags and g2(e.complex) >= 1
+    ]
+    assert len(pseudomanifolds) == 29
+    for cx in pseudomanifolds:
+        g, expected = skeleton_graph(cx), expected_pseudomanifold_rank(cx)
+        for seed in range(10):
+            assert generic_rank_trials(g, cx.dim + 1, trials=1, seed=seed) == [expected]
