@@ -44,6 +44,13 @@ CLOSURE_GUARD = 2**17
 JOIN_GUARD = 46_080
 
 
+def _check_closure_bound(sizes):
+    """Stop a closure of facets of ``sizes`` vertices over ``CLOSURE_GUARD``."""
+    bound = sum(1 << s for s in sizes)
+    if bound > CLOSURE_GUARD:
+        raise TooLargeError(f"closure bound {bound} exceeds the guard ({CLOSURE_GUARD})")
+
+
 def _maximal(faces) -> frozenset:
     """Inclusion-maximal members of a family of frozensets.
 
@@ -108,9 +115,7 @@ class SimplicialComplex:
     def faces(self) -> frozenset:
         """The full face set (closure of the facets), including the empty face."""
         if self._faces is None:
-            bound = sum(1 << len(f) for f in self._facets)
-            if bound > CLOSURE_GUARD:
-                raise TooLargeError(f"closure bound {bound} exceeds the guard ({CLOSURE_GUARD})")
+            _check_closure_bound(map(len, self._facets))
             # by_size[k]: the k-subsets of the facets as sorted tuples, which
             # sort natively in vertex-tuple order
             by_size = [set() for _ in range(self._dim + 2)]

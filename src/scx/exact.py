@@ -117,10 +117,11 @@ def rank_unit_pivot(columns, field="rational") -> int:
 
 
 def _unit_pivot(columns, field):
-    """(rank, indices of the columns that took a unit pivot), in column order.
+    """(rank, ``{column: row}`` of the unit pivots), in column order.
 
-    The pivoted columns are linearly independent over ``field``.  Over GF(p)
-    every nonzero entry is a unit, so they number exactly the rank.
+    On their pivot rows the pivoted columns form a nonsingular submatrix: each
+    step adds multiples of a pivoted column to the others, clearing its pivot
+    row off it.  Over GF(p) the pivots number the rank, all entries being units.
     """
     p = None if field == "rational" else field
     cols = [{r: e % p for r, e in c.items() if e % p} if p else dict(c) for c in columns]
@@ -128,14 +129,13 @@ def _unit_pivot(columns, field):
     for j, col in enumerate(cols):
         for r in col:
             touching.setdefault(r, set()).add(j)
-    stuck, pivoted = [], []
+    stuck, pivoted = [], {}
     for j, col in enumerate(cols):
         units = [r for r, e in col.items() if p or e in (1, -1)]
         if not units:
             stuck.append(col)
             continue
-        pivoted.append(j)
-        piv = min(units, key=lambda r: len(touching[r]))
+        piv = pivoted[j] = min(units, key=lambda r: len(touching[r]))
         inv = col.pop(piv) if p is None else pow(col.pop(piv), -1, p)
         if p:  # scaled to pivot 1, each factor below is the entry itself, < p
             col, inv = {r: e * inv % p for r, e in col.items()}, 1

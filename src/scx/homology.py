@@ -1,10 +1,16 @@
 """Simplicial homology over exact fields and the classification predicates.
 
-Reduced homology is computed from sparse integer boundary columns
-(alternating sign convention, augmentation map included), certified to
-satisfy d.d = 0 and ranked by one exact elimination that pivots on unit
-entries, over the rationals by default or over GF(p).  Predicates return a
-:class:`PredicateResult` carrying one violating face as a witness.
+Reduced homology is computed from sparse integer boundary columns on faces
+as bitmasks (alternating sign convention, augmentation map included),
+certified to satisfy d.d = 0 and ranked by one exact elimination that pivots
+on unit entries, over the rationals by default or over GF(p).  Predicates
+return a :class:`PredicateResult` carrying one violating face as a witness.
+
+A Betti miss ranks d_dim first, then each lower d_k without the columns of
+the faces S that were unit-pivot rows of d_{k+1} ("clearing", Chen and
+Kerber 2011).  The rank is unchanged: the unit-pivoted columns J of d_{k+1}
+form a nonsingular submatrix with S, and they are cycles (certified), so on
+S the columns of d_k are combinations of its other columns.
 
 Betti numbers are the one cached homology fact: :func:`betti` keeps the
 last ``BETTI_MEMO`` profiles in a thread-safe LRU keyed by the complex's
@@ -28,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import exact
-from .complexes import SimplicialComplex, from_faces
+from .complexes import SimplicialComplex, _check_closure_bound, from_faces
 from .errors import InternalCheckError, PreconditionError, TooLargeError
 
 
@@ -78,37 +84,48 @@ class BettiProfile:
 def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Signed incidence matrix of k-faces over (k-1)-faces: the dense view
     of :func:`_boundary_columns`."""
-    return _dense(cx, k, _boundary_columns(cx, k))
+    return _dense(cx, k, _boundary_columns(_face_masks(cx, (k, k + 1)), k))
 
 
 def _dense(cx: SimplicialComplex, k: int, columns: list) -> BoundaryMatrix:
     rows, cols = cx.faces_of_dim(k - 1), cx.faces_of_dim(k)
-    entries = [[0] * len(cols) for _ in rows]
-    for c, column in enumerate(columns):
-        for r, e in column.items():
-            entries[r][c] = e
-    return BoundaryMatrix(k, rows, cols, tuple(map(tuple, entries)))
+    entries = tuple(tuple(col.get(r, 0) for col in columns) for r in range(len(rows)))
+    return BoundaryMatrix(k, rows, cols, entries)
 
 
-def _boundary_columns(cx: SimplicialComplex, k: int) -> list:
-    """d_k as one ``{row index: +-1}`` column per k-face, in ``faces_of_dim``
-    order.  Dropping the vertex in sorted position j contributes (-1)^j; k = 0
+def _face_masks(cx: SimplicialComplex, sizes) -> dict:
+    """``{j: faces with j vertices}`` as bitmasks over the sorted vertices, in
+    ``faces_of_dim`` order, which :func:`_dense` reads the columns' rows in."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(cx.vertices))}
+    return {j: [sum(map(bit.__getitem__, f)) for f in cx.faces_of_dim(j - 1)] for j in sizes}
+
+
+def _boundary_columns(faces, k: int) -> list:
+    """d_k as one ``{row index: +-1}`` column per face of ``faces[k + 1]``, the
+    rows being ``faces[k]`` (``faces[j]``: the faces with j vertices, as
+    bitmasks).  Dropping the j-th lowest set bit contributes (-1)^j; k = 0
     gives the augmentation map onto the empty face."""
-    index = {f: i for i, f in enumerate(cx.faces_of_dim(k - 1))}
-    return [
-        {index[face - {v}]: 1 - 2 * (j & 1) for j, v in enumerate(sorted(face))}
-        for face in cx.faces_of_dim(k)
-    ]
+    index = {f: i for i, f in enumerate(faces[k])}
+    columns = []
+    for f in faces[k + 1]:
+        column, rest, sign = {}, f, 1
+        while rest:
+            low = rest & -rest
+            column[index[f ^ low]] = sign
+            rest, sign = rest ^ low, -sign
+        columns.append(column)
+    return columns
 
 
 def chain_complex(cx: SimplicialComplex) -> list:
     """All boundary matrices d_0..d_dim, with the d.d = 0 identity asserted."""
-    return [_dense(cx, k, columns) for k, columns in enumerate(_checked_columns(cx))]
+    columns = _checked_columns(_face_masks(cx, range(cx.dim + 2)))
+    return [_dense(cx, k, c) for k, c in enumerate(columns)]
 
 
-def _checked_columns(cx: SimplicialComplex) -> list:
+def _checked_columns(faces) -> list:
     """The columns of d_0..d_dim, after certifying d_k . d_{k+1} = 0."""
-    columns = [_boundary_columns(cx, k) for k in range(cx.dim + 1)]
+    columns = [_boundary_columns(faces, k) for k in range(len(faces) - 1)]
     for low, high in zip(columns, columns[1:]):
         _assert_composes_to_zero(low, high)
     return columns
@@ -150,9 +167,10 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     type numbers the vertices 0..n-1 in sorted order and lists each facet as
     a bitmask over that numbering, sorted; two complexes with the same key
     differ by an order-preserving relabelling, which changes no Betti number
-    and no face count, so a relabelled link or star shares its entry.  Each
-    miss certifies d.d = 0 before ranking.  A ``TooLargeError`` is raised
-    again on every call and never cached; ``_betti.cache_info()`` counts hits.
+    and no face count, so a relabelled link or star shares its entry.  A miss
+    builds its closure on the masks, certifies d.d = 0 and ranks with clearing.
+    A ``TooLargeError`` is raised again on every call and never cached;
+    ``_betti.cache_info()`` counts hits.
     """
     ((_, facets),) = _links(cx, [frozenset()])  # the link of the empty face
     return _betti(_order_type(facets), exact.validate_field(field))
@@ -183,22 +201,29 @@ def _order_type(masks) -> tuple:
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
 def _betti(masks: tuple, field) -> BettiProfile:
-    # the complex of the order type, on the vertices 0..n-1
-    cx = SimplicialComplex(
-        frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks
-    )
-    dim = cx.dim
-    sizes = [cx.n_faces(k) for k in range(-1, dim + 1)]  # sizes[k + 1] = f_k
+    """One memo miss, on the masks alone; ranks top-down with clearing."""
+    _check_closure_bound(map(int.bit_count, masks))
+    seen = set()  # the closure: every submask of a facet
+    for m in masks:
+        sub = m
+        while sub:
+            seen.add(sub)
+            sub = (sub - 1) & m
+    faces = [[0]] + [[] for _ in range(max(map(int.bit_count, masks)))]
+    for f in sorted(seen):  # faces[j]: the faces with j vertices
+        faces[f.bit_count()].append(f)
+    sizes = list(map(len, faces))  # sizes[k + 1] = f_k
     cells = max((rows * cols for rows, cols in zip(sizes, sizes[1:])), default=0)
     if cells > BETTI_GUARD:
         raise TooLargeError(f"{cells} boundary-matrix cells exceed the Betti guard ({BETTI_GUARD})")
-    # ranks[k] = rank d_k, with rank d_{dim+1} = 0
-    ranks = [exact.rank_unit_pivot(c, field) for c in _checked_columns(cx)] + [0]
-    entries = []
-    for i in range(-1, dim + 1):
-        rk = ranks[i] if i >= 0 else 0
-        entries.append(sizes[i + 1] - rk - ranks[i + 1])
-    return BettiProfile(tuple(entries), field)
+    columns = _checked_columns(faces)
+    # ranks[k + 1] = rank d_k, with d_{-1} and d_{dim+1} zero
+    ranks, cleared = [0] * (len(sizes) + 1), ()
+    for k in reversed(range(len(columns))):
+        kept = [c for j, c in enumerate(columns[k]) if j not in cleared]
+        ranks[k + 1], pivots = exact._unit_pivot(kept, field)
+        cleared = set(pivots.values())
+    return BettiProfile(tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes))), field)
 
 
 def _links(cx: SimplicialComplex, faces):

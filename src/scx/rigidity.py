@@ -119,10 +119,10 @@ def _rank_bound(g: Graph, d: int) -> int:
 
 
 def _samples(g: Graph, d: int, trials: int, seed: int, field):
-    """(rank over ``field``, pivot columns, matrix, embedding) of the rigidity
-    matrix at each of ``trials`` seeded random embeddings, by ``exact._unit_pivot``
-    on its columns.  Over GF(p) the pivot columns are the indices of ``rank``
-    columns independent mod p, so independent over Q too."""
+    """(rank over ``field``, pivots ``{column: row}``, matrix, embedding) of the
+    rigidity matrix at each of ``trials`` seeded random embeddings, by
+    ``exact._unit_pivot`` on its columns.  Over GF(p) the pivot columns are the
+    indices of ``rank`` columns independent mod p, so independent over Q too."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
     # validated once: its primality test costs about 6% of a typical rank mod p here

@@ -50,8 +50,8 @@ def flipped_d1(monkeypatch):
     empty memo that is emptied again afterwards."""
     original = homology._boundary_columns
 
-    def flipped(cx, k):
-        columns = original(cx, k)
+    def flipped(faces, k):
+        columns = original(faces, k)
         if k == 1 and columns:
             columns[0][min(columns[0])] *= -1
         return columns

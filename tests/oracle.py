@@ -7,7 +7,8 @@ it checks.  The exceptions are :func:`matrix_rank` over Q and
 :func:`left_nullspace`, dense views of the package's fraction-free elimination
 that the tests compare the sparse unit-pivot ranks and the stress bases with,
 :func:`bareiss`, the package's fraction-free elimination as first written,
-which swept every column at every step, and
+which swept every column at every step, :func:`betti_every_column`, the
+Betti memo's miss path before it ranked top-down with clearing, and
 :func:`is_homology_manifold_by_links` and
 :func:`is_normal_pseudomanifold_by_links`, the link-by-link predicates that
 the facet-bitmask sweeps replaced: they build each face link as a complex
@@ -24,7 +25,7 @@ from math import comb
 
 from scx.complexes import SimplicialComplex, is_simplex_boundary
 from scx.errors import PreconditionError
-from scx.exact import rank_rational, right_nullspace
+from scx.exact import rank_rational, rank_unit_pivot, right_nullspace
 from scx.homology import (
     PredicateResult,
     _ball_checked,
@@ -145,6 +146,28 @@ def betti_gf2(facets):
         len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(-1, dim + 1)
     )
+
+
+def betti_every_column(masks, field="rational"):
+    """Reduced Betti numbers of the order type ``masks`` as ``homology._betti``
+    computed them before it ranked top-down with clearing: the complex rebuilt
+    on frozensets, its closure from ``SimplicialComplex.faces``, each column's
+    rows found by hashing ``face - {v}``, and every column of every d_k ranked
+    by ``exact.rank_unit_pivot``.  The guard and the certificate are left out."""
+    cx = SimplicialComplex(
+        frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks
+    )
+    sizes = [cx.n_faces(k) for k in range(-1, cx.dim + 1)]
+    ranks = [0]  # ranks[k + 1] = rank d_k, with d_{-1} and d_{dim+1} zero
+    for k in range(cx.dim + 1):
+        index = {f: i for i, f in enumerate(cx.faces_of_dim(k - 1))}
+        columns = [
+            {index[face - {v}]: 1 - 2 * (j & 1) for j, v in enumerate(sorted(face))}
+            for face in cx.faces_of_dim(k)
+        ]
+        ranks.append(rank_unit_pivot(columns, field))
+    ranks.append(0)
+    return tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))
 
 
 def rank_gfp(rows, p):

@@ -263,19 +263,28 @@ def test_stress_with_no_trials_exits_3(tmp_path):
     assert "need at least one trial" in result.output
 
 
+def _reached(*args, **kwargs):
+    raise AssertionError("elimination reached")
+
+
 @pytest.fixture
-def no_elimination(monkeypatch):
+def no_bareiss(monkeypatch):
     """Make Bareiss and the sparse rank raise if reached, so a test sees a
-    guard or shortcut fire before any elimination without reading a clock."""
-
-    def reached(*args, **kwargs):
-        raise AssertionError("elimination reached")
-
-    monkeypatch.setattr(exact, "_bareiss", reached)
-    monkeypatch.setattr(exact, "rank_unit_pivot", reached)
+    stress guard or shortcut fire after the rank mod p (``exact._unit_pivot``)
+    but before any other elimination, without reading a clock."""
+    monkeypatch.setattr(exact, "_bareiss", _reached)
+    monkeypatch.setattr(exact, "rank_unit_pivot", _reached)
 
 
-def test_stress_of_a_stacked_sphere_has_dimension_0(tmp_path, no_elimination):
+@pytest.fixture
+def no_elimination(no_bareiss, monkeypatch):
+    """Make every elimination raise if reached, the unit-pivot loop that
+    ranks Betti columns and rigidity matrices included, so a test sees a
+    guard fire before any elimination."""
+    monkeypatch.setattr(exact, "_unit_pivot", _reached)
+
+
+def test_stress_of_a_stacked_sphere_has_dimension_0(tmp_path, no_bareiss):
     # full rank mod p proves the empty basis; Bareiss would take about 2.3 s on
     # this input's 230 x 240 rigidity matrix
     path = tmp_path / "stacked.scx"
@@ -285,7 +294,7 @@ def test_stress_of_a_stacked_sphere_has_dimension_0(tmp_path, no_elimination):
     assert "dimension: 0" in result.output
 
 
-def test_stress_guard_exits_3(tmp_path, no_elimination):
+def test_stress_guard_exits_3(tmp_path, no_bareiss):
     # the smallest g2 = 1 cycle join whose tight rigidity matrix, (4n + 2) x
     # (4n + 3), is over the guard; one size below, Bareiss takes about 2.6 s
     n = next(n for n in range(4, 200) if (4 * n + 2) * (4 * n + 3) > RIGIDITY_GUARD)

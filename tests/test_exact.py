@@ -161,6 +161,23 @@ def test_unit_pivot_rank_matches_the_dense_ranks(m, scale, field):
     assert columns == before
 
 
+@given(kernel_matrices(), st.data(), st.sampled_from(["rational", 2, 3]))
+def test_unit_pivots_sit_on_a_nonsingular_submatrix(m, data, field):
+    # a zero row and a zero column at drawn places; entries such as 2 or 3 are
+    # no units over Q and vanish mod 2 or 3
+    ncols = len(m[0])
+    at = data.draw(st.integers(min_value=0, max_value=ncols))
+    m = [row[:at] + [0] + row[at:] for row in m]
+    m.insert(data.draw(st.integers(min_value=0, max_value=len(m))), [0] * (ncols + 1))
+    rank, pivots = exact._unit_pivot(_columns(m), field)
+    rows, cols = list(pivots.values()), list(pivots)
+    assert cols == sorted(cols) and len(set(rows)) == len(rows)
+    assert oracle.matrix_rank([[m[r][c] for c in cols] for r in rows], field) == len(pivots)
+    assert rank == oracle.matrix_rank(m, field)
+    if field != "rational":
+        assert len(pivots) == rank
+
+
 def test_rank_mod_of_rigidity_matrices_matches_the_oracle():
     pseudomanifolds = [e.complex for e in standard_catalog(dmax=5) if "normal-pm" in e.tags]
     assert len(pseudomanifolds) > 20

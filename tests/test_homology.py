@@ -29,15 +29,16 @@ from scx import (
     is_normal_pseudomanifold,
     is_r_stacked_ball,
     join,
+    run_all,
     simplex_boundary,
     skeleton_completion,
     stacked_sphere,
     standard_catalog,
 )
 import scx
-from scx import homology
+from scx import exact, homology
 from scx.exact import rank_unit_pivot
-from scx.homology import _assert_composes_to_zero, _boundary_columns
+from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_masks
 
 import oracle
 
@@ -81,7 +82,7 @@ def test_chain_complex_composes_to_zero(bd4, oct3, cycle_join):
 def test_chain_complex_builds_each_boundary_once(bd4, oct3, cycle_join, monkeypatch):
     built, original = [], homology._boundary_columns
     monkeypatch.setattr(
-        homology, "_boundary_columns", lambda cx, k: built.append(k) or original(cx, k)
+        homology, "_boundary_columns", lambda faces, k: built.append(k) or original(faces, k)
     )
     for cx in (bd4, oct3, cycle_join):
         built.clear()
@@ -91,7 +92,8 @@ def test_chain_complex_builds_each_boundary_once(bd4, oct3, cycle_join, monkeypa
 
 
 def test_failed_composition_certificate_raises(bd3):
-    low, high = _boundary_columns(bd3, 1), _boundary_columns(bd3, 2)
+    faces = _face_masks(bd3, range(4))
+    low, high = _boundary_columns(faces, 1), _boundary_columns(faces, 2)
     high[0][min(high[0])] *= -1
     with pytest.raises(InternalCheckError):
         _assert_composes_to_zero(low, high)
@@ -112,8 +114,8 @@ def test_betti_certificate_survives_optimize_flag():
         "if not sys.flags.optimize:\n"
         "    raise SystemExit(2)\n"
         "original = homology._boundary_columns\n"
-        "def flipped(cx, k):\n"
-        "    columns = original(cx, k)\n"
+        "def flipped(faces, k):\n"
+        "    columns = original(faces, k)\n"
         "    if k == 1:\n"
         "        columns[0][min(columns[0])] *= -1\n"
         "    return columns\n"
@@ -133,7 +135,8 @@ def test_betti_certificate_survives_optimize_flag():
 def test_boundary_columns_follow_the_sign_convention(bd4, oct3, cycle_join):
     for cx in (bd4, oct3, cycle_join):
         for k in range(cx.dim + 1):
-            rows, columns = cx.faces_of_dim(k - 1), _boundary_columns(cx, k)
+            rows = cx.faces_of_dim(k - 1)
+            columns = _boundary_columns(_face_masks(cx, (k, k + 1)), k)
             for face, column in zip(cx.faces_of_dim(k), columns, strict=True):
                 fs = sorted(face)  # dropping the j-th smallest vertex gives (-1)^j
                 drop = {rows.index(frozenset(fs[:j] + fs[j + 1 :])): (-1) ** j for j in range(len(fs))}
@@ -286,13 +289,72 @@ def test_betti_memo_matches_the_uncached_computation(cx, perm, rising, field):
 @settings(max_examples=100, deadline=None)
 def test_unit_pivot_ranks_of_boundary_columns(cx, field):
     ks = range(cx.dim + 1)
-    ranks = [rank_unit_pivot(_boundary_columns(cx, k), field) for k in ks]
+    faces = _face_masks(cx, range(cx.dim + 2))
+    ranks = [rank_unit_pivot(_boundary_columns(faces, k), field) for k in ks]
     assert ranks == [oracle.matrix_rank(boundary_matrix(cx, k).entries, field) for k in ks]
     if field == 2:
         sizes = [cx.n_faces(k) for k in range(-1, cx.dim + 1)]
         ranks = [0] + ranks + [0]
         entries = tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))
         assert entries == oracle.betti_gf2(cx.facets)
+
+
+def _memo_key(cx):
+    """The order type that ``betti`` looks ``cx`` up by."""
+    ((_, facets),) = homology._links(cx, [frozenset()])
+    return homology._order_type(facets)
+
+
+def _assert_matches_every_column(masks):
+    for field in ("rational", 2, 3):
+        expected = oracle.betti_every_column(masks, field)
+        assert homology._betti.__wrapped__(masks, field).entries == expected, (masks, field)
+
+
+def test_betti_matches_every_column_ranks_on_run_all_misses(monkeypatch):
+    keys, memo = set(), homology._betti
+    monkeypatch.setattr(homology, "_betti", lambda masks, f: keys.add(masks) or memo(masks, f))
+    assert all(report.passed for report in run_all())
+    assert len(keys) >= 200  # every order type run_all() asks for, each a memo miss once
+    monkeypatch.undo()
+    for masks in sorted(keys):
+        _assert_matches_every_column(masks)
+
+
+def test_betti_matches_every_column_ranks_on_the_census(census):
+    for sphere in census:
+        _assert_matches_every_column(_memo_key(sphere))
+        for v in sorted(sphere.vertices):
+            _assert_matches_every_column(_memo_key(sphere.link([v])))
+
+
+def test_betti_matches_every_column_ranks_past_the_unit_pivots(monkeypatch):
+    stuck, original = [], exact.rank_rational
+    monkeypatch.setattr(exact, "rank_rational", lambda rows: stuck.append(rows) or original(rows))
+    rp2 = from_facets(RP2_FACETS)
+    for cx in (rp2, join(rp2, simplex_boundary(1))):  # RP^2 and its suspension
+        masks = _memo_key(cx)
+        stuck.clear()
+        rational = homology._betti.__wrapped__(masks, "rational").entries
+        assert stuck  # over Q some column kept after clearing has no unit entry
+        assert rational != homology._betti.__wrapped__(masks, 2).entries
+        _assert_matches_every_column(masks)
+
+
+@given(st.one_of(near_manifolds(), random_complexes))
+@settings(max_examples=100, deadline=None)
+def test_betti_matches_every_column_ranks_on_random_complexes(cx):
+    _assert_matches_every_column(_memo_key(cx))
+
+
+def test_betti_miss_checks_the_closure_guard_then_the_betti_guard():
+    homology._betti.cache_clear()
+    with pytest.raises(TooLargeError, match="closure bound"):
+        betti(SimplicialComplex([range(18)]))  # 2^18 faces
+    with pytest.raises(TooLargeError, match="Betti guard"):
+        betti(SimplicialComplex([range(16)]))  # 2^16 faces, but d_8 is 12870 x 11440
+    info = homology._betti.cache_info()
+    assert (info.currsize, info.misses) == (0, 2)
 
 
 def test_betti_memo_hits_an_order_preserving_relabelling():
@@ -389,7 +451,7 @@ def test_sphere_after_manifold_builds_only_its_own_boundary_matrices(monkeypatch
     built = []
     original = homology._boundary_columns
     monkeypatch.setattr(
-        homology, "_boundary_columns", lambda c, k: built.append(k) or original(c, k)
+        homology, "_boundary_columns", lambda faces, k: built.append(k) or original(faces, k)
     )
     assert is_homology_sphere(cx)
     assert built == list(range(cx.dim + 1))
