@@ -1,10 +1,9 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Every rank over GF(p), and every sparse rank over Q, comes from one
-unit-pivot elimination on ``{row: entry}`` columns (:func:`rank_unit_pivot`);
-dense matrices, lists of rows of Python ints, are handed to it as columns.
-Fraction-free (Bareiss) elimination computes the nullspaces, dense ranks over
-Q and the columns left with no unit pivot.  No floating point; ranks are exact.
+Every rank, over Q or GF(p), is one column reduction of ``{row: entry}``
+columns (:func:`rank_sparse`); dense matrices, lists of rows of Python ints,
+are handed to it as columns.  Fraction-free Gauss-Jordan (Bareiss)
+elimination computes the nullspaces.  No floating point; ranks are exact.
 """
 
 from __future__ import annotations
@@ -16,9 +15,13 @@ from .errors import PreconditionError
 #: Mersenne prime used as the default modulus for fast exact ranks.
 DEFAULT_PRIME = 2**61 - 1
 
+#: Miller-Rabin on the bases 2..41 is deterministic below this bound, which
+#: is itself composite (1,287,836,182,261 x 2,575,672,364,521) and passes.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (covers all usable moduli)."""
+    """Miller-Rabin on the bases 2..41: exact for n < ``PRIME_TEST_BOUND``."""
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -43,25 +46,25 @@ def is_probable_prime(n: int) -> bool:
 
 
 def validate_field(field) -> object:
-    """Normalize a field spec: "rational" or a prime modulus."""
+    """Normalize a field spec: "rational" or a prime modulus below
+    ``PRIME_TEST_BOUND``, the moduli whose primality is certain."""
     if field == "rational":
         return field
     if isinstance(field, int):
+        if field >= PRIME_TEST_BOUND:
+            raise PreconditionError(f"modulus {field} is not below {PRIME_TEST_BOUND}")
         if not is_probable_prime(field):
             raise PreconditionError(f"{field} is not prime")
         return field
     raise PreconditionError(f"unsupported field spec {field!r}")
 
 
-def _bareiss(rows, reduce_above: bool):
-    """Fraction-free elimination (Bareiss 1968); returns (rows, pivot columns).
-
-    With ``reduce_above`` each pivot also clears the rows above it
-    (Gauss-Jordan), and every pivot entry ends up equal to the last.  A step
-    updates only the columns that can still change: the later ones and, with
-    ``reduce_above``, the free columns before it.  An earlier pivot column is
-    0 off its pivot row, and its pivot entry would only track each new lead,
-    so the pivot entries are set to the last lead at the end.
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968): (rows, pivot
+    columns), every pivot entry equal to the last.  A step updates only the
+    columns that can still change, the free ones before it and the later
+    ones; an earlier pivot column is 0 off its pivot row, and its pivot entry
+    would only track each new lead, so it is set to the last lead at the end.
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
@@ -76,8 +79,8 @@ def _bareiss(rows, reduce_above: bool):
         m[rank], m[pivot] = m[pivot], m[rank]
         row_r = m[rank]
         lead = row_r[col]
-        live = [*free, *range(col + 1, ncols)] if reduce_above else range(col + 1, ncols)
-        for i in range(0 if reduce_above else rank + 1, nrows):
+        live = [*free, *range(col + 1, ncols)]
+        for i in range(nrows):
             row_i = m[i]
             fac = row_i[col]
             if (fac == 0 and lead == prev) or i == rank:
@@ -89,74 +92,65 @@ def _bareiss(rows, reduce_above: bool):
         pivots.append(col)
         if rank + 1 == nrows:
             break
-    if reduce_above:
-        for i, col in enumerate(pivots):
-            m[i][col] = prev
+    for i, col in enumerate(pivots):
+        m[i][col] = prev
     return m, pivots
 
 
 def rank_rational(rows) -> int:
-    """Rank over Q of an integer matrix via Bareiss fraction-free elimination."""
-    return len(_bareiss(rows, reduce_above=False)[1])
+    """Rank over Q of dense integer rows by Bareiss elimination (a reference)."""
+    return len(_bareiss(rows)[1])
 
 
 def rank_mod(rows, p: int) -> int:
-    """Rank over GF(p) of a dense integer matrix: :func:`rank_unit_pivot` on
-    its columns."""
-    return rank_unit_pivot([{i: x for i, x in enumerate(col) if x} for col in zip(*rows)], p)
+    """Rank over GF(p) of dense integer rows: :func:`rank_sparse` on the columns."""
+    return rank_sparse([{i: x for i, x in enumerate(col) if x} for col in zip(*rows)], p)
 
 
-def rank_unit_pivot(columns, field="rational") -> int:
-    """Rank over Q or GF(p) of ``{row: nonzero int}`` columns (not modified).
-
-    Pivots are units only (+-1 over Q, nonzero over GF(p)), so entries stay
-    integers; of a column's units, the row fewest columns touch is taken.
-    Columns left with no unit go to ``rank_rational`` on the unpivoted rows.
-    """
-    return _unit_pivot(columns, field)[0]
+def rank_sparse(columns, field="rational") -> int:
+    """Rank over a validated field of ``{row: nonzero int}`` columns (not modified)."""
+    return _reduce(columns, validate_field(field))[0]
 
 
-def _unit_pivot(columns, field):
-    """(rank, ``{column: row}`` of the unit pivots), in column order.
-
-    On their pivot rows the pivoted columns form a nonsingular submatrix: each
-    step adds multiples of a pivoted column to the others, clearing its pivot
-    row off it.  Over GF(p) the pivots number the rank, all entries being units.
+def _reduce(columns, field):
+    """(rank, ``{column: lowest row}`` of the pivots) in column order, for a
+    validated ``field``: while a column's lowest (largest) row is an earlier
+    pivot's, that pivot times the column's entry there is subtracted.  Over
+    Q, a pivot entry other than +-1 there first scales the column, and the
+    result is divided by its content.  The columns left nonzero, the pivots,
+    are the first independent ones; on their lowest rows they form a
+    nonsingular submatrix.
     """
     p = None if field == "rational" else field
-    cols = [{r: e % p for r, e in c.items() if e % p} if p else dict(c) for c in columns]
-    touching = {}  # row -> indices of the columns with an entry in it
-    for j, col in enumerate(cols):
-        for r in col:
-            touching.setdefault(r, set()).add(j)
-    stuck, pivoted = [], {}
-    for j, col in enumerate(cols):
-        units = [r for r, e in col.items() if p or e in (1, -1)]
-        if not units:
-            stuck.append(col)
-            continue
-        piv = pivoted[j] = min(units, key=lambda r: len(touching[r]))
-        inv = col.pop(piv) if p is None else pow(col.pop(piv), -1, p)
-        if p:  # scaled to pivot 1, each factor below is the entry itself, < p
-            col, inv = {r: e * inv % p for r, e in col.items()}, 1
-        for r in col:
-            touching[r].discard(j)
-        for i in touching.pop(piv) - {j}:
-            other = cols[i]
-            fac = other.pop(piv) * inv
-            for r, e in col.items():
-                x = other.get(r, 0) - fac * e
+    reduced, pivots = {}, {}  # lowest row -> pivot column, scaled to 1 there mod p
+    for j, col in enumerate(columns):
+        col = {r: e % p for r, e in col.items() if e % p} if p else dict(col)
+        while col and (low := max(col)) in reduced:
+            other = reduced[low]
+            fac, lead = col[low], other[low]
+            scale = not p and lead not in (1, -1)
+            if scale:
+                col = {r: e * lead for r, e in col.items()}
+            else:
+                fac *= lead  # 1 mod p; over Q a unit is its own inverse
+            for r, e in other.items():
+                x = col.get(r, 0) - fac * e
                 if p:
                     x %= p
                 if x:
-                    other[r] = x
-                    touching[r].add(i)
+                    col[r] = x
                 else:
-                    del other[r]
-                    touching[r].discard(i)
-    rows = sorted({r for col in stuck for r in col})
-    rest = rank_rational([[col.get(r, 0) for col in stuck] for r in rows]) if rows else 0
-    return len(pivoted) + rest, pivoted
+                    del col[r]
+            if scale and col:
+                g = gcd(*col.values())
+                col = {r: e // g for r, e in col.items()}
+        if col:
+            if p:
+                inv = pow(col[low], -1, p)
+                col = {r: e * inv % p for r, e in col.items()}
+            reduced[low] = col
+            pivots[j] = low
+    return len(pivots), pivots
 
 
 def right_nullspace(rows) -> list:
@@ -166,7 +160,7 @@ def right_nullspace(rows) -> list:
     positive), one per free column of the reduced echelon form, in
     free-column order; deterministic for a fixed input.
     """
-    m, pivots = _bareiss(rows, reduce_above=True)
+    m, pivots = _bareiss(rows)
     ncols = len(m[0]) if m else 0
     det = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     free = [c for c in range(ncols) if c not in pivots]

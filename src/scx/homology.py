@@ -2,15 +2,15 @@
 
 Reduced homology is computed from sparse integer boundary columns on faces
 as bitmasks (alternating sign convention, augmentation map included),
-certified to satisfy d.d = 0 and ranked by one exact elimination that pivots
-on unit entries, over the rationals by default or over GF(p).  Predicates
-return a :class:`PredicateResult` carrying one violating face as a witness.
+certified to satisfy d.d = 0 and ranked by one exact column reduction,
+over the rationals by default or over GF(p).  Predicates return a
+:class:`PredicateResult` carrying one violating face as a witness.
 
 A Betti miss ranks d_dim first, then each lower d_k without the columns of
-the faces S that were unit-pivot rows of d_{k+1} ("clearing", Chen and
-Kerber 2011).  The rank is unchanged: the unit-pivoted columns J of d_{k+1}
-form a nonsingular submatrix with S, and they are cycles (certified), so on
-S the columns of d_k are combinations of its other columns.
+the faces that were lowest rows of d_{k+1} ("clearing", Chen and Kerber
+2011).  The rank is unchanged: a reduced column of d_{k+1} with lowest row
+i is a cycle (certified), so column i of d_k is a combination of the
+earlier columns, and by induction on i of the columns kept.
 
 Betti numbers are the one cached homology fact: :func:`betti` keeps the
 last ``BETTI_MEMO`` profiles in a thread-safe LRU keyed by the complex's
@@ -221,7 +221,7 @@ def _betti(masks: tuple, field) -> BettiProfile:
     ranks, cleared = [0] * (len(sizes) + 1), ()
     for k in reversed(range(len(columns))):
         kept = [c for j, c in enumerate(columns[k]) if j not in cleared]
-        ranks[k + 1], pivots = exact._unit_pivot(kept, field)
+        ranks[k + 1], pivots = exact._reduce(kept, field)
         cleared = set(pivots.values())
     return BettiProfile(tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes))), field)
 

@@ -7,7 +7,7 @@ Schwartz-Zippel one trial falls short of rank r with probability at most
 r / (2*2^16 + 1), about 4e-4 for the largest stress basis of ``run_all()``
 (rank 57), and independent trials all fall short with at most the product.
 Ranks are taken over GF(2^61 - 1) by default for speed, or over the
-rationals via fraction-free elimination; stress bases are always exact
+rationals by the same exact column reduction; stress bases are always exact
 rational vectors re-checked against the equilibrium condition at every
 vertex.
 """
@@ -119,10 +119,11 @@ def _rank_bound(g: Graph, d: int) -> int:
 
 
 def _samples(g: Graph, d: int, trials: int, seed: int, field):
-    """(rank over ``field``, pivots ``{column: row}``, matrix, embedding) of the
-    rigidity matrix at each of ``trials`` seeded random embeddings, by
-    ``exact._unit_pivot`` on its columns.  Over GF(p) the pivot columns are the
-    indices of ``rank`` columns independent mod p, so independent over Q too."""
+    """(rank over ``field``, pivots ``{column: lowest row}``, matrix, embedding)
+    of the rigidity matrix at each of ``trials`` seeded random embeddings, by
+    ``exact._reduce`` on its columns.  The ``rank`` pivot columns are the
+    first columns independent over ``field``; independent mod p, they are
+    independent over Q too."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
     # validated once: its primality test costs about 6% of a typical rank mod p here
@@ -131,7 +132,7 @@ def _samples(g: Graph, d: int, trials: int, seed: int, field):
         emb = random_embedding(g, d, _trial_seed(seed, t))
         mat = rigidity_matrix(g, emb)
         cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*mat.entries)]
-        yield *exact._unit_pivot(cols, field), mat, emb
+        yield *exact._reduce(cols, field), mat, emb
 
 
 def _kept_sample(g: Graph, d: int, trials: int, seed: int, field):

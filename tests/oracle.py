@@ -5,10 +5,13 @@ with the most naive method available (powerset closures, GF(2) and GF(p)
 Gaussian elimination), on purpose sharing no code with the package internals
 it checks.  The exceptions are :func:`matrix_rank` over Q and
 :func:`left_nullspace`, dense views of the package's fraction-free elimination
-that the tests compare the sparse unit-pivot ranks and the stress bases with,
+that the tests compare the sparse column reduction and the stress bases with,
 :func:`bareiss`, the package's fraction-free elimination as first written,
-which swept every column at every step, :func:`betti_every_column`, the
-Betti memo's miss path before it ranked top-down with clearing, and
+which swept every column at every step, :func:`unit_pivot`, the sparse
+elimination that the column reduction replaced (unit pivots chosen by how
+few columns touch their row, the columns left without a unit handed to
+Bareiss), :func:`betti_every_column`, the Betti memo's miss path before it
+ranked top-down with clearing, and
 :func:`is_homology_manifold_by_links` and
 :func:`is_normal_pseudomanifold_by_links`, the link-by-link predicates that
 the facet-bitmask sweeps replaced: they build each face link as a complex
@@ -25,7 +28,7 @@ from math import comb
 
 from scx.complexes import SimplicialComplex, is_simplex_boundary
 from scx.errors import PreconditionError
-from scx.exact import rank_rational, rank_unit_pivot, right_nullspace
+from scx.exact import rank_rational, right_nullspace
 from scx.homology import (
     PredicateResult,
     _ball_checked,
@@ -153,7 +156,7 @@ def betti_every_column(masks, field="rational"):
     computed them before it ranked top-down with clearing: the complex rebuilt
     on frozensets, its closure from ``SimplicialComplex.faces``, each column's
     rows found by hashing ``face - {v}``, and every column of every d_k ranked
-    by ``exact.rank_unit_pivot``.  The guard and the certificate are left out."""
+    by :func:`unit_pivot`.  The guard and the certificate are left out."""
     cx = SimplicialComplex(
         frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks
     )
@@ -165,9 +168,55 @@ def betti_every_column(masks, field="rational"):
             {index[face - {v}]: 1 - 2 * (j & 1) for j, v in enumerate(sorted(face))}
             for face in cx.faces_of_dim(k)
         ]
-        ranks.append(rank_unit_pivot(columns, field))
+        ranks.append(unit_pivot(columns, field)[0])
     ranks.append(0)
     return tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes)))
+
+
+def unit_pivot(columns, field):
+    """(rank, ``{column: row}`` of the unit pivots) of ``{row: int}`` columns
+    over Q or GF(``field``), as ``exact._unit_pivot`` computed them before
+    the column reduction replaced it.
+
+    Pivots are units only (+-1 over Q, nonzero over GF(p)); of a column's
+    units, the row fewest columns touch is taken, and the pivot row is
+    cleared off every other column.  Columns left with no unit go to
+    :func:`rank_rational` on the unpivoted rows.
+    """
+    p = None if field == "rational" else field
+    cols = [{r: e % p for r, e in c.items() if e % p} if p else dict(c) for c in columns]
+    touching = {}  # row -> indices of the columns with an entry in it
+    for j, col in enumerate(cols):
+        for r in col:
+            touching.setdefault(r, set()).add(j)
+    stuck, pivoted = [], {}
+    for j, col in enumerate(cols):
+        units = [r for r, e in col.items() if p or e in (1, -1)]
+        if not units:
+            stuck.append(col)
+            continue
+        piv = pivoted[j] = min(units, key=lambda r: len(touching[r]))
+        inv = col.pop(piv) if p is None else pow(col.pop(piv), -1, p)
+        if p:  # scaled to pivot 1, each factor below is the entry itself, < p
+            col, inv = {r: e * inv % p for r, e in col.items()}, 1
+        for r in col:
+            touching[r].discard(j)
+        for i in touching.pop(piv) - {j}:
+            other = cols[i]
+            fac = other.pop(piv) * inv
+            for r, e in col.items():
+                x = other.get(r, 0) - fac * e
+                if p:
+                    x %= p
+                if x:
+                    other[r] = x
+                    touching[r].add(i)
+                else:
+                    del other[r]
+                    touching[r].discard(i)
+    rows = sorted({r for col in stuck for r in col})
+    rest = rank_rational([[col.get(r, 0) for col in stuck] for r in rows]) if rows else 0
+    return len(pivoted) + rest, pivoted
 
 
 def rank_gfp(rows, p):

@@ -137,6 +137,15 @@ def test_integers_take_ascii_digit_strings(tmp_path, args, token):
     assert repr(token) in result.output
 
 
+def test_info_rejects_a_modulus_past_the_prime_test_bound(tmp_path):
+    # the bound is a composite that Miller-Rabin on the bases 2..41 passes
+    path = write_barnette(tmp_path)
+    result = invoke("info", path, "--field", "3317044064679887385961981")
+    assert result.exit_code == 3
+    assert "is not below" in result.output
+    assert invoke("info", path, "--field", "3").exit_code == 0
+
+
 def test_negative_integers_reach_the_library_checks(tmp_path):
     result = invoke("missing", write_barnette(tmp_path), "-k", "-1")
     assert result.exit_code == 3
@@ -270,18 +279,18 @@ def _reached(*args, **kwargs):
 @pytest.fixture
 def no_bareiss(monkeypatch):
     """Make Bareiss and the sparse rank raise if reached, so a test sees a
-    stress guard or shortcut fire after the rank mod p (``exact._unit_pivot``)
+    stress guard or shortcut fire after the rank mod p (``exact._reduce``)
     but before any other elimination, without reading a clock."""
     monkeypatch.setattr(exact, "_bareiss", _reached)
-    monkeypatch.setattr(exact, "rank_unit_pivot", _reached)
+    monkeypatch.setattr(exact, "rank_sparse", _reached)
 
 
 @pytest.fixture
 def no_elimination(no_bareiss, monkeypatch):
-    """Make every elimination raise if reached, the unit-pivot loop that
+    """Make every elimination raise if reached, the column reduction that
     ranks Betti columns and rigidity matrices included, so a test sees a
     guard fire before any elimination."""
-    monkeypatch.setattr(exact, "_unit_pivot", _reached)
+    monkeypatch.setattr(exact, "_reduce", _reached)
 
 
 def test_stress_of_a_stacked_sphere_has_dimension_0(tmp_path, no_bareiss):

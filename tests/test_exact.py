@@ -1,5 +1,8 @@
+import contextlib
 import functools
 import hashlib
+import random
+import signal
 from fractions import Fraction
 from math import gcd
 
@@ -20,10 +23,11 @@ import scx.rigidity as rigidity
 from scx.errors import PreconditionError
 from scx.exact import (
     DEFAULT_PRIME,
+    PRIME_TEST_BOUND,
     is_probable_prime,
     rank_mod,
     rank_rational,
-    rank_unit_pivot,
+    rank_sparse,
     right_nullspace,
     validate_field,
 )
@@ -117,30 +121,37 @@ def test_right_nullspace_is_the_canonical_basis(m):
         assert next(x for x in v if x) > 0
 
 
-@given(kernel_matrices(), st.data(), st.booleans())
-def test_bareiss_matches_the_full_sweep(m, data, reduce_above):
-    # zero rows and columns anywhere, so free columns and the early stop at
-    # the last row fall before, between and after the pivots
+def _zero_rows_and_columns(m, data):
+    """``m`` with up to two zero columns and two zero rows at drawn places."""
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
         at = data.draw(st.integers(min_value=0, max_value=len(m[0])))
         m = [row[:at] + [0] + row[at:] for row in m]
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
         m.insert(data.draw(st.integers(min_value=0, max_value=len(m))), [0] * len(m[0]))
-    assert exact._bareiss(m, reduce_above) == oracle.bareiss(m, reduce_above)
+    return m
+
+
+@given(kernel_matrices(), st.data())
+def test_bareiss_matches_the_full_sweep(m, data):
+    # zero rows and columns anywhere, so free columns and the early stop at
+    # the last row fall before, between and after the pivots
+    m = _zero_rows_and_columns(m, data)
+    reduced, pivots = exact._bareiss(m)
+    assert (reduced, pivots) == oracle.bareiss(m, reduce_above=True)
+    assert pivots == oracle.bareiss(m, reduce_above=False)[1]  # the echelon form's
 
 
 def test_bareiss_matches_the_full_sweep_on_stress_inputs(monkeypatch):
     inputs = []
     original = exact._bareiss
-    monkeypatch.setattr(exact, "_bareiss", lambda rows, **k: inputs.append(rows) or original(rows, **k))
+    monkeypatch.setattr(exact, "_bareiss", lambda rows: inputs.append(rows) or original(rows))
     spheres = [g2_two_catalog(4, "octahedral").complex, barnette_sphere().complex]
     spheres += [g2_one_family(5, "cycle", 5).complex, g2_one_family(6, "join", 3).complex]
     for cx in spheres:
         stress_basis(cx, seed=0)
     assert len(inputs) == len(spheres)
     for rows in inputs:
-        for reduce_above in (False, True):
-            assert original(rows, reduce_above) == oracle.bareiss(rows, reduce_above)
+        assert original(rows) == oracle.bareiss(rows, reduce_above=True)
 
 
 def _columns(m):
@@ -149,15 +160,17 @@ def _columns(m):
 
 @given(
     kernel_matrices(),
+    st.data(),
     st.sampled_from([1, 1, 2, 6]),  # an even scale leaves no +-1 entry over Q
     st.sampled_from(["rational", 2, 3, 7, DEFAULT_PRIME]),
 )
-def test_unit_pivot_rank_matches_the_dense_ranks(m, scale, field):
-    m = [[scale * x for x in row] for row in m]
+def test_unit_pivot_rank_matches_the_dense_ranks(m, data, scale, field):
+    m = _zero_rows_and_columns([[scale * x for x in row] for row in m], data)
     columns = _columns(m)
     before = [dict(c) for c in columns]
     expected = rank_rational(m) if field == "rational" else oracle.rank_gfp(m, field)
-    assert rank_unit_pivot(columns, field) == expected
+    assert rank_sparse(columns, field) == expected
+    assert oracle.unit_pivot(columns, field)[0] == expected  # the loop it replaced
     assert columns == before
 
 
@@ -169,13 +182,12 @@ def test_unit_pivots_sit_on_a_nonsingular_submatrix(m, data, field):
     at = data.draw(st.integers(min_value=0, max_value=ncols))
     m = [row[:at] + [0] + row[at:] for row in m]
     m.insert(data.draw(st.integers(min_value=0, max_value=len(m))), [0] * (ncols + 1))
-    rank, pivots = exact._unit_pivot(_columns(m), field)
+    rank, pivots = exact._reduce(_columns(m), field)
     rows, cols = list(pivots.values()), list(pivots)
     assert cols == sorted(cols) and len(set(rows)) == len(rows)
     assert oracle.matrix_rank([[m[r][c] for c in cols] for r in rows], field) == len(pivots)
     assert rank == oracle.matrix_rank(m, field)
-    if field != "rational":
-        assert len(pivots) == rank
+    assert len(pivots) == rank
 
 
 def test_rank_mod_of_rigidity_matrices_matches_the_oracle():
@@ -186,6 +198,11 @@ def test_rank_mod_of_rigidity_matrices_matches_the_oracle():
         for seed in range(3):
             rows = rigidity_matrix(g, random_embedding(g, cx.dim + 1, seed)).entries
             assert rank_mod(rows, DEFAULT_PRIME) == oracle.rank_gfp(rows, DEFAULT_PRIME)
+            # the first columns independent mod p, the ones stress_basis keeps,
+            # as the unit-pivot loop named them
+            columns = _columns(rows)
+            _, pivots = exact._reduce(columns, DEFAULT_PRIME)
+            assert list(pivots) == list(oracle.unit_pivot(columns, DEFAULT_PRIME)[1])
 
 
 @given(kernel_matrices(), st.data(), st.sampled_from([2, 3, 7, DEFAULT_PRIME]))
@@ -199,22 +216,41 @@ def test_rank_mod_with_a_zero_column_and_a_row_vanishing_mod_p(m, data, p):
     assert rank_mod(m, p) == oracle.rank_gfp(m, p)
 
 
-def test_unit_pivot_rank_hands_columns_without_units_to_bareiss(monkeypatch):
-    calls = []
-    original = exact.rank_rational
-    monkeypatch.setattr(exact, "rank_rational", lambda rows: calls.append(rows) or original(rows))
-    assert rank_unit_pivot([{0: 2, 1: 4}, {0: 4, 1: 2}]) == 2
-    assert calls == [[[2, 4], [4, 2]]]
-    # row 0 is pivoted on the unit of the first column; the second column,
-    # reduced to {1: -4, 2: 4}, goes to Bareiss on rows 1 and 2 only
-    calls.clear()
-    assert rank_unit_pivot([{0: 1, 1: 2}, {0: 3, 1: 2, 2: 4}]) == 2
-    assert calls == [[[-4], [4]]]
-    calls.clear()
-    assert rank_unit_pivot([{0: 1, 1: 2}, {0: 3, 1: 2, 2: 4}], 5) == 2
-    assert rank_unit_pivot([{0: 2, 1: 4}, {0: 4, 1: 2}], 2) == 0
-    assert rank_unit_pivot([]) == 0
-    assert calls == []  # every nonzero entry is a unit over GF(p)
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise ``TimeoutError`` in the block after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_unit_pivot_rank_hands_columns_without_units_to_bareiss():
+    # columns without a +-1 entry are reduced over Q too, scaled by the
+    # earlier pivot's lowest entry and divided by their content; a step that
+    # does not scale never clears the lowest row, and one that does not
+    # divide lets the entries grow past the alarm
+    rng = random.Random(0)
+    even = [[2 * rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+    expected = rank_rational(even)
+    with _alarm(2):
+        assert rank_sparse([{0: 2, 1: 4}, {0: 4, 1: 2}]) == 2
+        assert rank_sparse([{0: 1, 1: 2}, {0: 3, 1: 2, 2: 4}]) == 2
+        assert rank_sparse([{0: 1, 1: 2}, {0: 3, 1: 2, 2: 4}], 5) == 2
+        assert rank_sparse([{0: 2, 1: 4}, {0: 4, 1: 2}], 2) == 0
+        assert rank_sparse([]) == 0
+        # the first column's lowest entry, 2, is no unit over Q
+        assert rank_sparse([{0: 1, 1: 2}, {0: 1, 1: 4}]) == 2
+        assert rank_sparse([{0: 1, 1: 2}, {0: 1, 1: 4}], 2) == 1
+        assert rank_sparse(_columns(even)) == expected
+    assert expected == 30
 
 
 def test_stress_basis_of_octahedral_sphere_is_pinned(monkeypatch):
@@ -237,6 +273,26 @@ def test_validate_field():
         validate_field(6)
     with pytest.raises(PreconditionError):
         validate_field("float")
+
+
+def test_a_modulus_past_the_prime_test_bound_is_rejected():
+    # the bound is composite, yet Miller-Rabin on the bases 2..41 passes it
+    assert PRIME_TEST_BOUND == 1_287_836_182_261 * 2_575_672_364_521
+    assert is_probable_prime(PRIME_TEST_BOUND)
+    with pytest.raises(PreconditionError, match="not below"):
+        validate_field(PRIME_TEST_BOUND)
+    with pytest.raises(PreconditionError, match="not below"):
+        rank_sparse([{0: 1_287_836_182_261, 1: 1}, {0: 1, 1: 5}], PRIME_TEST_BOUND)
+
+
+def test_rank_entry_points_validate_the_field():
+    for call in (
+        lambda: rank_mod([[2]], 4),
+        lambda: rank_mod([[3, 1], [1, 3]], 4),
+        lambda: rank_sparse([{0: 1}], "Q"),
+    ):
+        with pytest.raises(PreconditionError):
+            call()
 
 
 def test_default_prime_is_prime():

@@ -209,8 +209,8 @@ def test_generic_rank_is_the_maximum_of_the_trials(oct3, cycle_join):
 
 def test_sampling_stops_at_the_rank_bound(monkeypatch, oct3, cycle_join):
     calls = []
-    original = exact._unit_pivot
-    monkeypatch.setattr(exact, "_unit_pivot", lambda *a: calls.append(a) or original(*a))
+    original = exact._reduce
+    monkeypatch.setattr(exact, "_reduce", lambda *a: calls.append(a) or original(*a))
     for cx in (oct3, cycle_join):
         g = skeleton_graph(cx)
         del calls[:]
