@@ -2,15 +2,16 @@
 
 Every rank, over Q or GF(p), is one column reduction of ``{row: entry}``
 columns (:func:`rank_sparse`); dense matrices, lists of rows of Python ints,
-are handed to it as columns.  Fraction-free Gauss-Jordan (Bareiss)
-elimination computes the nullspaces.  No floating point; ranks are exact.
+are handed to it as columns.  Fraction-free (Bareiss) elimination to echelon
+form and back-substitution compute the nullspaces.  No floating point; ranks
+are exact.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 
 #: Mersenne prime used as the default modulus for fast exact ranks.
 DEFAULT_PRIME = 2**61 - 1
@@ -60,40 +61,36 @@ def validate_field(field) -> object:
 
 
 def _bareiss(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968): (rows, pivot
-    columns), every pivot entry equal to the last.  A step updates only the
-    columns that can still change, the free ones before it and the later
-    ones; an earlier pivot column is 0 off its pivot row, and its pivot entry
-    would only track each new lead, so it is set to the last lead at the end.
+    """Fraction-free elimination to echelon form (Bareiss 1968): (rows, pivot
+    columns).  A pivot updates only the rows below it, on the later columns,
+    so pivot row i keeps its entries from the step it became a pivot: its
+    pivot entry is the leading minor of order i + 1, the last one the
+    determinant of the pivot rows on the pivot columns.
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots, free = [], []
+    pivots = []
     prev = 1
     for col in range(ncols):
         rank = len(pivots)
         pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
         if pivot is None:
-            free.append(col)
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         row_r = m[rank]
         lead = row_r[col]
-        live = [*free, *range(col + 1, ncols)]
-        for i in range(nrows):
+        for i in range(rank + 1, nrows):
             row_i = m[i]
             fac = row_i[col]
-            if (fac == 0 and lead == prev) or i == rank:
+            if fac == 0 and lead == prev:
                 continue
-            for j in live:
+            for j in range(col + 1, ncols):
                 row_i[j] = (row_i[j] * lead - fac * row_r[j]) // prev
             row_i[col] = 0
         prev = lead
         pivots.append(col)
         if rank + 1 == nrows:
             break
-    for i, col in enumerate(pivots):
-        m[i][col] = prev
     return m, pivots
 
 
@@ -158,18 +155,23 @@ def right_nullspace(rows) -> list:
 
     Returns primitive integer vectors (content 1, first nonzero entry
     positive), one per free column of the reduced echelon form, in
-    free-column order; deterministic for a fixed input.
+    free-column order; deterministic for a fixed input.  Each is found by
+    back-substitution up the echelon rows as z = det * x, with x = 1 at its
+    free column and det the last pivot entry; z is integral by Cramer's
+    rule, so a division that leaves a remainder raises ``InternalCheckError``.
     """
     m, pivots = _bareiss(rows)
     ncols = len(m[0]) if m else 0
     det = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = det
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
+        for row, pc in reversed(list(zip(m, pivots))):
+            total = sum(row[j] * vec[j] for j in range(pc + 1, ncols))
+            vec[pc], rem = divmod(-total, row[pc])
+            if rem:
+                raise InternalCheckError("nullspace back-substitution left a remainder")
         basis.append(_primitive(vec))
     return basis
 

@@ -206,7 +206,7 @@ def g2_via_rigidity(
 #: Bound on rows x cols of the matrix whose nullspace :func:`stress_basis`
 #: takes: 9x the largest in ``run_all()`` at dmax=7 (4,970; 3,306 in the tests
 #: and at the default scale, 1,520 on the rigidity-stress benchmark stream).
-#: The largest g2 = 1 cycle join under it, 210 x 211, takes about 2.6 s on a
+#: The largest g2 = 1 cycle join under it, 210 x 211, takes about 1.7 s on a
 #: 2-vCPU host with Python 3.11.
 RIGIDITY_GUARD = 45_000
 
@@ -227,9 +227,9 @@ def stress_basis(
     Q is full too.  When it reaches the bound, rank mod p <= rank over Q <=
     generic rank <= bound makes all four equal, so the columns that took a
     pivot mod p span the column space over Q; the kernel is taken on those
-    columns alone, with the same reduced echelon form and so the same
-    vectors as on the whole matrix.  Otherwise every column goes in.  A
-    matrix over ``RIGIDITY_GUARD`` cells raises ``TooLargeError``.
+    columns alone, with the same row space, so the same canonical basis, as
+    on the whole matrix.  Otherwise every column goes in.  A matrix over
+    ``RIGIDITY_GUARD`` cells raises ``TooLargeError``.
 
     The error is one-sided: the basis is exact for the matrix kept, but a
     sampled rank can only fall short of the generic rank, never exceed it,

@@ -7,11 +7,12 @@ it checks.  The exceptions are :func:`matrix_rank` over Q and
 :func:`left_nullspace`, dense views of the package's fraction-free elimination
 that the tests compare the sparse column reduction and the stress bases with,
 :func:`bareiss`, the package's fraction-free elimination as first written,
-which swept every column at every step, :func:`unit_pivot`, the sparse
-elimination that the column reduction replaced (unit pivots chosen by how
-few columns touch their row, the columns left without a unit handed to
-Bareiss), :func:`betti_every_column`, the Betti memo's miss path before it
-ranked top-down with clearing, and
+which swept every column at every step, :func:`gauss_jordan_nullspace`, the
+kernel read off its Gauss-Jordan form before back-substitution replaced it,
+:func:`unit_pivot`, the sparse elimination that the column reduction
+replaced (unit pivots chosen by how few columns touch their row, the columns
+left without a unit handed to Bareiss), :func:`betti_every_column`, the
+Betti memo's miss path before it ranked top-down with clearing, and
 :func:`is_homology_manifold_by_links` and
 :func:`is_normal_pseudomanifold_by_links`, the link-by-link predicates that
 the facet-bitmask sweeps replaced: they build each face link as a complex
@@ -24,7 +25,7 @@ helpers, and ``swartz_all`` going through the public single move.
 
 from collections import Counter
 from itertools import chain, combinations
-from math import comb
+from math import comb, gcd
 
 from scx.complexes import SimplicialComplex, is_simplex_boundary
 from scx.errors import PreconditionError
@@ -266,6 +267,29 @@ def bareiss(rows, reduce_above):
         if rank + 1 == nrows:
             break
     return m, pivots
+
+
+def gauss_jordan_nullspace(rows):
+    """``exact.right_nullspace`` before back-substitution: each kernel vector
+    read off the Gauss-Jordan form of :func:`bareiss`, where every pivot
+    entry is the determinant, as det at its free column and minus the free
+    column's entry in each pivot row, then made primitive."""
+    m, pivots = bareiss(rows, reduce_above=True)
+    ncols = len(m[0]) if m else 0
+    det = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = det
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][fc]
+        content = gcd(*vec)
+        if next(x for x in vec if x) < 0:
+            content = -content
+        basis.append(tuple(x // content for x in vec))
+    return basis
 
 
 def matrix_rank(rows, field="rational"):

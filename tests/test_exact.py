@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from scx import (
     barnette_sphere,
     exact,
+    g2,
     g2_one_family,
     g2_two_catalog,
     random_embedding,
@@ -20,7 +21,7 @@ from scx import (
     stress_basis,
 )
 import scx.rigidity as rigidity
-from scx.errors import PreconditionError
+from scx.errors import InternalCheckError, PreconditionError
 from scx.exact import (
     DEFAULT_PRIME,
     PRIME_TEST_BOUND,
@@ -137,8 +138,8 @@ def test_bareiss_matches_the_full_sweep(m, data):
     # the last row fall before, between and after the pivots
     m = _zero_rows_and_columns(m, data)
     reduced, pivots = exact._bareiss(m)
-    assert (reduced, pivots) == oracle.bareiss(m, reduce_above=True)
-    assert pivots == oracle.bareiss(m, reduce_above=False)[1]  # the echelon form's
+    assert (reduced, pivots) == oracle.bareiss(m, reduce_above=False)
+    assert pivots == oracle.bareiss(m, reduce_above=True)[1]  # the reduced echelon form's
 
 
 def test_bareiss_matches_the_full_sweep_on_stress_inputs(monkeypatch):
@@ -151,7 +152,64 @@ def test_bareiss_matches_the_full_sweep_on_stress_inputs(monkeypatch):
         stress_basis(cx, seed=0)
     assert len(inputs) == len(spheres)
     for rows in inputs:
-        assert original(rows) == oracle.bareiss(rows, reduce_above=True)
+        assert original(rows) == oracle.bareiss(rows, reduce_above=False)
+
+
+@given(kernel_matrices(), st.data())
+def test_right_nullspace_matches_gauss_jordan(m, data):
+    m = _zero_rows_and_columns(m, data)
+    assert right_nullspace(m) == oracle.gauss_jordan_nullspace(m)
+
+
+def test_right_nullspace_matches_gauss_jordan_on_stress_inputs(monkeypatch):
+    # every matrix the stress bases of Lemma 2.5 take at dmax=7
+    inputs = []
+    original = exact.right_nullspace
+    monkeypatch.setattr(exact, "right_nullspace", lambda rows: inputs.append(rows) or original(rows))
+    for entry in standard_catalog(dmax=7):
+        cx = entry.complex
+        if {"normal-pm", "prime"} <= entry.tags and cx.dim >= 3 and g2(cx) >= 1:
+            stress_basis(cx, seed=0)
+    assert len(inputs) > 30
+    for rows in inputs:
+        assert original(rows) == oracle.gauss_jordan_nullspace(rows)
+
+
+def test_stress_basis_at_the_guard_edge_is_pinned():
+    # sha256 of the vectors' repr as the Gauss-Jordan kernel computed them on
+    # the largest g2 = 1 cycle join under the stress guard, 210 x 211; the
+    # full Gauss-Jordan sweep of tests/oracle.py takes about three times longer
+    cx = g2_one_family(4, "cycle", 52).complex
+    vectors = stress_basis(cx, seed=0).vectors
+    assert len(vectors) == 1 and len(vectors[0]) == 211
+    assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (
+        "29ae3c39359b4182cc8a77e798c0187ae7e6dc136aceefd9ea62e2502903063c"
+    )
+
+
+def _doubled_pivot(original, i):
+    """``_bareiss`` with the entry of its ``i``-th pivot doubled."""
+
+    def bareiss(rows):
+        m, pivots = original(rows)
+        m[i][pivots[i]] *= 2
+        return m, pivots
+
+    return bareiss
+
+
+def test_back_substitution_checks_its_divisions(monkeypatch):
+    # the kernel of [[1, 0, 1], [0, 1, 1]] is spanned by (-1, -1, 1); with the
+    # first pivot 2, the first row asks 2 x_0 = -1
+    original = exact._bareiss
+    monkeypatch.setattr(exact, "_bareiss", _doubled_pivot(original, 0))
+    with pytest.raises(InternalCheckError, match="back-substitution"):
+        right_nullspace([[1, 0, 1], [0, 1, 1]])
+    # a doubled determinant on a stress input is caught by the kernel itself,
+    # before stress_basis re-checks equilibrium
+    monkeypatch.setattr(exact, "_bareiss", _doubled_pivot(original, -1))
+    with pytest.raises(InternalCheckError, match="back-substitution"):
+        stress_basis(g2_two_catalog(4, "octahedral").complex, seed=0)
 
 
 def _columns(m):
