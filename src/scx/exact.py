@@ -13,8 +13,9 @@ from math import gcd
 
 from .errors import InternalCheckError, PreconditionError
 
-#: Mersenne prime used as the default modulus for fast exact ranks.
-DEFAULT_PRIME = 2**61 - 1
+#: Default modulus for fast exact ranks: the largest prime below 2^30
+#: (2^30 - 35), so that every residue is one 30-bit CPython digit.
+DEFAULT_PRIME = 1_073_741_789
 
 #: Miller-Rabin on the bases 2..41 is deterministic below this bound, which
 #: is itself composite (1,287,836,182,261 x 2,575,672,364,521) and passes.

@@ -6,10 +6,10 @@ rigidity matrix is a polynomial of degree r in the coordinates, so by
 Schwartz-Zippel one trial falls short of rank r with probability at most
 r / (2*2^16 + 1), about 4e-4 for the largest stress basis of ``run_all()``
 (rank 57), and independent trials all fall short with at most the product.
-Ranks are taken over GF(2^61 - 1) by default for speed, or over the
-rationals by the same exact column reduction; stress bases are always exact
-rational vectors re-checked against the equilibrium condition at every
-vertex.
+Ranks are taken over GF(``exact.DEFAULT_PRIME``), 2^30 - 35, by default for
+speed, or over the rationals by the same exact column reduction; stress
+bases are always exact rational vectors re-checked against the equilibrium
+condition at every vertex.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def _samples(g: Graph, d: int, trials: int, seed: int, field):
     independent over Q too."""
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    # validated once: its primality test costs about 6% of a typical rank mod p here
+    # validated once: its primality test costs about 3-5% of one rank mod p on
+    # the rigidity-stress stream
     field = exact.validate_field(field)
     for t in range(trials):
         emb = random_embedding(g, d, _trial_seed(seed, t))
@@ -185,7 +186,9 @@ def g2_via_rigidity(
     reduction mod p can raise a rank above the generic rank, only lower it.
     So the result can only overestimate g_2, never underestimate it, and
     only when every trial falls short; by Schwartz-Zippel each does so with
-    probability at most rank / (2*2^16 + 1).
+    probability at most rank / (2*2^16 + 1).  Over GF(p) that bound needs
+    p > 2*2^16 + 1, so that the sampled coordinates stay distinct mod p, and
+    a rank-r minor that is not identically zero mod p.
     Sampling stops at the first trial that reaches d*f_0 - C(d+1, 2) (or f_1,
     if smaller): the generic rank never exceeds that bound, so such a trial
     is exact and the result is the one all `trials` give.
@@ -235,7 +238,9 @@ def stress_basis(
     sampled rank can only fall short of the generic rank, never exceed it,
     so an unlucky sample can only add stresses that a generic embedding does
     not have.  Coordinates come from [-2^16, 2^16], so by Schwartz-Zippel
-    each trial falls short with probability at most rank / (2*2^16 + 1).
+    each trial falls short with probability at most rank / (2*2^16 + 1),
+    given p > 2*2^16 + 1, so that the coordinates stay distinct mod p, and a
+    rank-r minor that is not identically zero mod p.
     """
     if d is None:
         d = cx.dim + 1

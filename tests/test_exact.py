@@ -101,9 +101,9 @@ def kernel_matrices(draw):
 
 
 def _free_columns(m):
-    # every minor is below the Hadamard bound (6**0.5 * 243)**6 < DEFAULT_PRIME,
-    # so these modular ranks are the rational ones
-    ranks = [rank_mod([r[:j] for r in m], DEFAULT_PRIME) for j in range(len(m[0]) + 1)]
+    # every minor is below the Hadamard bound (6**0.5 * 243)**6, about 2**55,
+    # so these ranks mod 2**61 - 1 are the rational ones
+    ranks = [rank_mod([r[:j] for r in m], 2**61 - 1) for j in range(len(m[0]) + 1)]
     return [j for j in range(len(m[0])) if ranks[j + 1] == ranks[j]]
 
 
@@ -263,6 +263,20 @@ def test_rank_mod_of_rigidity_matrices_matches_the_oracle():
             assert list(pivots) == list(oracle.unit_pivot(columns, DEFAULT_PRIME)[1])
 
 
+def test_rigidity_ranks_and_pivots_mod_the_default_prime_match_mod_2_61_minus_1():
+    # every trial that g2_via_rigidity and stress_basis may sample at seeds 0-2
+    pseudomanifolds = [e.complex for e in standard_catalog(dmax=5) if "normal-pm" in e.tags]
+    assert len(pseudomanifolds) > 20
+    for cx in pseudomanifolds:
+        g, d = skeleton_graph(cx), cx.dim + 1
+        for seed in range(3):
+            ours, wide = (
+                [(rank, list(pivots)) for rank, pivots, *_ in rigidity._samples(g, d, 3, seed, p)]
+                for p in (DEFAULT_PRIME, 2**61 - 1)
+            )
+            assert ours == wide
+
+
 @given(kernel_matrices(), st.data(), st.sampled_from([2, 3, 7, DEFAULT_PRIME]))
 def test_rank_mod_with_a_zero_column_and_a_row_vanishing_mod_p(m, data, p):
     ncols = len(m[0])
@@ -354,8 +368,11 @@ def test_rank_entry_points_validate_the_field():
 
 
 def test_default_prime_is_prime():
+    # one 30-bit CPython digit per residue, and the sampled coordinates stay
+    # distinct mod p, as Schwartz-Zippel over GF(p) needs
     assert is_probable_prime(DEFAULT_PRIME)
-    assert DEFAULT_PRIME > 2**60
+    assert DEFAULT_PRIME < 2**30
+    assert DEFAULT_PRIME > 2 * rigidity.DEFAULT_COORD_BOUND + 1
 
 
 def test_matrix_rank_dispatch():

@@ -36,7 +36,7 @@ from scx import (
     standard_catalog,
 )
 import scx
-from scx import homology
+from scx import exact, homology
 from scx.exact import rank_sparse
 from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_masks
 
@@ -328,18 +328,54 @@ def test_betti_matches_every_column_ranks_on_the_census(census):
             _assert_matches_every_column(_memo_key(sphere.link([v])))
 
 
+def _moore_space_mod_3():
+    """M(Z/3, 1), relabelled so that its reduction over Q meets a pivot entry
+    other than +-1: a disc whose rim 9-gon w_0..w_8 (vertices 3..11, centre
+    12) wraps three times round the triangle {0, 1, 2}; f = (13, 39, 27)."""
+    relabel = (12, 3, 4, 11, 5, 0, 10, 6, 9, 7, 8, 2, 1)
+    w = [3 + i % 9 for i in range(10)]
+    facets = []
+    for i in range(9):
+        a, b = i % 3, (i + 1) % 3
+        facets += [(a, b, w[i]), (b, w[i], w[i + 1]), (w[i], w[i + 1], 12)]
+    return from_facets([[relabel[v] for v in f] for f in facets])
+
+
 def test_betti_matches_every_column_ranks_past_the_unit_pivots():
-    # the 2-torsion of RP^2 and of its suspension makes Q and GF(2) differ
+    # the 2-torsion of RP^2 and of its suspension makes Q and GF(2) differ;
+    # the 3-torsion of the Moore space makes Q and GF(3) differ
     rp2 = from_facets(RP2_FACETS)
     suspension = join(rp2, simplex_boundary(1))
     for cx, rational, mod2 in (
         (rp2, (0, 0, 0, 0), (0, 0, 1, 1)),
         (suspension, (0, 0, 0, 0, 0), (0, 0, 0, 1, 1)),
+        (_moore_space_mod_3(), (0, 0, 0, 0), (0, 0, 0, 0)),
     ):
         masks = _memo_key(cx)
         assert homology._betti.__wrapped__(masks, "rational").entries == rational
         assert homology._betti.__wrapped__(masks, 2).entries == mod2
         _assert_matches_every_column(masks)
+
+
+def test_betti_takes_the_scaled_step_over_q_on_a_relabelled_moore_space(monkeypatch):
+    # in its own labels the reduction meets only +-1 pivot entries; in these
+    # one column over Q is scaled by a non-unit and divided by its content,
+    # which is the one gcd call
+    cx = _moore_space_mod_3()
+    assert [cx.n_faces(k) for k in range(3)] == [13, 39, 27]
+    calls, original = [], exact.gcd
+    monkeypatch.setattr(exact, "gcd", lambda *xs: calls.append(xs) or original(*xs))
+    homology._betti.cache_clear()
+    for field, gcds, entries in (
+        ("rational", 1, (0, 0, 0, 0)),
+        (2, 0, (0, 0, 0, 0)),
+        (3, 0, (0, 0, 1, 1)),
+    ):
+        calls.clear()
+        assert betti(cx, field).entries == entries
+        assert len(calls) == gcds, field
+        assert entries == oracle.betti_every_column(_memo_key(cx), field)
+    assert homology._betti.cache_info().misses == 3
 
 
 @given(st.one_of(near_manifolds(), random_complexes))
