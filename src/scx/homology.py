@@ -12,15 +12,17 @@ the faces that were lowest rows of d_{k+1} ("clearing", Chen and Kerber
 i is a cycle (certified), so column i of d_k is a combination of the
 earlier columns, and by induction on i of the columns kept.
 
-Betti numbers are the one cached homology fact: :func:`betti` keeps the
-last ``BETTI_MEMO`` profiles in a thread-safe LRU keyed by the complex's
-order type (its facets as bitmasks over the sorted vertices) and the
-normalized field, so a link swept by several predicates or statements, or
-met again under an order-preserving relabelling, is eliminated once.
-Nothing seeded is cached, nor is a ``TooLargeError``; ``_betti.cache_info()``
-reports hits and misses, ``_betti.cache_clear()`` empties it.
+Two homology facts are cached, each in a thread-safe LRU of
+``BETTI_MEMO`` entries keyed by the complex's order type (its facets as
+bitmasks over the sorted vertices) and the normalized field: the Betti
+numbers (:func:`_betti`, behind :func:`betti`) and the homology-sphere
+verdict (:func:`_is_sphere`, behind :func:`is_homology_manifold`).  So a
+link swept by several predicates or statements, or met again under an
+order-preserving relabelling, is eliminated once and judged once.  Nothing
+seeded is cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits
+and misses and ``cache_clear()`` empties each memo.
 
-The predicates that sweep every face link (the manifold, ball and normal
+The predicates that sweep face links (the manifold, ball and normal
 pseudomanifold tests) build no link complex: :func:`_links` reads each
 link's facets off the complex's facets as bitmasks, and the link's order
 type and components come from those masks.
@@ -151,11 +153,13 @@ BETTI_GUARD = 2**19
 #: ``run_all()`` at dmax=7 (699; 384 in the tests and at the default scale).
 COMPLETION_GUARD = 6_300
 
-#: Profiles kept by the :func:`betti` memo.  The key is the complex's order
-#: type, a tuple of ints, so no facet set or closure stays alive: after one
-#: ``run_all()`` the memo holds about 0.5 kB per entry (tracemalloc), against
-#: 3 kB when the key held the facets.  The 200 order types of ``run_all()``
-#: (225 at dmax=7) fit, so the sweeps there never evict a profile.
+#: Entries kept by each order-type memo, the profiles of :func:`_betti` and
+#: the verdicts of :func:`_is_sphere`.  The key is the complex's order type,
+#: a tuple of ints, so no facet set or closure stays alive: after one
+#: ``run_all()`` the Betti memo holds about 0.5 kB per entry (tracemalloc),
+#: against 3 kB when the key held the facets, and a verdict shares its key
+#: with the profile it was read from.  The 200 profiles and 97 verdicts of
+#: ``run_all()`` (225 and 110 at dmax=7) fit, so neither memo evicts there.
 BETTI_MEMO = 256
 
 
@@ -224,6 +228,27 @@ def _betti(masks: tuple, field) -> BettiProfile:
         ranks[k + 1], pivots = exact._reduce(kept, field)
         cleared = set(pivots.values())
     return BettiProfile(tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes))), field)
+
+
+@functools.lru_cache(maxsize=BETTI_MEMO)
+def _is_sphere(masks: tuple, field) -> bool:
+    """Whether the order type ``masks`` is a homology sphere over ``field``.
+
+    It is when its Betti numbers are those of the sphere of its own
+    dimension and every vertex link is a homology sphere one dimension
+    lower; the vertex bit ``b`` has the link facets ``m ^ b`` for the masks
+    ``m`` that contain it.  Memoised beside :func:`_betti`, on the same key.
+    """
+    dim = max(map(int.bit_count, masks)) - 1
+    if not _betti(masks, field).is_sphere(dim):
+        return False
+    bits = (1 << i for i in range(max(masks).bit_length()))  # the vertices are 0..n-1
+    return all(_is_sphere_of_dim([m ^ b for m in masks if m & b], dim - 1, field) for b in bits)
+
+
+def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
+    """Whether the facet masks ``link`` (not empty) form a homology ``dim``-sphere."""
+    return max(map(int.bit_count, link)) == dim + 1 and _is_sphere(_order_type(link), field)
 
 
 def _links(cx: SimplicialComplex, faces):
@@ -334,20 +359,24 @@ def _ball_checked(cx, field, check):
 def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """All vertex links are homology spheres of dimension dim - 1.
 
-    The link of a face tau in lk(v) is the link of tau + v in the complex,
-    so this holds exactly when every nonempty face link has the homology of
-    the sphere of complementary dimension; each face link is read once, as
-    facet bitmasks (:func:`_links`), and its Betti numbers are looked up by
-    its order type.  Faces are visited by their smallest vertex first, so
-    the witness is the smallest vertex whose link fails.
+    Each vertex link is read as facet bitmasks (:func:`_links`) and judged
+    by the memoised verdict :func:`_is_sphere` on its order type, which
+    recurses on the link's own vertex links.  For a face tau = {v} + tau',
+    lk(tau) is the link of tau' in lk(v), so every vertex link is a
+    homology (dim - 1)-sphere exactly when every nonempty face link has the
+    homology of the sphere of complementary dimension: the definition by
+    face links gives the same verdict.  Vertices are visited in sorted
+    order, and the witness is the first whose link fails.  The definition
+    gives the same witness, the least of the failing faces' smallest
+    vertices: a face fails inside the link of its smallest vertex, and a
+    failing vertex link holds a failing face through that vertex.  A
+    complex checked again costs one verdict lookup per vertex.
     """
     n = cx.dim
     field = exact.validate_field(field)
-    # stable: faces with one smallest vertex stay by dimension, then vertex tuple
-    faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
-    for face, link in _links(cx, sorted(faces, key=min)):
-        if not _betti(_order_type(link), field).is_sphere(n - len(face)):
-            return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
+    for face, link in _links(cx, [(v,) for v in sorted(cx.vertices)]):
+        if not _is_sphere_of_dim(link, n - 1, field):
+            return PredicateResult(False, face, "vertex link is not a homology sphere")
     return PredicateResult(True)
 
 

@@ -46,8 +46,8 @@ def cycle_join():
 
 @pytest.fixture
 def flipped_d1(monkeypatch):
-    """Give one column of every d_1 that ``betti`` builds a wrong sign, on an
-    empty memo that is emptied again afterwards."""
+    """Give one column of every d_1 that ``betti`` builds a wrong sign, on
+    empty memos that are emptied again afterwards."""
     original = homology._boundary_columns
 
     def flipped(faces, k):
@@ -58,5 +58,7 @@ def flipped_d1(monkeypatch):
 
     monkeypatch.setattr(homology, "_boundary_columns", flipped)
     homology._betti.cache_clear()
+    homology._is_sphere.cache_clear()  # a warm verdict would skip the plant
     yield
     homology._betti.cache_clear()
+    homology._is_sphere.cache_clear()

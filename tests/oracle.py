@@ -17,7 +17,9 @@ Betti memo's miss path before it ranked top-down with clearing, and
 :func:`is_normal_pseudomanifold_by_links`, the link-by-link predicates that
 the facet-bitmask sweeps replaced: they build each face link as a complex
 with the public ``SimplicialComplex.link`` and ask ``betti`` or
-``is_connected`` of it.  The retriangulation references at the end are the
+``is_connected`` of it, and :func:`is_homology_manifold_by_faces`, the
+facet-bitmask sweep over every nonempty face link that the vertex-link
+recursion replaced.  The retriangulation references at the end are the
 Swartz moves and the inverse stellar move as first written, built from
 ``SimplicialComplex.antistar`` with the package's own record and link
 helpers, and ``swartz_all`` going through the public single move.
@@ -29,10 +31,13 @@ from math import comb, gcd
 
 from scx.complexes import SimplicialComplex, is_simplex_boundary
 from scx.errors import PreconditionError
-from scx.exact import rank_rational, right_nullspace
+from scx.exact import rank_rational, right_nullspace, validate_field
 from scx.homology import (
     PredicateResult,
     _ball_checked,
+    _betti,
+    _links,
+    _order_type,
     betti,
     is_normal_pseudomanifold,
     skeleton_completion,
@@ -403,6 +408,18 @@ def is_homology_manifold_by_links(cx, field="rational"):
     faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
     for face in sorted(faces, key=min):
         if not betti(cx.link(face), field).is_sphere(n - len(face)):
+            return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
+    return PredicateResult(True)
+
+
+def is_homology_manifold_by_faces(cx, field="rational"):
+    """``is_homology_manifold`` as one sweep over every nonempty face link,
+    read as facet bitmasks and looked up in the Betti memo by its order
+    type; faces are visited by their smallest vertex first."""
+    n, field = cx.dim, validate_field(field)
+    faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
+    for face, link in _links(cx, sorted(faces, key=min)):
+        if not _betti(_order_type(link), field).is_sphere(n - len(face)):
             return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
     return PredicateResult(True)
 

@@ -190,7 +190,9 @@ def test_criterion_9_g2_two_classification(reports):
 
 
 def test_criterion_10_determinism(reports, pseudomanifolds):
-    homology._betti.cache_clear()  # the second seed recomputes every homology fact
+    # the second seed recomputes every homology fact
+    homology._betti.cache_clear()
+    homology._is_sphere.cache_clear()
     second = {rep.statement: rep for rep in run_all(Scale(seed=SCALE.seed + 7))}
     diffs = []
     for sid, rep in reports.items():

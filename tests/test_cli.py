@@ -16,10 +16,10 @@ from scx import (
     suspension,
     write_scx,
 )
-from scx import exact
+from scx import exact, homology
 from scx.cli import main
 from scx.rigidity import RIGIDITY_GUARD
-from test_homology import RP2_FACETS, memo_lookups, record_links
+from test_homology import RP2_FACETS, clear_memos, memo_counts, record_links
 from test_retriangulate import octahedral_wedge
 
 
@@ -75,17 +75,21 @@ def test_info_output_is_pinned(tmp_path, field):
         assert result.output == expected
 
 
-def test_info_computes_one_betti_per_face(tmp_path, monkeypatch):
+def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch):
     cx = join(cycle(5), simplex_boundary(4))
     path = tmp_path / "join.scx"
     write_scx(cx, path)
     linked = record_links(monkeypatch)
-    before = memo_lookups()
+    clear_memos()
     result = invoke("info", str(path))
     assert result.exit_code == 0
     assert "homology sphere: True" in result.output
-    assert memo_lookups() - before == len(cx.faces()) == 341
-    assert linked == []  # neither sweep builds a link complex
+    before = memo_counts()
+    assert before == (14, 14, 75, 13)  # as for is_homology_sphere on a cold memo
+    assert invoke("info", str(path)).output == result.output
+    # its own Betti numbers, then one verdict lookup per vertex link
+    assert memo_counts() == (14 + 1, 14, 75 + cx.n_faces(0), 13)
+    assert linked == []  # no sweep builds a link complex
 
 
 def test_input_option_and_missing_input(tmp_path):
@@ -338,6 +342,19 @@ def test_betti_guard_exits_3(tmp_path, no_elimination):
     result = invoke("info", str(path))
     assert result.exit_code == 3
     assert "Betti guard" in result.output
+
+
+def test_vertex_link_past_the_betti_guard_exits_3(tmp_path, monkeypatch):
+    # the tetrahedron-boundary vertex links need 24 cells, the triangle edge links 9
+    path = tmp_path / "bd4.scx"
+    write_scx(simplex_boundary(4), path)
+    clear_memos()
+    monkeypatch.setattr(homology, "BETTI_GUARD", 10)
+    for _ in range(2):
+        result = invoke("info", str(path))
+        assert result.exit_code == 3
+        assert "Betti guard" in result.output
+    assert homology._is_sphere.cache_info().currsize == 0
 
 
 def test_isomorphism_guard_exits_3(tmp_path, monkeypatch):

@@ -305,6 +305,13 @@ def _memo_key(cx):
     return homology._order_type(facets)
 
 
+def clear_memos():
+    """Empty the Betti memo and the sphere-verdict memo beside it, so that
+    every homology fact is computed again."""
+    homology._betti.cache_clear()
+    homology._is_sphere.cache_clear()
+
+
 def _assert_matches_every_column(masks):
     for field in ("rational", 2, 3):
         expected = oracle.betti_every_column(masks, field)
@@ -312,10 +319,13 @@ def _assert_matches_every_column(masks):
 
 
 def test_betti_matches_every_column_ranks_on_run_all_misses(monkeypatch):
+    clear_memos()  # a warm verdict would hide the order types below it
     keys, memo = set(), homology._betti
     monkeypatch.setattr(homology, "_betti", lambda masks, f: keys.add(masks) or memo(masks, f))
     assert all(report.passed for report in run_all())
-    assert len(keys) >= 200  # every order type run_all() asks for, each a memo miss once
+    # every order type run_all() asks for, each a memo miss once: 200 on
+    # empty memos, as when every face link was looked up
+    assert len(keys) >= 200
     monkeypatch.undo()
     for masks in sorted(keys):
         _assert_matches_every_column(masks)
@@ -365,7 +375,7 @@ def test_betti_takes_the_scaled_step_over_q_on_a_relabelled_moore_space(monkeypa
     assert [cx.n_faces(k) for k in range(3)] == [13, 39, 27]
     calls, original = [], exact.gcd
     monkeypatch.setattr(exact, "gcd", lambda *xs: calls.append(xs) or original(*xs))
-    homology._betti.cache_clear()
+    clear_memos()
     for field, gcds, entries in (
         ("rational", 1, (0, 0, 0, 0)),
         (2, 0, (0, 0, 0, 0)),
@@ -385,7 +395,7 @@ def test_betti_matches_every_column_ranks_on_random_complexes(cx):
 
 
 def test_betti_miss_checks_the_closure_guard_then_the_betti_guard():
-    homology._betti.cache_clear()
+    clear_memos()
     with pytest.raises(TooLargeError, match="closure bound"):
         betti(SimplicialComplex([range(18)]))  # 2^18 faces
     with pytest.raises(TooLargeError, match="Betti guard"):
@@ -395,7 +405,7 @@ def test_betti_miss_checks_the_closure_guard_then_the_betti_guard():
 
 
 def test_betti_memo_hits_an_order_preserving_relabelling():
-    homology._betti.cache_clear()
+    clear_memos()
     cx = join(cycle(4), cycle(5))
     shifted = from_facets([[3 * v + 10 for v in f] for f in cx.facets])
     assert shifted != cx
@@ -405,7 +415,7 @@ def test_betti_memo_hits_an_order_preserving_relabelling():
 
 
 def test_manifold_sweep_of_a_join_computes_few_profiles():
-    homology._betti.cache_clear()
+    clear_memos()
     assert is_homology_manifold(join(cycle(5), cycle(6)))
     assert homology._betti.cache_info().misses <= 7  # 55 when keyed on the facets
 
@@ -414,7 +424,7 @@ def test_manifold_sweep_of_a_join_computes_few_profiles():
     "facets, same_type, entries", [([], [], (1,)), ([[5]], [[0]], (0, 0))]
 )
 def test_smallest_complexes_round_trip_through_the_memo_key(facets, same_type, entries):
-    homology._betti.cache_clear()
+    clear_memos()
     for c in (from_facets(facets), from_facets(same_type)):
         assert betti(c).entries == entries == oracle.betti_gf2(c.facets)
     info = homology._betti.cache_info()
@@ -423,7 +433,7 @@ def test_smallest_complexes_round_trip_through_the_memo_key(facets, same_type, e
 
 @pytest.mark.parametrize("fields", [("rational", 2), (2, "rational")])
 def test_betti_memo_keys_on_the_field(fields):
-    homology._betti.cache_clear()
+    clear_memos()
     rp2 = from_facets(RP2_FACETS)
     expected = {"rational": (0, 0, 0, 0), 2: (0, 0, 1, 1)}
     for field in fields + fields:
@@ -434,7 +444,7 @@ def test_betti_memo_keys_on_the_field(fields):
 
 
 def test_betti_memo_never_holds_a_guard_trip(monkeypatch):
-    homology._betti.cache_clear()
+    clear_memos()
     betti(cycle(5))
     monkeypatch.setattr(homology, "BETTI_GUARD", 5)  # 4x6 cells in d_1 of the 3-simplex
     for _ in range(3):
@@ -442,6 +452,20 @@ def test_betti_memo_never_holds_a_guard_trip(monkeypatch):
             betti(simplex_boundary(3))
     info = homology._betti.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 4, 0)
+
+
+def test_sphere_verdict_memo_never_holds_a_guard_trip(monkeypatch):
+    # every vertex link of the 4-simplex boundary is a tetrahedron boundary
+    # (d_1 4x6 and d_2 6x4 cells), every edge link a triangle (3x3), whose
+    # verdict and those below it (two points, the empty complex) are warm
+    clear_memos()
+    assert is_homology_manifold(simplex_boundary(3))
+    before = homology._is_sphere.cache_info().currsize
+    monkeypatch.setattr(homology, "BETTI_GUARD", 10)
+    for _ in range(3):
+        with pytest.raises(TooLargeError, match="Betti guard"):
+            is_homology_manifold(simplex_boundary(4))
+    assert homology._is_sphere.cache_info().currsize == before == 3
 
 
 def test_betti_memo_is_bounded():
@@ -455,9 +479,9 @@ def test_betti_memo_is_shared_safely_between_threads():
     shared = [from_facets(RP2_FACETS), join(cycle(4), cycle(4)), stacked_sphere(3, 7)]
     shared.append(from_facets(sorted(shared[1].facets, key=sorted)[1:]))  # not a manifold
     jobs = [(cx, field) for cx in shared for field in ("rational", 2)]
-    homology._betti.cache_clear()
+    clear_memos()
     expected = [is_homology_manifold(cx, field) for cx, field in jobs]
-    homology._betti.cache_clear()
+    clear_memos()
     results = [None] * 8
 
     def sweep(i):
@@ -483,7 +507,7 @@ def test_betti_memo_is_shared_safely_between_threads():
 def test_sphere_after_manifold_builds_only_its_own_boundary_matrices(monkeypatch):
     cx = join(cycle(4), cycle(4))
     assert len(cx.faces()) < homology.BETTI_MEMO
-    homology._betti.cache_clear()
+    clear_memos()
     assert is_homology_manifold(cx)
     built = []
     original = homology._boundary_columns
@@ -513,12 +537,6 @@ def test_homology_sphere_matches_per_face_definition(cx, field):
         assert res == is_homology_manifold(cx, field)
 
 
-def memo_lookups() -> int:
-    """Calls of the Betti memo so far, hits and misses."""
-    info = homology._betti.cache_info()
-    return info.hits + info.misses
-
-
 def record_links(monkeypatch) -> list:
     """The faces that ``SimplicialComplex.link`` is asked for from now on."""
     linked = []
@@ -529,18 +547,15 @@ def record_links(monkeypatch) -> list:
     return linked
 
 
-def test_homology_sphere_computes_one_betti_per_face(monkeypatch):
-    cx = join(cycle(5), simplex_boundary(4))
-    linked = record_links(monkeypatch)
-    before = memo_lookups()
-    assert is_homology_sphere(cx)
-    assert memo_lookups() - before == len(cx.faces()) == 341
-    assert linked == []  # the links are read as facet bitmasks
+def memo_counts() -> tuple:
+    """(lookups, misses) of the Betti memo, then of the sphere-verdict memo."""
+    b, s = homology._betti.cache_info(), homology._is_sphere.cache_info()
+    return b.hits + b.misses, b.misses, s.hits + s.misses, s.misses
 
 
-def test_homology_manifold_sweeps_each_face_link_once(cycle_join, monkeypatch):
-    swept = []
-    original = homology._links
+def record_swept(monkeypatch) -> list:
+    """The faces whose links ``homology._links`` reads from now on."""
+    swept, original = [], homology._links
 
     def recording(cx, faces):
         for face, link in original(cx, faces):
@@ -548,13 +563,38 @@ def test_homology_manifold_sweeps_each_face_link_once(cycle_join, monkeypatch):
             yield face, link
 
     monkeypatch.setattr(homology, "_links", recording)
+    return swept
+
+
+def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch):
+    cx = join(cycle(5), simplex_boundary(4))
+    assert (len(cx.faces()), cx.n_faces(0)) == (341, 10)
+    linked = record_links(monkeypatch)
+    clear_memos()
+    # cold: each order type among the iterated vertex links is eliminated and
+    # judged once (13 of them), and the complex itself eliminated once
+    assert is_homology_sphere(cx)
+    assert memo_counts() == (14, 14, 75, 13)
+    swept = record_swept(monkeypatch)
+    assert is_homology_sphere(cx)
+    # warm: its own Betti numbers, then one verdict lookup per vertex link
+    assert memo_counts() == (14 + 1, 14, 75 + 10, 13)
+    assert swept == [frozenset()] + [(v,) for v in sorted(cx.vertices)]
+    assert linked == []  # the links are read as facet bitmasks
+
+
+def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypatch):
     linked = record_links(monkeypatch)
     monkeypatch.setattr(homology, "is_homology_sphere", None)  # never consulted
-    before = memo_lookups()
+    clear_memos()
     assert is_homology_manifold(cycle_join)
-    nonempty = cycle_join.faces() - {frozenset()}
-    assert len(swept) == len(nonempty) and set(swept) == nonempty
-    assert memo_lookups() - before == len(nonempty)
+    before = memo_counts()
+    assert before[1] == before[3] > 0  # one Betti miss per verdict miss
+    swept = record_swept(monkeypatch)
+    assert is_homology_manifold(cycle_join)
+    assert swept == [(v,) for v in sorted(cycle_join.vertices)]
+    # no Betti lookup, and one verdict hit per vertex
+    assert memo_counts() == before[:2] + (before[2] + cycle_join.n_faces(0), before[3])
     assert linked == []
 
 

@@ -1,8 +1,11 @@
 """The face-link sweeps read links as facet bitmasks; these tests compare
 them with the link-by-link predicates of ``tests/oracle.py``, which build
 every link as a complex, and their keys with the keys ``betti`` gives those
-link complexes."""
+link complexes.  The manifold test, which judges vertex links by a memoised
+verdict, is also compared with the sweep over every face link that it
+replaced."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -10,10 +13,14 @@ import pytest
 import oracle
 from scx import (
     betti,
+    cross_polytope_boundary,
+    cycle,
     from_facets,
     homology,
     is_homology_manifold,
     is_normal_pseudomanifold,
+    join,
+    simplex_boundary,
     standard_catalog,
 )
 from scx.homology import _links, _order_type
@@ -59,6 +66,14 @@ def outcome(result):
     return result.ok, result.witness, result.reason
 
 
+def assert_manifold_verdicts_agree(complexes):
+    for cx in complexes:
+        for field in ("rational", 2, 3):
+            assert outcome(is_homology_manifold(cx, field)) == outcome(
+                oracle.is_homology_manifold_by_faces(cx, field)
+            ), (sorted(map(sorted, cx.facets)), field)
+
+
 def assert_sweeps_agree(complexes, fields=("rational",)):
     for cx in complexes:
         assert outcome(is_normal_pseudomanifold(cx)) == outcome(
@@ -68,6 +83,7 @@ def assert_sweeps_agree(complexes, fields=("rational",)):
             assert outcome(is_homology_manifold(cx, field)) == outcome(
                 oracle.is_homology_manifold_by_links(cx, field)
             )
+    assert_manifold_verdicts_agree(complexes)
 
 
 def test_sweeps_agree_with_the_oracle_on_the_catalog(catalog):
@@ -92,6 +108,62 @@ def test_sweeps_agree_with_the_oracle_on_hand_built_failures():
         cx = HAND_BUILT[name]
         assert outcome(is_normal_pseudomanifold(cx)) == pseudomanifold, name
         assert outcome(is_homology_manifold(cx)) == manifold, name
+
+
+def perturbations(cx, rng):
+    """The complex without one facet, with an edge to a new vertex, and
+    suspended after losing a facet (a failure one level below the vertex
+    links of the suspension points)."""
+    facets = sorted(map(sorted, cx.facets))
+    dropped = facets[:]
+    del dropped[rng.randrange(len(facets))]
+    new = max(cx.vertices) + 1
+    return [
+        from_facets(dropped),
+        from_facets(facets + [[rng.choice(facets[0]), new]]),
+        join(from_facets(dropped), simplex_boundary(1)),
+    ]
+
+
+SMALL_SPHERES = [
+    simplex_boundary(2),
+    simplex_boundary(4),
+    cross_polytope_boundary(3),
+    join(cycle(4), simplex_boundary(1)),
+    join(cycle(5), cycle(3)),
+]
+
+
+def random_complexes(count, seed):
+    """Seeded near-manifolds: a small sphere on random labels below 10, with
+    one or two facets dropped and a facet of up to two of its labels and
+    the new vertex 12 added, each with chance 1/2 (the added facet leaves
+    the complex not pure), and every third one suspended."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        sphere = rng.choice(SMALL_SPHERES)
+        relabel = dict(zip(sorted(sphere.vertices), rng.sample(range(10), len(sphere.vertices))))
+        facets = [[relabel[v] for v in f] for f in sorted(map(sorted, sphere.facets))]
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 2)):
+                del facets[rng.randrange(len(facets))]
+        if rng.random() < 0.5:
+            facets.append(rng.sample(sorted(relabel.values()), rng.randint(0, 2)) + [12])
+        cx = from_facets(facets)
+        out.append(join(cx, from_facets([[10], [11]])) if i % 3 == 2 else cx)
+    return out
+
+
+def test_vertex_link_verdicts_match_the_face_sweep_on_random_complexes(catalog):
+    rng = random.Random(0)
+    assert_manifold_verdicts_agree([p for cx in catalog for p in perturbations(cx, rng)])
+    complexes = random_complexes(300, seed=2)
+    results = [is_homology_manifold(cx) for cx in complexes]
+    assert 50 < sum(r.ok for r in results) < 250
+    # witnesses other than the smallest vertex are met too
+    assert sum(not r.ok and r.witness != (min(cx.vertices),) for r, cx in zip(results, complexes)) > 20
+    assert_manifold_verdicts_agree(complexes)
 
 
 def test_sweep_keys_are_the_betti_keys_of_the_link_complexes(catalog, monkeypatch):
