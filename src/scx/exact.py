@@ -110,7 +110,7 @@ def rank_sparse(columns, field="rational") -> int:
     return _reduce(columns, validate_field(field))[0]
 
 
-def _reduce(columns, field):
+def _reduce(columns, field, limit=None):
     """(rank, ``{column: lowest row}`` of the pivots) in column order, for a
     validated ``field``: while a column's lowest (largest) row is an earlier
     pivot's, that pivot times the column's entry there is subtracted.  Over
@@ -118,6 +118,16 @@ def _reduce(columns, field):
     result is divided by its content.  The columns left nonzero, the pivots,
     are the first independent ones; on their lowest rows they form a
     nonsingular submatrix.
+
+    With a ``limit``, the reduction stops at the column that takes pivot
+    number ``limit`` and reads no column after it.  The rank it returns is
+    the rank of the whole matrix only when the caller knows that no matrix
+    it hands over has a higher rank over ``field``: an upper bound such as
+    the rigidity rank bound of Asimow and Roth, which holds over Q and so
+    mod p.  The saving is the columns after that pivot, so such a caller
+    hands the columns it expects to be dependent last: ``rigidity._samples``
+    ranks last the frame that the trivial motions leave dependent.  A Betti
+    rank knows no such bound and reads every column.
     """
     p = None if field == "rational" else field
     reduced, pivots = {}, {}  # lowest row -> pivot column, scaled to 1 there mod p
@@ -148,6 +158,8 @@ def _reduce(columns, field):
                 col = {r: e * inv % p for r, e in col.items()}
             reduced[low] = col
             pivots[j] = low
+            if len(pivots) == limit:
+                break
     return len(pivots), pivots
 
 

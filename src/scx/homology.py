@@ -393,11 +393,12 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     if not cx.is_connected():
         return PredicateResult(False, (), "complex is not connected")
     ridge_count = Counter(facet - {v} for facet in cx.facets for v in facet)
-    for ridge, count in sorted(ridge_count.items(), key=lambda kv: sorted(kv[0])):
-        if count != 2:
-            return PredicateResult(
-                False, tuple(sorted(ridge)), f"ridge lies in {count} facets"
-            )
+    bad = [ridge for ridge, count in ridge_count.items() if count != 2]
+    if bad:
+        ridge = min(bad, key=sorted)  # the witness is the least failing ridge
+        return PredicateResult(
+            False, tuple(sorted(ridge)), f"ridge lies in {ridge_count[ridge]} facets"
+        )
     faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(n - 1))
     for face, link in _links(cx, faces):
         if not _is_connected(link):

@@ -90,24 +90,35 @@ def random_embedding(graph, d: int, seed: int = 0, bound: int = DEFAULT_COORD_BO
     return Embedding(coords, d, seed)
 
 
+def _columns(g: Graph, embedding: Embedding) -> list:
+    """The d * f_0 columns of the rigidity matrix as ``{edge index: entry}``
+    dicts with no zero entry: column i * d + t is coordinate t of vertex i."""
+    missing = [v for v in g.vertices if v not in embedding.coords]
+    if missing:
+        raise PreconditionError(f"embedding lacks coordinates for {missing}")
+    d, coords = embedding.d, embedding.coords
+    block = {v: i * d for i, v in enumerate(g.vertices)}
+    cols = [{} for _ in range(d * len(g.vertices))]
+    for e, (u, v) in enumerate(g.edges):
+        pu, pv, bu, bv = coords[u], coords[v], block[u], block[v]
+        for t in range(d):
+            x = pu[t] - pv[t]
+            if x:
+                cols[bu + t][e] = x
+                cols[bv + t][e] = -x
+    return cols
+
+
 def rigidity_matrix(graph, embedding: Embedding) -> RigidityMatrix:
     """f_1 x (d * f_0) matrix: the row of edge {u, v} carries phi(u)-phi(v)
     in u's column block and the negation in v's block."""
     g = _as_graph(graph)
-    missing = [v for v in g.vertices if v not in embedding.coords]
-    if missing:
-        raise PreconditionError(f"embedding lacks coordinates for {missing}")
-    d = embedding.d
-    col = {v: i * d for i, v in enumerate(g.vertices)}
-    rows = []
-    for u, v in g.edges:
-        row = [0] * (d * len(g.vertices))
-        pu, pv = embedding.coords[u], embedding.coords[v]
-        for t in range(d):
-            row[col[u] + t] = pu[t] - pv[t]
-            row[col[v] + t] = pv[t] - pu[t]
-        rows.append(tuple(row))
-    return RigidityMatrix(g.edges, g.vertices, d, tuple(rows))
+    cols = _columns(g, embedding)
+    rows = [[0] * len(cols) for _ in g.edges]
+    for j, col in enumerate(cols):
+        for e, x in col.items():
+            rows[e][j] = x
+    return RigidityMatrix(g.edges, g.vertices, embedding.d, tuple(map(tuple, rows)))
 
 
 def _rank_bound(g: Graph, d: int) -> int:
@@ -119,21 +130,39 @@ def _rank_bound(g: Graph, d: int) -> int:
 
 
 def _samples(g: Graph, d: int, trials: int, seed: int, field):
-    """(rank over ``field``, pivots ``{column: lowest row}``, matrix, embedding)
-    of the rigidity matrix at each of ``trials`` seeded random embeddings, by
-    ``exact._reduce`` on its columns.  The ``rank`` pivot columns are the
-    first columns independent over ``field``; independent mod p, they are
-    independent over Q too."""
+    """(rank over ``field``, pivots ``{column: lowest row}``, columns,
+    embedding) of the rigidity matrix at each of ``trials`` seeded random
+    embeddings, by ``exact._reduce`` on its columns (:func:`_columns`).
+    Independent mod p, the pivot columns are independent over Q too.
+
+    The reduction stops at :func:`_rank_bound`, which no embedding exceeds
+    over Q, so none exceeds it mod p either.  It takes every column in
+    vertex order except a staircase frame, then the frame: coordinates
+    t >= k of the vertex k places from the last, C(d+1, 2) columns when
+    n >= d.  In vertex order, a column is dependent exactly when some
+    motion of the framework is 1 there and 0 on every later column.  At a
+    generic embedding of a graph that reaches the bound, the motions are
+    the trivial ones (translations and rotations), and the columns where
+    one of them is 1 with 0 on every later column are the frame columns.
+    Without the frame the reduction then names the same pivots, each at the
+    same lowest row, and it reaches the bound at the last column outside
+    the frame.  Pivots map back to column indices in ascending order; on a
+    matrix below the bound every column is read, and the rank is the same
+    in any order.
+    """
     if trials < 1:
         raise PreconditionError("need at least one trial")
     # validated once: its primality test costs about 3-5% of one rank mod p on
     # the rigidity-stress stream
     field = exact.validate_field(field)
-    for t in range(trials):
-        emb = random_embedding(g, d, _trial_seed(seed, t))
-        mat = rigidity_matrix(g, emb)
-        cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*mat.entries)]
-        yield *exact._reduce(cols, field), mat, emb
+    n, bound = len(g.vertices), _rank_bound(g, d)
+    frame = {(n - 1 - k) * d + t for k in range(min(d, n)) for t in range(k, d)}
+    order = [j for j in range(d * n) if j not in frame] + sorted(frame)
+    for trial in range(trials):
+        emb = random_embedding(g, d, _trial_seed(seed, trial))
+        cols = _columns(g, emb)
+        rank, pivots = exact._reduce((cols[j] for j in order), field, limit=bound)
+        yield rank, dict(sorted((order[j], low) for j, low in pivots.items())), cols, emb
 
 
 def _kept_sample(g: Graph, d: int, trials: int, seed: int, field):
@@ -162,6 +191,10 @@ def generic_rank(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFA
     (capped at the number of edges; the number of edges when n < d): no
     embedding exceeds that bound, so the trial is the generic rank and the
     maximum over all `trials`.  Only graphs below the bound run every trial.
+    Each trial's reduction stops at the same bound, and it ranks last the
+    C(d+1, 2) frame columns that the trivial motions leave dependent (see
+    ``_samples``), so a trial that reaches the bound reads only as many
+    columns as the bound.
     """
     return _kept_sample(_as_graph(graph), d, trials, seed, field)[0]
 
@@ -231,8 +264,13 @@ def stress_basis(
     generic rank <= bound makes all four equal, so the columns that took a
     pivot mod p span the column space over Q; the kernel is taken on those
     columns alone, with the same row space, so the same canonical basis, as
-    on the whole matrix.  Otherwise every column goes in.  A matrix over
-    ``RIGIDITY_GUARD`` cells raises ``TooLargeError``.
+    on the whole matrix.  The frame that ``_samples`` ranks last does not
+    change that basis: any pivot set of a matrix at the bound has that row
+    space, and the pivots come back in ascending column order, the ones a
+    reduction in vertex order names at a generic embedding.  Otherwise
+    every column goes in.  A matrix over ``RIGIDITY_GUARD`` cells raises
+    ``TooLargeError``; only the columns handed to the kernel are made
+    dense.
 
     The error is one-sided: the basis is exact for the matrix kept, but a
     sampled rank can only fall short of the generic rank, never exceed it,
@@ -245,18 +283,19 @@ def stress_basis(
     if d is None:
         d = cx.dim + 1
     g = skeleton_graph(cx)
-    rank, pivoted, mat, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)
+    rank, pivoted, cols, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)
     vectors = ()
-    if rank < len(g.edges):
-        cols = list(zip(*mat.entries))  # the rows of the transpose
+    f1 = len(g.edges)
+    if rank < f1:
         if rank == _rank_bound(g, d):
             cols = [cols[j] for j in pivoted]
-        cells = len(cols) * len(g.edges)
+        cells = len(cols) * f1
         if cells > RIGIDITY_GUARD:
             raise TooLargeError(
                 f"{cells} rigidity-matrix cells exceed the stress guard ({RIGIDITY_GUARD})"
             )
-        vectors = tuple(exact.right_nullspace(cols))
+        # dense rows of the transpose
+        vectors = tuple(exact.right_nullspace([[c.get(e, 0) for e in range(f1)] for c in cols]))
     _verify_stresses(g, emb, vectors)
     participation = {v: False for v in g.vertices}
     for vec in vectors:

@@ -248,6 +248,21 @@ def test_unit_pivots_sit_on_a_nonsingular_submatrix(m, data, field):
     assert len(pivots) == rank
 
 
+@given(kernel_matrices(), st.data(), st.sampled_from(["rational", 3, DEFAULT_PRIME]))
+def test_a_limited_reduction_stops_at_its_last_pivot(m, data, field):
+    # the first `limit` pivots of the whole reduction, from the columns up to
+    # the last of them and no further
+    m = _zero_rows_and_columns(m, data)
+    columns = _columns(m)
+    rank, pivots = exact._reduce(columns, field)
+    limit = data.draw(st.integers(min_value=1, max_value=rank + 1))
+    read = []
+    cut, kept = exact._reduce((read.append(c) or c for c in columns), field, limit)
+    assert list(kept.items()) == list(pivots.items())[:limit]
+    assert cut == min(limit, rank)
+    assert len(read) == (list(pivots)[limit - 1] + 1 if limit <= rank else len(columns))
+
+
 def test_rank_mod_of_rigidity_matrices_matches_the_oracle():
     pseudomanifolds = [e.complex for e in standard_catalog(dmax=5) if "normal-pm" in e.tags]
     assert len(pseudomanifolds) > 20

@@ -6,6 +6,7 @@ verdict, is also compared with the sweep over every face link that it
 replaced."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -197,3 +198,33 @@ def test_order_type_closes_gaps_and_sorts():
     assert _order_type([0b1010000, 0b0000101]) == (0b0011, 0b1100)
     assert _order_type([0b110, 0b011]) == (0b011, 0b110)
     assert _order_type([0]) == (0,)
+
+
+def test_ridge_witness_is_the_least_failing_ridge():
+    # the witness and reason of the sweep over every ridge in sorted order,
+    # whichever failing ridge the count meets first
+    octahedron = sorted(map(sorted, cross_polytope_boundary(3).facets))
+    planted = {
+        "ridges in 1 facet": (from_facets([[0, 1, 2], [0, 2, 3]]), (0, 1), 1),
+        "a ridge in 3 facets": (
+            from_facets(list(combinations(range(4), 3)) + [[0, 1, 4]]),
+            (0, 1),
+            3,
+        ),
+        # vertex 3 in three edges is met first, vertex 2 in one edge is less
+        "the less of two later": (from_facets([[0, 1], [1, 3], [0, 3], [3, 2]]), (2,), 1),
+        # the ridges {2, 6} and {0, 6} in one facet are met before {0, 2} in three
+        "the least of three last": (from_facets(octahedron + [[0, 2, 6]]), (0, 2), 3),
+    }
+    met_later = set()
+    for name, (cx, witness, count) in planted.items():
+        res = is_normal_pseudomanifold(cx)
+        assert outcome(res) == (False, witness, f"ridge lies in {count} facets"), name
+        assert outcome(res) == outcome(oracle.is_normal_pseudomanifold_by_links(cx)), name
+        counts = Counter(facet - {v} for facet in cx.facets for v in facet)
+        failing = [tuple(sorted(r)) for r, c in counts.items() if c != 2]
+        if failing[0] != witness:
+            met_later.add(name)
+    # the count meets ridges in the order of the facets' hashes; the last two
+    # plants were chosen so that it meets a larger failing ridge first
+    assert {"the less of two later", "the least of three last"} <= met_later

@@ -210,12 +210,15 @@ def test_generic_rank_is_the_maximum_of_the_trials(oct3, cycle_join):
 def test_sampling_stops_at_the_rank_bound(monkeypatch, oct3, cycle_join):
     calls = []
     original = exact._reduce
-    monkeypatch.setattr(exact, "_reduce", lambda *a: calls.append(a) or original(*a))
+    monkeypatch.setattr(
+        exact, "_reduce", lambda *a, **k: calls.append((a, k)) or original(*a, **k)
+    )
     for cx in (oct3, cycle_join):
         g = skeleton_graph(cx)
         del calls[:]
         generic_rank(g, cx.dim + 1, trials=3)
         assert len(calls) == 1
+        assert calls[0][1] == {"limit": _rank_bound(g, cx.dim + 1)}
         del calls[:]
         stress_basis(cx, trials=3)
         assert len(calls) == 1
@@ -252,3 +255,121 @@ def test_small_coordinates_reach_the_generic_rank():
         g, expected = skeleton_graph(cx), expected_pseudomanifold_rank(cx)
         for seed in range(10):
             assert generic_rank_trials(g, cx.dim + 1, trials=1, seed=seed) == [expected]
+
+
+def _counting_reduce(monkeypatch):
+    """Make ``exact._reduce`` read its columns through a counting iterable;
+    the list returned gets the number of columns each call read."""
+    original, reads = exact._reduce, []
+
+    def counting(columns, field, limit=None):
+        read = [0]
+
+        def counted():
+            for col in columns:
+                read[0] += 1
+                yield col
+
+        result = original(counted(), field, limit)
+        reads.append(read[0])
+        return result
+
+    monkeypatch.setattr(exact, "_reduce", counting)
+    return original, reads
+
+
+def test_frame_last_samples_match_the_vertex_order_on_the_catalog(monkeypatch):
+    # every sample g2_via_rigidity, stress_basis and generic_rank_trials may
+    # take at seeds 0-2: the same rank and pivots, each at the same lowest
+    # row, as the whole reduction in vertex order, from only as many columns
+    # as the rank bound
+    original, reads = _counting_reduce(monkeypatch)
+    pseudomanifolds = [
+        e.complex for e in standard_catalog(dmax=7, f0max=16) if "normal-pm" in e.tags
+    ]
+    assert len(pseudomanifolds) == 67
+    for cx in pseudomanifolds:
+        g, d = skeleton_graph(cx), cx.dim + 1
+        bound = _rank_bound(g, d)
+        for seed in range(3):
+            del reads[:]
+            for rank, pivots, cols, emb in rigidity._samples(g, d, 3, seed, exact.DEFAULT_PRIME):
+                assert cols == rigidity._columns(g, emb)
+                whole = original(cols, exact.DEFAULT_PRIME)
+                assert (rank, list(pivots.items())) == (whole[0], list(whole[1].items()))
+                assert rank == bound
+            assert reads == [bound] * 3
+
+
+def test_stress_bases_match_the_whole_matrix_on_the_catalog():
+    pseudomanifolds = [
+        e.complex for e in standard_catalog(dmax=7, f0max=16) if "normal-pm" in e.tags
+    ]
+    for cx in pseudomanifolds:
+        g = skeleton_graph(cx)
+        for seed in range(3):
+            basis = stress_basis(cx, seed=seed)
+            whole = rigidity_matrix(g, basis.embedding).entries
+            assert basis.vectors == tuple(oracle.left_nullspace(whole))
+
+
+def test_ranks_below_the_bound_read_every_column(monkeypatch):
+    original, reads = _counting_reduce(monkeypatch)
+    # K4 and a pendant edge in the plane: rank 5 + 1, below min(7 edges, 2 * 5 - 3)
+    k4_pendant = Graph(tuple(range(5)), K4.edges + ((3, 4),))
+    for g in (TWO_K4, k4_pendant):
+        for seed in range(3):
+            del reads[:]
+            ranks = generic_rank_trials(g, 2, trials=3, seed=seed)
+            assert reads == [2 * len(g.vertices)] * 3
+            for t, rank in enumerate(ranks):
+                emb = random_embedding(g, 2, rigidity._trial_seed(seed, t))
+                assert rank == original(rigidity._columns(g, emb), exact.DEFAULT_PRIME)[0]
+                assert rank < _rank_bound(g, 2)
+    # PENDANT's four edges are independent in every dimension, so its rank
+    # meets the bound f_1 and the reduction stops at the fourth pivot
+    g = skeleton_graph(PENDANT)
+    for d in (1, 2, 3):
+        del reads[:]
+        assert generic_rank_trials(g, d, trials=3) == [_rank_bound(g, d)] * 3 == [3 if d == 1 else 4] * 3
+        assert all(read < d * 4 for read in reads)
+
+
+def test_rank_bound_edge_cases(monkeypatch, oct3, cycle_join):
+    original, reads = _counting_reduce(monkeypatch)
+    # no edges: d * n empty columns, no pivot, so every column is read
+    for d in (1, 2, 3):
+        for n in (1, 2, 4):
+            g = Graph(tuple(range(n)), ())
+            del reads[:]
+            assert generic_rank_trials(g, d, trials=1) == [0] == [_rank_bound(g, d)]
+            assert reads == [d * n]
+            assert rigidity_matrix(g, random_embedding(g, d)).entries == ()
+    isolated = from_facets([[0], [1], [2]])
+    assert stress_basis(isolated).vectors == ()
+    # n < d: the bound is f_1, met on the f_1 columns outside the frame of K_n
+    for d in (3, 4, 5):
+        for n in range(2, d):
+            kn = Graph(tuple(range(n)), tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+            del reads[:]
+            samples = list(rigidity._samples(kn, d, 3, 0, exact.DEFAULT_PRIME))
+            assert [rank for rank, *_ in samples] == [len(kn.edges)] * 3 == [_rank_bound(kn, d)] * 3
+            assert reads == [len(kn.edges)] * 3
+            for rank, pivots, cols, _ in samples:
+                assert list(pivots.items()) == list(original(cols, exact.DEFAULT_PRIME)[1].items())
+    # stress bases in a dimension other than dim + 1
+    for cx in (oct3, cycle_join):
+        g = skeleton_graph(cx)
+        for d in (2, 3, cx.dim + 2):
+            del reads[:]
+            basis = stress_basis(cx, d=d, seed=1)
+            assert basis.embedding.d == d
+            whole = rigidity_matrix(g, basis.embedding).entries
+            assert basis.vectors == tuple(oracle.left_nullspace(whole))
+            assert exact.rank_rational(whole) == _rank_bound(g, d) == len(g.edges) - len(basis.vectors)
+            if d < cx.dim + 1:
+                # rigid with stresses: the bound is met outside the frame
+                assert basis.vectors and reads == [_rank_bound(g, d)]
+            else:
+                # independent edges: every column up to the last pivot
+                assert not basis.vectors and reads[0] <= d * len(g.vertices)

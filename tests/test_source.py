@@ -20,24 +20,33 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
-def _uses(name):
-    """(module, innermost enclosing function or None) of every reference to
-    ``name`` in the package, as a bare name or an attribute."""
+def _nodes():
+    """(module, innermost enclosing function or None, node) of every node of
+    the package."""
     found = []
 
     def visit(node, where, module):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.Name, ast.Attribute)) and name in (
-                getattr(child, "id", None),
-                getattr(child, "attr", None),
-            ):
-                found.append((module, where))
+            found.append((module, where, child))
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
             visit(child, inner, module)
 
     for path in sorted(SOURCE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), None, path.name)
     return found
+
+
+def _named(node, name):
+    return isinstance(node, (ast.Name, ast.Attribute)) and name in (
+        getattr(node, "id", None),
+        getattr(node, "attr", None),
+    )
+
+
+def _uses(name):
+    """(module, innermost enclosing function or None) of every reference to
+    ``name`` in the package, as a bare name or an attribute."""
+    return [(module, where) for module, where, node in _nodes() if _named(node, name)]
 
 
 def test_no_rank_falls_back_to_bareiss():
@@ -48,3 +57,26 @@ def test_no_rank_falls_back_to_bareiss():
         ("exact.py", "right_nullspace"),
     ]
     assert _uses("rank_rational") == []
+
+
+def test_only_rigidity_sampling_limits_a_reduction():
+    # a rigidity rank may stop at the Asimow-Roth bound, which no embedding
+    # exceeds; a Betti rank has no such bound, and with clearing a limit
+    # there would give wrong ranks
+    calls = [
+        (module, where, node)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Call) and _named(node.func, "_reduce")
+    ]
+    assert sorted((module, where) for module, where, _ in calls) == [
+        ("exact.py", "rank_sparse"),
+        ("homology.py", "_betti"),
+        ("rigidity.py", "_samples"),
+    ]
+    limited = [
+        (module, where)
+        for module, where, node in calls
+        if len(node.args) > 2 or node.keywords
+    ]
+    assert limited == [("rigidity.py", "_samples")]
+    assert sorted(set(_uses("_reduce"))) == sorted((module, where) for module, where, _ in calls)
