@@ -12,15 +12,18 @@ the faces that were lowest rows of d_{k+1} ("clearing", Chen and Kerber
 i is a cycle (certified), so column i of d_k is a combination of the
 earlier columns, and by induction on i of the columns kept.
 
-Two homology facts are cached, each in a thread-safe LRU of
+Three homology facts are cached, each in a thread-safe LRU of
 ``BETTI_MEMO`` entries keyed by the complex's order type (its facets as
 bitmasks over the sorted vertices) and the normalized field: the Betti
-numbers (:func:`_betti`, behind :func:`betti`) and the homology-sphere
-verdict (:func:`_is_sphere`, behind :func:`is_homology_manifold`).  So a
-link swept by several predicates or statements, or met again under an
-order-preserving relabelling, is eliminated once and judged once.  Nothing
-seeded is cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits
-and misses and ``cache_clear()`` empties each memo.
+numbers (:func:`_betti`, behind :func:`betti`), the homology-sphere
+verdict (:func:`_is_sphere`, behind :func:`is_homology_manifold`) and the
+ball analysis (:func:`_ball`, keyed also by ``check``, behind
+:func:`_ball_analysis` and so every ball predicate and retriangulation).
+So a link swept by several predicates or statements, or met again under an
+order-preserving relabelling, is eliminated once and judged once, and a
+ball that several retriangulations read is swept once.  Nothing seeded is
+cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits and
+misses and ``cache_clear()`` empties each memo.
 
 The predicates that sweep face links (the manifold, ball and normal
 pseudomanifold tests) build no link complex: :func:`_links` reads each
@@ -153,13 +156,17 @@ BETTI_GUARD = 2**19
 #: ``run_all()`` at dmax=7 (699; 384 in the tests and at the default scale).
 COMPLETION_GUARD = 6_300
 
-#: Entries kept by each order-type memo, the profiles of :func:`_betti` and
-#: the verdicts of :func:`_is_sphere`.  The key is the complex's order type,
-#: a tuple of ints, so no facet set or closure stays alive: after one
-#: ``run_all()`` the Betti memo holds about 0.5 kB per entry (tracemalloc),
-#: against 3 kB when the key held the facets, and a verdict shares its key
-#: with the profile it was read from.  The 200 profiles and 97 verdicts of
-#: ``run_all()`` (225 and 110 at dmax=7) fit, so neither memo evicts there.
+#: Entries kept by each order-type memo, the profiles of :func:`_betti`, the
+#: verdicts of :func:`_is_sphere` and the ball analyses of :func:`_ball`.
+#: The key is the complex's order type, a tuple of ints, so no facet set or
+#: closure stays alive: after one ``run_all()`` the Betti memo holds about
+#: 0.5 kB per entry and the ball memo 0.8 kB, its masks being ints
+#: (tracemalloc), against 3 kB when the Betti key held the facets; a verdict
+#: shares its key with the profile it was read from.  The 200 profiles, 97
+#: verdicts and 42 ball analyses of ``run_all()`` (225, 110 and 52 at
+#: dmax=7) fit, so no memo evicts there.  On the classify-distinct benchmark
+#: stream the Betti and sphere memos do evict, ending full after about 800
+#: and 600 repeated misses at seed 0, while its ball analyses fit.
 BETTI_MEMO = 256
 
 
@@ -295,7 +302,37 @@ def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResu
 
 
 def _ball_analysis(cx: SimplicialComplex, field, check):
-    """One sweep over the face links: (verdict, boundary complex, interior faces).
+    """(verdict, boundary complex, interior faces), as one sweep over the face
+    links of ``cx`` gives them (:func:`_ball`).
+
+    Memoised: the sweep runs on the complex's order type, the key of
+    :func:`betti`, and its masks are read back through the sorted vertices.
+    An order-preserving relabelling keeps the ``faces_of_dim`` order, the
+    faces with trivial links and the least failing vertex of the boundary,
+    so the witness, the boundary and the interior are those of a sweep on
+    ``cx`` itself.
+    """
+    ((_, facets),) = _links(cx, [frozenset()])  # the link of the empty face
+    verdict, boundary, interior = _ball(
+        _order_type(facets), exact.validate_field(field), bool(check)
+    )
+    labels = sorted(cx.vertices)
+    if verdict.witness:
+        witness = tuple(labels[i] for i in verdict.witness)
+        verdict = PredicateResult(verdict.ok, witness, verdict.reason)
+    faces = functools.partial(_labelled, labels)
+    return verdict, from_faces(map(faces, boundary)), frozenset(map(faces, interior))
+
+
+def _labelled(labels, mask) -> frozenset:
+    """The face whose bitmask over ``labels`` is ``mask``."""
+    return frozenset(labels[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@functools.lru_cache(maxsize=BETTI_MEMO)
+def _ball(masks: tuple, field, check) -> tuple:
+    """One sweep over the face links of the order type ``masks``: (verdict,
+    boundary facet masks, interior face masks), over the vertices 0..n-1.
 
     The boundary is the closure of the faces with homologically trivial
     links, and the interior is every face off it; a face whose link is
@@ -303,10 +340,11 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
     verdict negative.  With ``check`` the verdict also requires ball
     homology and trivial-link faces that are closed downward, a boundary of
     dimension dim - 1 and a homology sphere; without it those tests are
-    skipped.
+    skipped.  Memoised beside :func:`_betti`, on its key and ``check``.
     """
+    vertices = range(max(masks).bit_length())  # 0..n-1, the bits of the masks
+    cx = from_faces(_labelled(vertices, m) for m in masks)
     d = cx.dim
-    field = exact.validate_field(field)
     trivial = []
     verdict = PredicateResult(True)
     faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1))
@@ -328,7 +366,13 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
         elif not (sphere := is_homology_sphere(bd, field)):
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
-    return verdict, bd, cx.faces() - bd.faces()
+    interior = cx.faces() - bd.faces()
+    return verdict, tuple(_mask(f) for f in bd.facets), tuple(_mask(f) for f in interior)
+
+
+def _mask(face) -> int:
+    """The bitmask of a face over the vertices 0..n-1."""
+    return sum(1 << v for v in face)
 
 
 def is_homology_ball(cx: SimplicialComplex, field="rational") -> PredicateResult:

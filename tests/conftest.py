@@ -44,6 +44,14 @@ def cycle_join():
     return join(cycle(4), simplex_boundary(2))
 
 
+def clear_memos():
+    """Empty the three order-type memos (Betti numbers, sphere verdicts and
+    ball analyses), so that every homology fact is computed again."""
+    homology._betti.cache_clear()
+    homology._is_sphere.cache_clear()
+    homology._ball.cache_clear()
+
+
 @pytest.fixture
 def flipped_d1(monkeypatch):
     """Give one column of every d_1 that ``betti`` builds a wrong sign, on
@@ -57,8 +65,6 @@ def flipped_d1(monkeypatch):
         return columns
 
     monkeypatch.setattr(homology, "_boundary_columns", flipped)
-    homology._betti.cache_clear()
-    homology._is_sphere.cache_clear()  # a warm verdict would skip the plant
+    clear_memos()  # a warm verdict or ball analysis would skip the plant
     yield
-    homology._betti.cache_clear()
-    homology._is_sphere.cache_clear()
+    clear_memos()

@@ -19,8 +19,10 @@ the facet-bitmask sweeps replaced: they build each face link as a complex
 with the public ``SimplicialComplex.link`` and ask ``betti`` or
 ``is_connected`` of it, and :func:`is_homology_manifold_by_faces`, the
 facet-bitmask sweep over every nonempty face link that the vertex-link
-recursion replaced.  The retriangulation references at the end are the
-Swartz moves and the inverse stellar move as first written, built from
+recursion replaced, and :func:`ball_analysis_by_sweep`, the ball analysis
+as one sweep over the ball's own labels, before it was memoised by order
+type.  The retriangulation references at the end are the Swartz moves and
+the inverse stellar move as first written, built from
 ``SimplicialComplex.antistar`` with the package's own record and link
 helpers, and ``swartz_all`` going through the public single move.
 """
@@ -29,7 +31,7 @@ from collections import Counter
 from itertools import chain, combinations
 from math import comb, gcd
 
-from scx.complexes import SimplicialComplex, is_simplex_boundary
+from scx.complexes import SimplicialComplex, from_faces, is_simplex_boundary
 from scx.errors import PreconditionError
 from scx.exact import rank_rational, right_nullspace, validate_field
 from scx.homology import (
@@ -39,6 +41,7 @@ from scx.homology import (
     _links,
     _order_type,
     betti,
+    is_homology_sphere,
     is_normal_pseudomanifold,
     skeleton_completion,
 )
@@ -422,6 +425,36 @@ def is_homology_manifold_by_faces(cx, field="rational"):
         if not _betti(_order_type(link), field).is_sphere(n - len(face)):
             return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
     return PredicateResult(True)
+
+
+def ball_analysis_by_sweep(cx, field="rational", check=True):
+    """``homology._ball_analysis`` with no memo of its own: one sweep over the
+    face links of ``cx`` in its own labels, each link's Betti numbers looked
+    up by its order type."""
+    d = cx.dim
+    field = validate_field(field)
+    trivial = []
+    verdict = PredicateResult(True)
+    faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1))
+    for face, link in _links(cx, faces):
+        profile = _betti(_order_type(link), field)
+        if profile.is_trivial():
+            trivial.append(face)
+        elif verdict.ok and not profile.is_sphere(d - len(face)):
+            verdict = PredicateResult(
+                False, tuple(sorted(face)), "link is neither ball- nor sphere-like"
+            )
+    bd = from_faces(trivial)
+    if check and verdict:
+        if frozenset() not in trivial:
+            verdict = PredicateResult(False, (), "complex does not have ball homology")
+        elif len(bd.faces()) != len(trivial):  # the closure contains the list
+            verdict = PredicateResult(False, None, "boundary faces are not closed downward")
+        elif d > 0 and bd.dim != d - 1:
+            verdict = PredicateResult(False, None, "boundary has wrong dimension")
+        elif not (sphere := is_homology_sphere(bd, field)):
+            verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
+    return verdict, bd, cx.faces() - bd.faces()
 
 
 def is_normal_pseudomanifold_by_links(cx):

@@ -20,8 +20,9 @@ from scx import (
     run_all,
     skeleton_graph,
 )
-from scx import homology
 from scx.verify import catalog_for
+
+from conftest import clear_memos
 
 SCALE = Scale()
 
@@ -191,8 +192,7 @@ def test_criterion_9_g2_two_classification(reports):
 
 def test_criterion_10_determinism(reports, pseudomanifolds):
     # the second seed recomputes every homology fact
-    homology._betti.cache_clear()
-    homology._is_sphere.cache_clear()
+    clear_memos()
     second = {rep.statement: rep for rep in run_all(Scale(seed=SCALE.seed + 7))}
     diffs = []
     for sid, rep in reports.items():

@@ -21,7 +21,8 @@ from scx import exact, homology
 from scx.cli import main
 from scx.generators import standard_catalog
 from scx.rigidity import RIGIDITY_GUARD
-from test_homology import RP2_FACETS, clear_memos, memo_counts, record_links
+from conftest import clear_memos
+from test_homology import RP2_FACETS, memo_counts, record_links
 from test_retriangulate import octahedral_wedge
 
 

@@ -41,6 +41,7 @@ from scx.exact import rank_sparse
 from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_masks
 
 import oracle
+from conftest import clear_memos
 
 
 def test_betti_of_spheres(bd3, oct3):
@@ -303,13 +304,6 @@ def _memo_key(cx):
     """The order type that ``betti`` looks ``cx`` up by."""
     ((_, facets),) = homology._links(cx, [frozenset()])
     return homology._order_type(facets)
-
-
-def clear_memos():
-    """Empty the Betti memo and the sphere-verdict memo beside it, so that
-    every homology fact is computed again."""
-    homology._betti.cache_clear()
-    homology._is_sphere.cache_clear()
 
 
 def _assert_matches_every_column(masks):

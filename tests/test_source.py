@@ -80,3 +80,39 @@ def test_only_rigidity_sampling_limits_a_reduction():
     ]
     assert limited == [("rigidity.py", "_samples")]
     assert sorted(set(_uses("_reduce"))) == sorted((module, where) for module, where, _ in calls)
+
+
+#: the decorators that cache a function's results
+CACHES = ("lru_cache", "cache", "cached_property")
+
+
+def test_every_cache_is_an_order_type_memo_in_homology():
+    # caching in one place: each cache is an LRU of BETTI_MEMO entries in
+    # homology.py whose key is an order type, and each call passes one, read
+    # off a complex by _order_type or handed on by a memo's own masks
+    def caches(decorator):
+        return any(_named(getattr(decorator, "func", decorator), c) for c in CACHES)
+
+    memos = {
+        node.name: (module, node)
+        for module, _, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and any(map(caches, node.decorator_list))
+    }
+    assert {"_betti", "_is_sphere", "_ball"} <= memos.keys()
+    for module, node in memos.values():
+        assert module == "homology.py"
+        assert [ast.unparse(d) for d in node.decorator_list] == [
+            "functools.lru_cache(maxsize=BETTI_MEMO)"
+        ]
+        assert node.args.args[0].arg == "masks"
+    assert sum(len(_uses(c)) for c in CACHES) == len(memos)  # no cache but these
+    calls = [
+        (where, node.args[0])
+        for _, where, node in _nodes()
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in memos
+    ]
+    assert len(calls) >= len(memos)
+    for where, key in calls:
+        assert (
+            isinstance(key, ast.Call) and _named(key.func, "_order_type")
+        ) or (ast.unparse(key) == "masks" and where in memos), ast.unparse(key)
