@@ -13,15 +13,18 @@ i is a cycle (certified), so column i of d_k is a combination of the
 earlier columns, and by induction on i of the columns kept.
 
 Three homology facts are cached, each in a thread-safe LRU of
-``BETTI_MEMO`` entries keyed by the complex's order type (its facets as
-bitmasks over the sorted vertices) and the normalized field: the Betti
-numbers (:func:`_betti`, behind :func:`betti`), the homology-sphere
-verdict (:func:`_is_sphere`, behind :func:`is_homology_manifold`) and the
-ball analysis (:func:`_ball`, keyed also by ``check``, behind
-:func:`_ball_analysis` and so every ball predicate and retriangulation).
-So a link swept by several predicates or statements, or met again under an
-order-preserving relabelling, is eliminated once and judged once, and a
-ball that several retriangulations read is swept once.  Nothing seeded is
+``BETTI_MEMO`` entries keyed by the normalized field and an encoding of the
+complex.  The Betti numbers (:func:`_betti`, behind :func:`betti`) and the
+homology-sphere verdict (:func:`_is_sphere`, behind
+:func:`is_homology_manifold`) take the class key (:func:`_class_key`, a
+fourth memo of the same bound): the complex with its vertices renumbered by
+how many facets contain them.  The ball analysis (:func:`_ball`, keyed also
+by ``check``, behind :func:`_ball_analysis` and so every ball predicate and
+retriangulation) takes the order type, the facets as bitmasks over the
+sorted vertices, through which its masks are read back.  So a link swept by
+several predicates or statements, or met again under a relabelling that
+the degree order undoes, is eliminated once and judged once, and a ball
+that several retriangulations read is swept once.  Nothing seeded is
 cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits and
 misses and ``cache_clear()`` empties each memo.
 
@@ -156,17 +159,18 @@ BETTI_GUARD = 2**19
 #: ``run_all()`` at dmax=7 (699; 384 in the tests and at the default scale).
 COMPLETION_GUARD = 6_300
 
-#: Entries kept by each order-type memo, the profiles of :func:`_betti`, the
-#: verdicts of :func:`_is_sphere` and the ball analyses of :func:`_ball`.
-#: The key is the complex's order type, a tuple of ints, so no facet set or
+#: Entries kept by each memo: the profiles of :func:`_betti`, the verdicts of
+#: :func:`_is_sphere`, the ball analyses of :func:`_ball` and the class keys of
+#: :func:`_class_key`.  Every key is a tuple of ints, so no facet set or
 #: closure stays alive: after one ``run_all()`` the Betti memo holds about
 #: 0.5 kB per entry and the ball memo 0.8 kB, its masks being ints
 #: (tracemalloc), against 3 kB when the Betti key held the facets; a verdict
-#: shares its key with the profile it was read from.  The 200 profiles, 97
-#: verdicts and 42 ball analyses of ``run_all()`` (225, 110 and 52 at
-#: dmax=7) fit, so no memo evicts there.  On the classify-distinct benchmark
-#: stream the Betti and sphere memos do evict, ending full after about 800
-#: and 600 repeated misses at seed 0, while its ball analyses fit.
+#: shares its key with the profile it was read from.  The 156 profiles, 83
+#: verdicts and 42 ball analyses of ``run_all()`` (176, 94 and 52 at dmax=7)
+#: fit, so no memo evicts there.  The classify-distinct benchmark stream at
+#: seed 0 makes 1,049 Betti and 905 verdict misses on 797 class keys (2,966
+#: and 2,529 when both were keyed by the order type), so those two memos
+#: still evict there, while its ball analyses fit.
 BETTI_MEMO = 256
 
 
@@ -174,25 +178,29 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     """Reduced Betti numbers from exact ranks of sparse boundary columns.
 
     Memoised: the last ``BETTI_MEMO`` results are kept in a thread-safe LRU
-    keyed by the complex's order type and the normalized field.  The order
-    type numbers the vertices 0..n-1 in sorted order and lists each facet as
-    a bitmask over that numbering, sorted; two complexes with the same key
-    differ by an order-preserving relabelling, which changes no Betti number
-    and no face count, so a relabelled link or star shares its entry.  A miss
-    builds its closure on the masks, certifies d.d = 0 and ranks with clearing.
+    keyed by the complex's class key (:func:`_class_key` of its order type)
+    and the normalized field.  Two complexes with the same key are images of
+    one another under a vertex bijection, which changes no Betti number over
+    any field and no face count, so a relabelled link or star shares its
+    entry whenever the degree order undoes the relabelling.  A miss builds
+    its closure on the masks, certifies d.d = 0 and ranks with clearing.
     A ``TooLargeError`` is raised again on every call and never cached;
     ``_betti.cache_info()`` counts hits.
     """
     ((_, facets),) = _links(cx, [frozenset()])  # the link of the empty face
-    return _betti(_order_type(facets), exact.validate_field(field))
+    return _betti(_class_key(_order_type(facets)), exact.validate_field(field))
 
 
 def _order_type(masks) -> tuple:
-    """The :func:`betti` key of the complex whose facets are ``masks``.
+    """The order type of the complex whose facets are ``masks``: the key of
+    :func:`_ball` and of :func:`_class_key`.
 
-    Each mask is compressed onto the complex's own vertices, the set bits of
-    the union, in order: bit ``b`` moves to position ``popcount(union & (b -
-    1))``.  The compressed masks are sorted.
+    It numbers the vertices 0..n-1 in sorted order and lists each facet as a
+    bitmask over that numbering, so two complexes with the same order type
+    differ by an order-preserving relabelling.  Each mask is compressed onto
+    the complex's own vertices, the set bits of the union, in order: bit
+    ``b`` moves to position ``popcount(union & (b - 1))``.  The compressed
+    masks are sorted.
     """
     union = 0
     for m in masks:
@@ -208,6 +216,29 @@ def _order_type(masks) -> tuple:
             compressed.append(c)
         masks = compressed
     return tuple(sorted(masks))
+
+
+@functools.lru_cache(maxsize=BETTI_MEMO)
+def _class_key(masks: tuple) -> tuple:
+    """The key of :func:`_betti` and :func:`_is_sphere` for the order type
+    ``masks``: its vertices renumbered 0..n-1 by (number of facets containing
+    the vertex, old position), its facets relabelled and sorted.
+
+    The key is the image of the complex under a vertex bijection, so equal
+    keys mean isomorphic complexes; Betti numbers over every field and the
+    homology-sphere verdict are isomorphism invariants, so complexes with one
+    key share one profile and one verdict.  Isomorphic order types share a
+    key when the degree order matches their vertices up, as it always does
+    when the vertices' degrees are pairwise distinct.  The degree order is
+    the first round of colour refinement (McKay and Piperno 2014), not a
+    canonical form, so some isomorphic order types keep keys of their own.
+    """
+    n = max(masks).bit_length()  # the vertices are 0..n-1
+    degrees = [sum(m >> v & 1 for m in masks) for v in range(n)]
+    bit = [0] * n
+    for i, v in enumerate(sorted(range(n), key=degrees.__getitem__)):  # stable
+        bit[v] = 1 << i
+    return tuple(sorted(sum(bit[v] for v in range(m.bit_length()) if m >> v & 1) for m in masks))
 
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
@@ -239,12 +270,14 @@ def _betti(masks: tuple, field) -> BettiProfile:
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
 def _is_sphere(masks: tuple, field) -> bool:
-    """Whether the order type ``masks`` is a homology sphere over ``field``.
+    """Whether the class key ``masks`` is a homology sphere over ``field``.
 
     It is when its Betti numbers are those of the sphere of its own
     dimension and every vertex link is a homology sphere one dimension
     lower; the vertex bit ``b`` has the link facets ``m ^ b`` for the masks
-    ``m`` that contain it.  Memoised beside :func:`_betti`, on the same key.
+    ``m`` that contain it.  Memoised beside :func:`_betti`, on the same key:
+    the verdict is an isomorphism invariant, so it may be read off any
+    relabelling of the complex (:func:`_class_key`).
     """
     dim = max(map(int.bit_count, masks)) - 1
     if not _betti(masks, field).is_sphere(dim):
@@ -255,7 +288,9 @@ def _is_sphere(masks: tuple, field) -> bool:
 
 def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
     """Whether the facet masks ``link`` (not empty) form a homology ``dim``-sphere."""
-    return max(map(int.bit_count, link)) == dim + 1 and _is_sphere(_order_type(link), field)
+    if max(map(int.bit_count, link)) != dim + 1:
+        return False
+    return _is_sphere(_class_key(_order_type(link)), field)
 
 
 def _links(cx: SimplicialComplex, faces):
@@ -305,8 +340,8 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
     """(verdict, boundary complex, interior faces), as one sweep over the face
     links of ``cx`` gives them (:func:`_ball`).
 
-    Memoised: the sweep runs on the complex's order type, the key of
-    :func:`betti`, and its masks are read back through the sorted vertices.
+    Memoised: the sweep runs on the complex's order type, not on its class
+    key, and its masks are read back through the sorted vertices.
     An order-preserving relabelling keeps the ``faces_of_dim`` order, the
     faces with trivial links and the least failing vertex of the boundary,
     so the witness, the boundary and the interior are those of a sweep on
@@ -340,7 +375,8 @@ def _ball(masks: tuple, field, check) -> tuple:
     verdict negative.  With ``check`` the verdict also requires ball
     homology and trivial-link faces that are closed downward, a boundary of
     dimension dim - 1 and a homology sphere; without it those tests are
-    skipped.  Memoised beside :func:`_betti`, on its key and ``check``.
+    skipped.  Memoised beside :func:`_betti`, on the order type and ``check``:
+    the witness depends on the sweep order, which a relabelling may change.
     """
     vertices = range(max(masks).bit_length())  # 0..n-1, the bits of the masks
     cx = from_faces(_labelled(vertices, m) for m in masks)
@@ -349,7 +385,7 @@ def _ball(masks: tuple, field, check) -> tuple:
     verdict = PredicateResult(True)
     faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1))
     for face, link in _links(cx, faces):
-        profile = _betti(_order_type(link), field)
+        profile = _betti(_class_key(_order_type(link)), field)
         if profile.is_trivial():
             trivial.append(face)
         elif verdict.ok and not profile.is_sphere(d - len(face)):
@@ -404,7 +440,7 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     """All vertex links are homology spheres of dimension dim - 1.
 
     Each vertex link is read as facet bitmasks (:func:`_links`) and judged
-    by the memoised verdict :func:`_is_sphere` on its order type, which
+    by the memoised verdict :func:`_is_sphere` on its class key, which
     recurses on the link's own vertex links.  For a face tau = {v} + tau',
     lk(tau) is the link of tau' in lk(v), so every vertex link is a
     homology (dim - 1)-sphere exactly when every nonempty face link has the

@@ -38,6 +38,7 @@ from scx.homology import (
     PredicateResult,
     _ball_checked,
     _betti,
+    _class_key,
     _links,
     _order_type,
     betti,
@@ -417,12 +418,13 @@ def is_homology_manifold_by_links(cx, field="rational"):
 
 def is_homology_manifold_by_faces(cx, field="rational"):
     """``is_homology_manifold`` as one sweep over every nonempty face link,
-    read as facet bitmasks and looked up in the Betti memo by its order
-    type; faces are visited by their smallest vertex first."""
+    read as facet bitmasks and looked up in the Betti memo by the key
+    ``betti`` uses, its class key; faces are visited by their smallest
+    vertex first."""
     n, field = cx.dim, validate_field(field)
     faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
     for face, link in _links(cx, sorted(faces, key=min)):
-        if not _betti(_order_type(link), field).is_sphere(n - len(face)):
+        if not _betti(_class_key(_order_type(link)), field).is_sphere(n - len(face)):
             return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
     return PredicateResult(True)
 
@@ -430,14 +432,14 @@ def is_homology_manifold_by_faces(cx, field="rational"):
 def ball_analysis_by_sweep(cx, field="rational", check=True):
     """``homology._ball_analysis`` with no memo of its own: one sweep over the
     face links of ``cx`` in its own labels, each link's Betti numbers looked
-    up by its order type."""
+    up by the key ``betti`` uses, its class key."""
     d = cx.dim
     field = validate_field(field)
     trivial = []
     verdict = PredicateResult(True)
     faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1))
     for face, link in _links(cx, faces):
-        profile = _betti(_order_type(link), field)
+        profile = _betti(_class_key(_order_type(link)), field)
         if profile.is_trivial():
             trivial.append(face)
         elif verdict.ok and not profile.is_sphere(d - len(face)):

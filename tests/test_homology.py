@@ -36,7 +36,7 @@ from scx import (
     standard_catalog,
 )
 import scx
-from scx import exact, homology
+from scx import exact, homology, verify
 from scx.exact import rank_sparse
 from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_masks
 
@@ -300,29 +300,124 @@ def test_unit_pivot_ranks_of_boundary_columns(cx, field):
         assert entries == oracle.betti_gf2(cx.facets)
 
 
+FIELDS = ("rational", 2, 3)
+
+
 def _memo_key(cx):
-    """The order type that ``betti`` looks ``cx`` up by."""
+    """The order type of ``cx``, whose class key ``betti`` looks it up by."""
     ((_, facets),) = homology._links(cx, [frozenset()])
     return homology._order_type(facets)
 
 
 def _assert_matches_every_column(masks):
-    for field in ("rational", 2, 3):
+    for field in FIELDS:
         expected = oracle.betti_every_column(masks, field)
         assert homology._betti.__wrapped__(masks, field).entries == expected, (masks, field)
 
 
-def test_betti_matches_every_column_ranks_on_run_all_misses(monkeypatch):
-    clear_memos()  # a warm verdict would hide the order types below it
-    keys, memo = set(), homology._betti
-    monkeypatch.setattr(homology, "_betti", lambda masks, f: keys.add(masks) or memo(masks, f))
-    assert all(report.passed for report in run_all())
-    # every order type run_all() asks for, each a memo miss once: 200 on
-    # empty memos, as when every face link was looked up
-    assert len(keys) >= 200
-    monkeypatch.undo()
-    for masks in sorted(keys):
-        _assert_matches_every_column(masks)
+@pytest.fixture(scope="module")
+def run_all_order_types():
+    """The order types that one ``run_all()`` hands to ``_class_key``, on
+    empty memos and a catalog built afresh, sorted."""
+    seen, memo = set(), homology._class_key
+    clear_memos()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(homology, "_class_key", lambda masks: seen.add(masks) or memo(masks))
+        monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
+        assert all(report.passed for report in run_all())
+    return sorted(seen)
+
+
+def test_betti_matches_every_column_ranks_on_run_all_misses(run_all_order_types):
+    # every order type run_all() asks for, each a class-key miss once: 249
+    # on empty memos, which share 156 Betti keys
+    assert len(run_all_order_types) >= 200
+    for masks in run_all_order_types:
+        key = homology._class_key(masks)
+        for field in FIELDS:
+            expected = oracle.betti_every_column(masks, field)
+            assert homology._betti.__wrapped__(masks, field).entries == expected, (masks, field)
+            assert homology._betti.__wrapped__(key, field).entries == expected, (key, field)
+
+
+def _complex_of(masks):
+    """The complex whose facets are the bitmasks ``masks`` over 0..n-1."""
+    return [frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
+
+
+def _assert_class_key_relabels(masks):
+    """The class key of the order type ``masks`` is its image under a vertex
+    bijection, with the Betti numbers and the homology-sphere verdict of
+    ``masks`` over Q, GF(2) and GF(3)."""
+    key = homology._class_key.__wrapped__(masks)
+    facets, image = _complex_of(masks), _complex_of(key)
+    assert oracle.face_counts(facets) == oracle.face_counts(image)
+    mapping = oracle.are_isomorphic_adjacency(facets, image)
+    assert mapping is not None, masks
+    assert {frozenset(map(mapping.__getitem__, f)) for f in facets} == set(image)
+    for field in FIELDS:
+        assert homology._betti.__wrapped__(key, field) == homology._betti.__wrapped__(masks, field)
+        assert homology._is_sphere.__wrapped__(key, field) == homology._is_sphere.__wrapped__(
+            masks, field
+        ), (masks, field)
+
+
+def test_class_key_relabels_every_run_all_order_type(run_all_order_types):
+    for masks in run_all_order_types:
+        _assert_class_key_relabels(masks)
+    keys = set(map(homology._class_key, run_all_order_types))
+    assert len(keys) < len(run_all_order_types)  # isomorphic order types meet
+
+
+@given(st.one_of(near_manifolds(), random_complexes))
+@settings(max_examples=100, deadline=None)
+def test_class_key_relabels_random_complexes(cx):
+    _assert_class_key_relabels(_memo_key(cx))
+    for _, link in homology._links(cx, [(v,) for v in sorted(cx.vertices)]):
+        _assert_class_key_relabels(homology._order_type(link))
+
+
+# a 2-complex whose vertices 1..6 lie in 4, 1, 6, 2, 5 and 3 facets
+DISTINCT_DEGREES = [(1, 3, 4), (1, 3, 5), (1, 3, 6), (1, 5, 6), (2, 3, 5), (3, 4, 5), (3, 5, 6)]
+
+
+def test_a_shuffle_of_distinct_degrees_hits_both_memos():
+    # the cone apex 0 is the least vertex, so the manifold test judges its
+    # link, the 2-complex, first; that link has the homology of a 2-sphere
+    # but a vertex link that is an edge, so the test stops there
+    shuffle = dict(zip(range(1, 7), (4, 6, 1, 5, 2, 3)))
+    plain = from_facets(DISTINCT_DEGREES)
+    shuffled = from_facets([[shuffle[v] for v in f] for f in DISTINCT_DEGREES])
+    assert len({sum(v in f for f in DISTINCT_DEGREES) for v in range(1, 7)}) == 6
+    assert _memo_key(shuffled) != _memo_key(plain)  # the order types differ
+    clear_memos()
+    counts = []
+    for cx in (plain, shuffled):
+        verdict = is_homology_manifold(from_facets([[0, *f] for f in cx.facets]))
+        assert (verdict.ok, verdict.witness) == (False, (0,))
+        counts.append(memo_counts())
+    # (Betti lookups, misses, verdict lookups, misses): the second cone costs
+    # one verdict lookup, a hit
+    assert counts == [(2, 2, 2, 2), (2, 2, 3, 2)]
+    expected = homology._betti.__wrapped__(_memo_key(plain), "rational")
+    assert betti(shuffled) == betti(plain) == expected
+    assert memo_counts() == (4, 2, 3, 2)
+
+
+def test_guards_raise_on_every_repeat_call_and_cache_nothing():
+    clear_memos()
+    # 2^18 faces; then 2^16 faces, but d_8 is 12870 x 11440
+    for size, match in ((18, "closure bound"), (16, "Betti guard")):
+        simplex = SimplicialComplex([range(1, size + 1)])
+        cone = SimplicialComplex([range(size + 1)])  # the apex 0 links the simplex
+        for _ in range(3):
+            with pytest.raises(TooLargeError, match=match):
+                betti(simplex)
+            with pytest.raises(TooLargeError, match=match):
+                is_homology_manifold(cone)
+    betti_info, sphere_info = homology._betti.cache_info(), homology._is_sphere.cache_info()
+    assert (betti_info.currsize, betti_info.misses) == (0, 12)
+    assert (sphere_info.currsize, sphere_info.misses) == (0, 6)
 
 
 def test_betti_matches_every_column_ranks_on_the_census(census):
@@ -333,10 +428,14 @@ def test_betti_matches_every_column_ranks_on_the_census(census):
 
 
 def _moore_space_mod_3():
-    """M(Z/3, 1), relabelled so that its reduction over Q meets a pivot entry
-    other than +-1: a disc whose rim 9-gon w_0..w_8 (vertices 3..11, centre
-    12) wraps three times round the triangle {0, 1, 2}; f = (13, 39, 27)."""
-    relabel = (12, 3, 4, 11, 5, 0, 10, 6, 9, 7, 8, 2, 1)
+    """M(Z/3, 1), relabelled so that the reduction of its class key over Q
+    meets a pivot entry other than +-1: a disc whose rim 9-gon w_0..w_8
+    (vertices 3..11, centre 12) wraps three times round the triangle
+    {0, 1, 2}; f = (13, 39, 27).  The class key puts the rim (5 facets a
+    vertex) before the triangle and the centre (9 each), so only the order
+    within those two sets matters: 105 of 300 seeded shuffles take the
+    scaled step."""
+    relabel = (9, 6, 3, 2, 10, 0, 12, 11, 4, 1, 7, 8, 5)
     w = [3 + i % 9 for i in range(10)]
     facets = []
     for i in range(9):

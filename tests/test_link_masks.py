@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 import oracle
+from conftest import clear_memos
 from scx import (
     betti,
     cross_polytope_boundary,
@@ -24,7 +25,7 @@ from scx import (
     simplex_boundary,
     standard_catalog,
 )
-from scx.homology import _links, _order_type
+from scx.homology import _class_key, _links, _order_type
 from test_homology import RP2_FACETS
 from test_retriangulate import NON_BALL_HOSTS, _non_balls
 
@@ -167,6 +168,22 @@ def test_vertex_link_verdicts_match_the_face_sweep_on_random_complexes(catalog):
     assert_manifold_verdicts_agree(complexes)
 
 
+def shuffled(cx, rng):
+    """``cx`` with its vertices renamed by a seeded permutation of them."""
+    verts = sorted(cx.vertices)
+    rename = dict(zip(verts, rng.sample(verts, len(verts))))
+    return from_facets([[rename[v] for v in f] for f in cx.facets])
+
+
+def test_vertex_link_verdicts_match_the_face_sweep_on_shuffled_complexes(catalog):
+    # the shuffles are judged after their originals, so their vertex links
+    # meet verdicts computed on other labellings of the same links
+    rng = random.Random(1)
+    complexes = [cx for base in catalog for cx in [base, *perturbations(base, rng)]]
+    clear_memos()
+    assert_manifold_verdicts_agree(complexes + [shuffled(cx, rng) for cx in complexes])
+
+
 def test_sweep_keys_are_the_betti_keys_of_the_link_complexes(catalog, monkeypatch):
     asked = []
     monkeypatch.setattr(homology, "_betti", lambda key, field: asked.append(key))
@@ -177,8 +194,9 @@ def test_sweep_keys_are_the_betti_keys_of_the_link_complexes(catalog, monkeypatc
         for face in faces:
             betti(cx.link(face))
         swept = [_order_type(link) for _, link in _links(cx, faces)]
-        assert swept == asked
-        # and both are the facets as bitmasks over the link's sorted vertices
+        assert [_class_key(key) for key in swept] == asked
+        # and each order type is the facets as bitmasks over the link's
+        # sorted vertices
         for face, key in zip(faces, swept):
             lk = cx.link(face)
             index = {v: i for i, v in enumerate(sorted(lk.vertices))}

@@ -88,17 +88,22 @@ CACHES = ("lru_cache", "cache", "cached_property")
 
 def test_every_cache_is_an_order_type_memo_in_homology():
     # caching in one place: each cache is an LRU of BETTI_MEMO entries in
-    # homology.py whose key is an order type, and each call passes one, read
-    # off a complex by _order_type or handed on by a memo's own masks
+    # homology.py whose key is read off an order type.  _ball and _class_key
+    # take the order type itself; _betti and _is_sphere take its class key,
+    # or the masks of a memo that already holds one
     def caches(decorator):
         return any(_named(getattr(decorator, "func", decorator), c) for c in CACHES)
+
+    def order_type(key):
+        return isinstance(key, ast.Call) and _named(key.func, "_order_type")
 
     memos = {
         node.name: (module, node)
         for module, _, node in _nodes()
         if isinstance(node, ast.FunctionDef) and any(map(caches, node.decorator_list))
     }
-    assert {"_betti", "_is_sphere", "_ball"} <= memos.keys()
+    by_order_type, by_class_key = {"_ball", "_class_key"}, {"_betti", "_is_sphere"}
+    assert memos.keys() == by_order_type | by_class_key
     for module, node in memos.values():
         assert module == "homology.py"
         assert [ast.unparse(d) for d in node.decorator_list] == [
@@ -107,12 +112,17 @@ def test_every_cache_is_an_order_type_memo_in_homology():
         assert node.args.args[0].arg == "masks"
     assert sum(len(_uses(c)) for c in CACHES) == len(memos)  # no cache but these
     calls = [
-        (where, node.args[0])
+        (node.func.id, where, node.args[0])
         for _, where, node in _nodes()
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in memos
     ]
-    assert len(calls) >= len(memos)
-    for where, key in calls:
-        assert (
-            isinstance(key, ast.Call) and _named(key.func, "_order_type")
-        ) or (ast.unparse(key) == "masks" and where in memos), ast.unparse(key)
+    assert {memo for memo, _, _ in calls} == memos.keys()
+    for memo, where, key in calls:
+        if memo in by_order_type:
+            assert order_type(key), (memo, ast.unparse(key))
+        else:
+            assert (
+                isinstance(key, ast.Call)
+                and _named(key.func, "_class_key")
+                and order_type(key.args[0])
+            ) or (ast.unparse(key) == "masks" and where in by_class_key), ast.unparse(key)
