@@ -1,8 +1,15 @@
 """Finite abstract simplicial complexes and their combinatorial operations.
 
-A complex is stored by its inclusion-maximal faces (facets); the full face
-list is materialized lazily, grouped by dimension.  Complexes are immutable
-values: every operation returns a new complex, so concurrent reads are safe.
+A complex is stored by its inclusion-maximal faces (facets).  Its closure is
+built lazily in two forms, each at most once.  The readers that count faces,
+test membership or sweep links (``n_faces``, ``in``, ``missing_faces``,
+``edges``, the link f-vectors and the link sweeps of :mod:`scx.homology`)
+use the closure as bitmasks over the sorted vertices, every submask of a
+facet mask (:func:`_closure_masks`, which the Betti numbers share).  Only
+``faces`` and ``faces_of_dim``, for the callers that need frozensets, build
+the closure as frozensets.  ``adjacency`` and ``is_connected`` read the
+facets alone.  Complexes are immutable values: every operation returns a new
+complex, so concurrent reads are safe.
 
 Vertices are non-negative integer labels; faces are frozensets of labels.
 Every complex contains the empty face; ``from_facets([])`` yields the
@@ -12,6 +19,7 @@ complex whose only face is the empty one (dimension -1).
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .errors import (
     FaceNotPresentError,
@@ -51,6 +59,45 @@ def _check_closure_bound(sizes):
         raise TooLargeError(f"closure bound {bound} exceeds the guard ({CLOSURE_GUARD})")
 
 
+def _closure_masks(masks) -> tuple:
+    """(by_size, members) for the closure of the facet bitmasks ``masks``:
+    by_size[j] lists the faces with j vertices in increasing order, and
+    members is the set of them all, the empty face 0 included.
+
+    Each face is a submask of a facet, and the submasks of m are enumerated
+    by ``sub = (sub - 1) & m``, which visits each once in decreasing order.
+    The closure bound is checked first.
+    """
+    _check_closure_bound(map(int.bit_count, masks))
+    members = {0}
+    for m in masks:
+        sub = m
+        while sub:
+            members.add(sub)
+            sub = (sub - 1) & m
+    by_size = [[] for _ in range(max(map(int.bit_count, masks)) + 1)]
+    for f in sorted(members):
+        by_size[f.bit_count()].append(f)
+    return by_size, members
+
+
+class _MaskClosure(NamedTuple):
+    """The closure of a complex as bitmasks over its sorted vertices."""
+
+    bit: dict  # vertex -> 1 << its position, in sorted vertex order
+    facets: list  # the facet masks
+    by_size: list  # by_size[j]: the faces with j vertices, in increasing order
+    members: set  # every face mask, the empty face 0 included
+
+
+def _bits(mask):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def _maximal(faces) -> frozenset:
     """Inclusion-maximal members of a family of frozensets.
 
@@ -75,7 +122,7 @@ def _maximal(faces) -> frozenset:
 class SimplicialComplex:
     """Immutable simplicial complex identified by its facet set."""
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_by_dim")
+    __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_by_dim", "_masks")
 
     def __init__(self, faces):
         self._facets = _maximal(faces)
@@ -83,6 +130,7 @@ class SimplicialComplex:
         self._dim = max(map(len, self._facets)) - 1
         self._faces = None
         self._by_dim = None
+        self._masks = None
 
     @property
     def facets(self) -> frozenset:
@@ -113,7 +161,10 @@ class SimplicialComplex:
     # -- face enumeration ------------------------------------------------
 
     def faces(self) -> frozenset:
-        """The full face set (closure of the facets), including the empty face."""
+        """The full face set (closure of the facets), including the empty face.
+
+        Built as frozensets, separately from the bitmask closure
+        (:meth:`_mask_closure`) that counts and membership tests read."""
         if self._faces is None:
             _check_closure_bound(map(len, self._facets))
             # by_size[k]: the k-subsets of the facets as sorted tuples, which
@@ -130,15 +181,41 @@ class SimplicialComplex:
         return self._faces
 
     def faces_of_dim(self, k: int) -> tuple:
-        """All k-dimensional faces, sorted by vertex tuple."""
+        """All k-dimensional faces, sorted by vertex tuple (from :meth:`faces`)."""
         self.faces()
         return self._by_dim.get(k, ())
 
+    def _mask_closure(self) -> _MaskClosure:
+        """The closure as bitmasks over the sorted vertices, built once
+        (:func:`_closure_masks`); a race only builds it twice."""
+        if self._masks is None:
+            bit, facets = self._facet_masks()
+            self._masks = _MaskClosure(bit, facets, *_closure_masks(facets))
+        return self._masks
+
+    def _facet_masks(self) -> tuple:
+        """(bit, facet masks) as in :meth:`_mask_closure`, read off it when it
+        is built; otherwise computed without building it, so a complex over
+        the closure bound still gives its links."""
+        if self._masks is not None:
+            return self._masks.bit, self._masks.facets
+        bit = {v: 1 << i for i, v in enumerate(sorted(self._vertices))}
+        return bit, [sum(map(bit.__getitem__, f)) for f in self._facets]
+
     def n_faces(self, k: int) -> int:
-        return len(self.faces_of_dim(k))
+        """f_k, counted on the bitmask closure; 0 outside -1..dim."""
+        by_size = self._mask_closure().by_size
+        return len(by_size[k + 1]) if 0 <= k + 1 < len(by_size) else 0
 
     def __contains__(self, face) -> bool:
-        return frozenset(face) in self.faces()
+        """Whether ``face`` is a face, tested on the bitmask closure."""
+        bit, _, _, members = self._mask_closure()
+        mask = 0
+        for v in face:
+            if v not in bit:
+                return False
+            mask |= bit[v]
+        return mask in members
 
     # -- simple predicates ------------------------------------------------
 
@@ -151,15 +228,24 @@ class SimplicialComplex:
         return self.is_pure() and (self._dim < 0 or not self.missing_faces(self._dim))
 
     def adjacency(self) -> dict:
-        """Vertex -> set of neighbours in the 1-skeleton."""
+        """Vertex -> set of neighbours in the 1-skeleton, read off the facets."""
         adj = {v: set() for v in self._vertices}
-        for u, v in self.faces_of_dim(1):
-            adj[u].add(v)
-            adj[v].add(u)
+        for f in self._facets:
+            for v in f:
+                adj[v].update(f)
+        for v, neighbours in adj.items():
+            neighbours.discard(v)
         return adj
 
     def edges(self) -> tuple:
-        return tuple(tuple(sorted(e)) for e in self.faces_of_dim(1))
+        """The edges as sorted vertex pairs, in ``faces_of_dim(1)`` order."""
+        bit, _, by_size, _ = self._mask_closure()
+        if len(by_size) < 3:
+            return ()
+        labels = list(bit)
+        return tuple(
+            sorted((labels[(m & -m).bit_length() - 1], labels[m.bit_length() - 1]) for m in by_size[2])
+        )
 
     def is_connected(self) -> bool:
         """One component in the 1-skeleton, found from the facets alone."""
@@ -170,7 +256,7 @@ class SimplicialComplex:
 
     def _require_face(self, face) -> frozenset:
         f = frozenset(face)
-        if f not in self.faces():
+        if f not in self:
             raise FaceNotPresentError(f"face {tuple(sorted(f))} is not in the complex")
         return f
 
@@ -205,19 +291,28 @@ class SimplicialComplex:
     # -- missing faces ------------------------------------------------------
 
     def missing_faces(self, k: int) -> list:
-        """Minimal non-faces of dimension k, as sorted vertex tuples."""
+        """Minimal non-faces of dimension k, as sorted vertex tuples.
+
+        Read off the bitmask closure: each candidate is a face with k
+        vertices plus one vertex above all of them, so it is met once, and
+        it is missing when it is no face but every face of its boundary is.
+        """
         if k < 0:
             raise PreconditionError("missing-face dimension must be >= 0")
         if k == 0 or k > self._dim + 1:
             return []
-        faces = self.faces()
-        out = {
-            cand
-            for base in self.faces_of_dim(k - 1)
-            for cand in (base | {v} for v in self._vertices - base)
-            if cand not in faces and all(cand - {u} in faces for u in cand)
-        }
-        return sorted(tuple(sorted(f)) for f in out)
+        bit, _, by_size, members = self._mask_closure()
+        labels = list(bit)
+        top = 1 << len(labels)
+        out = []
+        for base in by_size[k]:
+            v = 1 << base.bit_length()
+            while v < top:
+                cand = base | v
+                if cand not in members and all(cand ^ b in members for b in _bits(base)):
+                    out.append(tuple(labels[b.bit_length() - 1] for b in _bits(cand)))
+                v <<= 1
+        return sorted(out)
 
 
 def from_facets(facets) -> SimplicialComplex:

@@ -66,23 +66,28 @@ class GVector:
 
 
 def f_vector(cx: SimplicialComplex) -> FVector:
-    """Exact face counts from the closure."""
+    """Exact face counts from the bitmask closure (``n_faces``)."""
     entries = tuple(cx.n_faces(k) for k in range(-1, cx.dim + 1))
     return FVector(entries, impure=not cx.is_pure())
 
 
 def _link_f_vectors(cx: SimplicialComplex) -> dict:
-    """Vertex v -> the f-vector entries of lk(v), read off the closure: each
-    k-face through v is a (k-1)-face of lk(v)."""
-    counts = {v: [] for v in cx.vertices}
-    for k in range(cx.dim + 1):
-        for face in cx.faces_of_dim(k):
-            for v in face:
-                through = counts[v]
-                if len(through) == k:
-                    through.append(0)
-                through[k] += 1
-    return {v: tuple(through) for v, through in counts.items()}
+    """Vertex v -> the f-vector entries of lk(v), read off the bitmask
+    closure: each face with k + 1 vertices through v is a (k-1)-face of
+    lk(v), so entry k counts the faces of that size whose mask has v's bit."""
+    bit, _, by_size, _ = cx._mask_closure()
+    counts = [[] for _ in bit]
+    for group in by_size[1:]:
+        tally = [0] * len(bit)
+        for m in group:
+            while m:
+                low = m & -m
+                tally[low.bit_length() - 1] += 1
+                m ^= low
+        for through, t in zip(counts, tally):
+            if t:
+                through.append(t)
+    return dict(zip(bit, map(tuple, counts)))
 
 
 def h_from_f(f: FVector) -> HVector:

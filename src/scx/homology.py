@@ -31,7 +31,10 @@ misses and ``cache_clear()`` empties each memo.
 The predicates that sweep face links (the manifold, ball and normal
 pseudomanifold tests) build no link complex: :func:`_links` reads each
 link's facets off the complex's facets as bitmasks, and the link's order
-type and components come from those masks.
+type and components come from those masks.  The normal-pseudomanifold
+sweep, :func:`skeleton_completion` and :func:`_face_masks` read the faces
+off the complex's bitmask closure, the submask enumeration that a Betti
+miss runs on its key (``complexes._closure_masks``).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import exact
-from .complexes import SimplicialComplex, _check_closure_bound, from_faces
+from .complexes import SimplicialComplex, _bits, _closure_masks, from_faces
 from .errors import InternalCheckError, PreconditionError, TooLargeError
 
 
@@ -103,9 +106,13 @@ def _dense(cx: SimplicialComplex, k: int, columns: list) -> BoundaryMatrix:
 
 def _face_masks(cx: SimplicialComplex, sizes) -> dict:
     """``{j: faces with j vertices}`` as bitmasks over the sorted vertices, in
-    ``faces_of_dim`` order, which :func:`_dense` reads the columns' rows in."""
-    bit = {v: 1 << i for i, v in enumerate(sorted(cx.vertices))}
-    return {j: [sum(map(bit.__getitem__, f)) for f in cx.faces_of_dim(j - 1)] for j in sizes}
+    ``faces_of_dim`` order, which :func:`_dense` reads the columns' rows in:
+    the bitmask closure's groups, sorted by their lists of set bits."""
+    by_size = cx._mask_closure().by_size
+    return {
+        j: sorted(by_size[j], key=lambda m: list(_bits(m))) if 0 <= j < len(by_size) else []
+        for j in sizes
+    }
 
 
 def _boundary_columns(faces, k: int) -> list:
@@ -244,16 +251,7 @@ def _class_key(masks: tuple) -> tuple:
 @functools.lru_cache(maxsize=BETTI_MEMO)
 def _betti(masks: tuple, field) -> BettiProfile:
     """One memo miss, on the masks alone; ranks top-down with clearing."""
-    _check_closure_bound(map(int.bit_count, masks))
-    seen = set()  # the closure: every submask of a facet
-    for m in masks:
-        sub = m
-        while sub:
-            seen.add(sub)
-            sub = (sub - 1) & m
-    faces = [[0]] + [[] for _ in range(max(map(int.bit_count, masks)))]
-    for f in sorted(seen):  # faces[j]: the faces with j vertices
-        faces[f.bit_count()].append(f)
+    faces, _ = _closure_masks(masks)  # faces[j]: the faces with j vertices
     sizes = list(map(len, faces))  # sizes[k + 1] = f_k
     cells = max((rows * cols for rows, cols in zip(sizes, sizes[1:])), default=0)
     if cells > BETTI_GUARD:
@@ -296,12 +294,13 @@ def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
 def _links(cx: SimplicialComplex, faces):
     """(face, link facets) for each face of ``faces``, in their order.
 
-    Facets are bitmasks over the sorted vertices, masked once per call; the
-    link of a face with mask ``fm`` has the facets ``m ^ fm`` for the facet
-    masks ``m`` that contain it.  These form an antichain, as the facets do.
+    Facets are bitmasks over the sorted vertices, read off the complex's
+    bitmask closure when it is built, and the closure is not built for them
+    (``SimplicialComplex._facet_masks``); the link of a face with mask
+    ``fm`` has the facets ``m ^ fm`` for the facet masks ``m`` that contain
+    it.  These form an antichain, as the facets do.
     """
-    bit = {v: 1 << i for i, v in enumerate(sorted(cx.vertices))}
-    masks = [sum(map(bit.__getitem__, f)) for f in cx.facets]
+    bit, masks = cx._facet_masks()
     for face in faces:
         fm = sum(map(bit.__getitem__, face))
         yield face, [m ^ fm for m in masks if m & fm == fm]
@@ -462,8 +461,14 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
 
 def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     """Pure + connected, every ridge in exactly two facets, and connected
-    links in low dimensions.  Purely combinatorial; no homology involved:
-    each link's connectivity is read off its facet bitmasks (:func:`_links`)."""
+    links in low dimensions.  Purely combinatorial; no homology involved.
+
+    The link sweep runs on the bitmask closure, one dimension at a time:
+    each face's link is read off the facet masks (as in :func:`_links`) and
+    tested for connectivity.  The witness is the least failing face of the
+    lowest failing dimension in vertex-tuple order, the first that a sweep
+    in ``faces_of_dim`` order would meet; mask order differs from it, so
+    every face of that dimension is tested before one is chosen."""
     n = cx.dim
     if n < 1:
         return PredicateResult(False, (), "dimension must be at least 1")
@@ -479,10 +484,15 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
         return PredicateResult(
             False, tuple(sorted(ridge)), f"ridge lies in {ridge_count[ridge]} facets"
         )
-    faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(n - 1))
-    for face, link in _links(cx, faces):
-        if not _is_connected(link):
-            return PredicateResult(False, tuple(sorted(face)), "face link is not connected")
+    bit, masks, by_size, _ = cx._mask_closure()
+    labels = list(bit)
+    for j in range(1, n):  # the faces of dimension 0..n-2
+        failing = [
+            fm for fm in by_size[j] if not _is_connected([m ^ fm for m in masks if m & fm == fm])
+        ]
+        if failing:
+            witness = min(tuple(sorted(_labelled(labels, fm))) for fm in failing)
+            return PredicateResult(False, witness, "face link is not connected")
     return PredicateResult(True)
 
 
@@ -491,33 +501,42 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
 
     Vertex sets of size <= i+1 qualify exactly when they are faces, so the
     result contains the input; larger candidates are grown level by level
-    through common neighbourhoods in the 1-skeleton.
+    through common neighbourhoods in the 1-skeleton.  The search runs on the
+    bitmask closure: a candidate is a member of the level plus one vertex,
+    so only its (i+1)-subsets through that vertex need testing.
     """
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
-    faces = cx.faces()
-    adj = cx.adjacency()
-    level = set(cx.faces_of_dim(i))
+    bit, masks, by_size, members = cx._mask_closure()
+    neighbours = dict.fromkeys(bit.values(), 0)  # vertex bit -> its closed neighbourhood
+    for m in masks:
+        for b in _bits(m):
+            neighbours[b] |= m
+    level = set(by_size[i + 1]) if i + 1 < len(by_size) else set()
     accepted = []
     tested = 0
     while level:
         nxt = set()
         for face in level:
-            common = set.intersection(*(adj[v] for v in face)) - face
-            for cand in {face | {v} for v in common} - nxt:
+            rest = list(_bits(face))
+            common = ~face
+            for b in rest:
+                common &= neighbours[b]
+            for b in _bits(common):
+                cand = face | b
+                if cand in nxt:
+                    continue
                 tested += 1
                 if tested > COMPLETION_GUARD:
                     raise TooLargeError(
                         f"completion exceeds the completion guard ({COMPLETION_GUARD} candidates)"
                     )
-                if all(
-                    frozenset(sub) in faces
-                    for sub in itertools.combinations(sorted(cand), i + 1)
-                ):
+                if all(sum(sub) | b in members for sub in itertools.combinations(rest, i)):
                     nxt.add(cand)
         accepted.extend(nxt)
         level = nxt
-    return from_faces(itertools.chain(cx.facets, accepted))
+    labels = list(bit)
+    return from_faces(itertools.chain(cx.facets, (_labelled(labels, m) for m in accepted)))
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,8 @@ def central_retriangulation(
         raise PreconditionError(
             f"ball dimension {ball.dim} differs from complex dimension {cx.dim}"
         )
-    faces = cx.faces()
     for facet in ball.facets:
-        if facet not in faces:
+        if facet not in cx:
             raise PreconditionError(
                 f"ball facet {tuple(sorted(facet))} is not a face of the complex"
             )
@@ -132,12 +131,7 @@ def _identity_sides(cx: SimplicialComplex, tau, dims):
         if k == 1:
             rhs |= {frozenset({w, u}) for w in cx.vertices - star.vertices}
         elif k >= 2:
-            faces = cx.faces()
-            rhs |= {
-                frozenset(f) | {u}
-                for f in star.missing_faces(k - 1)
-                if frozenset(f) in faces
-            }
+            rhs |= {frozenset(f) | {u} for f in star.missing_faces(k - 1) if f in cx}
         if k == len(t) - 1 and len(t) >= 2:
             rhs.add(t)
         yield k, lhs, rhs
@@ -170,9 +164,12 @@ def inverse_stellar(
     """Replace the star of a vertex by the stacked ball determined by its
     link: the faces whose (r-1)-skeleton lies in the link.
 
-    Requires the link to be an (r-1)-stacked homology sphere and no interior
-    face of the completion to be present already; r is auto-detected as the
-    least level at which the link's g-vector vanishes when omitted.
+    With ``check`` the link must be a homology sphere, and its completion
+    (the vertex sets whose (r-1)-skeleton lies in the link) a homology ball
+    whose boundary is the link; whether the link is (r-1)-stacked is not
+    tested beyond that.  With or without ``check``, no interior face of the
+    completion may be present already.  r is auto-detected as the least
+    level at which the link's g-vector vanishes when omitted.
     """
     if v not in cx.vertices:
         raise PreconditionError(f"vertex {v} is not in the complex")
@@ -188,9 +185,8 @@ def inverse_stellar(
     boundary, interior = _ball_checked(filled, field, check)
     if check and boundary != link:
         raise PreconditionError("link completion does not have the link as boundary")
-    faces = cx.faces()
     for f in sorted(interior, key=sorted):
-        if f in faces:
+        if f in cx:
             raise PreconditionError(
                 f"interior face {tuple(sorted(f))} of the completion is already present"
             )
@@ -271,14 +267,13 @@ def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check
     t = frozenset(tau)
     if v not in cx.vertices:
         raise PreconditionError(f"vertex {v} is not in the complex")
-    if t in cx.faces():
+    if t in cx:
         raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
     link = cx.link([v])
     if check:
         _require_swartz_input(cx, link, v, field)
     # a missing facet of the link has the link's top dimension
-    faces = link.faces()
-    if len(t) != link.dim + 1 or t in faces or any(t - {u} not in faces for u in t):
+    if len(t) != link.dim + 1 or t in link or any(t - {u} not in link for u in t):
         raise PreconditionError(
             f"{tuple(sorted(t))} is not a missing facet of the link of {v}"
         )
@@ -318,7 +313,7 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
         if steps:  # before the first move the queue holds only v
             link = current.link([w])
         for t in map(frozenset, link.missing_faces(link.dim)):
-            if t not in current.faces():
+            if t not in current:
                 break
             skipped.append(tuple(sorted(t)))
         else:

@@ -358,11 +358,7 @@ def _swartz_instances(scale):
 def _run_swartz_bound(catalog, scale):
     for name, cx, vertex, expected_steps in _swartz_instances(scale):
         link = cx.link([vertex])
-        eligible = [
-            t
-            for t in link.missing_faces(link.dim)
-            if frozenset(t) not in cx.faces()
-        ]
+        eligible = [t for t in link.missing_faces(link.dim) if t not in cx]
         try:
             out, record = swartz_all(cx, vertex)
         except PreconditionError as exc:

@@ -75,6 +75,22 @@ def face_counts(facets):
     return tuple(counts)
 
 
+def missing_faces(facets):
+    """{k: the minimal non-faces with k + 1 vertices, as sorted tuples} for
+    k = 0..f_0 - 1, by brute force: every set of vertices that is not a face
+    but whose boundary lies in the closure."""
+    faces = closure(facets)
+    vertices = sorted(set(chain.from_iterable(facets)))
+    return {
+        k: [
+            c
+            for c in combinations(vertices, k + 1)
+            if frozenset(c) not in faces and all(frozenset(c) - {v} in faces for v in c)
+        ]
+        for k in range(len(vertices))
+    }
+
+
 def g2_from_counts(f0, f1, dim):
     d = dim + 1
     return f1 - d * f0 + d * (d + 1) // 2
@@ -170,7 +186,7 @@ def betti_every_column(masks, field="rational"):
     cx = SimplicialComplex(
         frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks
     )
-    sizes = [cx.n_faces(k) for k in range(-1, cx.dim + 1)]
+    sizes = [len(cx.faces_of_dim(k)) for k in range(-1, cx.dim + 1)]
     ranks = [0]  # ranks[k + 1] = rank d_k, with d_{-1} and d_{dim+1} zero
     for k in range(cx.dim + 1):
         index = {f: i for i, f in enumerate(cx.faces_of_dim(k - 1))}

@@ -126,3 +126,32 @@ def test_every_cache_is_an_order_type_memo_in_homology():
                 and _named(key.func, "_class_key")
                 and order_type(key.args[0])
             ) or (ast.unparse(key) == "masks" and where in by_class_key), ast.unparse(key)
+
+
+def test_only_the_closure_helper_enumerates_submasks():
+    # one closure routine: the step x = (x - 1) & m, which walks the
+    # submasks of m, appears in complexes._closure_masks alone, which the
+    # complexes' bitmask closures and the Betti misses share
+    def step(node):
+        if not (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.BitAnd)
+        ):
+            return False
+        names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+        return any(
+            isinstance(side, ast.BinOp)
+            and isinstance(side.op, ast.Sub)
+            and getattr(side.left, "id", None) in names
+            and ast.unparse(side.right) == "1"
+            for side in (node.value.left, node.value.right)
+        )
+
+    assert [(module, where) for module, where, node in _nodes() if step(node)] == [
+        ("complexes.py", "_closure_masks")
+    ]
+    assert sorted(set(_uses("_closure_masks"))) == [
+        ("complexes.py", "_mask_closure"),
+        ("homology.py", "_betti"),
+    ]
