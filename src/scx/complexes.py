@@ -1,15 +1,15 @@
 """Finite abstract simplicial complexes and their combinatorial operations.
 
 A complex is stored by its inclusion-maximal faces (facets).  Its closure is
-built lazily in two forms, each at most once.  The readers that count faces,
-test membership or sweep links (``n_faces``, ``in``, ``missing_faces``,
-``edges``, the link f-vectors and the link sweeps of :mod:`scx.homology`)
-use the closure as bitmasks over the sorted vertices, every submask of a
-facet mask (:func:`_closure_masks`, which the Betti numbers share).  Only
-``faces`` and ``faces_of_dim``, for the callers that need frozensets, build
-the closure as frozensets.  ``adjacency`` and ``is_connected`` read the
-facets alone.  Complexes are immutable values: every operation returns a new
-complex, so concurrent reads are safe.
+built lazily, at most once, as bitmasks over the sorted vertices: every
+submask of a facet mask (:func:`_closure_masks`, which the Betti numbers
+share).  The readers that count faces, test membership or sweep links
+(``n_faces``, ``in``, ``missing_faces``, ``edges``, the link f-vectors and
+the link sweeps of :mod:`scx.homology`) read those masks, and ``faces`` and
+``faces_of_dim`` are their labelled view, each group of masks turned into
+frozensets in vertex-tuple order.  ``adjacency`` and ``is_connected`` read
+the facets alone.  Complexes are immutable values: every operation returns
+a new complex, so concurrent reads are safe.
 
 Vertices are non-negative integer labels; faces are frozensets of labels.
 Every complex contains the empty face; ``from_facets([])`` yields the
@@ -98,6 +98,17 @@ def _bits(mask):
         mask ^= low
 
 
+def _tuple_order(masks) -> list:
+    """Face bitmasks of one size in vertex-tuple order: the lesser tuple holds
+    the lowest differing vertex, so its bits read lowest first are greater."""
+    return sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
+
+
+def _labelled(labels, mask) -> frozenset:
+    """The face whose bitmask over ``labels`` is ``mask``."""
+    return frozenset(labels[b.bit_length() - 1] for b in _bits(mask))
+
+
 def _maximal(faces) -> frozenset:
     """Inclusion-maximal members of a family of frozensets.
 
@@ -122,14 +133,13 @@ def _maximal(faces) -> frozenset:
 class SimplicialComplex:
     """Immutable simplicial complex identified by its facet set."""
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_by_dim", "_masks")
+    __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_masks")
 
     def __init__(self, faces):
         self._facets = _maximal(faces)
         self._vertices = frozenset(itertools.chain.from_iterable(self._facets))
         self._dim = max(map(len, self._facets)) - 1
         self._faces = None
-        self._by_dim = None
         self._masks = None
 
     @property
@@ -161,29 +171,26 @@ class SimplicialComplex:
     # -- face enumeration ------------------------------------------------
 
     def faces(self) -> frozenset:
-        """The full face set (closure of the facets), including the empty face.
-
-        Built as frozensets, separately from the bitmask closure
-        (:meth:`_mask_closure`) that counts and membership tests read."""
+        """The full face set (closure of the facets), including the empty face:
+        the bitmask closure (:meth:`_mask_closure`) labelled, each face as a
+        labelled smaller face plus its top vertex.  Kept with its groups in
+        vertex-tuple order as one tuple, so a race only labels it twice."""
         if self._faces is None:
-            _check_closure_bound(map(len, self._facets))
-            # by_size[k]: the k-subsets of the facets as sorted tuples, which
-            # sort natively in vertex-tuple order
-            by_size = [set() for _ in range(self._dim + 2)]
-            for facet in self._facets:
-                fs = sorted(facet)
-                for k in range(len(fs) + 1):
-                    by_size[k].update(itertools.combinations(fs, k))
-            # _by_dim before _faces: a reader that sees the closure sees its
-            # grouping too; a race only computes the same closure twice
-            self._by_dim = {k - 1: tuple(map(frozenset, sorted(s))) for k, s in enumerate(by_size)}
-            self._faces = frozenset(itertools.chain.from_iterable(self._by_dim.values()))
-        return self._faces
+            bit, _, by_size, _ = self._mask_closure()
+            face = {b: frozenset((v,)) for v, b in bit.items()}
+            face[0] = frozenset()
+            for m in itertools.chain.from_iterable(by_size[2:]):
+                top = 1 << (m.bit_length() - 1)
+                face[m] = face[m ^ top] | face[top]
+            groups = tuple(tuple(map(face.__getitem__, _tuple_order(g))) for g in by_size)
+            self._faces = frozenset(face.values()), groups
+        return self._faces[0]
 
     def faces_of_dim(self, k: int) -> tuple:
-        """All k-dimensional faces, sorted by vertex tuple (from :meth:`faces`)."""
+        """All k-dimensional faces in vertex-tuple order; () outside -1..dim."""
         self.faces()
-        return self._by_dim.get(k, ())
+        groups = self._faces[1]
+        return groups[k + 1] if 0 <= k + 1 < len(groups) else ()
 
     def _mask_closure(self) -> _MaskClosure:
         """The closure as bitmasks over the sorted vertices, built once

@@ -31,10 +31,11 @@ misses and ``cache_clear()`` empties each memo.
 The predicates that sweep face links (the manifold, ball and normal
 pseudomanifold tests) build no link complex: :func:`_links` reads each
 link's facets off the complex's facets as bitmasks, and the link's order
-type and components come from those masks.  The normal-pseudomanifold
-sweep, :func:`skeleton_completion` and :func:`_face_masks` read the faces
-off the complex's bitmask closure, the submask enumeration that a Betti
-miss runs on its key (``complexes._closure_masks``).
+type and components come from those masks.  Every face sweep reads a
+closure enumerated by ``complexes._closure_masks``: the normal-pseudomanifold
+sweep, :func:`skeleton_completion` and :func:`_face_masks` the complex's
+own, a Betti miss and a ball sweep that of their key, in vertex-tuple order
+(``complexes._tuple_order``) where a witness or a matrix needs it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import exact
-from .complexes import SimplicialComplex, _bits, _closure_masks, from_faces
+from .complexes import SimplicialComplex, _bits, _closure_masks, _labelled, _tuple_order, from_faces
 from .errors import InternalCheckError, PreconditionError, TooLargeError
 
 
@@ -105,14 +106,11 @@ def _dense(cx: SimplicialComplex, k: int, columns: list) -> BoundaryMatrix:
 
 
 def _face_masks(cx: SimplicialComplex, sizes) -> dict:
-    """``{j: faces with j vertices}`` as bitmasks over the sorted vertices, in
-    ``faces_of_dim`` order, which :func:`_dense` reads the columns' rows in:
-    the bitmask closure's groups, sorted by their lists of set bits."""
+    """``{j: faces with j vertices}`` as bitmasks over the sorted vertices:
+    the bitmask closure's groups in vertex-tuple order, the order of
+    ``faces_of_dim``, which :func:`_dense` reads the columns' rows in."""
     by_size = cx._mask_closure().by_size
-    return {
-        j: sorted(by_size[j], key=lambda m: list(_bits(m))) if 0 <= j < len(by_size) else []
-        for j in sizes
-    }
+    return {j: _tuple_order(by_size[j]) if 0 <= j < len(by_size) else [] for j in sizes}
 
 
 def _boundary_columns(faces, k: int) -> list:
@@ -340,11 +338,11 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
     links of ``cx`` gives them (:func:`_ball`).
 
     Memoised: the sweep runs on the complex's order type, not on its class
-    key, and its masks are read back through the sorted vertices.
-    An order-preserving relabelling keeps the ``faces_of_dim`` order, the
-    faces with trivial links and the least failing vertex of the boundary,
-    so the witness, the boundary and the interior are those of a sweep on
-    ``cx`` itself.
+    key, and its masks and witness are read back through the sorted
+    vertices.  An order-preserving relabelling keeps the vertex-tuple order
+    of the faces, the faces with trivial links and the least failing vertex
+    of the boundary, so the witness, the boundary and the interior are
+    those of a sweep on ``cx`` itself.
     """
     ((_, facets),) = _links(cx, [frozenset()])  # the link of the empty face
     verdict, boundary, interior = _ball(
@@ -358,56 +356,49 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
     return verdict, from_faces(map(faces, boundary)), frozenset(map(faces, interior))
 
 
-def _labelled(labels, mask) -> frozenset:
-    """The face whose bitmask over ``labels`` is ``mask``."""
-    return frozenset(labels[i] for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 @functools.lru_cache(maxsize=BETTI_MEMO)
 def _ball(masks: tuple, field, check) -> tuple:
     """One sweep over the face links of the order type ``masks``: (verdict,
     boundary facet masks, interior face masks), over the vertices 0..n-1.
 
-    The boundary is the closure of the faces with homologically trivial
-    links, and the interior is every face off it; a face whose link is
-    neither trivial nor sphere-like of complementary dimension makes the
-    verdict negative.  With ``check`` the verdict also requires ball
-    homology and trivial-link faces that are closed downward, a boundary of
-    dimension dim - 1 and a homology sphere; without it those tests are
-    skipped.  Memoised beside :func:`_betti`, on the order type and ``check``:
-    the witness depends on the sweep order, which a relabelling may change.
+    The sweep reads the closure's masks by size, each size in vertex-tuple
+    order, and the witness is the first face whose link is neither trivial
+    nor sphere-like of complementary dimension.  The boundary is the closure
+    of the faces with trivial links (the one complex built, for the witness
+    of :func:`is_homology_sphere`), and the interior every face off it.
+    With ``check`` the verdict also requires ball homology and trivial-link
+    faces that are closed downward, a boundary of dimension dim - 1 and a
+    homology sphere.  Memoised beside :func:`_betti`, on the order type and
+    ``check``: the witness depends on the sweep order, which a relabelling
+    may change.
     """
+    by_size, members = _closure_masks(masks)
+    d = len(by_size) - 2
     vertices = range(max(masks).bit_length())  # 0..n-1, the bits of the masks
-    cx = from_faces(_labelled(vertices, m) for m in masks)
-    d = cx.dim
     trivial = []
     verdict = PredicateResult(True)
-    faces = itertools.chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1))
-    for face, link in _links(cx, faces):
-        profile = _betti(_class_key(_order_type(link)), field)
-        if profile.is_trivial():
-            trivial.append(face)
-        elif verdict.ok and not profile.is_sphere(d - len(face)):
-            verdict = PredicateResult(
-                False, tuple(sorted(face)), "link is neither ball- nor sphere-like"
-            )
-    bd = from_faces(trivial)
+    for group in by_size:
+        for fm in _tuple_order(group):
+            link = [m ^ fm for m in masks if m & fm == fm]
+            profile = _betti(_class_key(_order_type(link)), field)
+            if profile.is_trivial():
+                trivial.append(fm)
+            elif verdict.ok and not profile.is_sphere(d - fm.bit_count()):
+                witness = tuple(sorted(_labelled(vertices, fm)))
+                verdict = PredicateResult(False, witness, "link is neither ball- nor sphere-like")
+    bd = from_faces(_labelled(vertices, fm) for fm in trivial)
+    bd_masks = tuple(sum(1 << v for v in f) for f in bd.facets)
+    _, closed = _closure_masks(bd_masks)  # the boundary's faces
     if check and verdict:
-        if frozenset() not in trivial:
+        if 0 not in trivial:
             verdict = PredicateResult(False, (), "complex does not have ball homology")
-        elif len(bd.faces()) != len(trivial):  # the closure contains the list
+        elif len(closed) != len(trivial):  # the closure contains the list
             verdict = PredicateResult(False, None, "boundary faces are not closed downward")
         elif d > 0 and bd.dim != d - 1:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
         elif not (sphere := is_homology_sphere(bd, field)):
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
-    interior = cx.faces() - bd.faces()
-    return verdict, tuple(_mask(f) for f in bd.facets), tuple(_mask(f) for f in interior)
-
-
-def _mask(face) -> int:
-    """The bitmask of a face over the vertices 0..n-1."""
-    return sum(1 << v for v in face)
+    return verdict, bd_masks, tuple(members - closed)
 
 
 def is_homology_ball(cx: SimplicialComplex, field="rational") -> PredicateResult:
@@ -491,7 +482,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
             fm for fm in by_size[j] if not _is_connected([m ^ fm for m in masks if m & fm == fm])
         ]
         if failing:
-            witness = min(tuple(sorted(_labelled(labels, fm))) for fm in failing)
+            witness = tuple(sorted(_labelled(labels, _tuple_order(failing)[0])))
             return PredicateResult(False, witness, "face link is not connected")
     return PredicateResult(True)
 

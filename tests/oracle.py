@@ -25,6 +25,11 @@ type.  The retriangulation references at the end are the Swartz moves and
 the inverse stellar move as first written, built from
 ``SimplicialComplex.antistar`` with the package's own record and link
 helpers, and ``swartz_all`` going through the public single move.
+
+Every face set that a reference reads, its sweep order included, comes from
+the powerset :func:`closure`, grouped by :func:`closure_by_dim`, and never
+from ``SimplicialComplex.faces`` or ``faces_of_dim``: those are views of
+the package's bitmask closure, which the references are compared with.
 """
 
 from collections import Counter
@@ -63,6 +68,14 @@ def closure(facets):
         for k in range(len(fs) + 1):
             faces.update(frozenset(c) for c in combinations(fs, k))
     return faces
+
+
+def closure_by_dim(facets):
+    """{k: the k-faces of the powerset closure, in vertex-tuple order} for
+    k = -1..dim: what ``SimplicialComplex.faces_of_dim`` returns."""
+    faces = closure(facets)
+    dim = max(map(len, faces)) - 1
+    return {k: sorted((f for f in faces if len(f) == k + 1), key=sorted) for k in range(-1, dim + 1)}
 
 
 def face_counts(facets):
@@ -141,10 +154,8 @@ def link_g2s(facets):
 
 def betti_gf2(facets):
     """Reduced GF(2) Betti numbers (b_-1, ..., b_dim) by naive elimination."""
-    faces = closure(facets)
-    dim = max(len(f) for f in faces) - 1
-    by_dim = {k: sorted((f for f in faces if len(f) == k + 1), key=sorted)
-              for k in range(-1, dim + 1)}
+    by_dim = closure_by_dim(facets)
+    dim = max(by_dim)
 
     def rank(k):
         rows = by_dim.get(k - 1, [])
@@ -179,20 +190,21 @@ def betti_gf2(facets):
 
 def betti_every_column(masks, field="rational"):
     """Reduced Betti numbers of the order type ``masks`` as ``homology._betti``
-    computed them before it ranked top-down with clearing: the complex rebuilt
-    on frozensets, its closure from ``SimplicialComplex.faces``, each column's
-    rows found by hashing ``face - {v}``, and every column of every d_k ranked
-    by :func:`unit_pivot`.  The guard and the certificate are left out."""
-    cx = SimplicialComplex(
+    computed them before it ranked top-down with clearing: the facets rebuilt
+    as frozensets, their powerset closure (:func:`closure_by_dim`), each
+    column's rows found by hashing ``face - {v}``, and every column of every
+    d_k ranked by :func:`unit_pivot`.  The guard and the certificate are left
+    out."""
+    by_dim = closure_by_dim(
         frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks
     )
-    sizes = [len(cx.faces_of_dim(k)) for k in range(-1, cx.dim + 1)]
+    sizes = [len(faces) for faces in by_dim.values()]
     ranks = [0]  # ranks[k + 1] = rank d_k, with d_{-1} and d_{dim+1} zero
-    for k in range(cx.dim + 1):
-        index = {f: i for i, f in enumerate(cx.faces_of_dim(k - 1))}
+    for k in range(max(by_dim) + 1):
+        index = {f: i for i, f in enumerate(by_dim[k - 1])}
         columns = [
             {index[face - {v}]: 1 - 2 * (j & 1) for j, v in enumerate(sorted(face))}
-            for face in cx.faces_of_dim(k)
+            for face in by_dim[k]
         ]
         ranks.append(unit_pivot(columns, field)[0])
     ranks.append(0)
@@ -424,8 +436,8 @@ def are_isomorphic_adjacency(facets1, facets2):
 def is_homology_manifold_by_links(cx, field="rational"):
     """``is_homology_manifold`` with one link complex built per face, faces
     visited by their smallest vertex first."""
-    n = cx.dim
-    faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
+    n, by_dim = cx.dim, closure_by_dim(cx.facets)
+    faces = chain.from_iterable(by_dim[k] for k in range(n + 1))
     for face in sorted(faces, key=min):
         if not betti(cx.link(face), field).is_sphere(n - len(face)):
             return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
@@ -437,8 +449,8 @@ def is_homology_manifold_by_faces(cx, field="rational"):
     read as facet bitmasks and looked up in the Betti memo by the key
     ``betti`` uses, its class key; faces are visited by their smallest
     vertex first."""
-    n, field = cx.dim, validate_field(field)
-    faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(n + 1))
+    n, field, by_dim = cx.dim, validate_field(field), closure_by_dim(cx.facets)
+    faces = chain.from_iterable(by_dim[k] for k in range(n + 1))
     for face, link in _links(cx, sorted(faces, key=min)):
         if not _betti(_class_key(_order_type(link)), field).is_sphere(n - len(face)):
             return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
@@ -453,7 +465,7 @@ def ball_analysis_by_sweep(cx, field="rational", check=True):
     field = validate_field(field)
     trivial = []
     verdict = PredicateResult(True)
-    faces = chain.from_iterable(cx.faces_of_dim(k) for k in range(-1, d + 1))
+    faces = chain.from_iterable(closure_by_dim(cx.facets).values())
     for face, link in _links(cx, faces):
         profile = _betti(_class_key(_order_type(link)), field)
         if profile.is_trivial():
@@ -466,13 +478,13 @@ def ball_analysis_by_sweep(cx, field="rational", check=True):
     if check and verdict:
         if frozenset() not in trivial:
             verdict = PredicateResult(False, (), "complex does not have ball homology")
-        elif len(bd.faces()) != len(trivial):  # the closure contains the list
+        elif len(closure(bd.facets)) != len(trivial):  # the closure contains the list
             verdict = PredicateResult(False, None, "boundary faces are not closed downward")
         elif d > 0 and bd.dim != d - 1:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
         elif not (sphere := is_homology_sphere(bd, field)):
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
-    return verdict, bd, cx.faces() - bd.faces()
+    return verdict, bd, frozenset(closure(cx.facets) - closure(bd.facets))
 
 
 def is_normal_pseudomanifold_by_links(cx):
@@ -490,8 +502,9 @@ def is_normal_pseudomanifold_by_links(cx):
     for ridge, count in sorted(ridge_count.items(), key=lambda kv: sorted(kv[0])):
         if count != 2:
             return PredicateResult(False, tuple(sorted(ridge)), f"ridge lies in {count} facets")
+    by_dim = closure_by_dim(cx.facets)
     for k in range(0, n - 1):
-        for face in cx.faces_of_dim(k):
+        for face in by_dim[k]:
             if not cx.link(face).is_connected():
                 return PredicateResult(False, tuple(sorted(face)), "face link is not connected")
     return PredicateResult(True)
@@ -513,7 +526,7 @@ def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
     boundary, interior = _ball_checked(filled, field, check)
     if check and boundary != link:
         raise PreconditionError("link completion does not have the link as boundary")
-    faces = cx.faces()
+    faces = closure(cx.facets)
     for f in sorted(interior, key=sorted):
         if f in faces:
             raise PreconditionError(
@@ -531,7 +544,7 @@ def swartz_operation_by_antistar(cx, v, tau, field="rational", check=True):
     t = frozenset(tau)
     if v not in cx.vertices:
         raise PreconditionError(f"vertex {v} is not in the complex")
-    if t in cx.faces():
+    if t in closure(cx.facets):
         raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
     link = cx.link([v])
     if check:
@@ -541,7 +554,7 @@ def swartz_operation_by_antistar(cx, v, tau, field="rational", check=True):
                 f"input is not a normal pseudomanifold ({pm.reason}; witness {pm.witness})"
             )
         _require_sphere_link(link, v, field)
-    faces = link.faces()
+    faces = closure(link.facets)
     if len(t) != link.dim + 1 or t in faces or any(t - {u} not in faces for u in t):
         raise PreconditionError(f"{tuple(sorted(t))} is not a missing facet of the link of {v}")
     new_facets = set(cx.antistar(v).facets)
@@ -578,9 +591,9 @@ def swartz_all_by_operation(cx, v, field="rational", check=True):
         if w not in current.vertices:
             continue
         link = current.link([w])
-        chosen = None
+        chosen, faces = None, closure(current.facets)
         for t in [frozenset(f) for f in link.missing_faces(link.dim)]:
-            if t in current.faces():
+            if t in faces:
                 skipped.append(tuple(sorted(t)))
             else:
                 chosen = t

@@ -1,4 +1,4 @@
-"""The readers that count faces, test membership or sweep links run on the
+"""The readers that count, list or test faces or sweep links run on the
 bitmask closure of a complex (``SimplicialComplex._mask_closure``); these
 tests compare each of them with its brute-force reference in
 ``tests/oracle.py``, on the dmax=7 catalog and on random complexes with
@@ -10,10 +10,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from scx import from_facets, is_normal_pseudomanifold, simplex_boundary, standard_catalog
+from scx import (
+    SimplicialComplex,
+    TooLargeError,
+    betti,
+    cycle,
+    from_facets,
+    is_homology_ball,
+    is_normal_pseudomanifold,
+    join,
+    simplex_boundary,
+    standard_catalog,
+)
+from scx import complexes
 from scx.complexes import _closure_masks
 from scx.facevectors import _link_f_vectors
-from scx.homology import _is_connected
+from scx.homology import _ball_analysis, _is_connected
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +170,84 @@ def test_membership_and_counts_share_one_closure():
     assert cx.n_faces(1) == 10 and (0, 1) in cx and (0, 1, 2, 3, 4) not in cx
     assert cx._faces is None  # no frozenset closure was built
     assert cx._mask_closure() is cx._mask_closure()
+
+
+# a 2-complex whose lowest failing faces are the edges {0, 5} and {1, 2},
+# each in three triangles: (0, 5) is the least in vertex-tuple order, while
+# the mask of {1, 2} is the lesser
+BALL_PLANT = from_facets(
+    [(0, 1, 3), (0, 1, 5), (0, 2, 5), (0, 3, 5), (1, 2, 3), (1, 2, 4), (1, 2, 5)]
+)
+
+
+def assert_ball_matches_the_sweep(cx):
+    for field in ("rational", 2):
+        for check in (True, False):
+            verdict, boundary, interior = _ball_analysis(cx, field, check)
+            expected, expected_boundary, expected_interior = oracle.ball_analysis_by_sweep(
+                cx, field, check
+            )
+            assert outcome(verdict) == outcome(expected), (field, check)
+            assert (boundary, interior) == (expected_boundary, expected_interior)
+
+
+def test_ball_witness_is_the_least_failing_face_not_the_first_mask():
+    res = is_homology_ball(BALL_PLANT)
+    assert outcome(res) == (False, (0, 5), "link is neither ball- nor sphere-like")
+    assert_ball_matches_the_sweep(BALL_PLANT)
+    # every vertex link is a path or a cycle, ball- or sphere-like; an edge
+    # link fails when it has more than two vertices, and in mask order the
+    # failing edges come the other way round
+    bit, _, by_size, _ = BALL_PLANT._mask_closure()
+    labels = list(bit)
+    assert all(betti(BALL_PLANT.link([v])).entries[1:] in ((0, 0), (0, 1)) for v in labels)
+    edges = [tuple(labels[i] for i in range(m.bit_length()) if m >> i & 1) for m in by_size[2]]
+    assert [e for e in edges if len(BALL_PLANT.link(e).vertices) > 2] == [(1, 2), (0, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ball_witness_matches_the_oracle_on_relabelled_plants(data):
+    verts = sorted(BALL_PLANT.vertices)
+    labels = data.draw(st.permutations(range(2 * len(verts))))[: len(verts)]
+    if data.draw(st.booleans(), label="order-preserving"):
+        labels = sorted(labels)
+    rename = dict(zip(verts, labels))
+    assert_ball_matches_the_sweep(from_facets([[rename[v] for v in f] for f in BALL_PLANT.facets]))
+
+
+def test_every_reader_shares_one_enumeration(monkeypatch):
+    calls = []
+
+    def counting(masks):
+        calls.append(masks)
+        return _closure_masks(masks)
+
+    monkeypatch.setattr(complexes, "_closure_masks", counting)
+    cx = join(cycle(5), simplex_boundary(2))  # fresh: its closure is not built yet
+    assert len(cx.faces()) == sum(len(cx.faces_of_dim(k)) for k in range(-1, cx.dim + 1))
+    assert len(calls) == 1  # the frozensets label the masks
+    assert cx.n_faces(1) == 5 + 5 * 3 + 3
+    assert (0, 5) in cx and (0, 1, 2) not in cx
+    assert cx.edges()[0] == (0, 1) and cx.missing_faces(1)
+    assert len(calls) == 1
+
+
+def test_faces_of_dim_are_the_oracle_groups_on_labels_with_gaps():
+    # the edge {0, 100} comes before {5, 7} by vertex tuple, after it by mask
+    facets = [(0, 5, 7), (5, 7, 100), (0, 100)]
+    cx = from_facets(facets)
+    expected = oracle.closure_by_dim(facets)
+    assert {k: cx.faces_of_dim(k) for k in expected} == {k: tuple(g) for k, g in expected.items()}
+    assert cx.faces_of_dim(1).index(frozenset({0, 100})) < cx.faces_of_dim(1).index(
+        frozenset({5, 7})
+    )
+    assert cx.faces() == oracle.closure(facets)
+    assert cx.faces_of_dim(-2) == cx.faces_of_dim(cx.dim + 1) == ()
+
+
+def test_faces_past_the_closure_bound_raise():
+    cx = SimplicialComplex([range(18)])
+    with pytest.raises(TooLargeError, match="closure bound"):
+        cx.faces()
+    assert cx._masks is None and cx._faces is None

@@ -131,7 +131,7 @@ def test_every_cache_is_an_order_type_memo_in_homology():
 def test_only_the_closure_helper_enumerates_submasks():
     # one closure routine: the step x = (x - 1) & m, which walks the
     # submasks of m, appears in complexes._closure_masks alone, which the
-    # complexes' bitmask closures and the Betti misses share
+    # complexes' bitmask closures, the Betti misses and the ball sweeps share
     def step(node):
         if not (
             isinstance(node, ast.Assign)
@@ -153,5 +153,16 @@ def test_only_the_closure_helper_enumerates_submasks():
     ]
     assert sorted(set(_uses("_closure_masks"))) == [
         ("complexes.py", "_mask_closure"),
+        ("homology.py", "_ball"),
         ("homology.py", "_betti"),
     ]
+
+
+def test_a_complex_has_one_closure_construction():
+    # faces() and faces_of_dim() label the bitmask closure, so the closure
+    # bound is checked where the submasks are enumerated, and no method of
+    # SimplicialComplex builds subsets of its own
+    assert _uses("_check_closure_bound") == [("complexes.py", "_closure_masks")]
+    tree = ast.parse((SOURCE / "complexes.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SimplicialComplex"]
+    assert not [n for n in ast.walk(cls) if _named(n, "combinations")]
