@@ -23,6 +23,7 @@ from .errors import (
     TooLargeError,
     UnknownStatementError,
 )
+from .exact import validate_field
 from .facevectors import f_vector, g_vector, h_vector
 from .fileio import _label, _labels, load_complex, write_complex, write_scx_text
 from .homology import betti, is_homology_manifold, is_normal_pseudomanifold
@@ -64,9 +65,12 @@ def handles_errors(fn):
 
 def _parse_face(text: str) -> tuple:
     try:
-        return tuple(_labels(text.replace(",", " ")))
+        face = tuple(_labels(text.replace(",", " ")))
     except ValueError as exc:
         raise ParseError(f"not a face: {text!r}") from exc
+    if len(set(face)) != len(face):
+        raise ParseError(f"repeated vertex in face {text!r}")
+    return face
 
 
 def input_path(fn):
@@ -125,8 +129,8 @@ def main():
 @click.option("--field", default="rational", help="homology field: 'rational' or a prime")
 def info(input, field):
     """Print face vectors and classification predicates of a complex."""
+    field = validate_field(_field_option(field))
     cx = load_complex(input)
-    field = _field_option(field)
     f = f_vector(cx)
     click.echo(f"dimension: {cx.dim}")
     click.echo(f"f-vector: {' '.join(map(str, f.entries))}")

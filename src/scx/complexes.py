@@ -3,12 +3,12 @@
 A complex is stored by its inclusion-maximal faces (facets).  Its closure is
 built lazily, at most once, as bitmasks over the sorted vertices: every
 submask of a facet mask (:func:`_closure_masks`, which the Betti numbers
-share).  The readers that count faces, test membership or sweep links
-(``n_faces``, ``in``, ``missing_faces``, ``edges``, the link f-vectors and
-the link sweeps of :mod:`scx.homology`) read those masks, and ``faces`` and
-``faces_of_dim`` are their labelled view, each group of masks turned into
-frozensets in vertex-tuple order.  ``adjacency`` and ``is_connected`` read
-the facets alone.  Complexes are immutable values: every operation returns
+share), and no other form of it is kept.  The readers that count faces,
+test membership or sweep links (``n_faces``, ``in``, ``missing_faces``,
+``edges``, the link f-vectors and the link sweeps of :mod:`scx.homology`)
+read those masks, and ``faces`` and ``faces_of_dim`` label them into
+frozensets on each call.  ``adjacency`` and ``is_connected`` read the
+facets alone.  Complexes are immutable values: every operation returns
 a new complex, so concurrent reads are safe.
 
 Vertices are non-negative integer labels; faces are frozensets of labels.
@@ -133,13 +133,12 @@ def _maximal(faces) -> frozenset:
 class SimplicialComplex:
     """Immutable simplicial complex identified by its facet set."""
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_faces", "_masks")
+    __slots__ = ("_facets", "_vertices", "_dim", "_masks")
 
     def __init__(self, faces):
         self._facets = _maximal(faces)
         self._vertices = frozenset(itertools.chain.from_iterable(self._facets))
         self._dim = max(map(len, self._facets)) - 1
-        self._faces = None
         self._masks = None
 
     @property
@@ -172,25 +171,19 @@ class SimplicialComplex:
 
     def faces(self) -> frozenset:
         """The full face set (closure of the facets), including the empty face:
-        the bitmask closure (:meth:`_mask_closure`) labelled, each face as a
-        labelled smaller face plus its top vertex.  Kept with its groups in
-        vertex-tuple order as one tuple, so a race only labels it twice."""
-        if self._faces is None:
-            bit, _, by_size, _ = self._mask_closure()
-            face = {b: frozenset((v,)) for v, b in bit.items()}
-            face[0] = frozenset()
-            for m in itertools.chain.from_iterable(by_size[2:]):
-                top = 1 << (m.bit_length() - 1)
-                face[m] = face[m ^ top] | face[top]
-            groups = tuple(tuple(map(face.__getitem__, _tuple_order(g))) for g in by_size)
-            self._faces = frozenset(face.values()), groups
-        return self._faces[0]
+        the bitmask closure (:meth:`_mask_closure`) labelled on each call, so
+        a repeated reader keeps the result, or uses ``in`` or ``n_faces``."""
+        bit, _, _, members = self._mask_closure()
+        labels = list(bit)
+        return frozenset(_labelled(labels, m) for m in members)
 
     def faces_of_dim(self, k: int) -> tuple:
-        """All k-dimensional faces in vertex-tuple order; () outside -1..dim."""
-        self.faces()
-        groups = self._faces[1]
-        return groups[k + 1] if 0 <= k + 1 < len(groups) else ()
+        """All k-dimensional faces in vertex-tuple order, the closure's faces
+        with k + 1 vertices labelled; () outside -1..dim."""
+        bit, _, by_size, _ = self._mask_closure()
+        group = by_size[k + 1] if 0 <= k + 1 < len(by_size) else []
+        labels = list(bit)
+        return tuple(_labelled(labels, m) for m in _tuple_order(group))
 
     def _mask_closure(self) -> _MaskClosure:
         """The closure as bitmasks over the sorted vertices, built once
@@ -366,8 +359,8 @@ def connected_sum(
         raise PreconditionError(f"{tuple(sorted(f1))} is not a facet of the first complex")
     if f2 not in cx2.facets:
         raise PreconditionError(f"{tuple(sorted(f2))} is not a facet of the second complex")
-    if len(f1) != len(f2):
-        raise PreconditionError("glued facets must have equal dimension")
+    if len(f1) != len(f2) or not f1:
+        raise PreconditionError("glued facets must be nonempty and of equal dimension")
     if matching is None:
         matching = dict(zip(sorted(f1), sorted(f2)))
     if set(matching) != set(f1) or set(matching.values()) != set(f2):
@@ -389,8 +382,8 @@ def connected_sum(
 def stack_over_facet(cx: SimplicialComplex, facet) -> SimplicialComplex:
     """Replace a facet by the cone over its boundary from one fresh vertex."""
     f = frozenset(facet)
-    if f not in cx.facets:
-        raise PreconditionError(f"{tuple(sorted(f))} is not a facet")
+    if not f or f not in cx.facets:
+        raise PreconditionError(f"{tuple(sorted(f))} is not a nonempty facet")
     w = max(cx.vertices) + 1
     new_facets = set(cx.facets) - {f}
     for v in f:

@@ -162,8 +162,8 @@ def g2_two_catalog(d: int, kind: str, param: int | None = None) -> CatalogEntry:
         params = (d,)
     elif kind == "suspension":
         i = param
-        if not 2 <= i <= d - 3:
-            raise PreconditionError(f"suspension variant needs 2 <= i <= {d - 3}")
+        if i is None or not 2 <= i <= d - 3:
+            raise PreconditionError(f"suspension variant needs PARAM i with 2 <= i <= {d - 3}")
         cx = suspension(join(simplex_boundary(i), simplex_boundary(d - 1 - i)))
         name = f"suspended-join-sphere-d{d}-i{i}"
         tags = {"g2two", "g2two-suspension"}

@@ -35,7 +35,8 @@ type and components come from those masks.  Every face sweep reads a
 closure enumerated by ``complexes._closure_masks``: the normal-pseudomanifold
 sweep, :func:`skeleton_completion` and :func:`_face_masks` the complex's
 own, a Betti miss and a ball sweep that of their key, in vertex-tuple order
-(``complexes._tuple_order``) where a witness or a matrix needs it.
+(``complexes._tuple_order``) where a witness or a matrix needs it; a ball
+sweep judges its boundary on masks too.
 """
 
 from __future__ import annotations
@@ -96,11 +97,14 @@ class BettiProfile:
 def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Signed incidence matrix of k-faces over (k-1)-faces: the dense view
     of :func:`_boundary_columns`."""
-    return _dense(cx, k, _boundary_columns(_face_masks(cx, (k, k + 1)), k))
+    faces = _face_masks(cx, (k, k + 1))
+    return _dense(cx, faces, k, _boundary_columns(faces, k))
 
 
-def _dense(cx: SimplicialComplex, k: int, columns: list) -> BoundaryMatrix:
-    rows, cols = cx.faces_of_dim(k - 1), cx.faces_of_dim(k)
+def _dense(cx: SimplicialComplex, faces: dict, k: int, columns: list) -> BoundaryMatrix:
+    """d_k on the labelled faces ``faces[k]`` (rows) and ``faces[k + 1]``."""
+    label = functools.partial(_labelled, list(cx._mask_closure().bit))
+    rows, cols = tuple(map(label, faces[k])), tuple(map(label, faces[k + 1]))
     entries = tuple(tuple(col.get(r, 0) for col in columns) for r in range(len(rows)))
     return BoundaryMatrix(k, rows, cols, entries)
 
@@ -108,7 +112,7 @@ def _dense(cx: SimplicialComplex, k: int, columns: list) -> BoundaryMatrix:
 def _face_masks(cx: SimplicialComplex, sizes) -> dict:
     """``{j: faces with j vertices}`` as bitmasks over the sorted vertices:
     the bitmask closure's groups in vertex-tuple order, the order of
-    ``faces_of_dim``, which :func:`_dense` reads the columns' rows in."""
+    ``faces_of_dim``, each sorted once; :func:`_dense` labels them."""
     by_size = cx._mask_closure().by_size
     return {j: _tuple_order(by_size[j]) if 0 <= j < len(by_size) else [] for j in sizes}
 
@@ -132,8 +136,8 @@ def _boundary_columns(faces, k: int) -> list:
 
 def chain_complex(cx: SimplicialComplex) -> list:
     """All boundary matrices d_0..d_dim, with the d.d = 0 identity asserted."""
-    columns = _checked_columns(_face_masks(cx, range(cx.dim + 2)))
-    return [_dense(cx, k, c) for k, c in enumerate(columns)]
+    faces = _face_masks(cx, range(cx.dim + 2))
+    return [_dense(cx, faces, k, c) for k, c in enumerate(_checked_columns(faces))]
 
 
 def _checked_columns(faces) -> list:
@@ -363,40 +367,42 @@ def _ball(masks: tuple, field, check) -> tuple:
 
     The sweep reads the closure's masks by size, each size in vertex-tuple
     order, and the witness is the first face whose link is neither trivial
-    nor sphere-like of complementary dimension.  The boundary is the closure
-    of the faces with trivial links (the one complex built, for the witness
-    of :func:`is_homology_sphere`), and the interior every face off it.
-    With ``check`` the verdict also requires ball homology and trivial-link
-    faces that are closed downward, a boundary of dimension dim - 1 and a
-    homology sphere.  Memoised beside :func:`_betti`, on the order type and
-    ``check``: the witness depends on the sweep order, which a relabelling
-    may change.
+    nor sphere-like of complementary dimension.  The boundary facets are the
+    trivial-link faces in no such face one vertex larger (the maximal ones
+    if those faces are closed downward, else a family with their closure),
+    and the interior is every face off that closure.  With ``check`` the
+    verdict also requires ball homology, trivial-link faces closed downward
+    and a boundary of dimension dim - 1 that is a homology sphere, judged on
+    the masks; only a failing boundary is built, for the witness of
+    :func:`is_homology_sphere`.  Memoised beside :func:`_betti`, on the
+    order type and ``check``: the witness depends on the sweep order.
     """
     by_size, members = _closure_masks(masks)
     d = len(by_size) - 2
     vertices = range(max(masks).bit_length())  # 0..n-1, the bits of the masks
-    trivial = []
+    trivial = set()
     verdict = PredicateResult(True)
     for group in by_size:
         for fm in _tuple_order(group):
             link = [m ^ fm for m in masks if m & fm == fm]
             profile = _betti(_class_key(_order_type(link)), field)
             if profile.is_trivial():
-                trivial.append(fm)
+                trivial.add(fm)
             elif verdict.ok and not profile.is_sphere(d - fm.bit_count()):
                 witness = tuple(sorted(_labelled(vertices, fm)))
                 verdict = PredicateResult(False, witness, "link is neither ball- nor sphere-like")
-    bd = from_faces(_labelled(vertices, fm) for fm in trivial)
-    bd_masks = tuple(sum(1 << v for v in f) for f in bd.facets)
-    _, closed = _closure_masks(bd_masks)  # the boundary's faces
+    below = {fm ^ b for fm in trivial for b in _bits(fm)}  # one vertex short of a trivial face
+    bd_masks = tuple(sorted(trivial - below)) or (0,)  # no trivial face: the empty complex
+    bd_by_size, closed = _closure_masks(bd_masks)  # the boundary's faces
     if check and verdict:
         if 0 not in trivial:
             verdict = PredicateResult(False, (), "complex does not have ball homology")
         elif len(closed) != len(trivial):  # the closure contains the list
             verdict = PredicateResult(False, None, "boundary faces are not closed downward")
-        elif d > 0 and bd.dim != d - 1:
+        elif d > 0 and len(bd_by_size) - 2 != d - 1:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
-        elif not (sphere := is_homology_sphere(bd, field)):
+        elif not _is_sphere_of_dim(bd_masks, d - 1, field):  # label the boundary for a witness
+            sphere = is_homology_sphere(from_faces(_labelled(vertices, fm) for fm in bd_masks), field)
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
     return verdict, bd_masks, tuple(members - closed)
 

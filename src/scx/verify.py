@@ -138,10 +138,8 @@ def _central_balls(cx: SimplicialComplex):
     facets, and one path of three facets."""
     d = cx.dim
     for k in range(d // 2 + 1, d):
-        faces = cx.faces_of_dim(k)
-        if faces:
-            face = faces[0]
-            yield f"star{tuple(sorted(face))}", cx.star(face)
+        face = cx.faces_of_dim(k)[0]
+        yield f"star{tuple(sorted(face))}", cx.star(face)
     facets = sorted(cx.facets, key=sorted)
     first = facets[0]
     partner = next((f for f in facets[1:] if len(first & f) == len(first) - 1), None)
@@ -314,10 +312,7 @@ def _run_star_properties(catalog, scale):
         cx = entry.complex
         d = cx.dim
         for i in range(d // 2 + 1, d):
-            faces = cx.faces_of_dim(i)
-            if not faces:
-                continue
-            tau = faces[0]
+            tau = cx.faces_of_dim(i)[0]
             cert = is_r_stacked_ball(cx.star(tau), d - i)
             stacked_ok = cert.ok and cert.min_stackedness == d - i
             yield (
@@ -418,10 +413,7 @@ def _prime_crtr_cases(d: int, scale):
             cx, _ = stacked_sphere_with_ridge(d, n)
             dims = (d - 2,)
         for i in dims:
-            faces = cx.faces_of_dim(i)
-            if not faces:
-                continue
-            for tau in faces[:2]:
+            for tau in cx.faces_of_dim(i)[:2]:
                 yield f"stacked-d{d}-n{n}:star{tuple(sorted(tau))}", cx, tau
 
 

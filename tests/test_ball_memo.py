@@ -98,6 +98,24 @@ def test_ball_memo_matches_the_sweep_under_relabelling(run_all_balls):
                 _assert_matches_the_sweep(shuffled, field, check)
 
 
+def test_a_ball_miss_builds_only_the_labelled_boundary(bd5, monkeypatch):
+    # the sweep finds and judges the boundary on masks, so the one complex
+    # that a miss builds is the boundary read back through the ball's labels
+    ball = bd5.star([0, 1])
+    built, init = [], SimplicialComplex.__init__
+
+    def recording(self, faces):
+        init(self, faces)
+        built.append(self)
+
+    clear_memos()
+    monkeypatch.setattr(SimplicialComplex, "__init__", recording)
+    assert is_homology_ball(ball)
+    assert homology._ball.cache_info().misses == 1
+    (boundary,) = built
+    assert boundary.facets == {f - {0, 1} | e for f in ball.facets for e in ({0}, {1})}
+
+
 def test_ball_memo_never_holds_a_guard_trip(monkeypatch):
     clear_memos()
     assert is_homology_ball(simplex_boundary(4).star([0]))

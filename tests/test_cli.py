@@ -153,6 +153,28 @@ def test_info_rejects_a_modulus_past_the_prime_test_bound(tmp_path):
     assert invoke("info", path, "--field", "3").exit_code == 0
 
 
+def test_info_rejects_a_composite_field_before_any_output(tmp_path):
+    result = invoke("info", write_barnette(tmp_path), "--field", "1")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "1 is not prime" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, options, face",
+    [
+        (("link",), ("--face",), "0,1,0"),
+        (("op", "swartz"), ("--vertex", "0", "--tau"), "0,1,0"),
+        (("op", "crtr"), ("--ball",), "star:0,1,0"),
+    ],
+    ids=["face", "tau", "ball"],
+)
+def test_face_options_reject_a_repeated_vertex(tmp_path, command, options, face):
+    result = invoke(*command, write_barnette(tmp_path), *options, face)
+    assert result.exit_code == 2
+    assert "repeated vertex" in result.output
+
+
 def test_negative_integers_reach_the_library_checks(tmp_path):
     result = invoke("missing", write_barnette(tmp_path), "-k", "-1")
     assert result.exit_code == 3
@@ -237,6 +259,12 @@ def test_gen_barnette_matches_fixture(tmp_path):
 
 def test_unknown_generator_exits_3():
     assert invoke("gen", "dodecahedron").exit_code == 3
+
+
+def test_gen_suspension_without_its_param_exits_3():
+    result = invoke("gen", "g2two", "5", "2")
+    assert result.exit_code == 3
+    assert "needs PARAM" in result.output
 
 
 def test_verify_single_statement(tmp_path):

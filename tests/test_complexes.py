@@ -199,6 +199,16 @@ def test_connected_sum_errors(bd3, bd4):
         connected_sum(bd4, [0, 1, 2, 3], bd3, [0, 1, 2])  # dimension mismatch
 
 
+def test_gluing_or_stacking_along_the_empty_facet_is_refused():
+    # the empty complex's only facet is the empty face, which has no vertex
+    # to glue along or to cone from
+    empty = from_facets([])
+    with pytest.raises(PreconditionError, match="must be nonempty"):
+        connected_sum(empty, (), empty, ())
+    with pytest.raises(PreconditionError, match="not a nonempty facet"):
+        stack_over_facet(empty, ())
+
+
 def test_stacking_matches_connected_sum(bd4):
     from scx import are_isomorphic
 

@@ -168,6 +168,8 @@ def test_g2_two_catalog_validation():
         g2_two_catalog(5, "octahedral")
     with pytest.raises(PreconditionError):
         g2_two_catalog(4, "nonsense")
+    with pytest.raises(PreconditionError, match="needs PARAM"):
+        g2_two_catalog(5, "suspension")
 
 
 def test_stacked_sphere_with_ridge():

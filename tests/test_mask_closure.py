@@ -162,13 +162,15 @@ def test_adjacency_needs_no_closure():
     # past the closure bound the facets still give the 1-skeleton
     cx = from_facets([range(20)])
     assert cx.adjacency() == {v: set(range(20)) - {v} for v in range(20)}
-    assert cx._masks is None and cx._faces is None
+    assert cx._masks is None  # the bitmask closure, the only one a complex keeps
 
 
-def test_membership_and_counts_share_one_closure():
+def test_membership_and_counts_share_one_closure(monkeypatch):
+    labelled = []
+    monkeypatch.setattr(complexes, "_labelled", lambda *args: labelled.append(args))
     cx = from_facets(simplex_boundary(4).facets)
     assert cx.n_faces(1) == 10 and (0, 1) in cx and (0, 1, 2, 3, 4) not in cx
-    assert cx._faces is None  # no frozenset closure was built
+    assert labelled == []  # no face was turned into a frozenset
     assert cx._mask_closure() is cx._mask_closure()
 
 
@@ -250,4 +252,6 @@ def test_faces_past_the_closure_bound_raise():
     cx = SimplicialComplex([range(18)])
     with pytest.raises(TooLargeError, match="closure bound"):
         cx.faces()
-    assert cx._masks is None and cx._faces is None
+    assert cx._masks is None  # nothing was kept, so the next call raises again
+    with pytest.raises(TooLargeError, match="closure bound"):
+        cx.faces_of_dim(0)

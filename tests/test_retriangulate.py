@@ -302,7 +302,7 @@ def test_swartz_operation_matches_the_antistar_reference_on_every_insertable_fac
         for v in sorted(cx.vertices):
             link = cx.link([v])
             for tau in link.missing_faces(link.dim):
-                if frozenset(tau) in cx.faces():
+                if tau in cx:
                     continue
                 got = swartz_operation(cx, v, tau)
                 assert got == oracle.swartz_operation_by_antistar(cx, v, tau), (name, v, tau)

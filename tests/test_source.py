@@ -160,9 +160,11 @@ def test_only_the_closure_helper_enumerates_submasks():
 
 def test_a_complex_has_one_closure_construction():
     # faces() and faces_of_dim() label the bitmask closure, so the closure
-    # bound is checked where the submasks are enumerated, and no method of
-    # SimplicialComplex builds subsets of its own
+    # bound is checked where the submasks are enumerated, no method of
+    # SimplicialComplex builds subsets of its own, and the bitmask closure
+    # is the only one a complex keeps: no slot holds a labelled copy
     assert _uses("_check_closure_bound") == [("complexes.py", "_closure_masks")]
     tree = ast.parse((SOURCE / "complexes.py").read_text())
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SimplicialComplex"]
     assert not [n for n in ast.walk(cls) if _named(n, "combinations")]
+    assert scx.SimplicialComplex.__slots__ == ("_facets", "_vertices", "_dim", "_masks")
