@@ -296,6 +296,13 @@ _GENERATORS = {
 }
 
 
+def _numbered(what: str, names: tuple, number: int) -> str:
+    if 1 <= number <= len(names):
+        return names[number - 1]
+    table = " ".join(f"{i}={n}" for i, n in enumerate(names, 1))
+    raise PreconditionError(f"unknown {what} {number}; {what} {table}")
+
+
 @main.command()
 @click.argument("name")
 @click.argument("params", nargs=-1, type=_INT)
@@ -310,7 +317,7 @@ def gen(name, params, output):
     elif name == "g2one":
         if len(params) != 3:
             raise PreconditionError("g2one needs D VARIANT PARAM with VARIANT 1=join 2=cycle")
-        variant = {1: "join", 2: "cycle"}.get(params[1])
+        variant = _numbered("VARIANT", ("join", "cycle"), params[1])
         cx = generators.g2_one_family(params[0], variant, params[2]).complex
     elif name == "g2two":
         if len(params) < 2:
@@ -318,11 +325,9 @@ def gen(name, params, output):
                 "g2two needs D KIND [PARAM] with KIND 1=triple_join 2=suspension "
                 "3=octahedral 4=crtr_ridge"
             )
-        kind = {1: "triple_join", 2: "suspension", 3: "octahedral", 4: "crtr_ridge"}.get(
-            params[1]
-        )
-        param = params[2] if len(params) > 2 else None
-        cx = generators.g2_two_catalog(params[0], kind, param).complex
+        kinds = ("triple_join", "suspension", "octahedral", "crtr_ridge")
+        kind = _numbered("KIND", kinds, params[1])
+        cx = generators.g2_two_catalog(params[0], kind, *params[2:3]).complex  # PARAM is optional
     elif name in _GENERATORS:
         fn, arity = _GENERATORS[name]
         if len(params) != arity:

@@ -392,12 +392,9 @@ def stack_over_facet(cx: SimplicialComplex, facet) -> SimplicialComplex:
 
 
 def is_simplex_boundary(cx: SimplicialComplex) -> bool:
-    """Whether the complex is the full boundary of a simplex on its vertices."""
-    verts = sorted(cx.vertices)
-    if len(verts) != cx.dim + 2:
-        return False
-    expected = {frozenset(c) for c in itertools.combinations(verts, len(verts) - 1)}
-    return cx.facets == expected
+    """Whether the complex is the full boundary of a simplex on its vertices:
+    n distinct facets of n - 1 vertices each, on n vertices, are all of them."""
+    return len(cx.vertices) == cx.dim + 2 == len(cx.facets) and cx.is_pure()
 
 
 def _components(items, pairs) -> list:

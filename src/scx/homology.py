@@ -18,15 +18,15 @@ complex.  The Betti numbers (:func:`_betti`, behind :func:`betti`) and the
 homology-sphere verdict (:func:`_is_sphere`, behind
 :func:`is_homology_manifold`) take the class key (:func:`_class_key`, a
 fourth memo of the same bound): the complex with its vertices renumbered by
-how many facets contain them.  The ball analysis (:func:`_ball`, keyed also
-by ``check``, behind :func:`_ball_analysis` and so every ball predicate and
-retriangulation) takes the order type, the facets as bitmasks over the
-sorted vertices, through which its masks are read back.  So a link swept by
-several predicates or statements, or met again under a relabelling that
-the degree order undoes, is eliminated once and judged once, and a ball
-that several retriangulations read is swept once.  Nothing seeded is
-cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits and
-misses and ``cache_clear()`` empties each memo.
+how many facets contain them.  The ball analysis (:func:`_ball`, behind
+:func:`_ball_analysis` and so every ball predicate and retriangulation)
+takes the order type, the facets as bitmasks over the sorted vertices,
+through which its masks are read back.  So a link swept by several
+predicates or statements, or met again under a relabelling that the degree
+order undoes, is eliminated once and judged once, and a ball that several
+retriangulations read, with or without ``check``, is swept once.  Nothing
+seeded is cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits
+and misses and ``cache_clear()`` empties each memo.
 
 The predicates that sweep face links (the manifold, ball and normal
 pseudomanifold tests) build no link complex: :func:`_links` reads each
@@ -337,7 +337,7 @@ def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResu
     return is_homology_manifold(cx, field)
 
 
-def _ball_analysis(cx: SimplicialComplex, field, check):
+def _ball_analysis(cx: SimplicialComplex, field):
     """(verdict, boundary complex, interior faces), as one sweep over the face
     links of ``cx`` gives them (:func:`_ball`).
 
@@ -349,9 +349,7 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
     those of a sweep on ``cx`` itself.
     """
     ((_, facets),) = _links(cx, [frozenset()])  # the link of the empty face
-    verdict, boundary, interior = _ball(
-        _order_type(facets), exact.validate_field(field), bool(check)
-    )
+    verdict, boundary, interior = _ball(_order_type(facets), exact.validate_field(field))
     labels = sorted(cx.vertices)
     if verdict.witness:
         witness = tuple(labels[i] for i in verdict.witness)
@@ -361,7 +359,7 @@ def _ball_analysis(cx: SimplicialComplex, field, check):
 
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
-def _ball(masks: tuple, field, check) -> tuple:
+def _ball(masks: tuple, field) -> tuple:
     """One sweep over the face links of the order type ``masks``: (verdict,
     boundary facet masks, interior face masks), over the vertices 0..n-1.
 
@@ -370,12 +368,12 @@ def _ball(masks: tuple, field, check) -> tuple:
     nor sphere-like of complementary dimension.  The boundary facets are the
     trivial-link faces in no such face one vertex larger (the maximal ones
     if those faces are closed downward, else a family with their closure),
-    and the interior is every face off that closure.  With ``check`` the
-    verdict also requires ball homology, trivial-link faces closed downward
-    and a boundary of dimension dim - 1 that is a homology sphere, judged on
-    the masks; only a failing boundary is built, for the witness of
-    :func:`is_homology_sphere`.  Memoised beside :func:`_betti`, on the
-    order type and ``check``: the witness depends on the sweep order.
+    and the interior is every face off that closure; neither depends on the
+    verdict.  The verdict also requires ball homology, trivial-link faces
+    closed downward and a boundary of dimension dim - 1 that is a homology
+    sphere, judged on the masks; only a failing boundary is built, for the
+    witness of :func:`is_homology_sphere`.  Memoised beside :func:`_betti`,
+    on the order type: the witness depends on the sweep order.
     """
     by_size, members = _closure_masks(masks)
     d = len(by_size) - 2
@@ -394,7 +392,7 @@ def _ball(masks: tuple, field, check) -> tuple:
     below = {fm ^ b for fm in trivial for b in _bits(fm)}  # one vertex short of a trivial face
     bd_masks = tuple(sorted(trivial - below)) or (0,)  # no trivial face: the empty complex
     bd_by_size, closed = _closure_masks(bd_masks)  # the boundary's faces
-    if check and verdict:
+    if verdict:
         if 0 not in trivial:
             verdict = PredicateResult(False, (), "complex does not have ball homology")
         elif len(closed) != len(trivial):  # the closure contains the list
@@ -410,7 +408,7 @@ def _ball(masks: tuple, field, check) -> tuple:
 def is_homology_ball(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """Trivial homology, every face link a ball or sphere of complementary
     dimension, and a boundary subcomplex that is a homology sphere."""
-    return _ball_analysis(cx, field, True)[0]
+    return _ball_analysis(cx, field)[0]
 
 
 def ball_boundary(cx: SimplicialComplex, field="rational", check=True) -> SimplicialComplex:
@@ -424,7 +422,7 @@ def interior_faces(cx: SimplicialComplex, field="rational", check=True) -> froze
 
 
 def _ball_checked(cx, field, check):
-    verdict, boundary, interior = _ball_analysis(cx, field, check)
+    verdict, boundary, interior = _ball_analysis(cx, field)
     if check and not verdict:
         raise PreconditionError(
             f"not a homology ball: {verdict.reason} (witness {verdict.witness})"
@@ -474,15 +472,15 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
         return PredicateResult(False, tuple(sorted(smallest)), "complex is not pure")
     if not cx.is_connected():
         return PredicateResult(False, (), "complex is not connected")
-    ridge_count = Counter(facet - {v} for facet in cx.facets for v in facet)
+    bit, masks = cx._facet_masks()  # no closure yet: past its bound, ridges still count
+    labels = list(bit)
+    ridge_count = Counter(m ^ b for m in masks for b in _bits(m))
     bad = [ridge for ridge, count in ridge_count.items() if count != 2]
     if bad:
-        ridge = min(bad, key=sorted)  # the witness is the least failing ridge
-        return PredicateResult(
-            False, tuple(sorted(ridge)), f"ridge lies in {ridge_count[ridge]} facets"
-        )
-    bit, masks, by_size, _ = cx._mask_closure()
-    labels = list(bit)
+        ridge = _tuple_order(bad)[0]  # the witness is the least failing ridge
+        witness = tuple(sorted(_labelled(labels, ridge)))
+        return PredicateResult(False, witness, f"ridge lies in {ridge_count[ridge]} facets")
+    by_size = cx._mask_closure().by_size
     for j in range(1, n):  # the faces of dimension 0..n-2
         failing = [
             fm for fm in by_size[j] if not _is_connected([m ^ fm for m in masks if m & fm == fm])

@@ -9,8 +9,10 @@ from scx import (
     InternalCheckError,
     SimplicialComplex,
     TooLargeError,
+    ball_boundary,
     central_retriangulation,
     from_facets,
+    interior_faces,
     is_homology_ball,
     run_all,
     simplex_boundary,
@@ -30,14 +32,14 @@ def _relabelled(cx, labels):
     return from_facets([[rename[v] for v in f] for f in cx.facets])
 
 
-def _assert_matches_the_sweep(cx, field, check):
-    verdict, boundary, interior = homology._ball_analysis(cx, field, check)
-    expected, expected_boundary, expected_interior = oracle.ball_analysis_by_sweep(cx, field, check)
+def _assert_matches_the_sweep(cx, field):
+    verdict, boundary, interior = homology._ball_analysis(cx, field)
+    expected, expected_boundary, expected_interior = oracle.ball_analysis_by_sweep(cx, field, True)
     assert (verdict.ok, verdict.witness, verdict.reason) == (
         expected.ok,
         expected.witness,
         expected.reason,
-    ), (cx, field, check)
+    ), (cx, field)
     assert boundary == expected_boundary and boundary.vertices <= cx.vertices
     assert interior == expected_interior
 
@@ -49,9 +51,9 @@ def run_all_balls():
     too: it retriangulates three of its entries."""
     balls, original = {}, homology._ball_analysis
 
-    def recording(cx, field, check):
+    def recording(cx, field):
         balls.setdefault(cx.facets, cx)
-        return original(cx, field, check)
+        return original(cx, field)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(homology, "_ball_analysis", recording)
@@ -76,8 +78,7 @@ def test_ball_memo_analyses_each_run_all_order_type_once(run_all_balls):
     assert len(balls) > info.misses
     for cx in balls + _non_balls():
         for field in FIELDS:
-            for check in (True, False):
-                _assert_matches_the_sweep(cx, field, check)
+            _assert_matches_the_sweep(cx, field)
 
 
 def test_ball_memo_matches_the_sweep_under_relabelling(run_all_balls):
@@ -89,13 +90,31 @@ def test_ball_memo_matches_the_sweep_under_relabelling(run_all_balls):
         keeping = _relabelled(cx, sorted(rng.sample(range(100), n)))
         shuffled = _relabelled(cx, rng.sample(range(n), n))
         for field in FIELDS:
-            for check in (True, False):
-                homology._ball_analysis(cx, field, check)
-                before = homology._ball.cache_info()
-                _assert_matches_the_sweep(keeping, field, check)
-                after = homology._ball.cache_info()
-                assert (after.misses, after.hits) == (before.misses, before.hits + 1)
-                _assert_matches_the_sweep(shuffled, field, check)
+            homology._ball_analysis(cx, field)
+            before = homology._ball.cache_info()
+            _assert_matches_the_sweep(keeping, field)
+            after = homology._ball.cache_info()
+            assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+            _assert_matches_the_sweep(shuffled, field)
+
+
+def test_the_sweep_reads_boundary_and_interior_alike_with_and_without_check(run_all_balls):
+    # check changes only the verdict, so the memo keeps the checked one alone
+    balls, _ = run_all_balls
+    for cx in balls + _non_balls():
+        for field in FIELDS:
+            _, *checked = oracle.ball_analysis_by_sweep(cx, field, True)
+            _, *unchecked = oracle.ball_analysis_by_sweep(cx, field, False)
+            assert checked == unchecked, (cx, field)
+
+
+def test_mixed_check_reads_share_one_sweep():
+    ball = simplex_boundary(5).star([0, 1])
+    clear_memos()
+    assert ball_boundary(ball, check=False) == ball_boundary(ball)
+    assert is_homology_ball(ball)
+    assert interior_faces(ball, check=False) == interior_faces(ball)
+    assert homology._ball.cache_info().misses == 1
 
 
 def test_a_ball_miss_builds_only_the_labelled_boundary(bd5, monkeypatch):

@@ -267,6 +267,23 @@ def test_gen_suspension_without_its_param_exits_3():
     assert "needs PARAM" in result.output
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (("g2one", "5", "3", "1"), "unknown VARIANT 3; VARIANT 1=join 2=cycle"),
+        (
+            ("g2two", "5", "9"),
+            "unknown KIND 9; KIND 1=triple_join 2=suspension 3=octahedral 4=crtr_ridge",
+        ),
+    ],
+    ids=["g2one", "g2two"],
+)
+def test_gen_names_an_unknown_number_and_its_table(params, message):
+    result = invoke("gen", *params)
+    assert result.exit_code == 3
+    assert message in result.output
+
+
 def test_verify_single_statement(tmp_path):
     report = tmp_path / "report.json"
     result = invoke(

@@ -1,5 +1,6 @@
 import sys
 import threading
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,8 +251,6 @@ def test_detect_join_absent():
 
 def test_detect_join_guard(monkeypatch):
     # complete graph: every vertex is its own non-edge component
-    from itertools import combinations
-
     complete = from_facets(combinations(range(10), 2))
     monkeypatch.setattr(complexes, "JOIN_GUARD", 8)
     with pytest.raises(TooLargeError):
@@ -262,6 +261,30 @@ def test_is_simplex_boundary(bd3):
     assert is_simplex_boundary(bd3)
     assert not is_simplex_boundary(from_facets([[0, 1, 2]]))
     assert not is_simplex_boundary(cycle(4))
+
+
+def test_is_simplex_boundary_counts_what_the_definition_lists():
+    # the definition: the facets are all the (n - 1)-subsets of the n
+    # vertices.  Every family of (n - 1)-subsets of range(n), n <= 6, alone
+    # and with one more face: a new vertex, an edge to it, the whole simplex
+    # or a vertex it already has
+    def listed(cx):
+        verts = sorted(cx.vertices)
+        sides = {frozenset(c) for c in combinations(verts, len(verts) - 1)}
+        return len(verts) == cx.dim + 2 and cx.facets == sides
+
+    verdicts = []
+    for n in range(1, 7):
+        sides = list(combinations(range(n), max(n - 1, 1)))
+        for k in range(1, len(sides) + 1):
+            for family in combinations(sides, k):
+                for extra in ([], [[n]], [[0, n]], [range(n)], [[0]]):
+                    cx = from_facets([*family, *extra])
+                    assert is_simplex_boundary(cx) == listed(cx), (family, extra)
+                    verdicts.append(listed(cx))
+    assert (len(verdicts), sum(verdicts)) == (600, 14)
+    # as many facets as vertices and of dimension n - 2, but not pure
+    assert not is_simplex_boundary(from_facets([[0, 1, 2], [0, 3], [1, 3], [2, 3]]))
 
 
 def test_closure_is_shared_safely_between_threads():

@@ -25,6 +25,7 @@ from scx import (
     simplex_boundary,
     standard_catalog,
 )
+from scx.complexes import _bits, _labelled
 from scx.homology import _class_key, _links, _order_type
 from test_homology import RP2_FACETS
 from test_retriangulate import NON_BALL_HOSTS, _non_balls
@@ -233,16 +234,21 @@ def test_ridge_witness_is_the_least_failing_ridge():
         "the less of two later": (from_facets([[0, 1], [1, 3], [0, 3], [3, 2]]), (2,), 1),
         # the ridges {2, 6} and {0, 6} in one facet are met before {0, 2} in three
         "the least of three last": (from_facets(octahedron + [[0, 2, 6]]), (0, 2), 3),
+        # 2^18 faces, past the closure bound: the ridges are counted without it
+        "a simplex": (from_facets([range(18)]), tuple(range(17)), 1),
     }
     met_later = set()
     for name, (cx, witness, count) in planted.items():
         res = is_normal_pseudomanifold(cx)
         assert outcome(res) == (False, witness, f"ridge lies in {count} facets"), name
         assert outcome(res) == outcome(oracle.is_normal_pseudomanifold_by_links(cx)), name
-        counts = Counter(facet - {v} for facet in cx.facets for v in facet)
-        failing = [tuple(sorted(r)) for r, c in counts.items() if c != 2]
+        bit, masks = cx._facet_masks()
+        counts = Counter(m ^ b for m in masks for b in _bits(m))
+        failing = [tuple(sorted(_labelled(list(bit), r))) for r, c in counts.items() if c != 2]
         if failing[0] != witness:
             met_later.add(name)
-    # the count meets ridges in the order of the facets' hashes; the last two
-    # plants were chosen so that it meets a larger failing ridge first
+    # the count meets ridges in the order of the facets' hashes, each facet's
+    # lowest vertex dropped first; two plants were chosen so that it meets a
+    # larger failing ridge first
     assert {"the less of two later", "the least of three last"} <= met_later
+    assert planted["a simplex"][0]._masks is None

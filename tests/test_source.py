@@ -88,9 +88,10 @@ CACHES = ("lru_cache", "cache", "cached_property")
 
 def test_every_cache_is_an_order_type_memo_in_homology():
     # caching in one place: each cache is an LRU of BETTI_MEMO entries in
-    # homology.py whose key is read off an order type.  _ball and _class_key
-    # take the order type itself; _betti and _is_sphere take its class key,
-    # or the masks of a memo that already holds one
+    # homology.py whose key is read off an order type, and the field.  _ball
+    # and _class_key take the order type itself; _betti and _is_sphere take
+    # its class key, or the masks of a memo that already holds one.  No memo
+    # takes any other parameter
     def caches(decorator):
         return any(_named(getattr(decorator, "func", decorator), c) for c in CACHES)
 
@@ -109,7 +110,10 @@ def test_every_cache_is_an_order_type_memo_in_homology():
         assert [ast.unparse(d) for d in node.decorator_list] == [
             "functools.lru_cache(maxsize=BETTI_MEMO)"
         ]
-        assert node.args.args[0].arg == "masks"
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        assert params in (["masks"], ["masks", "field"]), (node.name, params)
+        assert args.vararg is args.kwarg is None, node.name
     assert sum(len(_uses(c)) for c in CACHES) == len(memos)  # no cache but these
     calls = [
         (node.func.id, where, node.args[0])
