@@ -3,8 +3,9 @@
 Every rank, over Q or GF(p), is one column reduction of ``{row: entry}``
 columns (:func:`rank_sparse`); dense matrices, lists of rows of Python ints,
 are handed to it as columns.  Fraction-free (Bareiss) elimination to echelon
-form and back-substitution compute the nullspaces.  No floating point; ranks
-are exact.
+form and back-substitution compute the nullspaces, and :func:`_canonical`
+puts a space given by any basis in the canonical form they return.  No
+floating point; ranks are exact.
 """
 
 from __future__ import annotations
@@ -187,6 +188,43 @@ def right_nullspace(rows) -> list:
                 raise InternalCheckError("nullspace back-substitution left a remainder")
         basis.append(_primitive(vec))
     return basis
+
+
+def _canonical(basis) -> list:
+    """The basis that :func:`right_nullspace` returns for the space spanned by
+    ``basis``, independent integer vectors of one length, of any matrix
+    whose kernel that space is.
+
+    A free column of such a matrix is one that depends on the columns
+    before it: exactly a position where some vector of the space has its
+    last nonzero entry.  An echelon from the right names those positions:
+    each vector, zeroed at the positions already named, names its last
+    nonzero one and is subtracted from the vectors named before it, with
+    the content divided out after each step.  Each vector then is nonzero
+    at its own free column and 0 at the other free columns, which fixes it
+    up to scale; made primitive, the vectors come in free-column order.
+    """
+    named = []  # (free column, vector)
+    for vec in basis:
+        for col, other in named:
+            if vec[col]:
+                vec = _eliminate(vec, other, col)
+        col = max((j for j, x in enumerate(vec) if x), default=None)
+        if col is None:
+            raise InternalCheckError("canonical basis given dependent vectors")
+        named = [(c, _eliminate(o, vec, col) if o[col] else o) for c, o in named]
+        named.append((col, vec))
+    return [_primitive(vec) for _, vec in sorted(named)]
+
+
+def _eliminate(vec, other, col):
+    """``vec`` with ``col`` zeroed by a multiple of ``other``, content 1."""
+    a, b = other[col], vec[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = [x * a - y * b for x, y in zip(vec, other)]
+    g = gcd(*out) or 1
+    return [x // g for x in out]
 
 
 def _primitive(vec):

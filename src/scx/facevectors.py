@@ -187,7 +187,7 @@ def macaulay_pseudopower(a: int, i: int) -> int:
     """a^<i>: write a as a sum of binomials C(a_i,i) > C(a_{i-1},i-1) > ...
     greedily, bump every top and index by one, and re-sum."""
     if a < 0 or i < 1:
-        raise ValueError("need a >= 0 and i >= 1")
+        raise PreconditionError("need a >= 0 and i >= 1")
     if a == 0:
         return 0
     rem, idx, total = a, i, 0

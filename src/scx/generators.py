@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import complexes
 from .complexes import SimplicialComplex, from_facets, join
-from .errors import ParseError, PreconditionError, TooLargeError
+from .errors import InternalCheckError, ParseError, PreconditionError, TooLargeError
 from .facevectors import f_vector, g2
 from .fileio import load_complex
 from .homology import is_normal_pseudomanifold
@@ -115,13 +115,13 @@ class CatalogEntry:
         if "f_vector" in self.expected:
             got = list(f_vector(self.complex).entries)
             if got != list(self.expected["f_vector"]):
-                raise ValueError(
+                raise InternalCheckError(
                     f"{self.name}: f-vector {got} != expected {self.expected['f_vector']}"
                 )
         if "g2" in self.expected:
             got = g2(self.complex)
             if got != self.expected["g2"]:
-                raise ValueError(f"{self.name}: g2 {got} != expected {self.expected['g2']}")
+                raise InternalCheckError(f"{self.name}: g2 {got} != expected {self.expected['g2']}")
         return self
 
 

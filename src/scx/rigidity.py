@@ -7,16 +7,18 @@ Schwartz-Zippel one trial falls short of rank r with probability at most
 r / (2*2^16 + 1), about 4e-4 for the largest stress basis of ``run_all()``
 (rank 57), and independent trials all fall short with at most the product.
 Ranks are taken over GF(``exact.DEFAULT_PRIME``), 2^30 - 35, by default for
-speed, or over the rationals by the same exact column reduction; stress
-bases are always exact rational vectors re-checked against the equilibrium
-condition at every vertex.
+speed, or over the rationals by the same exact column reduction.  Stress
+bases are always exact rational vectors, solved from the stress matrix on
+the Gale dual of the embedding rather than from the rigidity matrix, and
+re-checked against the equilibrium condition at every vertex and against
+the sampled rank.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from . import exact
 from .complexes import SimplicialComplex
@@ -150,6 +152,9 @@ def _samples(g: Graph, d: int, trials: int, seed: int, field):
     matrix below the bound every column is read, and the rank is the same
     in any order.
     """
+    for name, value in (("seed", seed), ("trials", trials)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise PreconditionError("need at least one trial")
     # validated once: its primality test costs about 3-5% of one rank mod p on
@@ -239,38 +244,44 @@ def g2_via_rigidity(
     return len(g.edges) - generic_rank(g, d, trials, seed, field)
 
 
-#: Bound on rows x cols of the matrix whose nullspace :func:`stress_basis`
-#: takes: 9x the largest in ``run_all()`` at dmax=7 (4,970; 3,306 in the tests
-#: and at the default scale, 1,520 on the rigidity-stress benchmark stream).
-#: The largest g2 = 1 cycle join under it, 210 x 211, takes about 1.7 s on a
-#: 2-vCPU host with Python 3.11.
+#: Bound on the rigidity matrix of a :func:`stress_basis`, rows x cols on its
+#: pivot columns mod p at the rank bound and on every column below it: 9x the
+#: largest in ``run_all()`` at dmax=7 (4,970; 3,306 in the tests and at the
+#: default scale, 1,520 on the rigidity-stress benchmark stream).  The largest
+#: g2 = 1 cycle join under it, 210 x 211, takes about 0.4 s on a 2-vCPU host
+#: with Python 3.11, most of it the 98 x 99 system of its non-edge equations.
 RIGIDITY_GUARD = 45_000
 
 
 def stress_basis(
     cx: SimplicialComplex, d: int | None = None, seed: int = 0, trials: int = 3
 ) -> StressBasis:
-    """Exact rational basis of the left kernel of one sampled rigidity matrix.
+    """Exact rational basis of the left kernel of one sampled rigidity matrix:
+    the stresses of the embedding kept.
 
-    The matrix kept is the first among `trials` samples attaining the
+    The embedding kept is the first among `trials` samples attaining the
     maximal rank mod ``exact.DEFAULT_PRIME``; sampling stops at the first
     that reaches the bound of :func:`generic_rank`, which no sample exceeds.
-    Every basis vector is re-checked against the equilibrium condition at
-    every vertex before being returned.
 
     When the rank mod p equals the number of edges the basis is empty with
     no elimination over Q: a minor nonzero mod p is nonzero, so the rank over
-    Q is full too.  When it reaches the bound, rank mod p <= rank over Q <=
-    generic rank <= bound makes all four equal, so the columns that took a
-    pivot mod p span the column space over Q; the kernel is taken on those
-    columns alone, with the same row space, so the same canonical basis, as
-    on the whole matrix.  The frame that ``_samples`` ranks last does not
-    change that basis: any pivot set of a matrix at the bound has that row
-    space, and the pivots come back in ascending column order, the ones a
-    reduction in vertex order names at a generic embedding.  Otherwise
-    every column goes in.  A matrix over ``RIGIDITY_GUARD`` cells raises
-    ``TooLargeError``; only the columns handed to the kernel are made
-    dense.
+    Q is full too.  Otherwise the stresses are solved from the stress matrix
+    on the embedding's Gale dual (``_stresses``), a system much smaller than
+    the rigidity matrix, and come in the canonical basis that
+    ``exact.right_nullspace`` gives on its transpose: each vector is
+    nonzero at its own free edge, an edge whose row depends on the rows
+    before it, and 0 at the other free edges, primitive, with its first
+    nonzero entry positive.  A rigidity matrix over ``RIGIDITY_GUARD`` cells
+    raises ``TooLargeError`` before that: its pivot columns mod p times its
+    rows when the rank reaches the bound, every column times its rows
+    otherwise.
+
+    Two certificates check the basis, under ``python -O`` too.  Every vector
+    is re-checked against the equilibrium condition at every vertex.  Their
+    number is at most f_1 - rank, since rank mod p <= rank over Q, and
+    equal to it when the rank reaches the bound, where rank mod p <= rank
+    over Q <= generic rank <= bound makes all four equal; a lost stress
+    passes equilibrium, but not this count.
 
     The error is one-sided: the basis is exact for the matrix kept, but a
     sampled rank can only fall short of the generic rank, never exceed it,
@@ -283,19 +294,18 @@ def stress_basis(
     if d is None:
         d = cx.dim + 1
     g = skeleton_graph(cx)
-    rank, pivoted, cols, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)
+    rank, _, cols, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)
     vectors = ()
-    f1 = len(g.edges)
+    f1, bound = len(g.edges), _rank_bound(g, d)
     if rank < f1:
-        if rank == _rank_bound(g, d):
-            cols = [cols[j] for j in pivoted]
-        cells = len(cols) * f1
+        cells = (rank if rank == bound else len(cols)) * f1
         if cells > RIGIDITY_GUARD:
             raise TooLargeError(
                 f"{cells} rigidity-matrix cells exceed the stress guard ({RIGIDITY_GUARD})"
             )
-        # dense rows of the transpose
-        vectors = tuple(exact.right_nullspace([[c.get(e, 0) for e in range(f1)] for c in cols]))
+        vectors = _stresses(g, emb)
+    if len(vectors) > f1 - rank or (rank == bound and len(vectors) != f1 - rank):
+        raise InternalCheckError(f"{len(vectors)} stresses where the rank mod p leaves {f1 - rank}")
     _verify_stresses(g, emb, vectors)
     participation = {v: False for v in g.vertices}
     for vec in vectors:
@@ -305,6 +315,98 @@ def stress_basis(
                 participation[u] = True
                 participation[v] = True
     return StressBasis(g.edges, vectors, participation, emb)
+
+
+def _stresses(g: Graph, emb: Embedding) -> tuple:
+    """The stresses of ``g`` at ``emb``, in the canonical basis that
+    ``exact.right_nullspace`` gives on the transpose of the rigidity matrix,
+    solved from the stress matrix rather than from that matrix.
+
+    A stress w is a symmetric n x n matrix Omega, -w_uv at each edge, 0 at
+    each non-edge and rows that sum to zero, with Omega P = 0 for the
+    coordinates P: then Omega [P | 1] = 0.  Every such Omega is G S G^T, for
+    G a basis of the left kernel of [P | 1] (its Gale dual) and S symmetric
+    k x k, k = n - rank [P | 1], at any embedding, generic or not.  So the
+    unknowns are the entries of S, with one equation per non-edge:
+
+    1. Peel: a vertex with at most d neighbours in independent directions
+       is 0 on its edges in every stress, so it goes, until none is left;
+       peeling only makes more vertices peelable, so the order does not
+       matter.
+    2. Gale dual: G is the kernel of [P | 1]^T over the vertices left, in
+       order of degree, highest first.  The affine basis, its pivots, is
+       then the best-connected vertices, and each vector of G is nonzero at
+       its own free vertex and 0 at the others.
+    3. Equations: the coefficients of S in (G S G^T)_uv at each non-edge
+       {u, v}.  One between two free vertices has a single nonzero, which
+       zeroes that entry of S; such rows and entries go until none is
+       left, and the rest is one kernel (every S if no row is left).
+    4. Each S gives the stress through the nonzeros of G, 0 on peeled
+       edges, and ``exact._canonical`` puts the stresses in canonical form.
+    """
+    d, index = emb.d, {v: i for i, v in enumerate(g.vertices)}
+    pts = [emb.coords[v] for v in g.vertices]
+    edges = [(index[u], index[v]) for u, v in g.edges]
+    nbrs = [set() for _ in pts]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    todo = list(range(len(pts)))
+    while todo:
+        u = todo.pop()
+        if nbrs[u] is not None and len(nbrs[u]) <= d and not exact.right_nullspace(
+            [[pts[u][t] - pts[v][t] for v in nbrs[u]] for t in range(d)]
+        ):
+            for v in nbrs[u]:
+                nbrs[v].discard(u)
+                todo.append(v)
+            nbrs[u] = None
+    live = [u for u, near in enumerate(nbrs) if near is not None]
+    live.sort(key=lambda u: -len(nbrs[u]))
+    gale = exact.right_nullspace([[pts[u][t] for u in live] for t in range(d)] + [[1] * len(live)])
+    if not gale:
+        return ()
+    nonzero = {u: [(a, z[i]) for a, z in enumerate(gale) if z[i]] for i, u in enumerate(live)}
+
+    def coefficients(u, v):
+        row = {}
+        for a, x in nonzero[u]:
+            for b, y in nonzero[v]:
+                key = (a, b) if a <= b else (b, a)
+                row[key] = row.get(key, 0) + x * y
+        return {key: c for key, c in row.items() if c}
+
+    rows = [
+        coefficients(u, v) for i, u in enumerate(live) for v in live[i + 1 :] if v not in nbrs[u]
+    ]
+    zero = set()
+    while True:
+        rows = [row for row in rows if row]
+        singles = {key for row in rows if len(row) == 1 for key in row}
+        if not singles:
+            break
+        zero |= singles
+        rows = [{key: c for key, c in row.items() if key not in singles} for row in rows]
+    k = len(gale)
+    free = [(a, b) for a in range(k) for b in range(a, k) if (a, b) not in zero]
+    column = {key: j for j, key in enumerate(free)}
+    if rows:
+        # a row's content, a free vertex's entry of G or more, would only
+        # grow the integers of the elimination
+        contents = [gcd(*row.values()) for row in rows]
+        solutions = exact.right_nullspace(
+            [[row.get(key, 0) // c for key in free] for row, c in zip(rows, contents)]
+        )
+    else:
+        solutions = [[int(i == j) for j in range(len(free))] for i in range(len(free))]
+    weights = [
+        [(column[key], c) for key, c in coefficients(u, v).items() if key in column]
+        if nbrs[u] is not None and nbrs[v] is not None
+        else []
+        for u, v in edges
+    ]
+    vectors = [[sum(c * s[j] for j, c in w) for w in weights] for s in solutions]
+    return tuple(exact._canonical(vectors))
 
 
 def _verify_stresses(g: Graph, emb: Embedding, vectors):

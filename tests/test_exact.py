@@ -122,6 +122,34 @@ def test_right_nullspace_is_the_canonical_basis(m):
         assert next(x for x in v if x) > 0
 
 
+@given(kernel_matrices(), st.data())
+def test_canonical_basis_of_a_scrambled_kernel_is_right_nullspace(m, data):
+    # any basis of ker A, here the canonical one times an invertible
+    # integer matrix L U with its rows permuted, gives back the canonical basis
+    basis = right_nullspace(m)
+    k = len(basis)
+    entry, unit = st.integers(min_value=-3, max_value=3), st.sampled_from((-3, -2, -1, 1, 2, 3))
+    lower = [[data.draw(entry) if j < i else int(i == j) for j in range(k)] for i in range(k)]
+    upper = [
+        [data.draw(unit) if i == j else data.draw(entry) if j > i else 0 for j in range(k)]
+        for i in range(k)
+    ]
+    mix = [[sum(x * y for x, y in zip(row, col)) for col in zip(*upper)] for row in lower]
+    mix = data.draw(st.permutations(mix))
+    assert rank_rational(mix) == k
+    scrambled = [
+        [sum(c * v[j] for c, v in zip(row, basis)) for j in range(len(m[0]))] for row in mix
+    ]
+    assert exact._canonical(scrambled) == basis
+
+
+def test_canonical_basis_refuses_dependent_vectors():
+    assert exact._canonical([]) == []
+    assert exact._canonical([(0, 2, 4), (0, 0, -3)]) == [(0, 1, 0), (0, 0, 1)]
+    with pytest.raises(InternalCheckError, match="dependent"):
+        exact._canonical([(1, 2, 3), (2, 4, 6)])
+
+
 def _zero_rows_and_columns(m, data):
     """``m`` with up to two zero columns and two zero rows at drawn places."""
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
@@ -143,14 +171,19 @@ def test_bareiss_matches_the_full_sweep(m, data):
 
 
 def test_bareiss_matches_the_full_sweep_on_stress_inputs(monkeypatch):
+    # every matrix that each stress basis eliminates: the Gale dual of its
+    # embedding, and the stress matrix's equations when some are left
     inputs = []
     original = exact._bareiss
     monkeypatch.setattr(exact, "_bareiss", lambda rows: inputs.append(rows) or original(rows))
     spheres = [g2_two_catalog(4, "octahedral").complex, barnette_sphere().complex]
     spheres += [g2_one_family(5, "cycle", 5).complex, g2_one_family(6, "join", 3).complex]
+    counts = []
     for cx in spheres:
+        before = len(inputs)
         stress_basis(cx, seed=0)
-    assert len(inputs) == len(spheres)
+        counts.append(len(inputs) - before)
+    assert all(counts) and sum(counts) == len(inputs) > len(spheres)
     for rows in inputs:
         assert original(rows) == oracle.bareiss(rows, reduce_above=False)
 

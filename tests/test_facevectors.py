@@ -158,9 +158,9 @@ def test_macaulay_pseudopower_matches_the_linear_search():
 
 
 def test_macaulay_pseudopower_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="need a >= 0 and i >= 1"):
         macaulay_pseudopower(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="need a >= 0 and i >= 1"):
         macaulay_pseudopower(3, 0)
 
 

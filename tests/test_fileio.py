@@ -1,6 +1,6 @@
 import pytest
 
-from scx import ParseError, from_facets, load_fixture, simplex_boundary
+from scx import InternalCheckError, ParseError, from_facets, load_fixture, simplex_boundary
 from scx.fileio import (
     load_complex,
     read_json_text,
@@ -111,5 +111,5 @@ def test_load_fixture_catches_wrong_expectations(tmp_path, bd3):
     path = tmp_path / "bad.scx"
     path.write_text(write_scx_text(bd3))
     (tmp_path / "bad.meta.json").write_text('{"g2": 7}')
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckError, match="bad: g2 0 != expected 7"):
         load_fixture(path)

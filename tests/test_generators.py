@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from scx import (
+    InternalCheckError,
     PreconditionError,
     TooLargeError,
     are_isomorphic,
@@ -25,6 +26,7 @@ from scx import (
     suspension,
 )
 from scx import complexes
+from scx.generators import CatalogEntry
 
 
 def test_simplex_boundary_is_small_cycle():
@@ -197,6 +199,18 @@ def test_catalog_entries_verify(tmp_path):
     assert all(e.verify_expected() for e in catalog)
     names = [e.name for e in catalog]
     assert len(names) == len(set(names))
+
+
+def test_a_missed_expectation_is_an_internal_check_error():
+    # a catalog entry that misses its own expected counts is a failed
+    # self-check (exit 5), not bad input and not a bare ValueError
+    cx = simplex_boundary(4)
+    right = {"f_vector": [1, 5, 10, 10, 5], "g2": 0}
+    assert CatalogEntry("bd4", (), cx, right).verify_expected().complex is cx
+    with pytest.raises(InternalCheckError, match=r"f-vector \[1, 5, 10, 10, 5\] != expected"):
+        CatalogEntry("bd4", (), cx, {**right, "f_vector": [1, 5, 10, 10, 6]}).verify_expected()
+    with pytest.raises(InternalCheckError, match="g2 0 != expected 1"):
+        CatalogEntry("bd4", (), cx, {**right, "g2": 1}).verify_expected()
 
 
 def test_catalog_has_enough_pseudomanifolds():

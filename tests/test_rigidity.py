@@ -135,6 +135,26 @@ def test_sampling_needs_a_trial(cycle_join):
         generic_rank_trials(K4, 2, trials=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": "a"},
+        {"seed": None},
+        {"seed": True},
+        {"trials": "3"},
+        {"trials": 2.0},
+        {"trials": False},
+    ],
+)
+def test_sampling_needs_integer_seed_and_trials(cycle_join, kwargs):
+    # refused before any embedding: a string seed would otherwise be
+    # repeated a million times over in the trial seed
+    (name, value), = kwargs.items()
+    for f in (stress_basis, g2_via_rigidity):
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer, got {value!r}"):
+            f(cycle_join, **kwargs)
+
+
 def test_participation_stable_across_seeds(oct3):
     assert vertex_participation(oct3, seed=5) == vertex_participation(oct3, seed=9)
 
@@ -174,7 +194,8 @@ def test_link_monotonicity(bd5, oct3):
 
 
 def test_stress_basis_matches_the_whole_matrix(oct3, cycle_join):
-    # the pivot columns give the kernel of the whole rigidity matrix, exactly
+    # the stresses solved on the Gale dual are the kernel of the whole
+    # rigidity matrix, exactly
     inputs = [
         oct3,
         cycle_join,
