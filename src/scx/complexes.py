@@ -7,9 +7,10 @@ share), and no other form of it is kept.  The readers that count faces,
 test membership or sweep links (``n_faces``, ``in``, ``missing_faces``,
 ``edges``, the link f-vectors and the link sweeps of :mod:`scx.homology`)
 read those masks, and ``faces`` and ``faces_of_dim`` label them into
-frozensets on each call.  ``adjacency`` and ``is_connected`` read the
-facets alone.  Complexes are immutable values: every operation returns
-a new complex, so concurrent reads are safe.
+frozensets on each call.  ``adjacency`` reads the facets alone, and
+``is_connected`` and ``detect_join`` their bitmasks, whose components one
+routine finds (:func:`_components`).  Complexes are immutable values: every
+operation returns a new complex, so concurrent reads are safe.
 
 Vertices are non-negative integer labels; faces are frozensets of labels.
 Every complex contains the empty face; ``from_facets([])`` yields the
@@ -248,9 +249,8 @@ class SimplicialComplex:
         )
 
     def is_connected(self) -> bool:
-        """One component in the 1-skeleton, found from the facets alone."""
-        pairs = ((min(f), v) for f in self._facets for v in f)
-        return len(_components(self._vertices, pairs)) <= 1
+        """One component in the 1-skeleton, from the facet masks alone."""
+        return len(_components(self._facet_masks()[1])) <= 1
 
     # -- subcomplex operations ---------------------------------------------
 
@@ -397,55 +397,55 @@ def is_simplex_boundary(cx: SimplicialComplex) -> bool:
     return len(cx.vertices) == cx.dim + 2 == len(cx.facets) and cx.is_pure()
 
 
-def _components(items, pairs) -> list:
-    """Connected components of the graph on ``items`` with edges ``pairs``,
-    each listed in item order, sorted by their first item (union-find)."""
-    parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        parent[find(a)] = find(b)
-    comps = {}
-    for x in parent:
-        comps.setdefault(find(x), []).append(x)
-    return sorted(comps.values(), key=lambda comp: comp[0])
+def _components(masks) -> list:
+    """The components of the bitmasks ``masks``, joined where they share a
+    bit, as unions of masks in no set order: each mask absorbs the
+    components it meets, which stay disjoint (a mask 0 meets none)."""
+    components = []
+    for m in masks:
+        apart = []
+        for c in components:
+            if c & m:
+                m |= c
+            else:
+                apart.append(c)
+        components = apart + [m]
+    return components
 
 
 def detect_join(cx: SimplicialComplex):
     """Find a bipartition (A, B) of the vertices with cx = cx[A] * cx[B].
 
     Candidate sides are unions of connected components of the non-edge graph
-    (two vertices are joinable only if every cross pair is an edge).  Each
-    candidate is verified by the full facet-product check before being
-    returned; ``None`` means no join decomposition exists.
+    (two vertices are joinable only if every cross pair is an edge): the
+    :func:`_components` of one mask per vertex, its own bit and its
+    non-neighbours'.  Each candidate is verified by the full facet-product
+    check before being returned; ``None`` means no join decomposition
+    exists.  If the products of the facets' traces on the two sides are
+    the facets, an antichain, the traces are maximal on each side.
     """
-    verts = sorted(cx.vertices)
-    if len(verts) < 2:
+    if len(cx.vertices) < 2:
         return None
-    adj = cx.adjacency()
-    non_edges = ((u, v) for u, v in itertools.combinations(verts, 2) if v not in adj[u])
-    groups = _components(verts, non_edges)
+    bit, masks = cx._facet_masks()
+    near = dict.fromkeys(bit.values(), 0)  # vertex bit -> the union of the facets through it
+    for m in masks:
+        for b in _bits(m):
+            near[b] |= m
+    every = (1 << len(bit)) - 1
+    groups = sorted(_components((every ^ n) | b for b, n in near.items()), key=lambda g: g & -g)
     c = len(groups)
     if c < 2:
         return None
-    facets = cx.facets
-    if len(facets) << (c - 1) > JOIN_GUARD:
+    if len(masks) << (c - 1) > JOIN_GUARD:
         raise TooLargeError(
-            f"{c} non-edge components and {len(facets)} facets exceed the join-search"
+            f"{c} non-edge components and {len(masks)} facets exceed the join-search"
             f" guard ({JOIN_GUARD})"
         )
-    for mask in range(1, 2 ** (c - 1)):
-        side_a, side_b = set(groups[0]), set()
-        for bit in range(c - 1):
-            (side_b if mask >> bit & 1 else side_a).update(groups[bit + 1])
-        fa = _maximal(f & frozenset(side_a) for f in facets)
-        fb = _maximal(f & frozenset(side_b) for f in facets)
-        product = {a | b for a in fa for b in fb}
-        if product == facets:
-            return tuple(sorted(side_a)), tuple(sorted(side_b))
+    facets, labels = set(masks), list(bit)
+    for choice in range(1, 1 << (c - 1)):
+        side_b = sum(g for i, g in enumerate(groups[1:]) if choice >> i & 1)
+        side_a = every ^ side_b
+        traces_a, traces_b = {m & side_a for m in masks}, {m & side_b for m in masks}
+        if {a | b for a in traces_a for b in traces_b} == facets:
+            return tuple(tuple(sorted(_labelled(labels, side))) for side in (side_a, side_b))
     return None

@@ -47,7 +47,15 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import exact
-from .complexes import SimplicialComplex, _bits, _closure_masks, _labelled, _tuple_order, from_faces
+from .complexes import (
+    SimplicialComplex,
+    _bits,
+    _closure_masks,
+    _components,
+    _labelled,
+    _tuple_order,
+    from_faces,
+)
 from .errors import InternalCheckError, PreconditionError, TooLargeError
 
 
@@ -308,21 +316,6 @@ def _links(cx: SimplicialComplex, faces):
         yield face, [m ^ fm for m in masks if m & fm == fm]
 
 
-def _is_connected(masks) -> bool:
-    """Whether the facets ``masks`` form one component: each facet absorbs
-    the components it meets, which stay pairwise disjoint."""
-    components = []
-    for m in masks:
-        apart = []
-        for c in components:
-            if c & m:
-                m |= c
-            else:
-                apart.append(c)
-        components = apart + [m]
-    return len(components) <= 1
-
-
 def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """A homology manifold with the homology of the sphere of its dimension.
 
@@ -470,9 +463,9 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     if not cx.is_pure():
         smallest = min(cx.facets, key=len)
         return PredicateResult(False, tuple(sorted(smallest)), "complex is not pure")
-    if not cx.is_connected():
-        return PredicateResult(False, (), "complex is not connected")
     bit, masks = cx._facet_masks()  # no closure yet: past its bound, ridges still count
+    if len(_components(masks)) > 1:
+        return PredicateResult(False, (), "complex is not connected")
     labels = list(bit)
     ridge_count = Counter(m ^ b for m in masks for b in _bits(m))
     bad = [ridge for ridge, count in ridge_count.items() if count != 2]
@@ -483,7 +476,9 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     by_size = cx._mask_closure().by_size
     for j in range(1, n):  # the faces of dimension 0..n-2
         failing = [
-            fm for fm in by_size[j] if not _is_connected([m ^ fm for m in masks if m & fm == fm])
+            fm
+            for fm in by_size[j]
+            if len(_components([m ^ fm for m in masks if m & fm == fm])) > 1
         ]
         if failing:
             witness = tuple(sorted(_labelled(labels, _tuple_order(failing)[0])))

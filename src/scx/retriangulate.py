@@ -204,23 +204,24 @@ def _split_link_along(link: SimplicialComplex, tau: frozenset):
 
     Components are taken in the facet-adjacency graph of the link with
     adjacencies through ridges inside tau removed, ordered by their
-    lexicographically smallest facet.
+    lexicographically smallest facet: the :func:`_components` of one bit
+    per facet, in that order, and one mask per ridge outside tau.
     """
     facets = sorted(link.facets, key=sorted)
-    ridge_map = {}
+    through = {}  # ridge outside tau -> the bits of the facets containing it
     for idx, facet in enumerate(facets):
         for ridge in (facet - {v} for v in facet):
             if not ridge <= tau:
-                ridge_map.setdefault(ridge, []).append(idx)
-    groups = _components(
-        range(len(facets)),
-        ((members[0], other) for members in ridge_map.values() for other in members[1:]),
-    )
+                through[ridge] = through.get(ridge, 0) | 1 << idx
+    groups = _components([*through.values(), *(1 << idx for idx in range(len(facets)))])
     if len(groups) != 2:
         raise PreconditionError(
             f"removing the facet boundary splits the link into {len(groups)} parts, not 2"
         )
-    return [SimplicialComplex([facets[i] for i in group] + [tau]) for group in groups]
+    return [
+        SimplicialComplex([f for i, f in enumerate(facets) if group >> i & 1] + [tau])
+        for group in sorted(groups, key=lambda g: g & -g)
+    ]
 
 
 def _require_sphere_link(link, v, field):

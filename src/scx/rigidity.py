@@ -132,10 +132,9 @@ def _rank_bound(g: Graph, d: int) -> int:
 
 
 def _samples(g: Graph, d: int, trials: int, seed: int, field):
-    """(rank over ``field``, pivots ``{column: lowest row}``, columns,
-    embedding) of the rigidity matrix at each of ``trials`` seeded random
-    embeddings, by ``exact._reduce`` on its columns (:func:`_columns`).
-    Independent mod p, the pivot columns are independent over Q too.
+    """(rank over ``field``, embedding) of the rigidity matrix at each of
+    ``trials`` seeded random embeddings, by ``exact._reduce`` on its columns
+    (:func:`_columns`).
 
     The reduction stops at :func:`_rank_bound`, which no embedding exceeds
     over Q, so none exceeds it mod p either.  It takes every column in
@@ -148,9 +147,8 @@ def _samples(g: Graph, d: int, trials: int, seed: int, field):
     one of them is 1 with 0 on every later column are the frame columns.
     Without the frame the reduction then names the same pivots, each at the
     same lowest row, and it reaches the bound at the last column outside
-    the frame.  Pivots map back to column indices in ascending order; on a
-    matrix below the bound every column is read, and the rank is the same
-    in any order.
+    the frame.  On a matrix below the bound every column is read, and the
+    rank is the same in any order.
     """
     for name, value in (("seed", seed), ("trials", trials)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -166,8 +164,8 @@ def _samples(g: Graph, d: int, trials: int, seed: int, field):
     for trial in range(trials):
         emb = random_embedding(g, d, _trial_seed(seed, trial))
         cols = _columns(g, emb)
-        rank, pivots = exact._reduce((cols[j] for j in order), field, limit=bound)
-        yield rank, dict(sorted((order[j], low) for j, low in pivots.items())), cols, emb
+        rank, _ = exact._reduce((cols[j] for j in order), field, limit=bound)
+        yield rank, emb
 
 
 def _kept_sample(g: Graph, d: int, trials: int, seed: int, field):
@@ -186,7 +184,7 @@ def _kept_sample(g: Graph, d: int, trials: int, seed: int, field):
 
 def generic_rank_trials(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME):
     """Exact rank of the rigidity matrix for each of `trials` embeddings."""
-    return [rank for rank, *_ in _samples(_as_graph(graph), d, trials, seed, field)]
+    return [rank for rank, _ in _samples(_as_graph(graph), d, trials, seed, field)]
 
 
 def generic_rank(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME) -> int:
@@ -294,11 +292,11 @@ def stress_basis(
     if d is None:
         d = cx.dim + 1
     g = skeleton_graph(cx)
-    rank, _, cols, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)
+    rank, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)
     vectors = ()
     f1, bound = len(g.edges), _rank_bound(g, d)
     if rank < f1:
-        cells = (rank if rank == bound else len(cols)) * f1
+        cells = (rank if rank == bound else d * len(g.vertices)) * f1
         if cells > RIGIDITY_GUARD:
             raise TooLargeError(
                 f"{cells} rigidity-matrix cells exceed the stress guard ({RIGIDITY_GUARD})"
@@ -410,20 +408,24 @@ def _stresses(g: Graph, emb: Embedding) -> tuple:
 
 
 def _verify_stresses(g: Graph, emb: Embedding, vectors):
-    incident = {v: [] for v in g.vertices}
-    for idx, (u, v) in enumerate(g.edges):
-        incident[u].append((idx, u, v))
-        incident[v].append((idx, v, u))
+    """Equilibrium of every vector at every vertex u: the sum of w_uv (p(u) -
+    p(v)) is 0.  Each edge's difference is taken once, for both its ends."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    spans = [
+        (index[u], index[v], [a - b for a, b in zip(emb.coords[u], emb.coords[v])])
+        for u, v in g.edges
+    ]
     for vec in vectors:
-        for v in g.vertices:
-            total = [0] * emb.d
-            for idx, here, other in incident[v]:
-                w = vec[idx]
-                if w:
-                    for t in range(emb.d):
-                        total[t] += w * (emb.coords[here][t] - emb.coords[other][t])
-            if any(total):
-                raise InternalCheckError("stress vector violates vertex equilibrium")
+        totals = [[0] * emb.d for _ in g.vertices]
+        for w, (i, j, span) in zip(vec, spans, strict=True):
+            if w:
+                at_u, at_v = totals[i], totals[j]
+                for t, x in enumerate(span):
+                    x *= w
+                    at_u[t] += x
+                    at_v[t] -= x
+        if any(map(any, totals)):
+            raise InternalCheckError("stress vector violates vertex equilibrium")
 
 
 def vertex_participation(cx: SimplicialComplex, seed: int = 0, trials: int = 3) -> dict:

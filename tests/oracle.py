@@ -16,15 +16,20 @@ Betti memo's miss path before it ranked top-down with clearing, and
 :func:`is_homology_manifold_by_links` and
 :func:`is_normal_pseudomanifold_by_links`, the link-by-link predicates that
 the facet-bitmask sweeps replaced: they build each face link as a complex
-with the public ``SimplicialComplex.link`` and ask ``betti`` or
-``is_connected`` of it, and :func:`is_homology_manifold_by_faces`, the
+with the public ``SimplicialComplex.link`` and ask ``betti`` of it or
+:func:`one_skeleton_connected`, a depth-first search
+(:func:`components_by_search`) over its powerset closure, and
+:func:`is_homology_manifold_by_faces`, the
 facet-bitmask sweep over every nonempty face link that the vertex-link
 recursion replaced, and :func:`ball_analysis_by_sweep`, the ball analysis
 as one sweep over the ball's own labels, before it was memoised by order
 type.  The retriangulation references at the end are the Swartz moves and
 the inverse stellar move as first written, built from
 ``SimplicialComplex.antistar`` with the package's own record and link
-helpers, and ``swartz_all`` going through the public single move.
+helpers, ``swartz_all`` going through the public single move, and the
+split of a link along a missing facet with its components found by the
+depth-first search, as :func:`detect_join_by_search` finds the non-edge
+components of a join.
 
 Every face set that a reference reads, its sweep order included, comes from
 the powerset :func:`closure`, grouped by :func:`closure_by_dim`, and never
@@ -102,6 +107,43 @@ def missing_faces(facets):
         ]
         for k in range(len(vertices))
     }
+
+
+def components_by_search(masks):
+    """The components of the bitmasks ``masks``, two joined when they share
+    a bit, as the sorted unions of their masks: a depth-first search over
+    the masks, each compared with every other."""
+    masks = list(masks)
+    seen, found = set(), []
+    for start in range(len(masks)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, union = [start], 0
+        while stack:
+            i = stack.pop()
+            union |= masks[i]
+            for j, m in enumerate(masks):
+                if j not in seen and m & masks[i]:
+                    seen.add(j)
+                    stack.append(j)
+        found.append(union)
+    return sorted(found)
+
+
+def graph_components(nodes, edges):
+    """The components of a graph on the integers ``nodes``, each as the
+    sorted list of its nodes, ordered by their least node: node v is the
+    bit 1 << v, and :func:`components_by_search` joins each edge's ends."""
+    masks = [1 << v for v in nodes] + [(1 << u) | (1 << v) for u, v in edges]
+    found = sorted(components_by_search(masks), key=lambda c: c & -c)
+    return [[v for v in range(c.bit_length()) if c >> v & 1] for c in found]
+
+
+def one_skeleton_connected(cx):
+    """Whether the 1-skeleton of the powerset closure is connected."""
+    edges = [tuple(f) for f in closure(cx.facets) if len(f) == 2]
+    return len(graph_components(cx.vertices, edges)) <= 1
 
 
 def g2_from_counts(f0, f1, dim):
@@ -363,6 +405,28 @@ def macaulay_pseudopower_linear(a, i):
     return total
 
 
+def detect_join_by_search(cx):
+    """``detect_join`` as first written: the sides are unions of the
+    components of the non-edge graph, tried in the same order, and each is
+    checked by :func:`is_join_partition`, with no guard."""
+    verts = sorted(cx.vertices)
+    if len(verts) < 2:
+        return None
+    faces = closure(cx.facets)
+    non_edges = [e for e in combinations(verts, 2) if frozenset(e) not in faces]
+    groups = graph_components(verts, non_edges)
+    c = len(groups)
+    if c < 2:
+        return None
+    for choice in range(1, 2 ** (c - 1)):
+        side_a, side_b = set(groups[0]), set()
+        for i in range(c - 1):
+            (side_b if choice >> i & 1 else side_a).update(groups[i + 1])
+        if is_join_partition(cx.facets, side_a, side_b):
+            return tuple(sorted(side_a)), tuple(sorted(side_b))
+    return None
+
+
 def is_join_partition(facets, side_a, side_b):
     """Check facets == {a | b} over the restrictions' facet sets."""
     facets = {frozenset(f) for f in facets}
@@ -489,14 +553,15 @@ def ball_analysis_by_sweep(cx, field="rational", check=True):
 
 def is_normal_pseudomanifold_by_links(cx):
     """``is_normal_pseudomanifold`` with one link complex built per face of
-    dimension below n - 1, each tested with ``is_connected``."""
+    dimension below n - 1, each tested, as the complex is, with
+    :func:`one_skeleton_connected`."""
     n = cx.dim
     if n < 1:
         return PredicateResult(False, (), "dimension must be at least 1")
     if not cx.is_pure():
         smallest = min(cx.facets, key=len)
         return PredicateResult(False, tuple(sorted(smallest)), "complex is not pure")
-    if not cx.is_connected():
+    if not one_skeleton_connected(cx):
         return PredicateResult(False, (), "complex is not connected")
     ridge_count = Counter(facet - {v} for facet in cx.facets for v in facet)
     for ridge, count in sorted(ridge_count.items(), key=lambda kv: sorted(kv[0])):
@@ -505,7 +570,7 @@ def is_normal_pseudomanifold_by_links(cx):
     by_dim = closure_by_dim(cx.facets)
     for k in range(0, n - 1):
         for face in by_dim[k]:
-            if not cx.link(face).is_connected():
+            if not one_skeleton_connected(cx.link(face)):
                 return PredicateResult(False, tuple(sorted(face)), "face link is not connected")
     return PredicateResult(True)
 
@@ -575,6 +640,27 @@ def swartz_operation_by_antistar(cx, v, tau, field="rational", check=True):
         "swartz", cx, out, ((2, -1),) if cx.dim >= 3 else (),
         new_vertices=tuple(new_vertices), removed_vertices=(v,), steps=1, notes=tuple(notes),
     )
+
+
+def split_link_by_search(link, tau):
+    """``_split_link_along`` as first written: the link's facets in
+    lexicographic order, two adjacent when they share a ridge outside tau,
+    and the two components, each with tau added, in order of their first
+    facet."""
+    t = frozenset(tau)
+    facets = sorted(link.facets, key=sorted)
+    adjacent = [
+        (i, j)
+        for i, j in combinations(range(len(facets)), 2)
+        if len(facets[i]) == len(facets[j]) == len(facets[i] & facets[j]) + 1
+        and not facets[i] & facets[j] <= t
+    ]
+    groups = graph_components(range(len(facets)), adjacent)
+    if len(groups) != 2:
+        raise PreconditionError(
+            f"removing the facet boundary splits the link into {len(groups)} parts, not 2"
+        )
+    return [SimplicialComplex([facets[i] for i in group] + [t]) for group in groups]
 
 
 def swartz_all_by_operation(cx, v, field="rational", check=True):

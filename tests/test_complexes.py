@@ -311,20 +311,6 @@ def test_closure_is_shared_safely_between_threads():
     assert all(r == expected for r in results)
 
 
-def _one_skeleton_connected(cx):
-    """Depth-first search over the edges of the oracle closure."""
-    edges = [tuple(f) for f in oracle.closure(cx.facets) if len(f) == 2]
-    verts = sorted(cx.vertices)
-    seen, stack = set(verts[:1]), verts[:1]
-    while stack:
-        u = stack.pop()
-        for a, b in edges:
-            if u in (a, b) and (w := b if u == a else a) not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
-
-
 # facets of up to three vertices, single vertices and the empty face included,
 # so that both connected and disconnected complexes are common
 sparse_complexes = st.lists(
@@ -335,7 +321,7 @@ sparse_complexes = st.lists(
 @given(sparse_complexes)
 @settings(max_examples=300, deadline=None)
 def test_is_connected_matches_one_skeleton_search(cx):
-    assert cx.is_connected() == _one_skeleton_connected(cx)
+    assert cx.is_connected() == oracle.one_skeleton_connected(cx)
 
 
 def test_is_connected_edge_cases():

@@ -280,8 +280,9 @@ def test_small_coordinates_reach_the_generic_rank():
 
 def _counting_reduce(monkeypatch):
     """Make ``exact._reduce`` read its columns through a counting iterable;
-    the list returned gets the number of columns each call read."""
-    original, reads = exact._reduce, []
+    the lists returned get the number of columns each call read and what
+    each call returned."""
+    original, reads, results = exact._reduce, [], []
 
     def counting(columns, field, limit=None):
         read = [0]
@@ -293,10 +294,19 @@ def _counting_reduce(monkeypatch):
 
         result = original(counted(), field, limit)
         reads.append(read[0])
+        results.append(result)
         return result
 
     monkeypatch.setattr(exact, "_reduce", counting)
-    return original, reads
+    return original, reads, results
+
+
+def _in_vertex_order(pivots, n, d):
+    """Pivots ``{column: lowest row}`` of a reduction in the frame-last
+    order of ``rigidity._samples`` mapped back to column indices, ascending."""
+    frame = {(n - 1 - k) * d + t for k in range(min(d, n)) for t in range(k, d)}
+    order = [j for j in range(d * n) if j not in frame] + sorted(frame)
+    return sorted((order[j], low) for j, low in pivots.items())
 
 
 def test_frame_last_samples_match_the_vertex_order_on_the_catalog(monkeypatch):
@@ -304,7 +314,7 @@ def test_frame_last_samples_match_the_vertex_order_on_the_catalog(monkeypatch):
     # take at seeds 0-2: the same rank and pivots, each at the same lowest
     # row, as the whole reduction in vertex order, from only as many columns
     # as the rank bound
-    original, reads = _counting_reduce(monkeypatch)
+    original, reads, results = _counting_reduce(monkeypatch)
     pseudomanifolds = [
         e.complex for e in standard_catalog(dmax=7, f0max=16) if "normal-pm" in e.tags
     ]
@@ -313,12 +323,12 @@ def test_frame_last_samples_match_the_vertex_order_on_the_catalog(monkeypatch):
         g, d = skeleton_graph(cx), cx.dim + 1
         bound = _rank_bound(g, d)
         for seed in range(3):
-            del reads[:]
-            for rank, pivots, cols, emb in rigidity._samples(g, d, 3, seed, exact.DEFAULT_PRIME):
-                assert cols == rigidity._columns(g, emb)
-                whole = original(cols, exact.DEFAULT_PRIME)
-                assert (rank, list(pivots.items())) == (whole[0], list(whole[1].items()))
-                assert rank == bound
+            del reads[:], results[:]
+            samples = list(rigidity._samples(g, d, 3, seed, exact.DEFAULT_PRIME))
+            for (rank, emb), (_, pivots) in zip(samples, results, strict=True):
+                whole = original(rigidity._columns(g, emb), exact.DEFAULT_PRIME)
+                assert rank == whole[0] == bound
+                assert _in_vertex_order(pivots, len(g.vertices), d) == list(whole[1].items())
             assert reads == [bound] * 3
 
 
@@ -335,7 +345,7 @@ def test_stress_bases_match_the_whole_matrix_on_the_catalog():
 
 
 def test_ranks_below_the_bound_read_every_column(monkeypatch):
-    original, reads = _counting_reduce(monkeypatch)
+    original, reads, _ = _counting_reduce(monkeypatch)
     # K4 and a pendant edge in the plane: rank 5 + 1, below min(7 edges, 2 * 5 - 3)
     k4_pendant = Graph(tuple(range(5)), K4.edges + ((3, 4),))
     for g in (TWO_K4, k4_pendant):
@@ -357,7 +367,7 @@ def test_ranks_below_the_bound_read_every_column(monkeypatch):
 
 
 def test_rank_bound_edge_cases(monkeypatch, oct3, cycle_join):
-    original, reads = _counting_reduce(monkeypatch)
+    original, reads, results = _counting_reduce(monkeypatch)
     # no edges: d * n empty columns, no pivot, so every column is read
     for d in (1, 2, 3):
         for n in (1, 2, 4):
@@ -372,12 +382,13 @@ def test_rank_bound_edge_cases(monkeypatch, oct3, cycle_join):
     for d in (3, 4, 5):
         for n in range(2, d):
             kn = Graph(tuple(range(n)), tuple((u, v) for u in range(n) for v in range(u + 1, n)))
-            del reads[:]
+            del reads[:], results[:]
             samples = list(rigidity._samples(kn, d, 3, 0, exact.DEFAULT_PRIME))
-            assert [rank for rank, *_ in samples] == [len(kn.edges)] * 3 == [_rank_bound(kn, d)] * 3
+            assert [rank for rank, _ in samples] == [len(kn.edges)] * 3 == [_rank_bound(kn, d)] * 3
             assert reads == [len(kn.edges)] * 3
-            for rank, pivots, cols, _ in samples:
-                assert list(pivots.items()) == list(original(cols, exact.DEFAULT_PRIME)[1].items())
+            for (_, emb), (_, pivots) in zip(samples, results, strict=True):
+                whole = original(rigidity._columns(kn, emb), exact.DEFAULT_PRIME)
+                assert _in_vertex_order(pivots, n, d) == list(whole[1].items())
     # stress bases in a dimension other than dim + 1
     for cx in (oct3, cycle_join):
         g = skeleton_graph(cx)

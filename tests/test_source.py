@@ -82,6 +82,31 @@ def test_only_rigidity_sampling_limits_a_reduction():
     assert sorted(set(_uses("_reduce"))) == sorted((module, where) for module, where, _ in calls)
 
 
+def test_one_component_routine_answers_every_connectivity_question():
+    # complexes._components on bitmasks is the only connectivity routine:
+    # no other, and no union-find, and exactly these four callers
+    defined = [
+        (module, where, node.name)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_components", "_is_connected", "find")
+    ]
+    assert defined == [("complexes.py", None, "_components")]
+    assert _uses("_is_connected") == _uses("find") == []
+    calls = [
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Call) and _named(node.func, "_components")
+    ]
+    assert sorted(set(calls)) == [
+        ("complexes.py", "detect_join"),
+        ("complexes.py", "is_connected"),
+        ("homology.py", "is_normal_pseudomanifold"),
+        ("retriangulate.py", "_split_link_along"),
+    ]
+    assert sorted(_uses("_components")) == sorted(calls)
+
+
 #: the decorators that cache a function's results
 CACHES = ("lru_cache", "cache", "cached_property")
 
