@@ -7,10 +7,13 @@ share), and no other form of it is kept.  The readers that count faces,
 test membership or sweep links (``n_faces``, ``in``, ``missing_faces``,
 ``edges``, the link f-vectors and the link sweeps of :mod:`scx.homology`)
 read those masks, and ``faces`` and ``faces_of_dim`` label them into
-frozensets on each call.  ``adjacency`` reads the facets alone, and
-``is_connected`` and ``detect_join`` their bitmasks, whose components one
-routine finds (:func:`_components`).  Complexes are immutable values: every
-operation returns a new complex, so concurrent reads are safe.
+frozensets on each call.  ``link`` and ``star`` read the facets alone, and
+the rest the facet bitmasks: one routine finds their components
+(:func:`_components`, for ``is_connected`` and ``detect_join``) and one the
+vertex neighbourhoods (:func:`_neighbourhoods`, for ``adjacency``,
+``detect_join``, the skeleton completion and the isomorphism search).
+Complexes are immutable values: every operation returns a new complex, so
+concurrent reads are safe.
 
 Vertices are non-negative integer labels; faces are frozensets of labels.
 Every complex contains the empty face; ``from_facets([])`` yields the
@@ -137,7 +140,7 @@ class SimplicialComplex:
     __slots__ = ("_facets", "_vertices", "_dim", "_masks")
 
     def __init__(self, faces):
-        self._facets = _maximal(faces)
+        self._facets = _maximal(map(frozenset, faces))
         self._vertices = frozenset(itertools.chain.from_iterable(self._facets))
         self._dim = max(map(len, self._facets)) - 1
         self._masks = None
@@ -229,14 +232,11 @@ class SimplicialComplex:
         return self.is_pure() and (self._dim < 0 or not self.missing_faces(self._dim))
 
     def adjacency(self) -> dict:
-        """Vertex -> set of neighbours in the 1-skeleton, read off the facets."""
-        adj = {v: set() for v in self._vertices}
-        for f in self._facets:
-            for v in f:
-                adj[v].update(f)
-        for v, neighbours in adj.items():
-            neighbours.discard(v)
-        return adj
+        """Vertex -> set of neighbours in the 1-skeleton, the
+        :func:`_neighbourhoods` of the facet masks labelled."""
+        bit, masks = self._facet_masks()
+        near, labels = _neighbourhoods(masks), list(bit)
+        return {v: set(_labelled(labels, near[b] ^ b)) for v, b in bit.items()}
 
     def edges(self) -> tuple:
         """The edges as sorted vertex pairs, in ``faces_of_dim(1)`` order."""
@@ -254,21 +254,23 @@ class SimplicialComplex:
 
     # -- subcomplex operations ---------------------------------------------
 
-    def _require_face(self, face) -> frozenset:
+    def _through(self, face) -> tuple:
+        """(face, the facets containing it): a face is present exactly when
+        some facet contains it, so no closure is built."""
         f = frozenset(face)
-        if f not in self:
+        through = [facet for facet in self._facets if f <= facet]
+        if not through:
             raise FaceNotPresentError(f"face {tuple(sorted(f))} is not in the complex")
-        return f
+        return f, through
 
     def link(self, face) -> "SimplicialComplex":
         """Faces disjoint from ``face`` whose union with it is again a face."""
-        f = self._require_face(face)
-        return SimplicialComplex(facet - f for facet in self._facets if f <= facet)
+        f, through = self._through(face)
+        return SimplicialComplex(facet - f for facet in through)
 
     def star(self, face) -> "SimplicialComplex":
         """Closed star: all faces whose union with ``face`` is a face."""
-        f = self._require_face(face)
-        return SimplicialComplex(facet for facet in self._facets if f <= facet)
+        return SimplicialComplex(self._through(face)[1])
 
     def restriction(self, verts) -> "SimplicialComplex":
         w = frozenset(verts)
@@ -413,6 +415,16 @@ def _components(masks) -> list:
     return components
 
 
+def _neighbourhoods(masks) -> dict:
+    """Vertex bit -> the union of the bitmasks ``masks`` through it: for facet
+    masks, the vertex and its neighbours in the 1-skeleton."""
+    near = {}
+    for m in masks:
+        for b in _bits(m):
+            near[b] = near.get(b, 0) | m
+    return near
+
+
 def detect_join(cx: SimplicialComplex):
     """Find a bipartition (A, B) of the vertices with cx = cx[A] * cx[B].
 
@@ -427,12 +439,9 @@ def detect_join(cx: SimplicialComplex):
     if len(cx.vertices) < 2:
         return None
     bit, masks = cx._facet_masks()
-    near = dict.fromkeys(bit.values(), 0)  # vertex bit -> the union of the facets through it
-    for m in masks:
-        for b in _bits(m):
-            near[b] |= m
     every = (1 << len(bit)) - 1
-    groups = sorted(_components((every ^ n) | b for b, n in near.items()), key=lambda g: g & -g)
+    near = _neighbourhoods(masks).items()
+    groups = sorted(_components((every ^ n) | b for b, n in near), key=lambda g: g & -g)
     c = len(groups)
     if c < 2:
         return None

@@ -29,9 +29,9 @@ seeded is cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits
 and misses and ``cache_clear()`` empties each memo.
 
 The predicates that sweep face links (the manifold, ball and normal
-pseudomanifold tests) build no link complex: :func:`_links` reads each
-link's facets off the complex's facets as bitmasks, and the link's order
-type and components come from those masks.  Every face sweep reads a
+pseudomanifold tests) build no link complex: :func:`_link` reads each
+link's facets off the complex's facet bitmasks, and the link's order type
+and components come from those masks.  Every face sweep reads a
 closure enumerated by ``complexes._closure_masks``: the normal-pseudomanifold
 sweep, :func:`skeleton_completion` and :func:`_face_masks` the complex's
 own, a Betti miss and a ball sweep that of their key, in vertex-tuple order
@@ -53,6 +53,7 @@ from .complexes import (
     _closure_masks,
     _components,
     _labelled,
+    _neighbourhoods,
     _tuple_order,
     from_faces,
 )
@@ -204,8 +205,7 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     A ``TooLargeError`` is raised again on every call and never cached;
     ``_betti.cache_info()`` counts hits.
     """
-    ((_, facets),) = _links(cx, [frozenset()])  # the link of the empty face
-    return _betti(_class_key(_order_type(facets)), exact.validate_field(field))
+    return _betti(_class_key(_order_type(cx._facet_masks()[1])), exact.validate_field(field))
 
 
 def _order_type(masks) -> tuple:
@@ -281,17 +281,16 @@ def _is_sphere(masks: tuple, field) -> bool:
     """Whether the class key ``masks`` is a homology sphere over ``field``.
 
     It is when its Betti numbers are those of the sphere of its own
-    dimension and every vertex link is a homology sphere one dimension
-    lower; the vertex bit ``b`` has the link facets ``m ^ b`` for the masks
-    ``m`` that contain it.  Memoised beside :func:`_betti`, on the same key:
-    the verdict is an isomorphism invariant, so it may be read off any
-    relabelling of the complex (:func:`_class_key`).
+    dimension and every vertex link (:func:`_link` of the vertex bit) is a
+    homology sphere one dimension lower.  Memoised beside :func:`_betti`, on
+    the same key: the verdict is an isomorphism invariant, so it may be read
+    off any relabelling of the complex (:func:`_class_key`).
     """
     dim = max(map(int.bit_count, masks)) - 1
     if not _betti(masks, field).is_sphere(dim):
         return False
     bits = (1 << i for i in range(max(masks).bit_length()))  # the vertices are 0..n-1
-    return all(_is_sphere_of_dim([m ^ b for m in masks if m & b], dim - 1, field) for b in bits)
+    return all(_is_sphere_of_dim(_link(masks, b), dim - 1, field) for b in bits)
 
 
 def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
@@ -301,19 +300,11 @@ def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
     return _is_sphere(_class_key(_order_type(link)), field)
 
 
-def _links(cx: SimplicialComplex, faces):
-    """(face, link facets) for each face of ``faces``, in their order.
-
-    Facets are bitmasks over the sorted vertices, read off the complex's
-    bitmask closure when it is built, and the closure is not built for them
-    (``SimplicialComplex._facet_masks``); the link of a face with mask
-    ``fm`` has the facets ``m ^ fm`` for the facet masks ``m`` that contain
-    it.  These form an antichain, as the facets do.
-    """
-    bit, masks = cx._facet_masks()
-    for face in faces:
-        fm = sum(map(bit.__getitem__, face))
-        yield face, [m ^ fm for m in masks if m & fm == fm]
+def _link(masks, fm) -> list:
+    """The facets of the link of the face ``fm`` in the complex whose facets
+    are the bitmasks ``masks``: ``m ^ fm`` for the masks ``m`` that contain
+    it.  These form an antichain, as the facets do."""
+    return [m ^ fm for m in masks if m & fm == fm]
 
 
 def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResult:
@@ -341,9 +332,9 @@ def _ball_analysis(cx: SimplicialComplex, field):
     of the boundary, so the witness, the boundary and the interior are
     those of a sweep on ``cx`` itself.
     """
-    ((_, facets),) = _links(cx, [frozenset()])  # the link of the empty face
-    verdict, boundary, interior = _ball(_order_type(facets), exact.validate_field(field))
-    labels = sorted(cx.vertices)
+    bit, masks = cx._facet_masks()
+    verdict, boundary, interior = _ball(_order_type(masks), exact.validate_field(field))
+    labels = list(bit)
     if verdict.witness:
         witness = tuple(labels[i] for i in verdict.witness)
         verdict = PredicateResult(verdict.ok, witness, verdict.reason)
@@ -375,8 +366,7 @@ def _ball(masks: tuple, field) -> tuple:
     verdict = PredicateResult(True)
     for group in by_size:
         for fm in _tuple_order(group):
-            link = [m ^ fm for m in masks if m & fm == fm]
-            profile = _betti(_class_key(_order_type(link)), field)
+            profile = _betti(_class_key(_order_type(_link(masks, fm))), field)
             if profile.is_trivial():
                 trivial.add(fm)
             elif verdict.ok and not profile.is_sphere(d - fm.bit_count()):
@@ -426,7 +416,7 @@ def _ball_checked(cx, field, check):
 def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """All vertex links are homology spheres of dimension dim - 1.
 
-    Each vertex link is read as facet bitmasks (:func:`_links`) and judged
+    Each vertex link is read as facet bitmasks (:func:`_link`) and judged
     by the memoised verdict :func:`_is_sphere` on its class key, which
     recurses on the link's own vertex links.  For a face tau = {v} + tau',
     lk(tau) is the link of tau' in lk(v), so every vertex link is a
@@ -441,9 +431,10 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     """
     n = cx.dim
     field = exact.validate_field(field)
-    for face, link in _links(cx, [(v,) for v in sorted(cx.vertices)]):
-        if not _is_sphere_of_dim(link, n - 1, field):
-            return PredicateResult(False, face, "vertex link is not a homology sphere")
+    bit, masks = cx._facet_masks()
+    for v, b in bit.items():  # in sorted vertex order
+        if not _is_sphere_of_dim(_link(masks, b), n - 1, field):
+            return PredicateResult(False, (v,), "vertex link is not a homology sphere")
     return PredicateResult(True)
 
 
@@ -452,7 +443,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     links in low dimensions.  Purely combinatorial; no homology involved.
 
     The link sweep runs on the bitmask closure, one dimension at a time:
-    each face's link is read off the facet masks (as in :func:`_links`) and
+    each face's link is read off the facet masks (:func:`_link`) and
     tested for connectivity.  The witness is the least failing face of the
     lowest failing dimension in vertex-tuple order, the first that a sweep
     in ``faces_of_dim`` order would meet; mask order differs from it, so
@@ -475,11 +466,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
         return PredicateResult(False, witness, f"ridge lies in {ridge_count[ridge]} facets")
     by_size = cx._mask_closure().by_size
     for j in range(1, n):  # the faces of dimension 0..n-2
-        failing = [
-            fm
-            for fm in by_size[j]
-            if len(_components([m ^ fm for m in masks if m & fm == fm])) > 1
-        ]
+        failing = [fm for fm in by_size[j] if len(_components(_link(masks, fm))) > 1]
         if failing:
             witness = tuple(sorted(_labelled(labels, _tuple_order(failing)[0])))
             return PredicateResult(False, witness, "face link is not connected")
@@ -498,10 +485,7 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
     bit, masks, by_size, members = cx._mask_closure()
-    neighbours = dict.fromkeys(bit.values(), 0)  # vertex bit -> its closed neighbourhood
-    for m in masks:
-        for b in _bits(m):
-            neighbours[b] |= m
+    neighbours = _neighbourhoods(masks)  # vertex bit -> its closed neighbourhood
     level = set(by_size[i + 1]) if i + 1 < len(by_size) else set()
     accepted = []
     tested = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _bits, _neighbourhoods
 from .errors import TooLargeError
 from .facevectors import _link_f_vectors, f_vector
 
@@ -30,10 +30,13 @@ class IsoCertificate:
 
 
 def _vertex_classes(cx: SimplicialComplex) -> dict:
-    adj = cx.adjacency()
-    base = {v: (len(adj[v]), lk_f) for v, lk_f in _link_f_vectors(cx).items()}
+    """Vertex -> (degree and link f-vector, sorted neighbour classes), read
+    off the vertices' :func:`_neighbourhoods` by bit."""
+    bit, masks = cx._facet_masks()
+    near, link_f = _neighbourhoods(masks), _link_f_vectors(cx)
+    base = {b: (near[b].bit_count() - 1, link_f[v]) for v, b in bit.items()}
     # one refinement round: append the sorted multiset of neighbour classes
-    return {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices}
+    return {v: (base[b], tuple(sorted(map(base.get, _bits(near[b] ^ b))))) for v, b in bit.items()}
 
 
 def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertificate:
@@ -46,7 +49,7 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
     cls1, cls2 = _vertex_classes(cx1), _vertex_classes(cx2)
     if sorted(cls1.values()) != sorted(cls2.values()):
         return none
-    adj1, adj2 = cx1.adjacency(), cx2.adjacency()
+    adj1 = cx1.adjacency()
     candidates = {
         v: sorted(u for u in cx2.vertices if cls2[u] == cls1[v])
         for v in cx1.vertices
@@ -64,8 +67,8 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
         order.append(v)
         remaining.discard(v)
         closing.append([f for f in cx1.facets if v in f and remaining.isdisjoint(f)])
-    bit = {u: 1 << k for k, u in enumerate(sorted(cx2.vertices))}
-    nbrs2 = {u: sum(map(bit.get, adj2[u])) for u in cx2.vertices}
+    bit, masks2 = cx2._facet_masks()
+    nbrs2 = _neighbourhoods(masks2)  # closed: u's own bit is never in ``used`` below
     mapping, used, nodes = {}, 0, 0
     # stack[i] yields order[i]'s untried images; no recursion, so no depth limit
     stack = [iter(candidates[order[0]])]
@@ -78,14 +81,15 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
         # prunes long before a facet closes when cx1 is not neighborly
         want = sum(bit[mapping[w]] for w in adj1[v] if w in mapping)
         for u in stack[-1]:
-            if used & bit[u]:
+            b = bit[u]
+            if used & b:
                 continue
             nodes += 1
             if nodes > ISOMORPHISM_GUARD:
                 raise TooLargeError(
                     f"search exceeds the isomorphism guard ({ISOMORPHISM_GUARD} nodes)"
                 )
-            if nbrs2[u] & used != want:
+            if nbrs2[b] & used != want:
                 continue
             mapping[v] = u
             if all(frozenset(map(mapping.get, f)) in cx2.facets for f in closing[i]):
@@ -94,7 +98,7 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
         else:
             stack.pop()
             continue
-        used |= bit[u]
+        used |= b
         if i + 1 == len(order):
             return IsoCertificate(dict(mapping))
         stack.append(iter(candidates[order[i + 1]]))

@@ -49,7 +49,7 @@ from scx.homology import (
     _ball_checked,
     _betti,
     _class_key,
-    _links,
+    _link,
     _order_type,
     betti,
     is_homology_sphere,
@@ -508,6 +508,13 @@ def is_homology_manifold_by_links(cx, field="rational"):
     return PredicateResult(True)
 
 
+def face_links(cx, faces):
+    """(face, its link's facets as ``homology._link`` reads them, bitmasks over
+    the complex's sorted vertices) for each face of ``faces``, in their order."""
+    bit, masks = cx._facet_masks()
+    return [(face, _link(masks, sum(bit[v] for v in face))) for face in faces]
+
+
 def is_homology_manifold_by_faces(cx, field="rational"):
     """``is_homology_manifold`` as one sweep over every nonempty face link,
     read as facet bitmasks and looked up in the Betti memo by the key
@@ -515,7 +522,7 @@ def is_homology_manifold_by_faces(cx, field="rational"):
     vertex first."""
     n, field, by_dim = cx.dim, validate_field(field), closure_by_dim(cx.facets)
     faces = chain.from_iterable(by_dim[k] for k in range(n + 1))
-    for face, link in _links(cx, sorted(faces, key=min)):
+    for face, link in face_links(cx, sorted(faces, key=min)):
         if not _betti(_class_key(_order_type(link)), field).is_sphere(n - len(face)):
             return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
     return PredicateResult(True)
@@ -530,7 +537,7 @@ def ball_analysis_by_sweep(cx, field="rational", check=True):
     trivial = []
     verdict = PredicateResult(True)
     faces = chain.from_iterable(closure_by_dim(cx.facets).values())
-    for face, link in _links(cx, faces):
+    for face, link in face_links(cx, faces):
         profile = _betti(_class_key(_order_type(link)), field)
         if profile.is_trivial():
             trivial.append(face)

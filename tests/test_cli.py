@@ -379,7 +379,8 @@ def test_stress_of_a_stacked_sphere_has_dimension_0(tmp_path, no_bareiss):
 
 def test_stress_guard_exits_3(tmp_path, no_bareiss):
     # the smallest g2 = 1 cycle join whose tight rigidity matrix, (4n + 2) x
-    # (4n + 3), is over the guard; one size below, Bareiss takes about 1.7 s
+    # (4n + 3), is over the guard; one size below, the stress solve takes
+    # about 0.4 s
     n = next(n for n in range(4, 200) if (4 * n + 2) * (4 * n + 3) > RIGIDITY_GUARD)
     path = tmp_path / "cycle-join.scx"
     write_scx(g2_one_family(4, "cycle", n).complex, path)

@@ -44,6 +44,16 @@ def test_from_facets_absorbs_dominated_faces():
     assert cx.facets == {frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}
 
 
+def test_the_constructor_normalises_each_face():
+    # tuples, lists and ranges become frozenset facets, as in from_facets,
+    # so the set operations behind link and star work on them
+    raw = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+    assert raw == from_facets([(0, 1, 2), (1, 2, 3)])
+    assert raw.link([1]) == from_facets([(0, 2), (2, 3)])
+    assert SimplicialComplex([[0, 1]]) == from_facets([[0, 1]])
+    assert SimplicialComplex([range(3), [2, 3]]).star([3]) == from_facets([[2, 3]])
+
+
 def test_from_facets_rejects_repeated_vertex():
     with pytest.raises(MalformedInputError):
         from_facets([[0, 1, 1]])
@@ -93,8 +103,11 @@ def test_star_of_edge(bd4):
 
 
 def test_link_requires_presence(bd3):
-    with pytest.raises(FaceNotPresentError):
-        bd3.link([0, 9])
+    for reader in (bd3.link, bd3.star):
+        with pytest.raises(FaceNotPresentError, match=r"^face \(0, 9\) is not in the complex$"):
+            reader([9, 0])
+        with pytest.raises(FaceNotPresentError, match=r"^face \(0, 1, 2, 3\) is not"):
+            reader([0, 1, 2, 3])
 
 
 def test_antistar_and_restriction(bd3):

@@ -305,8 +305,7 @@ FIELDS = ("rational", 2, 3)
 
 def _memo_key(cx):
     """The order type of ``cx``, whose class key ``betti`` looks it up by."""
-    ((_, facets),) = homology._links(cx, [frozenset()])
-    return homology._order_type(facets)
+    return homology._order_type(cx._facet_masks()[1])
 
 
 def _assert_matches_every_column(masks):
@@ -373,8 +372,9 @@ def test_class_key_relabels_every_run_all_order_type(run_all_order_types):
 @settings(max_examples=100, deadline=None)
 def test_class_key_relabels_random_complexes(cx):
     _assert_class_key_relabels(_memo_key(cx))
-    for _, link in homology._links(cx, [(v,) for v in sorted(cx.vertices)]):
-        _assert_class_key_relabels(homology._order_type(link))
+    bit, masks = cx._facet_masks()
+    for b in bit.values():
+        _assert_class_key_relabels(homology._order_type(homology._link(masks, b)))
 
 
 # a 2-complex whose vertices 1..6 lie in 4, 1, 6, 2, 5 and 3 facets
@@ -647,15 +647,14 @@ def memo_counts() -> tuple:
 
 
 def record_swept(monkeypatch) -> list:
-    """The faces whose links ``homology._links`` reads from now on."""
-    swept, original = [], homology._links
+    """The face masks whose links ``homology._link`` reads from now on."""
+    swept, original = [], homology._link
 
-    def recording(cx, faces):
-        for face, link in original(cx, faces):
-            swept.append(face)
-            yield face, link
+    def recording(masks, fm):
+        swept.append(fm)
+        return original(masks, fm)
 
-    monkeypatch.setattr(homology, "_links", recording)
+    monkeypatch.setattr(homology, "_link", recording)
     return swept
 
 
@@ -670,9 +669,11 @@ def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch):
     assert memo_counts() == (14, 14, 75, 13)
     swept = record_swept(monkeypatch)
     assert is_homology_sphere(cx)
-    # warm: its own Betti numbers, then one verdict lookup per vertex link
+    # warm: its own Betti numbers, read off its facet masks with no link,
+    # then one verdict lookup per vertex link, in sorted vertex order (bit i
+    # is the i-th least vertex)
     assert memo_counts() == (14 + 1, 14, 75 + 10, 13)
-    assert swept == [frozenset()] + [(v,) for v in sorted(cx.vertices)]
+    assert swept == [1 << i for i in range(10)]
     assert linked == []  # the links are read as facet bitmasks
 
 
@@ -685,7 +686,7 @@ def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypat
     assert before[1] == before[3] > 0  # one Betti miss per verdict miss
     swept = record_swept(monkeypatch)
     assert is_homology_manifold(cycle_join)
-    assert swept == [(v,) for v in sorted(cycle_join.vertices)]
+    assert swept == [1 << i for i in range(cycle_join.n_faces(0))]
     # no Betti lookup, and one verdict hit per vertex
     assert memo_counts() == before[:2] + (before[2] + cycle_join.n_faces(0), before[3])
     assert linked == []

@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from scx import (
+    SimplicialComplex,
     TooLargeError,
     are_isomorphic,
     barnette_sphere,
@@ -83,6 +84,19 @@ def test_empty_and_tiny():
     assert are_isomorphic(from_facets([]), from_facets([]))
     assert are_isomorphic(from_facets([[3]]), from_facets([[5]]))
     assert not are_isomorphic(from_facets([[3]]), from_facets([[3], [5]]))
+
+
+def test_one_labelled_adjacency_per_search(census, monkeypatch):
+    # the classes and the images' neighbourhoods are read off the facet
+    # masks, so only the first complex's adjacency is labelled, once
+    built = []
+    adjacency = SimplicialComplex.adjacency
+    monkeypatch.setattr(
+        SimplicialComplex, "adjacency", lambda cx: built.append(cx) or adjacency(cx)
+    )
+    cx = census[0]
+    copy = relabel(cx, dict(zip(sorted(cx.vertices), (7, 3, 11, 0, 5, 2, 9, 4))))
+    assert are_isomorphic(cx, copy) and built == [cx]
 
 
 def equal_invariant_pairs(complexes):

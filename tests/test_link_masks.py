@@ -10,6 +10,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import clear_memos
@@ -26,8 +27,9 @@ from scx import (
     standard_catalog,
 )
 from scx.complexes import _bits, _labelled
-from scx.homology import _class_key, _links, _order_type
-from test_homology import RP2_FACETS
+from scx.homology import _class_key, _link, _order_type
+from test_ball_memo import run_all_balls  # noqa: F401 (a fixture)
+from test_homology import RP2_FACETS, near_manifolds, random_complexes as drawn_complexes
 from test_retriangulate import NON_BALL_HOSTS, _non_balls
 
 # one failure of each kind, and the projective plane, which passes both sweeps
@@ -194,7 +196,7 @@ def test_sweep_keys_are_the_betti_keys_of_the_link_complexes(catalog, monkeypatc
         asked.clear()
         for face in faces:
             betti(cx.link(face))
-        swept = [_order_type(link) for _, link in _links(cx, faces)]
+        swept = [_order_type(link) for _, link in oracle.face_links(cx, faces)]
         assert [_class_key(key) for key in swept] == asked
         # and each order type is the facets as bitmasks over the link's
         # sorted vertices
@@ -208,9 +210,37 @@ def test_sweep_keys_are_the_betti_keys_of_the_link_complexes(catalog, monkeypatc
 
 def test_link_masks_are_the_link_facets(cycle_join):
     verts = sorted(cycle_join.vertices)
-    for face, link in _links(cycle_join, cycle_join.faces()):
+    for face, link in oracle.face_links(cycle_join, cycle_join.faces()):
         facets = {frozenset(verts[i] for i in range(len(verts)) if m >> i & 1) for m in link}
         assert facets == cycle_join.link(face).facets
+
+
+def labelled_link(cx, face) -> list:
+    """The facets of the link of ``face`` that ``_link`` reads, labelled and
+    sorted as vertex tuples, repeats kept."""
+    bit, masks = cx._facet_masks()
+    labels = list(bit)
+    return sorted(sorted(_labelled(labels, m)) for m in _link(masks, sum(map(bit.get, face))))
+
+
+@given(st.one_of(near_manifolds(), drawn_complexes))
+@settings(max_examples=150, deadline=None)
+def test_vertex_link_masks_are_the_oracle_links(cx):
+    links = oracle.vertex_links(cx.facets)
+    assert {v: labelled_link(cx, [v]) for v in cx.vertices} == {
+        v: sorted(map(sorted, link)) for v, link in links.items()
+    }
+
+
+def test_face_link_masks_on_the_run_all_balls(run_all_balls):
+    balls, _ = run_all_balls
+    compared = 0
+    for ball in balls:
+        for face in oracle.closure(ball.facets):
+            expected = sorted(sorted(f - face) for f in ball.facets if face <= f)
+            assert labelled_link(ball, face) == expected, (ball, face)
+            compared += 1
+    assert compared > 9000  # 9,048 faces of 109 balls
 
 
 def test_order_type_closes_gaps_and_sorts():

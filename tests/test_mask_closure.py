@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from scx import (
+    FaceNotPresentError,
     SimplicialComplex,
     TooLargeError,
     betti,
@@ -163,6 +164,17 @@ def test_adjacency_needs_no_closure():
     cx = from_facets([range(20)])
     assert cx.adjacency() == {v: set(range(20)) - {v} for v in range(20)}
     assert cx._masks is None  # the bitmask closure, the only one a complex keeps
+
+
+def test_link_and_star_need_no_closure():
+    # a face is present exactly when some facet contains it, so past the
+    # closure bound links and stars still answer, and absence is still told
+    cx = from_facets([range(20)])
+    assert cx.link([0]) == from_facets([range(1, 20)])
+    assert cx.star([0]) == cx
+    with pytest.raises(FaceNotPresentError, match=r"face \(0, 20\) is not in the complex"):
+        cx.star([0, 20])
+    assert cx._masks is None
 
 
 def test_membership_and_counts_share_one_closure(monkeypatch):

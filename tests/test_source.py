@@ -107,6 +107,49 @@ def test_one_component_routine_answers_every_connectivity_question():
     assert sorted(_uses("_components")) == sorted(calls)
 
 
+def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
+    # complexes._neighbourhoods builds every vertex neighbourhood and
+    # homology._link reads every face link on masks, each with exactly these
+    # callers; only the isomorphism search labels an adjacency, of its first
+    # complex, once
+    defined = [
+        (module, where, node.name)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_neighbourhoods", "_link", "_links", "_require_face")
+    ]
+    assert defined == [("complexes.py", None, "_neighbourhoods"), ("homology.py", None, "_link")]
+    assert _uses("_links") == _uses("_require_face") == []
+
+    def calls(name):
+        return [
+            (module, where)
+            for module, where, node in _nodes()
+            if isinstance(node, ast.Call) and _named(node.func, name)
+        ]
+
+    assert sorted(calls("_neighbourhoods")) == sorted(_uses("_neighbourhoods")) == [
+        ("complexes.py", "adjacency"),
+        ("complexes.py", "detect_join"),
+        ("homology.py", "skeleton_completion"),
+        ("isomorphism.py", "_vertex_classes"),
+        ("isomorphism.py", "are_isomorphic"),
+    ]
+    assert sorted(calls("_link")) == sorted(_uses("_link")) == [
+        ("homology.py", "_ball"),
+        ("homology.py", "_is_sphere"),
+        ("homology.py", "is_homology_manifold"),
+        ("homology.py", "is_normal_pseudomanifold"),
+    ]
+    adjacency = [
+        (module, where, ast.unparse(node))
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Call) and _named(node.func, "adjacency")
+    ]
+    assert adjacency == [("isomorphism.py", "are_isomorphic", "cx1.adjacency()")]
+    assert _uses("adjacency") == [("isomorphism.py", "are_isomorphic")]
+
+
 #: the decorators that cache a function's results
 CACHES = ("lru_cache", "cache", "cached_property")
 
