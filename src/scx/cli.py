@@ -25,7 +25,7 @@ from .errors import (
 )
 from .exact import validate_field
 from .facevectors import f_vector, g_vector, h_vector
-from .fileio import _label, _labels, load_complex, write_complex, write_scx_text
+from .fileio import _label, _labels, _write_text, load_complex, write_complex, write_scx_text
 from .homology import betti, is_homology_manifold, is_normal_pseudomanifold
 from .isomorphism import are_isomorphic
 from .retriangulate import (
@@ -165,11 +165,14 @@ def gvector(input):
 def link(input, face, output):
     """Write or print the link of a face."""
     cx = load_complex(input)
-    result = cx.link(_parse_face(face))
+    _write_or_print(cx.link(_parse_face(face)), output)
+
+
+def _write_or_print(cx, output):
     if output:
-        write_complex(result, output)
+        write_complex(cx, output)
     else:
-        click.echo(write_scx_text(result), nl=False)
+        click.echo(write_scx_text(cx), nl=False)
 
 
 @main.command()
@@ -337,10 +340,7 @@ def gen(name, params, output):
         raise PreconditionError(
             f"unknown generator {name!r}; known: {', '.join(_GENERATORS)}, g2one, g2two, barnette"
         )
-    if output:
-        write_complex(cx, output)
-    else:
-        click.echo(write_scx_text(cx), nl=False)
+    _write_or_print(cx, output)
 
 
 def _scale_options(fn):
@@ -356,9 +356,7 @@ def _emit_reports(reports, report_path) -> int:
     for rep in reports:
         click.echo(rep.render())
     if report_path:
-        with open(report_path, "w") as fh:
-            json.dump([rep.to_dict() for rep in reports], fh, indent=2)
-            fh.write("\n")
+        _write_text(report_path, json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n")
     failed = [rep for rep in reports if not rep.passed]
     total = sum(rep.instances for rep in reports)
     passes = sum(rep.passes for rep in reports)

@@ -1,14 +1,14 @@
 """Finite abstract simplicial complexes and their combinatorial operations.
 
-A complex is stored by its inclusion-maximal faces (facets).  Its closure is
-built lazily, at most once, as bitmasks over the sorted vertices: every
+A complex is stored by its inclusion-maximal faces (facets) and, from
+construction on, their bitmasks over the sorted vertices (:func:`_maximal`).
+``in``, ``link`` and ``star`` share one presence rule, "some facet contains
+the face".  The closure is built lazily, at most once, from the masks: every
 submask of a facet mask (:func:`_closure_masks`, which the Betti numbers
-share), and no other form of it is kept.  The readers that count faces,
-test membership or sweep links (``n_faces``, ``in``, ``missing_faces``,
-``edges``, the link f-vectors and the link sweeps of :mod:`scx.homology`)
-read those masks, and ``faces`` and ``faces_of_dim`` label them into
-frozensets on each call.  ``link`` and ``star`` read the facets alone, and
-the rest the facet bitmasks: one routine finds their components
+share).  The readers that count faces or sweep links (``n_faces``,
+``missing_faces``, ``edges``, the link f-vectors and the link sweeps of
+:mod:`scx.homology`) read it, and ``faces`` and ``faces_of_dim`` label it on
+each call.  The rest read the facet masks: one routine finds their components
 (:func:`_components`, for ``is_connected`` and ``detect_join``) and one the
 vertex neighbourhoods (:func:`_neighbourhoods`, for ``adjacency``,
 ``detect_join``, the skeleton completion and the isomorphism search).
@@ -23,7 +23,6 @@ complex whose only face is the empty one (dimension -1).
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 from .errors import (
     FaceNotPresentError,
@@ -85,15 +84,6 @@ def _closure_masks(masks) -> tuple:
     return by_size, members
 
 
-class _MaskClosure(NamedTuple):
-    """The closure of a complex as bitmasks over its sorted vertices."""
-
-    bit: dict  # vertex -> 1 << its position, in sorted vertex order
-    facets: list  # the facet masks
-    by_size: list  # by_size[j]: the faces with j vertices, in increasing order
-    members: set  # every face mask, the empty face 0 included
-
-
 def _bits(mask):
     """The set bits of ``mask``, lowest first."""
     while mask:
@@ -113,37 +103,45 @@ def _labelled(labels, mask) -> frozenset:
     return frozenset(labels[b.bit_length() - 1] for b in _bits(mask))
 
 
-def _maximal(faces) -> frozenset:
-    """Inclusion-maximal members of a family of frozensets.
-
-    Faces are taken largest first, and a kept face that contains f also
-    contains min(f), so f is compared only with the kept faces through it.
-    """
-    faces = frozenset(faces)
-    if len(set(map(len, faces))) == 1:  # distinct faces of one size form an antichain
-        return faces
+def _maximal(masks) -> list:
+    """The inclusion-maximal members of a family of face bitmasks, each once,
+    or [0] if none is nonempty.  Masks are taken largest first, and a kept
+    mask that contains m holds m's lowest bit, so m is compared only with the
+    kept masks through that bit."""
+    masks = set(masks)
+    if len(set(map(int.bit_count, masks))) == 1:  # distinct masks of one size form an antichain
+        return list(masks)
     kept = []
-    through = {}  # vertex -> the kept faces containing it
-    for f in sorted(faces, key=len, reverse=True):
-        if not f:  # the empty face comes last and lies in any kept face
+    through = {}  # bit -> the kept masks holding it
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if not m:  # the empty face comes last and lies in any kept mask
             break
-        if not any(f < g for g in through.get(min(f), ())):
-            kept.append(f)
-            for v in f:
-                through.setdefault(v, []).append(f)
-    return frozenset(kept or [frozenset()])
+        if not any(m & g == m for g in through.get(m & -m, ())):
+            kept.append(m)
+            for b in _bits(m):
+                through.setdefault(b, []).append(m)
+    return kept or [0]
 
 
 class SimplicialComplex:
     """Immutable simplicial complex identified by its facet set."""
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_masks")
+    __slots__ = ("_facets", "_vertices", "_dim", "_masks", "_closure")
 
     def __init__(self, faces):
-        self._facets = _maximal(map(frozenset, faces))
-        self._vertices = frozenset(itertools.chain.from_iterable(self._facets))
-        self._dim = max(map(len, self._facets)) - 1
-        self._masks = None
+        faces = set(map(frozenset, faces)) or {frozenset()}
+        try:
+            labels = sorted(set().union(*faces))
+        except TypeError as err:
+            raise MalformedInputError(f"vertex labels must be orderable: {err}") from None
+        bit = {v: 1 << i for i, v in enumerate(labels)}
+        face_of = {sum(map(bit.__getitem__, f)): f for f in faces}
+        masks = _maximal(face_of)
+        self._facets = frozenset(map(face_of.__getitem__, masks))
+        self._vertices = frozenset(labels)
+        self._dim = max(map(int.bit_count, masks)) - 1
+        self._masks = bit, masks
+        self._closure = None
 
     @property
     def facets(self) -> frozenset:
@@ -177,49 +175,36 @@ class SimplicialComplex:
         """The full face set (closure of the facets), including the empty face:
         the bitmask closure (:meth:`_mask_closure`) labelled on each call, so
         a repeated reader keeps the result, or uses ``in`` or ``n_faces``."""
-        bit, _, _, members = self._mask_closure()
-        labels = list(bit)
-        return frozenset(_labelled(labels, m) for m in members)
+        labels = list(self._masks[0])
+        return frozenset(_labelled(labels, m) for m in self._mask_closure()[1])
 
     def faces_of_dim(self, k: int) -> tuple:
         """All k-dimensional faces in vertex-tuple order, the closure's faces
         with k + 1 vertices labelled; () outside -1..dim."""
-        bit, _, by_size, _ = self._mask_closure()
+        by_size = self._mask_closure()[0]
         group = by_size[k + 1] if 0 <= k + 1 < len(by_size) else []
-        labels = list(bit)
+        labels = list(self._masks[0])
         return tuple(_labelled(labels, m) for m in _tuple_order(group))
 
-    def _mask_closure(self) -> _MaskClosure:
-        """The closure as bitmasks over the sorted vertices, built once
-        (:func:`_closure_masks`); a race only builds it twice."""
-        if self._masks is None:
-            bit, facets = self._facet_masks()
-            self._masks = _MaskClosure(bit, facets, *_closure_masks(facets))
+    def _facet_masks(self) -> tuple:
+        """(vertex -> 1 << its sorted position, the facet masks), kept from construction."""
         return self._masks
 
-    def _facet_masks(self) -> tuple:
-        """(bit, facet masks) as in :meth:`_mask_closure`, read off it when it
-        is built; otherwise computed without building it, so a complex over
-        the closure bound still gives its links."""
-        if self._masks is not None:
-            return self._masks.bit, self._masks.facets
-        bit = {v: 1 << i for i, v in enumerate(sorted(self._vertices))}
-        return bit, [sum(map(bit.__getitem__, f)) for f in self._facets]
+    def _mask_closure(self) -> tuple:
+        """(by_size, members) of the closure of the facet masks
+        (:func:`_closure_masks`), built once; a race only builds it twice."""
+        if self._closure is None:
+            self._closure = _closure_masks(self._masks[1])
+        return self._closure
 
     def n_faces(self, k: int) -> int:
         """f_k, counted on the bitmask closure; 0 outside -1..dim."""
-        by_size = self._mask_closure().by_size
+        by_size = self._mask_closure()[0]
         return len(by_size[k + 1]) if 0 <= k + 1 < len(by_size) else 0
 
     def __contains__(self, face) -> bool:
-        """Whether ``face`` is a face, tested on the bitmask closure."""
-        bit, _, _, members = self._mask_closure()
-        mask = 0
-        for v in face:
-            if v not in bit:
-                return False
-            mask |= bit[v]
-        return mask in members
+        """Whether ``face`` is a face, by the presence rule of :meth:`_through`."""
+        return bool(self._through(face)[1])
 
     # -- simple predicates ------------------------------------------------
 
@@ -240,10 +225,10 @@ class SimplicialComplex:
 
     def edges(self) -> tuple:
         """The edges as sorted vertex pairs, in ``faces_of_dim(1)`` order."""
-        bit, _, by_size, _ = self._mask_closure()
+        by_size = self._mask_closure()[0]
         if len(by_size) < 3:
             return ()
-        labels = list(bit)
+        labels = list(self._masks[0])
         return tuple(
             sorted((labels[(m & -m).bit_length() - 1], labels[m.bit_length() - 1]) for m in by_size[2])
         )
@@ -255,22 +240,27 @@ class SimplicialComplex:
     # -- subcomplex operations ---------------------------------------------
 
     def _through(self, face) -> tuple:
-        """(face, the facets containing it): a face is present exactly when
-        some facet contains it, so no closure is built."""
+        """(face, the facets containing it, [] when it is absent): a face is
+        present exactly when some facet contains it, the one rule that ``in``,
+        ``link`` and ``star`` read, so none of them builds the closure."""
         f = frozenset(face)
-        through = [facet for facet in self._facets if f <= facet]
+        return f, [facet for facet in self._facets if f <= facet]
+
+    def _star_facets(self, face) -> tuple:
+        """:meth:`_through` for a face that must be present."""
+        f, through = self._through(face)
         if not through:
             raise FaceNotPresentError(f"face {tuple(sorted(f))} is not in the complex")
         return f, through
 
     def link(self, face) -> "SimplicialComplex":
         """Faces disjoint from ``face`` whose union with it is again a face."""
-        f, through = self._through(face)
+        f, through = self._star_facets(face)
         return SimplicialComplex(facet - f for facet in through)
 
     def star(self, face) -> "SimplicialComplex":
         """Closed star: all faces whose union with ``face`` is a face."""
-        return SimplicialComplex(self._through(face)[1])
+        return SimplicialComplex(self._star_facets(face)[1])
 
     def restriction(self, verts) -> "SimplicialComplex":
         w = frozenset(verts)
@@ -303,8 +293,8 @@ class SimplicialComplex:
             raise PreconditionError("missing-face dimension must be >= 0")
         if k == 0 or k > self._dim + 1:
             return []
-        bit, _, by_size, members = self._mask_closure()
-        labels = list(bit)
+        by_size, members = self._mask_closure()
+        labels = list(self._masks[0])
         top = 1 << len(labels)
         out = []
         for base in by_size[k]:

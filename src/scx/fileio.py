@@ -8,7 +8,7 @@ import json
 from pathlib import Path
 
 from .complexes import SimplicialComplex, from_facets
-from .errors import MalformedInputError, ParseError
+from .errors import MalformedInputError, ParseError, PreconditionError
 
 
 #: ASCII whitespace but the line feed, which alone ends a line
@@ -87,18 +87,26 @@ def write_json_text(cx: SimplicialComplex) -> str:
 
 def load_complex(path) -> SimplicialComplex:
     """Dispatch on the extension: .json reads the object form, anything else
-    the facet-list text form."""
+    the facet-list text form; an unreadable file is a ParseError."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    if path.suffix == ".json":
-        return read_json_text(path.read_text(), source=str(path))
-    return read_scx(path)
+    try:
+        if path.suffix == ".json":
+            return read_json_text(path.read_text(), source=str(path))
+        return read_scx(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _write_text(path, text: str):
+    """Write ``text``; a failed write is a PreconditionError naming ``path``."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise PreconditionError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def write_complex(cx: SimplicialComplex, path):
-    path = Path(path)
-    if path.suffix == ".json":
-        path.write_text(write_json_text(cx))
-    else:
-        write_scx(cx, path)
+    text = write_json_text(cx) if Path(path).suffix == ".json" else write_scx_text(cx)
+    _write_text(path, text)

@@ -53,6 +53,7 @@ from .complexes import (
     _closure_masks,
     _components,
     _labelled,
+    _maximal,
     _neighbourhoods,
     _tuple_order,
     from_faces,
@@ -112,7 +113,7 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
 
 def _dense(cx: SimplicialComplex, faces: dict, k: int, columns: list) -> BoundaryMatrix:
     """d_k on the labelled faces ``faces[k]`` (rows) and ``faces[k + 1]``."""
-    label = functools.partial(_labelled, list(cx._mask_closure().bit))
+    label = functools.partial(_labelled, list(cx._facet_masks()[0]))
     rows, cols = tuple(map(label, faces[k])), tuple(map(label, faces[k + 1]))
     entries = tuple(tuple(col.get(r, 0) for col in columns) for r in range(len(rows)))
     return BoundaryMatrix(k, rows, cols, entries)
@@ -122,7 +123,7 @@ def _face_masks(cx: SimplicialComplex, sizes) -> dict:
     """``{j: faces with j vertices}`` as bitmasks over the sorted vertices:
     the bitmask closure's groups in vertex-tuple order, the order of
     ``faces_of_dim``, each sorted once; :func:`_dense` labels them."""
-    by_size = cx._mask_closure().by_size
+    by_size = cx._mask_closure()[0]
     return {j: _tuple_order(by_size[j]) if 0 <= j < len(by_size) else [] for j in sizes}
 
 
@@ -464,7 +465,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
         ridge = _tuple_order(bad)[0]  # the witness is the least failing ridge
         witness = tuple(sorted(_labelled(labels, ridge)))
         return PredicateResult(False, witness, f"ridge lies in {ridge_count[ridge]} facets")
-    by_size = cx._mask_closure().by_size
+    by_size = cx._mask_closure()[0]
     for j in range(1, n):  # the faces of dimension 0..n-2
         failing = [fm for fm in by_size[j] if len(_components(_link(masks, fm))) > 1]
         if failing:
@@ -484,7 +485,8 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     """
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
-    bit, masks, by_size, members = cx._mask_closure()
+    bit, masks = cx._facet_masks()
+    by_size, members = cx._mask_closure()
     neighbours = _neighbourhoods(masks)  # vertex bit -> its closed neighbourhood
     level = set(by_size[i + 1]) if i + 1 < len(by_size) else set()
     accepted = []
@@ -510,7 +512,7 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
         accepted.extend(nxt)
         level = nxt
     labels = list(bit)
-    return from_faces(itertools.chain(cx.facets, (_labelled(labels, m) for m in accepted)))
+    return from_faces(_labelled(labels, m) for m in _maximal(itertools.chain(masks, accepted)))
 
 
 @dataclass(frozen=True)

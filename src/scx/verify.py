@@ -112,12 +112,13 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-_CATALOG_MEMO: dict = {}
+_CATALOG_MEMO: dict = {}  # the catalog of the last scale asked for, and no other
 
 
 def catalog_for(scale: Scale) -> list:
     key = (scale.dmax, scale.f0max, scale.cycle_max)
     if key not in _CATALOG_MEMO:
+        _CATALOG_MEMO.clear()
         _CATALOG_MEMO[key] = standard_catalog(*key)
     return _CATALOG_MEMO[key]
 

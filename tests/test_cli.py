@@ -204,6 +204,51 @@ def test_bool_vertex_label_in_json_exits_2(tmp_path):
     assert "got True" in result.output
 
 
+def assert_fails_cleanly(result, code, path):
+    # the promised exit code and a one-line error naming the path, no traceback
+    assert result.exit_code == code
+    assert f"error: {path}: cannot" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_info_of_a_directory_exits_2(tmp_path):
+    assert_fails_cleanly(invoke("info", str(tmp_path)), 2, tmp_path)
+
+
+def test_gvector_of_a_json_directory_exits_2(tmp_path):
+    folder = tmp_path / "d.json"
+    folder.mkdir()
+    assert_fails_cleanly(invoke("gvector", str(folder)), 2, folder)
+
+
+def test_crtr_with_a_directory_ball_exits_2(tmp_path):
+    folder = tmp_path / "ball"
+    folder.mkdir()
+    result = invoke("op", "crtr", write_barnette(tmp_path), "--ball", str(folder))
+    assert_fails_cleanly(result, 2, folder)
+
+
+@pytest.mark.parametrize("name", ["bad.scx", "bad.json"])
+def test_undecodable_input_exits_2(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"0 1 \xff\n")
+    assert_fails_cleanly(invoke("info", str(path)), 2, path)
+
+
+def test_output_under_a_missing_directory_exits_3(tmp_path):
+    out = tmp_path / "missing" / "bd3.scx"
+    assert_fails_cleanly(invoke("gen", "simplex-boundary", "3", "--output", str(out)), 3, out)
+
+
+def test_report_under_a_missing_directory_exits_3(tmp_path):
+    report = tmp_path / "missing" / "report.json"
+    result = invoke(
+        "verify", "Lemma4.4", "--dmax", "4", "--f0max", "8", "--cycle-max", "4",
+        "--report", str(report),
+    )
+    assert_fails_cleanly(result, 3, report)
+
+
 @pytest.mark.parametrize("text", ["", "# no facets\n\n"])
 def test_info_of_an_empty_file(tmp_path, text):
     path = tmp_path / "empty.scx"

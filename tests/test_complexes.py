@@ -160,6 +160,14 @@ def test_bool_labels_are_rejected():
         from_facets([[True, 2, 3]])
 
 
+def test_labels_that_cannot_be_ordered_are_rejected_at_construction():
+    # the constructor masks the faces over the sorted labels
+    with pytest.raises(MalformedInputError, match="vertex labels must be orderable"):
+        SimplicialComplex([(0, "a")])
+    with pytest.raises(MalformedInputError, match="vertex labels must be orderable"):
+        SimplicialComplex([(0, 1), ("a",)])
+
+
 def test_join_of_two_point_pairs():
     square = join(simplex_boundary(1), simplex_boundary(1))
     assert f_vector(square).entries == (1, 4, 4)

@@ -277,8 +277,8 @@ def test_ridge_witness_is_the_least_failing_ridge():
         failing = [tuple(sorted(_labelled(list(bit), r))) for r, c in counts.items() if c != 2]
         if failing[0] != witness:
             met_later.add(name)
-    # the count meets ridges in the order of the facets' hashes, each facet's
+    # the count meets ridges in the order of the facet masks, each facet's
     # lowest vertex dropped first; two plants were chosen so that it meets a
     # larger failing ridge first
     assert {"the less of two later", "the least of three last"} <= met_later
-    assert planted["a simplex"][0]._masks is None
+    assert planted["a simplex"][0]._closure is None

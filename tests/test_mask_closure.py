@@ -98,6 +98,22 @@ def test_mask_readers_match_the_oracle_on_relabelled_catalog_entries(catalog, da
     assert_readers_match(from_facets([[rename[v] for v in f] for f in cx.facets]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_facets, st.data())
+def test_membership_matches_the_powerset_closure(facets, data):
+    # every vertex set of the labels, each face and each non-face, with and
+    # without a label the complex lacks, answered with no closure built
+    cx = from_facets(facets)
+    faces = oracle.closure(facets)
+    labels = sorted(cx.vertices)
+    absent = data.draw(st.integers(0, 50).filter(lambda v: v not in cx.vertices), label="absent")
+    subsets = [frozenset(c) for k in range(len(labels) + 1) for c in combinations(labels, k)]
+    assert [s in cx for s in subsets] == [s in faces for s in subsets]
+    assert not any(s | {absent} in cx for s in subsets)
+    assert frozenset() in cx and () in cx
+    assert cx._closure is None
+
+
 def test_closure_masks_are_every_submask_grouped_by_size():
     by_size, members = _closure_masks([0b1011, 0b0110])
     assert by_size == [[0], [1, 2, 4, 8], [3, 6, 9, 10], [11]]
@@ -137,7 +153,7 @@ def test_link_witness_is_the_least_failing_face_not_the_first_mask(cx, witness, 
     assert outcome(res) == (False, witness, "face link is not connected")
     assert outcome(res) == outcome(oracle.is_normal_pseudomanifold_by_links(cx))
     # the sweep meets the failing faces in mask order, where the larger comes first
-    bit, masks, by_size, _ = cx._mask_closure()
+    (bit, masks), (by_size, _) = cx._facet_masks(), cx._mask_closure()
     labels = list(bit)
     failing = [
         tuple(labels[i] for i in range(fm.bit_length()) if fm >> i & 1)
@@ -163,18 +179,23 @@ def test_adjacency_needs_no_closure():
     # past the closure bound the facets still give the 1-skeleton
     cx = from_facets([range(20)])
     assert cx.adjacency() == {v: set(range(20)) - {v} for v in range(20)}
-    assert cx._masks is None  # the bitmask closure, the only one a complex keeps
+    assert cx._closure is None  # the bitmask closure, the only one a complex keeps
 
 
 def test_link_and_star_need_no_closure():
     # a face is present exactly when some facet contains it, so past the
-    # closure bound links and stars still answer, and absence is still told
+    # closure bound membership, links and stars still answer, and absence
+    # is still told
     cx = from_facets([range(20)])
+    assert range(20) in cx and [] in cx and [3, 7] in cx
+    assert [0, 20] not in cx and [21] not in cx
     assert cx.link([0]) == from_facets([range(1, 20)])
     assert cx.star([0]) == cx
     with pytest.raises(FaceNotPresentError, match=r"face \(0, 20\) is not in the complex"):
         cx.star([0, 20])
-    assert cx._masks is None
+    with pytest.raises(FaceNotPresentError, match=r"face \(21,\) is not in the complex"):
+        cx.link([21])
+    assert cx._closure is None
 
 
 def test_membership_and_counts_share_one_closure(monkeypatch):
@@ -211,7 +232,7 @@ def test_ball_witness_is_the_least_failing_face_not_the_first_mask():
     # every vertex link is a path or a cycle, ball- or sphere-like; an edge
     # link fails when it has more than two vertices, and in mask order the
     # failing edges come the other way round
-    bit, _, by_size, _ = BALL_PLANT._mask_closure()
+    bit, by_size = BALL_PLANT._facet_masks()[0], BALL_PLANT._mask_closure()[0]
     labels = list(bit)
     assert all(betti(BALL_PLANT.link([v])).entries[1:] in ((0, 0), (0, 1)) for v in labels)
     edges = [tuple(labels[i] for i in range(m.bit_length()) if m >> i & 1) for m in by_size[2]]
@@ -263,6 +284,6 @@ def test_faces_past_the_closure_bound_raise():
     cx = SimplicialComplex([range(18)])
     with pytest.raises(TooLargeError, match="closure bound"):
         cx.faces()
-    assert cx._masks is None  # nothing was kept, so the next call raises again
+    assert cx._closure is None  # nothing was kept, so the next call raises again
     with pytest.raises(TooLargeError, match="closure bound"):
         cx.faces_of_dim(0)

@@ -239,4 +239,39 @@ def test_a_complex_has_one_closure_construction():
     tree = ast.parse((SOURCE / "complexes.py").read_text())
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SimplicialComplex"]
     assert not [n for n in ast.walk(cls) if _named(n, "combinations")]
-    assert scx.SimplicialComplex.__slots__ == ("_facets", "_vertices", "_dim", "_masks")
+    assert scx.SimplicialComplex.__slots__ == ("_facets", "_vertices", "_dim", "_masks", "_closure")
+
+
+def test_one_antichain_reduction_on_facet_masks():
+    # complexes._maximal, on masks, is the only antichain reduction: the
+    # constructor keeps its facet masks, and the skeleton completion reduces
+    # its accepted masks before labelling them
+    defined = [
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "_maximal"
+    ]
+    assert defined == [("complexes.py", None)]
+    assert sorted(_uses("_maximal")) == [
+        ("complexes.py", "__init__"),
+        ("homology.py", "skeleton_completion"),
+    ]
+
+
+def test_one_presence_rule_serves_membership_links_and_stars():
+    # a face is present when some facet contains it: __contains__ and the
+    # star facets of link and star read _through, and no closure
+    assert sorted(_uses("_through")) == [
+        ("complexes.py", "__contains__"),
+        ("complexes.py", "_star_facets"),
+    ]
+    assert sorted(_uses("_star_facets")) == [("complexes.py", "link"), ("complexes.py", "star")]
+    closure = ("_mask_closure", "_closure", "_closure_masks", "faces", "faces_of_dim")
+    readers = [
+        ast.unparse(node)
+        for module, where, node in _nodes()
+        if module == "complexes.py"
+        and where in ("__contains__", "_through", "_star_facets", "link", "star")
+        and any(_named(node, name) for name in closure)
+    ]
+    assert readers == []

@@ -1,7 +1,11 @@
 """Stress bases from the stress matrix (``rigidity._stresses``) against the
 left kernel of the whole rigidity matrix (``oracle.left_nullspace``)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +26,7 @@ from scx import (
     stacked_sphere,
     stress_basis,
 )
+import scx
 import scx.rigidity as rigidity
 from scx import exact
 from scx.rigidity import Embedding, _stresses
@@ -196,3 +201,36 @@ def test_below_the_bound_the_count_is_an_upper_bound(monkeypatch):
     monkeypatch.setattr(rigidity, "_stresses", lambda g, emb: original(g, emb) * 2)
     with pytest.raises(InternalCheckError, match="4 stresses where the rank mod p leaves 2"):
         stress_basis(two_k4, d=2)
+
+
+def test_stress_certificates_survive_optimize_flag():
+    # `python -O` strips assert statements; a changed entry must still fail
+    # the equilibrium check and a lost stress the count at the rank bound
+    code = (
+        "import sys\n"
+        "import scx.rigidity as rigidity\n"
+        "from scx import InternalCheckError, cross_polytope_boundary, stress_basis\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(2)\n"
+        "original = rigidity._stresses\n"
+        "def changed(g, emb):\n"
+        "    first, *rest = original(g, emb)\n"
+        "    return ((first[0] + 1, *first[1:]), *rest)\n"
+        "plants = {\n"
+        "    'violates vertex equilibrium': changed,\n"
+        "    'stresses where the rank mod p leaves': lambda g, emb: original(g, emb)[:-1],\n"
+        "}\n"
+        "for message, plant in plants.items():\n"
+        "    rigidity._stresses = plant\n"
+        "    try:\n"
+        "        stress_basis(cross_polytope_boundary(4), seed=0)\n"
+        "    except InternalCheckError as exc:\n"
+        "        if message not in str(exc):\n"
+        "            raise SystemExit(3)\n"
+        "    else:\n"
+        "        raise SystemExit(1)\n"
+    )
+    src = str(Path(scx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert result.returncode == 0

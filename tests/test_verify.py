@@ -51,12 +51,15 @@ def test_scale_restricts_instances():
 
 
 def test_theorem_2_3_analyses_each_fill_once(monkeypatch):
+    # the catalog is built first: its construction analyses balls of its own
+    scale = Scale(dmax=5, f0max=9, cycle_max=5)
+    verify.catalog_for(scale)
     passes = []
     original = homology._ball_analysis
     monkeypatch.setattr(
         homology, "_ball_analysis", lambda *args: passes.append(1) or original(*args)
     )
-    rep = run_statement("Theorem2.3", Scale(dmax=5, f0max=9, cycle_max=5))
+    rep = run_statement("Theorem2.3", scale)
     assert rep.passed, rep.failures
     assert rep.instances > 0
     assert len(passes) == rep.instances
@@ -71,3 +74,14 @@ def test_theorem_2_3_reports_a_fill_that_is_not_a_ball(monkeypatch):
                    " ball homology (witness ()))")
         for f in rep.failures
     )
+
+
+def test_the_catalog_memo_keeps_the_last_scale_only(monkeypatch):
+    monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
+    small = Scale(dmax=4, f0max=8, cycle_max=4)
+    first = verify.catalog_for(small)
+    assert verify.catalog_for(Scale(dmax=4, f0max=8, cycle_max=4, seed=5)) is first  # a hit
+    verify.catalog_for(Scale(dmax=3, f0max=7, cycle_max=4))
+    assert list(verify._CATALOG_MEMO) == [(3, 7, 4)]
+    assert verify.catalog_for(small) is not first
+    assert list(verify._CATALOG_MEMO) == [(4, 8, 4)]
