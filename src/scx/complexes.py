@@ -1,19 +1,21 @@
 """Finite abstract simplicial complexes and their combinatorial operations.
 
-A complex is stored by its inclusion-maximal faces (facets) and, from
-construction on, their bitmasks over the sorted vertices (:func:`_maximal`).
-``in``, ``link`` and ``star`` share one presence rule, "some facet contains
-the face".  The closure is built lazily, at most once, from the masks: every
+A complex is its facet masks: its maximal faces (:func:`_maximal`) as
+bitmasks over its sorted vertices, kept as their order type
+(:func:`_order_type`) by the one private constructor,
+:meth:`SimplicialComplex._of_masks`.  The public constructor is its
+labelled front end; ``link``, ``star``, ``restriction``, ``antistar``,
+``skeleton``, ``join`` and ``stack_over_facet`` pass it their parent's
+masks, and ``facets`` labels the masks on first read.  ``in``, ``link`` and
+``star`` share one presence and link rule, :func:`_link`.  The closure, every
 submask of a facet mask (:func:`_closure_masks`, which the Betti numbers
-share).  The readers that count faces or sweep links (``n_faces``,
-``missing_faces``, ``edges``, the link f-vectors and the link sweeps of
-:mod:`scx.homology`) read it, and ``faces`` and ``faces_of_dim`` label it on
-each call.  The rest read the facet masks: one routine finds their components
-(:func:`_components`, for ``is_connected`` and ``detect_join``) and one the
-vertex neighbourhoods (:func:`_neighbourhoods`, for ``adjacency``,
-``detect_join``, the skeleton completion and the isomorphism search).
-Complexes are immutable values: every operation returns a new complex, so
-concurrent reads are safe.
+share), is built lazily, at most once: the face counts, ``missing_faces``,
+``edges``, ``skeleton`` and the link sweeps of :mod:`scx.homology` read it,
+and ``faces`` and ``faces_of_dim`` label it on each call.  The rest read the
+facet masks: one routine finds their components (:func:`_components`) and
+one the vertex neighbourhoods (:func:`_neighbourhoods`).  Complexes are
+immutable values: every operation returns a new complex, so concurrent reads
+are safe.
 
 Vertices are non-negative integer labels; faces are frozensets of labels.
 Every complex contains the empty face; ``from_facets([])`` yields the
@@ -22,7 +24,7 @@ complex whose only face is the empty one (dimension -1).
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 from .errors import (
     FaceNotPresentError,
@@ -33,7 +35,8 @@ from .errors import (
 
 
 def as_face(vertices) -> frozenset:
-    """Normalize an iterable of vertex labels into a face; rejects repeats."""
+    """Normalize an iterable of vertex labels into a face; rejects repeats and
+    any label that is not a non-negative ``int`` (a ``bool`` included)."""
     vs = tuple(vertices)
     for v in vs:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -123,51 +126,97 @@ def _maximal(masks) -> list:
     return kept or [0]
 
 
+def _order_type(masks) -> tuple:
+    """The order type of the complex whose facets are ``masks``: the masks
+    that :meth:`SimplicialComplex._of_masks` keeps, and the key of
+    ``homology._ball`` and ``homology._class_key``.
+
+    It numbers the vertices 0..n-1 in sorted order and lists each facet as a
+    bitmask over that numbering, so two complexes with the same order type
+    differ by an order-preserving relabelling.  Each mask is compressed onto
+    the complex's own vertices, the set bits of the union, in order: bit
+    ``b`` moves to position ``popcount(union & (b - 1))``.  The compressed
+    masks are sorted.
+    """
+    union = functools.reduce(int.__or__, masks, 0)
+    if union & (union + 1):  # the vertices are not 0..n-1
+        compressed = []
+        for m in masks:
+            c = 0
+            while m:
+                low = m & -m
+                c |= 1 << (union & (low - 1)).bit_count()
+                m ^= low
+            compressed.append(c)
+        masks = compressed
+    return tuple(sorted(masks))
+
+
+def _link(masks, fm) -> list:
+    """The facets of the link of the face ``fm`` in the complex whose facets
+    are the bitmasks ``masks``: ``m ^ fm`` for the masks ``m`` that contain
+    it, an antichain as the facets are, and none when the face is absent."""
+    return [m ^ fm for m in masks if m & fm == fm]
+
+
 class SimplicialComplex:
     """Immutable simplicial complex identified by its facet set."""
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_masks", "_closure")
+    __slots__ = ("_masks", "_dim", "_facets", "_closure")
 
     def __init__(self, faces):
+        """The labelled front end of :meth:`_of_masks`: each distinct label is
+        checked once (by :func:`as_face`), each distinct face masked once."""
         faces = set(map(frozenset, faces)) or {frozenset()}
-        try:
-            labels = sorted(set().union(*faces))
-        except TypeError as err:
-            raise MalformedInputError(f"vertex labels must be orderable: {err}") from None
-        bit = {v: 1 << i for i, v in enumerate(labels)}
-        face_of = {sum(map(bit.__getitem__, f)): f for f in faces}
-        masks = _maximal(face_of)
-        self._facets = frozenset(map(face_of.__getitem__, masks))
-        self._vertices = frozenset(labels)
-        self._dim = max(map(int.bit_count, masks)) - 1
-        self._masks = bit, masks
-        self._closure = None
+        bit = {v: 1 << i for i, v in enumerate(sorted(as_face(set().union(*faces))))}
+        built = self._of_masks(list(bit), (sum(map(bit.__getitem__, f)) for f in faces))
+        if len(built._masks[1]) == len(faces):  # no face was dominated: they are the facets
+            built._facets = frozenset(faces)
+        for name in self.__slots__:
+            setattr(self, name, getattr(built, name))
+
+    @classmethod
+    def _of_masks(cls, labels, masks) -> "SimplicialComplex":
+        """The complex of the face bitmasks ``masks`` over the sorted labels
+        ``labels``, unchecked: the bit map of the labels its maximal masks
+        hold, and those masks' order type, with no face labelled."""
+        masks = _maximal(masks)
+        union = functools.reduce(int.__or__, masks)
+        cx = object.__new__(cls)
+        bit = {labels[b.bit_length() - 1]: 1 << i for i, b in enumerate(_bits(union))}
+        cx._masks, cx._dim = (bit, _order_type(masks)), max(map(int.bit_count, masks)) - 1
+        cx._facets = cx._closure = None
+        return cx
 
     @property
     def facets(self) -> frozenset:
+        """The facets as frozensets of labels: the masks labelled on first read
+        and kept (a race only labels them twice), unless the constructor kept its faces."""
+        if self._facets is None:
+            labels = list(self._masks[0])
+            self._facets = frozenset(_labelled(labels, m) for m in self._masks[1])
         return self._facets
 
     @property
     def vertices(self) -> frozenset:
-        return self._vertices
+        return frozenset(self._masks[0])
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def __eq__(self, other):
+        """Equal labels and equal sorted masks over them, with no face labelled."""
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._facets == other._facets
+        return self._masks == other._masks
 
     def __hash__(self):
-        return hash(self._facets)
+        return hash(self.facets)
 
     def __repr__(self):
-        return (
-            f"SimplicialComplex(dim={self._dim}, vertices={len(self._vertices)}, "
-            f"facets={len(self._facets)})"
-        )
+        bit, masks = self._masks
+        return f"SimplicialComplex(dim={self._dim}, vertices={len(bit)}, facets={len(masks)})"
 
     # -- face enumeration ------------------------------------------------
 
@@ -186,10 +235,6 @@ class SimplicialComplex:
         labels = list(self._masks[0])
         return tuple(_labelled(labels, m) for m in _tuple_order(group))
 
-    def _facet_masks(self) -> tuple:
-        """(vertex -> 1 << its sorted position, the facet masks), kept from construction."""
-        return self._masks
-
     def _mask_closure(self) -> tuple:
         """(by_size, members) of the closure of the facet masks
         (:func:`_closure_masks`), built once; a race only builds it twice."""
@@ -204,12 +249,12 @@ class SimplicialComplex:
 
     def __contains__(self, face) -> bool:
         """Whether ``face`` is a face, by the presence rule of :meth:`_through`."""
-        return bool(self._through(face)[1])
+        return bool(self._through(face)[2])
 
     # -- simple predicates ------------------------------------------------
 
     def is_pure(self) -> bool:
-        return len({len(f) for f in self._facets}) == 1
+        return len(set(map(int.bit_count, self._masks[1]))) == 1
 
     def is_prime(self) -> bool:
         """Pure and without missing facets (missing faces of top dimension);
@@ -219,7 +264,7 @@ class SimplicialComplex:
     def adjacency(self) -> dict:
         """Vertex -> set of neighbours in the 1-skeleton, the
         :func:`_neighbourhoods` of the facet masks labelled."""
-        bit, masks = self._facet_masks()
+        bit, masks = self._masks
         near, labels = _neighbourhoods(masks), list(bit)
         return {v: set(_labelled(labels, near[b] ^ b)) for v, b in bit.items()}
 
@@ -235,41 +280,43 @@ class SimplicialComplex:
 
     def is_connected(self) -> bool:
         """One component in the 1-skeleton, from the facet masks alone."""
-        return len(_components(self._facet_masks()[1])) <= 1
+        return len(_components(self._masks[1])) <= 1
 
     # -- subcomplex operations ---------------------------------------------
 
     def _through(self, face) -> tuple:
-        """(face, the facets containing it, [] when it is absent): a face is
-        present exactly when some facet contains it, the one rule that ``in``,
-        ``link`` and ``star`` read, so none of them builds the closure."""
+        """(face, its mask, its :func:`_link`, [] when it is absent): a face is
+        present exactly when some facet contains it, the one rule of ``in``,
+        ``link`` and ``star``, so none of them builds a closure or labels a facet."""
         f = frozenset(face)
-        return f, [facet for facet in self._facets if f <= facet]
+        bit, masks = self._masks
+        fm = sum(bit.get(v, 1 << len(bit)) for v in f)  # an absent label: bits no facet holds
+        return f, fm, _link(masks, fm)
 
     def _star_facets(self, face) -> tuple:
-        """:meth:`_through` for a face that must be present."""
-        f, through = self._through(face)
-        if not through:
+        """(mask, link) of :meth:`_through` for a face that must be present."""
+        f, fm, link = self._through(face)
+        if not link:
             raise FaceNotPresentError(f"face {tuple(sorted(f))} is not in the complex")
-        return f, through
+        return fm, link
 
     def link(self, face) -> "SimplicialComplex":
         """Faces disjoint from ``face`` whose union with it is again a face."""
-        f, through = self._star_facets(face)
-        return SimplicialComplex(facet - f for facet in through)
+        return self._of_masks(list(self._masks[0]), self._star_facets(face)[1])
 
     def star(self, face) -> "SimplicialComplex":
         """Closed star: all faces whose union with ``face`` is a face."""
-        return SimplicialComplex(self._star_facets(face)[1])
+        fm, link = self._star_facets(face)
+        return self._of_masks(list(self._masks[0]), [m | fm for m in link])
 
     def restriction(self, verts) -> "SimplicialComplex":
-        w = frozenset(verts)
-        return SimplicialComplex(facet & w for facet in self._facets)
+        w = sum(self._masks[0].get(v, 0) for v in frozenset(verts))
+        return self._of_masks(list(self._masks[0]), [m & w for m in self._masks[1]])
 
     def antistar(self, v: int) -> "SimplicialComplex":
-        if v not in self._vertices:
+        if v not in self._masks[0]:
             raise FaceNotPresentError(f"vertex {v} is not in the complex")
-        return self.restriction(self._vertices - {v})
+        return self.restriction(self._masks[0].keys() - {v})
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """Subcomplex of faces of dimension at most ``i``."""
@@ -277,8 +324,8 @@ class SimplicialComplex:
             raise PreconditionError("skeleton dimension must be >= -1")
         if i >= self._dim:
             return self
-        low = [f for f in self._facets if len(f) - 1 <= i]
-        return SimplicialComplex(itertools.chain(low, self.faces_of_dim(i)))
+        low = [m for m in self._masks[1] if m.bit_count() <= i + 1]
+        return self._of_masks(list(self._masks[0]), low + self._mask_closure()[0][i + 1])
 
     # -- missing faces ------------------------------------------------------
 
@@ -323,12 +370,10 @@ def join(cx1: SimplicialComplex, cx2: SimplicialComplex) -> SimplicialComplex:
     Every vertex v of ``cx2`` becomes v + max(V(cx1)) + 1, so output labels
     are deterministic and the factors stay disjoint.
     """
-    shift = max(cx1.vertices, default=-1) + 1
-    return SimplicialComplex(
-        f1 | frozenset(v + shift for v in f2)
-        for f1 in cx1.facets
-        for f2 in cx2.facets
-    )
+    (bit1, masks1), (bit2, masks2) = cx1._masks, cx2._masks
+    shift, n1 = max(bit1, default=-1) + 1, len(bit1)
+    labels = [*bit1, *(v + shift for v in bit2)]
+    return SimplicialComplex._of_masks(labels, [a | b << n1 for a in masks1 for b in masks2])
 
 
 def connected_sum(
@@ -372,21 +417,20 @@ def connected_sum(
 
 
 def stack_over_facet(cx: SimplicialComplex, facet) -> SimplicialComplex:
-    """Replace a facet by the cone over its boundary from one fresh vertex."""
-    f = frozenset(facet)
-    if not f or f not in cx.facets:
+    """Replace a facet by the cone over its boundary from one fresh vertex,
+    on masks: the facet's ridges, each with a new top bit."""
+    f, fm, link = cx._through(facet)
+    if not f or link != [0]:  # a facet's link is the empty complex
         raise PreconditionError(f"{tuple(sorted(f))} is not a nonempty facet")
-    w = max(cx.vertices) + 1
-    new_facets = set(cx.facets) - {f}
-    for v in f:
-        new_facets.add((f - {v}) | {w})
-    return SimplicialComplex(new_facets)
+    bit, masks = cx._masks
+    cone = [(fm ^ b) | 1 << len(bit) for b in _bits(fm)]  # the new vertex is the top bit
+    return SimplicialComplex._of_masks([*bit, max(bit) + 1], [m for m in masks if m != fm] + cone)
 
 
 def is_simplex_boundary(cx: SimplicialComplex) -> bool:
     """Whether the complex is the full boundary of a simplex on its vertices:
     n distinct facets of n - 1 vertices each, on n vertices, are all of them."""
-    return len(cx.vertices) == cx.dim + 2 == len(cx.facets) and cx.is_pure()
+    return len(cx._masks[0]) == cx.dim + 2 == len(cx._masks[1]) and cx.is_pure()
 
 
 def _components(masks) -> list:
@@ -428,7 +472,7 @@ def detect_join(cx: SimplicialComplex):
     """
     if len(cx.vertices) < 2:
         return None
-    bit, masks = cx._facet_masks()
+    bit, masks = cx._masks
     every = (1 << len(bit)) - 1
     near = _neighbourhoods(masks).items()
     groups = sorted(_components((every ^ n) | b for b, n in near), key=lambda g: g & -g)

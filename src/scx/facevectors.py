@@ -75,7 +75,7 @@ def _link_f_vectors(cx: SimplicialComplex) -> dict:
     """Vertex v -> the f-vector entries of lk(v), read off the bitmask
     closure: each face with k + 1 vertices through v is a (k-1)-face of
     lk(v), so entry k counts the faces of that size whose mask has v's bit."""
-    bit, by_size = cx._facet_masks()[0], cx._mask_closure()[0]
+    bit, by_size = cx._masks[0], cx._mask_closure()[0]
     counts = [[] for _ in bit]
     for group in by_size[1:]:
         tally = [0] * len(bit)

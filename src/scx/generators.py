@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import complexes
-from .complexes import SimplicialComplex, from_facets, join
+from .complexes import SimplicialComplex, from_facets, join, stack_over_facet
 from .errors import InternalCheckError, ParseError, PreconditionError, TooLargeError
 from .facevectors import f_vector, g2
 from .fileio import load_complex
@@ -64,15 +64,11 @@ def stacked_sphere(d: int, n: int) -> SimplicialComplex:
     """
     if n < d + 1:
         raise PreconditionError("a stacked (d-1)-sphere needs at least d+1 vertices")
-    facets = set(simplex_boundary(d).facets)
+    cx = simplex_boundary(d)
     _guard_closure(d + 1 + (n - d - 1) * (d - 1), d)  # each step adds d - 1 facets
-    new = list(facets)
-    for w in range(d + 1, n):
-        target = max(new, key=sorted)
-        facets.remove(target)
-        new = [(target - {v}) | {w} for v in target]
-        facets.update(new)
-    return SimplicialComplex(facets)
+    for w in range(d + 1, n):  # the new facets are those through the last new vertex
+        cx = stack_over_facet(cx, max((f for f in cx.facets if w - 1 in f), key=sorted))
+    return cx
 
 
 def cross_polytope_boundary(d: int) -> SimplicialComplex:
@@ -181,11 +177,7 @@ def g2_two_catalog(d: int, kind: str, param: int | None = None) -> CatalogEntry:
             raise PreconditionError("crtr_ridge variant needs d = 4 and n >= 4")
         base = join(cycle(n), simplex_boundary(2))
         first = min(base.facets, key=sorted)
-        ridge = first - {max(first)}
-        partner = next(
-            f for f in sorted(base.facets, key=sorted) if ridge < f and f != first
-        )
-        ball = SimplicialComplex([first, partner])
+        ball = base.star(first - {max(first)})  # the two facets through a ridge of the first
         cx, _ = central_retriangulation(base, ball)
         name = f"crtr-two-facets-sphere-d4-n{n}"
         tags = {"g2two", "g2two-crtr"}

@@ -20,23 +20,20 @@ homology-sphere verdict (:func:`_is_sphere`, behind
 fourth memo of the same bound): the complex with its vertices renumbered by
 how many facets contain them.  The ball analysis (:func:`_ball`, behind
 :func:`_ball_analysis` and so every ball predicate and retriangulation)
-takes the order type, the facets as bitmasks over the sorted vertices,
-through which its masks are read back.  So a link swept by several
+takes the order type, the masks the complex keeps.  So a link swept by several
 predicates or statements, or met again under a relabelling that the degree
 order undoes, is eliminated once and judged once, and a ball that several
 retriangulations read, with or without ``check``, is swept once.  Nothing
 seeded is cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits
 and misses and ``cache_clear()`` empties each memo.
 
-The predicates that sweep face links (the manifold, ball and normal
-pseudomanifold tests) build no link complex: :func:`_link` reads each
-link's facets off the complex's facet bitmasks, and the link's order type
-and components come from those masks.  Every face sweep reads a
-closure enumerated by ``complexes._closure_masks``: the normal-pseudomanifold
-sweep, :func:`skeleton_completion` and :func:`_face_masks` the complex's
-own, a Betti miss and a ball sweep that of their key, in vertex-tuple order
-(``complexes._tuple_order``) where a witness or a matrix needs it; a ball
-sweep judges its boundary on masks too.
+The face-link sweeps (the manifold, ball and normal pseudomanifold tests)
+read each link's facets off the facet masks with ``complexes._link``, and
+take its order type and components from those masks.  Every face sweep
+reads a closure enumerated by ``complexes._closure_masks``, in vertex-tuple
+order (``complexes._tuple_order``) where a witness or a matrix needs it.
+The completion and the ball boundary are built from masks
+(``SimplicialComplex._of_masks``), with no face labelled.
 """
 
 from __future__ import annotations
@@ -53,10 +50,10 @@ from .complexes import (
     _closure_masks,
     _components,
     _labelled,
-    _maximal,
+    _link,
     _neighbourhoods,
+    _order_type,
     _tuple_order,
-    from_faces,
 )
 from .errors import InternalCheckError, PreconditionError, TooLargeError
 
@@ -113,7 +110,7 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
 
 def _dense(cx: SimplicialComplex, faces: dict, k: int, columns: list) -> BoundaryMatrix:
     """d_k on the labelled faces ``faces[k]`` (rows) and ``faces[k + 1]``."""
-    label = functools.partial(_labelled, list(cx._facet_masks()[0]))
+    label = functools.partial(_labelled, list(cx._masks[0]))
     rows, cols = tuple(map(label, faces[k])), tuple(map(label, faces[k + 1]))
     entries = tuple(tuple(col.get(r, 0) for col in columns) for r in range(len(rows)))
     return BoundaryMatrix(k, rows, cols, entries)
@@ -206,34 +203,7 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     A ``TooLargeError`` is raised again on every call and never cached;
     ``_betti.cache_info()`` counts hits.
     """
-    return _betti(_class_key(_order_type(cx._facet_masks()[1])), exact.validate_field(field))
-
-
-def _order_type(masks) -> tuple:
-    """The order type of the complex whose facets are ``masks``: the key of
-    :func:`_ball` and of :func:`_class_key`.
-
-    It numbers the vertices 0..n-1 in sorted order and lists each facet as a
-    bitmask over that numbering, so two complexes with the same order type
-    differ by an order-preserving relabelling.  Each mask is compressed onto
-    the complex's own vertices, the set bits of the union, in order: bit
-    ``b`` moves to position ``popcount(union & (b - 1))``.  The compressed
-    masks are sorted.
-    """
-    union = 0
-    for m in masks:
-        union |= m
-    if union & (union + 1):  # the vertices are not 0..n-1
-        compressed = []
-        for m in masks:
-            c = 0
-            while m:
-                low = m & -m
-                c |= 1 << (union & (low - 1)).bit_count()
-                m ^= low
-            compressed.append(c)
-        masks = compressed
-    return tuple(sorted(masks))
+    return _betti(_class_key(_order_type(cx._masks[1])), exact.validate_field(field))
 
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
@@ -301,13 +271,6 @@ def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
     return _is_sphere(_class_key(_order_type(link)), field)
 
 
-def _link(masks, fm) -> list:
-    """The facets of the link of the face ``fm`` in the complex whose facets
-    are the bitmasks ``masks``: ``m ^ fm`` for the masks ``m`` that contain
-    it.  These form an antichain, as the facets do."""
-    return [m ^ fm for m in masks if m & fm == fm]
-
-
 def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """A homology manifold with the homology of the sphere of its dimension.
 
@@ -326,21 +289,21 @@ def _ball_analysis(cx: SimplicialComplex, field):
     """(verdict, boundary complex, interior faces), as one sweep over the face
     links of ``cx`` gives them (:func:`_ball`).
 
-    Memoised: the sweep runs on the complex's order type, not on its class
-    key, and its masks and witness are read back through the sorted
-    vertices.  An order-preserving relabelling keeps the vertex-tuple order
-    of the faces, the faces with trivial links and the least failing vertex
-    of the boundary, so the witness, the boundary and the interior are
-    those of a sweep on ``cx`` itself.
+    Memoised on the order type, the masks the complex keeps, not on its
+    class key; the witness and the interior are read back through the
+    sorted vertices, and the boundary is built on them from its masks.  An
+    order-preserving relabelling keeps the vertex-tuple order of the faces,
+    the faces with trivial links and the least failing vertex of the
+    boundary, so all three are those of a sweep on ``cx`` itself.
     """
-    bit, masks = cx._facet_masks()
+    bit, masks = cx._masks
     verdict, boundary, interior = _ball(_order_type(masks), exact.validate_field(field))
     labels = list(bit)
     if verdict.witness:
         witness = tuple(labels[i] for i in verdict.witness)
         verdict = PredicateResult(verdict.ok, witness, verdict.reason)
-    faces = functools.partial(_labelled, labels)
-    return verdict, from_faces(map(faces, boundary)), frozenset(map(faces, interior))
+    interior = frozenset(_labelled(labels, m) for m in interior)
+    return verdict, SimplicialComplex._of_masks(labels, boundary), interior
 
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
@@ -384,7 +347,7 @@ def _ball(masks: tuple, field) -> tuple:
         elif d > 0 and len(bd_by_size) - 2 != d - 1:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
         elif not _is_sphere_of_dim(bd_masks, d - 1, field):  # label the boundary for a witness
-            sphere = is_homology_sphere(from_faces(_labelled(vertices, fm) for fm in bd_masks), field)
+            sphere = is_homology_sphere(SimplicialComplex._of_masks(vertices, bd_masks), field)
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
     return verdict, bd_masks, tuple(members - closed)
 
@@ -432,7 +395,7 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     """
     n = cx.dim
     field = exact.validate_field(field)
-    bit, masks = cx._facet_masks()
+    bit, masks = cx._masks
     for v, b in bit.items():  # in sorted vertex order
         if not _is_sphere_of_dim(_link(masks, b), n - 1, field):
             return PredicateResult(False, (v,), "vertex link is not a homology sphere")
@@ -455,7 +418,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     if not cx.is_pure():
         smallest = min(cx.facets, key=len)
         return PredicateResult(False, tuple(sorted(smallest)), "complex is not pure")
-    bit, masks = cx._facet_masks()  # no closure yet: past its bound, ridges still count
+    bit, masks = cx._masks  # no closure yet: past its bound, ridges still count
     if len(_components(masks)) > 1:
         return PredicateResult(False, (), "complex is not connected")
     labels = list(bit)
@@ -485,7 +448,7 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     """
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
-    bit, masks = cx._facet_masks()
+    bit, masks = cx._masks
     by_size, members = cx._mask_closure()
     neighbours = _neighbourhoods(masks)  # vertex bit -> its closed neighbourhood
     level = set(by_size[i + 1]) if i + 1 < len(by_size) else set()
@@ -511,8 +474,7 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
                     nxt.add(cand)
         accepted.extend(nxt)
         level = nxt
-    labels = list(bit)
-    return from_faces(_labelled(labels, m) for m in _maximal(itertools.chain(masks, accepted)))
+    return SimplicialComplex._of_masks(list(bit), itertools.chain(masks, accepted))
 
 
 @dataclass(frozen=True)

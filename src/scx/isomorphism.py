@@ -32,7 +32,7 @@ class IsoCertificate:
 def _vertex_classes(cx: SimplicialComplex) -> dict:
     """Vertex -> (degree and link f-vector, sorted neighbour classes), read
     off the vertices' :func:`_neighbourhoods` by bit."""
-    bit, masks = cx._facet_masks()
+    bit, masks = cx._masks
     near, link_f = _neighbourhoods(masks), _link_f_vectors(cx)
     base = {b: (near[b].bit_count() - 1, link_f[v]) for v, b in bit.items()}
     # one refinement round: append the sorted multiset of neighbour classes
@@ -67,7 +67,7 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
         order.append(v)
         remaining.discard(v)
         closing.append([f for f in cx1.facets if v in f and remaining.isdisjoint(f)])
-    bit, masks2 = cx2._facet_masks()
+    bit, masks2 = cx2._masks
     nbrs2 = _neighbourhoods(masks2)  # closed: u's own bit is never in ``used`` below
     mapping, used, nodes = {}, 0, 0
     # stack[i] yields order[i]'s untried images; no recursion, so no depth limit

@@ -29,7 +29,12 @@ the inverse stellar move as first written, built from
 helpers, ``swartz_all`` going through the public single move, and the
 split of a link along a missing facet with its components found by the
 depth-first search, as :func:`detect_join_by_search` finds the non-edge
-components of a join.
+components of a join.  Last come the operations that build their result from
+their input's facet masks, written on labels through the labelled
+constructor: :func:`link_by_labels`, :func:`star_by_labels`,
+:func:`restriction_by_labels`, :func:`skeleton_by_labels`,
+:func:`join_by_labels`, :func:`stack_by_labels` and
+:func:`skeleton_completion_by_search`.
 
 Every face set that a reference reads, its sweep order included, comes from
 the powerset :func:`closure`, grouped by :func:`closure_by_dim`, and never
@@ -509,9 +514,9 @@ def is_homology_manifold_by_links(cx, field="rational"):
 
 
 def face_links(cx, faces):
-    """(face, its link's facets as ``homology._link`` reads them, bitmasks over
+    """(face, its link's facets as ``complexes._link`` reads them, bitmasks over
     the complex's sorted vertices) for each face of ``faces``, in their order."""
-    bit, masks = cx._facet_masks()
+    bit, masks = cx._masks
     return [(face, _link(masks, sum(bit[v] for v in face))) for face in faces]
 
 
@@ -708,3 +713,65 @@ def swartz_all_by_operation(cx, v, field="rational", check=True):
         removed_vertices=(v,), steps=steps,
         notes=tuple(combined_notes + [f"skipped {s}" for s in sorted(set(skipped))]),
     )
+
+
+# -- label-built references for the operations built from facet masks ------
+
+
+def link_by_labels(cx, face):
+    """``SimplicialComplex.link`` as first written: the facets through the
+    face, less the face, through the labelled constructor."""
+    f = frozenset(face)
+    return SimplicialComplex(facet - f for facet in cx.facets if f <= facet)
+
+
+def star_by_labels(cx, face):
+    """``SimplicialComplex.star`` as first written: the facets through the face."""
+    f = frozenset(face)
+    return SimplicialComplex(facet for facet in cx.facets if f <= facet)
+
+
+def restriction_by_labels(cx, verts):
+    """``SimplicialComplex.restriction`` as first written: each facet cut to ``verts``."""
+    w = frozenset(verts)
+    return SimplicialComplex(facet & w for facet in cx.facets)
+
+
+def skeleton_by_labels(cx, i):
+    """The faces of the powerset closure with at most i + 1 vertices."""
+    return SimplicialComplex(f for f in closure(cx.facets) if len(f) <= i + 1)
+
+
+def join_by_labels(cx1, cx2):
+    """``join`` as first written: every union of a facet of each, the second
+    factor's labels shifted above the first's."""
+    shift = max(cx1.vertices, default=-1) + 1
+    return SimplicialComplex(
+        f1 | frozenset(v + shift for v in f2) for f1 in cx1.facets for f2 in cx2.facets
+    )
+
+
+def stack_by_labels(cx, facet):
+    """``stack_over_facet`` as first written: the facet replaced by the cone
+    from the vertex max(V) + 1 over its ridges."""
+    f, w = frozenset(facet), max(cx.vertices) + 1
+    return SimplicialComplex((cx.facets - {f}) | {(f - {v}) | {w} for v in f})
+
+
+def skeleton_completion_by_search(cx, i):
+    """``skeleton_completion`` by a search on labels: every vertex set whose
+    subsets of i + 1 vertices are all faces of the powerset closure, grown
+    one vertex at a time from the faces of i + 1 vertices, added to the
+    facets."""
+    faces = closure(cx.facets)
+    level = {f for f in faces if len(f) == i + 1}
+    found = set(cx.facets)
+    while level:
+        level = {
+            f | {v}
+            for f in level
+            for v in cx.vertices - f
+            if all(frozenset(s) | {v} in faces for s in combinations(f, i))
+        }
+        found |= level
+    return SimplicialComplex(found)

@@ -119,16 +119,17 @@ def test_mixed_check_reads_share_one_sweep():
 
 def test_a_ball_miss_builds_only_the_labelled_boundary(bd5, monkeypatch):
     # the sweep finds and judges the boundary on masks, so the one complex
-    # that a miss builds is the boundary read back through the ball's labels
+    # that a miss builds is the boundary read back through the ball's labels;
+    # every complex, labelled or not, is built by _of_masks
     ball = bd5.star([0, 1])
-    built, init = [], SimplicialComplex.__init__
+    built, of_masks = [], SimplicialComplex._of_masks
 
-    def recording(self, faces):
-        init(self, faces)
-        built.append(self)
+    def recording(labels, masks):
+        built.append(of_masks(labels, masks))
+        return built[-1]
 
     clear_memos()
-    monkeypatch.setattr(SimplicialComplex, "__init__", recording)
+    monkeypatch.setattr(SimplicialComplex, "_of_masks", staticmethod(recording))
     assert is_homology_ball(ball)
     assert homology._ball.cache_info().misses == 1
     (boundary,) = built

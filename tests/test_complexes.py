@@ -11,6 +11,7 @@ from scx import (
     PreconditionError,
     SimplicialComplex,
     TooLargeError,
+    as_face,
     connected_sum,
     cycle,
     detect_join,
@@ -161,11 +162,21 @@ def test_bool_labels_are_rejected():
 
 
 def test_labels_that_cannot_be_ordered_are_rejected_at_construction():
-    # the constructor masks the faces over the sorted labels
-    with pytest.raises(MalformedInputError, match="vertex labels must be orderable"):
+    # the constructor refuses every label that is not a non-negative int
+    with pytest.raises(MalformedInputError, match="vertex labels must be non-negative integers"):
         SimplicialComplex([(0, "a")])
-    with pytest.raises(MalformedInputError, match="vertex labels must be orderable"):
+    with pytest.raises(MalformedInputError, match="vertex labels must be non-negative integers"):
         SimplicialComplex([(0, 1), ("a",)])
+
+
+@pytest.mark.parametrize("faces", [[(-1, 0)], [(True, 2)], [(0, 1.0)]], ids=repr)
+def test_the_constructor_refuses_labels_as_face_refuses(faces):
+    with pytest.raises(MalformedInputError) as constructed:
+        SimplicialComplex(faces)
+    with pytest.raises(MalformedInputError) as normalized:
+        as_face(faces[0])
+    assert str(constructed.value) == str(normalized.value)
+    assert "vertex labels must be non-negative integers" in str(constructed.value)
 
 
 def test_join_of_two_point_pairs():
@@ -312,11 +323,16 @@ def test_closure_is_shared_safely_between_threads():
     cx = join(cycle(8), simplex_boundary(3))  # fresh: its closure is not built yet
     closure = sorted(oracle.closure(cx.facets), key=sorted)
     dims = range(-1, cx.dim + 1)
-    expected = {k: tuple(f for f in closure if len(f) == k + 1) for k in dims}
+    unread = join(cycle(8), simplex_boundary(3))  # built from masks: facets not labelled yet
+    expected = (
+        {k: tuple(f for f in closure if len(f) == k + 1) for k in dims},
+        cx.facets,
+        hash(cx),
+    )
     results = [None] * 8
 
     def read(i):
-        results[i] = {k: cx.faces_of_dim(k) for k in dims}
+        results[i] = ({k: cx.faces_of_dim(k) for k in dims}, unread.facets, hash(unread))
 
     threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()

@@ -305,7 +305,7 @@ FIELDS = ("rational", 2, 3)
 
 def _memo_key(cx):
     """The order type of ``cx``, whose class key ``betti`` looks it up by."""
-    return homology._order_type(cx._facet_masks()[1])
+    return homology._order_type(cx._masks[1])
 
 
 def _assert_matches_every_column(masks):
@@ -372,7 +372,7 @@ def test_class_key_relabels_every_run_all_order_type(run_all_order_types):
 @settings(max_examples=100, deadline=None)
 def test_class_key_relabels_random_complexes(cx):
     _assert_class_key_relabels(_memo_key(cx))
-    bit, masks = cx._facet_masks()
+    bit, masks = cx._masks
     for b in bit.values():
         _assert_class_key_relabels(homology._order_type(homology._link(masks, b)))
 

@@ -218,7 +218,7 @@ def test_link_masks_are_the_link_facets(cycle_join):
 def labelled_link(cx, face) -> list:
     """The facets of the link of ``face`` that ``_link`` reads, labelled and
     sorted as vertex tuples, repeats kept."""
-    bit, masks = cx._facet_masks()
+    bit, masks = cx._masks
     labels = list(bit)
     return sorted(sorted(_labelled(labels, m)) for m in _link(masks, sum(map(bit.get, face))))
 
@@ -251,7 +251,8 @@ def test_order_type_closes_gaps_and_sorts():
 
 def test_ridge_witness_is_the_least_failing_ridge():
     # the witness and reason of the sweep over every ridge in sorted order,
-    # whichever failing ridge the count meets first
+    # whichever failing ridge the count meets first: each plant is judged
+    # with its facet masks sorted, reversed and in seeded shuffles
     octahedron = sorted(map(sorted, cross_polytope_boundary(3).facets))
     planted = {
         "ridges in 1 facet": (from_facets([[0, 1, 2], [0, 2, 3]]), (0, 1), 1),
@@ -267,18 +268,24 @@ def test_ridge_witness_is_the_least_failing_ridge():
         # 2^18 faces, past the closure bound: the ridges are counted without it
         "a simplex": (from_facets([range(18)]), tuple(range(17)), 1),
     }
+    rng = random.Random(0)
     met_later = set()
     for name, (cx, witness, count) in planted.items():
-        res = is_normal_pseudomanifold(cx)
-        assert outcome(res) == (False, witness, f"ridge lies in {count} facets"), name
-        assert outcome(res) == outcome(oracle.is_normal_pseudomanifold_by_links(cx)), name
-        bit, masks = cx._facet_masks()
-        counts = Counter(m ^ b for m in masks for b in _bits(m))
-        failing = [tuple(sorted(_labelled(list(bit), r))) for r, c in counts.items() if c != 2]
-        if failing[0] != witness:
-            met_later.add(name)
-    # the count meets ridges in the order of the facet masks, each facet's
-    # lowest vertex dropped first; two plants were chosen so that it meets a
-    # larger failing ridge first
+        assert outcome(is_normal_pseudomanifold(cx)) == outcome(
+            oracle.is_normal_pseudomanifold_by_links(cx)
+        ), name
+        bit, masks = cx._masks
+        shuffles = [rng.sample(masks, len(masks)) for _ in range(8)]
+        for order in [sorted(masks), sorted(masks, reverse=True), *shuffles]:
+            cx._masks = bit, tuple(order)
+            res = is_normal_pseudomanifold(cx)
+            assert outcome(res) == (False, witness, f"ridge lies in {count} facets"), name
+            # the count meets ridges in the order of the facet masks, each
+            # facet's lowest vertex dropped first
+            counts = Counter(m ^ b for m in order for b in _bits(m))
+            first = next(r for r, c in counts.items() if c != 2)
+            if tuple(sorted(_labelled(list(bit), first))) != witness:
+                met_later.add(name)
+    # two plants were chosen so that some order meets a larger failing ridge first
     assert {"the less of two later", "the least of three last"} <= met_later
     assert planted["a simplex"][0]._closure is None

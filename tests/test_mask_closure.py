@@ -153,7 +153,7 @@ def test_link_witness_is_the_least_failing_face_not_the_first_mask(cx, witness, 
     assert outcome(res) == (False, witness, "face link is not connected")
     assert outcome(res) == outcome(oracle.is_normal_pseudomanifold_by_links(cx))
     # the sweep meets the failing faces in mask order, where the larger comes first
-    (bit, masks), (by_size, _) = cx._facet_masks(), cx._mask_closure()
+    (bit, masks), (by_size, _) = cx._masks, cx._mask_closure()
     labels = list(bit)
     failing = [
         tuple(labels[i] for i in range(fm.bit_length()) if fm >> i & 1)
@@ -199,11 +199,11 @@ def test_link_and_star_need_no_closure():
 
 
 def test_membership_and_counts_share_one_closure(monkeypatch):
+    cx = simplex_boundary(5).link([5])  # the boundary of a 4-simplex, built from masks
     labelled = []
     monkeypatch.setattr(complexes, "_labelled", lambda *args: labelled.append(args))
-    cx = from_facets(simplex_boundary(4).facets)
     assert cx.n_faces(1) == 10 and (0, 1) in cx and (0, 1, 2, 3, 4) not in cx
-    assert labelled == []  # no face was turned into a frozenset
+    assert labelled == [] and cx._facets is None  # no face was turned into a frozenset
     assert cx._mask_closure() is cx._mask_closure()
 
 
@@ -232,7 +232,7 @@ def test_ball_witness_is_the_least_failing_face_not_the_first_mask():
     # every vertex link is a path or a cycle, ball- or sphere-like; an edge
     # link fails when it has more than two vertices, and in mask order the
     # failing edges come the other way round
-    bit, by_size = BALL_PLANT._facet_masks()[0], BALL_PLANT._mask_closure()[0]
+    bit, by_size = BALL_PLANT._masks[0], BALL_PLANT._mask_closure()[0]
     labels = list(bit)
     assert all(betti(BALL_PLANT.link([v])).entries[1:] in ((0, 0), (0, 1)) for v in labels)
     edges = [tuple(labels[i] for i in range(m.bit_length()) if m >> i & 1) for m in by_size[2]]

@@ -109,7 +109,7 @@ def test_one_component_routine_answers_every_connectivity_question():
 
 def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
     # complexes._neighbourhoods builds every vertex neighbourhood and
-    # homology._link reads every face link on masks, each with exactly these
+    # complexes._link reads every face link on masks, each with exactly these
     # callers; only the isomorphism search labels an adjacency, of its first
     # complex, once
     defined = [
@@ -118,7 +118,7 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
         if isinstance(node, ast.FunctionDef)
         and node.name in ("_neighbourhoods", "_link", "_links", "_require_face")
     ]
-    assert defined == [("complexes.py", None, "_neighbourhoods"), ("homology.py", None, "_link")]
+    assert defined == [("complexes.py", None, "_link"), ("complexes.py", None, "_neighbourhoods")]
     assert _uses("_links") == _uses("_require_face") == []
 
     def calls(name):
@@ -136,6 +136,7 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
         ("isomorphism.py", "are_isomorphic"),
     ]
     assert sorted(calls("_link")) == sorted(_uses("_link")) == [
+        ("complexes.py", "_through"),
         ("homology.py", "_ball"),
         ("homology.py", "_is_sphere"),
         ("homology.py", "is_homology_manifold"),
@@ -239,39 +240,71 @@ def test_a_complex_has_one_closure_construction():
     tree = ast.parse((SOURCE / "complexes.py").read_text())
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SimplicialComplex"]
     assert not [n for n in ast.walk(cls) if _named(n, "combinations")]
-    assert scx.SimplicialComplex.__slots__ == ("_facets", "_vertices", "_dim", "_masks", "_closure")
+    assert scx.SimplicialComplex.__slots__ == ("_masks", "_dim", "_facets", "_closure")
 
 
 def test_one_antichain_reduction_on_facet_masks():
-    # complexes._maximal, on masks, is the only antichain reduction: the
-    # constructor keeps its facet masks, and the skeleton completion reduces
-    # its accepted masks before labelling them
+    # complexes._maximal, on masks, is the only antichain reduction, and the
+    # mask constructor, which every complex goes through, its only caller:
+    # the skeleton completion hands its accepted masks to that constructor
     defined = [
         (module, where)
         for module, where, node in _nodes()
         if isinstance(node, ast.FunctionDef) and node.name == "_maximal"
     ]
     assert defined == [("complexes.py", None)]
-    assert sorted(_uses("_maximal")) == [
-        ("complexes.py", "__init__"),
-        ("homology.py", "skeleton_completion"),
+    assert _uses("_maximal") == [("complexes.py", "_of_masks")]
+
+
+def test_every_derived_complex_is_built_from_masks():
+    # one private constructor from masks, SimplicialComplex._of_masks, with
+    # the order type and the link rule beside it in complexes.py; in
+    # complexes.py and homology.py only the public constructors and
+    # connected_sum, which mixes the labels of two complexes, call the
+    # labelled one
+    defined = [
+        (module, where, node.name)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and node.name in ("_of_masks", "_order_type", "_link")
+    ]
+    assert defined == [
+        ("complexes.py", None, "_order_type"),
+        ("complexes.py", None, "_link"),
+        ("complexes.py", None, "_of_masks"),
+    ]
+    labelled = [
+        (module, where)
+        for module, where, node in _nodes()
+        if module in ("complexes.py", "homology.py")
+        and isinstance(node, ast.Call)
+        and any(_named(node.func, name) for name in ("SimplicialComplex", "from_faces"))
+    ]
+    assert sorted(labelled) == [
+        ("complexes.py", "connected_sum"),
+        ("complexes.py", "from_faces"),
+        ("complexes.py", "from_facets"),
     ]
 
 
 def test_one_presence_rule_serves_membership_links_and_stars():
-    # a face is present when some facet contains it: __contains__ and the
-    # star facets of link and star read _through, and no closure
+    # a face is present when some facet contains it: __contains__, the star
+    # facets of link and star, and the facet test of stack_over_facet read
+    # _through, which reads _link on the facet masks; none of them reads a
+    # closure or a labelled facet
     assert sorted(_uses("_through")) == [
         ("complexes.py", "__contains__"),
         ("complexes.py", "_star_facets"),
+        ("complexes.py", "stack_over_facet"),
     ]
     assert sorted(_uses("_star_facets")) == [("complexes.py", "link"), ("complexes.py", "star")]
     closure = ("_mask_closure", "_closure", "_closure_masks", "faces", "faces_of_dim")
+    labelled = ("facets", "_facets", "_labelled")
     readers = [
         ast.unparse(node)
         for module, where, node in _nodes()
         if module == "complexes.py"
-        and where in ("__contains__", "_through", "_star_facets", "link", "star")
-        and any(_named(node, name) for name in closure)
+        and where
+        in ("__contains__", "_through", "_star_facets", "link", "star", "stack_over_facet")
+        and any(_named(node, name) for name in closure + labelled)
     ]
     assert readers == []
