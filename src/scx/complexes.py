@@ -5,9 +5,11 @@ bitmasks over its sorted vertices, kept as their order type
 (:func:`_order_type`) by the one private constructor,
 :meth:`SimplicialComplex._of_masks`.  The public constructor is its
 labelled front end; ``link``, ``star``, ``restriction``, ``antistar``,
-``skeleton``, ``join`` and ``stack_over_facet`` pass it their parent's
-masks, and ``facets`` labels the masks on first read.  ``in``, ``link`` and
-``star`` share one presence and link rule, :func:`_link`.  The closure, every
+``skeleton`` and ``join`` pass it their parent's masks, and each move that
+edits a few facets (``stack_over_facet``, ``connected_sum`` and the
+retriangulations) replaces facet masks through :func:`_replaced`.
+``facets`` labels the masks on first read.  ``in``, ``link`` and ``star``
+share one presence and link rule, :func:`_link`.  The closure, every
 submask of a facet mask (:func:`_closure_masks`, which the Betti numbers
 share), is built lazily, at most once: the face counts, ``missing_faces``,
 ``edges``, ``skeleton`` and the link sweeps of :mod:`scx.homology` read it,
@@ -167,7 +169,10 @@ class SimplicialComplex:
     def __init__(self, faces):
         """The labelled front end of :meth:`_of_masks`: each distinct label is
         checked once (by :func:`as_face`), each distinct face masked once."""
-        faces = set(map(frozenset, faces)) or {frozenset()}
+        try:
+            faces = set(map(frozenset, faces)) or {frozenset()}
+        except TypeError:
+            raise MalformedInputError(f"expected iterables of labels, got {faces!r}") from None
         bit = {v: 1 << i for i, v in enumerate(sorted(as_face(set().union(*faces))))}
         built = self._of_masks(list(bit), (sum(map(bit.__getitem__, f)) for f in faces))
         if len(built._masks[1]) == len(faces):  # no face was dominated: they are the facets
@@ -288,7 +293,10 @@ class SimplicialComplex:
         """(face, its mask, its :func:`_link`, [] when it is absent): a face is
         present exactly when some facet contains it, the one rule of ``in``,
         ``link`` and ``star``, so none of them builds a closure or labels a facet."""
-        f = frozenset(face)
+        try:
+            f = frozenset(face)
+        except TypeError:
+            raise MalformedInputError(f"expected an iterable of labels, got {face!r}") from None
         bit, masks = self._masks
         fm = sum(bit.get(v, 1 << len(bit)) for v in f)  # an absent label: bits no facet holds
         return f, fm, _link(masks, fm)
@@ -310,7 +318,11 @@ class SimplicialComplex:
         return self._of_masks(list(self._masks[0]), [m | fm for m in link])
 
     def restriction(self, verts) -> "SimplicialComplex":
-        w = sum(self._masks[0].get(v, 0) for v in frozenset(verts))
+        try:
+            verts = frozenset(verts)
+        except TypeError:
+            raise MalformedInputError(f"expected an iterable of labels, got {verts!r}") from None
+        w = sum(self._masks[0].get(v, 0) for v in verts)
         return self._of_masks(list(self._masks[0]), [m & w for m in self._masks[1]])
 
     def antistar(self, v: int) -> "SimplicialComplex":
@@ -388,13 +400,13 @@ def connected_sum(
     ``matching`` maps each vertex of ``facet1`` to the vertex of ``facet2``
     it is identified with; by default both facets are matched in sorted
     order.  The unmatched vertices of ``cx2`` are relabelled to fresh labels
-    above max(V(cx1)), in sorted order.
+    above max(V(cx1)), in sorted order: new top bits of the masks.
     """
-    f1 = frozenset(facet1)
-    f2 = frozenset(facet2)
-    if f1 not in cx1.facets:
+    f1, fm1, link1 = cx1._through(facet1)
+    f2, _, link2 = cx2._through(facet2)
+    if link1 != [0]:  # a facet's link is the empty complex
         raise PreconditionError(f"{tuple(sorted(f1))} is not a facet of the first complex")
-    if f2 not in cx2.facets:
+    if link2 != [0]:
         raise PreconditionError(f"{tuple(sorted(f2))} is not a facet of the second complex")
     if len(f1) != len(f2) or not f1:
         raise PreconditionError("glued facets must be nonempty and of equal dimension")
@@ -402,18 +414,10 @@ def connected_sum(
         matching = dict(zip(sorted(f1), sorted(f2)))
     if set(matching) != set(f1) or set(matching.values()) != set(f2):
         raise PreconditionError("matching must be a bijection between the two facets")
-    relabel = {v2: v1 for v1, v2 in matching.items()}
-    fresh = max(cx1.vertices) + 1
-    for v in sorted(cx2.vertices - f2):
-        relabel[v] = fresh
-        fresh += 1
-    glued = frozenset(relabel[v] for v in f2)  # equals f1
-    new_facets = set(cx1.facets) - {f1}
-    for facet in cx2.facets:
-        mapped = frozenset(relabel[v] for v in facet)
-        if mapped != glued:
-            new_facets.add(mapped)
-    return SimplicialComplex(new_facets)
+    bit1, bit2 = cx1._masks[0], cx2._masks[0]
+    bit = {v2: bit1[v1] for v1, v2 in matching.items()}
+    bit.update((v, 1 << i) for i, v in enumerate((v for v in bit2 if v not in f2), len(bit1)))
+    return _replaced(cx1, [fm1], [m for m in _masks_in(cx2, bit) if m != fm1])
 
 
 def stack_over_facet(cx: SimplicialComplex, facet) -> SimplicialComplex:
@@ -422,9 +426,25 @@ def stack_over_facet(cx: SimplicialComplex, facet) -> SimplicialComplex:
     f, fm, link = cx._through(facet)
     if not f or link != [0]:  # a facet's link is the empty complex
         raise PreconditionError(f"{tuple(sorted(f))} is not a nonempty facet")
-    bit, masks = cx._masks
-    cone = [(fm ^ b) | 1 << len(bit) for b in _bits(fm)]  # the new vertex is the top bit
-    return SimplicialComplex._of_masks([*bit, max(bit) + 1], [m for m in masks if m != fm] + cone)
+    top = 1 << len(cx._masks[0])  # the new vertex is the top bit
+    return _replaced(cx, [fm], [(fm ^ b) | top for b in _bits(fm)])
+
+
+def _masks_in(sub: SimplicialComplex, bit: dict) -> list:
+    """The facet masks of ``sub`` moved onto the bit map ``bit``, label -> bit."""
+    moved = [bit[v] for v in sub._masks[0]]  # sub's bit i -> its bit in ``bit``
+    return [sum(moved[b.bit_length() - 1] for b in _bits(m)) for m in sub._masks[1]]
+
+
+def _replaced(cx: SimplicialComplex, drop, add) -> SimplicialComplex:
+    """``cx`` with the facet masks ``drop`` replaced by the list of masks
+    ``add``, the one way a move is built (:meth:`SimplicialComplex._of_masks`):
+    the bits above ``cx``'s, up to the highest of ``add`` (that of its
+    greatest mask), are the fresh labels max(V) + 1, max(V) + 2, ..."""
+    (bit, masks), drop = cx._masks, set(drop)
+    fresh = max(bit, default=-1) + 1
+    labels = [*bit, *range(fresh, fresh + max(add, default=0).bit_length() - len(bit))]
+    return SimplicialComplex._of_masks(labels, [m for m in masks if m not in drop] + add)
 
 
 def is_simplex_boundary(cx: SimplicialComplex) -> bool:

@@ -1,7 +1,8 @@
 """The three retriangulation operations with exact g-vector bookkeeping.
 
-Each replaces a ball B of the complex by a ball B' with the same boundary,
-and its output is the maximal faces of (facets - B) | B'.  For the central
+Each replaces a ball B of the complex by a ball B' with the same boundary:
+the facet masks of B are replaced by those of B' (``complexes._replaced``),
+each fresh vertex a new top bit, so no move labels a facet.  For the central
 retriangulation B is given and B' is the cone over its boundary; for the
 inverse stellar move B is the star of a vertex v and B' the stacked
 completion of its link; for the Swartz move (Lemma 3.8) B is the star of v
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, _components, is_simplex_boundary
+from .complexes import (
+    SimplicialComplex, _bits, _components, _masks_in, _replaced, is_simplex_boundary
+)
 from .errors import PreconditionError
 from .facevectors import extended_g, g_vector
 from .homology import (
@@ -90,10 +93,12 @@ def central_retriangulation(
                 f"ball facet {tuple(sorted(facet))} is not a face of the complex"
             )
     boundary, interior = _ball_checked(ball, field, check)
+    bit = cx._masks[0]
     u = max(cx.vertices) + 1
     # the maximal faces of (cx.faces() - interior) | cone: the facets of cx in
     # the ball, and the faces only they covered, are interior or under the cone
-    out = SimplicialComplex((cx.facets - ball.facets) | {f | {u} for f in boundary.facets})
+    cone = [m | 1 << len(bit) for m in _masks_in(boundary, bit)]
+    out = _replaced(cx, _masks_in(ball, bit), cone)
     return out, _record(
         "central", cx, out, _ball_deltas(cx.dim, boundary, interior, 1),
         new_vertices=(u,), removed_vertices=(), ball_used=ball,
@@ -166,8 +171,9 @@ def inverse_stellar(
 
     With ``check`` the link must be a homology sphere, and its completion
     (the vertex sets whose (r-1)-skeleton lies in the link) a homology ball
-    whose boundary is the link; whether the link is (r-1)-stacked is not
-    tested beyond that.  With or without ``check``, no interior face of the
+    whose boundary is the link and that is (r-1)-stacked: its least
+    stackedness, d minus the least dimension of an interior face, is at most
+    r - 1.  With or without ``check``, no interior face of the
     completion may be present already.  r is auto-detected as the least
     level at which the link's g-vector vanishes when omitted.
     """
@@ -185,13 +191,16 @@ def inverse_stellar(
     boundary, interior = _ball_checked(filled, field, check)
     if check and boundary != link:
         raise PreconditionError("link completion does not have the link as boundary")
+    least = d - min((len(f) - 1 for f in interior), default=d)  # the fill's least stackedness
+    if check and least > r - 1:
+        raise PreconditionError(f"link completion is {least}-stacked, not {r - 1}-stacked")
     for f in sorted(interior, key=sorted):
         if f in cx:
             raise PreconditionError(
                 f"interior face {tuple(sorted(f))} of the completion is already present"
             )
-    old = {f for f in cx.facets if v in f}
-    out = SimplicialComplex((cx.facets - old) | filled.facets)
+    bit, masks = cx._masks
+    out = _replaced(cx, [m for m in masks if m & bit[v]], _masks_in(filled, bit))
     return out, _record(
         "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1),
         new_vertices=(), removed_vertices=(v,), ball_used=filled,
@@ -205,13 +214,15 @@ def _split_link_along(link: SimplicialComplex, tau: frozenset):
     Components are taken in the facet-adjacency graph of the link with
     adjacencies through ridges inside tau removed, ordered by their
     lexicographically smallest facet: the :func:`_components` of one bit
-    per facet, in that order, and one mask per ridge outside tau.
+    per facet mask, in that order, and one mask per ridge outside tau.
     """
-    facets = sorted(link.facets, key=sorted)
+    bit, masks = link._masks
+    facets = sorted(masks, key=lambda m: [*map(int.bit_length, _bits(m))])
+    tm = sum(bit.get(v, 1 << len(bit)) for v in tau)  # a label off the link: bits no facet holds
     through = {}  # ridge outside tau -> the bits of the facets containing it
-    for idx, facet in enumerate(facets):
-        for ridge in (facet - {v} for v in facet):
-            if not ridge <= tau:
+    for idx, m in enumerate(facets):
+        for ridge in (m ^ b for b in _bits(m)):
+            if ridge & tm != ridge:
                 through[ridge] = through.get(ridge, 0) | 1 << idx
     groups = _components([*through.values(), *(1 << idx for idx in range(len(facets)))])
     if len(groups) != 2:
@@ -219,8 +230,8 @@ def _split_link_along(link: SimplicialComplex, tau: frozenset):
             f"removing the facet boundary splits the link into {len(groups)} parts, not 2"
         )
     return [
-        SimplicialComplex([f for i, f in enumerate(facets) if group >> i & 1] + [tau])
-        for group in sorted(groups, key=lambda g: g & -g)
+        SimplicialComplex._of_masks([*bit], [m for i, m in enumerate(facets) if g >> i & 1] + [tm])
+        for g in sorted(groups, key=lambda g: g & -g)
     ]
 
 
@@ -245,20 +256,20 @@ def _swartz_move(cx: SimplicialComplex, v: int, link: SimplicialComplex, tau: fr
     """(output, new vertices, notes) of one Swartz move: split the link of v
     along its missing facet tau, and replace the star of v by each half
     filled in, if it bounds a missing facet, or coned from a fresh vertex."""
-    new = set()
-    fresh = max(cx.vertices) + 1
-    new_vertices, notes = [], []
+    bit, masks = cx._masks
+    fresh = max(bit) + 1
+    new, new_vertices, notes = [], [], []
     for sphere in _split_link_along(link, tau):
         if is_simplex_boundary(sphere):
-            new.add(frozenset(sphere.vertices))
+            new.append(sum(map(bit.__getitem__, sphere.vertices)))
             notes.append("filled missing facet")
         else:
-            new |= {facet | {fresh} for facet in sphere.facets}
-            new_vertices.append(fresh)
-            notes.append(f"coned with vertex {fresh}")
-            fresh += 1
-    old = {f for f in cx.facets if v in f}
-    return SimplicialComplex((cx.facets - old) | new), tuple(new_vertices), tuple(notes)
+            top = 1 << len(bit) + len(new_vertices)  # the fresh vertex's bit
+            new += [m | top for m in _masks_in(sphere, bit)]
+            new_vertices.append(fresh + len(new_vertices))
+            notes.append(f"coned with vertex {new_vertices[-1]}")
+    out = _replaced(cx, [m for m in masks if m & bit[v]], new)
+    return out, tuple(new_vertices), tuple(notes)
 
 
 def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check=True):
@@ -268,7 +279,7 @@ def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check
     t = frozenset(tau)
     if v not in cx.vertices:
         raise PreconditionError(f"vertex {v} is not in the complex")
-    if t in cx:
+    if t in cx or not t <= cx.vertices:
         raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
     link = cx.link([v])
     if check:

@@ -27,14 +27,16 @@ type.  The retriangulation references at the end are the Swartz moves and
 the inverse stellar move as first written, built from
 ``SimplicialComplex.antistar`` with the package's own record and link
 helpers, ``swartz_all`` going through the public single move, and the
-split of a link along a missing facet with its components found by the
-depth-first search, as :func:`detect_join_by_search` finds the non-edge
-components of a join.  Last come the operations that build their result from
-their input's facet masks, written on labels through the labelled
-constructor: :func:`link_by_labels`, :func:`star_by_labels`,
+split of a link along a missing facet (:func:`split_link_by_search`, which
+the single move splits with) with its components found by the depth-first
+search, as :func:`detect_join_by_search` finds the non-edge components of a
+join.  Last come the operations that build their result from their input's
+facet masks, written on labels through the labelled constructor:
+:func:`link_by_labels`, :func:`star_by_labels`,
 :func:`restriction_by_labels`, :func:`skeleton_by_labels`,
-:func:`join_by_labels`, :func:`stack_by_labels` and
-:func:`skeleton_completion_by_search`.
+:func:`join_by_labels`, :func:`stack_by_labels`,
+:func:`skeleton_completion_by_search`, :func:`central_by_labels` and
+:func:`connected_sum_by_labels`.
 
 Every face set that a reference reads, its sweep order included, comes from
 the powerset :func:`closure`, grouped by :func:`closure_by_dim`, and never
@@ -59,15 +61,10 @@ from scx.homology import (
     betti,
     is_homology_sphere,
     is_normal_pseudomanifold,
+    is_r_stacked_ball,
     skeleton_completion,
 )
-from scx.retriangulate import (
-    _ball_deltas,
-    _detect_stack_level,
-    _record,
-    _require_sphere_link,
-    _split_link_along,
-)
+from scx.retriangulate import _ball_deltas, _detect_stack_level, _record, _require_sphere_link
 
 
 def closure(facets):
@@ -603,6 +600,10 @@ def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
     boundary, interior = _ball_checked(filled, field, check)
     if check and boundary != link:
         raise PreconditionError("link completion does not have the link as boundary")
+    if check and not (stacked := is_r_stacked_ball(filled, r - 1, field, check=False)):
+        raise PreconditionError(
+            f"link completion is {stacked.min_stackedness}-stacked, not {r - 1}-stacked"
+        )
     faces = closure(cx.facets)
     for f in sorted(interior, key=sorted):
         if f in faces:
@@ -621,7 +622,7 @@ def swartz_operation_by_antistar(cx, v, tau, field="rational", check=True):
     t = frozenset(tau)
     if v not in cx.vertices:
         raise PreconditionError(f"vertex {v} is not in the complex")
-    if t in closure(cx.facets):
+    if t in closure(cx.facets) or not t <= cx.vertices:
         raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
     link = cx.link([v])
     if check:
@@ -637,7 +638,7 @@ def swartz_operation_by_antistar(cx, v, tau, field="rational", check=True):
     new_facets = set(cx.antistar(v).facets)
     fresh = max(cx.vertices) + 1
     new_vertices, notes = [], []
-    for sphere_cx in _split_link_along(link, t):
+    for sphere_cx in split_link_by_search(link, t):
         if is_simplex_boundary(sphere_cx):
             new_facets.add(frozenset(sphere_cx.vertices))
             notes.append("filled missing facet")
@@ -775,3 +776,49 @@ def skeleton_completion_by_search(cx, i):
         }
         found |= level
     return SimplicialComplex(found)
+
+
+def central_by_labels(cx, ball, field="rational", check=True):
+    """``central_retriangulation`` as first written: the ball's facets
+    replaced by the cone from the vertex max(V) + 1 over its boundary's."""
+    if ball.dim != cx.dim:
+        raise PreconditionError(
+            f"ball dimension {ball.dim} differs from complex dimension {cx.dim}"
+        )
+    faces = closure(cx.facets)
+    for facet in ball.facets:
+        if facet not in faces:
+            raise PreconditionError(
+                f"ball facet {tuple(sorted(facet))} is not a face of the complex"
+            )
+    boundary, interior = _ball_checked(ball, field, check)
+    u = max(cx.vertices) + 1
+    out = SimplicialComplex((cx.facets - ball.facets) | {f | {u} for f in boundary.facets})
+    return out, _record(
+        "central", cx, out, _ball_deltas(cx.dim, boundary, interior, 1),
+        new_vertices=(u,), removed_vertices=(), ball_used=ball,
+    )
+
+
+def connected_sum_by_labels(cx1, facet1, cx2, facet2, matching=None):
+    """``connected_sum`` as first written: cx2 relabelled through the
+    matching, its other vertices above max(V(cx1)) in sorted order, and the
+    glued facet deleted from both."""
+    f1, f2 = frozenset(facet1), frozenset(facet2)
+    if f1 not in cx1.facets:
+        raise PreconditionError(f"{tuple(sorted(f1))} is not a facet of the first complex")
+    if f2 not in cx2.facets:
+        raise PreconditionError(f"{tuple(sorted(f2))} is not a facet of the second complex")
+    if len(f1) != len(f2) or not f1:
+        raise PreconditionError("glued facets must be nonempty and of equal dimension")
+    if matching is None:
+        matching = dict(zip(sorted(f1), sorted(f2)))
+    if set(matching) != set(f1) or set(matching.values()) != set(f2):
+        raise PreconditionError("matching must be a bijection between the two facets")
+    relabel = {v2: v1 for v1, v2 in matching.items()}
+    fresh = max(cx1.vertices) + 1
+    for v in sorted(cx2.vertices - f2):
+        relabel[v] = fresh
+        fresh += 1
+    mapped = {frozenset(relabel[v] for v in facet) for facet in cx2.facets}
+    return SimplicialComplex((cx1.facets - {f1}) | (mapped - {f1}))

@@ -280,6 +280,14 @@ def test_swartz_precondition_exits_3(tmp_path):
     assert "missing face" in result.output
 
 
+def test_sdinv_refuses_a_fill_that_is_not_r_minus_1_stacked_exits_3(tmp_path):
+    path = tmp_path / "j.scx"
+    write_scx(join(join(simplex_boundary(2), simplex_boundary(2)), simplex_boundary(1)), path)
+    result = invoke("op", "sdinv", str(path), "--vertex", "0", "--r", "2")
+    assert result.exit_code == 3
+    assert "2-stacked, not 1-stacked" in result.output and "Traceback" not in result.output
+
+
 def test_swartz_all_flag(tmp_path):
     path = tmp_path / "cj.scx"
     invoke("gen", "g2one", "4", "2", "4", "--output", str(path))

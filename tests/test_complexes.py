@@ -179,6 +179,29 @@ def test_the_constructor_refuses_labels_as_face_refuses(faces):
     assert "vertex labels must be non-negative integers" in str(constructed.value)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda cx: cx.link(5), id="link(5)"),
+        pytest.param(lambda cx: cx.star(5), id="star(5)"),
+        pytest.param(lambda cx: cx.link([[0]]), id="link([[0]])"),
+        pytest.param(lambda cx: 5 in cx, id="5 in cx"),
+        pytest.param(lambda cx: cx.restriction(None), id="restriction(None)"),
+        pytest.param(lambda cx: stack_over_facet(cx, 5), id="stack_over_facet(cx, 5)"),
+        pytest.param(lambda cx: connected_sum(cx, 5, cx, (0, 1, 2)), id="connected_sum(cx, 5)"),
+        pytest.param(lambda cx: connected_sum(cx, (0, 1, 2), cx, 5), id="connected_sum(.., 5)"),
+        pytest.param(lambda cx: SimplicialComplex(5), id="SimplicialComplex(5)"),
+        pytest.param(lambda cx: SimplicialComplex([5]), id="SimplicialComplex([5])"),
+        pytest.param(lambda cx: SimplicialComplex([[[0]]]), id="SimplicialComplex([[[0]]])"),
+    ],
+)
+def test_a_malformed_face_is_refused_as_malformed_input(bd3, call):
+    # each raised TypeError before: the one frozenset call of the presence
+    # rule, of restriction and of the constructor refuses it instead
+    with pytest.raises(MalformedInputError, match="iterables? of labels, got"):
+        call(bd3)
+
+
 def test_join_of_two_point_pairs():
     square = join(simplex_boundary(1), simplex_boundary(1))
     assert f_vector(square).entries == (1, 4, 4)

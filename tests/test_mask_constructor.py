@@ -5,7 +5,12 @@ through the labelled constructor, on the dmax=7 catalog, its vertex links
 and its face stars.  Each result must equal its reference, hash alike, and
 hold the masks that the labelled constructor gives its facets.  By default
 every catalog entry, every fifth link and every fiftieth star is compared;
-``-m slow`` compares them all."""
+``-m slow`` compares them all.  The moves that replace a few facet masks
+(``complexes._replaced``) are compared the same way: central
+retriangulations on the balls and face stars of the complexes that Lemma
+3.3 retriangulates at dmax=7 (every 25th star by default), and connected
+sums of those complexes; the Swartz and inverse stellar moves are compared
+in ``tests/test_retriangulate.py``."""
 
 import random
 
@@ -15,12 +20,15 @@ import oracle
 from scx import (
     SimplicialComplex,
     ball_boundary,
+    central_retriangulation,
+    connected_sum,
     cycle,
     join,
     simplex_boundary,
     skeleton_completion,
     stack_over_facet,
     standard_catalog,
+    verify,
 )
 from scx.homology import _ball_analysis
 
@@ -106,3 +114,60 @@ def test_ball_boundaries_match_the_sweep_on_labels(inputs, strides):
         assert (verdict, interior) == (expected, expected_interior)
         assert_built_alike(boundary, expected_boundary)
         assert_built_alike(ball_boundary(cx, check=False), expected_boundary)
+
+
+@pytest.fixture(scope="module")
+def crtr_entries():
+    """The complexes that Lemma 3.3 retriangulates at dmax=7."""
+    return [e.complex for e in verify._crtr_entries(verify.catalog_for(verify.Scale(dmax=7)))]
+
+
+def assert_moves_alike(got, expected):
+    """Equal outputs and records, and the output built alike."""
+    assert got == expected
+    assert_built_alike(got[0], expected[0])
+
+
+def test_central_retriangulations_match_the_label_built_reference_on_catalog_balls(
+    crtr_entries,
+):
+    compared = 0
+    for cx in crtr_entries:
+        for _, ball in verify._central_balls(cx):
+            for check in (True, False):
+                got = central_retriangulation(cx, ball, check=check)
+                assert_moves_alike(got, oracle.central_by_labels(cx, ball, check=check))
+                compared += 1
+    assert compared == 2 * 169
+
+
+@pytest.mark.parametrize(
+    "stride", [pytest.param(25, id="sample"), pytest.param(1, marks=pytest.mark.slow, id="all")]
+)
+def test_central_retriangulations_match_the_label_built_reference_on_face_stars(
+    crtr_entries, stride
+):
+    stars = [
+        (cx, cx.star(f))
+        for cx in crtr_entries
+        for k in range(cx.dim + 1)
+        for f in cx.faces_of_dim(k)
+    ]
+    assert len(stars) == 10_946
+    for cx, star in stars[::stride]:
+        assert_moves_alike(central_retriangulation(cx, star), oracle.central_by_labels(cx, star))
+
+
+def test_connected_sums_match_the_label_built_reference(crtr_entries):
+    # the least facet of the first summand glued to the greatest of the
+    # second, matched in sorted order and rotated by one
+    compared = 0
+    for cx1 in crtr_entries:
+        f1 = min(cx1.facets, key=sorted)
+        for cx2 in (cx for cx in crtr_entries if cx.dim == cx1.dim):
+            f2 = sorted(max(cx2.facets, key=sorted))
+            for matching in (None, dict(zip(sorted(f1), f2[1:] + f2[:1]))):
+                got = connected_sum(cx1, f1, cx2, f2, matching)
+                assert_built_alike(got, oracle.connected_sum_by_labels(cx1, f1, cx2, f2, matching))
+                compared += 1
+    assert compared == 2 * (16**2 + 3 * 11**2)

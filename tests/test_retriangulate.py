@@ -9,6 +9,7 @@ from scx import (
     cross_polytope_boundary,
     crtr_missing_faces_check,
     cycle,
+    f_vector,
     from_faces,
     from_facets,
     g2,
@@ -16,6 +17,7 @@ from scx import (
     is_homology_ball,
     is_homology_sphere,
     is_normal_pseudomanifold,
+    is_r_stacked_ball,
     join,
     missing_face_identity_sides,
     simplex_boundary,
@@ -27,6 +29,7 @@ from scx import (
 from scx import homology, retriangulate, verify
 
 import oracle
+from test_mask_constructor import assert_built_alike
 
 
 def test_crtr_of_face_star(bd5):
@@ -157,6 +160,20 @@ def test_inverse_stellar_rejects_non_stacked_link(oct3):
         inverse_stellar(oct3, 0)
 
 
+def test_inverse_stellar_refuses_a_fill_that_is_not_r_minus_1_stacked():
+    # the link of 0 has g2 = 0, but its completion at r = 2 has interior
+    # faces of dimension 2 = d - 2: it is 2-stacked, not 1-stacked, and the
+    # move without the check gives a g2 = 0 sphere that no inverse stellar
+    # move at r = 2 defines
+    cx = join(join(simplex_boundary(2), simplex_boundary(2)), simplex_boundary(1))
+    assert f_vector(cx).entries == (1, 8, 27, 48, 45, 18)
+    for move in (inverse_stellar, oracle.inverse_stellar_by_antistar):
+        with pytest.raises(PreconditionError, match="completion is 2-stacked, not 1-stacked"):
+            move(cx, 0, r=2)
+    out, record = inverse_stellar(cx, 0, r=2, check=False)
+    assert g2(out) == 0 and is_r_stacked_ball(record.ball_used, 1).min_stackedness == 2
+
+
 def test_swartz_with_double_shortcut(cycle_join):
     out, record = swartz_operation(cycle_join, 0, (4, 5, 6))
     assert record.g_before[2] == 1 and record.g_after[2] == 0
@@ -171,6 +188,15 @@ def test_swartz_with_double_shortcut(cycle_join):
 def test_swartz_rejects_present_face(cycle_join):
     with pytest.raises(PreconditionError):
         swartz_operation(cycle_join, 0, (1, 4, 5))
+
+
+def test_swartz_rejects_a_tau_off_the_vertices():
+    # on a cycle the link of a vertex is two points, and a new label passed
+    # the missing-facet test of that link: it is no missing face of the cycle
+    with pytest.raises(PreconditionError, match="must be a missing face"):
+        swartz_operation(cycle(5), 0, (9,), check=False)
+    with pytest.raises(PreconditionError, match="must be a missing face"):
+        oracle.swartz_operation_by_antistar(cycle(5), 0, (9,), check=False)
 
 
 def test_swartz_on_two_sphere_hexagon_link():
@@ -288,12 +314,16 @@ def test_swartz_all_matches_the_antistar_reference():
     for name, cx, v, steps in swartz_instances() + list(skips_between_moves()):
         for check in (True, False):
             out, record = swartz_all(cx, v, check=check)
-            assert (out, record) == oracle.swartz_all_by_operation(cx, v, check=check), name
+            expected = oracle.swartz_all_by_operation(cx, v, check=check)
+            assert (out, record) == expected, name
+            assert_built_alike(out, expected[0])
             assert record.steps == steps, name
         if name.startswith("skipped"):
             assert name in record.notes
         for w in sorted(cx.vertices - {v}):
-            assert swartz_all(cx, w) == oracle.swartz_all_by_operation(cx, w), (name, w)
+            got, expected = swartz_all(cx, w), oracle.swartz_all_by_operation(cx, w)
+            assert got == expected, (name, w)
+            assert_built_alike(got[0], expected[0])
 
 
 def test_swartz_operation_matches_the_antistar_reference_on_every_insertable_facet():
@@ -305,7 +335,9 @@ def test_swartz_operation_matches_the_antistar_reference_on_every_insertable_fac
                 if tau in cx:
                     continue
                 got = swartz_operation(cx, v, tau)
-                assert got == oracle.swartz_operation_by_antistar(cx, v, tau), (name, v, tau)
+                expected = oracle.swartz_operation_by_antistar(cx, v, tau)
+                assert got == expected, (name, v, tau)
+                assert_built_alike(got[0], expected[0])
                 compared += 1
     assert compared > 50
 
@@ -422,4 +454,6 @@ def test_inverse_output_matches_the_closure_formula_on_lemma_3_6_cases():
 
 def test_inverse_stellar_matches_the_antistar_reference_on_lemma_3_6_cases():
     for cx, v in lemma_3_6_cases():
-        assert inverse_stellar(cx, v) == oracle.inverse_stellar_by_antistar(cx, v)
+        got, expected = inverse_stellar(cx, v), oracle.inverse_stellar_by_antistar(cx, v)
+        assert got == expected
+        assert_built_alike(got[0], expected[0])

@@ -259,9 +259,9 @@ def test_one_antichain_reduction_on_facet_masks():
 def test_every_derived_complex_is_built_from_masks():
     # one private constructor from masks, SimplicialComplex._of_masks, with
     # the order type and the link rule beside it in complexes.py; in
-    # complexes.py and homology.py only the public constructors and
-    # connected_sum, which mixes the labels of two complexes, call the
-    # labelled one
+    # complexes.py, homology.py and retriangulate.py only the public
+    # constructors call the labelled one, and each move that replaces a few
+    # facets, a connected sum's included, does so through complexes._replaced
     defined = [
         (module, where, node.name)
         for module, where, node in _nodes()
@@ -275,25 +275,35 @@ def test_every_derived_complex_is_built_from_masks():
     labelled = [
         (module, where)
         for module, where, node in _nodes()
-        if module in ("complexes.py", "homology.py")
+        if module in ("complexes.py", "homology.py", "retriangulate.py")
         and isinstance(node, ast.Call)
-        and any(_named(node.func, name) for name in ("SimplicialComplex", "from_faces"))
+        and any(_named(node.func, n) for n in ("SimplicialComplex", "from_faces", "from_facets"))
     ]
-    assert sorted(labelled) == [
+    assert sorted(labelled) == [("complexes.py", "from_faces"), ("complexes.py", "from_facets")]
+    replaced = [
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Call) and _named(node.func, "_replaced")
+    ]
+    assert sorted(replaced) == sorted(_uses("_replaced")) == [
         ("complexes.py", "connected_sum"),
-        ("complexes.py", "from_faces"),
-        ("complexes.py", "from_facets"),
+        ("complexes.py", "stack_over_facet"),
+        ("retriangulate.py", "_swartz_move"),
+        ("retriangulate.py", "central_retriangulation"),
+        ("retriangulate.py", "inverse_stellar"),
     ]
 
 
 def test_one_presence_rule_serves_membership_links_and_stars():
     # a face is present when some facet contains it: __contains__, the star
-    # facets of link and star, and the facet test of stack_over_facet read
-    # _through, which reads _link on the facet masks; none of them reads a
-    # closure or a labelled facet
+    # facets of link and star, and the facet tests of stack_over_facet and
+    # connected_sum read _through, which reads _link on the facet masks; none
+    # of them reads a closure or a labelled facet
     assert sorted(_uses("_through")) == [
         ("complexes.py", "__contains__"),
         ("complexes.py", "_star_facets"),
+        ("complexes.py", "connected_sum"),
+        ("complexes.py", "connected_sum"),
         ("complexes.py", "stack_over_facet"),
     ]
     assert sorted(_uses("_star_facets")) == [("complexes.py", "link"), ("complexes.py", "star")]
@@ -304,7 +314,8 @@ def test_one_presence_rule_serves_membership_links_and_stars():
         for module, where, node in _nodes()
         if module == "complexes.py"
         and where
-        in ("__contains__", "_through", "_star_facets", "link", "star", "stack_over_facet")
+        in ("__contains__", "_through", "_star_facets", "link", "star", "stack_over_facet",
+            "connected_sum")
         and any(_named(node, name) for name in closure + labelled)
     ]
     assert readers == []
