@@ -382,7 +382,10 @@ def join(cx1: SimplicialComplex, cx2: SimplicialComplex) -> SimplicialComplex:
     Every vertex v of ``cx2`` becomes v + max(V(cx1)) + 1, so output labels
     are deterministic and the factors stay disjoint.
     """
-    (bit1, masks1), (bit2, masks2) = cx1._masks, cx2._masks
+    try:
+        (bit1, masks1), (bit2, masks2) = cx1._masks, cx2._masks
+    except AttributeError:
+        raise MalformedInputError(f"join takes two complexes, got {cx1!r} and {cx2!r}") from None
     shift, n1 = max(bit1, default=-1) + 1, len(bit1)
     labels = [*bit1, *(v + shift for v in bit2)]
     return SimplicialComplex._of_masks(labels, [a | b << n1 for a in masks1 for b in masks2])
@@ -412,7 +415,11 @@ def connected_sum(
         raise PreconditionError("glued facets must be nonempty and of equal dimension")
     if matching is None:
         matching = dict(zip(sorted(f1), sorted(f2)))
-    if set(matching) != set(f1) or set(matching.values()) != set(f2):
+    try:
+        bijective = set(matching) == f1 and set(matching.values()) == f2
+    except TypeError:  # an unhashable label matches no vertex
+        bijective = False
+    if not bijective:
         raise PreconditionError("matching must be a bijection between the two facets")
     bit1, bit2 = cx1._masks[0], cx2._masks[0]
     bit = {v2: bit1[v1] for v1, v2 in matching.items()}

@@ -54,13 +54,32 @@ def write_scx_text(cx: SimplicialComplex) -> str:
     return "".join(" ".join(map(str, sorted(f))) + "\n" for f in facets if f)
 
 
+def _read_text(path) -> str:
+    """The text of ``path``, untranslated: a lone CR ends no line.  A missing
+    or unreadable file is a ParseError naming ``path``."""
+    if not Path(path).exists():
+        raise ParseError(f"{path}: no such file")
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _write_text(path, text: str):
+    """Write ``text``; a failed write is a PreconditionError naming ``path``."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise PreconditionError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
 def read_scx(path) -> SimplicialComplex:
-    with open(path, newline="") as fh:  # untranslated: a lone CR ends no line
-        return read_scx_text(fh.read(), source=str(path))
+    return read_scx_text(_read_text(path), source=str(path))
 
 
 def write_scx(cx: SimplicialComplex, path):
-    Path(path).write_text(write_scx_text(cx))
+    _write_text(path, write_scx_text(cx))
 
 
 def read_json_text(text: str, source: str = "<string>") -> SimplicialComplex:
@@ -89,22 +108,8 @@ def load_complex(path) -> SimplicialComplex:
     """Dispatch on the extension: .json reads the object form, anything else
     the facet-list text form; an unreadable file is a ParseError."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    try:
-        if path.suffix == ".json":
-            return read_json_text(path.read_text(), source=str(path))
-        return read_scx(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
-
-
-def _write_text(path, text: str):
-    """Write ``text``; a failed write is a PreconditionError naming ``path``."""
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise PreconditionError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+    read = read_json_text if path.suffix == ".json" else read_scx_text
+    return read(_read_text(path), source=str(path))
 
 
 def write_complex(cx: SimplicialComplex, path):

@@ -415,13 +415,15 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     n = cx.dim
     if n < 1:
         return PredicateResult(False, (), "dimension must be at least 1")
-    if not cx.is_pure():
-        smallest = min(cx.facets, key=len)
-        return PredicateResult(False, tuple(sorted(smallest)), "complex is not pure")
     bit, masks = cx._masks  # no closure yet: past its bound, ridges still count
+    labels = list(bit)
+    if not cx.is_pure():  # the witness is the least of the smallest facets
+        least = min(map(int.bit_count, masks))
+        smallest = _tuple_order([m for m in masks if m.bit_count() == least])[0]
+        witness = tuple(sorted(_labelled(labels, smallest)))
+        return PredicateResult(False, witness, "complex is not pure")
     if len(_components(masks)) > 1:
         return PredicateResult(False, (), "complex is not connected")
-    labels = list(bit)
     ridge_count = Counter(m ^ b for m in masks for b in _bits(m))
     bad = [ridge for ridge, count in ridge_count.items() if count != 2]
     if bad:
@@ -494,11 +496,11 @@ def is_r_stacked_ball(
 ) -> StackedBallCertificate:
     """Certify that a homology d-ball is r-stacked: no interior faces of
     dimension <= d - r - 1 (equivalently, min interior dimension >= d - r)."""
-    d = cx.dim
+    if r < 0:
+        raise PreconditionError(f"stackedness level r={r} must be >= 0")
     boundary, interior = _ball_checked(cx, field, check)
     by_dim = Counter(len(face) - 1 for face in interior)
-    min_dim = min(by_dim) if by_dim else d
-    min_stackedness = d - min_dim
+    min_stackedness = cx.dim - min(by_dim, default=cx.dim)
     return StackedBallCertificate(
         r=r,
         ok=min_stackedness <= r,

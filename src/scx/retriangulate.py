@@ -1,15 +1,17 @@
 """The three retriangulation operations with exact g-vector bookkeeping.
 
 Each replaces a ball B of the complex by a ball B' with the same boundary:
-the facet masks of B are replaced by those of B' (``complexes._replaced``),
-each fresh vertex a new top bit, so no move labels a facet.  For the central
-retriangulation B is given and B' is the cone over its boundary; for the
-inverse stellar move B is the star of a vertex v and B' the stacked
-completion of its link; for the Swartz move (Lemma 3.8) B is the star of v
-and B' two balls glued along a missing facet tau of the link: each half of
-the link split along tau is coned from a fresh vertex or filled in.  Each
-returns a :class:`RetriangulationRecord` of the g-vectors before and after
-and the entries its arithmetic predicts, which the harness recomputes.
+the facet masks of B are replaced by those of B' (``complexes._replaced``,
+which alone chooses the fresh labels), each fresh vertex a new top bit, so
+no move labels a facet.  For the central retriangulation B is given and B'
+is the cone over its boundary; for the inverse stellar move B is the star of
+a vertex v and B' the stacked completion of its link; for the Swartz move
+(Lemma 3.8) B is the star of v and B' two balls glued along a missing facet
+tau of the link: each half of the link split along tau is coned from a
+fresh vertex or filled in.  Each returns a :class:`RetriangulationRecord`
+of the g-vectors before and after, the entries its arithmetic predicts,
+which the harness recomputes, and the vertices gained and lost, read off
+the two complexes.
 """
 
 from __future__ import annotations
@@ -49,13 +51,16 @@ class RetriangulationRecord:
 
 def _record(kind: str, cx: SimplicialComplex, out: SimplicialComplex, deltas, **fields):
     """The record of an operation from ``cx`` to ``out`` that is predicted to
-    change g_i by delta for each pair (i, delta) in ``deltas``."""
+    change g_i by delta for each pair (i, delta) in ``deltas``; its new and
+    removed vertices are read off the two complexes."""
     g_in = g_vector(cx).entries
     return RetriangulationRecord(
         kind=kind,
         g_before=g_in,
         g_after=g_vector(out).entries,
         predicted=tuple((i, g_in[i] + delta) for i, delta in deltas),
+        new_vertices=tuple(sorted(out.vertices - cx.vertices)),
+        removed_vertices=tuple(sorted(cx.vertices - out.vertices)),
         **fields,
     )
 
@@ -87,21 +92,17 @@ def central_retriangulation(
         raise PreconditionError(
             f"ball dimension {ball.dim} differs from complex dimension {cx.dim}"
         )
-    for facet in ball.facets:
-        if facet not in cx:
-            raise PreconditionError(
-                f"ball facet {tuple(sorted(facet))} is not a face of the complex"
-            )
+    absent = [tuple(sorted(facet)) for facet in ball.facets if facet not in cx]
+    if absent:  # the least absent facet, whatever the order of the ball's
+        raise PreconditionError(f"ball facet {min(absent)} is not a face of the complex")
     boundary, interior = _ball_checked(ball, field, check)
     bit = cx._masks[0]
-    u = max(cx.vertices) + 1
     # the maximal faces of (cx.faces() - interior) | cone: the facets of cx in
     # the ball, and the faces only they covered, are interior or under the cone
     cone = [m | 1 << len(bit) for m in _masks_in(boundary, bit)]
     out = _replaced(cx, _masks_in(ball, bit), cone)
     return out, _record(
-        "central", cx, out, _ball_deltas(cx.dim, boundary, interior, 1),
-        new_vertices=(u,), removed_vertices=(), ball_used=ball,
+        "central", cx, out, _ball_deltas(cx.dim, boundary, interior, 1), ball_used=ball
     )
 
 
@@ -128,11 +129,7 @@ def _identity_sides(cx: SimplicialComplex, tau, dims):
     u = record.new_vertices[0]
     for k in dims:
         lhs = {frozenset(f) for f in out.missing_faces(k)}
-        rhs = {
-            frozenset(f)
-            for f in cx.missing_faces(k)
-            if not t <= frozenset(f)
-        }
+        rhs = {f for f in map(frozenset, cx.missing_faces(k)) if not t <= f}
         if k == 1:
             rhs |= {frozenset({w, u}) for w in cx.vertices - star.vertices}
         elif k >= 2:
@@ -146,10 +143,8 @@ def crtr_missing_faces_check(cx: SimplicialComplex, tau) -> PredicateResult:
     """Compare both sides of the missing-face identity at every dimension."""
     for k, lhs, rhs in _identity_sides(cx, tau, range(0, cx.dim + 2)):
         if lhs != rhs:
-            extra = sorted(tuple(sorted(f)) for f in lhs ^ rhs)
-            return PredicateResult(
-                False, extra[0], f"sides differ at dimension {k}"
-            )
+            witness = min(tuple(sorted(f)) for f in lhs ^ rhs)
+            return PredicateResult(False, witness, f"sides differ at dimension {k}")
     return PredicateResult(True)
 
 
@@ -202,8 +197,7 @@ def inverse_stellar(
     bit, masks = cx._masks
     out = _replaced(cx, [m for m in masks if m & bit[v]], _masks_in(filled, bit))
     return out, _record(
-        "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1),
-        new_vertices=(), removed_vertices=(v,), ball_used=filled,
+        "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1), ball_used=filled
     )
 
 
@@ -253,23 +247,22 @@ def _require_swartz_input(cx, link, v, field):
 
 
 def _swartz_move(cx: SimplicialComplex, v: int, link: SimplicialComplex, tau: frozenset):
-    """(output, new vertices, notes) of one Swartz move: split the link of v
-    along its missing facet tau, and replace the star of v by each half
-    filled in, if it bounds a missing facet, or coned from a fresh vertex."""
+    """(output, notes) of one Swartz move: the star of v replaced by each half
+    of its link split along the missing facet tau, filled in if it bounds a
+    missing facet, else coned from a fresh vertex whose label is read off the output."""
     bit, masks = cx._masks
-    fresh = max(bit) + 1
-    new, new_vertices, notes = [], [], []
+    new, notes = [], []  # a note of None stands for a cone
     for sphere in _split_link_along(link, tau):
         if is_simplex_boundary(sphere):
             new.append(sum(map(bit.__getitem__, sphere.vertices)))
             notes.append("filled missing facet")
         else:
-            top = 1 << len(bit) + len(new_vertices)  # the fresh vertex's bit
+            top = 1 << len(bit) + notes.count(None)  # the fresh vertex's bit
             new += [m | top for m in _masks_in(sphere, bit)]
-            new_vertices.append(fresh + len(new_vertices))
-            notes.append(f"coned with vertex {new_vertices[-1]}")
+            notes.append(None)
     out = _replaced(cx, [m for m in masks if m & bit[v]], new)
-    return out, tuple(new_vertices), tuple(notes)
+    cones = iter(sorted(out.vertices - cx.vertices))  # in the order of their bits
+    return out, tuple(note or f"coned with vertex {next(cones)}" for note in notes)
 
 
 def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check=True):
@@ -284,15 +277,11 @@ def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check
     link = cx.link([v])
     if check:
         _require_swartz_input(cx, link, v, field)
-    # a missing facet of the link has the link's top dimension
-    if len(t) != link.dim + 1 or t in link or any(t - {u} not in link for u in t):
-        raise PreconditionError(
-            f"{tuple(sorted(t))} is not a missing facet of the link of {v}"
-        )
-    out, new_vertices, notes = _swartz_move(cx, v, link, t)
+    if link.dim < 0 or tuple(sorted(t)) not in link.missing_faces(link.dim):
+        raise PreconditionError(f"{tuple(sorted(t))} is not a missing facet of the link of {v}")
+    out, notes = _swartz_move(cx, v, link, t)
     return out, _record(
-        "swartz", cx, out, ((2, -1),) if cx.dim >= 3 else (),
-        new_vertices=new_vertices, removed_vertices=(v,), steps=1, notes=notes,
+        "swartz", cx, out, ((2, -1),) if cx.dim >= 3 else (), steps=1, notes=notes
     )
 
 
@@ -317,7 +306,7 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
     if check:
         _require_swartz_input(cx, link, v, field)
     current, queue, steps = cx, [v], 0
-    skipped, cone_vertices, combined_notes = [], [], []
+    skipped, combined_notes = [], []
     while queue:
         w = queue.pop(0)
         if w not in current.vertices:
@@ -332,14 +321,11 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
             continue
         if check and steps:
             _require_sphere_link(link, w, field)
-        current, new_vertices, notes = _swartz_move(current, w, link, t)
-        steps += 1
+        out, notes = _swartz_move(current, w, link, t)
+        queue.extend(sorted(out.vertices - current.vertices))  # the fresh cone vertices
+        current, steps = out, steps + 1
         combined_notes.extend(notes)
-        cone_vertices.extend(new_vertices)
-        queue.extend(new_vertices)
     return current, _record(
-        "swartz", cx, current, ((2, -steps),),
-        new_vertices=tuple(w for w in cone_vertices if w in current.vertices),
-        removed_vertices=(v,), steps=steps,
+        "swartz", cx, current, ((2, -steps),), steps=steps,
         notes=tuple(combined_notes + [f"skipped {s}" for s in sorted(set(skipped))]),
     )

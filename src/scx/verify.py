@@ -472,15 +472,15 @@ def _run_macaulay_bound(catalog, scale):
 
 
 def _suspension_bases(d: int):
-    """(target kind, base join sphere, facet of a factor to star over)."""
+    """(target kind, suspension index or None, base join sphere, facet to star
+    over) for each g2 = 2 target: the base joins the boundaries of the i- and
+    (d-i)-simplices, i = 2 for the triple join and i = 3..d-3 for the
+    suspensions."""
     cases = []
-    base = join(simplex_boundary(2), simplex_boundary(d - 2))
-    tau = frozenset(range(3, d + 1))  # facet of the second factor
-    cases.append(("triple_join", None, base, tau))
-    for i in range(3, d - 2):
+    for i in range(2, d - 2):
         base = join(simplex_boundary(i), simplex_boundary(d - i))
-        tau = frozenset(range(i + 1, d + 1))
-        cases.append(("suspension", i, base, tau))
+        tau = frozenset(range(i + 1, d + 1))  # a facet of the second factor
+        cases.append(("triple_join", None, base, tau) if i == 2 else ("suspension", i, base, tau))
     return cases
 
 

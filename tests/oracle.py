@@ -26,12 +26,14 @@ as one sweep over the ball's own labels, before it was memoised by order
 type.  The retriangulation references at the end are the Swartz moves and
 the inverse stellar move as first written, built from
 ``SimplicialComplex.antistar`` with the package's own record and link
-helpers, ``swartz_all`` going through the public single move, and the
-split of a link along a missing facet (:func:`split_link_by_search`, which
-the single move splits with) with its components found by the depth-first
-search, as :func:`detect_join_by_search` finds the non-edge components of a
-join.  Last come the operations that build their result from their input's
-facet masks, written on labels through the labelled constructor:
+helpers, each record's vertex changes stated by the reference
+(:func:`record_stating`), ``swartz_all`` going through the public single
+move, and the split of a link along a missing facet
+(:func:`split_link_by_search`, which the single move splits with) with its
+components found by the depth-first search, as
+:func:`detect_join_by_search` finds the non-edge components of a join.
+Last come the operations that build their result from their input's facet
+masks, written on labels through the labelled constructor:
 :func:`link_by_labels`, :func:`star_by_labels`,
 :func:`restriction_by_labels`, :func:`skeleton_by_labels`,
 :func:`join_by_labels`, :func:`stack_by_labels`,
@@ -45,6 +47,7 @@ the package's bitmask closure, which the references are compared with.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import chain, combinations
 from math import comb, gcd
 
@@ -568,8 +571,9 @@ def is_normal_pseudomanifold_by_links(cx):
     if n < 1:
         return PredicateResult(False, (), "dimension must be at least 1")
     if not cx.is_pure():
-        smallest = min(cx.facets, key=len)
-        return PredicateResult(False, tuple(sorted(smallest)), "complex is not pure")
+        size = min(map(len, cx.facets))
+        smallest = min(tuple(sorted(f)) for f in cx.facets if len(f) == size)
+        return PredicateResult(False, smallest, "complex is not pure")
     if not one_skeleton_connected(cx):
         return PredicateResult(False, (), "complex is not connected")
     ridge_count = Counter(facet - {v} for facet in cx.facets for v in facet)
@@ -582,6 +586,13 @@ def is_normal_pseudomanifold_by_links(cx):
             if not one_skeleton_connected(cx.link(face)):
                 return PredicateResult(False, tuple(sorted(face)), "face link is not connected")
     return PredicateResult(True)
+
+
+def record_stating(kind, cx, out, deltas, new_vertices, removed_vertices, **fields):
+    """The package's ``_record`` with the new and removed vertices that a
+    reference states, in place of those ``_record`` reads off the complexes."""
+    record = _record(kind, cx, out, deltas, **fields)
+    return replace(record, new_vertices=new_vertices, removed_vertices=removed_vertices)
 
 
 def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
@@ -611,7 +622,7 @@ def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
                 f"interior face {tuple(sorted(f))} of the completion is already present"
             )
     out = SimplicialComplex(cx.antistar(v).facets | filled.facets)
-    return out, _record(
+    return out, record_stating(
         "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1),
         new_vertices=(), removed_vertices=(v,), ball_used=filled,
     )
@@ -649,7 +660,7 @@ def swartz_operation_by_antistar(cx, v, tau, field="rational", check=True):
             new_facets |= {facet | {cone} for facet in sphere_cx.facets}
             notes.append(f"coned with vertex {cone}")
     out = SimplicialComplex(new_facets)
-    return out, _record(
+    return out, record_stating(
         "swartz", cx, out, ((2, -1),) if cx.dim >= 3 else (),
         new_vertices=tuple(new_vertices), removed_vertices=(v,), steps=1, notes=tuple(notes),
     )
@@ -678,7 +689,8 @@ def split_link_by_search(link, tau):
 
 def swartz_all_by_operation(cx, v, field="rational", check=True):
     """``swartz_all`` through :func:`swartz_operation_by_antistar`, one
-    record per step, with the whole input checked only at the first move."""
+    record per step, with the whole input checked only at the first move;
+    v is recorded as removed only if a move was made."""
     if cx.dim < 3:
         raise PreconditionError("iterated operation needs dimension >= 3")
     if v not in cx.vertices:
@@ -708,10 +720,10 @@ def swartz_all_by_operation(cx, v, field="rational", check=True):
         combined_notes.extend(rec.notes)
         cone_vertices.extend(rec.new_vertices)
         queue.extend(rec.new_vertices)
-    return current, _record(
+    return current, record_stating(
         "swartz", cx, current, ((2, -steps),),
         new_vertices=tuple(w for w in cone_vertices if w in current.vertices),
-        removed_vertices=(v,), steps=steps,
+        removed_vertices=(v,) if steps else (), steps=steps,
         notes=tuple(combined_notes + [f"skipped {s}" for s in sorted(set(skipped))]),
     )
 
@@ -780,13 +792,16 @@ def skeleton_completion_by_search(cx, i):
 
 def central_by_labels(cx, ball, field="rational", check=True):
     """``central_retriangulation`` as first written: the ball's facets
-    replaced by the cone from the vertex max(V) + 1 over its boundary's."""
+    replaced by the cone from the vertex max(V) + 1 over its boundary's.  The
+    ball's facets are tested in vertex-tuple order, so the least absent one
+    is named, and the record states the ball's vertices off its boundary as
+    removed."""
     if ball.dim != cx.dim:
         raise PreconditionError(
             f"ball dimension {ball.dim} differs from complex dimension {cx.dim}"
         )
     faces = closure(cx.facets)
-    for facet in ball.facets:
+    for facet in sorted(ball.facets, key=sorted):
         if facet not in faces:
             raise PreconditionError(
                 f"ball facet {tuple(sorted(facet))} is not a face of the complex"
@@ -794,9 +809,10 @@ def central_by_labels(cx, ball, field="rational", check=True):
     boundary, interior = _ball_checked(ball, field, check)
     u = max(cx.vertices) + 1
     out = SimplicialComplex((cx.facets - ball.facets) | {f | {u} for f in boundary.facets})
-    return out, _record(
+    return out, record_stating(
         "central", cx, out, _ball_deltas(cx.dim, boundary, interior, 1),
-        new_vertices=(u,), removed_vertices=(), ball_used=ball,
+        new_vertices=(u,), removed_vertices=tuple(sorted(ball.vertices - boundary.vertices)),
+        ball_used=ball,
     )
 
 

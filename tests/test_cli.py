@@ -570,3 +570,23 @@ def test_op_outputs_are_pinned(tmp_path, monkeypatch, case):
     assert result.exit_code == 0
     assert result.output == stdout
     assert (tmp_path / args[-1]).read_text() == written
+
+
+def write_bd4(tmp_path):
+    path = tmp_path / "bd4.scx"
+    write_scx(simplex_boundary(4), path)
+    return str(path)
+
+
+def test_crtr_along_a_vertex_star_prints_the_vertex_removed(tmp_path):
+    result = invoke("op", "crtr", write_bd4(tmp_path), "--ball", "star:0")
+    assert result.exit_code == 0
+    assert "new vertices: 5\n" in result.output
+    assert "removed vertices: 0\n" in result.output
+
+
+def test_swartz_all_without_a_move_prints_no_removed_vertex(tmp_path):
+    result = invoke("op", "swartz", write_bd4(tmp_path), "--vertex", "0", "--all")
+    assert result.exit_code == 0
+    assert "g after: 1 0 0\n" in result.output
+    assert "removed vertices" not in result.output and "steps" not in result.output

@@ -202,6 +202,18 @@ def test_a_malformed_face_is_refused_as_malformed_input(bd3, call):
         call(bd3)
 
 
+def test_an_unhashable_matching_label_is_no_bijection():
+    with pytest.raises(PreconditionError, match="matching must be a bijection"):
+        connected_sum(cycle(4), (0, 1), cycle(5), (0, 1), {0: [0], 1: 1})
+
+
+@pytest.mark.parametrize("args", [(None, 3), (3, None)], ids=["join(cx, 3)", "join(3, cx)"])
+def test_join_refuses_a_factor_that_is_no_complex(bd3, args):
+    factors = [bd3 if a is None else a for a in args]
+    with pytest.raises(MalformedInputError, match="join takes two complexes"):
+        join(*factors)
+
+
 def test_join_of_two_point_pairs():
     square = join(simplex_boundary(1), simplex_boundary(1))
     assert f_vector(square).entries == (1, 4, 4)

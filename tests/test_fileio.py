@@ -1,12 +1,21 @@
 import pytest
 
-from scx import InternalCheckError, ParseError, from_facets, load_fixture, simplex_boundary
+from scx import (
+    InternalCheckError,
+    ParseError,
+    PreconditionError,
+    from_facets,
+    load_fixture,
+    simplex_boundary,
+)
 from scx.fileio import (
     load_complex,
     read_json_text,
+    read_scx,
     read_scx_text,
     write_complex,
     write_json_text,
+    write_scx,
     write_scx_text,
 )
 
@@ -94,6 +103,21 @@ def test_load_complex_dispatch(tmp_path, bd3):
     assert scx_path.read_text() == write_scx_text(bd3)
     with pytest.raises(ParseError):
         load_complex(tmp_path / "missing.scx")
+
+
+def test_read_scx_maps_read_failures_as_load_complex_does(tmp_path):
+    missing = tmp_path / "missing.scx"
+    for read in (read_scx, load_complex):
+        with pytest.raises(ParseError, match=f"^{missing}: no such file$"):
+            read(missing)
+        with pytest.raises(ParseError, match=f"^{tmp_path}: cannot read: Is a directory$"):
+            read(tmp_path)
+
+
+def test_write_scx_maps_write_failures_as_write_complex_does(tmp_path, bd3):
+    for write in (write_scx, write_complex):
+        with pytest.raises(PreconditionError, match=f"^{tmp_path}: cannot write: Is a directory$"):
+            write(bd3, tmp_path)
 
 
 def test_load_fixture_with_sidecar(tmp_path, bd3):

@@ -62,6 +62,18 @@ EXPECTED = {
 }
 
 
+def test_the_impure_witness_depends_only_on_the_complex():
+    # the least of the smallest facets; the smallest facet that the facet set
+    # happened to yield first differed between these two equal complexes
+    a = from_facets([(1, 5), (1, 7), (3, 5, 6), (9, 10)])
+    c = a.restriction(range(11))
+    assert a == c
+    for cx in (a, c):
+        expected = (False, (1, 5), "complex is not pure")
+        assert outcome(is_normal_pseudomanifold(cx)) == expected
+        assert outcome(oracle.is_normal_pseudomanifold_by_links(cx)) == expected
+
+
 @pytest.fixture(scope="module")
 def catalog():
     return [entry.complex for entry in standard_catalog()]

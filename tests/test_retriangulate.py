@@ -74,6 +74,35 @@ def test_crtr_rejects_bad_balls(bd4, bd3):
     assert out.n_faces(0) == 6
 
 
+def test_crtr_names_the_least_ball_facet_that_is_no_face():
+    # two of the three facets are no faces of the join; the first one met in
+    # the ball's facet set was named before, whatever the input's order
+    base = join(cycle(5), cycle(5))
+    facets = [(4, 5, 7, 9), (0, 3, 4, 8), (0, 1, 8, 9)]
+    for order in (facets, facets[::-1], facets[1:] + facets[:1]):
+        ball = from_facets(order)
+        for move in (central_retriangulation, oracle.central_by_labels):
+            with pytest.raises(PreconditionError, match=r"ball facet \(0, 3, 4, 8\) is not a face"):
+                move(base, ball)
+
+
+def test_crtr_records_the_interior_vertex_of_a_vertex_star_as_removed(bd4):
+    out, record = central_retriangulation(bd4, bd4.star([0]))
+    assert (record.new_vertices, record.removed_vertices) == ((5,), (0,))
+    assert out.vertices == {1, 2, 3, 4, 5}
+    assert (out, record) == oracle.central_by_labels(bd4, bd4.star([0]))
+
+
+def test_crtr_of_the_empty_complex_cones_from_vertex_0():
+    # the fresh label of an empty vertex set is 0; it took max() of it before
+    e = from_facets([])
+    out, record = central_retriangulation(e, e, check=False)
+    assert out == from_facets([[0]])
+    assert (record.new_vertices, record.removed_vertices) == ((0,), ())
+    with pytest.raises(PreconditionError, match="not a homology ball"):
+        central_retriangulation(e, e)
+
+
 def test_missing_face_identity_top_dimensions(bd5):
     tau = frozenset({0, 1, 2, 3})
     lhs3, rhs3 = missing_face_identity_sides(bd5, tau, 3)
@@ -129,6 +158,11 @@ def test_one_ball_analysis_per_operation(bd5, monkeypatch, check):
     back, _ = inverse_stellar(out, record.new_vertices[0], check=check)
     assert len(passes) == 2
     assert back == bd5
+
+
+def test_a_negative_stackedness_level_is_refused(bd5):
+    with pytest.raises(PreconditionError, match="r=-1 must be >= 0"):
+        is_r_stacked_ball(bd5.star([0]), -1)
 
 
 def test_inverse_stellar_on_last_stacking():
@@ -199,6 +233,14 @@ def test_swartz_rejects_a_tau_off_the_vertices():
         oracle.swartz_operation_by_antistar(cycle(5), 0, (9,), check=False)
 
 
+def test_swartz_refuses_any_tau_at_an_isolated_vertex():
+    # the link of an isolated vertex is the empty complex, which has no
+    # missing facet: missing_faces(-1) of it would refuse the dimension instead
+    points = from_facets([(0,), (1,), (2,)])
+    with pytest.raises(PreconditionError, match="not a missing facet of the link of 0"):
+        swartz_operation(points, 0, (1, 2), check=False)
+
+
 def test_swartz_on_two_sphere_hexagon_link():
     # 2-sphere whose polar link is a hexagon; inserting a short chord fills a
     # triangle and cones the remaining pentagon from a fresh vertex
@@ -229,6 +271,14 @@ def test_swartz_all_identity_on_prime_link(oct3):
     out, record = swartz_all(oct3, 0)
     assert record.steps == 0
     assert out == oct3
+
+
+def test_swartz_all_without_a_move_records_no_removed_vertex(bd4):
+    # the link of 0 is a simplex boundary, which has no missing facet
+    out, record = swartz_all(bd4, 0)
+    assert out == bd4 and record.steps == 0
+    assert (record.new_vertices, record.removed_vertices) == ((), ())
+    assert (out, record) == oracle.swartz_all_by_operation(bd4, 0)
 
 
 def test_swartz_all_matches_inverse_stellar_for_stacked_links():

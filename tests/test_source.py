@@ -319,3 +319,20 @@ def test_one_presence_rule_serves_membership_links_and_stars():
         and any(_named(node, name) for name in closure + labelled)
     ]
     assert readers == []
+
+
+
+def test_fresh_labels_and_vertex_changes_are_read_off_the_complexes():
+    # complexes._replaced alone chooses the fresh labels, and _record reads
+    # the new and removed vertices off the input and output: retriangulate.py
+    # computes no label with max() and hands _record no vertex list
+    calls = [
+        node
+        for module, _, node in _nodes()
+        if module == "retriangulate.py" and isinstance(node, ast.Call)
+    ]
+    assert [ast.unparse(call) for call in calls if _named(call.func, "max")] == []
+    records = [call for call in calls if _named(call.func, "_record")]
+    assert len(records) == 4  # the three moves and swartz_all
+    stated = ("new_vertices", "removed_vertices")
+    assert [k.arg for call in records for k in call.keywords if k.arg in stated] == []
