@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     ScxError,
-    TooLargeError,
     UnknownStatementError,
 )
 from .exact import validate_field
@@ -39,16 +38,14 @@ _EXIT_CODES = (
     (UnknownStatementError, 4),
     (InternalCheckError, 5),
     ((ParseError, MalformedInputError), 2),
-    ((PreconditionError, TooLargeError), 3),
-    (ScxError, 3),
 )
 
 
-def _exit_code_for(exc: Exception) -> int:
+def _exit_code_for(exc: ScxError) -> int:
     for types, code in _EXIT_CODES:
         if isinstance(exc, types):
             return code
-    return 1
+    return 3  # PreconditionError, TooLargeError and any other ScxError
 
 
 def handles_errors(fn):

@@ -326,8 +326,8 @@ class SimplicialComplex:
         return self._of_masks(list(self._masks[0]), [m & w for m in self._masks[1]])
 
     def antistar(self, v: int) -> "SimplicialComplex":
-        if v not in self._masks[0]:
-            raise FaceNotPresentError(f"vertex {v} is not in the complex")
+        """The faces avoiding v, which :meth:`_star_facets` requires present."""
+        self._star_facets([v])
         return self.restriction(self._masks[0].keys() - {v})
 
     def skeleton(self, i: int) -> "SimplicialComplex":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import SimplicialComplex
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, MalformedInputError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,8 @@ def _link_f_vectors(cx: SimplicialComplex) -> dict:
 
 
 def h_from_f(f: FVector) -> HVector:
+    if not isinstance(f, FVector):
+        raise MalformedInputError(f"expected an FVector, got {f!r}")
     d = f.d
     entries = tuple(
         sum((-1) ** (j - i) * comb(d - i, j - i) * f[i - 1] for i in range(j + 1))
@@ -100,6 +102,8 @@ def h_from_f(f: FVector) -> HVector:
 
 
 def f_from_h(h: HVector) -> FVector:
+    if not isinstance(h, HVector):
+        raise MalformedInputError(f"expected an HVector, got {h!r}")
     d = h.d
     entries = tuple(
         sum(comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(d + 1)

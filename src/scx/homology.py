@@ -317,11 +317,13 @@ def _ball(masks: tuple, field) -> tuple:
     trivial-link faces in no such face one vertex larger (the maximal ones
     if those faces are closed downward, else a family with their closure),
     and the interior is every face off that closure; neither depends on the
-    verdict.  The verdict also requires ball homology, trivial-link faces
-    closed downward and a boundary of dimension dim - 1 that is a homology
-    sphere, judged on the masks; only a failing boundary is built, for the
-    witness of :func:`is_homology_sphere`.  Memoised beside :func:`_betti`,
-    on the order type: the witness depends on the sweep order.
+    verdict.  The verdict also requires ball homology and a boundary of
+    dimension dim - 1 that is a homology sphere, judged on the masks; only a
+    failing boundary is built, for the witness of :func:`is_homology_sphere`.
+    Past the link sweep the trivial-link faces are closed downward (a sphere
+    link's top cycle is nonzero on the link of every face above), so that is
+    not tested.  Memoised beside :func:`_betti`, on the order type: the
+    witness depends on the sweep order.
     """
     by_size, members = _closure_masks(masks)
     d = len(by_size) - 2
@@ -342,8 +344,6 @@ def _ball(masks: tuple, field) -> tuple:
     if verdict:
         if 0 not in trivial:
             verdict = PredicateResult(False, (), "complex does not have ball homology")
-        elif len(closed) != len(trivial):  # the closure contains the list
-            verdict = PredicateResult(False, None, "boundary faces are not closed downward")
         elif d > 0 and len(bd_by_size) - 2 != d - 1:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
         elif not _is_sphere_of_dim(bd_masks, d - 1, field):  # label the boundary for a witness
@@ -369,12 +369,15 @@ def interior_faces(cx: SimplicialComplex, field="rational", check=True) -> froze
 
 
 def _ball_checked(cx, field, check):
+    """(boundary, interior, m) of :func:`_ball_analysis`, a non-ball refused
+    under ``check``: m, the least dimension of an interior face (dim with
+    none), is computed only here; the ball's least stackedness is dim - m."""
     verdict, boundary, interior = _ball_analysis(cx, field)
     if check and not verdict:
         raise PreconditionError(
             f"not a homology ball: {verdict.reason} (witness {verdict.witness})"
         )
-    return boundary, interior
+    return boundary, interior, min((len(f) - 1 for f in interior), default=cx.dim)
 
 
 def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateResult:
@@ -498,13 +501,11 @@ def is_r_stacked_ball(
     dimension <= d - r - 1 (equivalently, min interior dimension >= d - r)."""
     if r < 0:
         raise PreconditionError(f"stackedness level r={r} must be >= 0")
-    boundary, interior = _ball_checked(cx, field, check)
-    by_dim = Counter(len(face) - 1 for face in interior)
-    min_stackedness = cx.dim - min(by_dim, default=cx.dim)
+    boundary, interior, m = _ball_checked(cx, field, check)
     return StackedBallCertificate(
         r=r,
-        ok=min_stackedness <= r,
-        min_stackedness=min_stackedness,
-        interior_by_dim=by_dim,
+        ok=cx.dim - m <= r,
+        min_stackedness=cx.dim - m,
+        interior_by_dim=Counter(len(face) - 1 for face in interior),
         boundary=boundary,
     )

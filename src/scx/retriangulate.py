@@ -8,10 +8,11 @@ is the cone over its boundary; for the inverse stellar move B is the star of
 a vertex v and B' the stacked completion of its link; for the Swartz move
 (Lemma 3.8) B is the star of v and B' two balls glued along a missing facet
 tau of the link: each half of the link split along tau is coned from a
-fresh vertex or filled in.  Each returns a :class:`RetriangulationRecord`
-of the g-vectors before and after, the entries its arithmetic predicts,
-which the harness recomputes, and the vertices gained and lost, read off
-the two complexes.
+fresh vertex or filled in.  A move at v reads its link first, so ``link``
+refuses an absent v (``FaceNotPresentError``) or an unhashable one.  Each
+returns a :class:`RetriangulationRecord` of the g-vectors before and after,
+the entries its arithmetic predicts, which the harness recomputes, and the
+vertices gained and lost, read off the two complexes.
 """
 
 from __future__ import annotations
@@ -65,11 +66,10 @@ def _record(kind: str, cx: SimplicialComplex, out: SimplicialComplex, deltas, **
     )
 
 
-def _ball_deltas(d: int, sphere: SimplicialComplex, interior, sign: int) -> tuple:
-    """(i, sign * g_{i-1}(sphere)) for i <= min((d+1)/2, the least dimension
-    of an interior face of the ball): adding (sign 1) or removing (sign -1) a
-    cone over the sphere, as in Lemmas 3.3 and 3.6."""
-    m = min((len(f) - 1 for f in interior), default=d)
+def _ball_deltas(d: int, sphere: SimplicialComplex, m: int, sign: int) -> tuple:
+    """(i, sign * g_{i-1}(sphere)) for i <= min((d+1)/2, m), m the ball's least
+    interior dimension (:func:`_ball_checked`): adding (sign 1) or removing
+    (sign -1) a cone over the sphere, as in Lemmas 3.3 and 3.6."""
     eg = extended_g(sphere)
     return tuple(
         (i, sign * (eg[i - 1] if i - 1 < len(eg) else 0))
@@ -95,14 +95,14 @@ def central_retriangulation(
     absent = [tuple(sorted(facet)) for facet in ball.facets if facet not in cx]
     if absent:  # the least absent facet, whatever the order of the ball's
         raise PreconditionError(f"ball facet {min(absent)} is not a face of the complex")
-    boundary, interior = _ball_checked(ball, field, check)
+    boundary, _, m = _ball_checked(ball, field, check)
     bit = cx._masks[0]
     # the maximal faces of (cx.faces() - interior) | cone: the facets of cx in
     # the ball, and the faces only they covered, are interior or under the cone
-    cone = [m | 1 << len(bit) for m in _masks_in(boundary, bit)]
+    cone = [mask | 1 << len(bit) for mask in _masks_in(boundary, bit)]
     out = _replaced(cx, _masks_in(ball, bit), cone)
     return out, _record(
-        "central", cx, out, _ball_deltas(cx.dim, boundary, interior, 1), ball_used=ball
+        "central", cx, out, _ball_deltas(cx.dim, boundary, m, 1), ball_used=ball
     )
 
 
@@ -161,19 +161,17 @@ def _detect_stack_level(link: SimplicialComplex, d: int) -> int:
 def inverse_stellar(
     cx: SimplicialComplex, v: int, r: int | None = None, field="rational", check=True
 ):
-    """Replace the star of a vertex by the stacked ball determined by its
+    """Replace the star of a vertex v by the stacked ball determined by its
     link: the faces whose (r-1)-skeleton lies in the link.
 
-    With ``check`` the link must be a homology sphere, and its completion
-    (the vertex sets whose (r-1)-skeleton lies in the link) a homology ball
-    whose boundary is the link and that is (r-1)-stacked: its least
-    stackedness, d minus the least dimension of an interior face, is at most
-    r - 1.  With or without ``check``, no interior face of the
-    completion may be present already.  r is auto-detected as the least
-    level at which the link's g-vector vanishes when omitted.
+    ``link`` refuses an absent or unhashable v.  With ``check`` the link must
+    be a homology sphere, and its completion (the vertex sets whose
+    (r-1)-skeleton lies in the link) a homology ball whose boundary is the
+    link and whose least stackedness (:func:`_ball_checked`) is at most
+    r - 1.  With or without ``check``, no interior face of the completion may
+    be present already.  r is auto-detected as the least level at which the
+    link's g-vector vanishes when omitted.
     """
-    if v not in cx.vertices:
-        raise PreconditionError(f"vertex {v} is not in the complex")
     link = cx.link([v])
     d = cx.dim
     if check:
@@ -183,11 +181,10 @@ def inverse_stellar(
     if not 2 <= r <= (d + 1) // 2:
         raise PreconditionError(f"stackedness level r={r} outside 2..(d+1)/2")
     filled = skeleton_completion(link, r - 1)
-    boundary, interior = _ball_checked(filled, field, check)
+    boundary, interior, m = _ball_checked(filled, field, check)
     if check and boundary != link:
         raise PreconditionError("link completion does not have the link as boundary")
-    least = d - min((len(f) - 1 for f in interior), default=d)  # the fill's least stackedness
-    if check and least > r - 1:
+    if check and (least := filled.dim - m) > r - 1:
         raise PreconditionError(f"link completion is {least}-stacked, not {r - 1}-stacked")
     for f in sorted(interior, key=sorted):
         if f in cx:
@@ -195,13 +192,13 @@ def inverse_stellar(
                 f"interior face {tuple(sorted(f))} of the completion is already present"
             )
     bit, masks = cx._masks
-    out = _replaced(cx, [m for m in masks if m & bit[v]], _masks_in(filled, bit))
-    return out, _record(
-        "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1), ball_used=filled
-    )
+    out = _replaced(cx, [mask for mask in masks if mask & bit[v]], _masks_in(filled, bit))
+    # the fill of an isolated vertex's link, unchecked, has no interior: cap at d
+    deltas = _ball_deltas(d, link, m if interior else d, -1)
+    return out, _record("inverse-stellar", cx, out, deltas, ball_used=filled)
 
 
-def _split_link_along(link: SimplicialComplex, tau: frozenset):
+def _split_link_along(link: SimplicialComplex, tau):
     """Split a homology sphere along the boundary of a missing facet into
     the two summands, each completed with the facet itself.
 
@@ -212,7 +209,7 @@ def _split_link_along(link: SimplicialComplex, tau: frozenset):
     """
     bit, masks = link._masks
     facets = sorted(masks, key=lambda m: [*map(int.bit_length, _bits(m))])
-    tm = sum(bit.get(v, 1 << len(bit)) for v in tau)  # a label off the link: bits no facet holds
+    tm = link._through(tau)[1]
     through = {}  # ridge outside tau -> the bits of the facets containing it
     for idx, m in enumerate(facets):
         for ridge in (m ^ b for b in _bits(m)):
@@ -246,7 +243,7 @@ def _require_swartz_input(cx, link, v, field):
     _require_sphere_link(link, v, field)
 
 
-def _swartz_move(cx: SimplicialComplex, v: int, link: SimplicialComplex, tau: frozenset):
+def _swartz_move(cx: SimplicialComplex, v: int, link: SimplicialComplex, tau):
     """(output, notes) of one Swartz move: the star of v replaced by each half
     of its link split along the missing facet tau, filled in if it bounds a
     missing facet, else coned from a fresh vertex whose label is read off the output."""
@@ -266,15 +263,13 @@ def _swartz_move(cx: SimplicialComplex, v: int, link: SimplicialComplex, tau: fr
 
 
 def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check=True):
-    """Remove a vertex, insert a missing facet of its link, and close the two
-    resulting spheres: each is coned from a fresh vertex unless it already
-    bounds a missing facet, which is then simply filled in."""
+    """Remove a vertex, refused by ``link`` if absent, insert a missing facet
+    of its link, and close the two resulting spheres: each is coned from a
+    fresh vertex unless it bounds a missing facet, which is then filled in."""
+    link = cx.link([v])
     t = frozenset(tau)
-    if v not in cx.vertices:
-        raise PreconditionError(f"vertex {v} is not in the complex")
     if t in cx or not t <= cx.vertices:
         raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
-    link = cx.link([v])
     if check:
         _require_swartz_input(cx, link, v, field)
     if link.dim < 0 or tuple(sorted(t)) not in link.missing_faces(link.dim):
@@ -286,8 +281,8 @@ def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check
 
 
 def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
-    """Iterate the single-step operation until every missing facet of the
-    original vertex link has been added.
+    """Iterate the single-step operation at a vertex, refused by ``link`` if
+    absent, until every missing facet of its original link has been added.
 
     After one step the vertex is gone and the remaining missing facets live
     in the links of the fresh cone vertices, which are processed in FIFO
@@ -300,8 +295,6 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
     """
     if cx.dim < 3:
         raise PreconditionError("iterated operation needs dimension >= 3")
-    if v not in cx.vertices:
-        raise PreconditionError(f"vertex {v} is not in the complex")
     link = cx.link([v])
     if check:
         _require_swartz_input(cx, link, v, field)
@@ -309,14 +302,12 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
     skipped, combined_notes = [], []
     while queue:
         w = queue.pop(0)
-        if w not in current.vertices:
-            continue
         if steps:  # before the first move the queue holds only v
             link = current.link([w])
-        for t in map(frozenset, link.missing_faces(link.dim)):
+        for t in link.missing_faces(link.dim):
             if t not in current:
                 break
-            skipped.append(tuple(sorted(t)))
+            skipped.append(t)
         else:
             continue
         if check and steps:

@@ -27,8 +27,9 @@ type.  The retriangulation references at the end are the Swartz moves and
 the inverse stellar move as first written, built from
 ``SimplicialComplex.antistar`` with the package's own record and link
 helpers, each record's vertex changes stated by the reference
-(:func:`record_stating`), ``swartz_all`` going through the public single
-move, and the split of a link along a missing facet
+(:func:`record_stating`) and its predicted g-changes worked out from
+labelled closures (:func:`ball_deltas`), ``swartz_all`` going through the
+public single move, and the split of a link along a missing facet
 (:func:`split_link_by_search`, which the single move splits with) with its
 components found by the depth-first search, as
 :func:`detect_join_by_search` finds the non-edge components of a join.
@@ -67,7 +68,7 @@ from scx.homology import (
     is_r_stacked_ball,
     skeleton_completion,
 )
-from scx.retriangulate import _ball_deltas, _detect_stack_level, _record, _require_sphere_link
+from scx.retriangulate import _detect_stack_level, _record, _require_sphere_link
 
 
 def closure(facets):
@@ -595,6 +596,17 @@ def record_stating(kind, cx, out, deltas, new_vertices, removed_vertices, **fiel
     return replace(record, new_vertices=new_vertices, removed_vertices=removed_vertices)
 
 
+def ball_deltas(d, sphere, interior, sign):
+    """The predicted g-changes of a retriangulation that adds (sign 1) or
+    removes (sign -1) a cone over ``sphere`` through a ball with the faces
+    ``interior``: (i, sign * g_{i-1}(sphere)) for i up to (d+1)/2 and the
+    least dimension of an interior face (d with none), each g-entry an
+    h-difference of the sphere's powerset face counts."""
+    m = min((len(f) - 1 for f in interior), default=d)
+    eg = h_differences(face_counts(sphere.facets))
+    return tuple((i, sign * _at(eg, i - 1)) for i in range(1, min((d + 1) // 2, m) + 1))
+
+
 def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
     """``inverse_stellar`` with the output glued onto the antistar of v."""
     if v not in cx.vertices:
@@ -608,7 +620,7 @@ def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
     if not 2 <= r <= (d + 1) // 2:
         raise PreconditionError(f"stackedness level r={r} outside 2..(d+1)/2")
     filled = skeleton_completion(link, r - 1)
-    boundary, interior = _ball_checked(filled, field, check)
+    boundary, interior, _ = _ball_checked(filled, field, check)
     if check and boundary != link:
         raise PreconditionError("link completion does not have the link as boundary")
     if check and not (stacked := is_r_stacked_ball(filled, r - 1, field, check=False)):
@@ -623,7 +635,7 @@ def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
             )
     out = SimplicialComplex(cx.antistar(v).facets | filled.facets)
     return out, record_stating(
-        "inverse-stellar", cx, out, _ball_deltas(d, link, interior, -1),
+        "inverse-stellar", cx, out, ball_deltas(d, link, interior, -1),
         new_vertices=(), removed_vertices=(v,), ball_used=filled,
     )
 
@@ -806,11 +818,11 @@ def central_by_labels(cx, ball, field="rational", check=True):
             raise PreconditionError(
                 f"ball facet {tuple(sorted(facet))} is not a face of the complex"
             )
-    boundary, interior = _ball_checked(ball, field, check)
+    boundary, interior, _ = _ball_checked(ball, field, check)
     u = max(cx.vertices) + 1
     out = SimplicialComplex((cx.facets - ball.facets) | {f | {u} for f in boundary.facets})
     return out, record_stating(
-        "central", cx, out, _ball_deltas(cx.dim, boundary, interior, 1),
+        "central", cx, out, ball_deltas(cx.dim, boundary, interior, 1),
         new_vertices=(u,), removed_vertices=tuple(sorted(ball.vertices - boundary.vertices)),
         ball_used=ball,
     )

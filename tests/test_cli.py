@@ -17,8 +17,8 @@ from scx import (
     suspension,
     write_scx,
 )
-from scx import exact, homology
-from scx.cli import main
+from scx import errors, exact, homology, run_all
+from scx.cli import _exit_code_for, main
 from scx.generators import standard_catalog
 from scx.rigidity import RIGIDITY_GUARD
 from conftest import clear_memos
@@ -288,6 +288,29 @@ def test_sdinv_refuses_a_fill_that_is_not_r_minus_1_stacked_exits_3(tmp_path):
     assert "2-stacked, not 1-stacked" in result.output and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("move", [("sdinv",), ("swartz", "--all")], ids=["sdinv", "swartz-all"])
+def test_a_move_at_an_absent_vertex_exits_3(tmp_path, move):
+    result = invoke("op", move[0], write_bd4(tmp_path), "--vertex", "99", *move[1:])
+    assert result.exit_code == 3
+    assert "error: face (99,) is not in the complex" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_exit_codes_fall_back_to_3():
+    # a violated precondition, a size guard and any other ScxError exit 3
+    codes = {
+        errors.UnknownStatementError: 4,
+        errors.InternalCheckError: 5,
+        errors.ParseError: 2,
+        errors.MalformedInputError: 2,
+        errors.PreconditionError: 3,
+        errors.FaceNotPresentError: 3,
+        errors.TooLargeError: 3,
+        errors.ScxError: 3,
+    }
+    assert {kind: _exit_code_for(kind("x")) for kind in codes} == codes
+
+
 def test_swartz_all_flag(tmp_path):
     path = tmp_path / "cj.scx"
     invoke("gen", "g2one", "4", "2", "4", "--output", str(path))
@@ -348,6 +371,19 @@ def test_verify_single_statement(tmp_path):
     payload = json.loads(report.read_text())
     assert payload[0]["statement"] == "Lemma4.4"
     assert payload[0]["failures"] == []
+
+
+def test_verify_all_writes_the_reports_of_run_all(tmp_path):
+    report = tmp_path / "report.json"
+    result = invoke("verify-all", "--report", str(report))
+    assert result.exit_code == 0
+    assert "16/16 statements passed" in result.output
+
+    def timeless(dicts):
+        return [{k: v for k, v in d.items() if k != "seconds"} for d in dicts]
+
+    expected = json.loads(json.dumps([rep.to_dict() for rep in run_all()]))
+    assert timeless(json.loads(report.read_text())) == timeless(expected)
 
 
 def test_verify_unknown_statement_exits_4():

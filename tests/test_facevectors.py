@@ -7,6 +7,7 @@ import pytest
 
 import scx
 from scx import (
+    MalformedInputError,
     PreconditionError,
     SimplicialComplex,
     barnette_sphere,
@@ -70,6 +71,17 @@ def test_f_h_round_trip(oct3, cycle_join):
     for cx in (oct3, cycle_join):
         f = f_vector(cx)
         assert f_from_h(h_from_f(f)).entries == f.entries
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [(lambda: h_from_f([]), "FVector"), (lambda: f_from_h("x"), "HVector")],
+    ids=["h_from_f([])", "f_from_h('x')"],
+)
+def test_a_vector_of_the_wrong_kind_is_malformed_input(call, expected):
+    # each raised AttributeError before, reading .d off the argument
+    with pytest.raises(MalformedInputError, match=f"expected an {expected}, got"):
+        call()
 
 
 def test_g_matches_h_differences(cycle_join):

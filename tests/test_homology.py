@@ -1,8 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 import threading
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from scx import (
     skeleton_completion,
     stacked_sphere,
     standard_catalog,
+    suspension,
 )
 import scx
 from scx import exact, homology, verify
@@ -42,6 +44,7 @@ from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_mask
 
 import oracle
 from conftest import clear_memos
+from test_retriangulate import NON_BALL_HOSTS, _non_balls
 
 
 def test_betti_of_spheres(bd3, oct3):
@@ -191,6 +194,70 @@ def test_two_facet_ball_boundary(bd4):
 def test_ball_boundary_rejects_spheres(bd3):
     with pytest.raises(PreconditionError):
         ball_boundary(bd3)
+
+
+def _rp2_cases():
+    """RP^2_6, its suspension and its cone from vertex 6."""
+    rp2 = from_facets(RP2_FACETS)
+    return rp2, suspension(rp2), from_facets([f + [6] for f in RP2_FACETS])
+
+
+@pytest.mark.parametrize(
+    "field, verdicts",
+    [
+        # over Q, RP^2 is acyclic, so only the empty face has a trivial link:
+        # the boundary is the empty complex, of the wrong dimension, for it and
+        # its suspension, and for the cone it is RP^2, no homology sphere
+        ("rational", [("boundary has wrong dimension", None)] * 2
+         + [("boundary is not a homology sphere", ())]),
+        # over GF(2) the sweep meets a link that is neither first
+        (2, [("link is neither ball- nor sphere-like", w) for w in ((), (), (6,))]),
+    ],
+    ids=["rational", "gf2"],
+)
+def test_ball_verdicts_past_the_link_sweep_on_the_projective_plane(field, verdicts):
+    cases = _rp2_cases()
+    assert betti(cases[0]).entries == (0, 0, 0, 0)
+    for cx, (reason, witness) in zip(cases, verdicts):
+        verdict, boundary, interior = homology._ball_analysis(cx, field)
+        expected, expected_boundary, expected_interior = oracle.ball_analysis_by_sweep(cx, field)
+        assert (verdict.ok, verdict.reason, verdict.witness) == (False, reason, witness)
+        assert (expected.ok, expected.reason, expected.witness) == (False, reason, witness)
+        assert (boundary, interior) == (expected_boundary, expected_interior)
+        for reader in (ball_boundary, lambda c, f: is_r_stacked_ball(c, 1, f)):
+            with pytest.raises(PreconditionError, match=reason):
+                reader(cx, field)
+
+
+def test_faces_with_trivial_links_are_closed_downward_past_the_link_sweep():
+    # why homology._ball has no "boundary faces are not closed downward"
+    # verdict, which the oracle's sweep keeps.  It would be tested only when
+    # every face link is trivial or a homology sphere of complementary
+    # dimension.  Let s have a sphere link L of dimension k and
+    # t > s a trivial one.  Every face link of L is again trivial or such a
+    # sphere, so L is pure and strongly connected, each ridge of L lies in
+    # one or two facets, and a top cycle z of L is nonzero on every facet:
+    # a ridge in one facet would force z to vanish everywhere.  Restricted to
+    # the facets through t - s, z is a nonzero top cycle of lk(t), which is
+    # then not trivial.  So the trivial faces are closed downward.
+    rng = random.Random(39)
+    cases = [*_rp2_cases(), *(b for cx in NON_BALL_HOSTS for b in _non_balls(cx))]
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        facets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 5))]
+        cases.append(from_facets(facets))
+    reached = 0
+    for cx, field in product(cases, ("rational", 2)):
+        faces = [f for group in oracle.closure_by_dim(cx.facets).values() for f in group]
+        profiles = {f: betti(cx.link(f), field) for f in faces}
+        if all(p.is_trivial() or p.is_sphere(cx.dim - len(f)) for f, p in profiles.items()):
+            reached += 1
+            trivial = {f for f, p in profiles.items() if p.is_trivial()}
+            assert all(f - {v} in trivial for f in trivial for v in f), (cx, field)
+            verdict = homology._ball_analysis(cx, field)[0]
+            expected = oracle.ball_analysis_by_sweep(cx, field)[0]
+            assert (verdict.ok, verdict.reason) == (expected.ok, expected.reason)
+    assert reached > 400
 
 
 def test_homology_manifold_and_pseudomanifold(cycle_join):

@@ -1,6 +1,10 @@
+from itertools import product
+
 import pytest
 
 from scx import (
+    FaceNotPresentError,
+    MalformedInputError,
     PreconditionError,
     SimplicialComplex,
     are_isomorphic,
@@ -206,6 +210,81 @@ def test_inverse_stellar_refuses_a_fill_that_is_not_r_minus_1_stacked():
             move(cx, 0, r=2)
     out, record = inverse_stellar(cx, 0, r=2, check=False)
     assert g2(out) == 0 and is_r_stacked_ball(record.ball_used, 1).min_stackedness == 2
+
+
+def _beside_a_stacked_2_sphere(sphere):
+    """``sphere`` with a stacked 2-sphere on the labels 20..25 beside it."""
+    beside = [{v + 20 for v in f} for f in stacked_sphere(3, 6).facets]
+    return from_facets([*sphere.facets, *beside])
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_inverse_stellar_reads_the_completions_own_stackedness(d):
+    # at a vertex of degree 3 of the 2-sphere the completion is a triangle,
+    # 0-stacked as a ball of its own dimension (against the complex's
+    # dimension d it would read as (d - 2)-stacked); the g-bookkeeping
+    # counts up to the triangle's dimension 2, below (d + 1) / 2 at d = 6
+    cx = _beside_a_stacked_2_sphere(stacked_sphere(d + 1, d + 4))
+    assert cx.dim == d
+    for v, check in product((20, 25), (True, False)):
+        out, record = inverse_stellar(cx, v, check=check)
+        assert (out, record) == oracle.inverse_stellar_by_antistar(cx, v, check=check)
+        assert is_r_stacked_ball(record.ball_used, 0) and record.ball_used.dim == 2
+        assert [i for i, _ in record.predicted] == [1, 2]
+
+
+def test_inverse_stellar_at_an_isolated_vertex_counts_up_to_d_unchecked():
+    # the completion of the link {()} has no interior face: unchecked, the
+    # g-bookkeeping counts up to (d + 1) / 2, as the reference's does;
+    # checked, the completion is no ball
+    cx = from_facets([*stacked_sphere(4, 7).facets, (20,)])
+    out, record = inverse_stellar(cx, 20, r=2, check=False)
+    assert (out, record) == oracle.inverse_stellar_by_antistar(cx, 20, r=2, check=False)
+    assert record.predicted == ((1, 2), (2, -4)) and out == stacked_sphere(4, 7)
+    with pytest.raises(PreconditionError, match="does not have ball homology"):
+        inverse_stellar(cx, 20, r=2)
+
+
+MOVES_AT_A_VERTEX = {
+    "antistar": lambda cx, v: cx.antistar(v),
+    "inverse_stellar": inverse_stellar,
+    "swartz_operation": lambda cx, v: swartz_operation(cx, v, (4, 5, 6)),
+    "swartz_all": swartz_all,
+}
+
+
+@pytest.mark.parametrize("move", MOVES_AT_A_VERTEX.values(), ids=MOVES_AT_A_VERTEX)
+def test_a_move_at_an_absent_or_unhashable_vertex_is_refused_by_link(cycle_join, move):
+    # the presence rule of link: an unhashable vertex raised TypeError before
+    with pytest.raises(FaceNotPresentError, match=r"^face \(99,\) is not in the complex$"):
+        move(cycle_join, 99)
+    with pytest.raises(MalformedInputError, match="iterable of labels, got"):
+        move(cycle_join, [0])
+
+
+def test_ball_deltas_match_the_closure_bookkeeping():
+    # the package reads the least interior dimension off _ball_checked; the
+    # oracle takes it off labelled closures.  A non-ball is also counted in
+    # hosts one and two dimensions up, and the impure completions at d = 4, 6
+    # are triangles, where d - stackedness and the least interior dimension
+    # part (the cap (d + 1) / 2 hides it at d = 4 only)
+    cases = [(cx.dim, ball, 1) for cx in crtr_inputs() for _, ball in verify._central_balls(cx)]
+    cases += [(cx.dim, inverse_stellar(cx, v)[1].ball_used, -1) for cx, v in lemma_3_6_cases()]
+    cases += [
+        (ball.dim + up, ball, 1)
+        for cx in NON_BALL_HOSTS for ball in _non_balls(cx) for up in (0, 1, 2)
+    ]
+    for d in (4, 6):
+        cx = _beside_a_stacked_2_sphere(stacked_sphere(d + 1, d + 4))
+        cases.append((d, inverse_stellar(cx, 20, check=False)[1].ball_used, -1))
+    assert len(cases) > 200
+    for d, ball, sign in cases:
+        boundary, _, m = homology._ball_checked(ball, "rational", False)
+        _, expected_boundary, interior = oracle.ball_analysis_by_sweep(ball, check=False)
+        assert boundary == expected_boundary
+        assert retriangulate._ball_deltas(d, boundary, m, sign) == oracle.ball_deltas(
+            d, boundary, interior, sign
+        )
 
 
 def test_swartz_with_double_shortcut(cycle_join):
@@ -464,7 +543,7 @@ def test_central_output_matches_the_closure_formula_without_check(cx):
         # a non-ball's interior is what lies off its boundary's closure: the
         # faces whose links the ball analysis finds nontrivial can be more
         boundary = homology.ball_boundary(ball, check=False)
-        deltas = retriangulate._ball_deltas(cx.dim, boundary, ball.faces() - boundary.faces(), 1)
+        deltas = oracle.ball_deltas(cx.dim, boundary, ball.faces() - boundary.faces(), 1)
         assert record.predicted == tuple((i, record.g_before[i] + dx) for i, dx in deltas)
 
 

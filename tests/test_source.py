@@ -296,17 +296,23 @@ def test_every_derived_complex_is_built_from_masks():
 
 def test_one_presence_rule_serves_membership_links_and_stars():
     # a face is present when some facet contains it: __contains__, the star
-    # facets of link and star, and the facet tests of stack_over_facet and
-    # connected_sum read _through, which reads _link on the facet masks; none
-    # of them reads a closure or a labelled facet
+    # facets of link, star and antistar, the facet tests of stack_over_facet
+    # and connected_sum, and the missing facet that a Swartz move splits a link
+    # along read _through, which reads _link on the facet masks; none of them
+    # reads a closure or a labelled facet
     assert sorted(_uses("_through")) == [
         ("complexes.py", "__contains__"),
         ("complexes.py", "_star_facets"),
         ("complexes.py", "connected_sum"),
         ("complexes.py", "connected_sum"),
         ("complexes.py", "stack_over_facet"),
+        ("retriangulate.py", "_split_link_along"),
     ]
-    assert sorted(_uses("_star_facets")) == [("complexes.py", "link"), ("complexes.py", "star")]
+    assert sorted(_uses("_star_facets")) == [
+        ("complexes.py", "antistar"),
+        ("complexes.py", "link"),
+        ("complexes.py", "star"),
+    ]
     closure = ("_mask_closure", "_closure", "_closure_masks", "faces", "faces_of_dim")
     labelled = ("facets", "_facets", "_labelled")
     readers = [
@@ -320,6 +326,38 @@ def test_one_presence_rule_serves_membership_links_and_stars():
     ]
     assert readers == []
 
+
+
+def test_retriangulations_leave_vertex_presence_to_link():
+    # a move at v reads cx.link([v]) first, whose presence rule refuses an
+    # absent or unhashable v: retriangulate.py tests no label against a
+    # vertex set with in or not in
+    tests = [
+        ast.unparse(node)
+        for module, _, node in _nodes()
+        if module == "retriangulate.py" and isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        and any(_named(right, "vertices") for right in node.comparators)
+    ]
+    assert tests == []
+
+
+def test_one_expression_reads_a_balls_least_stackedness():
+    # the least dimension of an interior face: homology._ball_checked computes
+    # it once per call; is_r_stacked_ball and the inverse stellar check take
+    # the ball's dimension less it, the g-bookkeeping of both moves takes it
+    differences = [
+        node.right
+        for _, _, node in _nodes()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+    ]
+    readers = [
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Call) and _named(node.func, "min")
+        and (node in differences or any(_named(n, "interior") for n in ast.walk(node)))
+    ]
+    assert readers == [("homology.py", "_ball_checked")]
 
 
 def test_fresh_labels_and_vertex_changes_are_read_off_the_complexes():
