@@ -98,9 +98,10 @@ def _bits(mask):
 
 
 def _tuple_order(masks) -> list:
-    """Face bitmasks of one size in vertex-tuple order: the lesser tuple holds
-    the lowest differing vertex, so its bits read lowest first are greater."""
-    return sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
+    """Face bitmasks of any sizes in vertex-tuple order, a prefix first: the
+    lesser tuple holds the lowest differing vertex or ends first, so its bits
+    read lowest first, closed by a "2" above both digits, are greater."""
+    return sorted(masks, key=lambda m: (bin(m)[:1:-1] if m else "") + "2", reverse=True)
 
 
 def _labelled(labels, mask) -> frozenset:
@@ -217,7 +218,8 @@ class SimplicialComplex:
         return self._masks == other._masks
 
     def __hash__(self):
-        return hash(self.facets)
+        bit, masks = self._masks
+        return hash((tuple(bit), masks))
 
     def __repr__(self):
         bit, masks = self._masks

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Every rank, over Q or GF(p), is one column reduction of ``{row: entry}``
-columns (:func:`rank_sparse`); dense matrices, lists of rows of Python ints,
+columns (:func:`_reduce`); dense matrices, lists of rows of Python ints,
 are handed to it as columns.  Fraction-free (Bareiss) elimination to echelon
 form and back-substitution compute the nullspaces, and :func:`_canonical`
 puts a space given by any basis in the canonical form they return.  No
@@ -102,13 +102,9 @@ def rank_rational(rows) -> int:
 
 
 def rank_mod(rows, p: int) -> int:
-    """Rank over GF(p) of dense integer rows: :func:`rank_sparse` on the columns."""
-    return rank_sparse([{i: x for i, x in enumerate(col) if x} for col in zip(*rows)], p)
-
-
-def rank_sparse(columns, field="rational") -> int:
-    """Rank over a validated field of ``{row: nonzero int}`` columns (not modified)."""
-    return _reduce(columns, validate_field(field))[0]
+    """Rank over GF(p) of dense integer rows: :func:`_reduce` on the columns."""
+    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*rows)]
+    return _reduce(columns, validate_field(p))[0]
 
 
 def _reduce(columns, field, limit=None):

@@ -124,15 +124,10 @@ def _g_direct(f: FVector, j: int) -> int:
 def g_vector(cx: SimplicialComplex) -> GVector:
     """g_0..g_{floor(d/2)}; the h-difference and binomial routes must agree."""
     f = f_vector(cx)
-    h = h_from_f(f)
-    d = f.d
-    entries = []
-    for i in range(d // 2 + 1):
-        gi = h[i] - h[i - 1] if i >= 1 else 1
-        if gi != _g_direct(f, i):
-            raise InternalCheckError("g-vector routes disagree")
-        entries.append(gi)
-    return GVector(tuple(entries), d=d, impure=f.impure)
+    entries = _extended_g(f)[: f.d // 2 + 1]
+    if any(gi != _g_direct(f, i) for i, gi in enumerate(entries)):
+        raise InternalCheckError("g-vector routes disagree")
+    return GVector(entries, d=f.d, impure=f.impure)
 
 
 def extended_g(cx: SimplicialComplex) -> tuple:
@@ -143,6 +138,11 @@ def extended_g(cx: SimplicialComplex) -> tuple:
 def _extended_g(f: FVector) -> tuple:
     h = h_from_f(f)
     return (1,) + tuple(h[j] - h[j - 1] for j in range(1, h.d + 1))
+
+
+def _h_difference(eg: tuple, i: int) -> int:
+    """Entry i >= 0 of the h-differences ``eg`` (:func:`_extended_g`), 0 past the last."""
+    return eg[i] if i < len(eg) else 0
 
 
 def g1(cx: SimplicialComplex) -> int:
@@ -159,8 +159,7 @@ def _g2(f0: int, f1: int, d: int) -> int:
 
 
 def g3(cx: SimplicialComplex) -> int:
-    eg = extended_g(cx)
-    return eg[3] if len(eg) > 3 else 0
+    return _h_difference(extended_g(cx), 3)
 
 
 def reduced_euler(cx: SimplicialComplex) -> int:
@@ -177,14 +176,12 @@ def link_g_sum(cx: SimplicialComplex, k: int) -> tuple:
     """
     if k < 0:
         raise PreconditionError(f"link-sum index must be >= 0, got {k}")
-
-    def g(f: FVector, i: int) -> int:  # the i-th h-difference, 0 past the last
-        eg = _extended_g(f)
-        return eg[i] if i < len(eg) else 0
-
+    lhs = sum(
+        _h_difference(_extended_g(FVector(entries)), k) for entries in _link_f_vectors(cx).values()
+    )
     f = f_vector(cx)
-    lhs = sum(g(FVector(entries), k) for entries in _link_f_vectors(cx).values())
-    return lhs, (k + 1) * g(f, k + 1) + (f.d + 1 - k) * g(f, k)
+    eg = _extended_g(f)
+    return lhs, (k + 1) * _h_difference(eg, k + 1) + (f.d + 1 - k) * _h_difference(eg, k)
 
 
 def macaulay_pseudopower(a: int, i: int) -> int:

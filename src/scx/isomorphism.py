@@ -1,11 +1,12 @@
 """Combinatorial isomorphism of small complexes by pruned backtracking.
 
-Vertices are first partitioned by cheap invariants (degree, link face
-counts, neighbour classes); the search then extends an injection vertex by
-vertex.  Each placed vertex must keep adjacency and non-adjacency to those
-placed before it, and each facet of the first complex, once its last vertex
-is placed, must land on a facet of the second.  Past ``ISOMORPHISM_GUARD``
-candidate images tried, the search raises instead of running away.
+Vertices are first partitioned by cheap invariants (link face counts,
+neighbour classes), whose multisets alone refuse complexes with different
+f-vectors; the search then extends an injection vertex by vertex.  Each
+placed vertex must keep adjacency and non-adjacency to those placed before
+it, and each facet of the first complex, once its last vertex is placed,
+must land on a facet of the second.  Past ``ISOMORPHISM_GUARD`` candidate
+images tried, the search raises instead of running away.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, _bits, _neighbourhoods
 from .errors import TooLargeError
-from .facevectors import _link_f_vectors, f_vector
+from .facevectors import _link_f_vectors
 
 #: Search nodes, one per candidate image tried, that one call may visit: 9x the most
 #: in the tests (175,119; 1,673 on the classify-distinct stream, 49 in ``run_all()``).
@@ -30,11 +31,12 @@ class IsoCertificate:
 
 
 def _vertex_classes(cx: SimplicialComplex) -> dict:
-    """Vertex -> (degree and link f-vector, sorted neighbour classes), read
-    off the vertices' :func:`_neighbourhoods` by bit."""
+    """Vertex -> (link f-vector, its f_0 the degree; sorted neighbour classes),
+    read off the vertices' :func:`_neighbourhoods` by bit.  Summed over the
+    vertices, entry j counts j f_{j-1}: equal class multisets, equal f-vectors."""
     bit, masks = cx._masks
     near, link_f = _neighbourhoods(masks), _link_f_vectors(cx)
-    base = {b: (near[b].bit_count() - 1, link_f[v]) for v, b in bit.items()}
+    base = {b: link_f[v] for v, b in bit.items()}
     # one refinement round: append the sorted multiset of neighbour classes
     return {v: (base[b], tuple(sorted(map(base.get, _bits(near[b] ^ b))))) for v, b in bit.items()}
 
@@ -42,13 +44,11 @@ def _vertex_classes(cx: SimplicialComplex) -> dict:
 def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertificate:
     """Search for a vertex bijection sending facets to facets."""
     none = IsoCertificate(None)
-    if f_vector(cx1).entries != f_vector(cx2).entries:
+    cls1, cls2 = _vertex_classes(cx1), _vertex_classes(cx2)
+    if sorted(cls1.values()) != sorted(cls2.values()):  # the f-vectors differ, among others
         return none
     if not cx1.vertices:
         return IsoCertificate({})
-    cls1, cls2 = _vertex_classes(cx1), _vertex_classes(cx2)
-    if sorted(cls1.values()) != sorted(cls2.values()):
-        return none
     adj1 = cx1.adjacency()
     candidates = {
         v: sorted(u for u in cx2.vertices if cls2[u] == cls1[v])

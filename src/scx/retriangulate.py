@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
-    SimplicialComplex, _bits, _components, _masks_in, _replaced, is_simplex_boundary
+    SimplicialComplex, _bits, _components, _masks_in, _replaced, _tuple_order, is_simplex_boundary
 )
 from .errors import PreconditionError
-from .facevectors import extended_g, g_vector
+from .facevectors import _h_difference, extended_g, g_vector
 from .homology import (
     PredicateResult,
     _ball_checked,
@@ -71,10 +71,7 @@ def _ball_deltas(d: int, sphere: SimplicialComplex, m: int, sign: int) -> tuple:
     interior dimension (:func:`_ball_checked`): adding (sign 1) or removing
     (sign -1) a cone over the sphere, as in Lemmas 3.3 and 3.6."""
     eg = extended_g(sphere)
-    return tuple(
-        (i, sign * (eg[i - 1] if i - 1 < len(eg) else 0))
-        for i in range(1, min((d + 1) // 2, m) + 1)
-    )
+    return tuple((i, sign * _h_difference(eg, i - 1)) for i in range(1, min((d + 1) // 2, m) + 1))
 
 
 def central_retriangulation(
@@ -151,7 +148,7 @@ def crtr_missing_faces_check(cx: SimplicialComplex, tau) -> PredicateResult:
 def _detect_stack_level(link: SimplicialComplex, d: int) -> int:
     eg = extended_g(link)
     for r in range(2, (d + 1) // 2 + 1):
-        if eg[r] == 0:
+        if _h_difference(eg, r) == 0:
             return r
     raise PreconditionError(
         "link has no admissible stackedness level (its g-vector never vanishes)"
@@ -165,16 +162,18 @@ def inverse_stellar(
     link: the faces whose (r-1)-skeleton lies in the link.
 
     ``link`` refuses an absent or unhashable v.  With ``check`` the link must
-    be a homology sphere, and its completion (the vertex sets whose
-    (r-1)-skeleton lies in the link) a homology ball whose boundary is the
-    link and whose least stackedness (:func:`_ball_checked`) is at most
-    r - 1.  With or without ``check``, no interior face of the completion may
-    be present already.  r is auto-detected as the least level at which the
-    link's g-vector vanishes when omitted.
+    be a homology sphere of dimension dim - 1, and its completion (the
+    vertex sets whose (r-1)-skeleton lies in the link) a homology ball whose
+    boundary is the link and whose least stackedness (:func:`_ball_checked`)
+    is at most r - 1.  With or without ``check``, no interior face of the
+    completion may be present already.  r is auto-detected as the least
+    level at which the link's g-vector vanishes when omitted.
     """
     link = cx.link([v])
     d = cx.dim
     if check:
+        if link.dim != d - 1:
+            raise PreconditionError(f"link of {v} has dimension {link.dim}, not {d - 1}")
         _require_sphere_link(link, v, field)
     if r is None:
         r = _detect_stack_level(link, d)
@@ -205,10 +204,11 @@ def _split_link_along(link: SimplicialComplex, tau):
     Components are taken in the facet-adjacency graph of the link with
     adjacencies through ridges inside tau removed, ordered by their
     lexicographically smallest facet: the :func:`_components` of one bit
-    per facet mask, in that order, and one mask per ridge outside tau.
+    per facet mask, in vertex-tuple order (:func:`_tuple_order`), and one
+    mask per ridge outside tau.
     """
     bit, masks = link._masks
-    facets = sorted(masks, key=lambda m: [*map(int.bit_length, _bits(m))])
+    facets = _tuple_order(masks)
     tm = link._through(tau)[1]
     through = {}  # ridge outside tau -> the bits of the facets containing it
     for idx, m in enumerate(facets):
@@ -267,8 +267,8 @@ def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check
     of its link, and close the two resulting spheres: each is coned from a
     fresh vertex unless it bounds a missing facet, which is then filled in."""
     link = cx.link([v])
-    t = frozenset(tau)
-    if t in cx or not t <= cx.vertices:
+    t, _, present = cx._through(tau)
+    if present or not t <= cx.vertices:
         raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
     if check:
         _require_swartz_input(cx, link, v, field)

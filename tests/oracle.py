@@ -3,7 +3,9 @@
 Everything here recomputes invariants from raw facet lists or dense matrices
 with the most naive method available (powerset closures, GF(2) and GF(p)
 Gaussian elimination), on purpose sharing no code with the package internals
-it checks.  The exceptions are :func:`matrix_rank` over Q and
+it checks.  The exceptions are :func:`rank_sparse`, the rank of sparse
+columns by the package's column reduction ``exact._reduce``, which the
+tests compare the other eliminations with, :func:`matrix_rank` over Q and
 :func:`left_nullspace`, dense views of the package's fraction-free elimination
 that the tests compare the sparse column reduction and the stress bases with,
 :func:`bareiss`, the package's fraction-free elimination as first written,
@@ -54,7 +56,7 @@ from math import comb, gcd
 
 from scx.complexes import SimplicialComplex, from_faces, is_simplex_boundary
 from scx.errors import PreconditionError
-from scx.exact import rank_rational, right_nullspace, validate_field
+from scx.exact import _reduce, rank_rational, right_nullspace, validate_field
 from scx.homology import (
     PredicateResult,
     _ball_checked,
@@ -303,6 +305,11 @@ def unit_pivot(columns, field):
     rows = sorted({r for col in stuck for r in col})
     rest = rank_rational([[col.get(r, 0) for col in stuck] for r in rows]) if rows else 0
     return len(pivoted) + rest, pivoted
+
+
+def rank_sparse(columns, field="rational"):
+    """Rank over a validated field of ``{row: nonzero int}`` columns (not modified)."""
+    return _reduce(columns, validate_field(field))[0]
 
 
 def rank_gfp(rows, p):
@@ -613,6 +620,8 @@ def inverse_stellar_by_antistar(cx, v, r=None, field="rational", check=True):
         raise PreconditionError(f"vertex {v} is not in the complex")
     link = cx.link([v])
     d = cx.dim
+    if check and link.dim != d - 1:
+        raise PreconditionError(f"link of {v} has dimension {link.dim}, not {d - 1}")
     if check:
         _require_sphere_link(link, v, field)
     if r is None:

@@ -288,6 +288,17 @@ def test_sdinv_refuses_a_fill_that_is_not_r_minus_1_stacked_exits_3(tmp_path):
     assert "2-stacked, not 1-stacked" in result.output and "Traceback" not in result.output
 
 
+def test_sdinv_refuses_a_link_of_lower_dimension_exits_3(tmp_path):
+    # an impure input: a stacked 4-sphere beside a stacked 2-sphere on 20..25
+    path = tmp_path / "impure.scx"
+    beside = [{v + 20 for v in f} for f in stacked_sphere(3, 6).facets]
+    write_scx(from_facets([*stacked_sphere(5, 8).facets, *beside]), path)
+    result = invoke("op", "sdinv", str(path), "--vertex", "20")
+    assert result.exit_code == 3
+    assert "link of 20 has dimension 1, not 3" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("move", [("sdinv",), ("swartz", "--all")], ids=["sdinv", "swartz-all"])
 def test_a_move_at_an_absent_vertex_exits_3(tmp_path, move):
     result = invoke("op", move[0], write_bd4(tmp_path), "--vertex", "99", *move[1:])
@@ -441,11 +452,10 @@ def _reached(*args, **kwargs):
 
 @pytest.fixture
 def no_bareiss(monkeypatch):
-    """Make Bareiss and the sparse rank raise if reached, so a test sees a
-    stress guard or shortcut fire after the rank mod p (``exact._reduce``)
-    but before any other elimination, without reading a clock."""
+    """Make Bareiss raise if reached, so a test sees a stress guard or
+    shortcut fire after the rank mod p (``exact._reduce``) but before any
+    other elimination, without reading a clock."""
     monkeypatch.setattr(exact, "_bareiss", _reached)
-    monkeypatch.setattr(exact, "rank_sparse", _reached)
 
 
 @pytest.fixture

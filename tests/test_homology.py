@@ -39,10 +39,10 @@ from scx import (
 )
 import scx
 from scx import exact, homology, verify
-from scx.exact import rank_sparse
 from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_masks
 
 import oracle
+from oracle import rank_sparse
 from conftest import clear_memos
 from test_retriangulate import NON_BALL_HOSTS, _non_balls
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,6 +24,8 @@ from scx import (
     suspension,
 )
 from scx.isomorphism import _vertex_classes
+
+from conftest import CENSUS
 
 
 def relabel(cx, mapping):
@@ -105,6 +107,26 @@ def equal_invariant_pairs(complexes):
         key = (f_vector(cx).entries, tuple(sorted(_vertex_classes(cx).values())))
         buckets.setdefault(key, []).append(i)
     return [pair for bucket in buckets.values() for pair in combinations(bucket, 2)]
+
+
+def test_class_multisets_refuse_every_pair_with_different_f_vectors(census):
+    # summed over the vertices, the faces with j vertices through a vertex
+    # count j f_{j-1}, so are_isomorphic needs no f-vector test of its own
+    catalog = [entry.complex for entry in standard_catalog(dmax=7, f0max=16)]
+    for complexes in (census, catalog):
+        keys = [(f_vector(cx).entries, sorted(_vertex_classes(cx).values())) for cx in complexes]
+        refused = [c1 != c2 for (f1, c1), (f2, c2) in product(keys, repeat=2) if f1 != f2]
+        assert refused and all(refused)
+
+
+@pytest.mark.slow
+def test_make_census_regenerates_the_census_byte_for_byte(capsys):
+    # the census that the fixture reads comes from this search, which reads
+    # _vertex_classes to bucket the spheres it has found
+    import make_census
+
+    make_census.main()
+    assert capsys.readouterr().out.encode() == CENSUS.read_bytes()
 
 
 def test_census_spheres_find_their_relabelled_copies(census):

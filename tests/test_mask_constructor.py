@@ -33,6 +33,15 @@ from scx import (
 from scx.homology import _ball_analysis
 
 
+def test_hash_reads_the_masks_and_labels_no_facet():
+    # == compares the masks, and hash hashes what == compares
+    cx = join(cycle(4), simplex_boundary(2)).link([0])
+    assert cx._facets is None
+    hash(cx)
+    assert cx._facets is None
+    assert hash(cx) == hash(SimplicialComplex(cx.facets))
+
+
 @pytest.fixture(scope="module")
 def inputs():
     """The dmax=7 catalog, its vertex links and its face stars."""

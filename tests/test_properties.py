@@ -1,6 +1,6 @@
 """Property-based checks of the library's structural invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scx import (
     SimplicialComplex,
@@ -18,7 +18,7 @@ from scx import (
     macaulay_pseudopower,
     reduced_euler,
 )
-from scx.complexes import _maximal
+from scx.complexes import _maximal, _tuple_order
 from scx.facevectors import _link_f_vectors
 from scx.fileio import read_scx_text, write_scx_text
 from scx.isomorphism import _vertex_classes
@@ -145,13 +145,25 @@ def test_macaulay_pseudopower_monotone(a, i):
 
 @given(facet_lists)
 def test_vertex_classes_count_link_faces(facets):
+    # a vertex's degree is f_0 of its link, so its class holds no degree
     cx = from_facets(facets)
     adj = cx.adjacency()
-    lk_f = {v: f_vector(cx.link([v])).entries for v in cx.vertices}
+    lk = {v: f_vector(cx.link([v])) for v in cx.vertices}
+    assert all(lk[v][0] == len(adj[v]) for v in cx.vertices)
+    lk_f = {v: f.entries for v, f in lk.items()}
     assert _link_f_vectors(cx) == lk_f
-    base = {v: (len(adj[v]), lk_f[v]) for v in cx.vertices}
-    expected = {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices}
+    expected = {v: (lk_f[v], tuple(sorted(lk_f[u] for u in adj[v]))) for v in cx.vertices}
     assert _vertex_classes(cx) == expected
+
+
+@example([0, 1, 3, 2, 6, 7, 5])
+@given(st.lists(st.integers(min_value=0, max_value=2**12 - 1), unique=True))
+def test_tuple_order_sorts_masks_of_any_sizes_by_their_label_tuples(masks):
+    # the empty mask and masks of mixed sizes: a tuple precedes its extensions
+    def labels(m):
+        return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+    assert _tuple_order(masks) == sorted(masks, key=labels)
 
 
 @given(facet_lists)

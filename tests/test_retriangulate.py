@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 
 from scx import (
@@ -13,6 +11,7 @@ from scx import (
     cross_polytope_boundary,
     crtr_missing_faces_check,
     cycle,
+    extended_g,
     f_vector,
     from_faces,
     from_facets,
@@ -223,25 +222,46 @@ def test_inverse_stellar_reads_the_completions_own_stackedness(d):
     # at a vertex of degree 3 of the 2-sphere the completion is a triangle,
     # 0-stacked as a ball of its own dimension (against the complex's
     # dimension d it would read as (d - 2)-stacked); the g-bookkeeping
-    # counts up to the triangle's dimension 2, below (d + 1) / 2 at d = 6
+    # counts up to the triangle's dimension 2, below (d + 1) / 2 at d = 6.
+    # Checked, the move and its reference refuse such a vertex: its link has
+    # dimension 1, not d - 1, and Lemma 3.6's bookkeeping needs a pure complex
     cx = _beside_a_stacked_2_sphere(stacked_sphere(d + 1, d + 4))
     assert cx.dim == d
-    for v, check in product((20, 25), (True, False)):
-        out, record = inverse_stellar(cx, v, check=check)
-        assert (out, record) == oracle.inverse_stellar_by_antistar(cx, v, check=check)
+    for v in (20, 25):
+        out, record = inverse_stellar(cx, v, check=False)
+        assert (out, record) == oracle.inverse_stellar_by_antistar(cx, v, check=False)
         assert is_r_stacked_ball(record.ball_used, 0) and record.ball_used.dim == 2
         assert [i for i, _ in record.predicted] == [1, 2]
+        refusal = rf"^link of {v} has dimension 1, not {d - 1}$"
+        with pytest.raises(PreconditionError, match=refusal):
+            inverse_stellar(cx, v)
+        with pytest.raises(PreconditionError, match=refusal):
+            oracle.inverse_stellar_by_antistar(cx, v)
+
+
+def test_stack_level_detection_reads_0_past_a_short_links_last_g():
+    # unchecked, at a degree-4 vertex of the 2-sphere beside a stacked
+    # 5-sphere: the 4-cycle link has h-differences (1, 1, -1), so g_3 reads
+    # 0 and r = 3; the move then refuses as its reference does (IndexError
+    # before)
+    cx = _beside_a_stacked_2_sphere(stacked_sphere(6, 9))
+    link = cx.link([21])
+    assert extended_g(link) == (1, 1, -1)
+    assert retriangulate._detect_stack_level(link, cx.dim) == 3
+    for move in (inverse_stellar, oracle.inverse_stellar_by_antistar):
+        with pytest.raises(PreconditionError, match="of the completion is already present"):
+            move(cx, 21, check=False)
 
 
 def test_inverse_stellar_at_an_isolated_vertex_counts_up_to_d_unchecked():
     # the completion of the link {()} has no interior face: unchecked, the
     # g-bookkeeping counts up to (d + 1) / 2, as the reference's does;
-    # checked, the completion is no ball
+    # checked, the link of dimension -1 is refused before its completion
     cx = from_facets([*stacked_sphere(4, 7).facets, (20,)])
     out, record = inverse_stellar(cx, 20, r=2, check=False)
     assert (out, record) == oracle.inverse_stellar_by_antistar(cx, 20, r=2, check=False)
     assert record.predicted == ((1, 2), (2, -4)) and out == stacked_sphere(4, 7)
-    with pytest.raises(PreconditionError, match="does not have ball homology"):
+    with pytest.raises(PreconditionError, match="link of 20 has dimension -1, not 2"):
         inverse_stellar(cx, 20, r=2)
 
 
@@ -310,6 +330,14 @@ def test_swartz_rejects_a_tau_off_the_vertices():
         swartz_operation(cycle(5), 0, (9,), check=False)
     with pytest.raises(PreconditionError, match="must be a missing face"):
         oracle.swartz_operation_by_antistar(cycle(5), 0, (9,), check=False)
+
+
+@pytest.mark.parametrize("tau", [5, [[4], 5]], ids=["not-iterable", "unhashable-label"])
+def test_swartz_refuses_a_tau_that_is_no_face_by_the_presence_rule(cycle_join, tau):
+    # tau is read through _through, as in and link read a face: it raised
+    # TypeError from frozenset(tau) before
+    with pytest.raises(MalformedInputError, match="iterable of labels, got"):
+        swartz_operation(cycle_join, 0, tau)
 
 
 def test_swartz_refuses_any_tau_at_an_isolated_vertex():

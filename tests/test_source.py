@@ -69,7 +69,7 @@ def test_only_rigidity_sampling_limits_a_reduction():
         if isinstance(node, ast.Call) and _named(node.func, "_reduce")
     ]
     assert sorted((module, where) for module, where, _ in calls) == [
-        ("exact.py", "rank_sparse"),
+        ("exact.py", "rank_mod"),
         ("homology.py", "_betti"),
         ("rigidity.py", "_samples"),
     ]
@@ -80,6 +80,32 @@ def test_only_rigidity_sampling_limits_a_reduction():
     ]
     assert limited == [("rigidity.py", "_samples")]
     assert sorted(set(_uses("_reduce"))) == sorted((module, where) for module, where, _ in calls)
+
+
+def test_the_sparse_rank_reference_lives_in_the_oracle():
+    # no package code ranked sparse columns through rank_sparse: it is a test
+    # reference in tests/oracle.py, and rank_mod hands its columns to _reduce
+    defined = [
+        (module, node.name)
+        for module, _, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "rank_sparse"
+    ]
+    assert defined == []
+    assert _uses("rank_sparse") == []
+
+
+def test_one_mask_order_reads_vertex_tuples():
+    # complexes._tuple_order is the one sort of face masks in vertex-tuple
+    # order: no key= lambda in the package reads a mask's bits or bit lengths
+    keys = [
+        (module, where, ast.unparse(k.value))
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Call)
+        for k in node.keywords
+        if k.arg == "key" and isinstance(k.value, ast.Lambda)
+        and any(_named(n, "_bits") or _named(n, "bit_length") for n in ast.walk(k.value))
+    ]
+    assert keys == []
 
 
 def test_one_component_routine_answers_every_connectivity_question():
@@ -297,8 +323,8 @@ def test_every_derived_complex_is_built_from_masks():
 def test_one_presence_rule_serves_membership_links_and_stars():
     # a face is present when some facet contains it: __contains__, the star
     # facets of link, star and antistar, the facet tests of stack_over_facet
-    # and connected_sum, and the missing facet that a Swartz move splits a link
-    # along read _through, which reads _link on the facet masks; none of them
+    # and connected_sum, and the missing face tau of a Swartz move, which it
+    # splits a link along, read _through, which reads _link on the facet masks; none of them
     # reads a closure or a labelled facet
     assert sorted(_uses("_through")) == [
         ("complexes.py", "__contains__"),
@@ -307,6 +333,7 @@ def test_one_presence_rule_serves_membership_links_and_stars():
         ("complexes.py", "connected_sum"),
         ("complexes.py", "stack_over_facet"),
         ("retriangulate.py", "_split_link_along"),
+        ("retriangulate.py", "swartz_operation"),
     ]
     assert sorted(_uses("_star_facets")) == [
         ("complexes.py", "antistar"),
