@@ -293,6 +293,7 @@ _GENERATORS = {
     "cycle": (generators.cycle, 1),
     "stacked-sphere": (generators.stacked_sphere, 2),
     "cross-polytope": (generators.cross_polytope_boundary, 1),
+    "barnette": (lambda: generators.barnette_sphere().complex, 0),
 }
 
 
@@ -312,9 +313,7 @@ def gen(name, params, output):
     """Generate a named complex (simplex-boundary D | cycle N |
     stacked-sphere D N | cross-polytope D | g2one D VARIANT PARAM |
     g2two D KIND [PARAM] | barnette)."""
-    if name == "barnette":
-        cx = generators.barnette_sphere().complex
-    elif name == "g2one":
+    if name == "g2one":
         if len(params) != 3:
             raise PreconditionError("g2one needs D VARIANT PARAM with VARIANT 1=join 2=cycle")
         variant = _numbered("VARIANT", ("join", "cycle"), params[1])
@@ -335,7 +334,7 @@ def gen(name, params, output):
         cx = fn(*params)
     else:
         raise PreconditionError(
-            f"unknown generator {name!r}; known: {', '.join(_GENERATORS)}, g2one, g2two, barnette"
+            f"unknown generator {name!r}; known: {', '.join(_GENERATORS)}, g2one, g2two"
         )
     _write_or_print(cx, output)
 

@@ -11,9 +11,10 @@ retriangulations) replaces facet masks through :func:`_replaced`.
 ``facets`` labels the masks on first read.  ``in``, ``link`` and ``star``
 share one presence and link rule, :func:`_link`.  The closure, every
 submask of a facet mask (:func:`_closure_masks`, which the Betti numbers
-share), is built lazily, at most once: the face counts, ``missing_faces``,
-``edges``, ``skeleton`` and the link sweeps of :mod:`scx.homology` read it,
-and ``faces`` and ``faces_of_dim`` label it on each call.  The rest read the
+share), is built lazily, at most once; its groups by size are read through
+:meth:`SimplicialComplex._group`, empty outside -1..dim, by the face counts,
+``missing_faces``, ``edges``, ``skeleton``, ``faces_of_dim`` and the link
+sweeps of :mod:`scx.homology`, and ``faces`` labels its members.  The rest read the
 facet masks: one routine finds their components (:func:`_components`) and
 one the vertex neighbourhoods (:func:`_neighbourhoods`).  Complexes are
 immutable values: every operation returns a new complex, so concurrent reads
@@ -235,12 +236,10 @@ class SimplicialComplex:
         return frozenset(_labelled(labels, m) for m in self._mask_closure()[1])
 
     def faces_of_dim(self, k: int) -> tuple:
-        """All k-dimensional faces in vertex-tuple order, the closure's faces
-        with k + 1 vertices labelled; () outside -1..dim."""
-        by_size = self._mask_closure()[0]
-        group = by_size[k + 1] if 0 <= k + 1 < len(by_size) else []
+        """All k-dimensional faces in vertex-tuple order: :meth:`_group` ``k``
+        labelled, so () outside -1..dim."""
         labels = list(self._masks[0])
-        return tuple(_labelled(labels, m) for m in _tuple_order(group))
+        return tuple(_labelled(labels, m) for m in _tuple_order(self._group(k)))
 
     def _mask_closure(self) -> tuple:
         """(by_size, members) of the closure of the facet masks
@@ -249,10 +248,19 @@ class SimplicialComplex:
             self._closure = _closure_masks(self._masks[1])
         return self._closure
 
+    def _group(self, k: int) -> list:
+        """The closure's k-face masks in increasing order, or [] outside
+        -1..dim, with no closure built: the one reader of its groups.  A k that
+        is not an integer is refused (``MalformedInputError``) from the
+        ``TypeError`` it raises, so the hot path tests only the range."""
+        try:
+            return self._mask_closure()[0][k + 1] if -1 <= k <= self._dim else []
+        except TypeError:
+            raise MalformedInputError(f"face dimension must be an integer, got {k!r}") from None
+
     def n_faces(self, k: int) -> int:
-        """f_k, counted on the bitmask closure; 0 outside -1..dim."""
-        by_size = self._mask_closure()[0]
-        return len(by_size[k + 1]) if 0 <= k + 1 < len(by_size) else 0
+        """f_k, the length of :meth:`_group` ``k``; 0 outside -1..dim."""
+        return len(self._group(k))
 
     def __contains__(self, face) -> bool:
         """Whether ``face`` is a face, by the presence rule of :meth:`_through`."""
@@ -277,13 +285,9 @@ class SimplicialComplex:
 
     def edges(self) -> tuple:
         """The edges as sorted vertex pairs, in ``faces_of_dim(1)`` order."""
-        by_size = self._mask_closure()[0]
-        if len(by_size) < 3:
-            return ()
         labels = list(self._masks[0])
-        return tuple(
-            sorted((labels[(m & -m).bit_length() - 1], labels[m.bit_length() - 1]) for m in by_size[2])
-        )
+        ends = (((m & -m).bit_length() - 1, m.bit_length() - 1) for m in self._group(1))
+        return tuple(sorted((labels[a], labels[b]) for a, b in ends))
 
     def is_connected(self) -> bool:
         """One component in the 1-skeleton, from the facet masks alone."""
@@ -333,32 +337,36 @@ class SimplicialComplex:
         return self.restriction(self._masks[0].keys() - {v})
 
     def skeleton(self, i: int) -> "SimplicialComplex":
-        """Subcomplex of faces of dimension at most ``i``."""
+        """Subcomplex of faces of dimension at most ``i``: the facets of
+        dimension at most i and the i-faces (:meth:`_group`, which refuses a
+        non-integer i)."""
+        group = self._group(i)
         if i < -1:
             raise PreconditionError("skeleton dimension must be >= -1")
         if i >= self._dim:
             return self
         low = [m for m in self._masks[1] if m.bit_count() <= i + 1]
-        return self._of_masks(list(self._masks[0]), low + self._mask_closure()[0][i + 1])
+        return self._of_masks(list(self._masks[0]), low + group)
 
     # -- missing faces ------------------------------------------------------
 
     def missing_faces(self, k: int) -> list:
         """Minimal non-faces of dimension k, as sorted vertex tuples.
 
-        Read off the bitmask closure: each candidate is a face with k
-        vertices plus one vertex above all of them, so it is met once, and
-        it is missing when it is no face but every face of its boundary is.
+        Read off the bitmask closure: each candidate is a (k-1)-face
+        (:meth:`_group`) plus one vertex above all of it, so it is met once,
+        and it is missing when it is no face but every face of its boundary is.
         """
+        self._group(k)  # refuses a k that is not an integer
         if k < 0:
             raise PreconditionError("missing-face dimension must be >= 0")
         if k == 0 or k > self._dim + 1:
             return []
-        by_size, members = self._mask_closure()
+        members = self._mask_closure()[1]
         labels = list(self._masks[0])
         top = 1 << len(labels)
         out = []
-        for base in by_size[k]:
+        for base in self._group(k - 1):
             v = 1 << base.bit_length()
             while v < top:
                 cand = base | v

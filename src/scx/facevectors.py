@@ -21,6 +21,13 @@ from .complexes import SimplicialComplex
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 
 
+def _entry(entries: tuple, i: int) -> int:
+    """``entries[i]``, or 0 for an i outside the tuple: the one rule by which
+    the f-, h- and g-vectors, the h-differences and the Betti numbers read
+    past their ends, as g_{i-1}(boundary) does in Lemmas 3.3 and 3.6."""
+    return entries[i] if 0 <= i < len(entries) else 0
+
+
 @dataclass(frozen=True)
 class FVector:
     entries: tuple  # entries[i] = f_{i-1}
@@ -32,10 +39,7 @@ class FVector:
 
     def __getitem__(self, k: int) -> int:
         """f_k, with k from -1 to d-1; zero outside that range."""
-        i = k + 1
-        if 0 <= i < len(self.entries):
-            return self.entries[i]
-        return 0
+        return _entry(self.entries, k + 1)
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,7 @@ class HVector:
         return len(self.entries) - 1
 
     def __getitem__(self, j: int) -> int:
-        if 0 <= j < len(self.entries):
-            return self.entries[j]
-        return 0
+        return _entry(self.entries, j)
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,7 @@ class GVector:
     impure: bool = False
 
     def __getitem__(self, i: int) -> int:
-        if 0 <= i < len(self.entries):
-            return self.entries[i]
-        return 0
+        return _entry(self.entries, i)
 
 
 def f_vector(cx: SimplicialComplex) -> FVector:
@@ -140,11 +140,6 @@ def _extended_g(f: FVector) -> tuple:
     return (1,) + tuple(h[j] - h[j - 1] for j in range(1, h.d + 1))
 
 
-def _h_difference(eg: tuple, i: int) -> int:
-    """Entry i >= 0 of the h-differences ``eg`` (:func:`_extended_g`), 0 past the last."""
-    return eg[i] if i < len(eg) else 0
-
-
 def g1(cx: SimplicialComplex) -> int:
     return cx.n_faces(0) - (cx.dim + 2)
 
@@ -159,7 +154,7 @@ def _g2(f0: int, f1: int, d: int) -> int:
 
 
 def g3(cx: SimplicialComplex) -> int:
-    return _h_difference(extended_g(cx), 3)
+    return _entry(extended_g(cx), 3)
 
 
 def reduced_euler(cx: SimplicialComplex) -> int:
@@ -176,12 +171,10 @@ def link_g_sum(cx: SimplicialComplex, k: int) -> tuple:
     """
     if k < 0:
         raise PreconditionError(f"link-sum index must be >= 0, got {k}")
-    lhs = sum(
-        _h_difference(_extended_g(FVector(entries)), k) for entries in _link_f_vectors(cx).values()
-    )
+    lhs = sum(_entry(_extended_g(FVector(e)), k) for e in _link_f_vectors(cx).values())
     f = f_vector(cx)
     eg = _extended_g(f)
-    return lhs, (k + 1) * _h_difference(eg, k + 1) + (f.d + 1 - k) * _h_difference(eg, k)
+    return lhs, (k + 1) * _entry(eg, k + 1) + (f.d + 1 - k) * _entry(eg, k)
 
 
 def macaulay_pseudopower(a: int, i: int) -> int:

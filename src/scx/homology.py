@@ -56,6 +56,7 @@ from .complexes import (
     _tuple_order,
 )
 from .errors import InternalCheckError, PreconditionError, TooLargeError
+from .facevectors import _entry
 
 
 @dataclass(frozen=True)
@@ -86,19 +87,14 @@ class BettiProfile:
     field: object = "rational"
 
     def b(self, i: int) -> int:
-        j = i + 1
-        if 0 <= j < len(self.entries):
-            return self.entries[j]
-        return 0
+        return _entry(self.entries, i + 1)
 
     def is_trivial(self) -> bool:
         return not any(self.entries)
 
     def is_sphere(self, m: int) -> bool:
-        """Profile of the m-sphere: a single 1 in degree m (m = -1 allowed)."""
-        if m > len(self.entries) - 2:
-            return False
-        return all(x == (1 if i - 1 == m else 0) for i, x in enumerate(self.entries))
+        """Profile of the m-sphere: a single 1 in degree m, -1 <= m <= dim."""
+        return self.b(m) == 1 and sum(self.entries) == 1
 
 
 def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
@@ -118,10 +114,9 @@ def _dense(cx: SimplicialComplex, faces: dict, k: int, columns: list) -> Boundar
 
 def _face_masks(cx: SimplicialComplex, sizes) -> dict:
     """``{j: faces with j vertices}`` as bitmasks over the sorted vertices:
-    the bitmask closure's groups in vertex-tuple order, the order of
-    ``faces_of_dim``, each sorted once; :func:`_dense` labels them."""
-    by_size = cx._mask_closure()[0]
-    return {j: _tuple_order(by_size[j]) if 0 <= j < len(by_size) else [] for j in sizes}
+    the closure's groups (``cx._group(j - 1)``) in vertex-tuple order, the
+    order of ``faces_of_dim``, each sorted once; :func:`_dense` labels them."""
+    return {j: _tuple_order(cx._group(j - 1)) for j in sizes}
 
 
 def _boundary_columns(faces, k: int) -> list:
@@ -433,9 +428,8 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
         ridge = _tuple_order(bad)[0]  # the witness is the least failing ridge
         witness = tuple(sorted(_labelled(labels, ridge)))
         return PredicateResult(False, witness, f"ridge lies in {ridge_count[ridge]} facets")
-    by_size = cx._mask_closure()[0]
-    for j in range(1, n):  # the faces of dimension 0..n-2
-        failing = [fm for fm in by_size[j] if len(_components(_link(masks, fm))) > 1]
+    for k in range(n - 1):  # the faces of dimension 0..n-2
+        failing = [fm for fm in cx._group(k) if len(_components(_link(masks, fm))) > 1]
         if failing:
             witness = tuple(sorted(_labelled(labels, _tuple_order(failing)[0])))
             return PredicateResult(False, witness, "face link is not connected")
@@ -454,9 +448,8 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
     bit, masks = cx._masks
-    by_size, members = cx._mask_closure()
+    level, members = set(cx._group(i)), cx._mask_closure()[1]
     neighbours = _neighbourhoods(masks)  # vertex bit -> its closed neighbourhood
-    level = set(by_size[i + 1]) if i + 1 < len(by_size) else set()
     accepted = []
     tested = 0
     while level:

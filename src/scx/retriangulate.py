@@ -23,7 +23,7 @@ from .complexes import (
     SimplicialComplex, _bits, _components, _masks_in, _replaced, _tuple_order, is_simplex_boundary
 )
 from .errors import PreconditionError
-from .facevectors import _h_difference, extended_g, g_vector
+from .facevectors import _entry, extended_g, g_vector
 from .homology import (
     PredicateResult,
     _ball_checked,
@@ -46,8 +46,7 @@ class RetriangulationRecord:
     notes: tuple = ()
 
     def prediction_holds(self) -> bool:
-        after = dict(enumerate(self.g_after))
-        return all(after.get(i, 0) == value for i, value in self.predicted)
+        return all(_entry(self.g_after, i) == value for i, value in self.predicted)
 
 
 def _record(kind: str, cx: SimplicialComplex, out: SimplicialComplex, deltas, **fields):
@@ -71,7 +70,7 @@ def _ball_deltas(d: int, sphere: SimplicialComplex, m: int, sign: int) -> tuple:
     interior dimension (:func:`_ball_checked`): adding (sign 1) or removing
     (sign -1) a cone over the sphere, as in Lemmas 3.3 and 3.6."""
     eg = extended_g(sphere)
-    return tuple((i, sign * _h_difference(eg, i - 1)) for i in range(1, min((d + 1) // 2, m) + 1))
+    return tuple((i, sign * _entry(eg, i - 1)) for i in range(1, min((d + 1) // 2, m) + 1))
 
 
 def central_retriangulation(
@@ -148,7 +147,7 @@ def crtr_missing_faces_check(cx: SimplicialComplex, tau) -> PredicateResult:
 def _detect_stack_level(link: SimplicialComplex, d: int) -> int:
     eg = extended_g(link)
     for r in range(2, (d + 1) // 2 + 1):
-        if _h_difference(eg, r) == 0:
+        if _entry(eg, r) == 0:
             return r
     raise PreconditionError(
         "link has no admissible stackedness level (its g-vector never vanishes)"

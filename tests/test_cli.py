@@ -344,6 +344,12 @@ def test_gen_barnette_matches_fixture(tmp_path):
     assert len(result.output.strip().splitlines()) == 19
 
 
+def test_gen_barnette_refuses_parameters():
+    result = invoke("gen", "barnette", "5", "7")
+    assert result.exit_code == 3
+    assert "barnette takes 0 integer parameter(s)" in result.output
+
+
 def test_unknown_generator_exits_3():
     assert invoke("gen", "dodecahedron").exit_code == 3
 

@@ -125,6 +125,24 @@ def test_skeleton(bd4):
     assert bd4.skeleton(5) == bd4
 
 
+@pytest.mark.parametrize("reader", ["n_faces", "faces_of_dim", "missing_faces", "skeleton"])
+@pytest.mark.parametrize("k", ["a", 1.5, 1.0, None])
+def test_dimension_readers_refuse_a_dimension_that_is_not_an_integer(bd4, reader, k):
+    # the closure's group reader refuses it, once, for all four
+    with pytest.raises(MalformedInputError, match="face dimension must be an integer"):
+        getattr(bd4, reader)(k)
+
+
+def test_dimension_readers_read_outside_the_range_as_empty(bd4):
+    # the group rule comes first, and the readers' own range tests still refuse
+    assert [bd4.n_faces(k) for k in range(-3, 6)] == [0, 0, 1, 5, 10, 10, 5, 0, 0]
+    assert from_facets([[0], [1]]).edges() == ()
+    with pytest.raises(PreconditionError, match="missing-face dimension must be >= 0"):
+        bd4.missing_faces(-1)
+    with pytest.raises(PreconditionError, match="skeleton dimension must be >= -1"):
+        bd4.skeleton(-2)
+
+
 def test_missing_faces_simplex_boundary(bd3):
     assert bd3.missing_faces(3) == [(0, 1, 2, 3)]
     assert bd3.missing_faces(1) == []

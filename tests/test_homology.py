@@ -57,6 +57,18 @@ def test_betti_of_cone():
     assert betti(solid).is_trivial()
 
 
+def test_sphere_profiles_read_past_their_ends_as_zero():
+    # b_i is 0 outside -1..dim, so no profile is that of a sphere of a
+    # dimension it does not have: an acyclic profile is no (-2)-sphere
+    solid = betti(from_facets([[0, 1, 2, 3]]))
+    assert [solid.b(i) for i in range(-3, 5)] == [0] * 8
+    assert not any(solid.is_sphere(m) for m in range(-3, 5))
+    circle = betti(cycle(5))
+    assert [circle.b(i) for i in range(-2, 4)] == [0, 0, 0, 1, 0, 0]
+    assert [m for m in range(-3, 5) if circle.is_sphere(m)] == [1]
+    assert [m for m in range(-3, 3) if betti(from_facets([])).is_sphere(m)] == [-1]
+
+
 def test_betti_of_circle_and_two_points():
     assert betti(cycle(5)).entries == (0, 0, 1)
     assert betti(simplex_boundary(1)).entries == (0, 1)

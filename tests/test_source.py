@@ -340,7 +340,7 @@ def test_one_presence_rule_serves_membership_links_and_stars():
         ("complexes.py", "link"),
         ("complexes.py", "star"),
     ]
-    closure = ("_mask_closure", "_closure", "_closure_masks", "faces", "faces_of_dim")
+    closure = ("_mask_closure", "_closure", "_closure_masks", "_group", "faces", "faces_of_dim")
     labelled = ("facets", "_facets", "_labelled")
     readers = [
         ast.unparse(node)
@@ -401,3 +401,56 @@ def test_fresh_labels_and_vertex_changes_are_read_off_the_complexes():
     assert len(records) == 4  # the three moves and swartz_all
     stated = ("new_vertices", "removed_vertices")
     assert [k.arg for call in records for k in call.keywords if k.arg in stated] == []
+
+
+def test_one_reader_takes_a_closure_group():
+    # SimplicialComplex._group writes the rule for a dimension outside
+    # -1..dim (no faces) and one that is not an integer (MalformedInputError)
+    # once: it is the only reader of the closure's groups by size, besides
+    # facevectors._link_f_vectors, which walks every group; other readers
+    # take the closure's members, _mask_closure()[1]
+    nodes = _nodes()
+    members = [
+        node.value
+        for _, _, node in nodes
+        if isinstance(node, ast.Subscript) and ast.unparse(node.slice) == "1"
+    ]
+    readers = [
+        (module, where)
+        for module, where, node in nodes
+        if isinstance(node, ast.Call)
+        and _named(node.func, "_mask_closure")
+        and not any(node is m for m in members)
+    ]
+    assert sorted(readers) == [("complexes.py", "_group"), ("facevectors.py", "_link_f_vectors")]
+
+
+def test_one_rule_reads_an_entry_past_the_end():
+    # facevectors._entry alone reads an entry that may lie outside its tuple
+    # as 0: the f-, h- and g-vectors and the Betti profile index their
+    # entries only through it, each in one reader, and the h-difference
+    # reader it replaced is gone
+    nodes = _nodes()
+    defined = [
+        (module, node.name)
+        for module, _, node in nodes
+        if isinstance(node, ast.FunctionDef) and node.name in ("_entry", "_h_difference")
+    ]
+    assert defined == [("facevectors.py", "_entry")]
+    assert _uses("_h_difference") == []
+    classes = {
+        node.name: node
+        for _, _, node in nodes
+        if isinstance(node, ast.ClassDef)
+        and node.name in ("FVector", "HVector", "GVector", "BettiProfile")
+    }
+    assert len(classes) == 4
+    for name, cls in classes.items():
+        indexed = [
+            ast.unparse(n)
+            for n in ast.walk(cls)
+            if isinstance(n, ast.Subscript) and _named(n.value, "entries")
+        ]
+        assert indexed == [], name
+        entries = [n for n in ast.walk(cls) if isinstance(n, ast.Call) and _named(n.func, "_entry")]
+        assert len(entries) == 1, name

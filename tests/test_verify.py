@@ -1,9 +1,24 @@
+import ast
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from scx import Scale, UnknownStatementError, homology, run_statement, statement_ids
+from scx import (
+    InternalCheckError,
+    Scale,
+    UnknownStatementError,
+    homology,
+    rigidity,
+    run_all,
+    run_statement,
+    statement_ids,
+)
 from scx import verify
+
+WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads.py"
 
 
 def test_registry_contents():
@@ -85,3 +100,86 @@ def test_the_catalog_memo_keeps_the_last_scale_only(monkeypatch):
     assert list(verify._CATALOG_MEMO) == [(3, 7, 4)]
     assert verify.catalog_for(small) is not first
     assert list(verify._CATALOG_MEMO) == [(4, 8, 4)]
+
+
+def _pinned_digests():
+    """The report digests of ``run_all()`` at ``Scale()``, ``seconds`` left
+    out, as the benchmark's ``VERIFY_DIGESTS`` table pins them."""
+    (table,) = [
+        node.value
+        for node in ast.parse(WORKLOADS.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "VERIFY_DIGESTS"
+    ]
+    return ast.literal_eval(table)
+
+
+def _digest(report):
+    body = {k: v for k, v in report.to_dict().items() if k != "seconds"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _run_all_with_a_plant(statement):
+    """The reports of ``run_all()`` by statement, after checking that the
+    planted statement alone fails and every other keeps its digest."""
+    reports = {rep.statement: rep for rep in run_all()}
+    changed = {sid for sid, digest in _pinned_digests().items() if _digest(reports[sid]) != digest}
+    assert changed == {statement}
+    assert [sid for sid, rep in reports.items() if not rep.passed] == [statement]
+    return reports
+
+
+def _entry_name(cx):
+    (name,) = [entry.name for entry in verify.catalog_for(Scale()) if entry.complex is cx]
+    return name
+
+
+def test_lemma_3_3_reports_a_prediction_that_is_off_by_one(monkeypatch):
+    original, planted = verify.central_retriangulation, []
+
+    def off_by_one(cx, ball, *args, **kwargs):
+        out, record = original(cx, ball, *args, **kwargs)
+        if not planted and record.predicted:  # the first record that predicts anything
+            (i, value), *rest = record.predicted
+            record = dataclasses.replace(record, predicted=((i, value + 1), *rest))
+            planted.append((cx, ball, record))
+        return out, record
+
+    monkeypatch.setattr(verify, "central_retriangulation", off_by_one)
+    reports = _run_all_with_a_plant("Lemma3.3")
+    ((cx, ball, record),) = planted
+    # the first label of that ball: a triangle's star in a 3-sphere is also its "pair"
+    label = next(label for label, other in verify._central_balls(cx) if other == ball)
+    (failure,) = reports["Lemma3.3"].failures
+    assert failure.startswith(f"{_entry_name(cx)}:{label}: ")
+    assert f"predicted {record.predicted} " in failure
+
+
+def test_lemma_4_1_reports_a_split_that_is_not_a_join(monkeypatch):
+    original, planted = verify.detect_join, []
+
+    def one_vertex_across(cx):
+        part = original(cx)
+        if not planted and part:  # side a keeps a simplex, not its boundary
+            (first, *a), b = part
+            part = (tuple(a), (first, *b))
+            planted.append((cx, part))
+        return part
+
+    monkeypatch.setattr(verify, "detect_join", one_vertex_across)
+    reports = _run_all_with_a_plant("Lemma4.1")
+    ((cx, (a, b)),) = planted
+    assert reports["Lemma4.1"].failures == [
+        f"{_entry_name(cx)}: partition sizes {len(a)}/{len(b)}"
+    ]
+
+
+def test_lemma_2_5_refuses_a_stress_with_one_entry_changed(monkeypatch):
+    original = rigidity._stresses
+
+    def changed(g, emb):
+        (first, *rest) = original(g, emb)
+        return ((first[0] + 1, *first[1:]), *rest)
+
+    monkeypatch.setattr(rigidity, "_stresses", changed)
+    with pytest.raises(InternalCheckError, match="violates vertex equilibrium"):
+        run_statement("Lemma2.5")
