@@ -33,6 +33,7 @@ from .retriangulate import (
     swartz_all,
     swartz_operation,
 )
+from .rigidity import stress_basis
 
 _EXIT_CODES = (
     (UnknownStatementError, 4),
@@ -71,7 +72,8 @@ def _parse_face(text: str) -> tuple:
 
 
 def input_path(fn):
-    """Accept the input file either positionally or as --input."""
+    """Accept the input file either positionally or as --input, and pass the
+    command the loaded complex as ``cx``."""
 
     @click.argument("input_arg", required=False, type=click.Path(), metavar="[INPUT]")
     @click.option("--input", "input_opt", type=click.Path(), default=None,
@@ -81,7 +83,7 @@ def input_path(fn):
         path = input_arg or input_opt
         if path is None:
             raise PreconditionError("no input file given (positional or --input)")
-        return fn(*args, input=path, **kwargs)
+        return fn(*args, cx=load_complex(path), **kwargs)
 
     return handles_errors(wrapper)
 
@@ -124,10 +126,9 @@ def main():
 @main.command()
 @input_path
 @click.option("--field", default="rational", help="homology field: 'rational' or a prime")
-def info(input, field):
+def info(cx, field):
     """Print face vectors and classification predicates of a complex."""
     field = validate_field(_field_option(field))
-    cx = load_complex(input)
     f = f_vector(cx)
     click.echo(f"dimension: {cx.dim}")
     click.echo(f"f-vector: {' '.join(map(str, f.entries))}")
@@ -149,9 +150,8 @@ def info(input, field):
 
 @main.command()
 @input_path
-def gvector(input):
+def gvector(cx):
     """Print g_0..g_{floor(d/2)} of a complex."""
-    cx = load_complex(input)
     click.echo(" ".join(str(x) for x in g_vector(cx).entries))
 
 
@@ -159,9 +159,8 @@ def gvector(input):
 @input_path
 @click.option("--face", required=True, help="comma-separated vertex labels")
 @click.option("--output", type=click.Path(), default=None)
-def link(input, face, output):
+def link(cx, face, output):
     """Write or print the link of a face."""
-    cx = load_complex(input)
     _write_or_print(cx.link(_parse_face(face)), output)
 
 
@@ -175,28 +174,10 @@ def _write_or_print(cx, output):
 @main.command()
 @input_path
 @click.option("-k", "--k", "k", type=_INT, required=True, help="dimension of missing faces")
-def missing(input, k):
+def missing(cx, k):
     """List the missing k-faces, one per line."""
-    cx = load_complex(input)
     for face in cx.missing_faces(k):
         click.echo(" ".join(map(str, face)))
-
-
-def _echo_record(record):
-    click.echo(f"kind: {record.kind}")
-    click.echo(f"g before: {' '.join(map(str, record.g_before))}")
-    click.echo(f"g after: {' '.join(map(str, record.g_after))}")
-    predicted = " ".join(f"g{i}={v}" for i, v in record.predicted) or "(none)"
-    click.echo(f"predicted: {predicted}")
-    click.echo(f"prediction holds: {record.prediction_holds()}")
-    if record.new_vertices:
-        click.echo(f"new vertices: {' '.join(map(str, record.new_vertices))}")
-    if record.removed_vertices:
-        click.echo(f"removed vertices: {' '.join(map(str, record.removed_vertices))}")
-    if record.steps:
-        click.echo(f"steps: {record.steps}")
-    for note in record.notes:
-        click.echo(f"note: {note}")
 
 
 @main.group()
@@ -204,81 +185,85 @@ def op():
     """Retriangulation operations."""
 
 
-def _op_epilogue(out, record, output, check_iso):
-    _echo_record(record)
-    if output:
-        write_complex(out, output)
-        click.echo(f"wrote {output}")
-    if check_iso:
-        other = load_complex(check_iso)
-        cert = are_isomorphic(out, other)
-        click.echo(f"isomorphic to {check_iso}: {bool(cert)}")
-        if not cert:
-            sys.exit(1)
+def _move(fn):
+    """Register the retriangulation ``fn(cx, **options) -> (out, record)`` as
+    an ``op`` command: it prints the record, writes ``--output`` and checks
+    ``--check-iso``, exiting 1 when the output is not isomorphic to it."""
+
+    @op.command()
+    @input_path
+    @click.option("--output", type=click.Path(), default=None)
+    @click.option("--check-iso", type=click.Path(), default=None)
+    @wraps(fn)
+    def command(cx, output, check_iso, **options):
+        out, record = fn(cx, **options)
+        click.echo(f"kind: {record.kind}")
+        click.echo(f"g before: {' '.join(map(str, record.g_before))}")
+        click.echo(f"g after: {' '.join(map(str, record.g_after))}")
+        predicted = " ".join(f"g{i}={v}" for i, v in record.predicted) or "(none)"
+        click.echo(f"predicted: {predicted}")
+        click.echo(f"prediction holds: {record.prediction_holds()}")
+        if record.new_vertices:
+            click.echo(f"new vertices: {' '.join(map(str, record.new_vertices))}")
+        if record.removed_vertices:
+            click.echo(f"removed vertices: {' '.join(map(str, record.removed_vertices))}")
+        if record.steps:
+            click.echo(f"steps: {record.steps}")
+        for note in record.notes:
+            click.echo(f"note: {note}")
+        if output:
+            write_complex(out, output)
+            click.echo(f"wrote {output}")
+        if check_iso:
+            cert = are_isomorphic(out, load_complex(check_iso))
+            click.echo(f"isomorphic to {check_iso}: {bool(cert)}")
+            if not cert:
+                sys.exit(1)
+
+    return command
 
 
-@op.command()
-@input_path
+@_move
 @click.option("--ball", required=True,
               help="'star:V1,V2,...' for a face star, or a path to a facet list")
-@click.option("--output", type=click.Path(), default=None)
-@click.option("--check-iso", type=click.Path(), default=None)
-def crtr(input, ball, output, check_iso):
+def crtr(cx, ball):
     """Central retriangulation along a ball subcomplex."""
-    cx = load_complex(input)
     if ball.startswith("star:"):
-        ball_cx = cx.star(_parse_face(ball[len("star:"):]))
-    else:
-        ball_cx = load_complex(ball)
-    out, record = central_retriangulation(cx, ball_cx)
-    _op_epilogue(out, record, output, check_iso)
+        return central_retriangulation(cx, cx.star(_parse_face(ball[len("star:"):])))
+    return central_retriangulation(cx, load_complex(ball))
 
 
-@op.command()
-@input_path
+@_move
 @click.option("--vertex", type=_INT, required=True)
 @click.option("--r", type=_INT, default=None, help="stackedness level (auto-detected)")
-@click.option("--output", type=click.Path(), default=None)
-@click.option("--check-iso", type=click.Path(), default=None)
-def sdinv(input, vertex, r, output, check_iso):
+def sdinv(cx, vertex, r):
     """Inverse stellar retriangulation at a vertex."""
-    cx = load_complex(input)
-    out, record = inverse_stellar(cx, vertex, r)
-    _op_epilogue(out, record, output, check_iso)
+    return inverse_stellar(cx, vertex, r)
 
 
-@op.command()
-@input_path
+@_move
 @click.option("--vertex", type=_INT, required=True)
 @click.option("--tau", default=None, help="missing facet of the link (comma-separated)")
 @click.option("--all", "everything", is_flag=True, help="iterate over all missing facets")
-@click.option("--output", type=click.Path(), default=None)
-@click.option("--check-iso", type=click.Path(), default=None)
-def swartz(input, vertex, tau, everything, output, check_iso):
+def swartz(cx, vertex, tau, everything):
     """Swartz operation: one step with --tau, or --all to iterate."""
-    cx = load_complex(input)
     if everything:
-        out, record = swartz_all(cx, vertex)
-    else:
-        if tau is None:
-            raise PreconditionError("provide --tau or --all")
-        out, record = swartz_operation(cx, vertex, _parse_face(tau))
-    _op_epilogue(out, record, output, check_iso)
+        return swartz_all(cx, vertex)
+    if tau is None:
+        raise PreconditionError("provide --tau or --all")
+    return swartz_operation(cx, vertex, _parse_face(tau))
 
 
 @main.command()
 @input_path
 @click.option("--seed", type=_INT, default=0, show_default=True)
 @click.option("--trials", type=_INT, default=3, show_default=True)
-def stress(input, seed, trials):
+def stress(cx, seed, trials):
     """Print an exact basis of the stress space, one vector per line.
 
     The embedding's coordinates are drawn from [-2^16, 2^16] by the seed, and
     the vectors depend on it.
     """
-    from .rigidity import stress_basis
-
-    cx = load_complex(input)
     basis = stress_basis(cx, seed=seed, trials=trials)
     click.echo("edges: " + " ".join(f"{u}-{v}" for u, v in basis.edges))
     for vec in basis.vectors:
@@ -288,20 +273,33 @@ def stress(input, seed, trials):
     click.echo(f"non-participating vertices: {non_participating or 'none'}")
 
 
-_GENERATORS = {
-    "simplex-boundary": (generators.simplex_boundary, 1),
-    "cycle": (generators.cycle, 1),
-    "stacked-sphere": (generators.stacked_sphere, 2),
-    "cross-polytope": (generators.cross_polytope_boundary, 1),
-    "barnette": (lambda: generators.barnette_sphere().complex, 0),
-}
-
-
 def _numbered(what: str, names: tuple, number: int) -> str:
     if 1 <= number <= len(names):
         return names[number - 1]
     table = " ".join(f"{i}={n}" for i, n in enumerate(names, 1))
     raise PreconditionError(f"unknown {what} {number}; {what} {table}")
+
+
+def _g2_one(d, variant, param):
+    variant = _numbered("VARIANT", ("join", "cycle"), variant)
+    return generators.g2_one_family(d, variant, param).complex
+
+
+def _g2_two(d, kind, *param):
+    kinds = ("triple_join", "suspension", "octahedral", "crtr_ridge")
+    return generators.g2_two_catalog(d, _numbered("KIND", kinds, kind), *param).complex
+
+
+# each generator's builder, and the parameter counts it takes
+_GENERATORS = {
+    "simplex-boundary": (generators.simplex_boundary, (1,)),
+    "cycle": (generators.cycle, (1,)),
+    "stacked-sphere": (generators.stacked_sphere, (2,)),
+    "cross-polytope": (generators.cross_polytope_boundary, (1,)),
+    "barnette": (lambda: generators.barnette_sphere().complex, (0,)),
+    "g2one": (_g2_one, (3,)),
+    "g2two": (_g2_two, (2, 3)),
+}
 
 
 @main.command()
@@ -313,30 +311,14 @@ def gen(name, params, output):
     """Generate a named complex (simplex-boundary D | cycle N |
     stacked-sphere D N | cross-polytope D | g2one D VARIANT PARAM |
     g2two D KIND [PARAM] | barnette)."""
-    if name == "g2one":
-        if len(params) != 3:
-            raise PreconditionError("g2one needs D VARIANT PARAM with VARIANT 1=join 2=cycle")
-        variant = _numbered("VARIANT", ("join", "cycle"), params[1])
-        cx = generators.g2_one_family(params[0], variant, params[2]).complex
-    elif name == "g2two":
-        if len(params) < 2:
-            raise PreconditionError(
-                "g2two needs D KIND [PARAM] with KIND 1=triple_join 2=suspension "
-                "3=octahedral 4=crtr_ridge"
-            )
-        kinds = ("triple_join", "suspension", "octahedral", "crtr_ridge")
-        kind = _numbered("KIND", kinds, params[1])
-        cx = generators.g2_two_catalog(params[0], kind, *params[2:3]).complex  # PARAM is optional
-    elif name in _GENERATORS:
-        fn, arity = _GENERATORS[name]
-        if len(params) != arity:
-            raise PreconditionError(f"{name} takes {arity} integer parameter(s)")
-        cx = fn(*params)
-    else:
+    if name not in _GENERATORS:
+        raise PreconditionError(f"unknown generator {name!r}; known: {', '.join(_GENERATORS)}")
+    fn, counts = _GENERATORS[name]
+    if len(params) not in counts:
         raise PreconditionError(
-            f"unknown generator {name!r}; known: {', '.join(_GENERATORS)}, g2one, g2two"
+            f"{name} takes {' or '.join(map(str, counts))} integer parameter(s)"
         )
-    _write_or_print(cx, output)
+    _write_or_print(fn(*params), output)
 
 
 def _scale_options(fn):

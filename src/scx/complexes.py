@@ -34,6 +34,7 @@ from .errors import (
     MalformedInputError,
     PreconditionError,
     TooLargeError,
+    _index,
 )
 
 
@@ -251,12 +252,9 @@ class SimplicialComplex:
     def _group(self, k: int) -> list:
         """The closure's k-face masks in increasing order, or [] outside
         -1..dim, with no closure built: the one reader of its groups.  A k that
-        is not an integer is refused (``MalformedInputError``) from the
-        ``TypeError`` it raises, so the hot path tests only the range."""
-        try:
-            return self._mask_closure()[0][k + 1] if -1 <= k <= self._dim else []
-        except TypeError:
-            raise MalformedInputError(f"face dimension must be an integer, got {k!r}") from None
+        is not an integer is refused by :func:`errors._index`."""
+        k = _index(k, "face dimension")
+        return self._mask_closure()[0][k + 1] if -1 <= k <= self._dim else []
 
     def n_faces(self, k: int) -> int:
         """f_k, the length of :meth:`_group` ``k``; 0 outside -1..dim."""
@@ -507,8 +505,6 @@ def detect_join(cx: SimplicialComplex):
     exists.  If the products of the facets' traces on the two sides are
     the facets, an antichain, the traces are maximal on each side.
     """
-    if len(cx.vertices) < 2:
-        return None
     bit, masks = cx._masks
     every = (1 << len(bit)) - 1
     near = _neighbourhoods(masks).items()

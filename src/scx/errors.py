@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library and the CLI."""
 
+from operator import index
+
 
 class ScxError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,3 +33,14 @@ class UnknownStatementError(ScxError):
 
 class InternalCheckError(ScxError):
     """Raised when an internal certificate fails: a bug, not bad input."""
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an integer by ``operator.index`` (an int, a bool, or a type
+    that declares itself one), or ``MalformedInputError`` naming ``what`` and
+    ``value`` as the caller gave it: the one rule by which the index readers
+    refuse a non-integer, in range or out of it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise MalformedInputError(f"{what} must be an integer, got {value!r}") from None

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import SimplicialComplex
-from .errors import InternalCheckError, MalformedInputError, PreconditionError
+from .errors import InternalCheckError, MalformedInputError, PreconditionError, _index
 
 
 def _entry(entries: tuple, i: int) -> int:
     """``entries[i]``, or 0 for an i outside the tuple: the one rule by which
     the f-, h- and g-vectors, the h-differences and the Betti numbers read
-    past their ends, as g_{i-1}(boundary) does in Lemmas 3.3 and 3.6."""
+    past their ends, as g_{i-1}(boundary) does in Lemmas 3.3 and 3.6.  The
+    public readers refuse a non-integer index first (:func:`errors._index`)."""
     return entries[i] if 0 <= i < len(entries) else 0
 
 
@@ -39,7 +40,7 @@ class FVector:
 
     def __getitem__(self, k: int) -> int:
         """f_k, with k from -1 to d-1; zero outside that range."""
-        return _entry(self.entries, k + 1)
+        return _entry(self.entries, _index(k, "f-vector index") + 1)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class HVector:
         return len(self.entries) - 1
 
     def __getitem__(self, j: int) -> int:
-        return _entry(self.entries, j)
+        return _entry(self.entries, _index(j, "h-vector index"))
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class GVector:
     impure: bool = False
 
     def __getitem__(self, i: int) -> int:
-        return _entry(self.entries, i)
+        return _entry(self.entries, _index(i, "g-vector index"))
 
 
 def f_vector(cx: SimplicialComplex) -> FVector:
@@ -95,7 +96,7 @@ def h_from_f(f: FVector) -> HVector:
         raise MalformedInputError(f"expected an FVector, got {f!r}")
     d = f.d
     entries = tuple(
-        sum((-1) ** (j - i) * comb(d - i, j - i) * f[i - 1] for i in range(j + 1))
+        sum((-1) ** (j - i) * comb(d - i, j - i) * f.entries[i] for i in range(j + 1))
         for j in range(d + 1)
     )
     return HVector(entries, impure=f.impure)
@@ -106,7 +107,7 @@ def f_from_h(h: HVector) -> FVector:
         raise MalformedInputError(f"expected an HVector, got {h!r}")
     d = h.d
     entries = tuple(
-        sum(comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(d + 1)
+        sum(comb(d - i, j - i) * h.entries[i] for i in range(j + 1)) for j in range(d + 1)
     )
     return FVector(entries, impure=h.impure)
 
@@ -118,7 +119,7 @@ def h_vector(cx: SimplicialComplex) -> HVector:
 def _g_direct(f: FVector, j: int) -> int:
     # alternating-binomial form of g_j straight from the f-vector
     d = f.d
-    return sum((-1) ** (j - i) * comb(d + 1 - i, j - i) * f[i - 1] for i in range(j + 1))
+    return sum((-1) ** (j - i) * comb(d + 1 - i, j - i) * f.entries[i] for i in range(j + 1))
 
 
 def g_vector(cx: SimplicialComplex) -> GVector:
@@ -136,8 +137,8 @@ def extended_g(cx: SimplicialComplex) -> tuple:
 
 
 def _extended_g(f: FVector) -> tuple:
-    h = h_from_f(f)
-    return (1,) + tuple(h[j] - h[j - 1] for j in range(1, h.d + 1))
+    h = h_from_f(f).entries
+    return (1,) + tuple(h[j] - h[j - 1] for j in range(1, len(h)))
 
 
 def g1(cx: SimplicialComplex) -> int:

@@ -149,6 +149,8 @@ def g2_two_catalog(d: int, kind: str, param: int | None = None) -> CatalogEntry:
     """The named g2 = 2 complexes: the triple join, suspensions of g2 = 1
     join spheres, the octahedral 3-sphere, and central retriangulations of
     cycle-join spheres along two adjacent facets."""
+    if param is not None and kind in ("triple_join", "octahedral"):
+        raise PreconditionError(f"{kind} takes no PARAM, got {param!r}")
     if kind == "triple_join":
         if d < 5:
             raise PreconditionError("triple join needs d >= 5")

@@ -55,7 +55,7 @@ from .complexes import (
     _order_type,
     _tuple_order,
 )
-from .errors import InternalCheckError, PreconditionError, TooLargeError
+from .errors import InternalCheckError, PreconditionError, TooLargeError, _index
 from .facevectors import _entry
 
 
@@ -87,7 +87,7 @@ class BettiProfile:
     field: object = "rational"
 
     def b(self, i: int) -> int:
-        return _entry(self.entries, i + 1)
+        return _entry(self.entries, _index(i, "Betti degree") + 1)
 
     def is_trivial(self) -> bool:
         return not any(self.entries)

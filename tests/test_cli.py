@@ -104,6 +104,21 @@ def test_input_option_and_missing_input(tmp_path):
     assert "no input file given" in result.output
 
 
+def test_info_notes_an_impure_complex(tmp_path):
+    path = tmp_path / "impure.scx"
+    write_scx(from_facets([[0, 1, 2], [2, 3]]), path)
+    result = invoke("info", str(path))
+    assert result.exit_code == 0
+    assert result.output.splitlines()[:6] == [
+        "dimension: 2",
+        "f-vector: 1 4 4 1",
+        "h-vector: 1 1 -1 0",
+        "g-vector: 1 0",
+        "note: complex is not pure; vectors use d = dim + 1",
+        "pure: False",
+    ]
+
+
 def test_gvector_of_simplex_boundary(tmp_path):
     path = tmp_path / "bd3.scx"
     write_scx(simplex_boundary(3), path)
@@ -348,6 +363,39 @@ def test_gen_barnette_refuses_parameters():
     result = invoke("gen", "barnette", "5", "7")
     assert result.exit_code == 3
     assert "barnette takes 0 integer parameter(s)" in result.output
+
+
+MALFORMED = [
+    (("gen", "simplex-boundary"), 3, "simplex-boundary takes 1 integer parameter(s)"),
+    (("gen", "cycle", "4", "5"), 3, "cycle takes 1 integer parameter(s)"),
+    (("gen", "stacked-sphere", "3"), 3, "stacked-sphere takes 2 integer parameter(s)"),
+    (("gen", "cross-polytope"), 3, "cross-polytope takes 1 integer parameter(s)"),
+    (("gen", "barnette", "5"), 3, "barnette takes 0 integer parameter(s)"),
+    (("gen", "g2one", "4"), 3, "g2one takes 3 integer parameter(s)"),
+    (("gen", "g2two", "5"), 3, "g2two takes 2 or 3 integer parameter(s)"),
+    (("gen", "g2two", "4", "3", "99", "100"), 3, "g2two takes 2 or 3 integer parameter(s)"),
+    (("gen", "g2two", "5", "1", "7"), 3, "triple_join takes no PARAM, got 7"),
+    (("gen", "g2two", "4", "3", "99"), 3, "octahedral takes no PARAM, got 99"),
+    (("info", "{dir}/nope.scx"), 2, "nope.scx: no such file"),
+    (("info", "{dir}/nope.scx", "--field", "4"), 2, "nope.scx: no such file"),
+    (("gvector",), 3, "no input file given"),
+    (("missing", "{path}", "-k", "x"), 2, "'x' is not an integer"),
+    (("link", "{path}", "--face", "6,7"), 3, "(6, 7)"),
+    (("info", "{path}", "--field", "4"), 3, "4 is not prime"),
+    (("op", "sdinv", "{path}", "--vertex", "0", "--r", "1"), 3, "r=1 outside"),
+    (("op", "swartz", "{path}", "--vertex", "0"), 3, "provide --tau or --all"),
+    (("stress", "{path}", "--trials", "0"), 3, "need at least one trial"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code, message", MALFORMED, ids=[" ".join(args) for args, _, _ in MALFORMED]
+)
+def test_malformed_arguments_exit_2_or_3_without_a_traceback(tmp_path, args, code, message):
+    path = write_barnette(tmp_path)
+    result = invoke(*(a.format(path=path, dir=tmp_path) for a in args))
+    assert (result.exit_code, result.stdout) == (code, "")
+    assert message in result.stderr and "Traceback" not in result.stderr
 
 
 def test_unknown_generator_exits_3():

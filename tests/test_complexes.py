@@ -126,10 +126,11 @@ def test_skeleton(bd4):
 
 
 @pytest.mark.parametrize("reader", ["n_faces", "faces_of_dim", "missing_faces", "skeleton"])
-@pytest.mark.parametrize("k", ["a", 1.5, 1.0, None])
+@pytest.mark.parametrize("k", ["a", 1.5, 1.0, None, 100.5, -7.5])
 def test_dimension_readers_refuse_a_dimension_that_is_not_an_integer(bd4, reader, k):
-    # the closure's group reader refuses it, once, for all four
-    with pytest.raises(MalformedInputError, match="face dimension must be an integer"):
+    # the closure's group reader refuses it, once, for all four, in range or
+    # out of it (100.5 and -7.5 once read as empty)
+    with pytest.raises(MalformedInputError, match=f"face dimension must be an integer, got {k!r}"):
         getattr(bd4, reader)(k)
 
 
@@ -332,6 +333,9 @@ def test_detect_join_finds_suspension_structure(bd4):
 def test_detect_join_absent():
     assert detect_join(stacked_sphere(4, 7)) is None
     assert detect_join(simplex_boundary(2)) is None
+    # fewer than two non-edge components: none, one point, two points
+    for facets in ([], [[0]], [[0], [1]]):
+        assert detect_join(from_facets(facets)) is None
 
 
 def test_detect_join_guard(monkeypatch):

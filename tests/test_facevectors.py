@@ -84,6 +84,25 @@ def test_a_vector_of_the_wrong_kind_is_malformed_input(call, expected):
         call()
 
 
+@pytest.mark.parametrize("index", ["a", 1.0, 100.5, -7.5, None])
+@pytest.mark.parametrize(
+    "reader, what",
+    [(f_vector, "f-vector index"), (h_vector, "h-vector index"), (g_vector, "g-vector index")],
+    ids=["f", "h", "g"],
+)
+def test_vector_readers_refuse_an_index_that_is_not_an_integer(reader, what, index):
+    # refused as given, before the f-vector's offset and before the range test
+    vector = reader(simplex_boundary(4))
+    with pytest.raises(MalformedInputError, match=f"{what} must be an integer, got {index!r}"):
+        vector[index]
+
+
+def test_vector_readers_take_integers_and_bools():
+    cx = simplex_boundary(4)
+    f, h, g = f_vector(cx), h_vector(cx), g_vector(cx)
+    assert (f[True], f[-1], f[9], h[False], h[-3], g[True], g[5]) == (10, 1, 0, 1, 0, 0, 0)
+
+
 def test_g_matches_h_differences(cycle_join):
     h = h_vector(cycle_join)
     g = g_vector(cycle_join)

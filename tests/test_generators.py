@@ -172,6 +172,10 @@ def test_g2_two_catalog_validation():
         g2_two_catalog(4, "nonsense")
     with pytest.raises(PreconditionError, match="needs PARAM"):
         g2_two_catalog(5, "suspension")
+    with pytest.raises(PreconditionError, match="triple_join takes no PARAM, got 7"):
+        g2_two_catalog(5, "triple_join", 7)
+    with pytest.raises(PreconditionError, match="octahedral takes no PARAM, got 99"):
+        g2_two_catalog(4, "octahedral", 99)
 
 
 def test_stacked_sphere_with_ridge():

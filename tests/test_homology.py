@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from scx import (
     InternalCheckError,
+    MalformedInputError,
     PreconditionError,
     SimplicialComplex,
     TooLargeError,
@@ -67,6 +68,15 @@ def test_sphere_profiles_read_past_their_ends_as_zero():
     assert [circle.b(i) for i in range(-2, 4)] == [0, 0, 0, 1, 0, 0]
     assert [m for m in range(-3, 5) if circle.is_sphere(m)] == [1]
     assert [m for m in range(-3, 3) if betti(from_facets([])).is_sphere(m)] == [-1]
+
+
+@pytest.mark.parametrize("reader", ["b", "is_sphere"])
+@pytest.mark.parametrize("degree", ["a", 1.0, 100.5, -7.5])
+def test_betti_readers_refuse_a_degree_that_is_not_an_integer(reader, degree):
+    profile = betti(cycle(5))
+    with pytest.raises(MalformedInputError, match=f"Betti degree must be an integer, got {degree!r}"):
+        getattr(profile, reader)(degree)
+    assert (profile.b(True), profile.is_sphere(True)) == (1, True)
 
 
 def test_betti_of_circle_and_two_points():

@@ -168,6 +168,19 @@ def test_a_negative_stackedness_level_is_refused(bd5):
         is_r_stacked_ball(bd5.star([0]), -1)
 
 
+@pytest.mark.parametrize(
+    "cx, v, r, message",
+    [
+        (simplex_boundary(5), 0, 1, r"stackedness level r=1 outside 2\.\.\(d\+1\)/2"),
+        (suspension(cross_polytope_boundary(4)), 8, None, "link has no admissible stackedness level"),
+    ],
+    ids=["level-1", "no-level"],
+)
+def test_inverse_stellar_refuses_a_level_it_cannot_use(cx, v, r, message):
+    with pytest.raises(PreconditionError, match=message):
+        inverse_stellar(cx, v, r=r)
+
+
 def test_inverse_stellar_on_last_stacking():
     sphere = stacked_sphere(4, 7)
     out, record = inverse_stellar(sphere, 6)

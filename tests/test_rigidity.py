@@ -8,6 +8,7 @@ from scx import (
     PreconditionError,
     barnette_sphere,
     cross_polytope_boundary,
+    cycle,
     exact,
     from_facets,
     g2,
@@ -45,6 +46,11 @@ def test_embedding_determinism():
     c = random_embedding(K4, 2, seed=12)
     assert a.coords == b.coords
     assert a.coords != c.coords
+
+
+def test_embedding_refuses_dimension_0():
+    with pytest.raises(PreconditionError, match="embedding dimension must be >= 1"):
+        random_embedding(skeleton_graph(cycle(4)), 0)
 
 
 def test_k4_rank_in_the_plane():

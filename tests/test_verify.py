@@ -7,9 +7,13 @@ from pathlib import Path
 import pytest
 
 from scx import (
+    FVector,
     InternalCheckError,
+    PreconditionError,
     Scale,
     UnknownStatementError,
+    facevectors,
+    g2,
     homology,
     rigidity,
     run_all,
@@ -183,3 +187,110 @@ def test_lemma_2_5_refuses_a_stress_with_one_entry_changed(monkeypatch):
     monkeypatch.setattr(rigidity, "_stresses", changed)
     with pytest.raises(InternalCheckError, match="violates vertex equilibrium"):
         run_statement("Lemma2.5")
+
+
+def _plant(monkeypatch, statement, target, attr, fake):
+    """Run ``statement``, and no other statement, with ``target.attr`` swapped
+    for ``fake(original, reached)``.  The fake appends None to ``reached``
+    when it plants its defect; the name of the runner's next instance, the
+    planted one, takes its place."""
+    claim, runner = verify._REGISTRY[statement]
+    reached = []
+    planted = fake(getattr(target, attr), reached)
+
+    def run(catalog, scale):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(target, attr, planted)
+            for name, ok, detail in runner(catalog, scale):
+                if None in reached:
+                    reached[reached.index(None)] = name
+                yield name, ok, detail
+
+    monkeypatch.setitem(verify._REGISTRY, statement, (claim, run))
+    return reached
+
+
+def _first_call(alter):
+    """A fake whose first call returns ``alter(original, *args)``, planted."""
+
+    def fake(original, reached):
+        def call(*args):
+            if reached:
+                return original(*args)
+            reached.append(None)
+            return alter(original, *args)
+
+        return call
+
+    return fake
+
+
+def _refused(original, *args):
+    raise PreconditionError("planted refusal")
+
+
+def _link_g2_above_the_total(original, cx):
+    # the first vertex link gains edges until its g2 is one above the complex's
+    links = dict(original(cx))
+    v = min(links)
+    f = FVector(links[v])
+    entries = list(f.entries)
+    entries[2] += g2(cx) + 1 - facevectors._g2(f[0], f[1], f.d)
+    links[v] = tuple(entries)
+    return links
+
+
+def _undo_off_by_one(original, cx, v):
+    out, record = original(cx, v)
+    (i, value), *rest = record.predicted
+    return out, dataclasses.replace(record, predicted=((i, value + 1), *rest))
+
+
+def _isomorphism_withheld(original, reached):
+    # every candidate of the first instance that asks is refused
+    withheld = []
+
+    def call(a, b):
+        if not reached:
+            reached.append(None)
+            withheld.append(a)
+        return None if a is withheld[0] else original(a, b)
+
+    return call
+
+
+#: statement -> (module, name, fake, the planted instance's failure detail)
+PLANTS = {
+    "Lemma2.6": (rigidity, "_link_f_vectors", _first_call(_link_g2_above_the_total),
+                 "g2=0 violations=((0, 1),)"),
+    "Lemma3.6": (verify, "inverse_stellar", _first_call(_undo_off_by_one),
+                 "g (1, 1, 1)->(1, 0, 0) predicted ((1, 1), (2, 0)) restored=True iso=True"),
+    "Lemma3.8": (verify, "swartz_all", _first_call(_refused), "precondition: planted refusal"),
+    "Lemma4.1": (verify, "detect_join", _first_call(lambda original, cx: None),
+                 "no join decomposition found"),
+    "Prop4.2": (verify, "are_isomorphic", _isomorphism_withheld, "f0=6 candidates=1"),
+    "Lemma4.4": (verify, "macaulay_pseudopower",
+                 _first_call(lambda original, *args: original(*args) - 1),
+                 "g2=0 g3=0 bound=-1"),
+    "Theorem4.5": (verify, "central_retriangulation", _first_call(_refused),
+                   "precondition: planted refusal"),
+}
+
+
+@pytest.mark.parametrize("statement", list(PLANTS))
+def test_a_planted_defect_fails_its_statement_at_the_planted_instance(monkeypatch, statement):
+    *plant, detail = PLANTS[statement]
+    reached = _plant(monkeypatch, statement, *plant)
+    (failure,) = run_statement(statement).failures
+    (name,) = reached
+    assert failure == f"{name}: {detail}"
+
+
+def test_planted_defects_leave_the_other_reports_alone(monkeypatch):
+    reached = {sid: _plant(monkeypatch, sid, *plant) for sid, (*plant, _) in PLANTS.items()}
+    reports = {rep.statement: rep for rep in run_all()}
+    changed = {sid for sid, digest in _pinned_digests().items() if _digest(reports[sid]) != digest}
+    assert changed == set(PLANTS)
+    for sid, (name,) in reached.items():
+        (failure,) = reports[sid].failures
+        assert failure.startswith(f"{name}: ")
