@@ -239,6 +239,7 @@ class SimplicialComplex:
     def faces_of_dim(self, k: int) -> tuple:
         """All k-dimensional faces in vertex-tuple order: :meth:`_group` ``k``
         labelled, so () outside -1..dim."""
+        k = _index(k, "face dimension")
         labels = list(self._masks[0])
         return tuple(_labelled(labels, m) for m in _tuple_order(self._group(k)))
 
@@ -251,14 +252,13 @@ class SimplicialComplex:
 
     def _group(self, k: int) -> list:
         """The closure's k-face masks in increasing order, or [] outside
-        -1..dim, with no closure built: the one reader of its groups.  A k that
-        is not an integer is refused by :func:`errors._index`."""
-        k = _index(k, "face dimension")
+        -1..dim, with no closure built: the one reader of its groups.  Its
+        callers read k as an integer (:func:`errors._index`)."""
         return self._mask_closure()[0][k + 1] if -1 <= k <= self._dim else []
 
     def n_faces(self, k: int) -> int:
         """f_k, the length of :meth:`_group` ``k``; 0 outside -1..dim."""
-        return len(self._group(k))
+        return len(self._group(_index(k, "face dimension")))
 
     def __contains__(self, face) -> bool:
         """Whether ``face`` is a face, by the presence rule of :meth:`_through`."""
@@ -336,15 +336,15 @@ class SimplicialComplex:
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """Subcomplex of faces of dimension at most ``i``: the facets of
-        dimension at most i and the i-faces (:meth:`_group`, which refuses a
-        non-integer i)."""
-        group = self._group(i)
+        dimension at most i and the i-faces (:meth:`_group`), with no closure
+        built when i >= dim."""
+        i = _index(i, "face dimension")
         if i < -1:
             raise PreconditionError("skeleton dimension must be >= -1")
         if i >= self._dim:
             return self
         low = [m for m in self._masks[1] if m.bit_count() <= i + 1]
-        return self._of_masks(list(self._masks[0]), low + group)
+        return self._of_masks(list(self._masks[0]), low + self._group(i))
 
     # -- missing faces ------------------------------------------------------
 
@@ -355,7 +355,7 @@ class SimplicialComplex:
         (:meth:`_group`) plus one vertex above all of it, so it is met once,
         and it is missing when it is no face but every face of its boundary is.
         """
-        self._group(k)  # refuses a k that is not an integer
+        k = _index(k, "face dimension")
         if k < 0:
             raise PreconditionError("missing-face dimension must be >= 0")
         if k == 0 or k > self._dim + 1:

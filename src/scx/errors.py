@@ -38,8 +38,8 @@ class InternalCheckError(ScxError):
 def _index(value, what: str) -> int:
     """``value`` as an integer by ``operator.index`` (an int, a bool, or a type
     that declares itself one), or ``MalformedInputError`` naming ``what`` and
-    ``value`` as the caller gave it: the one rule by which the index readers
-    refuse a non-integer, in range or out of it."""
+    ``value`` as the caller gave it: the one rule by which every public
+    callable reads its integer arguments, once, where they enter."""
     try:
         return index(value)
     except TypeError:

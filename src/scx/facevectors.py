@@ -170,6 +170,7 @@ def link_g_sum(cx: SimplicialComplex, k: int) -> tuple:
 
     with g read as extended h-differences on both sides.
     """
+    k = _index(k, "k")
     if k < 0:
         raise PreconditionError(f"link-sum index must be >= 0, got {k}")
     lhs = sum(_entry(_extended_g(FVector(e)), k) for e in _link_f_vectors(cx).values())
@@ -181,6 +182,7 @@ def link_g_sum(cx: SimplicialComplex, k: int) -> tuple:
 def macaulay_pseudopower(a: int, i: int) -> int:
     """a^<i>: write a as a sum of binomials C(a_i,i) > C(a_{i-1},i-1) > ...
     greedily, bump every top and index by one, and re-sum."""
+    a, i = _index(a, "a"), _index(i, "i")
     if a < 0 or i < 1:
         raise PreconditionError("need a >= 0 and i >= 1")
     if a == 0:
@@ -200,7 +202,10 @@ def macaulay_pseudopower(a: int, i: int) -> int:
 def is_m_sequence(seq) -> bool:
     """Whether seq = (a_0, a_1, ...) satisfies a_0 = 1, a_i >= 0 and
     a_{k+1} <= a_k^<k> for every k >= 1."""
-    seq = tuple(seq)
+    try:
+        seq = tuple(_index(a, "seq entry") for a in seq)
+    except TypeError:
+        raise MalformedInputError(f"seq must be an iterable of integers, got {seq!r}") from None
     if not seq or seq[0] != 1:
         return False
     if any(x < 0 for x in seq):

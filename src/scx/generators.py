@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import complexes
 from .complexes import SimplicialComplex, from_facets, join, stack_over_facet
-from .errors import InternalCheckError, ParseError, PreconditionError, TooLargeError
+from .errors import InternalCheckError, ParseError, PreconditionError, TooLargeError, _index
 from .facevectors import f_vector, g2
 from .fileio import load_complex
 from .homology import is_normal_pseudomanifold
@@ -35,6 +35,7 @@ def _guard_closure(count: int, size: int):
 
 def simplex_boundary(d: int) -> SimplicialComplex:
     """Boundary of the d-simplex on labels 0..d."""
+    d = _index(d, "d")
     if d < 1:
         raise PreconditionError("simplex boundary needs d >= 1")
     _guard_closure(d + 1, d)
@@ -43,6 +44,7 @@ def simplex_boundary(d: int) -> SimplicialComplex:
 
 def cycle(n: int) -> SimplicialComplex:
     """The n-cycle on labels 0..n-1."""
+    n = _index(n, "n")
     if n < 3:
         raise PreconditionError("cycle needs n >= 3")
     _guard_closure(n, 2)
@@ -62,6 +64,7 @@ def stacked_sphere(d: int, n: int) -> SimplicialComplex:
     created (largest in lexicographic order among the previous step's new
     facets), so results are reproducible.
     """
+    d, n = _index(d, "d"), _index(n, "n")
     if n < d + 1:
         raise PreconditionError("a stacked (d-1)-sphere needs at least d+1 vertices")
     cx = simplex_boundary(d)
@@ -74,6 +77,7 @@ def stacked_sphere(d: int, n: int) -> SimplicialComplex:
 def cross_polytope_boundary(d: int) -> SimplicialComplex:
     """d-fold join of two-point complexes: 2d vertices in antipodal pairs
     (2i, 2i+1), one facet per choice of a vertex from every pair."""
+    d = _index(d, "d")
     if d < 1:
         raise PreconditionError("cross polytope needs d >= 1")
     _guard_closure(1, 2 * d)  # 2^d facets of d vertices
@@ -88,6 +92,7 @@ def stacked_sphere_with_ridge(d: int, n: int):
     Returns (complex, ridge); the ridge is the simplex factor, on labels
     0..d-2, and the path uses labels d-1..n-1.
     """
+    d, n = _index(d, "d"), _index(n, "n")
     if n < d + 1:
         raise PreconditionError("need n >= d + 1")
     ridge = tuple(range(d - 1))
@@ -124,6 +129,7 @@ class CatalogEntry:
 def g2_one_family(d: int, variant: str, param: int) -> CatalogEntry:
     """The prime spheres with g2 = 1: joins of two simplex boundaries, and
     joins of a cycle with a simplex boundary."""
+    d, param = _index(d, "d"), _index(param, "param")
     if variant == "join":
         i = param
         if not 2 <= i <= d - 2:
@@ -149,6 +155,7 @@ def g2_two_catalog(d: int, kind: str, param: int | None = None) -> CatalogEntry:
     """The named g2 = 2 complexes: the triple join, suspensions of g2 = 1
     join spheres, the octahedral 3-sphere, and central retriangulations of
     cycle-join spheres along two adjacent facets."""
+    d, param = _index(d, "d"), None if param is None else _index(param, "param")
     if param is not None and kind in ("triple_join", "octahedral"):
         raise PreconditionError(f"{kind} takes no PARAM, got {param!r}")
     if kind == "triple_join":
@@ -221,6 +228,7 @@ def _plain_entry(name, params, cx, g2_expected, tags) -> CatalogEntry:
 def standard_catalog(dmax: int = 6, f0max: int = 14, cycle_max: int = 8) -> list:
     """Every named family at desk scale, tagged; primality and the normal
     pseudomanifold property are computed once per entry here."""
+    dmax, f0max, cycle_max = map(_index, (dmax, f0max, cycle_max), ("dmax", "f0max", "cycle_max"))
     entries = []
     for d in range(4, dmax + 1):
         entries.append(

@@ -100,6 +100,7 @@ class BettiProfile:
 def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Signed incidence matrix of k-faces over (k-1)-faces: the dense view
     of :func:`_boundary_columns`."""
+    k = _index(k, "k")
     faces = _face_masks(cx, (k, k + 1))
     return _dense(cx, faces, k, _boundary_columns(faces, k))
 
@@ -198,7 +199,7 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     A ``TooLargeError`` is raised again on every call and never cached;
     ``_betti.cache_info()`` counts hits.
     """
-    return _betti(_class_key(_order_type(cx._masks[1])), exact.validate_field(field))
+    return _betti(_class_key(cx._masks[1]), exact.validate_field(field))
 
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
@@ -291,9 +292,8 @@ def _ball_analysis(cx: SimplicialComplex, field):
     the faces with trivial links and the least failing vertex of the
     boundary, so all three are those of a sweep on ``cx`` itself.
     """
-    bit, masks = cx._masks
-    verdict, boundary, interior = _ball(_order_type(masks), exact.validate_field(field))
-    labels = list(bit)
+    verdict, boundary, interior = _ball(cx._masks[1], exact.validate_field(field))
+    labels = list(cx._masks[0])
     if verdict.witness:
         witness = tuple(labels[i] for i in verdict.witness)
         verdict = PredicateResult(verdict.ok, witness, verdict.reason)
@@ -445,6 +445,7 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     bitmask closure: a candidate is a member of the level plus one vertex,
     so only its (i+1)-subsets through that vertex need testing.
     """
+    i = _index(i, "i")
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
     bit, masks = cx._masks
@@ -492,6 +493,7 @@ def is_r_stacked_ball(
 ) -> StackedBallCertificate:
     """Certify that a homology d-ball is r-stacked: no interior faces of
     dimension <= d - r - 1 (equivalently, min interior dimension >= d - r)."""
+    r = _index(r, "r")
     if r < 0:
         raise PreconditionError(f"stackedness level r={r} must be >= 0")
     boundary, interior, m = _ball_checked(cx, field, check)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .complexes import (
     SimplicialComplex, _bits, _components, _masks_in, _replaced, _tuple_order, is_simplex_boundary
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, _index
 from .facevectors import _entry, extended_g, g_vector
 from .homology import (
     PredicateResult,
@@ -113,7 +113,7 @@ def missing_face_identity_sides(cx: SimplicialComplex, tau, k: int):
     dimension (tau's boundary survives while tau is removed, so it becomes
     a minimal non-face).
     """
-    _, lhs, rhs = next(_identity_sides(cx, tau, (k,)))
+    _, lhs, rhs = next(_identity_sides(cx, tau, (_index(k, "k"),)))
     return lhs, rhs
 
 
@@ -168,6 +168,7 @@ def inverse_stellar(
     completion may be present already.  r is auto-detected as the least
     level at which the link's g-vector vanishes when omitted.
     """
+    r = None if r is None else _index(r, "r")
     link = cx.link([v])
     d = cx.dim
     if check:

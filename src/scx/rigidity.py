@@ -22,7 +22,7 @@ from math import comb, gcd
 
 from . import exact
 from .complexes import SimplicialComplex
-from .errors import InternalCheckError, PreconditionError, TooLargeError
+from .errors import InternalCheckError, PreconditionError, TooLargeError, _index
 from .facevectors import FVector, _g2, _link_f_vectors, g2
 from .homology import is_normal_pseudomanifold
 
@@ -82,6 +82,7 @@ def random_embedding(graph, d: int, seed: int = 0, bound: int = DEFAULT_COORD_BO
     while a trial misses rank r with probability at most r / (2*2^16 + 1)
     (Schwartz-Zippel).
     """
+    d, bound = _index(d, "d"), _index(bound, "bound")
     if d < 1:
         raise PreconditionError("embedding dimension must be >= 1")
     g = _as_graph(graph)
@@ -184,7 +185,7 @@ def _kept_sample(g: Graph, d: int, trials: int, seed: int, field):
 
 def generic_rank_trials(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME):
     """Exact rank of the rigidity matrix for each of `trials` embeddings."""
-    return [rank for rank, _ in _samples(_as_graph(graph), d, trials, seed, field)]
+    return [rank for rank, _ in _samples(_as_graph(graph), _index(d, "d"), trials, seed, field)]
 
 
 def generic_rank(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFAULT_PRIME) -> int:
@@ -199,7 +200,7 @@ def generic_rank(graph, d: int, trials: int = 3, seed: int = 0, field=exact.DEFA
     ``_samples``), so a trial that reaches the bound reads only as many
     columns as the bound.
     """
-    return _kept_sample(_as_graph(graph), d, trials, seed, field)[0]
+    return _kept_sample(_as_graph(graph), _index(d, "d"), trials, seed, field)[0]
 
 
 def g2_via_rigidity(
@@ -289,8 +290,7 @@ def stress_basis(
     given p > 2*2^16 + 1, so that the coordinates stay distinct mod p, and a
     rank-r minor that is not identically zero mod p.
     """
-    if d is None:
-        d = cx.dim + 1
+    d = cx.dim + 1 if d is None else _index(d, "d")
     g = skeleton_graph(cx)
     rank, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)
     vectors = ()

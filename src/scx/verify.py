@@ -21,7 +21,7 @@ from .complexes import (
     join,
     stack_over_facet,
 )
-from .errors import PreconditionError, UnknownStatementError
+from .errors import PreconditionError, UnknownStatementError, _index
 from .facevectors import (
     extended_g,
     g2,
@@ -71,6 +71,14 @@ class Scale:
     cycle_max: int = 8
     seed: int = 0
     trials: int = 3
+
+    def __post_init__(self):
+        # the bounds are stored as read; seed and trials keep their value for
+        # the sampler's own bool rule (rigidity._samples)
+        for name, value in vars(self).items():
+            read = _index(value, name)
+            if name not in ("seed", "trials"):
+                setattr(self, name, read)
 
 
 @dataclass

@@ -287,6 +287,16 @@ def test_gen_and_op_round_trip(tmp_path):
     assert f"isomorphic to {base}: True" in back.output
 
 
+def test_check_iso_against_a_complex_of_another_type_exits_1(tmp_path):
+    # the move's output is a 4-sphere and the target the boundary of the 6-simplex
+    base, other = tmp_path / "bd5.scx", tmp_path / "bd6.scx"
+    write_scx(simplex_boundary(5), base)
+    write_scx(simplex_boundary(6), other)
+    result = invoke("op", "crtr", str(base), "--ball", "star:0,1,2,3", "--check-iso", str(other))
+    assert result.exit_code == 1
+    assert result.output.endswith(f"isomorphic to {other}: False\n")
+
+
 def test_swartz_precondition_exits_3(tmp_path):
     path = tmp_path / "cj.scx"
     assert invoke("gen", "g2one", "4", "2", "4", "--output", str(path)).exit_code == 0

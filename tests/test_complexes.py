@@ -144,6 +144,15 @@ def test_dimension_readers_read_outside_the_range_as_empty(bd4):
         bd4.skeleton(-2)
 
 
+def test_skeleton_and_missing_faces_past_the_closure_guard_build_no_closure():
+    # each reads its dimension without the closure's group reader, which
+    # built 2^18 faces only to check that k is an integer (TooLargeError)
+    cx = from_facets([range(18)])
+    assert cx.missing_faces(0) == []
+    assert cx.skeleton(17) is cx
+    assert cx._closure is None
+
+
 def test_missing_faces_simplex_boundary(bd3):
     assert bd3.missing_faces(3) == [(0, 1, 2, 3)]
     assert bd3.missing_faces(1) == []
@@ -284,6 +293,12 @@ def test_connected_sum_errors(bd3, bd4):
         connected_sum(bd4, [0, 1, 2], bd4, [0, 1, 2, 3])  # not a facet
     with pytest.raises(PreconditionError):
         connected_sum(bd4, [0, 1, 2, 3], bd3, [0, 1, 2])  # dimension mismatch
+
+
+def test_connected_sum_refuses_a_non_facet_of_the_second_complex(bd4):
+    message = r"^\(0, 1, 2\) is not a facet of the second complex$"
+    with pytest.raises(PreconditionError, match=message):
+        connected_sum(bd4, [0, 1, 2, 3], bd4, [0, 1, 2])
 
 
 def test_gluing_or_stacking_along_the_empty_facet_is_refused():

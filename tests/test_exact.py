@@ -402,6 +402,16 @@ def test_validate_field():
         validate_field("float")
 
 
+@pytest.mark.parametrize("n", [2021, 3_215_031_751])
+def test_miller_rabin_refuses_a_composite_with_no_small_factor(n):
+    # 43 * 47, and a strong pseudoprime to the bases 2, 3, 5 and 7: no trial
+    # division by 2..41 finds a factor, so a Miller-Rabin round must
+    assert all(n % p for p in range(2, 42))
+    assert not is_probable_prime(n)
+    with pytest.raises(PreconditionError, match=f"^{n} is not prime$"):
+        validate_field(n)
+
+
 def test_a_modulus_past_the_prime_test_bound_is_rejected():
     # the bound is composite, yet Miller-Rabin on the bases 2..41 passes it
     assert PRIME_TEST_BOUND == 1_287_836_182_261 * 2_575_672_364_521

@@ -93,6 +93,12 @@ def test_json_round_trip(oct3):
         read_json_text("not json")
 
 
+@pytest.mark.parametrize("facets", ["5", "[[0, 1], 2]", '"0 1"'])
+def test_json_facets_must_be_a_list_of_lists(facets):
+    with pytest.raises(ParseError, match='"facets" must be a list of integer lists'):
+        read_json_text(f'{{"facets": {facets}}}')
+
+
 def test_load_complex_dispatch(tmp_path, bd3):
     scx_path = tmp_path / "c.scx"
     json_path = tmp_path / "c.json"

@@ -1,9 +1,11 @@
+import re
 from math import comb
 
 import pytest
 
 from scx import (
     InternalCheckError,
+    ParseError,
     PreconditionError,
     TooLargeError,
     are_isomorphic,
@@ -18,12 +20,14 @@ from scx import (
     g2_two_catalog,
     is_homology_sphere,
     join,
+    load_fixture,
     simplex_boundary,
     stacked_sphere,
     stack_over_facet,
     stacked_sphere_with_ridge,
     standard_catalog,
     suspension,
+    write_scx,
 )
 from scx import complexes
 from scx.generators import CatalogEntry
@@ -50,6 +54,32 @@ def test_parameter_validation():
         stacked_sphere(-1, 0)
     with pytest.raises(PreconditionError):
         cross_polytope_boundary(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: stacked_sphere_with_ridge(4, 4), "need n >= d + 1"),
+        (lambda: g2_one_family(3, "cycle", 4), "cycle variant needs d >= 4"),
+        (lambda: g2_one_family(4, "wedge", 4), "unknown variant 'wedge'"),
+        (lambda: g2_two_catalog(4, "triple_join"), "triple join needs d >= 5"),
+        (lambda: g2_two_catalog(5, "crtr_ridge", 4), "crtr_ridge variant needs d = 4 and n >= 4"),
+        (lambda: g2_two_catalog(4, "crtr_ridge", 3), "crtr_ridge variant needs d = 4 and n >= 4"),
+        (lambda: g2_two_catalog(4, "crtr_ridge"), "crtr_ridge variant needs d = 4 and n >= 4"),
+    ],
+    ids=["ridge-n", "cycle-d", "variant", "triple-d", "crtr-d", "crtr-n", "crtr-none"],
+)
+def test_family_parameters_out_of_range_are_refused(call, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_fixture_with_a_malformed_sidecar_is_a_parse_error(tmp_path):
+    path = tmp_path / "bd3.scx"
+    write_scx(simplex_boundary(3), path)
+    path.with_suffix(".meta.json").write_text('{"g2": 0,')
+    with pytest.raises(ParseError, match="bd3.meta.json: invalid JSON"):
+        load_fixture(path)
 
 
 def test_stacked_sphere_smallest_is_simplex_boundary():

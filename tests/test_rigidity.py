@@ -53,6 +53,15 @@ def test_embedding_refuses_dimension_0():
         random_embedding(skeleton_graph(cycle(4)), 0)
 
 
+def test_rigidity_readers_take_a_graph_or_a_complex():
+    cx = cycle(5)
+    assert random_embedding(cx, 2, seed=3) == random_embedding(skeleton_graph(cx), 2, seed=3)
+    assert rigidity_matrix(cx, random_embedding(cx, 2)).edges == skeleton_graph(cx).edges
+    message = "expected a Graph or SimplicialComplex, got <class 'list'>"
+    with pytest.raises(PreconditionError, match=message):
+        generic_rank([(0, 1)], 2)
+
+
 def test_k4_rank_in_the_plane():
     for seed in (0, 1):
         assert generic_rank(K4, 2, trials=2, seed=seed) == 5

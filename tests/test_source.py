@@ -186,12 +186,23 @@ def test_every_cache_is_an_order_type_memo_in_homology():
     # homology.py whose key is read off an order type, and the field.  _ball
     # and _class_key take the order type itself; _betti and _is_sphere take
     # its class key, or the masks of a memo that already holds one.  No memo
-    # takes any other parameter
+    # takes any other parameter.  A complex keeps its order type as its facet
+    # masks, cx._masks[1], which only _of_masks writes
     def caches(decorator):
         return any(_named(getattr(decorator, "func", decorator), c) for c in CACHES)
 
     def order_type(key):
-        return isinstance(key, ast.Call) and _named(key.func, "_order_type")
+        kept = ast.unparse(key) == "cx._masks[1]"
+        return kept or isinstance(key, ast.Call) and _named(key.func, "_order_type")
+
+    writes = [
+        (where, ast.unparse(node.value))
+        for _, where, node in _nodes()
+        if isinstance(node, ast.Assign)
+        and any(_named(part, "_masks") for target in node.targets for part in ast.walk(target))
+    ]
+    stored = "((bit, _order_type(masks)), max(map(int.bit_count, masks)) - 1)"
+    assert writes == [("_of_masks", stored)]
 
     memos = {
         node.name: (module, node)

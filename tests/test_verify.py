@@ -10,11 +10,13 @@ from scx import (
     FVector,
     InternalCheckError,
     PreconditionError,
+    PredicateResult,
     Scale,
     UnknownStatementError,
     facevectors,
     g2,
     homology,
+    retriangulate,
     rigidity,
     run_all,
     run_statement,
@@ -259,10 +261,26 @@ def _isomorphism_withheld(original, reached):
     return call
 
 
+def _lhs_one_above(original, cx, k):
+    lhs, rhs = original(cx, k)
+    return lhs + 1, rhs
+
+
+def _tau_among_the_missing_vertices(original, cx, tau, dims):
+    # the right side of the first dimension, k = 0, gains tau itself
+    (k, lhs, rhs), *rest = original(cx, tau, dims)
+    return iter([(k, lhs, rhs | {frozenset(tau)}), *rest])
+
+
 #: statement -> (module, name, fake, the planted instance's failure detail)
 PLANTS = {
+    "Lemma2.2": (verify, "link_g_sum", _first_call(_lhs_one_above), "lhs=1 rhs=0"),
     "Lemma2.6": (rigidity, "_link_f_vectors", _first_call(_link_g2_above_the_total),
                  "g2=0 violations=((0, 1),)"),
+    "Lemma3.3": (verify, "central_retriangulation", _first_call(_refused),
+                 "precondition: planted refusal"),
+    "Lemma3.4": (retriangulate, "_identity_sides", _first_call(_tau_among_the_missing_vertices),
+                 "sides differ at dimension 0"),
     "Lemma3.6": (verify, "inverse_stellar", _first_call(_undo_off_by_one),
                  "g (1, 1, 1)->(1, 0, 0) predicted ((1, 1), (2, 0)) restored=True iso=True"),
     "Lemma3.8": (verify, "swartz_all", _first_call(_refused), "precondition: planted refusal"),
@@ -274,6 +292,9 @@ PLANTS = {
                  "g2=0 g3=0 bound=-1"),
     "Theorem4.5": (verify, "central_retriangulation", _first_call(_refused),
                    "precondition: planted refusal"),
+    "Theorem5.4": (verify, "is_homology_sphere",
+                   _first_call(lambda original, cx: PredicateResult(False, (), "planted")),
+                   "g (1, 1, 1)->(1, 2, 2) sphere=False"),
 }
 
 
@@ -284,6 +305,13 @@ def test_a_planted_defect_fails_its_statement_at_the_planted_instance(monkeypatc
     (failure,) = run_statement(statement).failures
     (name,) = reached
     assert failure == f"{name}: {detail}"
+
+
+def test_a_refused_undo_fails_lemma_3_6_as_a_precondition(monkeypatch):
+    # the precondition branch of Lemma3.6, beside its planted off-by-one
+    reached = _plant(monkeypatch, "Lemma3.6", verify, "inverse_stellar", _first_call(_refused))
+    (failure,) = run_statement("Lemma3.6").failures
+    assert failure == f"{reached[0]}: precondition: planted refusal"
 
 
 def test_planted_defects_leave_the_other_reports_alone(monkeypatch):
