@@ -29,6 +29,15 @@ def _entry(entries: tuple, i: int) -> int:
     return entries[i] if 0 <= i < len(entries) else 0
 
 
+def _complex(cx) -> SimplicialComplex:
+    """``cx`` if it is a complex, else ``MalformedInputError``: the one rule by
+    which the face-vector readers take a complex, as :func:`h_from_f` and
+    :func:`f_from_h` take their vectors."""
+    if not isinstance(cx, SimplicialComplex):
+        raise MalformedInputError(f"expected a SimplicialComplex, got {cx!r}")
+    return cx
+
+
 @dataclass(frozen=True)
 class FVector:
     entries: tuple  # entries[i] = f_{i-1}
@@ -68,6 +77,7 @@ class GVector:
 
 def f_vector(cx: SimplicialComplex) -> FVector:
     """Exact face counts from the bitmask closure (``n_faces``)."""
+    cx = _complex(cx)
     entries = tuple(cx.n_faces(k) for k in range(-1, cx.dim + 1))
     return FVector(entries, impure=not cx.is_pure())
 
@@ -142,11 +152,13 @@ def _extended_g(f: FVector) -> tuple:
 
 
 def g1(cx: SimplicialComplex) -> int:
+    cx = _complex(cx)
     return cx.n_faces(0) - (cx.dim + 2)
 
 
 def g2(cx: SimplicialComplex) -> int:
     """g_2 = f_1 - d*f_0 + C(d+1, 2) with d = dim + 1."""
+    cx = _complex(cx)
     return _g2(cx.n_faces(0), cx.n_faces(1), cx.dim + 1)
 
 
@@ -160,6 +172,7 @@ def g3(cx: SimplicialComplex) -> int:
 
 def reduced_euler(cx: SimplicialComplex) -> int:
     """Alternating face-count sum: -f_{-1} + f_0 - f_1 + ..."""
+    cx = _complex(cx)
     return -1 + sum((-1) ** k * cx.n_faces(k) for k in range(0, cx.dim + 1))
 
 
@@ -170,7 +183,7 @@ def link_g_sum(cx: SimplicialComplex, k: int) -> tuple:
 
     with g read as extended h-differences on both sides.
     """
-    k = _index(k, "k")
+    cx, k = _complex(cx), _index(k, "k")
     if k < 0:
         raise PreconditionError(f"link-sum index must be >= 0, got {k}")
     lhs = sum(_entry(_extended_g(FVector(e)), k) for e in _link_f_vectors(cx).values())

@@ -22,10 +22,20 @@ how many facets contain them.  The ball analysis (:func:`_ball`, behind
 :func:`_ball_analysis` and so every ball predicate and retriangulation)
 takes the order type, the masks the complex keeps.  So a link swept by several
 predicates or statements, or met again under a relabelling that the degree
-order undoes, is eliminated once and judged once, and a ball that several
+order undoes, is eliminated at most once and judged once, and a ball that several
 retriangulations read, with or without ``check``, is swept once.  Nothing
 seeded is cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits
 and misses and ``cache_clear()`` empties each memo.
+
+A homology-sphere verdict of dimension at most 2 is counted on the masks
+(:func:`_is_low_sphere`), with no closure, matrix or memo lookup for its
+links, so no guard can stop it.  Such a sphere is the empty complex, two
+points, a connected cycle, or a connected closed surface (every edge in two
+triangles, every vertex link a cycle) whose Euler characteristic
+f0 - f1 + f2 is 2, which the classification of closed surfaces makes a
+2-sphere.  The Euler characteristic is the same over every field, and so
+is the verdict.  From dimension 3 the Betti numbers come first, then the
+vertex links, so a 3-manifold's vertex links are all counted.
 
 The face-link sweeps (the manifold, ball and normal pseudomanifold tests)
 read each link's facets off the facet masks with ``complexes._link``, and
@@ -177,12 +187,11 @@ COMPLETION_GUARD = 6_300
 #: closure stays alive: after one ``run_all()`` the Betti memo holds about
 #: 0.5 kB per entry and the ball memo 0.8 kB, its masks being ints
 #: (tracemalloc), against 3 kB when the Betti key held the facets; a verdict
-#: shares its key with the profile it was read from.  The 156 profiles, 83
-#: verdicts and 42 ball analyses of ``run_all()`` (176, 94 and 52 at dmax=7)
+#: shares its key with the profile it was read from.  The 117 profiles, 74
+#: verdicts and 42 ball analyses of ``run_all()`` (137, 86 and 52 at dmax=7)
 #: fit, so no memo evicts there.  The classify-distinct benchmark stream at
-#: seed 0 makes 1,049 Betti and 905 verdict misses on 797 class keys (2,966
-#: and 2,529 when both were keyed by the order type), so those two memos
-#: still evict there, while its ball analyses fit.
+#: seed 0 makes 343 Betti and 553 verdict misses, so those two memos still
+#: evict there, while its ball analyses fit.
 BETTI_MEMO = 256
 
 
@@ -247,17 +256,49 @@ def _betti(masks: tuple, field) -> BettiProfile:
 def _is_sphere(masks: tuple, field) -> bool:
     """Whether the class key ``masks`` is a homology sphere over ``field``.
 
-    It is when its Betti numbers are those of the sphere of its own
-    dimension and every vertex link (:func:`_link` of the vertex bit) is a
-    homology sphere one dimension lower.  Memoised beside :func:`_betti`, on
-    the same key: the verdict is an isomorphism invariant, so it may be read
-    off any relabelling of the complex (:func:`_class_key`).
+    Up to dimension 2 the verdict is counted (:func:`_is_low_sphere`), the
+    same over every field.  From dimension 3 it is one when its Betti
+    numbers are those of the sphere of its own dimension and every vertex
+    link (:func:`_link` of the vertex bit) is a homology sphere one
+    dimension lower.  Memoised beside :func:`_betti`, on the same key: the
+    verdict is an isomorphism invariant, so it may be read off any
+    relabelling of the complex (:func:`_class_key`).
     """
     dim = max(map(int.bit_count, masks)) - 1
+    if dim < 3:
+        return _is_low_sphere(masks, dim)
     if not _betti(masks, field).is_sphere(dim):
         return False
     bits = (1 << i for i in range(max(masks).bit_length()))  # the vertices are 0..n-1
     return all(_is_sphere_of_dim(_link(masks, b), dim - 1, field) for b in bits)
+
+
+def _is_low_sphere(masks: tuple, dim: int) -> bool:
+    """Whether the facet masks ``masks`` over the vertices 0..n-1, of
+    dimension ``dim`` <= 2, form a homology sphere, by counting alone.
+
+    The empty complex is the (-1)-sphere and two points the 0-sphere.  From
+    dimension 1 the facets have dim + 1 vertices, every ridge lies in two of
+    them and they are connected: a cycle, or in dimension 2 a closed surface
+    once every vertex link is connected too, and a sphere when its Euler
+    characteristic f0 - f1 + f2 is 2 (the classification of closed
+    surfaces).  A homology sphere over any field is one of these: its vertex
+    links are homology spheres, so cycles, and its Euler characteristic,
+    which no field changes, is that of the sphere."""
+    if dim < 1:  # the empty face alone, or two points
+        return len(masks) == dim + 2
+    ridges = Counter(m ^ b for m in masks for b in _bits(m))
+    n = max(masks).bit_length()
+    return (
+        all(m.bit_count() == dim + 1 for m in masks)
+        and set(ridges.values()) == {2}
+        and len(_components(masks)) == 1
+        and (
+            dim == 1
+            or n - len(ridges) + len(masks) == 2
+            and all(len(_components(_link(masks, 1 << v))) == 1 for v in range(n))
+        )
+    )
 
 
 def _is_sphere_of_dim(link: list, dim: int, field) -> bool:

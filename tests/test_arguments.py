@@ -1,7 +1,9 @@
 """Every integer argument is read once, where it enters the package, by one
 rule (``errors._index``): a value that is not an integer is refused with
 ``MalformedInputError`` naming the parameter, before any other test, and an
-integer, ``bool`` included, reads as it did before the rule."""
+integer, ``bool`` included, reads as it did before the rule.  The
+face-vector readers take their complex by one rule as well
+(``facevectors._complex``)."""
 
 import re
 
@@ -14,10 +16,17 @@ from scx import (
     boundary_matrix,
     cross_polytope_boundary,
     cycle,
+    extended_g,
+    f_vector,
+    g1,
+    g2,
     g2_one_family,
     g2_two_catalog,
+    g3,
+    g_vector,
     generic_rank,
     generic_rank_trials,
+    h_vector,
     inverse_stellar,
     is_m_sequence,
     is_r_stacked_ball,
@@ -25,6 +34,7 @@ from scx import (
     macaulay_pseudopower,
     missing_face_identity_sides,
     random_embedding,
+    reduced_euler,
     simplex_boundary,
     skeleton_completion,
     skeleton_graph,
@@ -151,3 +161,18 @@ def test_a_scale_stores_its_bounds_as_integers_and_its_sampling_as_given():
     assert Scale(seed=True, trials=Four()).seed is True
     assert type(Scale(dmax=True, f0max=Four(), cycle_max=Four()).f0max) is int
     assert Scale() == Scale(6, 14, 8, 0, 3)
+
+
+FACE_VECTOR_READERS = [f_vector, h_vector, g_vector, extended_g, g1, g2, g3, reduced_euler]
+
+
+@pytest.mark.parametrize(
+    "reader",
+    FACE_VECTOR_READERS + [lambda x: link_g_sum(x, 1)],
+    ids=[r.__name__ for r in FACE_VECTOR_READERS] + ["link_g_sum"],
+)
+@pytest.mark.parametrize("value", [5, None, BD4.facets], ids=["int", "None", "facets"])
+def test_a_face_vector_reader_refuses_what_is_not_a_complex(reader, value):
+    message = f"expected a SimplicialComplex, got {value!r}"
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+        reader(value)

@@ -88,10 +88,10 @@ def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert "homology sphere: True" in result.output
     before = memo_counts()
-    assert before == (14, 14, 75, 13)  # as for is_homology_sphere on a cold memo
+    assert before == (6, 6, 45, 8)  # as for is_homology_sphere on a cold memo
     assert invoke("info", str(path)).output == result.output
     # its own Betti numbers, then one verdict lookup per vertex link
-    assert memo_counts() == (14 + 1, 14, 75 + cx.n_faces(0), 13)
+    assert memo_counts() == (6 + 1, 6, 45 + cx.n_faces(0), 8)
     assert linked == []  # no sweep builds a link complex
 
 
@@ -579,9 +579,10 @@ def test_betti_guard_exits_3(tmp_path, no_elimination):
 
 
 def test_vertex_link_past_the_betti_guard_exits_3(tmp_path, monkeypatch):
-    # the tetrahedron-boundary vertex links need 24 cells, the triangle edge links 9
-    path = tmp_path / "bd4.scx"
-    write_scx(simplex_boundary(4), path)
+    # the 4-simplex-boundary vertex links need 100 cells in d_2; their own
+    # vertex links, tetrahedron boundaries, are counted with no Betti numbers
+    path = tmp_path / "bd5.scx"
+    write_scx(simplex_boundary(5), path)
     clear_memos()
     monkeypatch.setattr(homology, "BETTI_GUARD", 10)
     for _ in range(2):

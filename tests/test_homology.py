@@ -403,22 +403,37 @@ def _assert_matches_every_column(masks):
         assert homology._betti.__wrapped__(masks, field).entries == expected, (masks, field)
 
 
+MEMOS = ("_betti", "_is_sphere", "_class_key", "_ball")
+
+
 @pytest.fixture(scope="module")
-def run_all_order_types():
-    """The order types that one ``run_all()`` hands to ``_class_key``, on
-    empty memos and a catalog built afresh, sorted."""
+def run_all_cold():
+    """One ``run_all()`` on empty memos and a catalog built afresh: the
+    order types it hands to ``_class_key``, sorted, and each memo's misses."""
     seen, memo = set(), homology._class_key
     clear_memos()
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(homology, "_class_key", lambda masks: seen.add(masks) or memo(masks))
         monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
         assert all(report.passed for report in run_all())
-    return sorted(seen)
+    return sorted(seen), {name: getattr(homology, name).cache_info().misses for name in MEMOS}
+
+
+@pytest.fixture(scope="module")
+def run_all_order_types(run_all_cold):
+    return run_all_cold[0]
+
+
+def test_a_cold_run_all_counts_its_memo_misses(run_all_cold):
+    # counted work, free of host noise: each miss is one elimination, verdict,
+    # key or sweep, so a change that eliminates the links of sphere verdicts
+    # below dimension 3 again fails here (155, 92 and 270 misses then)
+    assert run_all_cold[1] == {"_betti": 117, "_is_sphere": 74, "_class_key": 254, "_ball": 42}
 
 
 def test_betti_matches_every_column_ranks_on_run_all_misses(run_all_order_types):
-    # every order type run_all() asks for, each a class-key miss once: 249
-    # on empty memos, which share 156 Betti keys
+    # every order type run_all() asks for, each a class-key miss once: 254
+    # on empty memos, whose class keys make 117 Betti misses
     assert len(run_all_order_types) >= 200
     for masks in run_all_order_types:
         key = homology._class_key(masks)
@@ -466,6 +481,81 @@ def test_class_key_relabels_random_complexes(cx):
         _assert_class_key_relabels(homology._order_type(homology._link(masks, b)))
 
 
+def _counted_verdict(cx) -> bool:
+    """The counted sphere verdict on the class key of ``cx``, of dimension
+    <= 2, after checking it against elimination over Q, GF(2) and GF(3):
+    the Betti numbers of ``cx`` and of every face link."""
+    assert cx.dim <= 2
+    key = homology._class_key(cx._masks[1])
+    verdicts = set()
+    for field in FIELDS:
+        expected = betti(cx, field).is_sphere(cx.dim)
+        expected = expected and bool(oracle.is_homology_manifold_by_links(cx, field))
+        assert homology._is_sphere.__wrapped__(key, field) == expected, (key, field)
+        verdicts.add(expected)
+    assert len(verdicts) == 1  # no field changes a verdict below dimension 3
+    return verdicts.pop()
+
+
+def test_counted_sphere_verdicts_match_elimination_on_run_all_order_types(run_all_order_types):
+    low = [m for m in run_all_order_types if max(map(int.bit_count, m)) <= 3]
+    verdicts = [_counted_verdict(from_facets(_complex_of(m))) for m in low]
+    assert len(low) >= 50 and True in verdicts and False in verdicts
+
+
+def test_counted_sphere_verdicts_match_elimination_on_census_links(census):
+    for sphere in census:
+        for face in sphere.faces_of_dim(0) + sphere.faces_of_dim(1):
+            assert _counted_verdict(sphere.link(face))
+
+
+TORUS_7 = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
+TORUS_7 += [[i, (i + 2) % 7, (i + 3) % 7] for i in range(7)]
+TETRAHEDRON = list(combinations(range(4), 3))
+# two octahedra that share the antipodes 0 and 1, so that f0 - f1 + f2 = 2
+OCTAHEDRA = [[a, b, c] for a in (0, 1) for bs, cs in (((2, 3), (4, 5)), ((6, 7), (8, 9)))
+             for b in bs for c in cs]
+
+
+@pytest.mark.parametrize(
+    "facets, sphere",
+    [
+        ([], True),
+        ([[0], [1]], True),
+        ([[0], [1], [2]], False),
+        ([[i, (i + 1) % 5] for i in range(5)], True),
+        ([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]], False),  # a figure-eight
+        ([[0, 1, 2], [3, 4, 5]], False),  # two disjoint triangles
+        ([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]], False),  # and their boundaries
+        (TETRAHEDRON, True),
+        (TETRAHEDRON + [[0, 4]], False),  # a dangling edge
+        (TETRAHEDRON + [[v + 4 for v in f] for f in TETRAHEDRON], False),  # disjoint
+        (TETRAHEDRON + [[v + 3 for v in f] for f in TETRAHEDRON], False),  # wedged at 3
+        (TORUS_7, False),
+        (TORUS_7 + [[v + 7 for v in f] for f in TETRAHEDRON], False),  # f0 - f1 + f2 = 2
+        (OCTAHEDRA, False),  # the links of 0 and 1 are two 4-cycles each
+        (RP2_FACETS, False),  # GF(2): b1 = b2 = 1
+    ],
+)
+def test_counted_sphere_verdicts_match_elimination_on_plants(facets, sphere):
+    assert _counted_verdict(from_facets(facets)) == sphere
+
+
+@given(st.one_of(near_manifolds(), random_complexes).filter(lambda cx: cx.dim <= 2))
+@settings(max_examples=150, deadline=None)
+def test_counted_sphere_verdicts_match_elimination_on_random_complexes(cx):
+    _counted_verdict(cx)
+
+
+def test_manifold_verdicts_in_dimension_3_make_no_betti_miss():
+    # every vertex link of a 3-manifold is a 2-complex, counted
+    catalog = [e.complex for e in standard_catalog(dmax=7) if e.complex.dim == 3]
+    clear_memos()
+    assert len(catalog) > 10 and all(map(is_homology_manifold, catalog))
+    assert homology._betti.cache_info().misses == 0
+    assert homology._is_sphere.cache_info().misses > 0
+
+
 # a 2-complex whose vertices 1..6 lie in 4, 1, 6, 2, 5 and 3 facets
 DISTINCT_DEGREES = [(1, 3, 4), (1, 3, 5), (1, 3, 6), (1, 5, 6), (2, 3, 5), (3, 4, 5), (3, 5, 6)]
 
@@ -473,7 +563,8 @@ DISTINCT_DEGREES = [(1, 3, 4), (1, 3, 5), (1, 3, 6), (1, 5, 6), (2, 3, 5), (3, 4
 def test_a_shuffle_of_distinct_degrees_hits_both_memos():
     # the cone apex 0 is the least vertex, so the manifold test judges its
     # link, the 2-complex, first; that link has the homology of a 2-sphere
-    # but a vertex link that is an edge, so the test stops there
+    # but an edge in four triangles, so the count fails it with no Betti
+    # lookup and the test stops there
     shuffle = dict(zip(range(1, 7), (4, 6, 1, 5, 2, 3)))
     plain = from_facets(DISTINCT_DEGREES)
     shuffled = from_facets([[shuffle[v] for v in f] for f in DISTINCT_DEGREES])
@@ -487,10 +578,11 @@ def test_a_shuffle_of_distinct_degrees_hits_both_memos():
         counts.append(memo_counts())
     # (Betti lookups, misses, verdict lookups, misses): the second cone costs
     # one verdict lookup, a hit
-    assert counts == [(2, 2, 2, 2), (2, 2, 3, 2)]
+    assert counts == [(0, 0, 1, 1), (0, 0, 2, 1)]
     expected = homology._betti.__wrapped__(_memo_key(plain), "rational")
     assert betti(shuffled) == betti(plain) == expected
-    assert memo_counts() == (4, 2, 3, 2)
+    assert expected.is_sphere(2)
+    assert memo_counts() == (2, 1, 2, 1)  # the second profile is a hit
 
 
 def test_guards_raise_on_every_repeat_call_and_cache_nothing():
@@ -507,6 +599,16 @@ def test_guards_raise_on_every_repeat_call_and_cache_nothing():
     betti_info, sphere_info = homology._betti.cache_info(), homology._is_sphere.cache_info()
     assert (betti_info.currsize, betti_info.misses) == (0, 12)
     assert (sphere_info.currsize, sphere_info.misses) == (0, 6)
+
+
+def test_a_counted_sphere_verdict_meets_no_guard():
+    # the apex links of the suspension are a stacked 2-sphere on 400
+    # vertices whose d_2 has 1,194 x 796 cells, past the Betti guard; its
+    # verdict is counted, as are the other vertex links
+    sphere = stacked_sphere(3, 400)
+    with pytest.raises(TooLargeError, match="Betti guard"):
+        betti(sphere)
+    assert is_homology_manifold(suspension(sphere))
 
 
 def test_betti_matches_every_column_ranks_on_the_census(census):
@@ -637,17 +739,17 @@ def test_betti_memo_never_holds_a_guard_trip(monkeypatch):
 
 
 def test_sphere_verdict_memo_never_holds_a_guard_trip(monkeypatch):
-    # every vertex link of the 4-simplex boundary is a tetrahedron boundary
-    # (d_1 4x6 and d_2 6x4 cells), every edge link a triangle (3x3), whose
-    # verdict and those below it (two points, the empty complex) are warm
+    # every vertex link of the 5-simplex boundary is a 4-simplex boundary
+    # (d_1 5x10 and d_2 10x10 cells), every edge link a tetrahedron
+    # boundary, whose counted verdict is warm
     clear_memos()
-    assert is_homology_manifold(simplex_boundary(3))
+    assert is_homology_manifold(simplex_boundary(4))
     before = homology._is_sphere.cache_info().currsize
     monkeypatch.setattr(homology, "BETTI_GUARD", 10)
     for _ in range(3):
         with pytest.raises(TooLargeError, match="Betti guard"):
-            is_homology_manifold(simplex_boundary(4))
-    assert homology._is_sphere.cache_info().currsize == before == 3
+            is_homology_manifold(simplex_boundary(5))
+    assert homology._is_sphere.cache_info().currsize == before == 1
 
 
 def test_betti_memo_is_bounded():
@@ -752,16 +854,18 @@ def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch):
     assert (len(cx.faces()), cx.n_faces(0)) == (341, 10)
     linked = record_links(monkeypatch)
     clear_memos()
-    # cold: each order type among the iterated vertex links is eliminated and
-    # judged once (13 of them), and the complex itself eliminated once
+    # cold: each class key among the iterated vertex links is judged once (8
+    # of them); the 5 of dimension 3 and 4 are eliminated once, as is the
+    # complex itself, and the 3 of dimension 2 are counted, with no lookup
+    # of their own links
     assert is_homology_sphere(cx)
-    assert memo_counts() == (14, 14, 75, 13)
+    assert memo_counts() == (6, 6, 45, 8)
     swept = record_swept(monkeypatch)
     assert is_homology_sphere(cx)
     # warm: its own Betti numbers, read off its facet masks with no link,
     # then one verdict lookup per vertex link, in sorted vertex order (bit i
     # is the i-th least vertex)
-    assert memo_counts() == (14 + 1, 14, 75 + 10, 13)
+    assert memo_counts() == (6 + 1, 6, 45 + 10, 8)
     assert swept == [1 << i for i in range(10)]
     assert linked == []  # the links are read as facet bitmasks
 
@@ -772,7 +876,7 @@ def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypat
     clear_memos()
     assert is_homology_manifold(cycle_join)
     before = memo_counts()
-    assert before[1] == before[3] > 0  # one Betti miss per verdict miss
+    assert before[:2] == (0, 0) and before[3] > 0  # the 2-dimensional links are counted
     swept = record_swept(monkeypatch)
     assert is_homology_manifold(cycle_join)
     assert swept == [1 << i for i in range(cycle_join.n_faces(0))]

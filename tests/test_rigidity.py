@@ -170,6 +170,14 @@ def test_sampling_needs_integer_seed_and_trials(cycle_join, kwargs):
             f(cycle_join, **kwargs)
 
 
+@pytest.mark.parametrize("seed", ["a", 1.5, True, None])
+def test_an_embedding_reads_its_seed_by_the_sampling_rule(seed):
+    # random.Random would take each of these; the samplers refuse them
+    with pytest.raises(PreconditionError, match=f"seed must be an integer, got {seed!r}"):
+        random_embedding(cycle(4), 2, seed=seed)
+    assert random_embedding(cycle(4), 2, seed=-3).seed == -3
+
+
 def test_participation_stable_across_seeds(oct3):
     assert vertex_participation(oct3, seed=5) == vertex_participation(oct3, seed=9)
 

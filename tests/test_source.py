@@ -110,7 +110,7 @@ def test_one_mask_order_reads_vertex_tuples():
 
 def test_one_component_routine_answers_every_connectivity_question():
     # complexes._components on bitmasks is the only connectivity routine:
-    # no other, and no union-find, and exactly these four callers
+    # no other, and no union-find, and exactly these five callers
     defined = [
         (module, where, node.name)
         for module, where, node in _nodes()
@@ -127,6 +127,7 @@ def test_one_component_routine_answers_every_connectivity_question():
     assert sorted(set(calls)) == [
         ("complexes.py", "detect_join"),
         ("complexes.py", "is_connected"),
+        ("homology.py", "_is_low_sphere"),
         ("homology.py", "is_normal_pseudomanifold"),
         ("retriangulate.py", "_split_link_along"),
     ]
@@ -164,6 +165,7 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
     assert sorted(calls("_link")) == sorted(_uses("_link")) == [
         ("complexes.py", "_through"),
         ("homology.py", "_ball"),
+        ("homology.py", "_is_low_sphere"),
         ("homology.py", "_is_sphere"),
         ("homology.py", "is_homology_manifold"),
         ("homology.py", "is_normal_pseudomanifold"),
