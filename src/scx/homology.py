@@ -34,8 +34,17 @@ points, a connected cycle, or a connected closed surface (every edge in two
 triangles, every vertex link a cycle) whose Euler characteristic
 f0 - f1 + f2 is 2, which the classification of closed surfaces makes a
 2-sphere.  The Euler characteristic is the same over every field, and so
-is the verdict.  From dimension 3 the Betti numbers come first, then the
-vertex links, so a 3-manifold's vertex links are all counted.
+is the verdict.  From dimension 3 a greedy shelling is tried first
+(:func:`_shells`, on the masks, with no closure): a shellable closed
+pseudomanifold is a PL sphere (Danaraj and Klee 1974), and polytopal
+spheres are shellable (Bruggesser and Mani 1971).  A failed search proves
+nothing; the Betti numbers come next, then the vertex links, so a
+3-manifold's vertex links are all counted.  :func:`is_homology_manifold`
+and :func:`is_homology_sphere` try the search on the complex itself
+first, once a call, so a shellable sphere is judged with no Betti number,
+link or memo lookup.  Verdicts, witnesses and reasons are those of
+elimination alone: a search that succeeds has found a sphere, and one that
+fails leaves the verdict to elimination.
 
 The face-link sweeps (the manifold, ball and normal pseudomanifold tests)
 read each link's facets off the facet masks with ``complexes._link``, and
@@ -50,7 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field
 
 from . import exact
@@ -66,7 +75,7 @@ from .complexes import (
     _tuple_order,
 )
 from .errors import InternalCheckError, PreconditionError, TooLargeError, _index
-from .facevectors import _entry
+from .facevectors import _complex, _entry
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,7 @@ class BettiProfile:
 def boundary_matrix(cx: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Signed incidence matrix of k-faces over (k-1)-faces: the dense view
     of :func:`_boundary_columns`."""
-    k = _index(k, "k")
+    cx, k = _complex(cx), _index(k, "k")
     faces = _face_masks(cx, (k, k + 1))
     return _dense(cx, faces, k, _boundary_columns(faces, k))
 
@@ -149,6 +158,7 @@ def _boundary_columns(faces, k: int) -> list:
 
 def chain_complex(cx: SimplicialComplex) -> list:
     """All boundary matrices d_0..d_dim, with the d.d = 0 identity asserted."""
+    cx = _complex(cx)
     faces = _face_masks(cx, range(cx.dim + 2))
     return [_dense(cx, faces, k, c) for k, c in enumerate(_checked_columns(faces))]
 
@@ -187,11 +197,12 @@ COMPLETION_GUARD = 6_300
 #: closure stays alive: after one ``run_all()`` the Betti memo holds about
 #: 0.5 kB per entry and the ball memo 0.8 kB, its masks being ints
 #: (tracemalloc), against 3 kB when the Betti key held the facets; a verdict
-#: shares its key with the profile it was read from.  The 117 profiles, 74
-#: verdicts and 42 ball analyses of ``run_all()`` (137, 86 and 52 at dmax=7)
-#: fit, so no memo evicts there.  The classify-distinct benchmark stream at
-#: seed 0 makes 343 Betti and 553 verdict misses, so those two memos still
-#: evict there, while its ball analyses fit.
+#: shares its key with the profile it was read from.  The 55 profiles, 28
+#: verdicts and 42 ball analyses of ``run_all()`` (63, 36 and 52 at dmax=7)
+#: fit, so no memo evicts there; a sphere that shells is judged with no
+#: profile.  The classify-distinct benchmark stream at seed 0 makes 37 Betti,
+#: 8 verdict and 55 ball misses, so no memo evicts there either (with no
+#: shelling, 343 Betti and 553 verdict misses evicted).
 BETTI_MEMO = 256
 
 
@@ -208,6 +219,7 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     A ``TooLargeError`` is raised again on every call and never cached;
     ``_betti.cache_info()`` counts hits.
     """
+    cx = _complex(cx)
     return _betti(_class_key(cx._masks[1]), exact.validate_field(field))
 
 
@@ -257,16 +269,19 @@ def _is_sphere(masks: tuple, field) -> bool:
     """Whether the class key ``masks`` is a homology sphere over ``field``.
 
     Up to dimension 2 the verdict is counted (:func:`_is_low_sphere`), the
-    same over every field.  From dimension 3 it is one when its Betti
-    numbers are those of the sphere of its own dimension and every vertex
-    link (:func:`_link` of the vertex bit) is a homology sphere one
-    dimension lower.  Memoised beside :func:`_betti`, on the same key: the
-    verdict is an isomorphism invariant, so it may be read off any
-    relabelling of the complex (:func:`_class_key`).
+    same over every field.  From dimension 3 it is one when a greedy search
+    shells it (:func:`_shells`), or else when its Betti numbers are those
+    of the sphere of its own dimension and every vertex link (:func:`_link`
+    of the vertex bit) is a homology sphere one dimension lower.  Memoised
+    beside :func:`_betti`, on the same key: the verdict is an isomorphism
+    invariant, so it may be read off any relabelling of the complex
+    (:func:`_class_key`).
     """
     dim = max(map(int.bit_count, masks)) - 1
     if dim < 3:
         return _is_low_sphere(masks, dim)
+    if _shells(masks):
+        return True
     if not _betti(masks, field).is_sphere(dim):
         return False
     bits = (1 << i for i in range(max(masks).bit_length()))  # the vertices are 0..n-1
@@ -301,6 +316,47 @@ def _is_low_sphere(masks: tuple, dim: int) -> bool:
     )
 
 
+def _shells(masks) -> bool:
+    """Whether the facet masks ``masks`` form a closed pseudomanifold that a
+    greedy search shells: then they are a PL sphere (Danaraj and Klee 1974),
+    whose links are PL spheres too, so a homology sphere and a homology
+    manifold over every field.  False proves nothing.
+
+    Every ridge must lie in two facets.  The search places the least mask
+    first, then takes facets from a FIFO queue of ridge neighbours of placed
+    ones, so it places every facet only if they are strongly connected, and
+    then of one size, as facets of two sizes share no ridge.  A facet F is
+    placed when S, the vertices v with F - v in a placed facet, is nonempty
+    and lies in no placed facet: then F meets the placed facets in the
+    facets F - v of its boundary, v in S, as a shelling needs.  S grows only
+    when a neighbour of F is placed, so a refused facet is queued again only
+    then: each is tested at most d + 1 times, scanning the placed facets
+    through the vertex of S that fewest of them hold, so a cone apex is
+    passed over.  No closure is built.
+    """
+    across = {}  # ridge -> the facets through it
+    for m in masks:
+        for b in _bits(m):
+            across.setdefault(m ^ b, []).append(m)
+    if any(len(facets) != 2 for facets in across.values()):
+        return False
+    placed, through, queue = set(), {}, deque([min(masks)])
+    while queue:
+        m = queue.popleft()
+        if m in placed:
+            continue
+        # S as bits: empty for the first facet only, as the rest are queued by a neighbour
+        s = sum(b for b in _bits(m) if any(g in placed for g in across[m ^ b]))
+        fewest = min((through.get(b, ()) for b in _bits(s)), key=len, default=())
+        if any(g & s == s for g in fewest):  # the placed facets through one vertex of S
+            continue
+        placed.add(m)
+        for b in _bits(m):
+            through.setdefault(b, []).append(m)
+            queue.extend(g for g in across[m ^ b] if g not in placed)
+    return len(placed) == len(masks)
+
+
 def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
     """Whether the facet masks ``link`` (not empty) form a homology ``dim``-sphere."""
     if max(map(int.bit_count, link)) != dim + 1:
@@ -312,14 +368,24 @@ def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResu
     """A homology manifold with the homology of the sphere of its dimension.
 
     Equivalently, every face link (the empty face included) has the homology
-    of the sphere of complementary dimension.  The complex's own Betti
-    numbers come first; if they fail, the witness is the empty face ``()``.
-    Otherwise the verdict is that of :func:`is_homology_manifold`, whose
-    witness is the smallest vertex ``(v,)`` with a failing link.
+    of the sphere of complementary dimension.  A complex that a greedy
+    search shells (:func:`_shells`, on its own masks) is a PL sphere and
+    passes with no Betti number or link.  Otherwise its own Betti numbers
+    come first; if they fail, the witness is the empty face ``()``.  Then
+    the vertex links are swept as in :func:`is_homology_manifold`, with no
+    second shelling attempt, and the witness is the smallest vertex
+    ``(v,)`` with a failing link.
     """
+    cx, field = _complex(cx), exact.validate_field(field)
+    return PredicateResult(True) if _shells(cx._masks[1]) else _sphere_sweep(cx, field)
+
+
+def _sphere_sweep(cx: SimplicialComplex, field) -> PredicateResult:
+    """:func:`is_homology_sphere` past its shelling: the Betti numbers of
+    ``cx``, then its vertex links (:func:`_vertex_sweep`)."""
     if not betti(cx, field).is_sphere(cx.dim):
         return PredicateResult(False, (), "complex does not have sphere homology")
-    return is_homology_manifold(cx, field)
+    return _vertex_sweep(cx, field)
 
 
 def _ball_analysis(cx: SimplicialComplex, field):
@@ -355,7 +421,8 @@ def _ball(masks: tuple, field) -> tuple:
     and the interior is every face off that closure; neither depends on the
     verdict.  The verdict also requires ball homology and a boundary of
     dimension dim - 1 that is a homology sphere, judged on the masks; only a
-    failing boundary is built, for the witness of :func:`is_homology_sphere`.
+    failing boundary is built, for the witness of :func:`is_homology_sphere`,
+    read past its shelling (:func:`_sphere_sweep`), which failed already.
     Past the link sweep the trivial-link faces are closed downward (a sphere
     link's top cycle is nonzero on the link of every face above), so that is
     not tested.  Memoised beside :func:`_betti`, on the order type: the
@@ -383,7 +450,7 @@ def _ball(masks: tuple, field) -> tuple:
         elif d > 0 and len(bd_by_size) - 2 != d - 1:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
         elif not _is_sphere_of_dim(bd_masks, d - 1, field):  # label the boundary for a witness
-            sphere = is_homology_sphere(SimplicialComplex._of_masks(vertices, bd_masks), field)
+            sphere = _sphere_sweep(SimplicialComplex._of_masks(vertices, bd_masks), field)
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
     return verdict, bd_masks, tuple(members - closed)
 
@@ -391,17 +458,17 @@ def _ball(masks: tuple, field) -> tuple:
 def is_homology_ball(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """Trivial homology, every face link a ball or sphere of complementary
     dimension, and a boundary subcomplex that is a homology sphere."""
-    return _ball_analysis(cx, field)[0]
+    return _ball_analysis(_complex(cx), field)[0]
 
 
 def ball_boundary(cx: SimplicialComplex, field="rational", check=True) -> SimplicialComplex:
     """Closure of the faces with homologically trivial links."""
-    return _ball_checked(cx, field, check)[0]
+    return _ball_checked(_complex(cx), field, check)[0]
 
 
 def interior_faces(cx: SimplicialComplex, field="rational", check=True) -> frozenset:
     """The faces of the complex that :func:`ball_boundary` does not contain."""
-    return _ball_checked(cx, field, check)[1]
+    return _ball_checked(_complex(cx), field, check)[1]
 
 
 def _ball_checked(cx, field, check):
@@ -419,21 +486,31 @@ def _ball_checked(cx, field, check):
 def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """All vertex links are homology spheres of dimension dim - 1.
 
-    Each vertex link is read as facet bitmasks (:func:`_link`) and judged
-    by the memoised verdict :func:`_is_sphere` on its class key, which
-    recurses on the link's own vertex links.  For a face tau = {v} + tau',
-    lk(tau) is the link of tau' in lk(v), so every vertex link is a
-    homology (dim - 1)-sphere exactly when every nonempty face link has the
-    homology of the sphere of complementary dimension: the definition by
-    face links gives the same verdict.  Vertices are visited in sorted
-    order, and the witness is the first whose link fails.  The definition
-    gives the same witness, the least of the failing faces' smallest
-    vertices: a face fails inside the link of its smallest vertex, and a
-    failing vertex link holds a failing face through that vertex.  A
-    complex checked again costs one verdict lookup per vertex.
+    A complex that a greedy search shells (:func:`_shells`, on its own
+    masks) is a PL sphere, whose vertex links are PL spheres, and passes
+    with no link read.  Otherwise the vertex links are swept
+    (:func:`_vertex_sweep`): each is read as facet bitmasks (:func:`_link`)
+    and judged by the memoised verdict :func:`_is_sphere` on its class key,
+    which recurses on the link's own vertex links.  For a face
+    tau = {v} + tau', lk(tau) is the link of tau' in lk(v), so every vertex
+    link is a homology (dim - 1)-sphere exactly when every nonempty face
+    link has the homology of the sphere of complementary dimension: the
+    definition by face links gives the same verdict.  Vertices are visited
+    in sorted order, and the witness is the first whose link fails.  The
+    definition gives the same witness, the least of the failing faces'
+    smallest vertices: a face fails inside the link of its smallest vertex,
+    and a failing vertex link holds a failing face through that vertex.  A
+    complex that does not shell, checked again, costs one verdict lookup
+    per vertex.
     """
+    cx, field = _complex(cx), exact.validate_field(field)
+    return PredicateResult(True) if _shells(cx._masks[1]) else _vertex_sweep(cx, field)
+
+
+def _vertex_sweep(cx: SimplicialComplex, field) -> PredicateResult:
+    """The verdict of :func:`is_homology_manifold` from the vertex links of
+    ``cx``, in sorted vertex order."""
     n = cx.dim
-    field = exact.validate_field(field)
     bit, masks = cx._masks
     for v, b in bit.items():  # in sorted vertex order
         if not _is_sphere_of_dim(_link(masks, b), n - 1, field):
@@ -451,6 +528,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     lowest failing dimension in vertex-tuple order, the first that a sweep
     in ``faces_of_dim`` order would meet; mask order differs from it, so
     every face of that dimension is tested before one is chosen."""
+    cx = _complex(cx)
     n = cx.dim
     if n < 1:
         return PredicateResult(False, (), "dimension must be at least 1")
@@ -486,7 +564,7 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     bitmask closure: a candidate is a member of the level plus one vertex,
     so only its (i+1)-subsets through that vertex need testing.
     """
-    i = _index(i, "i")
+    cx, i = _complex(cx), _index(i, "i")
     if i < 1:
         raise PreconditionError("skeleton-completion index must be >= 1")
     bit, masks = cx._masks
@@ -534,7 +612,7 @@ def is_r_stacked_ball(
 ) -> StackedBallCertificate:
     """Certify that a homology d-ball is r-stacked: no interior faces of
     dimension <= d - r - 1 (equivalently, min interior dimension >= d - r)."""
-    r = _index(r, "r")
+    cx, r = _complex(cx), _index(r, "r")
     if r < 0:
         raise PreconditionError(f"stackedness level r={r} must be >= 0")
     boundary, interior, m = _ball_checked(cx, field, check)

@@ -53,6 +53,19 @@ def clear_memos():
     homology._class_key.cache_clear()
 
 
+def shelling_off(monkeypatch):
+    """Make every shelling attempt (``homology._shells``) fail, so that each
+    sphere and manifold verdict takes the elimination path: the Betti
+    numbers, then the vertex links."""
+    monkeypatch.setattr(homology, "_shells", lambda masks: False)
+
+
+@pytest.fixture
+def no_shelling(monkeypatch):
+    """:func:`shelling_off` for one test."""
+    shelling_off(monkeypatch)
+
+
 @pytest.fixture
 def flipped_d1(monkeypatch):
     """Give one column of every d_1 that ``betti`` builds a wrong sign, on

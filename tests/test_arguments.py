@@ -2,7 +2,7 @@
 rule (``errors._index``): a value that is not an integer is refused with
 ``MalformedInputError`` naming the parameter, before any other test, and an
 integer, ``bool`` included, reads as it did before the rule.  The
-face-vector readers take their complex by one rule as well
+face-vector and homology readers take their complex by one rule as well
 (``facevectors._complex``)."""
 
 import re
@@ -13,7 +13,10 @@ from scx import (
     MalformedInputError,
     PreconditionError,
     Scale,
+    ball_boundary,
+    betti,
     boundary_matrix,
+    chain_complex,
     cross_polytope_boundary,
     cycle,
     extended_g,
@@ -27,8 +30,13 @@ from scx import (
     generic_rank,
     generic_rank_trials,
     h_vector,
+    interior_faces,
     inverse_stellar,
+    is_homology_ball,
+    is_homology_manifold,
+    is_homology_sphere,
     is_m_sequence,
+    is_normal_pseudomanifold,
     is_r_stacked_ball,
     link_g_sum,
     macaulay_pseudopower,
@@ -176,3 +184,28 @@ def test_a_face_vector_reader_refuses_what_is_not_a_complex(reader, value):
     message = f"expected a SimplicialComplex, got {value!r}"
     with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
         reader(value)
+
+
+#: every homology reader that takes a complex, with its other arguments valid
+HOMOLOGY_READERS = {
+    "betti": betti,
+    "boundary_matrix": lambda x: boundary_matrix(x, 1),
+    "chain_complex": chain_complex,
+    "is_homology_sphere": is_homology_sphere,
+    "is_homology_manifold": is_homology_manifold,
+    "is_homology_ball": is_homology_ball,
+    "ball_boundary": ball_boundary,
+    "interior_faces": interior_faces,
+    "is_normal_pseudomanifold": is_normal_pseudomanifold,
+    "skeleton_completion": lambda x: skeleton_completion(x, 1),
+    "is_r_stacked_ball": lambda x: is_r_stacked_ball(x, 1),
+}
+
+
+@pytest.mark.parametrize("reader", HOMOLOGY_READERS)
+@pytest.mark.parametrize("value", [5, None, BD4.facets], ids=["int", "None", "facets"])
+def test_a_homology_reader_refuses_what_is_not_a_complex(reader, value):
+    # each raised AttributeError on its first read of the complex
+    message = f"expected a SimplicialComplex, got {value!r}"
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+        HOMOLOGY_READERS[reader](value)

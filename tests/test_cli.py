@@ -78,7 +78,8 @@ def test_info_output_is_pinned(tmp_path, field):
         assert result.output == expected
 
 
-def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch):
+def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch, no_shelling):
+    # the elimination path, which a complex that does not shell takes
     cx = join(cycle(5), simplex_boundary(4))
     path = tmp_path / "join.scx"
     write_scx(cx, path)
@@ -93,6 +94,22 @@ def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch):
     # its own Betti numbers, then one verdict lookup per vertex link
     assert memo_counts() == (6 + 1, 6, 45 + cx.n_faces(0), 8)
     assert linked == []  # no sweep builds a link complex
+
+
+def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch):
+    # the manifold test shells the join, so the one homology fact that info
+    # computes is its own Betti numbers, a miss and then a hit
+    cx = join(cycle(5), simplex_boundary(4))
+    path = tmp_path / "join.scx"
+    write_scx(cx, path)
+    linked = record_links(monkeypatch)
+    clear_memos()
+    result = invoke("info", str(path))
+    assert "homology manifold: True\nhomology sphere: True\n" in result.output
+    assert memo_counts() == (1, 1, 0, 0)
+    assert invoke("info", str(path)).output == result.output
+    assert memo_counts() == (2, 1, 0, 0)
+    assert linked == []
 
 
 def test_input_option_and_missing_input(tmp_path):

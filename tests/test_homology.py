@@ -44,7 +44,7 @@ from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_mask
 
 import oracle
 from oracle import rank_sparse
-from conftest import clear_memos
+from conftest import clear_memos, shelling_off
 from test_retriangulate import NON_BALL_HOSTS, _non_balls
 
 
@@ -406,34 +406,54 @@ def _assert_matches_every_column(masks):
 MEMOS = ("_betti", "_is_sphere", "_class_key", "_ball")
 
 
-@pytest.fixture(scope="module")
-def run_all_cold():
-    """One ``run_all()`` on empty memos and a catalog built afresh: the
-    order types it hands to ``_class_key``, sorted, and each memo's misses."""
+def _run_all_cold(shelling: bool):
+    """One ``run_all()`` on empty memos and a catalog built afresh, with or
+    without shelling: the order types it hands to ``_class_key``, sorted,
+    and each memo's misses."""
     seen, memo = set(), homology._class_key
     clear_memos()
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(homology, "_class_key", lambda masks: seen.add(masks) or memo(masks))
         monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
+        if not shelling:
+            shelling_off(monkeypatch)
         assert all(report.passed for report in run_all())
-    return sorted(seen), {name: getattr(homology, name).cache_info().misses for name in MEMOS}
+    misses = {name: getattr(homology, name).cache_info().misses for name in MEMOS}
+    clear_memos()  # no verdict outlives the plant
+    return sorted(seen), misses
 
 
 @pytest.fixture(scope="module")
-def run_all_order_types(run_all_cold):
-    return run_all_cold[0]
+def run_all_cold():
+    return _run_all_cold(shelling=True)
 
 
-def test_a_cold_run_all_counts_its_memo_misses(run_all_cold):
+@pytest.fixture(scope="module")
+def run_all_eliminated():
+    """:func:`_run_all_cold` with every shelling attempt failing, so that
+    every sphere verdict is eliminated and every link judged."""
+    return _run_all_cold(shelling=False)
+
+
+@pytest.fixture(scope="module")
+def run_all_order_types(run_all_eliminated):
+    return run_all_eliminated[0]
+
+
+def test_a_cold_run_all_counts_its_memo_misses(run_all_cold, run_all_eliminated):
     # counted work, free of host noise: each miss is one elimination, verdict,
-    # key or sweep, so a change that eliminates the links of sphere verdicts
-    # below dimension 3 again fails here (155, 92 and 270 misses then)
-    assert run_all_cold[1] == {"_betti": 117, "_is_sphere": 74, "_class_key": 254, "_ball": 42}
+    # key or sweep.  A change that stops shelling fails the first (117, 74
+    # and 254 misses then, as the second pins), and one that eliminates the
+    # links of sphere verdicts below dimension 3 again fails the second
+    # (155, 92 and 270 misses then)
+    assert run_all_cold[1] == {"_betti": 55, "_is_sphere": 28, "_class_key": 117, "_ball": 42}
+    assert run_all_eliminated[1] == {"_betti": 117, "_is_sphere": 74, "_class_key": 254, "_ball": 42}
 
 
 def test_betti_matches_every_column_ranks_on_run_all_misses(run_all_order_types):
-    # every order type run_all() asks for, each a class-key miss once: 254
-    # on empty memos, whose class keys make 117 Betti misses
+    # every order type run_all() asks for with shelling off, each a
+    # class-key miss once: 254 on empty memos, whose class keys make 117
+    # Betti misses
     assert len(run_all_order_types) >= 200
     for masks in run_all_order_types:
         key = homology._class_key(masks)
@@ -547,11 +567,15 @@ def test_counted_sphere_verdicts_match_elimination_on_random_complexes(cx):
     _counted_verdict(cx)
 
 
-def test_manifold_verdicts_in_dimension_3_make_no_betti_miss():
-    # every vertex link of a 3-manifold is a 2-complex, counted
+def test_manifold_verdicts_in_dimension_3_make_no_betti_miss(request):
+    # each of these 3-spheres shells, with no memo lookup; when shelling
+    # fails, every vertex link of a 3-manifold is a 2-complex, counted
     catalog = [e.complex for e in standard_catalog(dmax=7) if e.complex.dim == 3]
     clear_memos()
     assert len(catalog) > 10 and all(map(is_homology_manifold, catalog))
+    assert memo_counts() == (0, 0, 0, 0)
+    request.getfixturevalue("no_shelling")
+    assert all(map(is_homology_manifold, catalog))
     assert homology._betti.cache_info().misses == 0
     assert homology._is_sphere.cache_info().misses > 0
 
@@ -609,6 +633,18 @@ def test_a_counted_sphere_verdict_meets_no_guard():
     with pytest.raises(TooLargeError, match="Betti guard"):
         betti(sphere)
     assert is_homology_manifold(suspension(sphere))
+
+
+def test_a_shellable_sphere_meets_no_guard():
+    # the suspension of a stacked 2-sphere on 150 vertices has d_2 with
+    # 744 x 1,184 cells, past the Betti guard, which stopped its sphere
+    # verdict and the manifold verdict of its own suspension, whose apex
+    # links it is; both shell
+    sphere = suspension(stacked_sphere(3, 150))
+    with pytest.raises(TooLargeError, match="Betti guard"):
+        betti(sphere)
+    assert is_homology_sphere(sphere) and is_homology_manifold(sphere)
+    assert is_homology_manifold(join(simplex_boundary(1), sphere))
 
 
 def test_betti_matches_every_column_ranks_on_the_census(census):
@@ -738,10 +774,11 @@ def test_betti_memo_never_holds_a_guard_trip(monkeypatch):
     assert (info.currsize, info.misses, info.hits) == (1, 4, 0)
 
 
-def test_sphere_verdict_memo_never_holds_a_guard_trip(monkeypatch):
+def test_sphere_verdict_memo_never_holds_a_guard_trip(monkeypatch, no_shelling):
     # every vertex link of the 5-simplex boundary is a 4-simplex boundary
     # (d_1 5x10 and d_2 10x10 cells), every edge link a tetrahedron
-    # boundary, whose counted verdict is warm
+    # boundary, whose counted verdict is warm; shelling is off, or the
+    # 5-simplex boundary would shell with no Betti number
     clear_memos()
     assert is_homology_manifold(simplex_boundary(4))
     before = homology._is_sphere.cache_info().currsize
@@ -788,16 +825,21 @@ def test_betti_memo_is_shared_safely_between_threads():
     assert [r.ok for r in expected] == [True] * 6 + [False] * 2
 
 
-def test_sphere_after_manifold_builds_only_its_own_boundary_matrices(monkeypatch):
+def test_sphere_after_manifold_builds_only_its_own_boundary_matrices(monkeypatch, request):
     cx = join(cycle(4), cycle(4))
     assert len(cx.faces()) < homology.BETTI_MEMO
-    clear_memos()
-    assert is_homology_manifold(cx)
     built = []
     original = homology._boundary_columns
     monkeypatch.setattr(
         homology, "_boundary_columns", lambda faces, k: built.append(k) or original(faces, k)
     )
+    clear_memos()
+    assert is_homology_manifold(cx) and is_homology_sphere(cx)
+    assert built == []  # it shells: neither builds a boundary matrix
+    request.getfixturevalue("no_shelling")
+    clear_memos()
+    assert is_homology_manifold(cx)
+    built.clear()
     assert is_homology_sphere(cx)
     assert built == list(range(cx.dim + 1))
 
@@ -849,7 +891,8 @@ def record_swept(monkeypatch) -> list:
     return swept
 
 
-def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch):
+def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch, no_shelling):
+    # the elimination path, which a complex that does not shell takes
     cx = join(cycle(5), simplex_boundary(4))
     assert (len(cx.faces()), cx.n_faces(0)) == (341, 10)
     linked = record_links(monkeypatch)
@@ -870,7 +913,8 @@ def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch):
     assert linked == []  # the links are read as facet bitmasks
 
 
-def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypatch):
+def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypatch, no_shelling):
+    # the elimination path, which a complex that does not shell takes
     linked = record_links(monkeypatch)
     monkeypatch.setattr(homology, "is_homology_sphere", None)  # never consulted
     clear_memos()
@@ -883,6 +927,141 @@ def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypat
     # no Betti lookup, and one verdict hit per vertex
     assert memo_counts() == before[:2] + (before[2] + cycle_join.n_faces(0), before[3])
     assert linked == []
+
+
+def test_a_shellable_sphere_is_judged_with_no_betti_number_or_link(monkeypatch):
+    # the join shells on its own masks, so neither test reads a link, and a
+    # second call costs the same shelling again, with no memo lookup
+    cx = join(cycle(5), simplex_boundary(4))
+    linked = record_links(monkeypatch)
+    clear_memos()
+    swept = record_swept(monkeypatch)
+    for _ in range(2):
+        assert is_homology_sphere(cx) and is_homology_manifold(cx)
+    assert memo_counts() == (0, 0, 0, 0)
+    assert swept == linked == []
+
+
+def _kuhnel(d):
+    """Kühnel's (2d + 3)-vertex d-manifold, a sphere bundle over the circle,
+    with the facets {i, ..., i + d + 1} - {i + j} mod 2d + 3, 1 <= j <= d
+    (Kühnel 1986); for d = 2 it is the 7-vertex torus."""
+    n = 2 * d + 3
+    return from_facets(
+        [[(i + k) % n for k in range(d + 2) if k != j] for i in range(n) for j in range(1, d + 1)]
+    )
+
+
+def _wedge(cx):
+    """Two copies of ``cx`` (vertices 0..n-1) sharing the vertex 0."""
+    n = cx.n_faces(0)
+    return from_facets(list(cx.facets) + [[v and v + n for v in f] for f in cx.facets])
+
+
+TORUS, RP2 = from_facets(TORUS_7), from_facets(RP2_FACETS)
+
+# closed pseudomanifolds and homology manifolds that are no spheres, balls,
+# whose ridges on the boundary lie in one facet, and complexes with the
+# homology of a sphere that are no manifolds
+NON_SPHERES = {
+    "torus": TORUS,
+    "RP^2": RP2,
+    "torus suspension": suspension(TORUS),
+    "RP^2 suspension": suspension(RP2),
+    "torus double suspension": suspension(suspension(TORUS)),
+    "RP^2 double suspension": suspension(suspension(RP2)),
+    "torus * triangle": join(TORUS, simplex_boundary(2)),
+    "Kühnel 3-manifold": _kuhnel(3),
+    "Kühnel 4-manifold": _kuhnel(4),
+    "two 2-spheres wedged at a vertex": _wedge(simplex_boundary(3)),
+    "two 3-spheres wedged at a vertex": _wedge(simplex_boundary(4)),
+    "octahedra sharing two antipodes": from_facets(OCTAHEDRA),
+    "solid tetrahedron": from_facets([range(4)]),
+    "3-ball": simplex_boundary(4).star([0]),
+    # sphere homology, with a ridge in three facets
+    "2-sphere with a fin": from_facets(TETRAHEDRON + [[0, 1, 4]]),
+    "3-sphere with a fin": from_facets([*simplex_boundary(4).facets, [0, 1, 2, 5]]),
+}
+
+
+@pytest.mark.parametrize("name", NON_SPHERES)
+def test_no_non_sphere_shells(name, monkeypatch):
+    # and each test tries the complex's own masks once, as a failed attempt
+    # is not repeated within a call
+    cx = NON_SPHERES[name]
+    assert not homology._shells(cx._masks[1])
+    tried, original = [], homology._shells
+    monkeypatch.setattr(homology, "_shells", lambda masks: tried.append(masks) or original(masks))
+    for field in ("rational", 2):
+        assert not is_homology_sphere(cx, field)
+        for test in (is_homology_sphere, is_homology_manifold):
+            tried.clear()
+            test(cx, field)
+            assert tried.count(cx._masks[1]) == 1, (test, field)
+
+
+def test_the_kuehnel_manifolds_are_homology_manifolds_and_no_spheres():
+    # the 3-manifold is not orientable, the 4-manifold is
+    orientable = (0, 0, 1, 0, 1, 1)
+    for d, rational, mod2 in ((3, (0, 0, 1, 0, 0), (0, 0, 1, 1, 1)), (4, orientable, orientable)):
+        cx = _kuhnel(d)
+        assert (cx.n_faces(0), cx.n_faces(d)) == (2 * d + 3, (2 * d + 3) * d)
+        assert (betti(cx).entries, betti(cx, 2).entries) == (rational, mod2)
+        assert is_homology_manifold(cx) and is_homology_manifold(cx, 2)
+    assert _kuhnel(2) == TORUS
+
+
+def test_every_census_and_catalog_sphere_shells(census):
+    catalog = [e.complex for e in standard_catalog(dmax=7)]
+    assert len(census) == 39 and len(catalog) == 67
+    for sphere in census + catalog:
+        assert homology._shells(sphere._masks[1]), sphere
+        for v in sphere.vertices:
+            link = sphere.link([v])
+            assert link.dim < 3 or homology._shells(link._masks[1]), (sphere, v)
+
+
+def _verdicts(complexes, fields=("rational", 2)) -> list:
+    """(ok, witness, reason) of the sphere and the manifold test of each
+    complex over each field, on empty memos, which are emptied again."""
+    clear_memos()
+    found = [
+        (r.ok, r.witness, r.reason)
+        for cx in complexes
+        for field in fields
+        for r in (is_homology_sphere(cx, field), is_homology_manifold(cx, field))
+    ]
+    clear_memos()
+    return found
+
+
+def _assert_shelling_changes_no_verdict(complexes):
+    """Each verdict and witness with shelling is that of elimination alone,
+    whose memos hold no verdict that a shelling gave."""
+    shelled = _verdicts(complexes)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        shelling_off(monkeypatch)
+        assert _verdicts(complexes) == shelled
+
+
+def test_shelling_changes_no_verdict_on_the_catalog_and_its_pieces(census):
+    corpus = [*census, *NON_SPHERES.values(), from_facets([])]
+    for cx in (e.complex for e in standard_catalog(dmax=7)):
+        corpus.append(cx)
+        for v in sorted(cx.vertices):
+            corpus += [cx.link([v]), cx.antistar(v), cx.star([v])]
+    assert len(corpus) > 2000
+    _assert_shelling_changes_no_verdict(corpus)
+
+
+@given(st.one_of(near_manifolds(), random_complexes))
+@settings(max_examples=150, deadline=None)
+def test_shelling_changes_no_verdict_on_random_complexes(cx):
+    _assert_shelling_changes_no_verdict([cx])
+    if homology._shells(cx._masks[1]):  # a shelled complex is a sphere by elimination
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            shelling_off(monkeypatch)
+            assert is_homology_sphere(cx) and is_homology_sphere(cx, 2)
 
 
 def test_interior_is_the_complement_of_the_boundary():

@@ -167,7 +167,7 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
         ("homology.py", "_ball"),
         ("homology.py", "_is_low_sphere"),
         ("homology.py", "_is_sphere"),
-        ("homology.py", "is_homology_manifold"),
+        ("homology.py", "_vertex_sweep"),
         ("homology.py", "is_normal_pseudomanifold"),
     ]
     adjacency = [
@@ -467,3 +467,51 @@ def test_one_rule_reads_an_entry_past_the_end():
         assert indexed == [], name
         entries = [n for n in ast.walk(cls) if isinstance(n, ast.Call) and _named(n.func, "_entry")]
         assert len(entries) == 1, name
+
+
+def test_only_the_sphere_verdicts_try_a_shelling():
+    # homology._shells answers True only on a closed pseudomanifold it has
+    # shelled, from the facet masks alone: the sphere verdict memo, the
+    # manifold test and the sphere test consult it, each before any Betti
+    # number, and it reads no closure and no closure group
+    assert sorted(set(_uses("_shells"))) == [
+        ("homology.py", "_is_sphere"),
+        ("homology.py", "is_homology_manifold"),
+        ("homology.py", "is_homology_sphere"),
+    ]
+    (shells,) = [
+        node
+        for module, _, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "_shells"
+    ]
+    names = {"_closure_masks", "_mask_closure", "_group", "_betti", "betti"}
+    assert not [ast.unparse(n) for n in ast.walk(shells) if any(_named(n, x) for x in names)]
+
+
+def test_every_homology_reader_takes_its_complex_by_one_rule():
+    # each public function of homology.py whose first parameter is a complex
+    # reads it through facevectors._complex, as the face-vector readers do
+    tree = ast.parse((SOURCE / "homology.py").read_text())
+    readers = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.args.args
+        and node.args.args[0].arg == "cx"
+    ]
+    assert sorted(node.name for node in readers) == [
+        "ball_boundary",
+        "betti",
+        "boundary_matrix",
+        "chain_complex",
+        "interior_faces",
+        "is_homology_ball",
+        "is_homology_manifold",
+        "is_homology_sphere",
+        "is_normal_pseudomanifold",
+        "is_r_stacked_ball",
+        "skeleton_completion",
+    ]
+    for node in readers:
+        assert [n for n in ast.walk(node) if _named(n, "_complex")], node.name

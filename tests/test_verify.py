@@ -213,14 +213,15 @@ def _plant(monkeypatch, statement, target, attr, fake):
 
 
 def _first_call(alter):
-    """A fake whose first call returns ``alter(original, *args)``, planted."""
+    """A fake whose first call returns ``alter(original, *args, **kwargs)``,
+    planted."""
 
     def fake(original, reached):
-        def call(*args):
+        def call(*args, **kwargs):
             if reached:
-                return original(*args)
+                return original(*args, **kwargs)
             reached.append(None)
-            return alter(original, *args)
+            return alter(original, *args, **kwargs)
 
         return call
 
@@ -272,9 +273,20 @@ def _tau_among_the_missing_vertices(original, cx, tau, dims):
     return iter([(k, lhs, rhs | {frozenset(tau)}), *rest])
 
 
+def _ranks_one_short(original, *args, **kwargs):
+    # every trial's rank one below the generic rank, so the left kernel one above g2
+    return [rank - 1 for rank in original(*args, **kwargs)]
+
+
+def _not_a_sphere(original, cx):
+    return PredicateResult(False, (), "planted")
+
+
 #: statement -> (module, name, fake, the planted instance's failure detail)
 PLANTS = {
     "Lemma2.2": (verify, "link_g_sum", _first_call(_lhs_one_above), "lhs=1 rhs=0"),
+    "Lemma2.4": (verify, "generic_rank_trials", _first_call(_ranks_one_short),
+                 "rank=9 expected=10 kernel=1 g2=0 trials=[9, 9, 9]"),
     "Lemma2.6": (rigidity, "_link_f_vectors", _first_call(_link_g2_above_the_total),
                  "g2=0 violations=((0, 1),)"),
     "Lemma3.3": (verify, "central_retriangulation", _first_call(_refused),
@@ -292,9 +304,12 @@ PLANTS = {
                  "g2=0 g3=0 bound=-1"),
     "Theorem4.5": (verify, "central_retriangulation", _first_call(_refused),
                    "precondition: planted refusal"),
-    "Theorem5.4": (verify, "is_homology_sphere",
-                   _first_call(lambda original, cx: PredicateResult(False, (), "planted")),
+    "Theorem5.4": (verify, "is_homology_sphere", _first_call(_not_a_sphere),
                    "g (1, 1, 1)->(1, 2, 2) sphere=False"),
+    "Theorem5.5": (verify, "is_homology_sphere", _first_call(_not_a_sphere),
+                   "registered exception: not produced by a central retriangulation"),
+    "Corollary5.6": (verify, "is_homology_sphere", _first_call(_not_a_sphere),
+                     "g2=2 sphere=False"),
 }
 
 
