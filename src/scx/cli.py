@@ -25,7 +25,7 @@ from .errors import (
 from .exact import validate_field
 from .facevectors import f_vector, g_vector, h_vector
 from .fileio import _label, _labels, _write_text, load_complex, write_complex, write_scx_text
-from .homology import betti, is_homology_manifold, is_normal_pseudomanifold
+from .homology import is_homology_manifold, is_homology_sphere, is_normal_pseudomanifold
 from .isomorphism import are_isomorphic
 from .retriangulate import (
     central_retriangulation,
@@ -141,11 +141,9 @@ def info(cx, field):
     click.echo(f"prime: {cx.is_prime()}")
     pm = is_normal_pseudomanifold(cx)
     click.echo(f"normal pseudomanifold: {bool(pm)}")
-    manifold = is_homology_manifold(cx, field)
     if cx.dim >= 1:
-        click.echo(f"homology manifold: {bool(manifold)}")
-    # a homology sphere is a homology manifold with the homology of a sphere
-    click.echo(f"homology sphere: {betti(cx, field).is_sphere(cx.dim) and bool(manifold)}")
+        click.echo(f"homology manifold: {bool(is_homology_manifold(cx, field))}")
+    click.echo(f"homology sphere: {bool(is_homology_sphere(cx, field))}")
 
 
 @main.command()

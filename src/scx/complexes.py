@@ -374,6 +374,15 @@ class SimplicialComplex:
         return sorted(out)
 
 
+def _complex(cx) -> SimplicialComplex:
+    """``cx`` if it is a complex, else ``MalformedInputError``: the one rule by
+    which the face-vector, homology and move readers take a complex, through
+    ``facevectors``, as ``h_from_f`` and ``f_from_h`` take their vectors."""
+    if not isinstance(cx, SimplicialComplex):
+        raise MalformedInputError(f"expected a SimplicialComplex, got {cx!r}")
+    return cx
+
+
 def from_facets(facets) -> SimplicialComplex:
     """Build the closure of a list of faces; dominated input faces are absorbed."""
     return SimplicialComplex(as_face(f) for f in facets)
@@ -505,7 +514,7 @@ def detect_join(cx: SimplicialComplex):
     exists.  If the products of the facets' traces on the two sides are
     the facets, an antichain, the traces are maximal on each side.
     """
-    bit, masks = cx._masks
+    bit, masks = _complex(cx)._masks
     every = (1 << len(bit)) - 1
     near = _neighbourhoods(masks).items()
     groups = sorted(_components((every ^ n) | b for b, n in near), key=lambda g: g & -g)

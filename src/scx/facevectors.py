@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _complex
 from .errors import InternalCheckError, MalformedInputError, PreconditionError, _index
 
 
@@ -27,15 +27,6 @@ def _entry(entries: tuple, i: int) -> int:
     past their ends, as g_{i-1}(boundary) does in Lemmas 3.3 and 3.6.  The
     public readers refuse a non-integer index first (:func:`errors._index`)."""
     return entries[i] if 0 <= i < len(entries) else 0
-
-
-def _complex(cx) -> SimplicialComplex:
-    """``cx`` if it is a complex, else ``MalformedInputError``: the one rule by
-    which the face-vector readers take a complex, as :func:`h_from_f` and
-    :func:`f_from_h` take their vectors."""
-    if not isinstance(cx, SimplicialComplex):
-        raise MalformedInputError(f"expected a SimplicialComplex, got {cx!r}")
-    return cx
 
 
 @dataclass(frozen=True)

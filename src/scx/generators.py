@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import complexes
-from .complexes import SimplicialComplex, from_facets, join, stack_over_facet
+from .complexes import SimplicialComplex, _tuple_order, from_facets, join
 from .errors import InternalCheckError, ParseError, PreconditionError, TooLargeError, _index
 from .facevectors import f_vector, g2
 from .fileio import load_complex
@@ -62,16 +62,21 @@ def stacked_sphere(d: int, n: int) -> SimplicialComplex:
 
     Each stacking step places a shallow pyramid over the facet most recently
     created (largest in lexicographic order among the previous step's new
-    facets), so results are reproducible.
+    facets), so results are reproducible.  Each replaces facet masks as
+    :func:`stack_over_facet` does, vertex w being bit w; no facet is labelled.
     """
     d, n = _index(d, "d"), _index(n, "n")
     if n < d + 1:
         raise PreconditionError("a stacked (d-1)-sphere needs at least d+1 vertices")
-    cx = simplex_boundary(d)
+    facets = set(simplex_boundary(d)._masks[1])
     _guard_closure(d + 1 + (n - d - 1) * (d - 1), d)  # each step adds d - 1 facets
-    for w in range(d + 1, n):  # the new facets are those through the last new vertex
-        cx = stack_over_facet(cx, max((f for f in cx.facets if w - 1 in f), key=sorted))
-    return cx
+    new = [m for m in facets if m >> d]  # the facets through the last vertex
+    for w in range(d + 1, n):
+        cone = _tuple_order(new)[-1]
+        new = [(cone ^ b) | 1 << w for b in complexes._bits(cone)]
+        facets.remove(cone)
+        facets.update(new)
+    return SimplicialComplex._of_masks(range(n), facets)
 
 
 def cross_polytope_boundary(d: int) -> SimplicialComplex:

@@ -23,28 +23,25 @@ how many facets contain them.  The ball analysis (:func:`_ball`, behind
 takes the order type, the masks the complex keeps.  So a link swept by several
 predicates or statements, or met again under a relabelling that the degree
 order undoes, is eliminated at most once and judged once, and a ball that several
-retriangulations read, with or without ``check``, is swept once.  Nothing
+retriangulations read, with or without ``check``, is analysed once.  Nothing
 seeded is cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits
 and misses and ``cache_clear()`` empties each memo.
 
-A homology-sphere verdict of dimension at most 2 is counted on the masks
-(:func:`_is_low_sphere`), with no closure, matrix or memo lookup for its
-links, so no guard can stop it.  Such a sphere is the empty complex, two
-points, a connected cycle, or a connected closed surface (every edge in two
-triangles, every vertex link a cycle) whose Euler characteristic
-f0 - f1 + f2 is 2, which the classification of closed surfaces makes a
-2-sphere.  The Euler characteristic is the same over every field, and so
-is the verdict.  From dimension 3 a greedy shelling is tried first
-(:func:`_shells`, on the masks, with no closure): a shellable closed
-pseudomanifold is a PL sphere (Danaraj and Klee 1974), and polytopal
-spheres are shellable (Bruggesser and Mani 1971).  A failed search proves
-nothing; the Betti numbers come next, then the vertex links, so a
-3-manifold's vertex links are all counted.  :func:`is_homology_manifold`
-and :func:`is_homology_sphere` try the search on the complex itself
-first, once a call, so a shellable sphere is judged with no Betti number,
-link or memo lookup.  Verdicts, witnesses and reasons are those of
-elimination alone: a search that succeeds has found a sphere, and one that
-fails leaves the verdict to elimination.
+Every sphere, manifold and ball verdict first tries one greedy shelling
+(:func:`_shells`, on the facet masks).  A shellable pseudomanifold is a PL
+sphere if every ridge lies in two facets, and else a PL ball whose boundary
+the ridges in one facet generate (Danaraj and Klee 1974).  Every 1- and
+2-sphere is extendably shellable (Danaraj and Klee 1978) and the search
+sticks only where no facet can be appended, so below dimension 3 it fails
+exactly on non-spheres, over every field.  From dimension 3 a failed search
+proves nothing: a sphere verdict falls through to its Betti numbers and
+vertex links, a ball to its face-link sweep, and verdicts, witnesses,
+boundaries and interiors are those of elimination alone.  Each success is
+certified: the restriction faces R_j of a shelling (the search's S) satisfy
+h_i = #{j : |R_j| = i} (McMullen 1970; Ziegler, *Lectures on Polytopes*,
+8.3), checked against the closure's face counts, under ``python -O`` too.
+Like d.d = 0, the identity is necessary, not sufficient.  As it reads the
+closure, a shellable complex past ``CLOSURE_GUARD`` raises ``TooLargeError``.
 
 The face-link sweeps (the manifold, ball and normal pseudomanifold tests)
 read each link's facets off the facet masks with ``complexes._link``, and
@@ -59,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field as dc_field
 
 from . import exact
@@ -75,7 +72,7 @@ from .complexes import (
     _tuple_order,
 )
 from .errors import InternalCheckError, PreconditionError, TooLargeError, _index
-from .facevectors import _complex, _entry
+from .facevectors import FVector, _complex, _entry, h_from_f
 
 
 @dataclass(frozen=True)
@@ -194,15 +191,15 @@ COMPLETION_GUARD = 6_300
 #: Entries kept by each memo: the profiles of :func:`_betti`, the verdicts of
 #: :func:`_is_sphere`, the ball analyses of :func:`_ball` and the class keys of
 #: :func:`_class_key`.  Every key is a tuple of ints, so no facet set or
-#: closure stays alive: after one ``run_all()`` the Betti memo holds about
-#: 0.5 kB per entry and the ball memo 0.8 kB, its masks being ints
-#: (tracemalloc), against 3 kB when the Betti key held the facets; a verdict
-#: shares its key with the profile it was read from.  The 55 profiles, 28
-#: verdicts and 42 ball analyses of ``run_all()`` (63, 36 and 52 at dmax=7)
-#: fit, so no memo evicts there; a sphere that shells is judged with no
-#: profile.  The classify-distinct benchmark stream at seed 0 makes 37 Betti,
-#: 8 verdict and 55 ball misses, so no memo evicts there either (with no
-#: shelling, 343 Betti and 553 verdict misses evicted).
+#: closure stays alive: with no shelling, after one ``run_all()`` the Betti
+#: memo holds about 0.5 kB per entry and the ball memo 0.8 kB, its masks being
+#: ints (tracemalloc), against 3 kB when the Betti key held the facets; a
+#: verdict shares its key with the profile it was read from.  Every sphere and
+#: ball of ``run_all()`` shells, so it makes no profile, verdict or key and 42
+#: ball analyses (52 at dmax=7), as does the classify-distinct benchmark
+#: stream at seed 0 (55 ball analyses): no memo evicts there.  With no
+#: shelling ``run_all()`` makes 117 profiles and 74 verdicts, and the stream
+#: 343 and 553, which evicted.
 BETTI_MEMO = 256
 
 
@@ -268,93 +265,74 @@ def _betti(masks: tuple, field) -> BettiProfile:
 def _is_sphere(masks: tuple, field) -> bool:
     """Whether the class key ``masks`` is a homology sphere over ``field``.
 
-    Up to dimension 2 the verdict is counted (:func:`_is_low_sphere`), the
-    same over every field.  From dimension 3 it is one when a greedy search
-    shells it (:func:`_shells`), or else when its Betti numbers are those
-    of the sphere of its own dimension and every vertex link (:func:`_link`
-    of the vertex bit) is a homology sphere one dimension lower.  Memoised
-    beside :func:`_betti`, on the same key: the verdict is an isomorphism
-    invariant, so it may be read off any relabelling of the complex
-    (:func:`_class_key`).
+    A greedy search decides when it shells (:func:`_shells`: a sphere if no
+    ridge lies in one facet, else a ball) and, below dimension 3, when it
+    fails.  Otherwise the Betti numbers must be those of the sphere of its
+    own dimension and every vertex link (:func:`_link` of the vertex bit) a
+    homology sphere one dimension lower.  Memoised beside :func:`_betti`, on
+    the same key: the verdict is an isomorphism invariant (:func:`_class_key`).
     """
     dim = max(map(int.bit_count, masks)) - 1
-    if dim < 3:
-        return _is_low_sphere(masks, dim)
-    if _shells(masks):
-        return True
+    shelled, ones = _shells(masks, functools.partial(_closure_masks, masks))
+    if shelled or dim < 3:
+        return shelled and not ones
     if not _betti(masks, field).is_sphere(dim):
         return False
     bits = (1 << i for i in range(max(masks).bit_length()))  # the vertices are 0..n-1
     return all(_is_sphere_of_dim(_link(masks, b), dim - 1, field) for b in bits)
 
 
-def _is_low_sphere(masks: tuple, dim: int) -> bool:
-    """Whether the facet masks ``masks`` over the vertices 0..n-1, of
-    dimension ``dim`` <= 2, form a homology sphere, by counting alone.
+def _shells(masks, closure) -> tuple:
+    """(shelled, ridges in one facet) of a greedy search on the facet masks
+    ``masks``, every ridge in one or two facets; a failure is (False, ()).
+    Shelled, they form a PL sphere with no such ridge, and else a PL ball
+    whose boundary facets are those ridges, sorted.
 
-    The empty complex is the (-1)-sphere and two points the 0-sphere.  From
-    dimension 1 the facets have dim + 1 vertices, every ridge lies in two of
-    them and they are connected: a cycle, or in dimension 2 a closed surface
-    once every vertex link is connected too, and a sphere when its Euler
-    characteristic f0 - f1 + f2 is 2 (the classification of closed
-    surfaces).  A homology sphere over any field is one of these: its vertex
-    links are homology spheres, so cycles, and its Euler characteristic,
-    which no field changes, is that of the sphere."""
-    if dim < 1:  # the empty face alone, or two points
-        return len(masks) == dim + 2
-    ridges = Counter(m ^ b for m in masks for b in _bits(m))
-    n = max(masks).bit_length()
-    return (
-        all(m.bit_count() == dim + 1 for m in masks)
-        and set(ridges.values()) == {2}
-        and len(_components(masks)) == 1
-        and (
-            dim == 1
-            or n - len(ridges) + len(masks) == 2
-            and all(len(_components(_link(masks, 1 << v))) == 1 for v in range(n))
-        )
-    )
-
-
-def _shells(masks) -> bool:
-    """Whether the facet masks ``masks`` form a closed pseudomanifold that a
-    greedy search shells: then they are a PL sphere (Danaraj and Klee 1974),
-    whose links are PL spheres too, so a homology sphere and a homology
-    manifold over every field.  False proves nothing.
-
-    Every ridge must lie in two facets.  The search places the least mask
-    first, then takes facets from a FIFO queue of ridge neighbours of placed
-    ones, so it places every facet only if they are strongly connected, and
-    then of one size, as facets of two sizes share no ridge.  A facet F is
+    The search places the least mask first, then takes facets from a FIFO
+    queue of ridge neighbours of placed ones, so it places every facet only
+    if they are strongly connected, and then of one size.  A facet F is
     placed when S, the vertices v with F - v in a placed facet, is nonempty
     and lies in no placed facet: then F meets the placed facets in the
-    facets F - v of its boundary, v in S, as a shelling needs.  S grows only
-    when a neighbour of F is placed, so a refused facet is queued again only
-    then: each is tested at most d + 1 times, scanning the placed facets
-    through the vertex of S that fewest of them hold, so a cone apex is
-    passed over.  No closure is built.
+    facets F - v of its boundary, v in S, as a shelling needs.  S grows
+    only when a neighbour of F is placed, which queues F again, so each
+    facet is tested at most d + 1 times, scanning the placed facets through
+    the vertex of S that fewest of them hold.  Placing another facet can
+    only add one that holds S, so the search sticks only where no facet can
+    be appended.  Once every facet is placed, and only then, ``closure()``
+    gives (by_size, members) for the certificate: the sizes of S must be the
+    h-vector of its face counts, or ``InternalCheckError`` is raised.
     """
-    across = {}  # ridge -> the facets through it
+    across, sides = {}, {}  # ridge -> its facets; facet F -> (bit, facets of F - bit), read once
     for m in masks:
-        for b in _bits(m):
-            across.setdefault(m ^ b, []).append(m)
-    if any(len(facets) != 2 for facets in across.values()):
-        return False
-    placed, through, queue = set(), {}, deque([min(masks)])
+        sides[m] = [(b, across.setdefault(m ^ b, [])) for b in _bits(m)]
+        for _, facets in sides[m]:
+            facets.append(m)
+    if max(map(len, across.values()), default=0) > 2:
+        return False, ()
+    placed, through, sizes, queue = set(), defaultdict(list), [], deque([min(masks)])
     while queue:
         m = queue.popleft()
         if m in placed:
             continue
-        # S as bits: empty for the first facet only, as the rest are queued by a neighbour
-        s = sum(b for b in _bits(m) if any(g in placed for g in across[m ^ b]))
-        fewest = min((through.get(b, ()) for b in _bits(s)), key=len, default=())
-        if any(g & s == s for g in fewest):  # the placed facets through one vertex of S
+        s, held = 0, None  # S as bits, empty for the first facet only; the fewest facets through it
+        for b, facets in sides[m]:
+            if facets[0] in placed or facets[-1] in placed:  # F - b lies in a placed facet
+                s |= b
+                if held is None or len(through[b]) < len(held):
+                    held = through[b]
+        if held and any(map(s.__eq__, map(s.__and__, held))):  # a placed facet holds S
             continue
         placed.add(m)
-        for b in _bits(m):
-            through.setdefault(b, []).append(m)
-            queue.extend(g for g in across[m ^ b] if g not in placed)
-    return len(placed) == len(masks)
+        sizes.append(s.bit_count())
+        for b, facets in sides[m]:
+            through[b].append(m)
+            queue.extend(facets)  # a placed facet is passed over when it comes up
+    if len(placed) < len(masks):
+        return False, ()
+    h = h_from_f(FVector(tuple(map(len, closure()[0])))).entries
+    if tuple(map(sizes.count, range(len(h)))) != h:
+        raise InternalCheckError(f"shelling restriction sizes differ from the h-vector {h}")
+    return True, tuple(sorted(r for r, facets in across.items() if len(facets) == 1))
 
 
 def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
@@ -369,15 +347,16 @@ def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResu
 
     Equivalently, every face link (the empty face included) has the homology
     of the sphere of complementary dimension.  A complex that a greedy
-    search shells (:func:`_shells`, on its own masks) is a PL sphere and
-    passes with no Betti number or link.  Otherwise its own Betti numbers
+    search shells with no ridge in one facet (:func:`_shells`) is a PL
+    sphere and passes with no Betti number or link.  Else its Betti numbers
     come first; if they fail, the witness is the empty face ``()``.  Then
     the vertex links are swept as in :func:`is_homology_manifold`, with no
     second shelling attempt, and the witness is the smallest vertex
     ``(v,)`` with a failing link.
     """
     cx, field = _complex(cx), exact.validate_field(field)
-    return PredicateResult(True) if _shells(cx._masks[1]) else _sphere_sweep(cx, field)
+    shelled, ones = _shells(cx._masks[1], cx._mask_closure)
+    return PredicateResult(True) if shelled and not ones else _sphere_sweep(cx, field)
 
 
 def _sphere_sweep(cx: SimplicialComplex, field) -> PredicateResult:
@@ -389,8 +368,8 @@ def _sphere_sweep(cx: SimplicialComplex, field) -> PredicateResult:
 
 
 def _ball_analysis(cx: SimplicialComplex, field):
-    """(verdict, boundary complex, interior faces), as one sweep over the face
-    links of ``cx`` gives them (:func:`_ball`).
+    """(verdict, boundary complex, interior faces) of ``cx``, as one shelling
+    or one sweep over its face links gives them (:func:`_ball`).
 
     Memoised on the order type, the masks the complex keeps, not on its
     class key; the witness and the interior are read back through the
@@ -410,25 +389,36 @@ def _ball_analysis(cx: SimplicialComplex, field):
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
 def _ball(masks: tuple, field) -> tuple:
-    """One sweep over the face links of the order type ``masks``: (verdict,
-    boundary facet masks, interior face masks), over the vertices 0..n-1.
-
-    The sweep reads the closure's masks by size, each size in vertex-tuple
-    order, and the witness is the first face whose link is neither trivial
-    nor sphere-like of complementary dimension.  The boundary facets are the
-    trivial-link faces in no such face one vertex larger (the maximal ones
-    if those faces are closed downward, else a family with their closure),
-    and the interior is every face off that closure; neither depends on the
-    verdict.  The verdict also requires ball homology and a boundary of
-    dimension dim - 1 that is a homology sphere, judged on the masks; only a
-    failing boundary is built, for the witness of :func:`is_homology_sphere`,
-    read past its shelling (:func:`_sphere_sweep`), which failed already.
-    Past the link sweep the trivial-link faces are closed downward (a sphere
-    link's top cycle is nonzero on the link of every face above), so that is
-    not tested.  Memoised beside :func:`_betti`, on the order type: the
-    witness depends on the sweep order.
+    """The ball analysis of the order type ``masks``: (verdict, boundary
+    facet masks, interior face masks), over the vertices 0..n-1.  A ball that
+    shells (:func:`_shells`, certified on the closure built here) has the
+    ridges in one facet as its boundary facets; else the face links are
+    swept (:func:`_ball_sweep`).  The interior is every face off the
+    boundary's closure.  Memoised beside :func:`_betti`, on the order type:
+    the sweep's witness depends on the sweep order.
     """
-    by_size, members = _closure_masks(masks)
+    closure = by_size, members = _closure_masks(masks)
+    shelled, bd_masks = _shells(masks, lambda: closure)
+    verdict = PredicateResult(True)
+    if not (shelled and bd_masks):  # no ball shelled
+        verdict, bd_masks = _ball_sweep(masks, by_size, field)
+    return verdict, bd_masks, tuple(members - _closure_masks(bd_masks)[1])
+
+
+def _ball_sweep(masks: tuple, by_size: list, field) -> tuple:
+    """(verdict, boundary facet masks) of :func:`_ball` from one sweep over
+    the face links of ``masks``, whose closure's faces by size are ``by_size``,
+    each size in vertex-tuple order.  The witness is the first face whose
+    link is neither trivial nor sphere-like of complementary dimension.  The
+    boundary facets are the trivial-link faces in no such face one vertex
+    larger (the maximal ones if those faces are closed downward, else a
+    family with their closure), whatever the verdict.  The verdict also
+    requires ball homology and a boundary of dimension dim - 1 that is a
+    homology sphere, judged on the masks; only a failing boundary is built,
+    for the witness of :func:`_sphere_sweep`.  Past the link sweep the
+    trivial-link faces are closed downward (a sphere link's top cycle is
+    nonzero on the link of every face above), so that is not tested.
+    """
     d = len(by_size) - 2
     vertices = range(max(masks).bit_length())  # 0..n-1, the bits of the masks
     trivial = set()
@@ -443,16 +433,15 @@ def _ball(masks: tuple, field) -> tuple:
                 verdict = PredicateResult(False, witness, "link is neither ball- nor sphere-like")
     below = {fm ^ b for fm in trivial for b in _bits(fm)}  # one vertex short of a trivial face
     bd_masks = tuple(sorted(trivial - below)) or (0,)  # no trivial face: the empty complex
-    bd_by_size, closed = _closure_masks(bd_masks)  # the boundary's faces
     if verdict:
         if 0 not in trivial:
             verdict = PredicateResult(False, (), "complex does not have ball homology")
-        elif d > 0 and len(bd_by_size) - 2 != d - 1:
+        elif d > 0 and max(map(int.bit_count, bd_masks)) != d:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
         elif not _is_sphere_of_dim(bd_masks, d - 1, field):  # label the boundary for a witness
             sphere = _sphere_sweep(SimplicialComplex._of_masks(vertices, bd_masks), field)
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
-    return verdict, bd_masks, tuple(members - closed)
+    return verdict, bd_masks
 
 
 def is_homology_ball(cx: SimplicialComplex, field="rational") -> PredicateResult:
@@ -486,9 +475,9 @@ def _ball_checked(cx, field, check):
 def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """All vertex links are homology spheres of dimension dim - 1.
 
-    A complex that a greedy search shells (:func:`_shells`, on its own
-    masks) is a PL sphere, whose vertex links are PL spheres, and passes
-    with no link read.  Otherwise the vertex links are swept
+    A complex that a greedy search shells with no ridge in one facet
+    (:func:`_shells`) is a PL sphere, whose vertex links are PL spheres, and
+    passes with no link read.  Otherwise the vertex links are swept
     (:func:`_vertex_sweep`): each is read as facet bitmasks (:func:`_link`)
     and judged by the memoised verdict :func:`_is_sphere` on its class key,
     which recurses on the link's own vertex links.  For a face
@@ -504,7 +493,8 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     per vertex.
     """
     cx, field = _complex(cx), exact.validate_field(field)
-    return PredicateResult(True) if _shells(cx._masks[1]) else _vertex_sweep(cx, field)
+    shelled, ones = _shells(cx._masks[1], cx._mask_closure)
+    return PredicateResult(True) if shelled and not ones else _vertex_sweep(cx, field)
 
 
 def _vertex_sweep(cx: SimplicialComplex, field) -> PredicateResult:
@@ -522,7 +512,10 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
     """Pure + connected, every ridge in exactly two facets, and connected
     links in low dimensions.  Purely combinatorial; no homology involved.
 
-    The link sweep runs on the bitmask closure, one dimension at a time:
+    Past the ridge count a complex that a greedy search shells
+    (:func:`_shells`) is a PL sphere, whose face links are spheres, so
+    connected below dimension dim - 1.  Else the link sweep runs on the
+    bitmask closure, one dimension at a time:
     each face's link is read off the facet masks (:func:`_link`) and
     tested for connectivity.  The witness is the least failing face of the
     lowest failing dimension in vertex-tuple order, the first that a sweep
@@ -547,6 +540,8 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
         ridge = _tuple_order(bad)[0]  # the witness is the least failing ridge
         witness = tuple(sorted(_labelled(labels, ridge)))
         return PredicateResult(False, witness, f"ridge lies in {ridge_count[ridge]} facets")
+    if _shells(masks, cx._mask_closure)[0]:
+        return PredicateResult(True)
     for k in range(n - 1):  # the faces of dimension 0..n-2
         failing = [fm for fm in cx._group(k) if len(_components(_link(masks, fm))) > 1]
         if failing:

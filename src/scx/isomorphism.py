@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, _bits, _neighbourhoods
 from .errors import TooLargeError
-from .facevectors import _link_f_vectors
+from .facevectors import _complex, _link_f_vectors
 
 #: Search nodes, one per candidate image tried, that one call may visit: 9x the most
 #: in the tests (175,119; 1,673 on the classify-distinct stream, 49 in ``run_all()``).
@@ -43,7 +43,7 @@ def _vertex_classes(cx: SimplicialComplex) -> dict:
 
 def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertificate:
     """Search for a vertex bijection sending facets to facets."""
-    none = IsoCertificate(None)
+    cx1, cx2, none = _complex(cx1), _complex(cx2), IsoCertificate(None)
     cls1, cls2 = _vertex_classes(cx1), _vertex_classes(cx2)
     if sorted(cls1.values()) != sorted(cls2.values()):  # the f-vectors differ, among others
         return none

@@ -23,7 +23,7 @@ from .complexes import (
     SimplicialComplex, _bits, _components, _masks_in, _replaced, _tuple_order, is_simplex_boundary
 )
 from .errors import PreconditionError, _index
-from .facevectors import _entry, extended_g, g_vector
+from .facevectors import _complex, _entry, extended_g, g_vector
 from .homology import (
     PredicateResult,
     _ball_checked,
@@ -84,6 +84,7 @@ def central_retriangulation(
     g_i(out) = g_i + g_{i-1}(boundary) is predicted for i <= m (capped at
     the g-vector length).
     """
+    cx, ball = _complex(cx), _complex(ball)
     if ball.dim != cx.dim:
         raise PreconditionError(
             f"ball dimension {ball.dim} differs from complex dimension {cx.dim}"
@@ -168,7 +169,7 @@ def inverse_stellar(
     completion may be present already.  r is auto-detected as the least
     level at which the link's g-vector vanishes when omitted.
     """
-    r = None if r is None else _index(r, "r")
+    cx, r = _complex(cx), None if r is None else _index(r, "r")
     link = cx.link([v])
     d = cx.dim
     if check:

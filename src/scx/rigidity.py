@@ -23,7 +23,7 @@ from math import comb, gcd
 from . import exact
 from .complexes import SimplicialComplex
 from .errors import InternalCheckError, PreconditionError, TooLargeError, _index
-from .facevectors import FVector, _g2, _link_f_vectors, g2
+from .facevectors import FVector, _complex, _g2, _link_f_vectors, g2
 from .homology import is_normal_pseudomanifold
 
 DEFAULT_COORD_BOUND = 2**16
@@ -298,6 +298,7 @@ def stress_basis(
     given p > 2*2^16 + 1, so that the coordinates stay distinct mod p, and a
     rank-r minor that is not identically zero mod p.
     """
+    cx = _complex(cx)
     d = cx.dim + 1 if d is None else _index(d, "d")
     g = skeleton_graph(cx)
     rank, emb = _kept_sample(g, d, trials, seed, exact.DEFAULT_PRIME)

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -55,9 +58,38 @@ def clear_memos():
 
 def shelling_off(monkeypatch):
     """Make every shelling attempt (``homology._shells``) fail, so that each
-    sphere and manifold verdict takes the elimination path: the Betti
-    numbers, then the vertex links."""
-    monkeypatch.setattr(homology, "_shells", lambda masks: False)
+    sphere and manifold verdict takes the elimination path (the Betti
+    numbers, then the vertex links), and each ball analysis and normal
+    pseudomanifold test its sweep; but a sphere verdict below dimension 3
+    (``homology._is_sphere``), which the search alone decides, still reads it."""
+    original = homology._shells
+
+    def low_verdicts_only(masks, closure):
+        low = max(map(int.bit_count, masks)) < 4 and sys._getframe(1).f_code.co_name == "_is_sphere"
+        return original(masks, closure) if low else (False, ())
+
+    monkeypatch.setattr(homology, "_shells", low_verdicts_only)
+
+
+def shells_without_the_s_test():
+    """``homology._shells`` compiled from its source with the test that S
+    lies in no placed facet dropped: a search that places every facet it
+    meets, so that only the h-vector certificate refuses a complex it
+    "shells" by mistake."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(homology._shells)))
+    dropped = []
+
+    class DropTheSTest(ast.NodeTransformer):
+        def visit_If(self, node):
+            if isinstance(node.body[0], ast.Continue) and "held" in ast.unparse(node.test):
+                return dropped.append(node)
+            return self.generic_visit(node)
+
+    planted = ast.fix_missing_locations(DropTheSTest().visit(tree))
+    assert len(dropped) == 1
+    namespace = dict(vars(homology))
+    exec(compile(planted, homology.__file__, "exec"), namespace)
+    return namespace["_shells"]
 
 
 @pytest.fixture

@@ -13,12 +13,15 @@ from scx import (
     MalformedInputError,
     PreconditionError,
     Scale,
+    are_isomorphic,
     ball_boundary,
     betti,
     boundary_matrix,
+    central_retriangulation,
     chain_complex,
     cross_polytope_boundary,
     cycle,
+    detect_join,
     extended_g,
     f_vector,
     g1,
@@ -209,3 +212,25 @@ def test_a_homology_reader_refuses_what_is_not_a_complex(reader, value):
     message = f"expected a SimplicialComplex, got {value!r}"
     with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
         HOMOLOGY_READERS[reader](value)
+
+
+#: the other public functions that take a complex, with their other arguments
+#: valid, each refusal once per complex parameter
+OTHER_READERS = {
+    "detect_join": detect_join,
+    "central_retriangulation": lambda x: central_retriangulation(x, BALL),
+    "central_retriangulation ball": lambda x: central_retriangulation(BD4, x),
+    "stress_basis": stress_basis,
+    "inverse_stellar": lambda x: inverse_stellar(x, 0),
+    "are_isomorphic": lambda x: are_isomorphic(x, BD4),
+    "are_isomorphic second": lambda x: are_isomorphic(BD4, x),
+}
+
+
+@pytest.mark.parametrize("reader", OTHER_READERS)
+@pytest.mark.parametrize("value", [5, None, BD4.facets], ids=["int", "None", "facets"])
+def test_every_other_reader_refuses_what_is_not_a_complex(reader, value):
+    # each raised AttributeError on its first read of the complex
+    message = f"expected a SimplicialComplex, got {value!r}"
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+        OTHER_READERS[reader](value)

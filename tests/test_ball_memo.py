@@ -136,7 +136,8 @@ def test_a_ball_miss_builds_only_the_labelled_boundary(bd5, monkeypatch):
     assert boundary.facets == {f - {0, 1} | e for f in ball.facets for e in ({0}, {1})}
 
 
-def test_ball_memo_never_holds_a_guard_trip(monkeypatch):
+def test_ball_memo_never_holds_a_guard_trip(monkeypatch, no_shelling):
+    # with no shelling the balls are swept, and the sweep meets the Betti guard
     clear_memos()
     assert is_homology_ball(simplex_boundary(4).star([0]))
     before = homology._ball.cache_info().currsize
@@ -152,9 +153,11 @@ def test_ball_memo_never_holds_a_guard_trip(monkeypatch):
 
 @pytest.mark.parametrize("check", [True, False])
 def test_certificate_reaches_a_ball_analysed_just_before(bd5, request, check):
+    # with no shelling, so that the sweep reads Betti numbers
     ball = bd5.star([0, 1, 2, 3])
     assert is_homology_ball(ball)
     central_retriangulation(bd5, ball, check=check)
+    request.getfixturevalue("no_shelling")
     request.getfixturevalue("flipped_d1")  # the plant empties every memo
     with pytest.raises(InternalCheckError):
         is_homology_ball(ball)

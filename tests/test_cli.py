@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from scx import (
     barnette_sphere,
+    cross_polytope_boundary,
     cycle,
     facevectors,
     from_facets,
@@ -21,8 +22,8 @@ from scx import errors, exact, homology, run_all
 from scx.cli import _exit_code_for, main
 from scx.generators import standard_catalog
 from scx.rigidity import RIGIDITY_GUARD
-from conftest import clear_memos
-from test_homology import RP2_FACETS, memo_counts, record_links
+from conftest import clear_memos, shells_without_the_s_test
+from test_homology import RP2_FACETS, TORUS_7, memo_counts, record_links
 from test_retriangulate import octahedral_wedge
 
 
@@ -88,17 +89,19 @@ def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch, no_shelling
     result = invoke("info", str(path))
     assert result.exit_code == 0
     assert "homology sphere: True" in result.output
+    # the manifold test, then is_homology_sphere: as on a cold memo, and
+    # one more verdict lookup per vertex link
     before = memo_counts()
-    assert before == (6, 6, 45, 8)  # as for is_homology_sphere on a cold memo
+    assert before == (6, 6, 45 + cx.n_faces(0), 8)
     assert invoke("info", str(path)).output == result.output
-    # its own Betti numbers, then one verdict lookup per vertex link
-    assert memo_counts() == (6 + 1, 6, 45 + cx.n_faces(0), 8)
+    # its own Betti numbers, then one verdict lookup per vertex link in each test
+    assert memo_counts() == (6 + 1, 6, 45 + 3 * cx.n_faces(0), 8)
     assert linked == []  # no sweep builds a link complex
 
 
 def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch):
-    # the manifold test shells the join, so the one homology fact that info
-    # computes is its own Betti numbers, a miss and then a hit
+    # the manifold and the sphere test shell the join, so info computes no
+    # homology fact
     cx = join(cycle(5), simplex_boundary(4))
     path = tmp_path / "join.scx"
     write_scx(cx, path)
@@ -106,9 +109,9 @@ def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch)
     clear_memos()
     result = invoke("info", str(path))
     assert "homology manifold: True\nhomology sphere: True\n" in result.output
-    assert memo_counts() == (1, 1, 0, 0)
+    assert memo_counts() == (0, 0, 0, 0)
     assert invoke("info", str(path)).output == result.output
-    assert memo_counts() == (2, 1, 0, 0)
+    assert memo_counts() == (0, 0, 0, 0)
     assert linked == []
 
 
@@ -595,9 +598,9 @@ def test_betti_guard_exits_3(tmp_path, no_elimination):
     assert "Betti guard" in result.output
 
 
-def test_vertex_link_past_the_betti_guard_exits_3(tmp_path, monkeypatch):
+def test_vertex_link_past_the_betti_guard_exits_3(tmp_path, monkeypatch, no_shelling):
     # the 4-simplex-boundary vertex links need 100 cells in d_2; their own
-    # vertex links, tetrahedron boundaries, are counted with no Betti numbers
+    # vertex links, tetrahedron boundaries, are shelled with no Betti numbers
     path = tmp_path / "bd5.scx"
     write_scx(simplex_boundary(5), path)
     clear_memos()
@@ -630,7 +633,30 @@ def test_failed_certificate_exits_5(tmp_path, monkeypatch):
     assert "g-vector routes disagree" in result.output
 
 
-def test_failed_boundary_certificate_exits_5(tmp_path, flipped_d1):
+def test_info_on_the_8_cross_polytope_reads_no_betti_number(tmp_path):
+    # the boundary of the 8-dimensional cross polytope shells, so its sphere
+    # line needs no Betti numbers, which would take 3,211,264 cells
+    path = tmp_path / "cross8.scx"
+    write_scx(cross_polytope_boundary(8), path)
+    result = invoke("info", str(path))
+    assert result.exit_code == 0
+    assert result.output.endswith("homology manifold: True\nhomology sphere: True\n")
+
+
+def test_failed_shelling_certificate_exits_5(tmp_path, monkeypatch):
+    # with the test that S lies in no placed facet dropped, the search
+    # "shells" the torus, which the h-vector certificate refuses
+    monkeypatch.setattr(homology, "_shells", shells_without_the_s_test())
+    path = tmp_path / "torus.scx"
+    write_scx(from_facets(TORUS_7), path)
+    clear_memos()
+    result = invoke("info", str(path))
+    assert result.exit_code == 5
+    assert "differ from the h-vector" in result.output
+
+
+def test_failed_boundary_certificate_exits_5(tmp_path, no_shelling, flipped_d1):
+    # with no shelling, so that the sphere test reads the Betti numbers
     path = tmp_path / "bd3.scx"
     write_scx(simplex_boundary(3), path)
     result = invoke("info", str(path))

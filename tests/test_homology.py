@@ -44,7 +44,7 @@ from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_mask
 
 import oracle
 from oracle import rank_sparse
-from conftest import clear_memos, shelling_off
+from conftest import clear_memos, shelling_off, shells_without_the_s_test
 from test_retriangulate import NON_BALL_HOSTS, _non_balls
 
 
@@ -442,11 +442,13 @@ def run_all_order_types(run_all_eliminated):
 
 def test_a_cold_run_all_counts_its_memo_misses(run_all_cold, run_all_eliminated):
     # counted work, free of host noise: each miss is one elimination, verdict,
-    # key or sweep.  A change that stops shelling fails the first (117, 74
-    # and 254 misses then, as the second pins), and one that eliminates the
-    # links of sphere verdicts below dimension 3 again fails the second
-    # (155, 92 and 270 misses then)
-    assert run_all_cold[1] == {"_betti": 55, "_is_sphere": 28, "_class_key": 117, "_ball": 42}
+    # key or sweep.  Every sphere verdict of run_all() shells on the complex
+    # itself and every ball it analyses shells, so a change that stops
+    # shelling spheres or balls fails the first (117, 74 and 254 misses with
+    # no shelling, as the second pins), and one that eliminates the links of
+    # sphere verdicts below dimension 3 again fails the second (155, 92 and
+    # 270 misses then)
+    assert run_all_cold[1] == {"_betti": 0, "_is_sphere": 0, "_class_key": 0, "_ball": 42}
     assert run_all_eliminated[1] == {"_betti": 117, "_is_sphere": 74, "_class_key": 254, "_ball": 42}
 
 
@@ -501,10 +503,11 @@ def test_class_key_relabels_random_complexes(cx):
         _assert_class_key_relabels(homology._order_type(homology._link(masks, b)))
 
 
-def _counted_verdict(cx) -> bool:
-    """The counted sphere verdict on the class key of ``cx``, of dimension
-    <= 2, after checking it against elimination over Q, GF(2) and GF(3):
-    the Betti numbers of ``cx`` and of every face link."""
+def _low_verdict(cx) -> bool:
+    """The sphere verdict on the class key of ``cx``, of dimension <= 2,
+    which the shelling search decides alone, after checking it against
+    elimination over Q, GF(2) and GF(3): the Betti numbers of ``cx`` and of
+    every face link."""
     assert cx.dim <= 2
     key = homology._class_key(cx._masks[1])
     verdicts = set()
@@ -517,16 +520,16 @@ def _counted_verdict(cx) -> bool:
     return verdicts.pop()
 
 
-def test_counted_sphere_verdicts_match_elimination_on_run_all_order_types(run_all_order_types):
+def test_low_sphere_verdicts_match_elimination_on_run_all_order_types(run_all_order_types):
     low = [m for m in run_all_order_types if max(map(int.bit_count, m)) <= 3]
-    verdicts = [_counted_verdict(from_facets(_complex_of(m))) for m in low]
+    verdicts = [_low_verdict(from_facets(_complex_of(m))) for m in low]
     assert len(low) >= 50 and True in verdicts and False in verdicts
 
 
-def test_counted_sphere_verdicts_match_elimination_on_census_links(census):
+def test_low_sphere_verdicts_match_elimination_on_census_links(census):
     for sphere in census:
         for face in sphere.faces_of_dim(0) + sphere.faces_of_dim(1):
-            assert _counted_verdict(sphere.link(face))
+            assert _low_verdict(sphere.link(face))
 
 
 TORUS_7 = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
@@ -557,19 +560,20 @@ OCTAHEDRA = [[a, b, c] for a in (0, 1) for bs, cs in (((2, 3), (4, 5)), ((6, 7),
         (RP2_FACETS, False),  # GF(2): b1 = b2 = 1
     ],
 )
-def test_counted_sphere_verdicts_match_elimination_on_plants(facets, sphere):
-    assert _counted_verdict(from_facets(facets)) == sphere
+def test_low_sphere_verdicts_match_elimination_on_plants(facets, sphere):
+    assert _low_verdict(from_facets(facets)) == sphere
 
 
 @given(st.one_of(near_manifolds(), random_complexes).filter(lambda cx: cx.dim <= 2))
 @settings(max_examples=150, deadline=None)
-def test_counted_sphere_verdicts_match_elimination_on_random_complexes(cx):
-    _counted_verdict(cx)
+def test_low_sphere_verdicts_match_elimination_on_random_complexes(cx):
+    _low_verdict(cx)
 
 
 def test_manifold_verdicts_in_dimension_3_make_no_betti_miss(request):
     # each of these 3-spheres shells, with no memo lookup; when shelling
-    # fails, every vertex link of a 3-manifold is a 2-complex, counted
+    # fails, every vertex link of a 3-manifold is a 2-complex, which the
+    # search decides alone
     catalog = [e.complex for e in standard_catalog(dmax=7) if e.complex.dim == 3]
     clear_memos()
     assert len(catalog) > 10 and all(map(is_homology_manifold, catalog))
@@ -609,9 +613,10 @@ def test_a_shuffle_of_distinct_degrees_hits_both_memos():
     assert memo_counts() == (2, 1, 2, 1)  # the second profile is a hit
 
 
-def test_guards_raise_on_every_repeat_call_and_cache_nothing():
+def test_guards_raise_on_every_repeat_call_and_cache_nothing(no_shelling):
     clear_memos()
-    # 2^18 faces; then 2^16 faces, but d_8 is 12870 x 11440
+    # 2^18 faces; then 2^16 faces, but d_8 is 12870 x 11440.  With no
+    # shelling the cone's apex link, the simplex, is eliminated
     for size, match in ((18, "closure bound"), (16, "Betti guard")):
         simplex = SimplicialComplex([range(1, size + 1)])
         cone = SimplicialComplex([range(size + 1)])  # the apex 0 links the simplex
@@ -625,10 +630,26 @@ def test_guards_raise_on_every_repeat_call_and_cache_nothing():
     assert (sphere_info.currsize, sphere_info.misses) == (0, 6)
 
 
-def test_a_counted_sphere_verdict_meets_no_guard():
+def test_a_shellable_ball_meets_no_betti_guard_but_its_certificate_reads_the_closure():
+    # the cone over a simplex on 16 vertices shells as a ball, and its apex
+    # link, the simplex, shells as one too, so the manifold verdict needs no
+    # Betti number (d_8 of the simplex has 12,870 x 11,440 cells).  The
+    # boundary of the 9-dimensional cross polytope shells with no Betti
+    # number either, but its certificate reads the closure, whose bound,
+    # 2^9 facets of 9 vertices, passes the closure guard
+    clear_memos()
+    assert not is_homology_manifold(SimplicialComplex([range(17)]))
+    assert homology._betti.cache_info().misses == 0
+    sphere = from_facets(product(*[(2 * i, 2 * i + 1) for i in range(9)]))
+    with pytest.raises(TooLargeError, match="closure bound"):
+        is_homology_sphere(sphere)
+
+
+def test_a_low_sphere_verdict_meets_no_guard():
     # the apex links of the suspension are a stacked 2-sphere on 400
-    # vertices whose d_2 has 1,194 x 796 cells, past the Betti guard; its
-    # verdict is counted, as are the other vertex links
+    # vertices whose d_2 has 1,194 x 796 cells, past the Betti guard; below
+    # dimension 3 the search alone decides its verdict, and those of the
+    # other vertex links
     sphere = stacked_sphere(3, 400)
     with pytest.raises(TooLargeError, match="Betti guard"):
         betti(sphere)
@@ -777,7 +798,7 @@ def test_betti_memo_never_holds_a_guard_trip(monkeypatch):
 def test_sphere_verdict_memo_never_holds_a_guard_trip(monkeypatch, no_shelling):
     # every vertex link of the 5-simplex boundary is a 4-simplex boundary
     # (d_1 5x10 and d_2 10x10 cells), every edge link a tetrahedron
-    # boundary, whose counted verdict is warm; shelling is off, or the
+    # boundary, whose shelled verdict is warm; shelling is off, or the
     # 5-simplex boundary would shell with no Betti number
     clear_memos()
     assert is_homology_manifold(simplex_boundary(4))
@@ -891,6 +912,16 @@ def record_swept(monkeypatch) -> list:
     return swept
 
 
+def test_a_shellable_sphere_is_a_normal_pseudomanifold_with_no_link_read(oct3, monkeypatch):
+    # past its ridge count the normal pseudomanifold test shells the
+    # octahedral 3-sphere, a PL sphere whose face links are connected; with
+    # no shelling it sweeps the links of its 8 vertices and 24 edges
+    swept = record_swept(monkeypatch)
+    assert is_normal_pseudomanifold(oct3) and swept == []
+    shelling_off(monkeypatch)
+    assert is_normal_pseudomanifold(oct3) and len(swept) == 8 + 24
+
+
 def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch, no_shelling):
     # the elimination path, which a complex that does not shell takes
     cx = join(cycle(5), simplex_boundary(4))
@@ -899,7 +930,7 @@ def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch, no_shellin
     clear_memos()
     # cold: each class key among the iterated vertex links is judged once (8
     # of them); the 5 of dimension 3 and 4 are eliminated once, as is the
-    # complex itself, and the 3 of dimension 2 are counted, with no lookup
+    # complex itself, and the 3 of dimension 2 are shelled, with no lookup
     # of their own links
     assert is_homology_sphere(cx)
     assert memo_counts() == (6, 6, 45, 8)
@@ -920,7 +951,7 @@ def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypat
     clear_memos()
     assert is_homology_manifold(cycle_join)
     before = memo_counts()
-    assert before[:2] == (0, 0) and before[3] > 0  # the 2-dimensional links are counted
+    assert before[:2] == (0, 0) and before[3] > 0  # the 2-dimensional links are shelled
     swept = record_swept(monkeypatch)
     assert is_homology_manifold(cycle_join)
     assert swept == [1 << i for i in range(cycle_join.n_faces(0))]
@@ -986,18 +1017,57 @@ NON_SPHERES = {
 
 @pytest.mark.parametrize("name", NON_SPHERES)
 def test_no_non_sphere_shells(name, monkeypatch):
-    # and each test tries the complex's own masks once, as a failed attempt
-    # is not repeated within a call
+    # as a closed complex: the two balls shell, with the ridges of their
+    # boundary in one facet.  Each test tries the complex's own masks once,
+    # as a failed attempt is not repeated within a call
     cx = NON_SPHERES[name]
-    assert not homology._shells(cx._masks[1])
+    shelled, ones = homology._shells(cx._masks[1], cx._mask_closure)
+    assert shelled == (name in ("solid tetrahedron", "3-ball")) == bool(ones)
     tried, original = [], homology._shells
-    monkeypatch.setattr(homology, "_shells", lambda masks: tried.append(masks) or original(masks))
+    monkeypatch.setattr(
+        homology, "_shells", lambda masks, closure: tried.append(masks) or original(masks, closure)
+    )
     for field in ("rational", 2):
         assert not is_homology_sphere(cx, field)
         for test in (is_homology_sphere, is_homology_manifold):
             tried.clear()
             test(cx, field)
             assert tried.count(cx._masks[1]) == 1, (test, field)
+
+
+def test_the_shelling_certificate_refuses_a_planted_search(monkeypatch):
+    # with the test that S lies in no placed facet dropped, the search places
+    # every facet of the torus and of its suspension; the h-vector of its
+    # face counts refuses both (h_3 of the torus is -1)
+    monkeypatch.setattr(homology, "_shells", shells_without_the_s_test())
+    clear_memos()
+    with pytest.raises(InternalCheckError, match="h-vector"):
+        is_homology_sphere(TORUS)
+    with pytest.raises(InternalCheckError, match="h-vector"):
+        is_homology_manifold(suspension(TORUS))
+    clear_memos()
+
+
+def test_shelling_certificate_survives_optimize_flag():
+    # `python -O` strips assert statements; the h-vector check must still run
+    code = (
+        "import sys\n"
+        "from conftest import shells_without_the_s_test\n"
+        "from scx import InternalCheckError, from_facets, homology, is_homology_sphere\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(2)\n"
+        "homology._shells = shells_without_the_s_test()\n"
+        f"torus = from_facets({TORUS_7!r})\n"
+        "try:\n"
+        "    is_homology_sphere(torus)\n"
+        "except InternalCheckError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    paths = [str(Path(scx.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert result.returncode == 0
 
 
 def test_the_kuehnel_manifolds_are_homology_manifolds_and_no_spheres():
@@ -1015,15 +1085,17 @@ def test_every_census_and_catalog_sphere_shells(census):
     catalog = [e.complex for e in standard_catalog(dmax=7)]
     assert len(census) == 39 and len(catalog) == 67
     for sphere in census + catalog:
-        assert homology._shells(sphere._masks[1]), sphere
+        assert homology._shells(sphere._masks[1], sphere._mask_closure) == (True, ()), sphere
         for v in sphere.vertices:
             link = sphere.link([v])
-            assert link.dim < 3 or homology._shells(link._masks[1]), (sphere, v)
+            assert homology._shells(link._masks[1], link._mask_closure) == (True, ()), (sphere, v)
 
 
-def _verdicts(complexes, fields=("rational", 2)) -> list:
-    """(ok, witness, reason) of the sphere and the manifold test of each
-    complex over each field, on empty memos, which are emptied again."""
+def _verdicts(complexes, balls, fields=("rational", 2)) -> list:
+    """(ok, witness, reason) of the normal pseudomanifold test of each
+    complex, and of its sphere and manifold test over each field, and the
+    ball analysis of each of ``balls`` with its boundary and interior, on
+    empty memos, which are emptied again."""
     clear_memos()
     found = [
         (r.ok, r.witness, r.reason)
@@ -1031,37 +1103,49 @@ def _verdicts(complexes, fields=("rational", 2)) -> list:
         for field in fields
         for r in (is_homology_sphere(cx, field), is_homology_manifold(cx, field))
     ]
+    found += [(r.ok, r.witness, r.reason) for r in map(is_normal_pseudomanifold, complexes)]
+    for cx in balls:
+        for field in fields:
+            r, boundary, interior = homology._ball_analysis(cx, field)
+            found.append((r.ok, r.witness, r.reason, boundary, interior))
     clear_memos()
     return found
 
 
-def _assert_shelling_changes_no_verdict(complexes):
-    """Each verdict and witness with shelling is that of elimination alone,
-    whose memos hold no verdict that a shelling gave."""
-    shelled = _verdicts(complexes)
+def _assert_shelling_changes_no_verdict(complexes, balls=()):
+    """Each verdict and witness with shelling, and each ball analysis, is
+    that of elimination alone, whose memos hold nothing a shelling gave."""
+    shelled = _verdicts(complexes, balls)
     with pytest.MonkeyPatch.context() as monkeypatch:
         shelling_off(monkeypatch)
-        assert _verdicts(complexes) == shelled
+        assert _verdicts(complexes, balls) == shelled
 
 
 def test_shelling_changes_no_verdict_on_the_catalog_and_its_pieces(census):
     corpus = [*census, *NON_SPHERES.values(), from_facets([])]
+    balls = [*NON_SPHERES.values(), *(b for host in NON_BALL_HOSTS for b in _non_balls(host))]
     for cx in (e.complex for e in standard_catalog(dmax=7)):
         corpus.append(cx)
-        for v in sorted(cx.vertices):
-            corpus += [cx.link([v]), cx.antistar(v), cx.star([v])]
-    assert len(corpus) > 2000
-    _assert_shelling_changes_no_verdict(corpus)
+        for i, v in enumerate(sorted(cx.vertices)):
+            pieces = [cx.antistar(v), cx.star([v])]
+            corpus += [cx.link([v]), *pieces]
+            balls += pieces if i < 3 else []  # the ball sweeps take longest
+    assert len(corpus) > 2000 and len(balls) > 400
+    _assert_shelling_changes_no_verdict(corpus, balls)
 
 
 @given(st.one_of(near_manifolds(), random_complexes))
 @settings(max_examples=150, deadline=None)
 def test_shelling_changes_no_verdict_on_random_complexes(cx):
-    _assert_shelling_changes_no_verdict([cx])
-    if homology._shells(cx._masks[1]):  # a shelled complex is a sphere by elimination
+    _assert_shelling_changes_no_verdict([cx], [cx])
+    shelled, ones = homology._shells(cx._masks[1], cx._mask_closure)
+    if shelled:  # a sphere by elimination, or a ball if some ridge lies in one facet
         with pytest.MonkeyPatch.context() as monkeypatch:
             shelling_off(monkeypatch)
-            assert is_homology_sphere(cx) and is_homology_sphere(cx, 2)
+            clear_memos()
+            test = is_homology_ball if ones else is_homology_sphere
+            assert test(cx) and test(cx, 2)
+        clear_memos()
 
 
 def test_interior_is_the_complement_of_the_boundary():

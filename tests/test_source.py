@@ -110,7 +110,7 @@ def test_one_mask_order_reads_vertex_tuples():
 
 def test_one_component_routine_answers_every_connectivity_question():
     # complexes._components on bitmasks is the only connectivity routine:
-    # no other, and no union-find, and exactly these five callers
+    # no other, and no union-find, and exactly these four callers
     defined = [
         (module, where, node.name)
         for module, where, node in _nodes()
@@ -127,7 +127,6 @@ def test_one_component_routine_answers_every_connectivity_question():
     assert sorted(set(calls)) == [
         ("complexes.py", "detect_join"),
         ("complexes.py", "is_connected"),
-        ("homology.py", "_is_low_sphere"),
         ("homology.py", "is_normal_pseudomanifold"),
         ("retriangulate.py", "_split_link_along"),
     ]
@@ -164,8 +163,7 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
     ]
     assert sorted(calls("_link")) == sorted(_uses("_link")) == [
         ("complexes.py", "_through"),
-        ("homology.py", "_ball"),
-        ("homology.py", "_is_low_sphere"),
+        ("homology.py", "_ball_sweep"),
         ("homology.py", "_is_sphere"),
         ("homology.py", "_vertex_sweep"),
         ("homology.py", "is_normal_pseudomanifold"),
@@ -243,7 +241,8 @@ def test_every_cache_is_an_order_type_memo_in_homology():
 def test_only_the_closure_helper_enumerates_submasks():
     # one closure routine: the step x = (x - 1) & m, which walks the
     # submasks of m, appears in complexes._closure_masks alone, which the
-    # complexes' bitmask closures, the Betti misses and the ball sweeps share
+    # complexes' bitmask closures, the Betti misses, the ball analyses and
+    # the shelling certificate of a sphere verdict share
     def step(node):
         if not (
             isinstance(node, ast.Assign)
@@ -267,6 +266,7 @@ def test_only_the_closure_helper_enumerates_submasks():
         ("complexes.py", "_mask_closure"),
         ("homology.py", "_ball"),
         ("homology.py", "_betti"),
+        ("homology.py", "_is_sphere"),
     ]
 
 
@@ -470,14 +470,20 @@ def test_one_rule_reads_an_entry_past_the_end():
 
 
 def test_only_the_sphere_verdicts_try_a_shelling():
-    # homology._shells answers True only on a closed pseudomanifold it has
-    # shelled, from the facet masks alone: the sphere verdict memo, the
-    # manifold test and the sphere test consult it, each before any Betti
-    # number, and it reads no closure and no closure group
+    # homology._shells shells a sphere or a ball from the facet masks: the
+    # sphere verdict memo, the manifold test, the sphere test and the ball
+    # analysis consult it, each before any Betti number, and the normal
+    # pseudomanifold test before its link sweep.  It reads no
+    # closure before every facet is placed: it names no closure helper,
+    # closure group or Betti reader, and it calls its closure parameter, for
+    # the certificate, once, after the search loop and the return that ends
+    # an incomplete search
     assert sorted(set(_uses("_shells"))) == [
+        ("homology.py", "_ball"),
         ("homology.py", "_is_sphere"),
         ("homology.py", "is_homology_manifold"),
         ("homology.py", "is_homology_sphere"),
+        ("homology.py", "is_normal_pseudomanifold"),
     ]
     (shells,) = [
         node
@@ -486,6 +492,11 @@ def test_only_the_sphere_verdicts_try_a_shelling():
     ]
     names = {"_closure_masks", "_mask_closure", "_group", "_betti", "betti"}
     assert not [ast.unparse(n) for n in ast.walk(shells) if any(_named(n, x) for x in names)]
+    (search,) = [n for n in shells.body if isinstance(n, ast.While)]
+    after = shells.body[shells.body.index(search) + 1 :]
+    assert ast.unparse(after[0]) == "if len(placed) < len(masks):\n    return (False, ())"
+    reads = [n for n in ast.walk(shells) if isinstance(n, ast.Call) and _named(n.func, "closure")]
+    assert len(reads) == 1 and reads[0].lineno > after[0].end_lineno
 
 
 def test_every_homology_reader_takes_its_complex_by_one_rule():
