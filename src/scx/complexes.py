@@ -38,10 +38,18 @@ from .errors import (
 )
 
 
+def _items(values, what: str) -> tuple:
+    """``tuple(values)``, or ``MalformedInputError`` if it is no iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise MalformedInputError(f"expected an iterable of {what}, got {values!r}") from None
+
+
 def as_face(vertices) -> frozenset:
     """Normalize an iterable of vertex labels into a face; rejects repeats and
     any label that is not a non-negative ``int`` (a ``bool`` included)."""
-    vs = tuple(vertices)
+    vs = _items(vertices, "vertex labels")
     for v in vs:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise MalformedInputError(
@@ -133,8 +141,8 @@ def _maximal(masks) -> list:
 
 def _order_type(masks) -> tuple:
     """The order type of the complex whose facets are ``masks``: the masks
-    that :meth:`SimplicialComplex._of_masks` keeps, and the key of
-    ``homology._ball`` and ``homology._class_key``.
+    that :meth:`SimplicialComplex._of_masks` keeps, and the key of the three
+    homology memos (``homology._betti``, ``_is_sphere`` and ``_ball``).
 
     It numbers the vertices 0..n-1 in sorted order and lists each facet as a
     bitmask over that numbering, so two complexes with the same order type
@@ -385,7 +393,7 @@ def _complex(cx) -> SimplicialComplex:
 
 def from_facets(facets) -> SimplicialComplex:
     """Build the closure of a list of faces; dominated input faces are absorbed."""
-    return SimplicialComplex(as_face(f) for f in facets)
+    return SimplicialComplex(map(as_face, _items(facets, "faces")))
 
 
 def from_faces(faces) -> SimplicialComplex:
@@ -422,8 +430,8 @@ def connected_sum(
     order.  The unmatched vertices of ``cx2`` are relabelled to fresh labels
     above max(V(cx1)), in sorted order: new top bits of the masks.
     """
-    f1, fm1, link1 = cx1._through(facet1)
-    f2, _, link2 = cx2._through(facet2)
+    f1, fm1, link1 = _complex(cx1)._through(facet1)
+    f2, _, link2 = _complex(cx2)._through(facet2)
     if link1 != [0]:  # a facet's link is the empty complex
         raise PreconditionError(f"{tuple(sorted(f1))} is not a facet of the first complex")
     if link2 != [0]:
@@ -447,7 +455,7 @@ def connected_sum(
 def stack_over_facet(cx: SimplicialComplex, facet) -> SimplicialComplex:
     """Replace a facet by the cone over its boundary from one fresh vertex,
     on masks: the facet's ridges, each with a new top bit."""
-    f, fm, link = cx._through(facet)
+    f, fm, link = _complex(cx)._through(facet)
     if not f or link != [0]:  # a facet's link is the empty complex
         raise PreconditionError(f"{tuple(sorted(f))} is not a nonempty facet")
     top = 1 << len(cx._masks[0])  # the new vertex is the top bit
@@ -474,7 +482,7 @@ def _replaced(cx: SimplicialComplex, drop, add) -> SimplicialComplex:
 def is_simplex_boundary(cx: SimplicialComplex) -> bool:
     """Whether the complex is the full boundary of a simplex on its vertices:
     n distinct facets of n - 1 vertices each, on n vertices, are all of them."""
-    return len(cx._masks[0]) == cx.dim + 2 == len(cx._masks[1]) and cx.is_pure()
+    return len(_complex(cx)._masks[0]) == cx.dim + 2 == len(cx._masks[1]) and cx.is_pure()
 
 
 def _components(masks) -> list:

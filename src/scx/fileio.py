@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .complexes import SimplicialComplex, from_facets
+from .complexes import SimplicialComplex, _complex, from_facets
 from .errors import MalformedInputError, ParseError, PreconditionError
 
 
@@ -34,6 +34,8 @@ def read_scx_text(text: str, source: str = "<string>") -> SimplicialComplex:
     """Parse facet-list text: one facet of non-negative integers separated by
     ASCII whitespace per line, lines ending in LF or CRLF; '#' comment lines
     and blank lines are ignored."""
+    if not isinstance(text, str):
+        raise MalformedInputError(f"expected the text of a facet list, got {text!r}")
     facets = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip(_BLANK)
@@ -50,14 +52,22 @@ def read_scx_text(text: str, source: str = "<string>") -> SimplicialComplex:
 
 
 def write_scx_text(cx: SimplicialComplex) -> str:
-    facets = sorted(cx.facets, key=sorted)
+    facets = sorted(_complex(cx).facets, key=sorted)
     return "".join(" ".join(map(str, sorted(f))) + "\n" for f in facets if f)
+
+
+def _path(path) -> Path:
+    """``path`` as a ``Path``, or ``MalformedInputError`` if it is no path."""
+    try:
+        return Path(path)
+    except TypeError:
+        raise MalformedInputError(f"expected a file path, got {path!r}") from None
 
 
 def _read_text(path) -> str:
     """The text of ``path``, untranslated: a lone CR ends no line.  A missing
     or unreadable file is a ParseError naming ``path``."""
-    if not Path(path).exists():
+    if not _path(path).exists():
         raise ParseError(f"{path}: no such file")
     try:
         with open(path, newline="") as fh:
@@ -69,7 +79,7 @@ def _read_text(path) -> str:
 def _write_text(path, text: str):
     """Write ``text``; a failed write is a PreconditionError naming ``path``."""
     try:
-        Path(path).write_text(text)
+        _path(path).write_text(text)
     except OSError as exc:
         raise PreconditionError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
@@ -100,18 +110,18 @@ def read_json_text(text: str, source: str = "<string>") -> SimplicialComplex:
 
 
 def write_json_text(cx: SimplicialComplex) -> str:
-    facets = [sorted(f) for f in sorted(cx.facets, key=sorted) if f]
+    facets = [sorted(f) for f in sorted(_complex(cx).facets, key=sorted) if f]
     return json.dumps({"facets": facets}, indent=None, separators=(",", ":")) + "\n"
 
 
 def load_complex(path) -> SimplicialComplex:
     """Dispatch on the extension: .json reads the object form, anything else
     the facet-list text form; an unreadable file is a ParseError."""
-    path = Path(path)
+    path = _path(path)
     read = read_json_text if path.suffix == ".json" else read_scx_text
     return read(_read_text(path), source=str(path))
 
 
 def write_complex(cx: SimplicialComplex, path):
-    text = write_json_text(cx) if Path(path).suffix == ".json" else write_scx_text(cx)
+    text = write_json_text(cx) if _path(path).suffix == ".json" else write_scx_text(cx)
     _write_text(path, text)

@@ -13,19 +13,18 @@ i is a cycle (certified), so column i of d_k is a combination of the
 earlier columns, and by induction on i of the columns kept.
 
 Three homology facts are cached, each in a thread-safe LRU of
-``BETTI_MEMO`` entries keyed by the normalized field and an encoding of the
-complex.  The Betti numbers (:func:`_betti`, behind :func:`betti`) and the
-homology-sphere verdict (:func:`_is_sphere`, behind
-:func:`is_homology_manifold`) take the class key (:func:`_class_key`, a
-fourth memo of the same bound): the complex with its vertices renumbered by
-how many facets contain them.  The ball analysis (:func:`_ball`, behind
-:func:`_ball_analysis` and so every ball predicate and retriangulation)
-takes the order type, the masks the complex keeps.  So a link swept by several
-predicates or statements, or met again under a relabelling that the degree
-order undoes, is eliminated at most once and judged once, and a ball that several
-retriangulations read, with or without ``check``, is analysed once.  Nothing
-seeded is cached, nor is a ``TooLargeError``; ``cache_info()`` reports hits
-and misses and ``cache_clear()`` empties each memo.
+``BETTI_MEMO`` entries keyed by the complex's order type (the masks it
+keeps, ``complexes._order_type``) and the normalized field: the Betti
+numbers (:func:`_betti`, behind :func:`betti`), the homology-sphere verdict
+(:func:`_is_sphere`, behind :func:`is_homology_sphere` and every vertex
+link of :func:`is_homology_manifold`) and the ball analysis (:func:`_ball`,
+behind :func:`_ball_analysis` and so every ball predicate and
+retriangulation).  So a complex or link met again by several predicates or
+statements, or under an order-preserving relabelling, is eliminated at most
+once and judged once, and a ball that several retriangulations read, with
+or without ``check``, is analysed once.  Nothing seeded is cached, nor is a
+``TooLargeError``; ``cache_info()`` reports hits and misses and
+``cache_clear()`` empties each memo.
 
 Every sphere, manifold and ball verdict first tries one greedy shelling
 (:func:`_shells`, on the facet masks).  A shellable pseudomanifold is a PL
@@ -189,17 +188,17 @@ BETTI_GUARD = 2**19
 COMPLETION_GUARD = 6_300
 
 #: Entries kept by each memo: the profiles of :func:`_betti`, the verdicts of
-#: :func:`_is_sphere`, the ball analyses of :func:`_ball` and the class keys of
-#: :func:`_class_key`.  Every key is a tuple of ints, so no facet set or
-#: closure stays alive: with no shelling, after one ``run_all()`` the Betti
-#: memo holds about 0.5 kB per entry and the ball memo 0.8 kB, its masks being
-#: ints (tracemalloc), against 3 kB when the Betti key held the facets; a
-#: verdict shares its key with the profile it was read from.  Every sphere and
-#: ball of ``run_all()`` shells, so it makes no profile, verdict or key and 42
-#: ball analyses (52 at dmax=7), as does the classify-distinct benchmark
-#: stream at seed 0 (55 ball analyses): no memo evicts there.  With no
-#: shelling ``run_all()`` makes 117 profiles and 74 verdicts, and the stream
-#: 343 and 553, which evicted.
+#: :func:`_is_sphere` and the ball analyses of :func:`_ball`.  Every key is a
+#: tuple of ints, so no facet set or closure stays alive: with no shelling,
+#: after one ``run_all()`` the Betti memo holds about 0.5 kB per entry and the
+#: ball memo 0.8 kB, its masks being ints (tracemalloc), against 3 kB when the
+#: Betti key held the facets; a verdict shares its key with the profile it was
+#: read from.  Every sphere and ball of ``run_all()`` shells, so it makes no
+#: profile, 36 verdicts (105 hits) and 42 ball analyses (42 verdicts and 52
+#: analyses at dmax=7); the classify-distinct benchmark stream at seed 0 makes
+#: 130 verdicts, one per complex, and 55 ball analyses: no memo evicts there.
+#: With no shelling ``run_all()`` makes 156 profiles and 107 verdicts, and the
+#: stream 1,329 and 2,310, which evicted.
 BETTI_MEMO = 256
 
 
@@ -207,40 +206,15 @@ def betti(cx: SimplicialComplex, field="rational") -> BettiProfile:
     """Reduced Betti numbers from exact ranks of sparse boundary columns.
 
     Memoised: the last ``BETTI_MEMO`` results are kept in a thread-safe LRU
-    keyed by the complex's class key (:func:`_class_key` of its order type)
-    and the normalized field.  Two complexes with the same key are images of
-    one another under a vertex bijection, which changes no Betti number over
-    any field and no face count, so a relabelled link or star shares its
-    entry whenever the degree order undoes the relabelling.  A miss builds
-    its closure on the masks, certifies d.d = 0 and ranks with clearing.
-    A ``TooLargeError`` is raised again on every call and never cached;
-    ``_betti.cache_info()`` counts hits.
+    keyed by the complex's order type (the masks it keeps) and the
+    normalized field, so an order-preserving relabelling, which changes no
+    face count, shares its entry.  A miss builds its closure on the masks,
+    certifies d.d = 0 and ranks with clearing.  A ``TooLargeError`` is
+    raised again on every call and never cached; ``_betti.cache_info()``
+    counts hits.
     """
     cx = _complex(cx)
-    return _betti(_class_key(cx._masks[1]), exact.validate_field(field))
-
-
-@functools.lru_cache(maxsize=BETTI_MEMO)
-def _class_key(masks: tuple) -> tuple:
-    """The key of :func:`_betti` and :func:`_is_sphere` for the order type
-    ``masks``: its vertices renumbered 0..n-1 by (number of facets containing
-    the vertex, old position), its facets relabelled and sorted.
-
-    The key is the image of the complex under a vertex bijection, so equal
-    keys mean isomorphic complexes; Betti numbers over every field and the
-    homology-sphere verdict are isomorphism invariants, so complexes with one
-    key share one profile and one verdict.  Isomorphic order types share a
-    key when the degree order matches their vertices up, as it always does
-    when the vertices' degrees are pairwise distinct.  The degree order is
-    the first round of colour refinement (McKay and Piperno 2014), not a
-    canonical form, so some isomorphic order types keep keys of their own.
-    """
-    n = max(masks).bit_length()  # the vertices are 0..n-1
-    degrees = [sum(m >> v & 1 for m in masks) for v in range(n)]
-    bit = [0] * n
-    for i, v in enumerate(sorted(range(n), key=degrees.__getitem__)):  # stable
-        bit[v] = 1 << i
-    return tuple(sorted(sum(bit[v] for v in range(m.bit_length()) if m >> v & 1) for m in masks))
+    return _betti(cx._masks[1], exact.validate_field(field))
 
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
@@ -263,14 +237,16 @@ def _betti(masks: tuple, field) -> BettiProfile:
 
 @functools.lru_cache(maxsize=BETTI_MEMO)
 def _is_sphere(masks: tuple, field) -> bool:
-    """Whether the class key ``masks`` is a homology sphere over ``field``.
+    """Whether the order type ``masks`` is a homology sphere over ``field``:
+    the one sphere decision, for a complex (:func:`is_homology_sphere`) and
+    for a link alike.
 
     A greedy search decides when it shells (:func:`_shells`: a sphere if no
     ridge lies in one facet, else a ball) and, below dimension 3, when it
     fails.  Otherwise the Betti numbers must be those of the sphere of its
     own dimension and every vertex link (:func:`_link` of the vertex bit) a
     homology sphere one dimension lower.  Memoised beside :func:`_betti`, on
-    the same key: the verdict is an isomorphism invariant (:func:`_class_key`).
+    the same key.
     """
     dim = max(map(int.bit_count, masks)) - 1
     shelled, ones = _shells(masks, functools.partial(_closure_masks, masks))
@@ -339,29 +315,25 @@ def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
     """Whether the facet masks ``link`` (not empty) form a homology ``dim``-sphere."""
     if max(map(int.bit_count, link)) != dim + 1:
         return False
-    return _is_sphere(_class_key(_order_type(link)), field)
+    return _is_sphere(_order_type(link), field)
 
 
 def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResult:
     """A homology manifold with the homology of the sphere of its dimension.
 
     Equivalently, every face link (the empty face included) has the homology
-    of the sphere of complementary dimension.  A complex that a greedy
-    search shells with no ridge in one facet (:func:`_shells`) is a PL
-    sphere and passes with no Betti number or link.  Else its Betti numbers
-    come first; if they fail, the witness is the empty face ``()``.  Then
-    the vertex links are swept as in :func:`is_homology_manifold`, with no
-    second shelling attempt, and the witness is the smallest vertex
-    ``(v,)`` with a failing link.
+    of the sphere of complementary dimension.  The verdict is the memoised
+    :func:`_is_sphere` on the complex's order type, so a complex that a
+    greedy search shells with no ridge in one facet (:func:`_shells`) passes
+    with no Betti number or link, and a repeat call is one lookup.  A
+    failing complex is given its witness from the same memos: if its Betti
+    numbers fail, the empty face ``()``; else the smallest vertex ``(v,)``
+    whose link fails, the vertex links swept as in
+    :func:`is_homology_manifold`.
     """
     cx, field = _complex(cx), exact.validate_field(field)
-    shelled, ones = _shells(cx._masks[1], cx._mask_closure)
-    return PredicateResult(True) if shelled and not ones else _sphere_sweep(cx, field)
-
-
-def _sphere_sweep(cx: SimplicialComplex, field) -> PredicateResult:
-    """:func:`is_homology_sphere` past its shelling: the Betti numbers of
-    ``cx``, then its vertex links (:func:`_vertex_sweep`)."""
+    if _is_sphere(cx._masks[1], field):
+        return PredicateResult(True)
     if not betti(cx, field).is_sphere(cx.dim):
         return PredicateResult(False, (), "complex does not have sphere homology")
     return _vertex_sweep(cx, field)
@@ -371,12 +343,12 @@ def _ball_analysis(cx: SimplicialComplex, field):
     """(verdict, boundary complex, interior faces) of ``cx``, as one shelling
     or one sweep over its face links gives them (:func:`_ball`).
 
-    Memoised on the order type, the masks the complex keeps, not on its
-    class key; the witness and the interior are read back through the
-    sorted vertices, and the boundary is built on them from its masks.  An
-    order-preserving relabelling keeps the vertex-tuple order of the faces,
-    the faces with trivial links and the least failing vertex of the
-    boundary, so all three are those of a sweep on ``cx`` itself.
+    Memoised on the order type, the masks the complex keeps; the witness
+    and the interior are read back through the sorted vertices, and the
+    boundary is built on them from its masks.  An order-preserving
+    relabelling keeps the vertex-tuple order of the faces, the faces with
+    trivial links and the least failing vertex of the boundary, so all
+    three are those of a sweep on ``cx`` itself.
     """
     verdict, boundary, interior = _ball(cx._masks[1], exact.validate_field(field))
     labels = list(cx._masks[0])
@@ -414,8 +386,8 @@ def _ball_sweep(masks: tuple, by_size: list, field) -> tuple:
     larger (the maximal ones if those faces are closed downward, else a
     family with their closure), whatever the verdict.  The verdict also
     requires ball homology and a boundary of dimension dim - 1 that is a
-    homology sphere, judged on the masks; only a failing boundary is built,
-    for the witness of :func:`_sphere_sweep`.  Past the link sweep the
+    homology sphere, built on its masks and judged, with its witness, by
+    :func:`is_homology_sphere`.  Past the link sweep the
     trivial-link faces are closed downward (a sphere link's top cycle is
     nonzero on the link of every face above), so that is not tested.
     """
@@ -425,7 +397,7 @@ def _ball_sweep(masks: tuple, by_size: list, field) -> tuple:
     verdict = PredicateResult(True)
     for group in by_size:
         for fm in _tuple_order(group):
-            profile = _betti(_class_key(_order_type(_link(masks, fm))), field)
+            profile = _betti(_order_type(_link(masks, fm)), field)
             if profile.is_trivial():
                 trivial.add(fm)
             elif verdict.ok and not profile.is_sphere(d - fm.bit_count()):
@@ -434,12 +406,12 @@ def _ball_sweep(masks: tuple, by_size: list, field) -> tuple:
     below = {fm ^ b for fm in trivial for b in _bits(fm)}  # one vertex short of a trivial face
     bd_masks = tuple(sorted(trivial - below)) or (0,)  # no trivial face: the empty complex
     if verdict:
+        boundary = SimplicialComplex._of_masks(vertices, bd_masks)
         if 0 not in trivial:
             verdict = PredicateResult(False, (), "complex does not have ball homology")
-        elif d > 0 and max(map(int.bit_count, bd_masks)) != d:
+        elif boundary.dim != d - 1:
             verdict = PredicateResult(False, None, "boundary has wrong dimension")
-        elif not _is_sphere_of_dim(bd_masks, d - 1, field):  # label the boundary for a witness
-            sphere = _sphere_sweep(SimplicialComplex._of_masks(vertices, bd_masks), field)
+        elif not (sphere := is_homology_sphere(boundary, field)):
             verdict = PredicateResult(False, sphere.witness, "boundary is not a homology sphere")
     return verdict, bd_masks
 
@@ -479,7 +451,7 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     (:func:`_shells`) is a PL sphere, whose vertex links are PL spheres, and
     passes with no link read.  Otherwise the vertex links are swept
     (:func:`_vertex_sweep`): each is read as facet bitmasks (:func:`_link`)
-    and judged by the memoised verdict :func:`_is_sphere` on its class key,
+    and judged by the memoised verdict :func:`_is_sphere` on its order type,
     which recurses on the link's own vertex links.  For a face
     tau = {v} + tau', lk(tau) is the link of tau' in lk(v), so every vertex
     link is a homology (dim - 1)-sphere exactly when every nonempty face

@@ -114,7 +114,7 @@ def missing_face_identity_sides(cx: SimplicialComplex, tau, k: int):
     dimension (tau's boundary survives while tau is removed, so it becomes
     a minimal non-face).
     """
-    _, lhs, rhs = next(_identity_sides(cx, tau, (_index(k, "k"),)))
+    _, lhs, rhs = next(_identity_sides(_complex(cx), tau, (_index(k, "k"),)))
     return lhs, rhs
 
 
@@ -138,7 +138,7 @@ def _identity_sides(cx: SimplicialComplex, tau, dims):
 
 def crtr_missing_faces_check(cx: SimplicialComplex, tau) -> PredicateResult:
     """Compare both sides of the missing-face identity at every dimension."""
-    for k, lhs, rhs in _identity_sides(cx, tau, range(0, cx.dim + 2)):
+    for k, lhs, rhs in _identity_sides(_complex(cx), tau, range(0, cx.dim + 2)):
         if lhs != rhs:
             witness = min(tuple(sorted(f)) for f in lhs ^ rhs)
             return PredicateResult(False, witness, f"sides differ at dimension {k}")
@@ -267,7 +267,7 @@ def swartz_operation(cx: SimplicialComplex, v: int, tau, field="rational", check
     """Remove a vertex, refused by ``link`` if absent, insert a missing facet
     of its link, and close the two resulting spheres: each is coned from a
     fresh vertex unless it bounds a missing facet, which is then filled in."""
-    link = cx.link([v])
+    link = _complex(cx).link([v])
     t, _, present = cx._through(tau)
     if present or not t <= cx.vertices:
         raise PreconditionError(f"{tuple(sorted(t))} must be a missing face of the complex")
@@ -294,7 +294,7 @@ def swartz_all(cx: SimplicialComplex, v: int, field="rational", check=True):
     sphere link keeps a normal pseudomanifold one, so each later move tests
     only the link it moves at.
     """
-    if cx.dim < 3:
+    if _complex(cx).dim < 3:
         raise PreconditionError("iterated operation needs dimension >= 3")
     link = cx.link([v])
     if check:

@@ -36,7 +36,7 @@ class Graph:
 
 
 def skeleton_graph(cx: SimplicialComplex) -> Graph:
-    return Graph(tuple(sorted(cx.vertices)), cx.edges())
+    return Graph(tuple(sorted(_complex(cx).vertices)), cx.edges())
 
 
 def _as_graph(obj) -> Graph:

@@ -21,7 +21,7 @@ from .complexes import (
     join,
     stack_over_facet,
 )
-from .errors import PreconditionError, UnknownStatementError, _index
+from .errors import MalformedInputError, PreconditionError, UnknownStatementError, _index
 from .facevectors import (
     extended_g,
     g2,
@@ -664,7 +664,10 @@ def run_statement(statement: str, scale: Scale | None = None) -> VerificationRep
         raise UnknownStatementError(
             f"unknown statement {statement!r}; known: {', '.join(_REGISTRY)}"
         )
-    scale = scale or Scale()
+    if scale is None:
+        scale = Scale()
+    elif not isinstance(scale, Scale):
+        raise MalformedInputError(f"expected a Scale, got {scale!r}")
     claim, runner = _REGISTRY[statement]
     catalog = catalog_for(scale)
     start = time.perf_counter()
@@ -678,5 +681,5 @@ def run_statement(statement: str, scale: Scale | None = None) -> VerificationRep
 
 
 def run_all(scale: Scale | None = None) -> list:
-    scale = scale or Scale()
+    """Every statement in registry order; ``run_statement`` checks ``scale``."""
     return [run_statement(sid, scale) for sid in _REGISTRY]

@@ -48,12 +48,11 @@ def cycle_join():
 
 
 def clear_memos():
-    """Empty the four homology memos (Betti numbers, sphere verdicts, ball
-    analyses and class keys), so that every homology fact is computed again."""
+    """Empty the three homology memos (Betti numbers, sphere verdicts and
+    ball analyses), so that every homology fact is computed again."""
     homology._betti.cache_clear()
     homology._is_sphere.cache_clear()
     homology._ball.cache_clear()
-    homology._class_key.cache_clear()
 
 
 def shelling_off(monkeypatch):

@@ -61,7 +61,6 @@ from scx.homology import (
     PredicateResult,
     _ball_checked,
     _betti,
-    _class_key,
     _link,
     _order_type,
     betti,
@@ -531,12 +530,12 @@ def face_links(cx, faces):
 def is_homology_manifold_by_faces(cx, field="rational"):
     """``is_homology_manifold`` as one sweep over every nonempty face link,
     read as facet bitmasks and looked up in the Betti memo by the key
-    ``betti`` uses, its class key; faces are visited by their smallest
+    ``betti`` uses, its order type; faces are visited by their smallest
     vertex first."""
     n, field, by_dim = cx.dim, validate_field(field), closure_by_dim(cx.facets)
     faces = chain.from_iterable(by_dim[k] for k in range(n + 1))
     for face, link in face_links(cx, sorted(faces, key=min)):
-        if not _betti(_class_key(_order_type(link)), field).is_sphere(n - len(face)):
+        if not _betti(_order_type(link), field).is_sphere(n - len(face)):
             return PredicateResult(False, (min(face),), "vertex link is not a homology sphere")
     return PredicateResult(True)
 
@@ -544,14 +543,14 @@ def is_homology_manifold_by_faces(cx, field="rational"):
 def ball_analysis_by_sweep(cx, field="rational", check=True):
     """``homology._ball_analysis`` with no memo of its own: one sweep over the
     face links of ``cx`` in its own labels, each link's Betti numbers looked
-    up by the key ``betti`` uses, its class key."""
+    up by the key ``betti`` uses, its order type."""
     d = cx.dim
     field = validate_field(field)
     trivial = []
     verdict = PredicateResult(True)
     faces = chain.from_iterable(closure_by_dim(cx.facets).values())
     for face, link in face_links(cx, faces):
-        profile = _betti(_class_key(_order_type(link)), field)
+        profile = _betti(_order_type(link), field)
         if profile.is_trivial():
             trivial.append(face)
         elif verdict.ok and not profile.is_sphere(d - len(face)):

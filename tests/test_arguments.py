@@ -14,16 +14,20 @@ from scx import (
     PreconditionError,
     Scale,
     are_isomorphic,
+    as_face,
     ball_boundary,
     betti,
     boundary_matrix,
     central_retriangulation,
     chain_complex,
+    connected_sum,
+    crtr_missing_faces_check,
     cross_polytope_boundary,
     cycle,
     detect_join,
     extended_g,
     f_vector,
+    from_facets,
     g1,
     g2,
     g2_one_family,
@@ -41,22 +45,36 @@ from scx import (
     is_m_sequence,
     is_normal_pseudomanifold,
     is_r_stacked_ball,
+    is_simplex_boundary,
     link_g_sum,
+    load_complex,
     macaulay_pseudopower,
     missing_face_identity_sides,
     random_embedding,
+    read_scx,
+    read_scx_text,
     reduced_euler,
+    run_all,
+    run_statement,
     simplex_boundary,
     skeleton_completion,
     skeleton_graph,
+    stack_over_facet,
     stacked_sphere,
     stacked_sphere_with_ridge,
     standard_catalog,
     stress_basis,
+    swartz_all,
+    swartz_operation,
+    vertex_participation,
+    write_complex,
+    write_scx,
+    write_scx_text,
 )
 
 BD4 = simplex_boundary(4)
 BALL = BD4.star([0])  # a 3-ball
+FACET = min(BD4.facets, key=sorted)
 STACKED = stacked_sphere(4, 7)
 
 #: (call of the value, the parameter's name, whether None is its default)
@@ -224,6 +242,20 @@ OTHER_READERS = {
     "inverse_stellar": lambda x: inverse_stellar(x, 0),
     "are_isomorphic": lambda x: are_isomorphic(x, BD4),
     "are_isomorphic second": lambda x: are_isomorphic(BD4, x),
+    "is_simplex_boundary": is_simplex_boundary,
+    "stack_over_facet": lambda x: stack_over_facet(x, FACET),
+    "connected_sum": lambda x: connected_sum(x, FACET, BD4, FACET),
+    "connected_sum second": lambda x: connected_sum(BD4, FACET, x, FACET),
+    # (4, 5, 6) is a missing facet of the link of 0 in C4 * bd(triangle)
+    "swartz_operation": lambda x: swartz_operation(x, 0, (4, 5, 6)),
+    "swartz_all": lambda x: swartz_all(x, 0),
+    "crtr_missing_faces_check": lambda x: crtr_missing_faces_check(x, (0, 1)),
+    "missing_face_identity_sides": lambda x: missing_face_identity_sides(x, (0, 1), 1),
+    "skeleton_graph": skeleton_graph,
+    "vertex_participation": vertex_participation,
+    "write_scx_text": write_scx_text,
+    "write_scx": lambda x: write_scx(x, "never-written.scx"),
+    "write_complex": lambda x: write_complex(x, "never-written.scx"),
 }
 
 
@@ -234,3 +266,33 @@ def test_every_other_reader_refuses_what_is_not_a_complex(reader, value):
     message = f"expected a SimplicialComplex, got {value!r}"
     with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
         OTHER_READERS[reader](value)
+
+
+#: calls given the integer 5 where a scale, a face, facets, text or a path
+#: belongs, and the refusal each raises
+NOT_THE_ARGUMENT = {
+    "run_all": (lambda: run_all(5), "expected a Scale, got 5"),
+    "run_statement": (lambda: run_statement("Lemma2.2", 5), "expected a Scale, got 5"),
+    "as_face": (lambda: as_face(5), "expected an iterable of vertex labels, got 5"),
+    "from_facets": (lambda: from_facets(5), "expected an iterable of faces, got 5"),
+    "from_facets face": (
+        lambda: from_facets([[0, 1], 5]), "expected an iterable of vertex labels, got 5"
+    ),
+    "read_scx_text": (lambda: read_scx_text(5), "expected the text of a facet list, got 5"),
+    "load_complex": (lambda: load_complex(5), "expected a file path, got 5"),
+    "read_scx": (lambda: read_scx(5), "expected a file path, got 5"),
+    "write_scx path": (lambda: write_scx(BD4, 5), "expected a file path, got 5"),
+    "write_complex path": (lambda: write_complex(BD4, 5), "expected a file path, got 5"),
+}
+
+
+@pytest.mark.parametrize("call", NOT_THE_ARGUMENT)
+def test_what_is_no_scale_face_text_or_path_is_refused(call):
+    # run_all and run_statement raised AttributeError ('int' object has no
+    # attribute 'dmax'), read_scx_text AttributeError, from_facets given a
+    # face that is no iterable a refusal naming its generator, and the
+    # others TypeError
+    refused, message = NOT_THE_ARGUMENT[call]
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+        refused()
+

@@ -90,18 +90,20 @@ def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch, no_shelling
     assert result.exit_code == 0
     assert "homology sphere: True" in result.output
     # the manifold test, then is_homology_sphere: as on a cold memo, and
-    # one more verdict lookup per vertex link
+    # one more verdict lookup per vertex link, then one miss for the complex
+    # itself, whose Betti numbers and vertex links are already judged
     before = memo_counts()
-    assert before == (6, 6, 45 + cx.n_faces(0), 8)
+    assert before == (6, 6, 1 + 45 + cx.n_faces(0), 1 + 8)
     assert invoke("info", str(path)).output == result.output
-    # its own Betti numbers, then one verdict lookup per vertex link in each test
-    assert memo_counts() == (6 + 1, 6, 45 + 3 * cx.n_faces(0), 8)
+    # one verdict lookup per vertex link in the manifold test, and one hit
+    # for the sphere test
+    assert memo_counts() == (6, 6, 2 + 45 + 2 * cx.n_faces(0), 1 + 8)
     assert linked == []  # no sweep builds a link complex
 
 
 def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch):
     # the manifold and the sphere test shell the join, so info computes no
-    # homology fact
+    # Betti number: the sphere verdict is one miss, and a hit when asked again
     cx = join(cycle(5), simplex_boundary(4))
     path = tmp_path / "join.scx"
     write_scx(cx, path)
@@ -109,9 +111,9 @@ def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch)
     clear_memos()
     result = invoke("info", str(path))
     assert "homology manifold: True\nhomology sphere: True\n" in result.output
-    assert memo_counts() == (0, 0, 0, 0)
+    assert memo_counts() == (0, 0, 1, 1)
     assert invoke("info", str(path)).output == result.output
-    assert memo_counts() == (0, 0, 0, 0)
+    assert memo_counts() == (0, 0, 2, 1)
     assert linked == []
 
 
@@ -656,9 +658,10 @@ def test_failed_shelling_certificate_exits_5(tmp_path, monkeypatch):
 
 
 def test_failed_boundary_certificate_exits_5(tmp_path, no_shelling, flipped_d1):
-    # with no shelling, so that the sphere test reads the Betti numbers
-    path = tmp_path / "bd3.scx"
-    write_scx(simplex_boundary(3), path)
+    # with no shelling, so that the sphere test reads the Betti numbers; in
+    # dimension 3, as a sphere verdict below it shells even so
+    path = tmp_path / "bd4.scx"
+    write_scx(simplex_boundary(4), path)
     result = invoke("info", str(path))
     assert result.exit_code == 5
     assert "do not compose to zero" in result.output

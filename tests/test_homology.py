@@ -393,7 +393,7 @@ FIELDS = ("rational", 2, 3)
 
 
 def _memo_key(cx):
-    """The order type of ``cx``, whose class key ``betti`` looks it up by."""
+    """The order type of ``cx``, which ``betti`` looks it up by."""
     return homology._order_type(cx._masks[1])
 
 
@@ -403,17 +403,23 @@ def _assert_matches_every_column(masks):
         assert homology._betti.__wrapped__(masks, field).entries == expected, (masks, field)
 
 
-MEMOS = ("_betti", "_is_sphere", "_class_key", "_ball")
+MEMOS = ("_betti", "_is_sphere", "_ball")
+
+
+def _recording(memo, seen: set):
+    """``memo``, adding each order type it is asked for to ``seen``."""
+    return lambda masks, field: seen.add(masks) or memo(masks, field)
 
 
 def _run_all_cold(shelling: bool):
     """One ``run_all()`` on empty memos and a catalog built afresh, with or
-    without shelling: the order types it hands to ``_class_key``, sorted,
-    and each memo's misses."""
-    seen, memo = set(), homology._class_key
+    without shelling: the order types it looks up in the Betti and
+    sphere-verdict memos, sorted, and each memo's misses."""
+    seen = set()
     clear_memos()
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(homology, "_class_key", lambda masks: seen.add(masks) or memo(masks))
+        for name in ("_betti", "_is_sphere"):
+            monkeypatch.setattr(homology, name, _recording(getattr(homology, name), seen))
         monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
         if not shelling:
             shelling_off(monkeypatch)
@@ -441,28 +447,25 @@ def run_all_order_types(run_all_eliminated):
 
 
 def test_a_cold_run_all_counts_its_memo_misses(run_all_cold, run_all_eliminated):
-    # counted work, free of host noise: each miss is one elimination, verdict,
-    # key or sweep.  Every sphere verdict of run_all() shells on the complex
-    # itself and every ball it analyses shells, so a change that stops
-    # shelling spheres or balls fails the first (117, 74 and 254 misses with
-    # no shelling, as the second pins), and one that eliminates the links of
-    # sphere verdicts below dimension 3 again fails the second (155, 92 and
-    # 270 misses then)
-    assert run_all_cold[1] == {"_betti": 0, "_is_sphere": 0, "_class_key": 0, "_ball": 42}
-    assert run_all_eliminated[1] == {"_betti": 117, "_is_sphere": 74, "_class_key": 254, "_ball": 42}
+    # counted work, free of host noise: each miss is one elimination, verdict
+    # or sweep.  Every sphere verdict of run_all() shells on the complex
+    # itself, one verdict miss each, and every ball it analyses shells, so a
+    # change that stops shelling spheres or balls fails the first (156 and
+    # 107 misses with no shelling, as the second pins), and one that
+    # eliminates the links of sphere verdicts below dimension 3 again fails
+    # the second
+    assert run_all_cold[1] == {"_betti": 0, "_is_sphere": 36, "_ball": 42}
+    assert run_all_eliminated[1] == {"_betti": 156, "_is_sphere": 107, "_ball": 42}
 
 
 def test_betti_matches_every_column_ranks_on_run_all_misses(run_all_order_types):
-    # every order type run_all() asks for with shelling off, each a
-    # class-key miss once: 254 on empty memos, whose class keys make 117
-    # Betti misses
-    assert len(run_all_order_types) >= 200
+    # every order type run_all() looks up in the Betti or sphere-verdict
+    # memo with shelling off, on empty memos
+    assert len(run_all_order_types) == 186
     for masks in run_all_order_types:
-        key = homology._class_key(masks)
         for field in FIELDS:
             expected = oracle.betti_every_column(masks, field)
             assert homology._betti.__wrapped__(masks, field).entries == expected, (masks, field)
-            assert homology._betti.__wrapped__(key, field).entries == expected, (key, field)
 
 
 def _complex_of(masks):
@@ -470,46 +473,13 @@ def _complex_of(masks):
     return [frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
 
 
-def _assert_class_key_relabels(masks):
-    """The class key of the order type ``masks`` is its image under a vertex
-    bijection, with the Betti numbers and the homology-sphere verdict of
-    ``masks`` over Q, GF(2) and GF(3)."""
-    key = homology._class_key.__wrapped__(masks)
-    facets, image = _complex_of(masks), _complex_of(key)
-    assert oracle.face_counts(facets) == oracle.face_counts(image)
-    mapping = oracle.are_isomorphic_adjacency(facets, image)
-    assert mapping is not None, masks
-    assert {frozenset(map(mapping.__getitem__, f)) for f in facets} == set(image)
-    for field in FIELDS:
-        assert homology._betti.__wrapped__(key, field) == homology._betti.__wrapped__(masks, field)
-        assert homology._is_sphere.__wrapped__(key, field) == homology._is_sphere.__wrapped__(
-            masks, field
-        ), (masks, field)
-
-
-def test_class_key_relabels_every_run_all_order_type(run_all_order_types):
-    for masks in run_all_order_types:
-        _assert_class_key_relabels(masks)
-    keys = set(map(homology._class_key, run_all_order_types))
-    assert len(keys) < len(run_all_order_types)  # isomorphic order types meet
-
-
-@given(st.one_of(near_manifolds(), random_complexes))
-@settings(max_examples=100, deadline=None)
-def test_class_key_relabels_random_complexes(cx):
-    _assert_class_key_relabels(_memo_key(cx))
-    bit, masks = cx._masks
-    for b in bit.values():
-        _assert_class_key_relabels(homology._order_type(homology._link(masks, b)))
-
-
 def _low_verdict(cx) -> bool:
-    """The sphere verdict on the class key of ``cx``, of dimension <= 2,
+    """The sphere verdict on the order type of ``cx``, of dimension <= 2,
     which the shelling search decides alone, after checking it against
     elimination over Q, GF(2) and GF(3): the Betti numbers of ``cx`` and of
     every face link."""
     assert cx.dim <= 2
-    key = homology._class_key(cx._masks[1])
+    key = _memo_key(cx)
     verdicts = set()
     for field in FIELDS:
         expected = betti(cx, field).is_sphere(cx.dim)
@@ -588,29 +558,33 @@ def test_manifold_verdicts_in_dimension_3_make_no_betti_miss(request):
 DISTINCT_DEGREES = [(1, 3, 4), (1, 3, 5), (1, 3, 6), (1, 5, 6), (2, 3, 5), (3, 4, 5), (3, 5, 6)]
 
 
-def test_a_shuffle_of_distinct_degrees_hits_both_memos():
+def test_an_order_preserving_relabelling_hits_both_memos_and_a_degree_shuffle_misses():
     # the cone apex 0 is the least vertex, so the manifold test judges its
     # link, the 2-complex, first; that link has the homology of a 2-sphere
-    # but an edge in four triangles, so the count fails it with no Betti
-    # lookup and the test stops there
+    # but an edge in four triangles, so the search fails it with no Betti
+    # lookup and the test stops there.  The memos are keyed by the order
+    # type, so a shuffle of the vertices, even one that a sort by degree
+    # would undo, is a complex of its own
     shuffle = dict(zip(range(1, 7), (4, 6, 1, 5, 2, 3)))
     plain = from_facets(DISTINCT_DEGREES)
+    shifted = from_facets([[2 * v + 5 for v in f] for f in DISTINCT_DEGREES])
     shuffled = from_facets([[shuffle[v] for v in f] for f in DISTINCT_DEGREES])
     assert len({sum(v in f for f in DISTINCT_DEGREES) for v in range(1, 7)}) == 6
-    assert _memo_key(shuffled) != _memo_key(plain)  # the order types differ
+    assert _memo_key(shifted) == _memo_key(plain) != _memo_key(shuffled)
     clear_memos()
     counts = []
-    for cx in (plain, shuffled):
+    for cx in (plain, shifted, shuffled):
         verdict = is_homology_manifold(from_facets([[0, *f] for f in cx.facets]))
         assert (verdict.ok, verdict.witness) == (False, (0,))
         counts.append(memo_counts())
-    # (Betti lookups, misses, verdict lookups, misses): the second cone costs
-    # one verdict lookup, a hit
-    assert counts == [(0, 0, 1, 1), (0, 0, 2, 1)]
+    # (Betti lookups, misses, verdict lookups, misses): the relabelled cone
+    # costs one verdict lookup, a hit, and the shuffled one a miss
+    assert counts == [(0, 0, 1, 1), (0, 0, 2, 1), (0, 0, 3, 2)]
     expected = homology._betti.__wrapped__(_memo_key(plain), "rational")
-    assert betti(shuffled) == betti(plain) == expected
-    assert expected.is_sphere(2)
-    assert memo_counts() == (2, 1, 2, 1)  # the second profile is a hit
+    assert betti(plain) == betti(shifted) == expected  # a miss, then a hit
+    assert memo_counts() == (2, 1, 3, 2)
+    assert betti(shuffled) == expected and expected.is_sphere(2)
+    assert memo_counts() == (3, 2, 3, 2)  # the same profile, on a key of its own
 
 
 def test_guards_raise_on_every_repeat_call_and_cache_nothing(no_shelling):
@@ -676,13 +650,10 @@ def test_betti_matches_every_column_ranks_on_the_census(census):
 
 
 def _moore_space_mod_3():
-    """M(Z/3, 1), relabelled so that the reduction of its class key over Q
+    """M(Z/3, 1), relabelled so that the reduction of its order type over Q
     meets a pivot entry other than +-1: a disc whose rim 9-gon w_0..w_8
     (vertices 3..11, centre 12) wraps three times round the triangle
-    {0, 1, 2}; f = (13, 39, 27).  The class key puts the rim (5 facets a
-    vertex) before the triangle and the centre (9 each), so only the order
-    within those two sets matters: 105 of 300 seeded shuffles take the
-    scaled step."""
+    {0, 1, 2}; f = (13, 39, 27)."""
     relabel = (9, 6, 3, 2, 10, 0, 12, 11, 4, 1, 7, 8, 5)
     w = [3 + i % 9 for i in range(10)]
     facets = []
@@ -922,26 +893,25 @@ def test_a_shellable_sphere_is_a_normal_pseudomanifold_with_no_link_read(oct3, m
     assert is_normal_pseudomanifold(oct3) and len(swept) == 8 + 24
 
 
-def test_homology_sphere_rechecks_one_verdict_per_vertex(monkeypatch, no_shelling):
+def test_homology_sphere_rechecks_one_verdict(monkeypatch, no_shelling):
     # the elimination path, which a complex that does not shell takes
     cx = join(cycle(5), simplex_boundary(4))
     assert (len(cx.faces()), cx.n_faces(0)) == (341, 10)
     linked = record_links(monkeypatch)
     clear_memos()
-    # cold: each class key among the iterated vertex links is judged once (8
-    # of them); the 5 of dimension 3 and 4 are eliminated once, as is the
-    # complex itself, and the 3 of dimension 2 are shelled, with no lookup
-    # of their own links
+    # cold: the complex is one verdict miss, which reads its Betti numbers
+    # off its facet masks and judges each order type among the iterated
+    # vertex links once (8 of them); the 5 of dimension 3 and 4 are
+    # eliminated once, as is the complex itself, and the 3 of dimension 2
+    # are shelled, with no lookup of their own links
     assert is_homology_sphere(cx)
-    assert memo_counts() == (6, 6, 45, 8)
+    assert memo_counts() == (6, 6, 1 + 45, 1 + 8)
     swept = record_swept(monkeypatch)
     assert is_homology_sphere(cx)
-    # warm: its own Betti numbers, read off its facet masks with no link,
-    # then one verdict lookup per vertex link, in sorted vertex order (bit i
-    # is the i-th least vertex)
-    assert memo_counts() == (6 + 1, 6, 45 + 10, 8)
-    assert swept == [1 << i for i in range(10)]
-    assert linked == []  # the links are read as facet bitmasks
+    # warm: the verdict the vertex links were checked for, one hit, with no
+    # Betti lookup and no link read
+    assert memo_counts() == (6, 6, 1 + 45 + 1, 1 + 8)
+    assert swept == linked == []  # the links are read as facet bitmasks
 
 
 def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypatch, no_shelling):
@@ -961,15 +931,18 @@ def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypat
 
 
 def test_a_shellable_sphere_is_judged_with_no_betti_number_or_link(monkeypatch):
-    # the join shells on its own masks, so neither test reads a link, and a
-    # second call costs the same shelling again, with no memo lookup
+    # the join shells on its own masks, so neither test reads a link: the
+    # sphere test is one verdict miss, and a second call a verdict hit; the
+    # manifold test shells again on each call, with no memo lookup
     cx = join(cycle(5), simplex_boundary(4))
     linked = record_links(monkeypatch)
     clear_memos()
     swept = record_swept(monkeypatch)
+    counts = []
     for _ in range(2):
         assert is_homology_sphere(cx) and is_homology_manifold(cx)
-    assert memo_counts() == (0, 0, 0, 0)
+        counts.append(memo_counts())
+    assert counts == [(0, 0, 1, 1), (0, 0, 2, 1)]
     assert swept == linked == []
 
 
@@ -1019,7 +992,8 @@ NON_SPHERES = {
 def test_no_non_sphere_shells(name, monkeypatch):
     # as a closed complex: the two balls shell, with the ridges of their
     # boundary in one facet.  Each test tries the complex's own masks once,
-    # as a failed attempt is not repeated within a call
+    # as a failed attempt is not repeated within a call, and a second sphere
+    # test not at all, as its verdict is a memo hit
     cx = NON_SPHERES[name]
     shelled, ones = homology._shells(cx._masks[1], cx._mask_closure)
     assert shelled == (name in ("solid tetrahedron", "3-ball")) == bool(ones)
@@ -1028,11 +1002,14 @@ def test_no_non_sphere_shells(name, monkeypatch):
         homology, "_shells", lambda masks, closure: tried.append(masks) or original(masks, closure)
     )
     for field in ("rational", 2):
-        assert not is_homology_sphere(cx, field)
-        for test in (is_homology_sphere, is_homology_manifold):
+        clear_memos()
+        tries = []
+        for test in (is_homology_sphere, is_homology_sphere, is_homology_manifold):
             tried.clear()
             test(cx, field)
-            assert tried.count(cx._masks[1]) == 1, (test, field)
+            tries.append(tried.count(cx._masks[1]))
+        assert not is_homology_sphere(cx, field)
+        assert tries == [1, 0, 1], field
 
 
 def test_the_shelling_certificate_refuses_a_planted_search(monkeypatch):

@@ -27,7 +27,7 @@ from scx import (
     standard_catalog,
 )
 from scx.complexes import _bits, _labelled
-from scx.homology import _class_key, _link, _order_type
+from scx.homology import _link, _order_type
 from test_ball_memo import run_all_balls  # noqa: F401 (a fixture)
 from test_homology import RP2_FACETS, near_manifolds, random_complexes as drawn_complexes
 from test_retriangulate import NON_BALL_HOSTS, _non_balls
@@ -209,7 +209,7 @@ def test_sweep_keys_are_the_betti_keys_of_the_link_complexes(catalog, monkeypatc
         for face in faces:
             betti(cx.link(face))
         swept = [_order_type(link) for _, link in oracle.face_links(cx, faces)]
-        assert [_class_key(key) for key in swept] == asked
+        assert swept == asked
         # and each order type is the facets as bitmasks over the link's
         # sorted vertices
         for face, key in zip(faces, swept):

@@ -26,22 +26,17 @@ def digest(scale):
 
 
 def references(monkeypatch):
-    """Bypass the four homology memos and route every memoised path through
-    a reference: the sphere verdicts and ball sweeps unmemoised, the order
-    type as its own class key, the Betti numbers of every column, the ball
-    sweep on the ball's own labels, and the link-by-link manifold and
-    pseudomanifold tests, in every module that imports them."""
+    """Bypass the three homology memos and route every memoised path through
+    a reference: the sphere verdicts and ball sweeps unmemoised, the Betti
+    numbers of every column, the ball sweep on the ball's own labels, and
+    the link-by-link manifold and pseudomanifold tests, in every module
+    that imports them."""
     for memo in ("_is_sphere", "_ball"):
         monkeypatch.setattr(homology, memo, getattr(homology, memo).__wrapped__)
-
-    def identity(masks):  # the order type as its own class key
-        return masks
 
     def every_column(masks, field):
         return BettiProfile(oracle.betti_every_column(masks, field), field)
 
-    monkeypatch.setattr(homology, "_class_key", identity)
-    monkeypatch.setattr(oracle, "_class_key", identity)
     monkeypatch.setattr(homology, "_betti", every_column)
     monkeypatch.setattr(oracle, "_betti", every_column)
     monkeypatch.setattr(homology, "_ball_analysis", oracle.ball_analysis_by_sweep)

@@ -183,11 +183,10 @@ CACHES = ("lru_cache", "cache", "cached_property")
 
 def test_every_cache_is_an_order_type_memo_in_homology():
     # caching in one place: each cache is an LRU of BETTI_MEMO entries in
-    # homology.py whose key is read off an order type, and the field.  _ball
-    # and _class_key take the order type itself; _betti and _is_sphere take
-    # its class key, or the masks of a memo that already holds one.  No memo
-    # takes any other parameter.  A complex keeps its order type as its facet
-    # masks, cx._masks[1], which only _of_masks writes
+    # homology.py keyed by an order type and the field.  Every memo call
+    # passes the order type a complex keeps, cx._masks[1], which only
+    # _of_masks writes, an _order_type(...) call, or, inside a memo, that
+    # memo's own masks.  No memo takes any other parameter
     def caches(decorator):
         return any(_named(getattr(decorator, "func", decorator), c) for c in CACHES)
 
@@ -209,8 +208,7 @@ def test_every_cache_is_an_order_type_memo_in_homology():
         for module, _, node in _nodes()
         if isinstance(node, ast.FunctionDef) and any(map(caches, node.decorator_list))
     }
-    by_order_type, by_class_key = {"_ball", "_class_key"}, {"_betti", "_is_sphere"}
-    assert memos.keys() == by_order_type | by_class_key
+    assert memos.keys() == {"_betti", "_is_sphere", "_ball"}
     for module, node in memos.values():
         assert module == "homology.py"
         assert [ast.unparse(d) for d in node.decorator_list] == [
@@ -228,14 +226,8 @@ def test_every_cache_is_an_order_type_memo_in_homology():
     ]
     assert {memo for memo, _, _ in calls} == memos.keys()
     for memo, where, key in calls:
-        if memo in by_order_type:
-            assert order_type(key), (memo, ast.unparse(key))
-        else:
-            assert (
-                isinstance(key, ast.Call)
-                and _named(key.func, "_class_key")
-                and order_type(key.args[0])
-            ) or (ast.unparse(key) == "masks" and where in by_class_key), ast.unparse(key)
+        own = ast.unparse(key) == "masks" and where in memos
+        assert order_type(key) or own, (memo, where, ast.unparse(key))
 
 
 def test_only_the_closure_helper_enumerates_submasks():
@@ -471,9 +463,9 @@ def test_one_rule_reads_an_entry_past_the_end():
 
 def test_only_the_sphere_verdicts_try_a_shelling():
     # homology._shells shells a sphere or a ball from the facet masks: the
-    # sphere verdict memo, the manifold test, the sphere test and the ball
-    # analysis consult it, each before any Betti number, and the normal
-    # pseudomanifold test before its link sweep.  It reads no
+    # sphere verdict memo (which the sphere test reads), the manifold test
+    # and the ball analysis consult it, each before any Betti number, and
+    # the normal pseudomanifold test before its link sweep.  It reads no
     # closure before every facet is placed: it names no closure helper,
     # closure group or Betti reader, and it calls its closure parameter, for
     # the certificate, once, after the search loop and the return that ends
@@ -482,7 +474,6 @@ def test_only_the_sphere_verdicts_try_a_shelling():
         ("homology.py", "_ball"),
         ("homology.py", "_is_sphere"),
         ("homology.py", "is_homology_manifold"),
-        ("homology.py", "is_homology_sphere"),
         ("homology.py", "is_normal_pseudomanifold"),
     ]
     (shells,) = [
