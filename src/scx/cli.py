@@ -329,6 +329,10 @@ def _scale_options(fn):
 
 
 def _emit_reports(reports, report_path) -> int:
+    """Print the reports and their summary and write them to ``report_path``;
+    the exit code is 1 when an instance was refuted.  A scale that gave the
+    failing statements no instance at all refutes nothing: that raises
+    ``PreconditionError`` (exit 3), naming them."""
     for rep in reports:
         click.echo(rep.render())
     if report_path:
@@ -340,6 +344,9 @@ def _emit_reports(reports, report_path) -> int:
         f"{len(reports) - len(failed)}/{len(reports)} statements passed"
         f" ({passes}/{total} instances)"
     )
+    if failed and not any(rep.instances for rep in failed):
+        names = ", ".join(rep.statement for rep in failed)
+        raise PreconditionError(f"no instances at this scale for {names}")
     return 1 if failed else 0
 
 

@@ -12,35 +12,42 @@ the faces that were lowest rows of d_{k+1} ("clearing", Chen and Kerber
 i is a cycle (certified), so column i of d_k is a combination of the
 earlier columns, and by induction on i of the columns kept.
 
-Three homology facts are cached, each in a thread-safe LRU of
+Four homology facts are cached, each in a thread-safe LRU of
 ``BETTI_MEMO`` entries keyed by the complex's order type (the masks it
-keeps, ``complexes._order_type``) and the normalized field: the Betti
-numbers (:func:`_betti`, behind :func:`betti`), the homology-sphere verdict
-(:func:`_is_sphere`, behind :func:`is_homology_sphere` and every vertex
-link of :func:`is_homology_manifold`) and the ball analysis (:func:`_ball`,
-behind :func:`_ball_analysis` and so every ball predicate and
-retriangulation).  So a complex or link met again by several predicates or
-statements, or under an order-preserving relabelling, is eliminated at most
-once and judged once, and a ball that several retriangulations read, with
-or without ``check``, is analysed once.  Nothing seeded is cached, nor is a
-``TooLargeError``; ``cache_info()`` reports hits and misses and
-``cache_clear()`` empties each memo.
+keeps, ``complexes._order_type``) and, but for the search, the normalized
+field: the Betti numbers (:func:`_betti`, behind :func:`betti`), the
+homology-sphere verdict of a complex that does not shell (:func:`_is_sphere`,
+behind :func:`is_homology_sphere` and every vertex link of
+:func:`is_homology_manifold`), the ball analysis (:func:`_ball`, behind
+:func:`_ball_analysis` and so every ball predicate and retriangulation) and
+the greedy shelling search (:func:`_shelling`, behind :func:`_shells`).  So
+a complex or link met again by several predicates or statements, or under
+an order-preserving relabelling, is searched once, eliminated at most once
+and judged once, and a ball that several retriangulations read, with or
+without ``check``, is analysed once.  Nothing seeded is cached, nor is a
+``TooLargeError`` or an ``InternalCheckError``; ``cache_info()`` reports
+hits and misses and ``cache_clear()`` empties each memo.
 
-Every sphere, manifold and ball verdict first tries one greedy shelling
-(:func:`_shells`, on the facet masks).  A shellable pseudomanifold is a PL
-sphere if every ridge lies in two facets, and else a PL ball whose boundary
-the ridges in one facet generate (Danaraj and Klee 1974).  Every 1- and
+Every sphere, manifold, ball and normal pseudomanifold verdict first tries
+one greedy shelling (:func:`_shells`, on the facet masks).  A shellable
+pseudomanifold is a PL sphere if every ridge lies in two facets, and else a
+PL ball whose boundary the ridges in one facet generate (Danaraj and Klee
+1974).  Every 1- and
 2-sphere is extendably shellable (Danaraj and Klee 1978) and the search
 sticks only where no facet can be appended, so below dimension 3 it fails
-exactly on non-spheres, over every field.  From dimension 3 a failed search
-proves nothing: a sphere verdict falls through to its Betti numbers and
-vertex links, a ball to its face-link sweep, and verdicts, witnesses,
-boundaries and interiors are those of elimination alone.  Each success is
-certified: the restriction faces R_j of a shelling (the search's S) satisfy
-h_i = #{j : |R_j| = i} (McMullen 1970; Ziegler, *Lectures on Polytopes*,
-8.3), checked against the closure's face counts, under ``python -O`` too.
-Like d.d = 0, the identity is necessary, not sufficient.  As it reads the
-closure, a shellable complex past ``CLOSURE_GUARD`` raises ``TooLargeError``.
+exactly on non-spheres, over every field.  A shelled ball answers the
+sphere and manifold tests too: it has trivial homology, and its boundary
+vertices, whose links are balls, are the ones whose links are no spheres.
+From dimension 3 a failed search proves nothing: a sphere verdict falls
+through to its Betti numbers and vertex links, a ball to its face-link
+sweep, and verdicts, witnesses, boundaries and interiors are those of
+elimination alone.  Each success is certified on every call, a memo hit
+included, on the closure its caller holds: the restriction faces R_j of a
+shelling (the search's S) satisfy h_i = #{j : |R_j| = i} (McMullen 1970;
+Ziegler, *Lectures on Polytopes*, 8.3), checked against the closure's face
+counts, under ``python -O`` too.  Like d.d = 0, the identity is necessary,
+not sufficient.  As it reads the closure, a shellable complex past
+``CLOSURE_GUARD`` raises ``TooLargeError``.
 
 The face-link sweeps (the manifold, ball and normal pseudomanifold tests)
 read each link's facets off the facet masks with ``complexes._link``, and
@@ -188,16 +195,19 @@ BETTI_GUARD = 2**19
 COMPLETION_GUARD = 6_300
 
 #: Entries kept by each memo: the profiles of :func:`_betti`, the verdicts of
-#: :func:`_is_sphere` and the ball analyses of :func:`_ball`.  Every key is a
-#: tuple of ints, so no facet set or closure stays alive: with no shelling,
-#: after one ``run_all()`` the Betti memo holds about 0.5 kB per entry and the
-#: ball memo 0.8 kB, its masks being ints (tracemalloc), against 3 kB when the
-#: Betti key held the facets; a verdict shares its key with the profile it was
-#: read from.  Every sphere and ball of ``run_all()`` shells, so it makes no
-#: profile, 36 verdicts (105 hits) and 42 ball analyses (42 verdicts and 52
-#: analyses at dmax=7); the classify-distinct benchmark stream at seed 0 makes
-#: 130 verdicts, one per complex, and 55 ball analyses: no memo evicts there.
-#: With no shelling ``run_all()`` makes 156 profiles and 107 verdicts, and the
+#: :func:`_is_sphere`, the ball analyses of :func:`_ball` and the searches of
+#: :func:`_shelling`.  Every key is a tuple of ints, so no facet set or closure
+#: stays alive: with no shelling, after one ``run_all()`` the Betti memo holds
+#: about 0.5 kB per entry and the ball memo 0.8 kB, its masks being ints
+#: (tracemalloc), against 3 kB when the Betti key held the facets; a verdict
+#: shares its key with the profile it was read from, and a search adds about
+#: 0.3 kB beside its key.  Every sphere and ball of ``run_all()`` shells, so it
+#: makes no profile and no verdict, 42 ball analyses and 184 searches (187
+#: hits; 52 analyses and 237 searches at dmax=7).  The benchmark streams at
+#: seed 0 make 185 searches (130 complexes and 55 balls; 260 hits) and 55 ball
+#: analyses on classify-distinct, 103 searches (1 hit) on rigidity-stress, and
+#: no profile or verdict: no memo evicts there.  With no shelling
+#: ``run_all()`` makes 156 profiles and 107 verdicts, and the classify-distinct
 #: stream 1,329 and 2,310, which evicted.
 BETTI_MEMO = 256
 
@@ -238,8 +248,8 @@ def _betti(masks: tuple, field) -> BettiProfile:
 @functools.lru_cache(maxsize=BETTI_MEMO)
 def _is_sphere(masks: tuple, field) -> bool:
     """Whether the order type ``masks`` is a homology sphere over ``field``:
-    the one sphere decision, for a complex (:func:`is_homology_sphere`) and
-    for a link alike.
+    the one sphere decision for a link, and for a complex that the search
+    does not shell (:func:`is_homology_sphere`).
 
     A greedy search decides when it shells (:func:`_shells`: a sphere if no
     ridge lies in one facet, else a ball) and, below dimension 3, when it
@@ -259,10 +269,32 @@ def _is_sphere(masks: tuple, field) -> bool:
 
 
 def _shells(masks, closure) -> tuple:
-    """(shelled, ridges in one facet) of a greedy search on the facet masks
-    ``masks``, every ridge in one or two facets; a failure is (False, ()).
-    Shelled, they form a PL sphere with no such ridge, and else a PL ball
-    whose boundary facets are those ridges, sorted.
+    """(shelled, ridges in one facet) of the greedy search on the facet masks
+    ``masks`` (:func:`_shelling`, memoised on them), every ridge in one or
+    two facets; a failure is (False, ()).  Shelled, they form a PL sphere
+    with no such ridge, and else a PL ball whose boundary facets are those
+    ridges, sorted.
+
+    A shelling is certified on every call, a memo hit included: ``closure()``,
+    the caller's closure of the same complex, gives (by_size, members), and
+    the sizes of S must be the h-vector of its face counts, or
+    ``InternalCheckError`` is raised.  A failed search reads no closure.
+    """
+    shelled, ones, histogram = _shelling(masks)
+    if not shelled:
+        return False, ()
+    h = h_from_f(FVector(tuple(map(len, closure()[0])))).entries
+    if histogram != h:
+        raise InternalCheckError(f"shelling restriction sizes differ from the h-vector {h}")
+    return True, ones
+
+
+@functools.lru_cache(maxsize=BETTI_MEMO)
+def _shelling(masks: tuple) -> tuple:
+    """(shelled, ridges in one facet, histogram of |S|) of a greedy search on
+    the order type ``masks``, (False, (), ()) on failure: the search of
+    :func:`_shells`, which certifies it.  Memoised beside :func:`_betti`,
+    on the order type alone; it reads no closure.
 
     The search places the least mask first, then takes facets from a FIFO
     queue of ridge neighbours of placed ones, so it places every facet only
@@ -274,9 +306,7 @@ def _shells(masks, closure) -> tuple:
     facet is tested at most d + 1 times, scanning the placed facets through
     the vertex of S that fewest of them hold.  Placing another facet can
     only add one that holds S, so the search sticks only where no facet can
-    be appended.  Once every facet is placed, and only then, ``closure()``
-    gives (by_size, members) for the certificate: the sizes of S must be the
-    h-vector of its face counts, or ``InternalCheckError`` is raised.
+    be appended.  The histogram counts the placed facets by |S|, 0..d + 1.
     """
     across, sides = {}, {}  # ridge -> its facets; facet F -> (bit, facets of F - bit), read once
     for m in masks:
@@ -284,7 +314,7 @@ def _shells(masks, closure) -> tuple:
         for _, facets in sides[m]:
             facets.append(m)
     if max(map(len, across.values()), default=0) > 2:
-        return False, ()
+        return False, (), ()
     placed, through, sizes, queue = set(), defaultdict(list), [], deque([min(masks)])
     while queue:
         m = queue.popleft()
@@ -304,11 +334,9 @@ def _shells(masks, closure) -> tuple:
             through[b].append(m)
             queue.extend(facets)  # a placed facet is passed over when it comes up
     if len(placed) < len(masks):
-        return False, ()
-    h = h_from_f(FVector(tuple(map(len, closure()[0])))).entries
-    if tuple(map(sizes.count, range(len(h)))) != h:
-        raise InternalCheckError(f"shelling restriction sizes differ from the h-vector {h}")
-    return True, tuple(sorted(r for r, facets in across.items() if len(facets) == 1))
+        return False, (), ()
+    ones = tuple(sorted(r for r, facets in across.items() if len(facets) == 1))
+    return True, ones, tuple(map(sizes.count, range(masks[0].bit_count() + 1)))
 
 
 def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
@@ -322,19 +350,21 @@ def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResu
     """A homology manifold with the homology of the sphere of its dimension.
 
     Equivalently, every face link (the empty face included) has the homology
-    of the sphere of complementary dimension.  The verdict is the memoised
-    :func:`_is_sphere` on the complex's order type, so a complex that a
-    greedy search shells with no ridge in one facet (:func:`_shells`) passes
-    with no Betti number or link, and a repeat call is one lookup.  A
-    failing complex is given its witness from the same memos: if its Betti
-    numbers fail, the empty face ``()``; else the smallest vertex ``(v,)``
-    whose link fails, the vertex links swept as in
-    :func:`is_homology_manifold`.
+    of the sphere of complementary dimension.  A complex that the memoised
+    greedy search shells (:func:`_shells`, certified on ``cx``'s own
+    closure) is a PL sphere if no ridge lies in one facet, and passes with
+    no Betti number or link, and else a PL ball, which has trivial
+    homology.  Otherwise the verdict is the memoised :func:`_is_sphere` on
+    the complex's order type.  A failing complex is given its witness from
+    the same memos: if its Betti numbers fail (or it shelled as a ball),
+    the empty face ``()``; else the smallest vertex ``(v,)`` whose link
+    fails, the vertex links swept as in :func:`is_homology_manifold`.
     """
     cx, field = _complex(cx), exact.validate_field(field)
-    if _is_sphere(cx._masks[1], field):
+    shelled, ones = _shells(cx._masks[1], cx._mask_closure)
+    if not ones and (shelled or _is_sphere(cx._masks[1], field)):
         return PredicateResult(True)
-    if not betti(cx, field).is_sphere(cx.dim):
+    if shelled or not betti(cx, field).is_sphere(cx.dim):  # a shelled ball is acyclic
         return PredicateResult(False, (), "complex does not have sphere homology")
     return _vertex_sweep(cx, field)
 
@@ -449,7 +479,10 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
 
     A complex that a greedy search shells with no ridge in one facet
     (:func:`_shells`) is a PL sphere, whose vertex links are PL spheres, and
-    passes with no link read.  Otherwise the vertex links are swept
+    passes with no link read.  One that shells as a PL ball of dimension at
+    least 1 has ball links at its boundary vertices and sphere links inside,
+    so it fails at its least boundary vertex, with no link read.  Otherwise
+    (a point included) the vertex links are swept
     (:func:`_vertex_sweep`): each is read as facet bitmasks (:func:`_link`)
     and judged by the memoised verdict :func:`_is_sphere` on its order type,
     which recurses on the link's own vertex links.  For a face
@@ -461,12 +494,18 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     definition gives the same witness, the least of the failing faces'
     smallest vertices: a face fails inside the link of its smallest vertex,
     and a failing vertex link holds a failing face through that vertex.  A
-    complex that does not shell, checked again, costs one verdict lookup
-    per vertex.
+    complex that does not shell, checked again, costs one search lookup and
+    one verdict lookup per vertex.
     """
     cx, field = _complex(cx), exact.validate_field(field)
     shelled, ones = _shells(cx._masks[1], cx._mask_closure)
-    return PredicateResult(True) if shelled and not ones else _vertex_sweep(cx, field)
+    if shelled and not ones:
+        return PredicateResult(True)
+    if not shelled or cx.dim < 1:  # a point's link is the (-1)-sphere
+        return _vertex_sweep(cx, field)
+    union = functools.reduce(int.__or__, ones)  # the boundary's vertices, as bits
+    least = list(cx._masks[0])[(union & -union).bit_length() - 1]
+    return PredicateResult(False, (least,), "vertex link is not a homology sphere")
 
 
 def _vertex_sweep(cx: SimplicialComplex, field) -> PredicateResult:
@@ -512,7 +551,7 @@ def is_normal_pseudomanifold(cx: SimplicialComplex) -> PredicateResult:
         ridge = _tuple_order(bad)[0]  # the witness is the least failing ridge
         witness = tuple(sorted(_labelled(labels, ridge)))
         return PredicateResult(False, witness, f"ridge lies in {ridge_count[ridge]} facets")
-    if _shells(masks, cx._mask_closure)[0]:
+    if _shells(cx._masks[1], cx._mask_closure)[0]:
         return PredicateResult(True)
     for k in range(n - 1):  # the faces of dimension 0..n-2
         failing = [fm for fm in cx._group(k) if len(_components(_link(masks, fm))) > 1]

@@ -48,11 +48,13 @@ def cycle_join():
 
 
 def clear_memos():
-    """Empty the three homology memos (Betti numbers, sphere verdicts and
-    ball analyses), so that every homology fact is computed again."""
+    """Empty the four homology memos (Betti numbers, sphere verdicts, ball
+    analyses and shelling searches), so that every homology fact is
+    computed again."""
     homology._betti.cache_clear()
     homology._is_sphere.cache_clear()
     homology._ball.cache_clear()
+    homology._shelling.cache_clear()
 
 
 def shelling_off(monkeypatch):
@@ -71,11 +73,12 @@ def shelling_off(monkeypatch):
 
 
 def shells_without_the_s_test():
-    """``homology._shells`` compiled from its source with the test that S
-    lies in no placed facet dropped: a search that places every facet it
-    meets, so that only the h-vector certificate refuses a complex it
+    """The search ``homology._shelling`` compiled from its source, with an
+    empty memo of its own, and with the test that S lies in no placed facet
+    dropped: a search that places every facet it meets, so that only the
+    h-vector certificate of ``homology._shells`` refuses a complex it
     "shells" by mistake."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(homology._shells)))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(homology._shelling)))
     dropped = []
 
     class DropTheSTest(ast.NodeTransformer):
@@ -88,7 +91,7 @@ def shells_without_the_s_test():
     assert len(dropped) == 1
     namespace = dict(vars(homology))
     exec(compile(planted, homology.__file__, "exec"), namespace)
-    return namespace["_shells"]
+    return namespace["_shelling"]
 
 
 @pytest.fixture

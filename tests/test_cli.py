@@ -11,6 +11,9 @@ from scx import (
     facevectors,
     from_facets,
     g2_one_family,
+    is_homology_manifold,
+    is_homology_sphere,
+    is_normal_pseudomanifold,
     isomorphism,
     join,
     simplex_boundary,
@@ -18,12 +21,12 @@ from scx import (
     suspension,
     write_scx,
 )
-from scx import errors, exact, homology, run_all
+from scx import errors, exact, homology, run_all, verify
 from scx.cli import _exit_code_for, main
 from scx.generators import standard_catalog
 from scx.rigidity import RIGIDITY_GUARD
 from conftest import clear_memos, shells_without_the_s_test
-from test_homology import RP2_FACETS, TORUS_7, memo_counts, record_links
+from test_homology import RP2_FACETS, TORUS_7, memo_counts, record_links, search_counts
 from test_retriangulate import octahedral_wedge
 
 
@@ -102,8 +105,9 @@ def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch, no_shelling
 
 
 def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch):
-    # the manifold and the sphere test shell the join, so info computes no
-    # Betti number: the sphere verdict is one miss, and a hit when asked again
+    # the normal pseudomanifold, manifold and sphere tests shell the join, so
+    # info computes no Betti number and reads no verdict: the first test
+    # searches once, and every later one finds the search in its memo
     cx = join(cycle(5), simplex_boundary(4))
     path = tmp_path / "join.scx"
     write_scx(cx, path)
@@ -111,10 +115,27 @@ def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch)
     clear_memos()
     result = invoke("info", str(path))
     assert "homology manifold: True\nhomology sphere: True\n" in result.output
-    assert memo_counts() == (0, 0, 1, 1)
+    assert memo_counts() + search_counts() == (0, 0, 0, 0, 3, 1)
     assert invoke("info", str(path)).output == result.output
-    assert memo_counts() == (0, 0, 2, 1)
+    assert memo_counts() + search_counts() == (0, 0, 0, 0, 6, 1)
     assert linked == []
+
+
+def test_one_search_serves_every_test_and_info_on_a_complex(tmp_path, cycle_join):
+    # the normal pseudomanifold, manifold and sphere tests over Q and GF(2),
+    # and `scx info` on the complex read back from a file, search once
+    path = tmp_path / "join.scx"
+    write_scx(cycle_join, path)
+    clear_memos()
+    assert is_normal_pseudomanifold(cycle_join)
+    for field in ("rational", 2):
+        assert is_homology_manifold(cycle_join, field) and is_homology_sphere(cycle_join, field)
+    result = invoke("info", str(path), "--field", "2")
+    assert result.exit_code == 0
+    assert result.output.endswith("homology manifold: True\nhomology sphere: True\n")
+    assert search_counts() == (8, 1)
+    assert memo_counts() == (0, 0, 0, 0)
+    clear_memos()
 
 
 def test_input_option_and_missing_input(tmp_path):
@@ -470,6 +491,39 @@ def test_verify_single_statement(tmp_path):
     assert payload[0]["failures"] == []
 
 
+@pytest.mark.parametrize(
+    "dmax, empty",
+    [
+        (3, "Theorem2.3, Lemma4.1, Prop4.2, Theorem4.5, Theorem5.4, Theorem5.5, Corollary5.6"),
+        (4, "Theorem4.5, Theorem5.4"),
+    ],
+)
+def test_a_scale_that_gives_statements_no_instance_exits_3(tmp_path, dmax, empty):
+    # no instance was refuted: every report is printed and written, and the
+    # statements with no instance are named
+    report = tmp_path / "report.json"
+    result = invoke("verify-all", "--dmax", str(dmax), "--report", str(report))
+    assert result.exit_code == 3
+    assert f"error: no instances at this scale for {empty}\n" in result.output
+    failed = empty.count(",") + 1
+    assert f"{16 - failed}/16 statements passed" in result.output
+    payload = json.loads(report.read_text())
+    assert len(payload) == 16
+    assert ", ".join(d["statement"] for d in payload if d["instances"] == 0) == empty
+
+
+def test_a_refuted_instance_exits_1_beside_statements_with_none(tmp_path, monkeypatch):
+    # a planted bound one too low refutes Lemma4.4 at the scale where two
+    # statements get no instance
+    original = verify.macaulay_pseudopower
+    monkeypatch.setattr(verify, "macaulay_pseudopower", lambda *args: original(*args) - 1)
+    result = invoke("verify-all", "--dmax", "4")
+    assert result.exit_code == 1
+    assert "[FAIL] Lemma4.4" in result.output
+    assert "13/16 statements passed" in result.output
+    assert "error:" not in result.output
+
+
 def test_verify_all_writes_the_reports_of_run_all(tmp_path):
     report = tmp_path / "report.json"
     result = invoke("verify-all", "--report", str(report))
@@ -591,10 +645,11 @@ def test_gen_checks_the_closure_guard_first():
 
 
 def test_betti_guard_exits_3(tmp_path, no_elimination):
-    # one facet on 16 vertices: the closure (2**16 faces) is within its guard,
-    # but the Betti numbers of the link of vertex 0 need a 6435 x 6435 matrix
+    # one facet on 16 vertices and an isolated vertex: the closure (2**16 + 2
+    # faces) is within its guard and the search does not shell it, so the
+    # sphere test reads its Betti numbers, which need a 12870 x 11440 matrix
     path = tmp_path / "simplex15.scx"
-    path.write_text(" ".join(str(v) for v in range(16)) + "\n")
+    path.write_text(" ".join(str(v) for v in range(16)) + "\n16\n")
     result = invoke("info", str(path))
     assert result.exit_code == 3
     assert "Betti guard" in result.output
@@ -648,7 +703,7 @@ def test_info_on_the_8_cross_polytope_reads_no_betti_number(tmp_path):
 def test_failed_shelling_certificate_exits_5(tmp_path, monkeypatch):
     # with the test that S lies in no placed facet dropped, the search
     # "shells" the torus, which the h-vector certificate refuses
-    monkeypatch.setattr(homology, "_shells", shells_without_the_s_test())
+    monkeypatch.setattr(homology, "_shelling", shells_without_the_s_test())
     path = tmp_path / "torus.scx"
     write_scx(from_facets(TORUS_7), path)
     clear_memos()

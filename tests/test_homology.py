@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -403,7 +404,7 @@ def _assert_matches_every_column(masks):
         assert homology._betti.__wrapped__(masks, field).entries == expected, (masks, field)
 
 
-MEMOS = ("_betti", "_is_sphere", "_ball")
+MEMOS = ("_betti", "_is_sphere", "_ball", "_shelling")
 
 
 def _recording(memo, seen: set):
@@ -447,15 +448,16 @@ def run_all_order_types(run_all_eliminated):
 
 
 def test_a_cold_run_all_counts_its_memo_misses(run_all_cold, run_all_eliminated):
-    # counted work, free of host noise: each miss is one elimination, verdict
-    # or sweep.  Every sphere verdict of run_all() shells on the complex
-    # itself, one verdict miss each, and every ball it analyses shells, so a
-    # change that stops shelling spheres or balls fails the first (156 and
-    # 107 misses with no shelling, as the second pins), and one that
-    # eliminates the links of sphere verdicts below dimension 3 again fails
-    # the second
-    assert run_all_cold[1] == {"_betti": 0, "_is_sphere": 36, "_ball": 42}
-    assert run_all_eliminated[1] == {"_betti": 156, "_is_sphere": 107, "_ball": 42}
+    # counted work, free of host noise: each miss is one elimination,
+    # verdict, sweep or search.  Every sphere verdict of run_all() shells on
+    # the complex itself, with no verdict lookup, and every ball it analyses
+    # shells, each order type searched once, so a change that stops shelling
+    # spheres or balls fails the first (156 and 107 misses with no shelling,
+    # as the second pins), one that searches a complex again fails it too,
+    # and one that eliminates the links of sphere verdicts below dimension 3
+    # again fails the second
+    assert run_all_cold[1] == {"_betti": 0, "_is_sphere": 0, "_ball": 42, "_shelling": 184}
+    assert run_all_eliminated[1] == {"_betti": 156, "_is_sphere": 107, "_ball": 42, "_shelling": 31}
 
 
 def test_betti_matches_every_column_ranks_on_run_all_misses(run_all_order_types):
@@ -871,6 +873,12 @@ def memo_counts() -> tuple:
     return b.hits + b.misses, b.misses, s.hits + s.misses, s.misses
 
 
+def search_counts() -> tuple:
+    """(lookups, misses) of the shelling-search memo."""
+    info = homology._shelling.cache_info()
+    return info.hits + info.misses, info.misses
+
+
 def record_swept(monkeypatch) -> list:
     """The face masks whose links ``homology._link`` reads from now on."""
     swept, original = [], homology._link
@@ -931,9 +939,9 @@ def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypat
 
 
 def test_a_shellable_sphere_is_judged_with_no_betti_number_or_link(monkeypatch):
-    # the join shells on its own masks, so neither test reads a link: the
-    # sphere test is one verdict miss, and a second call a verdict hit; the
-    # manifold test shells again on each call, with no memo lookup
+    # the join shells on its own masks, so neither test reads a link or a
+    # verdict: the first test searches once, a search miss, and every later
+    # test finds the search in its memo
     cx = join(cycle(5), simplex_boundary(4))
     linked = record_links(monkeypatch)
     clear_memos()
@@ -941,8 +949,8 @@ def test_a_shellable_sphere_is_judged_with_no_betti_number_or_link(monkeypatch):
     counts = []
     for _ in range(2):
         assert is_homology_sphere(cx) and is_homology_manifold(cx)
-        counts.append(memo_counts())
-    assert counts == [(0, 0, 1, 1), (0, 0, 2, 1)]
+        counts.append(memo_counts() + search_counts())
+    assert counts == [(0, 0, 0, 0, 2, 1), (0, 0, 0, 0, 4, 1)]
     assert swept == linked == []
 
 
@@ -991,32 +999,34 @@ NON_SPHERES = {
 @pytest.mark.parametrize("name", NON_SPHERES)
 def test_no_non_sphere_shells(name, monkeypatch):
     # as a closed complex: the two balls shell, with the ridges of their
-    # boundary in one facet.  Each test tries the complex's own masks once,
-    # as a failed attempt is not repeated within a call, and a second sphere
-    # test not at all, as its verdict is a memo hit
+    # boundary in one facet.  The first test searches the complex's own
+    # masks once, a memo miss, and every later sphere or manifold test over
+    # either field finds the search in the memo
     cx = NON_SPHERES[name]
     shelled, ones = homology._shells(cx._masks[1], cx._mask_closure)
     assert shelled == (name in ("solid tetrahedron", "3-ball")) == bool(ones)
-    tried, original = [], homology._shells
-    monkeypatch.setattr(
-        homology, "_shells", lambda masks, closure: tried.append(masks) or original(masks, closure)
+    searched, search = [], homology._shelling.__wrapped__
+    memo = functools.lru_cache(maxsize=homology.BETTI_MEMO)(
+        lambda masks: searched.append(masks) or search(masks)
     )
+    monkeypatch.setattr(homology, "_shelling", memo)
+    clear_memos()
+    misses = []
     for field in ("rational", 2):
-        clear_memos()
-        tries = []
         for test in (is_homology_sphere, is_homology_sphere, is_homology_manifold):
-            tried.clear()
+            searched.clear()
             test(cx, field)
-            tries.append(tried.count(cx._masks[1]))
+            misses.append(searched.count(cx._masks[1]))
         assert not is_homology_sphere(cx, field)
-        assert tries == [1, 0, 1], field
+    assert misses == [1, 0, 0, 0, 0, 0]
+    clear_memos()
 
 
 def test_the_shelling_certificate_refuses_a_planted_search(monkeypatch):
     # with the test that S lies in no placed facet dropped, the search places
     # every facet of the torus and of its suspension; the h-vector of its
     # face counts refuses both (h_3 of the torus is -1)
-    monkeypatch.setattr(homology, "_shells", shells_without_the_s_test())
+    monkeypatch.setattr(homology, "_shelling", shells_without_the_s_test())
     clear_memos()
     with pytest.raises(InternalCheckError, match="h-vector"):
         is_homology_sphere(TORUS)
@@ -1025,26 +1035,97 @@ def test_the_shelling_certificate_refuses_a_planted_search(monkeypatch):
     clear_memos()
 
 
-def test_shelling_certificate_survives_optimize_flag():
-    # `python -O` strips assert statements; the h-vector check must still run
+def test_the_certificate_runs_on_every_memo_hit(monkeypatch):
+    # the planted search "shells" the torus suspension once, and the memo
+    # keeps that search, not the refusal: each later test, and the same
+    # order type under another labelling, is a memo hit that is certified
+    # on its own closure and refused again
+    planted = shells_without_the_s_test()
+    monkeypatch.setattr(homology, "_shelling", planted)
+    cx = suspension(TORUS)
+    copy = from_facets([[3 * v + 1 for v in f] for f in cx.facets])  # order-preserving
+    assert copy._masks[1] == cx._masks[1] and copy != cx
+    clear_memos()
+    tests = (
+        lambda: is_normal_pseudomanifold(cx),
+        lambda: is_homology_manifold(cx),
+        lambda: is_homology_sphere(cx, 2),
+        lambda: is_homology_manifold(copy),
+        lambda: is_homology_sphere(copy),
+    )
+    for test in tests:
+        with pytest.raises(InternalCheckError, match="h-vector"):
+            test()
+    info = planted.cache_info()
+    assert (info.misses, info.hits) == (1, len(tests) - 1)
+    clear_memos()
+
+
+#: balls of dimension 0, 1 and 2, shelled with boundary ridges in one facet;
+#: in the last three an interior vertex is the least
+LOW_BALLS = (
+    from_facets([[7]]),
+    from_facets([[0, 1]]),
+    from_facets([[1, 0], [0, 2]]),
+    from_facets([[0, 1, 2]]),
+    from_facets([[0, i, i % 6 + 1] for i in range(1, 7)]),  # a hexagon coned from 0
+    cross_polytope_boundary(3).star([0]),
+)
+
+
+@pytest.mark.parametrize("cx", LOW_BALLS, ids=lambda cx: str(sorted(map(sorted, cx.facets))))
+def test_a_shelled_ball_is_judged_as_the_sweep_judges_it(cx, monkeypatch):
+    # trivial homology, so no sphere, and its least boundary vertex as the
+    # manifold witness, read off the shelling with no Betti number or link;
+    # a point's vertex link, the empty sphere, is still swept
+    shelled, ones = homology._shells(cx._masks[1], cx._mask_closure)
+    assert shelled and ones
+    fields = ("rational", 2)
+    with pytest.MonkeyPatch.context() as off:
+        shelling_off(off)
+        clear_memos()
+        swept_verdicts = [t(cx, f) for f in fields for t in (is_homology_sphere, is_homology_manifold)]
+    clear_memos()
+    swept = record_swept(monkeypatch)
+    verdicts = [t(cx, f) for f in fields for t in (is_homology_sphere, is_homology_manifold)]
+    assert verdicts == swept_verdicts
+    assert [bool(v) for v in verdicts] == [False, cx.dim == 0] * 2
+    assert memo_counts()[0] == 0
+    assert swept == ([] if cx.dim else [1, 1])
+    clear_memos()
+
+
+def _refused_under_optimize(*calls) -> int:
+    """The exit code of ``python -O`` making each of ``calls`` (source text,
+    with ``torus`` bound) with the planted search: 0 when each raises
+    ``InternalCheckError`` and the search ran once, as the memo kept it."""
     code = (
         "import sys\n"
         "from conftest import shells_without_the_s_test\n"
-        "from scx import InternalCheckError, from_facets, homology, is_homology_sphere\n"
+        "from scx import InternalCheckError, from_facets, homology, suspension\n"
+        "from scx import is_homology_manifold, is_homology_sphere, is_normal_pseudomanifold\n"
         "if not sys.flags.optimize:\n"
         "    raise SystemExit(2)\n"
-        "homology._shells = shells_without_the_s_test()\n"
+        "homology._shelling = shells_without_the_s_test()\n"
         f"torus = from_facets({TORUS_7!r})\n"
-        "try:\n"
-        "    is_homology_sphere(torus)\n"
-        "except InternalCheckError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
     )
+    for call in calls:
+        code += f"try:\n    {call}\nexcept InternalCheckError:\n    pass\nelse:\n    raise SystemExit(1)\n"
+    code += "raise SystemExit(0 if homology._shelling.cache_info().misses == 1 else 3)\n"
     paths = [str(Path(scx.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
-    assert result.returncode == 0
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120).returncode
+
+
+def test_shelling_certificate_survives_optimize_flag():
+    # `python -O` strips assert statements; the h-vector check must still run
+    assert _refused_under_optimize("is_homology_sphere(torus)") == 0
+
+
+def test_the_certificate_on_a_memo_hit_survives_optimize_flag():
+    # the second and third tests find the planted search in the memo
+    tests = ("is_normal_pseudomanifold", "is_homology_manifold", "is_homology_sphere")
+    assert _refused_under_optimize(*(f"{t}(suspension(torus))" for t in tests)) == 0
 
 
 def test_the_kuehnel_manifolds_are_homology_manifolds_and_no_spheres():

@@ -183,10 +183,12 @@ CACHES = ("lru_cache", "cache", "cached_property")
 
 def test_every_cache_is_an_order_type_memo_in_homology():
     # caching in one place: each cache is an LRU of BETTI_MEMO entries in
-    # homology.py keyed by an order type and the field.  Every memo call
-    # passes the order type a complex keeps, cx._masks[1], which only
-    # _of_masks writes, an _order_type(...) call, or, inside a memo, that
-    # memo's own masks.  No memo takes any other parameter
+    # homology.py keyed by an order type and, but for the shelling search,
+    # the field.  Every memo call passes the order type a complex keeps,
+    # cx._masks[1], which only _of_masks writes, an _order_type(...) call,
+    # or, inside a memo, that memo's own masks.  _shells, which hands its
+    # masks to the search memo, takes them from its callers by the same
+    # rule.  No memo takes any other parameter
     def caches(decorator):
         return any(_named(getattr(decorator, "func", decorator), c) for c in CACHES)
 
@@ -208,7 +210,7 @@ def test_every_cache_is_an_order_type_memo_in_homology():
         for module, _, node in _nodes()
         if isinstance(node, ast.FunctionDef) and any(map(caches, node.decorator_list))
     }
-    assert memos.keys() == {"_betti", "_is_sphere", "_ball"}
+    assert memos.keys() == {"_betti", "_is_sphere", "_ball", "_shelling"}
     for module, node in memos.values():
         assert module == "homology.py"
         assert [ast.unparse(d) for d in node.decorator_list] == [
@@ -219,14 +221,16 @@ def test_every_cache_is_an_order_type_memo_in_homology():
         assert params in (["masks"], ["masks", "field"]), (node.name, params)
         assert args.vararg is args.kwarg is None, node.name
     assert sum(len(_uses(c)) for c in CACHES) == len(memos)  # no cache but these
+    keyed = memos.keys() | {"_shells"}
     calls = [
         (node.func.id, where, node.args[0])
         for _, where, node in _nodes()
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in memos
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in keyed
     ]
-    assert {memo for memo, _, _ in calls} == memos.keys()
+    assert {memo for memo, _, _ in calls} == keyed
+    assert [where for memo, where, _ in calls if memo == "_shelling"] == ["_shells"]
     for memo, where, key in calls:
-        own = ast.unparse(key) == "masks" and where in memos
+        own = ast.unparse(key) == "masks" and where in keyed
         assert order_type(key) or own, (memo, where, ast.unparse(key))
 
 
@@ -463,31 +467,37 @@ def test_one_rule_reads_an_entry_past_the_end():
 
 def test_only_the_sphere_verdicts_try_a_shelling():
     # homology._shells shells a sphere or a ball from the facet masks: the
-    # sphere verdict memo (which the sphere test reads), the manifold test
-    # and the ball analysis consult it, each before any Betti number, and
-    # the normal pseudomanifold test before its link sweep.  It reads no
-    # closure before every facet is placed: it names no closure helper,
-    # closure group or Betti reader, and it calls its closure parameter, for
-    # the certificate, once, after the search loop and the return that ends
-    # an incomplete search
+    # sphere test and the sphere verdict memo, the manifold test and the
+    # ball analysis consult it, each before any Betti number, and the normal
+    # pseudomanifold test before its link sweep.  The search, memoised in
+    # homology._shelling, reads no closure: it names no closure helper,
+    # closure group or Betti reader, and takes no closure parameter.
+    # _shells calls its closure parameter, for the certificate, once, after
+    # the return that ends a failed search, so on every call, a memo hit
+    # included
     assert sorted(set(_uses("_shells"))) == [
         ("homology.py", "_ball"),
         ("homology.py", "_is_sphere"),
         ("homology.py", "is_homology_manifold"),
+        ("homology.py", "is_homology_sphere"),
         ("homology.py", "is_normal_pseudomanifold"),
     ]
-    (shells,) = [
-        node
+    functions = {
+        node.name: node
         for module, _, node in _nodes()
-        if isinstance(node, ast.FunctionDef) and node.name == "_shells"
-    ]
-    names = {"_closure_masks", "_mask_closure", "_group", "_betti", "betti"}
-    assert not [ast.unparse(n) for n in ast.walk(shells) if any(_named(n, x) for x in names)]
-    (search,) = [n for n in shells.body if isinstance(n, ast.While)]
-    after = shells.body[shells.body.index(search) + 1 :]
-    assert ast.unparse(after[0]) == "if len(placed) < len(masks):\n    return (False, ())"
+        if isinstance(node, ast.FunctionDef) and node.name in ("_shells", "_shelling")
+    }
+    shells, search = functions["_shells"], functions["_shelling"]
+    names = {"_closure_masks", "_mask_closure", "_group", "_betti", "betti", "closure"}
+    assert not [ast.unparse(n) for n in ast.walk(search) if any(_named(n, x) for x in names)]
+    assert [a.arg for a in search.args.args] == ["masks"]
+    (loop,) = [n for n in search.body if isinstance(n, ast.While)]
+    after = search.body[search.body.index(loop) + 1 :]
+    assert ast.unparse(after[0]) == "if len(placed) < len(masks):\n    return (False, (), ())"
+    failed = next(n for n in shells.body if isinstance(n, ast.If))
+    assert ast.unparse(failed) == "if not shelled:\n    return (False, ())"
     reads = [n for n in ast.walk(shells) if isinstance(n, ast.Call) and _named(n.func, "closure")]
-    assert len(reads) == 1 and reads[0].lineno > after[0].end_lineno
+    assert len(reads) == 1 and reads[0].lineno > failed.end_lineno
 
 
 def test_every_homology_reader_takes_its_complex_by_one_rule():
