@@ -142,7 +142,7 @@ def _maximal(masks) -> list:
 def _order_type(masks) -> tuple:
     """The order type of the complex whose facets are ``masks``: the masks
     that :meth:`SimplicialComplex._of_masks` keeps, and the key of the three
-    homology memos (``homology._betti``, ``_is_sphere`` and ``_ball``).
+    homology memos (``homology._betti``, ``_ball`` and ``_shelling``).
 
     It numbers the vertices 0..n-1 in sorted order and lists each facet as a
     bitmask over that numbering, so two complexes with the same order type

@@ -18,7 +18,7 @@ from . import complexes
 from .complexes import SimplicialComplex, _tuple_order, from_facets, join
 from .errors import InternalCheckError, ParseError, PreconditionError, TooLargeError, _index
 from .facevectors import f_vector, g2
-from .fileio import load_complex
+from .fileio import _path, load_complex
 from .homology import is_normal_pseudomanifold
 from .retriangulate import central_retriangulation
 
@@ -204,7 +204,7 @@ def g2_two_catalog(d: int, kind: str, param: int | None = None) -> CatalogEntry:
 def load_fixture(path) -> CatalogEntry:
     """Read a ``.scx`` file plus its optional ``<stem>.meta.json`` sidecar
     (fields: name, f_vector, g2, tags) and verify the expectations."""
-    path = Path(path)
+    path = _path(path)
     cx = load_complex(path)
     meta_path = path.with_suffix(".meta.json")
     expected = {}

@@ -12,34 +12,33 @@ the faces that were lowest rows of d_{k+1} ("clearing", Chen and Kerber
 i is a cycle (certified), so column i of d_k is a combination of the
 earlier columns, and by induction on i of the columns kept.
 
-Four homology facts are cached, each in a thread-safe LRU of
+Three homology facts are cached, each in a thread-safe LRU of
 ``BETTI_MEMO`` entries keyed by the complex's order type (the masks it
 keeps, ``complexes._order_type``) and, but for the search, the normalized
-field: the Betti numbers (:func:`_betti`, behind :func:`betti`), the
-homology-sphere verdict of a complex that does not shell (:func:`_is_sphere`,
-behind :func:`is_homology_sphere` and every vertex link of
-:func:`is_homology_manifold`), the ball analysis (:func:`_ball`, behind
-:func:`_ball_analysis` and so every ball predicate and retriangulation) and
-the greedy shelling search (:func:`_shelling`, behind :func:`_shells`).  So
-a complex or link met again by several predicates or statements, or under
-an order-preserving relabelling, is searched once, eliminated at most once
-and judged once, and a ball that several retriangulations read, with or
-without ``check``, is analysed once.  Nothing seeded is cached, nor is a
-``TooLargeError`` or an ``InternalCheckError``; ``cache_info()`` reports
-hits and misses and ``cache_clear()`` empties each memo.
+field: the Betti numbers (:func:`_betti`, behind :func:`betti`), the ball
+analysis (:func:`_ball`, behind :func:`_ball_analysis` and so every ball
+predicate and retriangulation) and the greedy shelling search
+(:func:`_shelling`, behind :func:`_shells`).  So a complex or link met
+again by several predicates or statements, or under an order-preserving
+relabelling, is searched once and eliminated at most once, and a ball that
+several retriangulations read, with or without ``check``, is analysed
+once.  No verdict is cached: a link's sphere verdict
+(:func:`_is_sphere_of_dim`) reads these memos.  Nothing seeded is cached,
+nor is a ``TooLargeError`` or an ``InternalCheckError``; ``cache_info()``
+reports hits and misses and ``cache_clear()`` empties each memo.
 
 Every sphere, manifold, ball and normal pseudomanifold verdict first tries
 one greedy shelling (:func:`_shells`, on the facet masks).  A shellable
 pseudomanifold is a PL sphere if every ridge lies in two facets, and else a
 PL ball whose boundary the ridges in one facet generate (Danaraj and Klee
-1974).  Every 1- and
-2-sphere is extendably shellable (Danaraj and Klee 1978) and the search
-sticks only where no facet can be appended, so below dimension 3 it fails
-exactly on non-spheres, over every field.  A shelled ball answers the
-sphere and manifold tests too: it has trivial homology, and its boundary
-vertices, whose links are balls, are the ones whose links are no spheres.
+1974).  Every 1- and 2-sphere is extendably shellable (Danaraj and Klee
+1978) and the search sticks only where no facet can be appended, so below
+dimension 3 it fails exactly on non-spheres, over every field.  A shelled
+ball answers the sphere and manifold tests too: it has trivial homology,
+and its boundary vertices, whose links are balls, are the ones whose links
+are no spheres.
 From dimension 3 a failed search proves nothing: a sphere verdict falls
-through to its Betti numbers and vertex links, a ball to its face-link
+through to its Betti numbers and face links, a ball to its face-link
 sweep, and verdicts, witnesses, boundaries and interiors are those of
 elimination alone.  Each success is certified on every call, a memo hit
 included, on the closure its caller holds: the restriction faces R_j of a
@@ -49,9 +48,9 @@ counts, under ``python -O`` too.  Like d.d = 0, the identity is necessary,
 not sufficient.  As it reads the closure, a shellable complex past
 ``CLOSURE_GUARD`` raises ``TooLargeError``.
 
-The face-link sweeps (the manifold, ball and normal pseudomanifold tests)
-read each link's facets off the facet masks with ``complexes._link``, and
-take its order type and components from those masks.  Every face sweep
+The face-link sweeps (the sphere, manifold, ball and normal pseudomanifold
+tests) read each link's facets off the facet masks with ``complexes._link``,
+and take its order type and components from those masks.  Every face sweep
 reads a closure enumerated by ``complexes._closure_masks``, in vertex-tuple
 order (``complexes._tuple_order``) where a witness or a matrix needs it.
 The completion and the ball boundary are built from masks
@@ -194,21 +193,18 @@ BETTI_GUARD = 2**19
 #: ``run_all()`` at dmax=7 (699; 384 in the tests and at the default scale).
 COMPLETION_GUARD = 6_300
 
-#: Entries kept by each memo: the profiles of :func:`_betti`, the verdicts of
-#: :func:`_is_sphere`, the ball analyses of :func:`_ball` and the searches of
-#: :func:`_shelling`.  Every key is a tuple of ints, so no facet set or closure
-#: stays alive: with no shelling, after one ``run_all()`` the Betti memo holds
-#: about 0.5 kB per entry and the ball memo 0.8 kB, its masks being ints
-#: (tracemalloc), against 3 kB when the Betti key held the facets; a verdict
-#: shares its key with the profile it was read from, and a search adds about
-#: 0.3 kB beside its key.  Every sphere and ball of ``run_all()`` shells, so it
-#: makes no profile and no verdict, 42 ball analyses and 184 searches (187
-#: hits; 52 analyses and 237 searches at dmax=7).  The benchmark streams at
-#: seed 0 make 185 searches (130 complexes and 55 balls; 260 hits) and 55 ball
-#: analyses on classify-distinct, 103 searches (1 hit) on rigidity-stress, and
-#: no profile or verdict: no memo evicts there.  With no shelling
-#: ``run_all()`` makes 156 profiles and 107 verdicts, and the classify-distinct
-#: stream 1,329 and 2,310, which evicted.
+#: Entries kept by each memo: the profiles of :func:`_betti`, the ball analyses
+#: of :func:`_ball` and the searches of :func:`_shelling`.  Every key is a tuple
+#: of ints, so no facet set or closure stays alive: with no shelling, after one
+#: ``run_all()`` the Betti memo holds about 0.5 kB per entry and the ball memo
+#: 0.8 kB, its masks being ints (tracemalloc), against 3 kB when the Betti key
+#: held the facets; a search adds about 0.3 kB beside its key.  Every sphere
+#: and ball of ``run_all()`` shells, so it makes no profile, 42 ball analyses
+#: and 184 searches (187 hits; 52 analyses and 237 searches at dmax=7).  The
+#: benchmark streams at seed 0 make 185 searches (130 complexes and 55 balls;
+#: 260 hits) and 55 ball analyses on classify-distinct, 103 searches (1 hit)
+#: on rigidity-stress, and no profile: no memo evicts there.  With no shelling
+#: ``run_all()`` makes 156 profiles, and the classify-distinct stream 1,315.
 BETTI_MEMO = 256
 
 
@@ -243,29 +239,6 @@ def _betti(masks: tuple, field) -> BettiProfile:
         ranks[k + 1], pivots = exact._reduce(kept, field)
         cleared = set(pivots.values())
     return BettiProfile(tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(len(sizes))), field)
-
-
-@functools.lru_cache(maxsize=BETTI_MEMO)
-def _is_sphere(masks: tuple, field) -> bool:
-    """Whether the order type ``masks`` is a homology sphere over ``field``:
-    the one sphere decision for a link, and for a complex that the search
-    does not shell (:func:`is_homology_sphere`).
-
-    A greedy search decides when it shells (:func:`_shells`: a sphere if no
-    ridge lies in one facet, else a ball) and, below dimension 3, when it
-    fails.  Otherwise the Betti numbers must be those of the sphere of its
-    own dimension and every vertex link (:func:`_link` of the vertex bit) a
-    homology sphere one dimension lower.  Memoised beside :func:`_betti`, on
-    the same key.
-    """
-    dim = max(map(int.bit_count, masks)) - 1
-    shelled, ones = _shells(masks, functools.partial(_closure_masks, masks))
-    if shelled or dim < 3:
-        return shelled and not ones
-    if not _betti(masks, field).is_sphere(dim):
-        return False
-    bits = (1 << i for i in range(max(masks).bit_length()))  # the vertices are 0..n-1
-    return all(_is_sphere_of_dim(_link(masks, b), dim - 1, field) for b in bits)
 
 
 def _shells(masks, closure) -> tuple:
@@ -340,10 +313,36 @@ def _shelling(masks: tuple) -> tuple:
 
 
 def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
-    """Whether the facet masks ``link`` (not empty) form a homology ``dim``-sphere."""
-    if max(map(int.bit_count, link)) != dim + 1:
+    """Whether the facet masks ``link`` (not empty) form a homology
+    ``dim``-sphere over ``field``: the one sphere decision for a link, made
+    on its order type with no memo of its own.
+
+    The greedy search decides when it shells (:func:`_shells`: a sphere if
+    no ridge lies in one facet, else a ball) and, below dimension 3, alone.
+    Otherwise one pass runs over the faces of 0..dim - 2 vertices, the empty
+    face first: as the link is pure, each face's link has the complementary
+    dimension k, and is judged by the search if k = 2 (this function's one
+    call of itself) and else by its Betti numbers.  That is the definition
+    by face links: a larger face's link lies in a 2-sphere judged here.
+    """
+    if set(map(int.bit_count, link)) != {dim + 1}:  # no homology sphere is impure
         return False
-    return _is_sphere(_order_type(link), field)
+    masks = _order_type(link)
+    closure = functools.partial(_closure_masks, masks)
+    shelled, ones = _shells(masks, closure)
+    if shelled or dim < 3:
+        return shelled and not ones
+    if not _betti(masks, field).is_sphere(dim):  # the empty face
+        return False
+    for fm in itertools.chain.from_iterable(closure()[0][1 : dim - 1]):
+        k, face_link = dim - fm.bit_count(), _link(masks, fm)
+        if k == 2:
+            sphere = _is_sphere_of_dim(face_link, 2, field)
+        else:
+            sphere = _betti(_order_type(face_link), field).is_sphere(k)
+        if not sphere:
+            return False
+    return True
 
 
 def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResult:
@@ -353,16 +352,14 @@ def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResu
     of the sphere of complementary dimension.  A complex that the memoised
     greedy search shells (:func:`_shells`, certified on ``cx``'s own
     closure) is a PL sphere if no ridge lies in one facet, and passes with
-    no Betti number or link, and else a PL ball, which has trivial
-    homology.  Otherwise the verdict is the memoised :func:`_is_sphere` on
-    the complex's order type.  A failing complex is given its witness from
-    the same memos: if its Betti numbers fail (or it shelled as a ball),
-    the empty face ``()``; else the smallest vertex ``(v,)`` whose link
-    fails, the vertex links swept as in :func:`is_homology_manifold`.
+    no Betti number or link, and else a PL ball, which is acyclic and fails
+    with the witness ``()``.  Otherwise it fails with ``()`` unless its Betti
+    numbers are the sphere's, and then with the smallest vertex ``(v,)``
+    whose link fails, swept as in :func:`is_homology_manifold`.
     """
     cx, field = _complex(cx), exact.validate_field(field)
     shelled, ones = _shells(cx._masks[1], cx._mask_closure)
-    if not ones and (shelled or _is_sphere(cx._masks[1], field)):
+    if shelled and not ones:
         return PredicateResult(True)
     if shelled or not betti(cx, field).is_sphere(cx.dim):  # a shelled ball is acyclic
         return PredicateResult(False, (), "complex does not have sphere homology")
@@ -484,18 +481,16 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     so it fails at its least boundary vertex, with no link read.  Otherwise
     (a point included) the vertex links are swept
     (:func:`_vertex_sweep`): each is read as facet bitmasks (:func:`_link`)
-    and judged by the memoised verdict :func:`_is_sphere` on its order type,
-    which recurses on the link's own vertex links.  For a face
-    tau = {v} + tau', lk(tau) is the link of tau' in lk(v), so every vertex
-    link is a homology (dim - 1)-sphere exactly when every nonempty face
-    link has the homology of the sphere of complementary dimension: the
-    definition by face links gives the same verdict.  Vertices are visited
-    in sorted order, and the witness is the first whose link fails.  The
-    definition gives the same witness, the least of the failing faces'
+    and judged by :func:`_is_sphere_of_dim`, which sweeps the link's own
+    face links once, with no recursion past a 2-dimensional one.  For a
+    face tau = {v} + tau', lk(tau) is the link of tau' in lk(v), so every
+    vertex link is a homology (dim - 1)-sphere exactly when every nonempty
+    face link has the homology of the sphere of complementary dimension:
+    the definition by face links gives the same verdict.  Vertices are
+    visited in sorted order, and the witness is the first whose link fails.
+    The definition gives the same witness, the least of the failing faces'
     smallest vertices: a face fails inside the link of its smallest vertex,
-    and a failing vertex link holds a failing face through that vertex.  A
-    complex that does not shell, checked again, costs one search lookup and
-    one verdict lookup per vertex.
+    and a failing vertex link holds a failing face through that vertex.
     """
     cx, field = _complex(cx), exact.validate_field(field)
     shelled, ones = _shells(cx._masks[1], cx._mask_closure)
@@ -511,10 +506,9 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
 def _vertex_sweep(cx: SimplicialComplex, field) -> PredicateResult:
     """The verdict of :func:`is_homology_manifold` from the vertex links of
     ``cx``, in sorted vertex order."""
-    n = cx.dim
     bit, masks = cx._masks
     for v, b in bit.items():  # in sorted vertex order
-        if not _is_sphere_of_dim(_link(masks, b), n - 1, field):
+        if not _is_sphere_of_dim(_link(masks, b), cx.dim - 1, field):
             return PredicateResult(False, (v,), "vertex link is not a homology sphere")
     return PredicateResult(True)
 

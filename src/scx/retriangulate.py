@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
-    SimplicialComplex, _bits, _components, _masks_in, _replaced, _tuple_order, is_simplex_boundary
+    SimplicialComplex, _bits, _components, _masks_in, _replaced, _tuple_order, as_face,
+    is_simplex_boundary,
 )
 from .errors import PreconditionError, _index
 from .facevectors import _complex, _entry, extended_g, g_vector
@@ -120,7 +121,7 @@ def missing_face_identity_sides(cx: SimplicialComplex, tau, k: int):
 
 def _identity_sides(cx: SimplicialComplex, tau, dims):
     """(k, lhs, rhs) for each dimension k in ``dims``, from one retriangulation."""
-    t = frozenset(tau)
+    t = as_face(tau)
     star = cx.star(t)
     out, record = central_retriangulation(cx, star)
     u = record.new_vertices[0]

@@ -22,7 +22,9 @@ from math import comb, gcd
 
 from . import exact
 from .complexes import SimplicialComplex
-from .errors import InternalCheckError, PreconditionError, TooLargeError, _index
+from .errors import (
+    InternalCheckError, MalformedInputError, PreconditionError, TooLargeError, _index
+)
 from .facevectors import FVector, _complex, _g2, _link_f_vectors, g2
 from .homology import is_normal_pseudomanifold
 
@@ -125,6 +127,8 @@ def _columns(g: Graph, embedding: Embedding) -> list:
 def rigidity_matrix(graph, embedding: Embedding) -> RigidityMatrix:
     """f_1 x (d * f_0) matrix: the row of edge {u, v} carries phi(u)-phi(v)
     in u's column block and the negation in v's block."""
+    if not isinstance(embedding, Embedding):
+        raise MalformedInputError(f"expected an Embedding, got {embedding!r}")
     g = _as_graph(graph)
     cols = _columns(g, embedding)
     rows = [[0] * len(cols) for _ in g.edges]

@@ -48,11 +48,9 @@ def cycle_join():
 
 
 def clear_memos():
-    """Empty the four homology memos (Betti numbers, sphere verdicts, ball
-    analyses and shelling searches), so that every homology fact is
-    computed again."""
+    """Empty the three homology memos (Betti numbers, ball analyses and
+    shelling searches), so that every homology fact is computed again."""
     homology._betti.cache_clear()
-    homology._is_sphere.cache_clear()
     homology._ball.cache_clear()
     homology._shelling.cache_clear()
 
@@ -60,13 +58,16 @@ def clear_memos():
 def shelling_off(monkeypatch):
     """Make every shelling attempt (``homology._shells``) fail, so that each
     sphere and manifold verdict takes the elimination path (the Betti
-    numbers, then the vertex links), and each ball analysis and normal
-    pseudomanifold test its sweep; but a sphere verdict below dimension 3
-    (``homology._is_sphere``), which the search alone decides, still reads it."""
+    numbers, then the face links), and each ball analysis and normal
+    pseudomanifold test its sweep; but a sphere verdict below dimension 3,
+    on a complex (``homology.is_homology_sphere``) or a link
+    (``homology._is_sphere_of_dim``), which the search alone decides, still
+    reads it."""
     original = homology._shells
+    verdicts = ("is_homology_sphere", "_is_sphere_of_dim")
 
     def low_verdicts_only(masks, closure):
-        low = max(map(int.bit_count, masks)) < 4 and sys._getframe(1).f_code.co_name == "_is_sphere"
+        low = max(map(int.bit_count, masks)) < 4 and sys._getframe(1).f_code.co_name in verdicts
         return original(masks, closure) if low else (False, ())
 
     monkeypatch.setattr(homology, "_shells", low_verdicts_only)

@@ -48,12 +48,14 @@ from scx import (
     is_simplex_boundary,
     link_g_sum,
     load_complex,
+    load_fixture,
     macaulay_pseudopower,
     missing_face_identity_sides,
     random_embedding,
     read_scx,
     read_scx_text,
     reduced_euler,
+    rigidity_matrix,
     run_all,
     run_statement,
     simplex_boundary,
@@ -268,8 +270,8 @@ def test_every_other_reader_refuses_what_is_not_a_complex(reader, value):
         OTHER_READERS[reader](value)
 
 
-#: calls given the integer 5 where a scale, a face, facets, text or a path
-#: belongs, and the refusal each raises
+#: calls given the integer 5 where a scale, a face, facets, text, a path or an
+#: embedding belongs, and the refusal each raises
 NOT_THE_ARGUMENT = {
     "run_all": (lambda: run_all(5), "expected a Scale, got 5"),
     "run_statement": (lambda: run_statement("Lemma2.2", 5), "expected a Scale, got 5"),
@@ -283,6 +285,10 @@ NOT_THE_ARGUMENT = {
     "read_scx": (lambda: read_scx(5), "expected a file path, got 5"),
     "write_scx path": (lambda: write_scx(BD4, 5), "expected a file path, got 5"),
     "write_complex path": (lambda: write_complex(BD4, 5), "expected a file path, got 5"),
+    "load_fixture": (lambda: load_fixture(5), "expected a file path, got 5"),
+    "rigidity_matrix": (
+        lambda: rigidity_matrix(skeleton_graph(BD4), 5), "expected an Embedding, got 5"
+    ),
 }
 
 
@@ -295,4 +301,20 @@ def test_what_is_no_scale_face_text_or_path_is_refused(call):
     refused, message = NOT_THE_ARGUMENT[call]
     with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
         refused()
+
+
+#: the missing-face identity's two readers, each given a tau
+IDENTITY_READERS = {
+    "crtr_missing_faces_check": lambda tau: crtr_missing_faces_check(BD4, tau),
+    "missing_face_identity_sides": lambda tau: missing_face_identity_sides(BD4, tau, 1),
+}
+
+
+@pytest.mark.parametrize("reader", IDENTITY_READERS)
+@pytest.mark.parametrize("tau", [5, None, 1.5, BD4], ids=["int", "None", "float", "complex"])
+def test_a_tau_that_is_no_face_is_refused(reader, tau):
+    # each raised TypeError from frozenset(tau); tau is now read as a face
+    message = f"expected an iterable of vertex labels, got {tau!r}"
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+        IDENTITY_READERS[reader](tau)
 

@@ -82,7 +82,7 @@ def test_info_output_is_pinned(tmp_path, field):
         assert result.output == expected
 
 
-def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch, no_shelling):
+def test_info_sweeps_the_vertex_links_again_on_memo_hits(tmp_path, monkeypatch, no_shelling):
     # the elimination path, which a complex that does not shell takes
     cx = join(cycle(5), simplex_boundary(4))
     path = tmp_path / "join.scx"
@@ -92,21 +92,21 @@ def test_info_rechecks_one_verdict_per_vertex(tmp_path, monkeypatch, no_shelling
     result = invoke("info", str(path))
     assert result.exit_code == 0
     assert "homology sphere: True" in result.output
-    # the manifold test, then is_homology_sphere: as on a cold memo, and
-    # one more verdict lookup per vertex link, then one miss for the complex
-    # itself, whose Betti numbers and vertex links are already judged
-    before = memo_counts()
-    assert before == (6, 6, 1 + 45 + cx.n_faces(0), 1 + 8)
+    # the manifold test sweeps the 10 vertex links: 10 + 80 Betti lookups
+    # and 255 searches, its 6 and 3 order types missing once (as in
+    # test_homology_sphere_sweeps_again_on_memo_hits_alone); the sphere test
+    # reads the complex's Betti numbers, then sweeps the same links on hits
+    before = memo_counts() + search_counts()
+    assert before == (1 + 2 * 90, 6, 2 * 255, 3)
     assert invoke("info", str(path)).output == result.output
-    # one verdict lookup per vertex link in the manifold test, and one hit
-    # for the sphere test
-    assert memo_counts() == (6, 6, 2 + 45 + 2 * cx.n_faces(0), 1 + 8)
+    # no verdict is kept: the same lookups again, every one a hit
+    assert memo_counts() + search_counts() == (2 * 181, 6, 4 * 255, 3)
     assert linked == []  # no sweep builds a link complex
 
 
 def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch):
     # the normal pseudomanifold, manifold and sphere tests shell the join, so
-    # info computes no Betti number and reads no verdict: the first test
+    # info computes no Betti number and judges no link: the first test
     # searches once, and every later one finds the search in its memo
     cx = join(cycle(5), simplex_boundary(4))
     path = tmp_path / "join.scx"
@@ -115,9 +115,9 @@ def test_info_on_a_shellable_sphere_judges_no_vertex_link(tmp_path, monkeypatch)
     clear_memos()
     result = invoke("info", str(path))
     assert "homology manifold: True\nhomology sphere: True\n" in result.output
-    assert memo_counts() + search_counts() == (0, 0, 0, 0, 3, 1)
+    assert memo_counts() + search_counts() == (0, 0, 3, 1)
     assert invoke("info", str(path)).output == result.output
-    assert memo_counts() + search_counts() == (0, 0, 0, 0, 6, 1)
+    assert memo_counts() + search_counts() == (0, 0, 6, 1)
     assert linked == []
 
 
@@ -134,7 +134,7 @@ def test_one_search_serves_every_test_and_info_on_a_complex(tmp_path, cycle_join
     assert result.exit_code == 0
     assert result.output.endswith("homology manifold: True\nhomology sphere: True\n")
     assert search_counts() == (8, 1)
-    assert memo_counts() == (0, 0, 0, 0)
+    assert memo_counts() == (0, 0)
     clear_memos()
 
 
@@ -666,7 +666,7 @@ def test_vertex_link_past_the_betti_guard_exits_3(tmp_path, monkeypatch, no_shel
         result = invoke("info", str(path))
         assert result.exit_code == 3
         assert "Betti guard" in result.output
-    assert homology._is_sphere.cache_info().currsize == 0
+    assert homology._betti.cache_info().currsize == 0  # no profile is kept
 
 
 def test_isomorphism_guard_exits_3(tmp_path, monkeypatch):

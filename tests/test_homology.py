@@ -404,23 +404,26 @@ def _assert_matches_every_column(masks):
         assert homology._betti.__wrapped__(masks, field).entries == expected, (masks, field)
 
 
-MEMOS = ("_betti", "_is_sphere", "_ball", "_shelling")
-
-
-def _recording(memo, seen: set):
-    """``memo``, adding each order type it is asked for to ``seen``."""
-    return lambda masks, field: seen.add(masks) or memo(masks, field)
+MEMOS = ("_betti", "_ball", "_shelling")
 
 
 def _run_all_cold(shelling: bool):
     """One ``run_all()`` on empty memos and a catalog built afresh, with or
-    without shelling: the order types it looks up in the Betti and
-    sphere-verdict memos, sorted, and each memo's misses."""
+    without shelling: the order types it looks up in the Betti memo or
+    judges as links (``homology._is_sphere_of_dim``), sorted, and each
+    memo's misses."""
     seen = set()
+    betti_memo, judged = homology._betti, homology._is_sphere_of_dim
     clear_memos()
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for name in ("_betti", "_is_sphere"):
-            monkeypatch.setattr(homology, name, _recording(getattr(homology, name), seen))
+        monkeypatch.setattr(
+            homology, "_betti", lambda masks, field: seen.add(masks) or betti_memo(masks, field)
+        )
+        monkeypatch.setattr(
+            homology,
+            "_is_sphere_of_dim",
+            lambda link, dim, field: seen.add(homology._order_type(link)) or judged(link, dim, field),
+        )
         monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
         if not shelling:
             shelling_off(monkeypatch)
@@ -448,21 +451,21 @@ def run_all_order_types(run_all_eliminated):
 
 
 def test_a_cold_run_all_counts_its_memo_misses(run_all_cold, run_all_eliminated):
-    # counted work, free of host noise: each miss is one elimination,
-    # verdict, sweep or search.  Every sphere verdict of run_all() shells on
-    # the complex itself, with no verdict lookup, and every ball it analyses
-    # shells, each order type searched once, so a change that stops shelling
-    # spheres or balls fails the first (156 and 107 misses with no shelling,
-    # as the second pins), one that searches a complex again fails it too,
-    # and one that eliminates the links of sphere verdicts below dimension 3
-    # again fails the second
-    assert run_all_cold[1] == {"_betti": 0, "_is_sphere": 0, "_ball": 42, "_shelling": 184}
-    assert run_all_eliminated[1] == {"_betti": 156, "_is_sphere": 107, "_ball": 42, "_shelling": 31}
+    # counted work, free of host noise: each miss is one elimination, sweep
+    # or search.  Every sphere verdict of run_all() shells on the complex
+    # itself, with no link judged, and every ball it analyses shells, each
+    # order type searched once, so a change that stops shelling spheres or
+    # balls fails the first (156 Betti misses with no shelling, as the
+    # second pins), one that searches a complex again fails it too, and one
+    # that eliminates a sphere below dimension 3, a complex or a link, fails
+    # the second
+    assert run_all_cold[1] == {"_betti": 0, "_ball": 42, "_shelling": 184}
+    assert run_all_eliminated[1] == {"_betti": 156, "_ball": 42, "_shelling": 31}
 
 
 def test_betti_matches_every_column_ranks_on_run_all_misses(run_all_order_types):
-    # every order type run_all() looks up in the Betti or sphere-verdict
-    # memo with shelling off, on empty memos
+    # every order type run_all() looks up in the Betti memo or judges as a
+    # link with shelling off, on empty memos
     assert len(run_all_order_types) == 186
     for masks in run_all_order_types:
         for field in FIELDS:
@@ -486,7 +489,7 @@ def _low_verdict(cx) -> bool:
     for field in FIELDS:
         expected = betti(cx, field).is_sphere(cx.dim)
         expected = expected and bool(oracle.is_homology_manifold_by_links(cx, field))
-        assert homology._is_sphere.__wrapped__(key, field) == expected, (key, field)
+        assert homology._is_sphere_of_dim(key, cx.dim, field) == expected, (key, field)
         verdicts.add(expected)
     assert len(verdicts) == 1  # no field changes a verdict below dimension 3
     return verdicts.pop()
@@ -549,11 +552,12 @@ def test_manifold_verdicts_in_dimension_3_make_no_betti_miss(request):
     catalog = [e.complex for e in standard_catalog(dmax=7) if e.complex.dim == 3]
     clear_memos()
     assert len(catalog) > 10 and all(map(is_homology_manifold, catalog))
-    assert memo_counts() == (0, 0, 0, 0)
+    assert memo_counts() == (0, 0)
+    searched = search_counts()[1]
     request.getfixturevalue("no_shelling")
     assert all(map(is_homology_manifold, catalog))
     assert homology._betti.cache_info().misses == 0
-    assert homology._is_sphere.cache_info().misses > 0
+    assert search_counts()[1] > searched  # the vertex links are searched
 
 
 # a 2-complex whose vertices 1..6 lie in 4, 1, 6, 2, 5 and 3 facets
@@ -564,9 +568,9 @@ def test_an_order_preserving_relabelling_hits_both_memos_and_a_degree_shuffle_mi
     # the cone apex 0 is the least vertex, so the manifold test judges its
     # link, the 2-complex, first; that link has the homology of a 2-sphere
     # but an edge in four triangles, so the search fails it with no Betti
-    # lookup and the test stops there.  The memos are keyed by the order
-    # type, so a shuffle of the vertices, even one that a sort by degree
-    # would undo, is a complex of its own
+    # lookup and the test stops there.  The search and Betti memos are
+    # keyed by the order type, so a shuffle of the vertices, even one that
+    # a sort by degree would undo, is a complex of its own
     shuffle = dict(zip(range(1, 7), (4, 6, 1, 5, 2, 3)))
     plain = from_facets(DISTINCT_DEGREES)
     shifted = from_facets([[2 * v + 5 for v in f] for f in DISTINCT_DEGREES])
@@ -578,15 +582,16 @@ def test_an_order_preserving_relabelling_hits_both_memos_and_a_degree_shuffle_mi
     for cx in (plain, shifted, shuffled):
         verdict = is_homology_manifold(from_facets([[0, *f] for f in cx.facets]))
         assert (verdict.ok, verdict.witness) == (False, (0,))
-        counts.append(memo_counts())
-    # (Betti lookups, misses, verdict lookups, misses): the relabelled cone
-    # costs one verdict lookup, a hit, and the shuffled one a miss
-    assert counts == [(0, 0, 1, 1), (0, 0, 2, 1), (0, 0, 3, 2)]
+        counts.append(search_counts())
+    # (search lookups, misses): each cone and its apex link are searched;
+    # the relabelled cone costs two hits, and the shuffled one two misses
+    assert counts == [(2, 2), (4, 2), (6, 4)]
+    assert memo_counts() == (0, 0)
     expected = homology._betti.__wrapped__(_memo_key(plain), "rational")
     assert betti(plain) == betti(shifted) == expected  # a miss, then a hit
-    assert memo_counts() == (2, 1, 3, 2)
+    assert memo_counts() == (2, 1)
     assert betti(shuffled) == expected and expected.is_sphere(2)
-    assert memo_counts() == (3, 2, 3, 2)  # the same profile, on a key of its own
+    assert memo_counts() == (3, 2)  # the same profile, on a key of its own
 
 
 def test_guards_raise_on_every_repeat_call_and_cache_nothing(no_shelling):
@@ -601,9 +606,8 @@ def test_guards_raise_on_every_repeat_call_and_cache_nothing(no_shelling):
                 betti(simplex)
             with pytest.raises(TooLargeError, match=match):
                 is_homology_manifold(cone)
-    betti_info, sphere_info = homology._betti.cache_info(), homology._is_sphere.cache_info()
-    assert (betti_info.currsize, betti_info.misses) == (0, 12)
-    assert (sphere_info.currsize, sphere_info.misses) == (0, 6)
+    info = homology._betti.cache_info()
+    assert (info.currsize, info.misses) == (0, 12)
 
 
 def test_a_shellable_ball_meets_no_betti_guard_but_its_certificate_reads_the_closure():
@@ -768,19 +772,21 @@ def test_betti_memo_never_holds_a_guard_trip(monkeypatch):
     assert (info.currsize, info.misses, info.hits) == (1, 4, 0)
 
 
-def test_sphere_verdict_memo_never_holds_a_guard_trip(monkeypatch, no_shelling):
+def test_a_vertex_link_past_the_betti_guard_raises_on_every_call(monkeypatch, no_shelling):
     # every vertex link of the 5-simplex boundary is a 4-simplex boundary
     # (d_1 5x10 and d_2 10x10 cells), every edge link a tetrahedron
-    # boundary, whose shelled verdict is warm; shelling is off, or the
-    # 5-simplex boundary would shell with no Betti number
+    # boundary, which the search decides; shelling is off, or the 5-simplex
+    # boundary would shell with no Betti number.  The first vertex link
+    # trips the guard on every call, and no profile is kept
     clear_memos()
     assert is_homology_manifold(simplex_boundary(4))
-    before = homology._is_sphere.cache_info().currsize
+    assert memo_counts() == (0, 0)
     monkeypatch.setattr(homology, "BETTI_GUARD", 10)
     for _ in range(3):
         with pytest.raises(TooLargeError, match="Betti guard"):
             is_homology_manifold(simplex_boundary(5))
-    assert homology._is_sphere.cache_info().currsize == before == 1
+    info = homology._betti.cache_info()
+    assert (info.currsize, info.misses) == (0, 3)
 
 
 def test_betti_memo_is_bounded():
@@ -868,9 +874,9 @@ def record_links(monkeypatch) -> list:
 
 
 def memo_counts() -> tuple:
-    """(lookups, misses) of the Betti memo, then of the sphere-verdict memo."""
-    b, s = homology._betti.cache_info(), homology._is_sphere.cache_info()
-    return b.hits + b.misses, b.misses, s.hits + s.misses, s.misses
+    """(lookups, misses) of the Betti memo."""
+    info = homology._betti.cache_info()
+    return info.hits + info.misses, info.misses
 
 
 def search_counts() -> tuple:
@@ -901,40 +907,41 @@ def test_a_shellable_sphere_is_a_normal_pseudomanifold_with_no_link_read(oct3, m
     assert is_normal_pseudomanifold(oct3) and len(swept) == 8 + 24
 
 
-def test_homology_sphere_rechecks_one_verdict(monkeypatch, no_shelling):
+def test_homology_sphere_sweeps_again_on_memo_hits_alone(monkeypatch, no_shelling):
     # the elimination path, which a complex that does not shell takes
     cx = join(cycle(5), simplex_boundary(4))
     assert (len(cx.faces()), cx.n_faces(0)) == (341, 10)
     linked = record_links(monkeypatch)
     clear_memos()
-    # cold: the complex is one verdict miss, which reads its Betti numbers
-    # off its facet masks and judges each order type among the iterated
-    # vertex links once (8 of them); the 5 of dimension 3 and 4 are
-    # eliminated once, as is the complex itself, and the 3 of dimension 2
-    # are shelled, with no lookup of their own links
+    # cold: the complex's Betti numbers, then each vertex link's, then the
+    # links of their vertices, 3-dimensional, by Betti numbers, and of their
+    # edges, 2-dimensional, by the search.  Its 5 vertex links C5 * bd(3)
+    # have 9 vertices and 31 edges, and its 5 links S0 * bd(4) 7 and 20.
+    # The 6 order types of dimension 3 to 5 are eliminated once and the 3
+    # of dimension 2 searched once
     assert is_homology_sphere(cx)
-    assert memo_counts() == (6, 6, 1 + 45, 1 + 8)
+    assert memo_counts() + search_counts() == (1 + 10 + 80, 6, 255, 3)
     swept = record_swept(monkeypatch)
     assert is_homology_sphere(cx)
-    # warm: the verdict the vertex links were checked for, one hit, with no
-    # Betti lookup and no link read
-    assert memo_counts() == (6, 6, 1 + 45 + 1, 1 + 8)
-    assert swept == linked == []  # the links are read as facet bitmasks
+    # warm: no verdict is kept, so the same sweep runs on memo hits alone
+    assert memo_counts() + search_counts() == (2 * 91, 6, 2 * 255, 3)
+    assert len(swept) == 10 + 80 + 255 and linked == []  # links are read as masks
 
 
-def test_homology_manifold_rechecks_one_verdict_per_vertex(cycle_join, monkeypatch, no_shelling):
+def test_homology_manifold_rechecks_one_search_per_vertex(cycle_join, monkeypatch, no_shelling):
     # the elimination path, which a complex that does not shell takes
     linked = record_links(monkeypatch)
     monkeypatch.setattr(homology, "is_homology_sphere", None)  # never consulted
     clear_memos()
     assert is_homology_manifold(cycle_join)
-    before = memo_counts()
-    assert before[:2] == (0, 0) and before[3] > 0  # the 2-dimensional links are shelled
+    before = search_counts()
+    assert memo_counts() == (0, 0) and before[1] > 0  # the 2-dimensional links are shelled
     swept = record_swept(monkeypatch)
     assert is_homology_manifold(cycle_join)
     assert swept == [1 << i for i in range(cycle_join.n_faces(0))]
-    # no Betti lookup, and one verdict hit per vertex
-    assert memo_counts() == before[:2] + (before[2] + cycle_join.n_faces(0), before[3])
+    # no Betti lookup, and one search hit per vertex
+    assert memo_counts() == (0, 0)
+    assert search_counts() == (before[0] + cycle_join.n_faces(0), before[1])
     assert linked == []
 
 
@@ -950,7 +957,7 @@ def test_a_shellable_sphere_is_judged_with_no_betti_number_or_link(monkeypatch):
     for _ in range(2):
         assert is_homology_sphere(cx) and is_homology_manifold(cx)
         counts.append(memo_counts() + search_counts())
-    assert counts == [(0, 0, 0, 0, 2, 1), (0, 0, 0, 0, 4, 1)]
+    assert counts == [(0, 0, 2, 1), (0, 0, 4, 1)]
     assert swept == linked == []
 
 

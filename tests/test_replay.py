@@ -26,13 +26,11 @@ def digest(scale):
 
 
 def references(monkeypatch):
-    """Bypass the three homology memos and route every memoised path through
-    a reference: the sphere verdicts and ball sweeps unmemoised, the Betti
-    numbers of every column, the ball sweep on the ball's own labels, and
-    the link-by-link manifold and pseudomanifold tests, in every module
-    that imports them."""
-    for memo in ("_is_sphere", "_ball"):
-        monkeypatch.setattr(homology, memo, getattr(homology, memo).__wrapped__)
+    """Bypass the Betti and ball memos and route every memoised path through
+    a reference: the ball sweeps unmemoised, the Betti numbers of every
+    column, the ball sweep on the ball's own labels, and the link-by-link
+    manifold and pseudomanifold tests, in every module that imports them."""
+    monkeypatch.setattr(homology, "_ball", homology._ball.__wrapped__)
 
     def every_column(masks, field):
         return BettiProfile(oracle.betti_every_column(masks, field), field)

@@ -164,7 +164,7 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
     assert sorted(calls("_link")) == sorted(_uses("_link")) == [
         ("complexes.py", "_through"),
         ("homology.py", "_ball_sweep"),
-        ("homology.py", "_is_sphere"),
+        ("homology.py", "_is_sphere_of_dim"),
         ("homology.py", "_vertex_sweep"),
         ("homology.py", "is_normal_pseudomanifold"),
     ]
@@ -186,9 +186,10 @@ def test_every_cache_is_an_order_type_memo_in_homology():
     # homology.py keyed by an order type and, but for the shelling search,
     # the field.  Every memo call passes the order type a complex keeps,
     # cx._masks[1], which only _of_masks writes, an _order_type(...) call,
-    # or, inside a memo, that memo's own masks.  _shells, which hands its
-    # masks to the search memo, takes them from its callers by the same
-    # rule.  No memo takes any other parameter
+    # a name that its function binds once, to such a call, or, inside a
+    # memo, that memo's own masks.  _shells, which hands its masks to the
+    # search memo, takes them from its callers by the same rule.  No memo
+    # takes any other parameter
     def caches(decorator):
         return any(_named(getattr(decorator, "func", decorator), c) for c in CACHES)
 
@@ -210,7 +211,7 @@ def test_every_cache_is_an_order_type_memo_in_homology():
         for module, _, node in _nodes()
         if isinstance(node, ast.FunctionDef) and any(map(caches, node.decorator_list))
     }
-    assert memos.keys() == {"_betti", "_is_sphere", "_ball", "_shelling"}
+    assert memos.keys() == {"_betti", "_ball", "_shelling"}
     for module, node in memos.values():
         assert module == "homology.py"
         assert [ast.unparse(d) for d in node.decorator_list] == [
@@ -221,6 +222,16 @@ def test_every_cache_is_an_order_type_memo_in_homology():
         assert params in (["masks"], ["masks", "field"]), (node.name, params)
         assert args.vararg is args.kwarg is None, node.name
     assert sum(len(_uses(c)) for c in CACHES) == len(memos)  # no cache but these
+    binds = {}  # (function, name) -> the values bound to the name
+    for _, where, node in _nodes():
+        if isinstance(node, ast.Assign):
+            for name in (n for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                binds.setdefault((where, name.id), []).append(node.value)
+
+    def bound(where, key):
+        values = binds.get((where, ast.unparse(key)), [])
+        return len(values) == 1 and order_type(values[0])
+
     keyed = memos.keys() | {"_shells"}
     calls = [
         (node.func.id, where, node.args[0])
@@ -231,7 +242,7 @@ def test_every_cache_is_an_order_type_memo_in_homology():
     assert [where for memo, where, _ in calls if memo == "_shelling"] == ["_shells"]
     for memo, where, key in calls:
         own = ast.unparse(key) == "masks" and where in keyed
-        assert order_type(key) or own, (memo, where, ast.unparse(key))
+        assert order_type(key) or bound(where, key) or own, (memo, where, ast.unparse(key))
 
 
 def test_only_the_closure_helper_enumerates_submasks():
@@ -262,7 +273,7 @@ def test_only_the_closure_helper_enumerates_submasks():
         ("complexes.py", "_mask_closure"),
         ("homology.py", "_ball"),
         ("homology.py", "_betti"),
-        ("homology.py", "_is_sphere"),
+        ("homology.py", "_is_sphere_of_dim"),
     ]
 
 
@@ -467,9 +478,9 @@ def test_one_rule_reads_an_entry_past_the_end():
 
 def test_only_the_sphere_verdicts_try_a_shelling():
     # homology._shells shells a sphere or a ball from the facet masks: the
-    # sphere test and the sphere verdict memo, the manifold test and the
-    # ball analysis consult it, each before any Betti number, and the normal
-    # pseudomanifold test before its link sweep.  The search, memoised in
+    # sphere test and the sphere verdict of a link, the manifold test and
+    # the ball analysis consult it, each before any Betti number, and the
+    # normal pseudomanifold test before its link sweep.  The search, memoised in
     # homology._shelling, reads no closure: it names no closure helper,
     # closure group or Betti reader, and takes no closure parameter.
     # _shells calls its closure parameter, for the certificate, once, after
@@ -477,7 +488,7 @@ def test_only_the_sphere_verdicts_try_a_shelling():
     # included
     assert sorted(set(_uses("_shells"))) == [
         ("homology.py", "_ball"),
-        ("homology.py", "_is_sphere"),
+        ("homology.py", "_is_sphere_of_dim"),
         ("homology.py", "is_homology_manifold"),
         ("homology.py", "is_homology_sphere"),
         ("homology.py", "is_normal_pseudomanifold"),
@@ -498,6 +509,39 @@ def test_only_the_sphere_verdicts_try_a_shelling():
     assert ast.unparse(failed) == "if not shelled:\n    return (False, ())"
     reads = [n for n in ast.walk(shells) if isinstance(n, ast.Call) and _named(n.func, "closure")]
     assert len(reads) == 1 and reads[0].lineno > failed.end_lineno
+
+
+def test_no_homology_verdict_recurses_past_a_2_dimensional_link():
+    # a sphere verdict sweeps a link's face links in one pass: the only
+    # call chain in homology.py that comes back to a function is
+    # _is_sphere_of_dim's one call of itself, on a 2-dimensional face link,
+    # which returns after its search, before that call
+    tree = ast.parse((SOURCE / "homology.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    callees = {
+        name: {
+            n.func.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) in functions
+        }
+        for name, node in functions.items()
+    }
+
+    def returns_to(name):
+        seen, todo = set(), list(callees[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(callees[callee])
+        return name in seen
+
+    assert [name for name in functions if returns_to(name)] == ["_is_sphere_of_dim"]
+    verdict = functions["_is_sphere_of_dim"]
+    (own,) = [n for n in ast.walk(verdict) if isinstance(n, ast.Call) and _named(n.func, verdict.name)]
+    assert ast.unparse(own.args[1]) == "2"
+    (low,) = [n for n in verdict.body if isinstance(n, ast.If) and "dim < 3" in ast.unparse(n.test)]
+    assert isinstance(low.body[0], ast.Return) and low.end_lineno < own.lineno
 
 
 def test_every_homology_reader_takes_its_complex_by_one_rule():
