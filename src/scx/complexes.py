@@ -304,11 +304,9 @@ class SimplicialComplex:
     def _through(self, face) -> tuple:
         """(face, its mask, its :func:`_link`, [] when it is absent): a face is
         present exactly when some facet contains it, the one rule of ``in``,
-        ``link`` and ``star``, so none of them builds a closure or labels a facet."""
-        try:
-            f = frozenset(face)
-        except TypeError:
-            raise MalformedInputError(f"expected an iterable of labels, got {face!r}") from None
+        ``link`` and ``star``, so none of them builds a closure or labels a
+        facet.  The face is read by :func:`as_face`."""
+        f = as_face(face)
         bit, masks = self._masks
         fm = sum(bit.get(v, 1 << len(bit)) for v in f)  # an absent label: bits no facet holds
         return f, fm, _link(masks, fm)
@@ -330,11 +328,8 @@ class SimplicialComplex:
         return self._of_masks(list(self._masks[0]), [m | fm for m in link])
 
     def restriction(self, verts) -> "SimplicialComplex":
-        try:
-            verts = frozenset(verts)
-        except TypeError:
-            raise MalformedInputError(f"expected an iterable of labels, got {verts!r}") from None
-        w = sum(self._masks[0].get(v, 0) for v in verts)
+        """The faces within the vertex set ``verts``, read by :func:`as_face`."""
+        w = sum(self._masks[0].get(v, 0) for v in as_face(verts))
         return self._of_masks(list(self._masks[0]), [m & w for m in self._masks[1]])
 
     def antistar(self, v: int) -> "SimplicialComplex":

@@ -22,8 +22,8 @@ predicate and retriangulation) and the greedy shelling search
 again by several predicates or statements, or under an order-preserving
 relabelling, is searched once and eliminated at most once, and a ball that
 several retriangulations read, with or without ``check``, is analysed
-once.  No verdict is cached: a link's sphere verdict
-(:func:`_is_sphere_of_dim`) reads these memos.  Nothing seeded is cached,
+once.  No verdict is cached: the manifold sweep (:func:`_vertex_sweep`)
+reads these memos on every call.  Nothing seeded is cached,
 nor is a ``TooLargeError`` or an ``InternalCheckError``; ``cache_info()``
 reports hits and misses and ``cache_clear()`` empties each memo.
 
@@ -204,7 +204,7 @@ COMPLETION_GUARD = 6_300
 #: benchmark streams at seed 0 make 185 searches (130 complexes and 55 balls;
 #: 260 hits) and 55 ball analyses on classify-distinct, 103 searches (1 hit)
 #: on rigidity-stress, and no profile: no memo evicts there.  With no shelling
-#: ``run_all()`` makes 156 profiles, and the classify-distinct stream 1,315.
+#: ``run_all()`` makes 181 profiles, and the classify-distinct stream 2,458.
 BETTI_MEMO = 256
 
 
@@ -310,39 +310,6 @@ def _shelling(masks: tuple) -> tuple:
         return False, (), ()
     ones = tuple(sorted(r for r, facets in across.items() if len(facets) == 1))
     return True, ones, tuple(map(sizes.count, range(masks[0].bit_count() + 1)))
-
-
-def _is_sphere_of_dim(link: list, dim: int, field) -> bool:
-    """Whether the facet masks ``link`` (not empty) form a homology
-    ``dim``-sphere over ``field``: the one sphere decision for a link, made
-    on its order type with no memo of its own.
-
-    The greedy search decides when it shells (:func:`_shells`: a sphere if
-    no ridge lies in one facet, else a ball) and, below dimension 3, alone.
-    Otherwise one pass runs over the faces of 0..dim - 2 vertices, the empty
-    face first: as the link is pure, each face's link has the complementary
-    dimension k, and is judged by the search if k = 2 (this function's one
-    call of itself) and else by its Betti numbers.  That is the definition
-    by face links: a larger face's link lies in a 2-sphere judged here.
-    """
-    if set(map(int.bit_count, link)) != {dim + 1}:  # no homology sphere is impure
-        return False
-    masks = _order_type(link)
-    closure = functools.partial(_closure_masks, masks)
-    shelled, ones = _shells(masks, closure)
-    if shelled or dim < 3:
-        return shelled and not ones
-    if not _betti(masks, field).is_sphere(dim):  # the empty face
-        return False
-    for fm in itertools.chain.from_iterable(closure()[0][1 : dim - 1]):
-        k, face_link = dim - fm.bit_count(), _link(masks, fm)
-        if k == 2:
-            sphere = _is_sphere_of_dim(face_link, 2, field)
-        else:
-            sphere = _betti(_order_type(face_link), field).is_sphere(k)
-        if not sphere:
-            return False
-    return True
 
 
 def is_homology_sphere(cx: SimplicialComplex, field="rational") -> PredicateResult:
@@ -479,18 +446,15 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     passes with no link read.  One that shells as a PL ball of dimension at
     least 1 has ball links at its boundary vertices and sphere links inside,
     so it fails at its least boundary vertex, with no link read.  Otherwise
-    (a point included) the vertex links are swept
-    (:func:`_vertex_sweep`): each is read as facet bitmasks (:func:`_link`)
-    and judged by :func:`_is_sphere_of_dim`, which sweeps the link's own
-    face links once, with no recursion past a 2-dimensional one.  For a
-    face tau = {v} + tau', lk(tau) is the link of tau' in lk(v), so every
-    vertex link is a homology (dim - 1)-sphere exactly when every nonempty
-    face link has the homology of the sphere of complementary dimension:
-    the definition by face links gives the same verdict.  Vertices are
-    visited in sorted order, and the witness is the first whose link fails.
-    The definition gives the same witness, the least of the failing faces'
-    smallest vertices: a face fails inside the link of its smallest vertex,
-    and a failing vertex link holds a failing face through that vertex.
+    (a point included) :func:`_vertex_sweep` judges every nonempty face
+    once, by the definition by face links: for a face tau = {v} + tau',
+    lk(tau) is the link of tau' in lk(v), so every vertex link is a homology
+    (dim - 1)-sphere exactly when every nonempty face link has the homology
+    of the sphere of complementary dimension.  The witness is the least
+    vertex whose link fails, which is the least of the failing faces'
+    smallest vertices: a face fails inside the link of each of its
+    vertices, and a failing vertex link holds a failing face through that
+    vertex.
     """
     cx, field = _complex(cx), exact.validate_field(field)
     shelled, ones = _shells(cx._masks[1], cx._mask_closure)
@@ -504,11 +468,36 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
 
 
 def _vertex_sweep(cx: SimplicialComplex, field) -> PredicateResult:
-    """The verdict of :func:`is_homology_manifold` from the vertex links of
-    ``cx``, in sorted vertex order."""
+    """The verdict of :func:`is_homology_manifold` from one pass over the
+    vertices v of ``cx`` in sorted order, each face judged at its least
+    vertex, with no recursion; the first v that fails is the witness.
+
+    The memoised search on lk(v) (:func:`_shells`, certified on the closure
+    of its order type) decides when it shells: lk(v) is a PL sphere if no
+    ridge lies in one facet and its facets have dim vertices, and else fails
+    (a PL ball, or of the wrong dimension).  Below link dimension 3 the
+    search also decides a failure alone (see the module docstring).
+    Otherwise every face v + tau, tau a face of lk(v) on vertices after v,
+    the empty face first, must have the Betti numbers of the sphere of
+    complementary dimension.  The faces through v that hold an earlier
+    vertex passed at that vertex, so v fails exactly when lk(v) is no
+    homology sphere.
+    """
     bit, masks = cx._masks
+    d = cx.dim - 1  # the dimension of a sphere link
     for v, b in bit.items():  # in sorted vertex order
-        if not _is_sphere_of_dim(_link(masks, b), cx.dim - 1, field):
+        lk = _link(masks, b)
+        key = _order_type(lk)
+        shelled, ones = _shells(key, functools.partial(_closure_masks, key))
+        if shelled or d < 3:
+            sphere = shelled and not ones and key[0].bit_count() == d + 1
+        else:
+            later = _closure_masks([m & -(b << 1) for m in lk])[0]  # tau, by size
+            sphere = all(
+                _betti(_order_type(_link(lk, t)), field).is_sphere(d - t.bit_count())
+                for t in itertools.chain.from_iterable(later)
+            )
+        if not sphere:
             return PredicateResult(False, (v,), "vertex link is not a homology sphere")
     return PredicateResult(True)
 

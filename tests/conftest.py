@@ -60,11 +60,11 @@ def shelling_off(monkeypatch):
     sphere and manifold verdict takes the elimination path (the Betti
     numbers, then the face links), and each ball analysis and normal
     pseudomanifold test its sweep; but a sphere verdict below dimension 3,
-    on a complex (``homology.is_homology_sphere``) or a link
-    (``homology._is_sphere_of_dim``), which the search alone decides, still
+    on a complex (``homology.is_homology_sphere``) or a vertex link
+    (``homology._vertex_sweep``), which the search alone decides, still
     reads it."""
     original = homology._shells
-    verdicts = ("is_homology_sphere", "_is_sphere_of_dim")
+    verdicts = ("is_homology_sphere", "_vertex_sweep")
 
     def low_verdicts_only(masks, closure):
         low = max(map(int.bit_count, masks)) < 4 and sys._getframe(1).f_code.co_name in verdicts

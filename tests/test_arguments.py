@@ -318,3 +318,24 @@ def test_a_tau_that_is_no_face_is_refused(reader, tau):
     with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
         IDENTITY_READERS[reader](tau)
 
+
+
+#: the readers of a face at the public edge: the presence rule behind in,
+#: link and star, and restriction
+FACE_READERS = {
+    "in": lambda face: face in BD4,
+    "link": lambda face: BD4.link(face),
+    "star": lambda face: BD4.star(face),
+    "restriction": lambda face: BD4.restriction(face),
+}
+
+
+@pytest.mark.parametrize("reader", FACE_READERS)
+@pytest.mark.parametrize("face", [[0, 0], [True], ["a"]], ids=["repeated", "bool", "str"])
+def test_a_face_is_read_as_as_face_reads_it(reader, face):
+    # each read its face with frozenset: [0, 0] as the vertex 0, [True] as
+    # the vertex 1, and ["a"] as an absent vertex; as_face refuses all three
+    with pytest.raises(MalformedInputError) as refused:
+        as_face(face)
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(str(refused.value))}$"):
+        FACE_READERS[reader](face)

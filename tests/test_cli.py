@@ -92,15 +92,15 @@ def test_info_sweeps_the_vertex_links_again_on_memo_hits(tmp_path, monkeypatch, 
     result = invoke("info", str(path))
     assert result.exit_code == 0
     assert "homology sphere: True" in result.output
-    # the manifold test sweeps the 10 vertex links: 10 + 80 Betti lookups
-    # and 255 searches, its 6 and 3 order types missing once (as in
+    # the manifold test makes one Betti lookup per nonempty face, 340, and no
+    # search, its 14 order types missing once (as in
     # test_homology_sphere_sweeps_again_on_memo_hits_alone); the sphere test
-    # reads the complex's Betti numbers, then sweeps the same links on hits
+    # reads the complex's Betti numbers, then sweeps the same faces on hits
     before = memo_counts() + search_counts()
-    assert before == (1 + 2 * 90, 6, 2 * 255, 3)
+    assert before == (1 + 2 * 340, 14, 0, 0)
     assert invoke("info", str(path)).output == result.output
     # no verdict is kept: the same lookups again, every one a hit
-    assert memo_counts() + search_counts() == (2 * 181, 6, 4 * 255, 3)
+    assert memo_counts() + search_counts() == (2 * 681, 14, 0, 0)
     assert linked == []  # no sweep builds a link complex
 
 

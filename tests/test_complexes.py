@@ -224,9 +224,11 @@ def test_the_constructor_refuses_labels_as_face_refuses(faces):
     ],
 )
 def test_a_malformed_face_is_refused_as_malformed_input(bd3, call):
-    # each raised TypeError before: the one frozenset call of the presence
-    # rule, of restriction and of the constructor refuses it instead
-    with pytest.raises(MalformedInputError, match="iterables? of labels, got"):
+    # each raised TypeError before: the presence rule and restriction now
+    # read a face by as_face, and the constructor's one frozenset call
+    # refuses the rest
+    refusals = r"^expected (an iterable of vertex|iterables of) labels, got |^vertex labels must be "
+    with pytest.raises(MalformedInputError, match=refusals):
         call(bd3)
 
 

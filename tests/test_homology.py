@@ -409,27 +409,24 @@ MEMOS = ("_betti", "_ball", "_shelling")
 
 def _run_all_cold(shelling: bool):
     """One ``run_all()`` on empty memos and a catalog built afresh, with or
-    without shelling: the order types it looks up in the Betti memo or
-    judges as links (``homology._is_sphere_of_dim``), sorted, and each
-    memo's misses."""
+    without shelling: the order types it looks up in the Betti or search
+    memo, sorted, and each memo's misses."""
     seen = set()
-    betti_memo, judged = homology._betti, homology._is_sphere_of_dim
+    betti_memo, search_memo = homology._betti, homology._shelling
     clear_memos()
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(
             homology, "_betti", lambda masks, field: seen.add(masks) or betti_memo(masks, field)
         )
         monkeypatch.setattr(
-            homology,
-            "_is_sphere_of_dim",
-            lambda link, dim, field: seen.add(homology._order_type(link)) or judged(link, dim, field),
+            homology, "_shelling", lambda masks: seen.add(masks) or search_memo(masks)
         )
         monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
         if not shelling:
             shelling_off(monkeypatch)
         assert all(report.passed for report in run_all())
     misses = {name: getattr(homology, name).cache_info().misses for name in MEMOS}
-    clear_memos()  # no verdict outlives the plant
+    clear_memos()  # no search outlives the plant
     return sorted(seen), misses
 
 
@@ -455,18 +452,18 @@ def test_a_cold_run_all_counts_its_memo_misses(run_all_cold, run_all_eliminated)
     # or search.  Every sphere verdict of run_all() shells on the complex
     # itself, with no link judged, and every ball it analyses shells, each
     # order type searched once, so a change that stops shelling spheres or
-    # balls fails the first (156 Betti misses with no shelling, as the
+    # balls fails the first (181 Betti misses with no shelling, as the
     # second pins), one that searches a complex again fails it too, and one
-    # that eliminates a sphere below dimension 3, a complex or a link, fails
-    # the second
+    # that eliminates a sphere below dimension 3, a complex or a vertex
+    # link, fails the second
     assert run_all_cold[1] == {"_betti": 0, "_ball": 42, "_shelling": 184}
-    assert run_all_eliminated[1] == {"_betti": 156, "_ball": 42, "_shelling": 31}
+    assert run_all_eliminated[1] == {"_betti": 181, "_ball": 42, "_shelling": 28}
 
 
 def test_betti_matches_every_column_ranks_on_run_all_misses(run_all_order_types):
-    # every order type run_all() looks up in the Betti memo or judges as a
-    # link with shelling off, on empty memos
-    assert len(run_all_order_types) == 186
+    # every order type run_all() looks up in the Betti or search memo with
+    # shelling off, on empty memos
+    assert len(run_all_order_types) == 194
     for masks in run_all_order_types:
         for field in FIELDS:
             expected = oracle.betti_every_column(masks, field)
@@ -480,16 +477,18 @@ def _complex_of(masks):
 
 def _low_verdict(cx) -> bool:
     """The sphere verdict on the order type of ``cx``, of dimension <= 2,
-    which the shelling search decides alone, after checking it against
+    which the shelling search decides alone (:func:`homology._shells`,
+    shelled with no ridge in one facet), after checking it against
     elimination over Q, GF(2) and GF(3): the Betti numbers of ``cx`` and of
     every face link."""
     assert cx.dim <= 2
     key = _memo_key(cx)
+    shelled, ones = homology._shells(key, functools.partial(homology._closure_masks, key))
     verdicts = set()
     for field in FIELDS:
         expected = betti(cx, field).is_sphere(cx.dim)
         expected = expected and bool(oracle.is_homology_manifold_by_links(cx, field))
-        assert homology._is_sphere_of_dim(key, cx.dim, field) == expected, (key, field)
+        assert (shelled and not ones) == expected, (key, field)
         verdicts.add(expected)
     assert len(verdicts) == 1  # no field changes a verdict below dimension 3
     return verdicts.pop()
@@ -597,7 +596,9 @@ def test_an_order_preserving_relabelling_hits_both_memos_and_a_degree_shuffle_mi
 def test_guards_raise_on_every_repeat_call_and_cache_nothing(no_shelling):
     clear_memos()
     # 2^18 faces; then 2^16 faces, but d_8 is 12870 x 11440.  With no
-    # shelling the cone's apex link, the simplex, is eliminated
+    # shelling the cone's apex link, the simplex, is swept: the closure of
+    # its faces is built before its Betti numbers, so the larger cone trips
+    # the closure guard with no Betti lookup
     for size, match in ((18, "closure bound"), (16, "Betti guard")):
         simplex = SimplicialComplex([range(1, size + 1)])
         cone = SimplicialComplex([range(size + 1)])  # the apex 0 links the simplex
@@ -607,7 +608,7 @@ def test_guards_raise_on_every_repeat_call_and_cache_nothing(no_shelling):
             with pytest.raises(TooLargeError, match=match):
                 is_homology_manifold(cone)
     info = homology._betti.cache_info()
-    assert (info.currsize, info.misses) == (0, 12)
+    assert (info.currsize, info.misses) == (0, 9)
 
 
 def test_a_shellable_ball_meets_no_betti_guard_but_its_certificate_reads_the_closure():
@@ -634,6 +635,19 @@ def test_a_low_sphere_verdict_meets_no_guard():
     with pytest.raises(TooLargeError, match="Betti guard"):
         betti(sphere)
     assert is_homology_manifold(suspension(sphere))
+
+
+def test_a_sweep_past_the_betti_guard_asks_the_search_on_each_vertex_link():
+    # a disjoint union does not shell, as its facets are not strongly
+    # connected, so every vertex link is swept; the apex links of the
+    # suspension, the stacked 2-sphere past the Betti guard, are judged by
+    # the search alone, as is each other vertex link
+    sphere = suspension(stacked_sphere(3, 400))
+    shift = max(sphere.vertices) + 1
+    apart = [[v + shift for v in f] for f in simplex_boundary(4).facets]
+    cx = from_facets(list(sphere.facets) + apart)
+    assert not homology._shells(cx._masks[1], cx._mask_closure)[0]
+    assert is_homology_manifold(cx)
 
 
 def test_a_shellable_sphere_meets_no_guard():
@@ -913,19 +927,19 @@ def test_homology_sphere_sweeps_again_on_memo_hits_alone(monkeypatch, no_shellin
     assert (len(cx.faces()), cx.n_faces(0)) == (341, 10)
     linked = record_links(monkeypatch)
     clear_memos()
-    # cold: the complex's Betti numbers, then each vertex link's, then the
-    # links of their vertices, 3-dimensional, by Betti numbers, and of their
-    # edges, 2-dimensional, by the search.  Its 5 vertex links C5 * bd(3)
-    # have 9 vertices and 31 edges, and its 5 links S0 * bd(4) 7 and 20.
-    # The 6 order types of dimension 3 to 5 are eliminated once and the 3
-    # of dimension 2 searched once
+    # cold: the complex's Betti numbers, then one Betti lookup per nonempty
+    # face, each judged at its least vertex.  Every vertex link is
+    # 4-dimensional, so no search runs, and the 14 order types among the
+    # complex and its face links miss once
     assert is_homology_sphere(cx)
-    assert memo_counts() + search_counts() == (1 + 10 + 80, 6, 255, 3)
+    assert memo_counts() + search_counts() == (1 + 340, 14, 0, 0)
     swept = record_swept(monkeypatch)
     assert is_homology_sphere(cx)
     # warm: no verdict is kept, so the same sweep runs on memo hits alone
-    assert memo_counts() + search_counts() == (2 * 91, 6, 2 * 255, 3)
-    assert len(swept) == 10 + 80 + 255 and linked == []  # links are read as masks
+    assert memo_counts() + search_counts() == (2 * 341, 14, 0, 0)
+    assert len(swept) == 10 + 340 and linked == []  # links are read as masks
+    assert is_homology_manifold(cx)
+    assert memo_counts() == (2 * 341 + 340, 14)  # the manifold test: the faces alone
 
 
 def test_homology_manifold_rechecks_one_search_per_vertex(cycle_join, monkeypatch, no_shelling):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from scx import (
@@ -288,10 +290,11 @@ MOVES_AT_A_VERTEX = {
 
 @pytest.mark.parametrize("move", MOVES_AT_A_VERTEX.values(), ids=MOVES_AT_A_VERTEX)
 def test_a_move_at_an_absent_or_unhashable_vertex_is_refused_by_link(cycle_join, move):
-    # the presence rule of link: an unhashable vertex raised TypeError before
+    # the presence rule of link: an unhashable vertex raised TypeError before,
+    # and link reads its face by as_face
     with pytest.raises(FaceNotPresentError, match=r"^face \(99,\) is not in the complex$"):
         move(cycle_join, 99)
-    with pytest.raises(MalformedInputError, match="iterable of labels, got"):
+    with pytest.raises(MalformedInputError, match=r"^vertex labels must be .*, got \[0\]$"):
         move(cycle_join, [0])
 
 
@@ -345,11 +348,18 @@ def test_swartz_rejects_a_tau_off_the_vertices():
         oracle.swartz_operation_by_antistar(cycle(5), 0, (9,), check=False)
 
 
-@pytest.mark.parametrize("tau", [5, [[4], 5]], ids=["not-iterable", "unhashable-label"])
-def test_swartz_refuses_a_tau_that_is_no_face_by_the_presence_rule(cycle_join, tau):
-    # tau is read through _through, as in and link read a face: it raised
-    # TypeError from frozenset(tau) before
-    with pytest.raises(MalformedInputError, match="iterable of labels, got"):
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        (5, "expected an iterable of vertex labels, got 5"),
+        ([[4], 5], "vertex labels must be non-negative integers, got [4]"),
+    ],
+    ids=["not-iterable", "unhashable-label"],
+)
+def test_swartz_refuses_a_tau_that_is_no_face_by_the_presence_rule(cycle_join, tau, message):
+    # tau is read through _through, as in and link read a face (by as_face):
+    # it raised TypeError from frozenset(tau) before
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
         swartz_operation(cycle_join, 0, tau)
 
 

@@ -164,7 +164,7 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
     assert sorted(calls("_link")) == sorted(_uses("_link")) == [
         ("complexes.py", "_through"),
         ("homology.py", "_ball_sweep"),
-        ("homology.py", "_is_sphere_of_dim"),
+        ("homology.py", "_vertex_sweep"),
         ("homology.py", "_vertex_sweep"),
         ("homology.py", "is_normal_pseudomanifold"),
     ]
@@ -249,7 +249,8 @@ def test_only_the_closure_helper_enumerates_submasks():
     # one closure routine: the step x = (x - 1) & m, which walks the
     # submasks of m, appears in complexes._closure_masks alone, which the
     # complexes' bitmask closures, the Betti misses, the ball analyses and
-    # the shelling certificate of a sphere verdict share
+    # the manifold sweep (a vertex link's shelling certificate and its later
+    # faces) share
     def step(node):
         if not (
             isinstance(node, ast.Assign)
@@ -273,7 +274,7 @@ def test_only_the_closure_helper_enumerates_submasks():
         ("complexes.py", "_mask_closure"),
         ("homology.py", "_ball"),
         ("homology.py", "_betti"),
-        ("homology.py", "_is_sphere_of_dim"),
+        ("homology.py", "_vertex_sweep"),
     ]
 
 
@@ -478,7 +479,7 @@ def test_one_rule_reads_an_entry_past_the_end():
 
 def test_only_the_sphere_verdicts_try_a_shelling():
     # homology._shells shells a sphere or a ball from the facet masks: the
-    # sphere test and the sphere verdict of a link, the manifold test and
+    # sphere test, the manifold test and its sweep of the vertex links, and
     # the ball analysis consult it, each before any Betti number, and the
     # normal pseudomanifold test before its link sweep.  The search, memoised in
     # homology._shelling, reads no closure: it names no closure helper,
@@ -488,7 +489,7 @@ def test_only_the_sphere_verdicts_try_a_shelling():
     # included
     assert sorted(set(_uses("_shells"))) == [
         ("homology.py", "_ball"),
-        ("homology.py", "_is_sphere_of_dim"),
+        ("homology.py", "_vertex_sweep"),
         ("homology.py", "is_homology_manifold"),
         ("homology.py", "is_homology_sphere"),
         ("homology.py", "is_normal_pseudomanifold"),
@@ -511,19 +512,15 @@ def test_only_the_sphere_verdicts_try_a_shelling():
     assert len(reads) == 1 and reads[0].lineno > failed.end_lineno
 
 
-def test_no_homology_verdict_recurses_past_a_2_dimensional_link():
-    # a sphere verdict sweeps a link's face links in one pass: the only
-    # call chain in homology.py that comes back to a function is
-    # _is_sphere_of_dim's one call of itself, on a 2-dimensional face link,
-    # which returns after its search, before that call
+def test_no_homology_function_comes_back_to_itself():
+    # the call graph of the functions in homology.py has no cycle: each
+    # verdict sweeps its face links in one pass, with no recursion.  A
+    # function counts as called wherever its name is read, so one passed
+    # to map or functools.partial is an edge too
     tree = ast.parse((SOURCE / "homology.py").read_text())
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     callees = {
-        name: {
-            n.func.id
-            for n in ast.walk(node)
-            if isinstance(n, ast.Call) and getattr(n.func, "id", None) in functions
-        }
+        name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in functions}
         for name, node in functions.items()
     }
 
@@ -536,12 +533,8 @@ def test_no_homology_verdict_recurses_past_a_2_dimensional_link():
                 todo.extend(callees[callee])
         return name in seen
 
-    assert [name for name in functions if returns_to(name)] == ["_is_sphere_of_dim"]
-    verdict = functions["_is_sphere_of_dim"]
-    (own,) = [n for n in ast.walk(verdict) if isinstance(n, ast.Call) and _named(n.func, verdict.name)]
-    assert ast.unparse(own.args[1]) == "2"
-    (low,) = [n for n in verdict.body if isinstance(n, ast.If) and "dim < 3" in ast.unparse(n.test)]
-    assert isinstance(low.body[0], ast.Return) and low.end_lineno < own.lineno
+    assert "_vertex_sweep" in callees["is_homology_sphere"]
+    assert [name for name in functions if returns_to(name)] == []
 
 
 def test_every_homology_reader_takes_its_complex_by_one_rule():
