@@ -472,10 +472,11 @@ def _vertex_sweep(cx: SimplicialComplex, field) -> PredicateResult:
     vertices v of ``cx`` in sorted order, each face judged at its least
     vertex, with no recursion; the first v that fails is the witness.
 
-    The memoised search on lk(v) (:func:`_shells`, certified on the closure
-    of its order type) decides when it shells: lk(v) is a PL sphere if no
-    ridge lies in one facet and its facets have dim vertices, and else fails
-    (a PL ball, or of the wrong dimension).  Below link dimension 3 the
+    A v whose link is impure or has facets of other than dim vertices fails
+    at once.  Else the memoised search on lk(v) (:func:`_shells`, certified
+    on the closure of its order type) decides when it shells: lk(v) is a PL
+    sphere if no ridge lies in one facet, and else a PL ball.  Below link
+    dimension 3 the
     search also decides a failure alone (see the module docstring).
     Otherwise every face v + tau, tau a face of lk(v) on vertices after v,
     the empty face first, must have the Betti numbers of the sphere of
@@ -487,10 +488,12 @@ def _vertex_sweep(cx: SimplicialComplex, field) -> PredicateResult:
     d = cx.dim - 1  # the dimension of a sphere link
     for v, b in bit.items():  # in sorted vertex order
         lk = _link(masks, b)
+        if set(map(int.bit_count, lk)) != {d + 1}:  # no homology sphere is impure
+            return PredicateResult(False, (v,), "vertex link is not a homology sphere")
         key = _order_type(lk)
         shelled, ones = _shells(key, functools.partial(_closure_masks, key))
         if shelled or d < 3:
-            sphere = shelled and not ones and key[0].bit_count() == d + 1
+            sphere = shelled and not ones
         else:
             later = _closure_masks([m & -(b << 1) for m in lk])[0]  # tau, by size
             sphere = all(

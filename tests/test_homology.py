@@ -650,6 +650,20 @@ def test_a_sweep_past_the_betti_guard_asks_the_search_on_each_vertex_link():
     assert is_homology_manifold(cx)
 
 
+def test_an_impure_vertex_link_fails_before_any_search_or_betti_number():
+    # lk(0) is the suspension of a stacked 2-sphere on 150 vertices, past
+    # the Betti guard, plus the isolated point of the edge {0, x}: no
+    # homology sphere is impure, so vertex 0 fails with no link searched
+    s = suspension(suspension(stacked_sphere(3, 150)))
+    apex = max(s.vertices)
+    relabel = {v: 0 if v == apex else v + 1 for v in s.vertices}
+    cx = from_facets([[relabel[v] for v in f] for f in s.facets] + [[0, len(relabel)]])
+    assert not cx.link([0]).is_pure()
+    with pytest.raises(TooLargeError, match="Betti guard"):
+        betti(cx.link([0]))
+    assert is_homology_manifold(cx).witness == (0,)
+
+
 def test_a_shellable_sphere_meets_no_guard():
     # the suspension of a stacked 2-sphere on 150 vertices has d_2 with
     # 744 x 1,184 cells, past the Betti guard, which stopped its sphere
