@@ -1,12 +1,12 @@
 """Combinatorial isomorphism of small complexes by pruned backtracking.
 
-Vertices are first partitioned by cheap invariants (link face counts,
-neighbour classes), whose multisets alone refuse complexes with different
-f-vectors; the search then extends an injection vertex by vertex.  Each
-placed vertex must keep adjacency and non-adjacency to those placed before
-it, and each facet of the first complex, once its last vertex is placed,
-must land on a facet of the second.  Past ``ISOMORPHISM_GUARD`` candidate
-images tried, the search raises instead of running away.
+Vertices are first partitioned by invariants of the facet masks (facets
+through a vertex, its degree, its neighbours' classes); the search then
+extends an injection vertex by vertex.  Each placed vertex must keep
+adjacency and non-adjacency to those placed before it, and each facet of
+the first complex, once its last vertex is placed, must land on a facet of
+the second.  Past ``ISOMORPHISM_GUARD`` candidate images tried, the search
+raises instead of running away.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, _bits, _neighbourhoods
 from .errors import TooLargeError
-from .facevectors import _complex, _link_f_vectors
+from .facevectors import _complex
 
 #: Search nodes, one per candidate image tried, that one call may visit: 9x the most
 #: in the tests (175,119; 1,673 on the classify-distinct stream, 49 in ``run_all()``).
@@ -30,22 +30,27 @@ class IsoCertificate:
         return self.mapping is not None
 
 
-def _vertex_classes(cx: SimplicialComplex) -> dict:
-    """Vertex -> (link f-vector, its f_0 the degree; sorted neighbour classes),
-    read off the vertices' :func:`_neighbourhoods` by bit.  Summed over the
-    vertices, entry j counts j f_{j-1}: equal class multisets, equal f-vectors."""
+def _vertex_classes(cx: SimplicialComplex) -> tuple:
+    """(vertex -> (facets through it, its degree; sorted neighbour classes), the
+    :func:`_neighbourhoods` by bit), with no closure built.  Summed over the
+    vertices, the facets through a vertex give the facets' total size, so equal
+    class multisets give equal facet-size totals: an injective vertex map that
+    sends every facet of one complex to a facet of the other then covers all of
+    the other's facets, so any map the search returns is an isomorphism."""
     bit, masks = cx._masks
-    near, link_f = _neighbourhoods(masks), _link_f_vectors(cx)
-    base = {b: link_f[v] for v, b in bit.items()}
+    near = _neighbourhoods(masks)
+    base = {b: (len([m for m in masks if m & b]), n.bit_count() - 1) for b, n in near.items()}
     # one refinement round: append the sorted multiset of neighbour classes
-    return {v: (base[b], tuple(sorted(map(base.get, _bits(near[b] ^ b))))) for v, b in bit.items()}
+    return {
+        v: (base[b], tuple(sorted(map(base.get, _bits(near[b] ^ b))))) for v, b in bit.items()
+    }, near
 
 
 def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertificate:
     """Search for a vertex bijection sending facets to facets."""
     cx1, cx2, none = _complex(cx1), _complex(cx2), IsoCertificate(None)
-    cls1, cls2 = _vertex_classes(cx1), _vertex_classes(cx2)
-    if sorted(cls1.values()) != sorted(cls2.values()):  # the f-vectors differ, among others
+    (cls1, _), (cls2, nbrs2) = _vertex_classes(cx1), _vertex_classes(cx2)
+    if sorted(cls1.values()) != sorted(cls2.values()):  # e.g. the facet-size totals differ
         return none
     if not cx1.vertices:
         return IsoCertificate({})
@@ -56,8 +61,8 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
     }
     # rarest class first, then prefer vertices adjacent to already-placed ones.
     # closing[i] holds the facets whose last vertex is order[i]; the map is
-    # injective and the f-vectors agree, so once every facet lands on a facet
-    # of cx2, the image of cx1 is all of cx2
+    # injective and the facet-size totals agree, so once every facet lands on
+    # a facet of cx2, the image of cx1 is all of cx2
     order, closing = [], []
     remaining = set(cx1.vertices)
     while remaining:
@@ -67,8 +72,7 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
         order.append(v)
         remaining.discard(v)
         closing.append([f for f in cx1.facets if v in f and remaining.isdisjoint(f)])
-    bit, masks2 = cx2._masks
-    nbrs2 = _neighbourhoods(masks2)  # closed: u's own bit is never in ``used`` below
+    bit = cx2._masks[0]  # nbrs2 is closed: u's own bit is never in ``used`` below
     mapping, used, nodes = {}, 0, 0
     # stack[i] yields order[i]'s untried images; no recursion, so no depth limit
     stack = [iter(candidates[order[0]])]

@@ -44,9 +44,10 @@ def bistellar_neighbours(cx):
 
 
 def invariants(cx):
-    # the sorted vertex classes count the faces through each vertex by size,
-    # so they already imply the f-vector
-    return tuple(sorted(_vertex_classes(cx).values()))
+    # the sorted vertex classes give f_0, f_1 (the degrees) and the facets
+    # (the facets through each vertex), so they already imply the f-vector of
+    # a 3-sphere (Dehn-Sommerville)
+    return tuple(sorted(_vertex_classes(cx)[0].values()))
 
 
 def census():

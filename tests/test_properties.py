@@ -145,15 +145,21 @@ def test_macaulay_pseudopower_monotone(a, i):
 
 @given(facet_lists)
 def test_vertex_classes_count_link_faces(facets):
-    # a vertex's degree is f_0 of its link, so its class holds no degree
+    # rigidity and facevectors read the link f-vectors; the isomorphism
+    # classes keep two of their entries, read off the facets: the facets
+    # through a vertex (the link's facets) and its degree (the link's f_0)
     cx = from_facets(facets)
     adj = cx.adjacency()
     lk = {v: f_vector(cx.link([v])) for v in cx.vertices}
     assert all(lk[v][0] == len(adj[v]) for v in cx.vertices)
     lk_f = {v: f.entries for v, f in lk.items()}
     assert _link_f_vectors(cx) == lk_f
-    expected = {v: (lk_f[v], tuple(sorted(lk_f[u] for u in adj[v]))) for v in cx.vertices}
-    assert _vertex_classes(cx) == expected
+    base = {v: (sum(v in f for f in cx.facets), len(adj[v])) for v in cx.vertices}
+    expected = {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in cx.vertices}
+    classes, near = _vertex_classes(cx)
+    assert classes == expected
+    bit = cx._masks[0]
+    assert near == {bit[v]: bit[v] + sum(bit[u] for u in adj[v]) for v in cx.vertices}
 
 
 @example([0, 1, 3, 2, 6, 7, 5])

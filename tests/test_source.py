@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import functools
 from pathlib import Path
 
 import scx
@@ -20,9 +21,10 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+@functools.cache
 def _nodes():
     """(module, innermost enclosing function or None, node) of every node of
-    the package."""
+    the package, parsed once per session."""
     found = []
 
     def visit(node, where, module):
@@ -33,7 +35,7 @@ def _nodes():
 
     for path in sorted(SOURCE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), None, path.name)
-    return found
+    return tuple(found)
 
 
 def _named(node, name):
@@ -159,7 +161,6 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
         ("complexes.py", "detect_join"),
         ("homology.py", "skeleton_completion"),
         ("isomorphism.py", "_vertex_classes"),
-        ("isomorphism.py", "are_isomorphic"),
     ]
     assert sorted(calls("_link")) == sorted(_uses("_link")) == [
         ("complexes.py", "_through"),
@@ -175,6 +176,13 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
     ]
     assert adjacency == [("isomorphism.py", "are_isomorphic", "cx1.adjacency()")]
     assert _uses("adjacency") == [("isomorphism.py", "are_isomorphic")]
+
+
+def test_the_isomorphism_test_reads_no_closure():
+    # its vertex classes come from the facet masks and their neighbourhoods,
+    # so neither the link f-vectors nor a closure serve it
+    names = ("_link_f_vectors", "_mask_closure", "_closure_masks")
+    assert [where for name in names for where in _uses(name) if where[0] == "isomorphism.py"] == []
 
 
 #: the decorators that cache a function's results
