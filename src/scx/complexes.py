@@ -379,8 +379,8 @@ class SimplicialComplex:
 
 def _complex(cx) -> SimplicialComplex:
     """``cx`` if it is a complex, else ``MalformedInputError``: the one rule by
-    which the face-vector, homology and move readers take a complex, through
-    ``facevectors``, as ``h_from_f`` and ``f_from_h`` take their vectors."""
+    which every public callable takes a complex, as ``h_from_f`` and
+    ``f_from_h`` take their vectors."""
     if not isinstance(cx, SimplicialComplex):
         raise MalformedInputError(f"expected a SimplicialComplex, got {cx!r}")
     return cx
@@ -402,10 +402,7 @@ def join(cx1: SimplicialComplex, cx2: SimplicialComplex) -> SimplicialComplex:
     Every vertex v of ``cx2`` becomes v + max(V(cx1)) + 1, so output labels
     are deterministic and the factors stay disjoint.
     """
-    try:
-        (bit1, masks1), (bit2, masks2) = cx1._masks, cx2._masks
-    except AttributeError:
-        raise MalformedInputError(f"join takes two complexes, got {cx1!r} and {cx2!r}") from None
+    (bit1, masks1), (bit2, masks2) = _complex(cx1)._masks, _complex(cx2)._masks
     shift, n1 = max(bit1, default=-1) + 1, len(bit1)
     labels = [*bit1, *(v + shift for v in bit2)]
     return SimplicialComplex._of_masks(labels, [a | b << n1 for a in masks1 for b in masks2])

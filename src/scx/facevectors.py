@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import SimplicialComplex, _complex
+from .complexes import SimplicialComplex, _complex, _items
 from .errors import InternalCheckError, MalformedInputError, PreconditionError, _index
 
 
@@ -206,10 +206,7 @@ def macaulay_pseudopower(a: int, i: int) -> int:
 def is_m_sequence(seq) -> bool:
     """Whether seq = (a_0, a_1, ...) satisfies a_0 = 1, a_i >= 0 and
     a_{k+1} <= a_k^<k> for every k >= 1."""
-    try:
-        seq = tuple(_index(a, "seq entry") for a in seq)
-    except TypeError:
-        raise MalformedInputError(f"seq must be an iterable of integers, got {seq!r}") from None
+    seq = [_index(a, "seq entry") for a in _items(seq, "integers")]
     if not seq or seq[0] != 1:
         return False
     if any(x < 0 for x in seq):

@@ -98,8 +98,11 @@ def stacked_sphere_with_ridge(d: int, n: int):
     0..d-2, and the path uses labels d-1..n-1.
     """
     d, n = _index(d, "d"), _index(n, "n")
+    if d < 1:
+        raise PreconditionError("need d >= 1")
     if n < d + 1:
         raise PreconditionError("need n >= d + 1")
+    _guard_closure(2 + (n - d) * (d - 1), d)
     ridge = tuple(range(d - 1))
     path = list(range(d - 1, n))
     facets = [ridge + (path[0],), ridge + (path[-1],)]

@@ -76,16 +76,6 @@ def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def _sampling_integer(value, name: str) -> int:
-    """``value`` if it is an ``int`` and not a ``bool``, else
-    ``PreconditionError``: the one rule by which a sampling seed and trial
-    count are read, where ``random.Random`` would take any hashable seed and
-    a string seed would be repeated a million times over in the trial seed."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise PreconditionError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def random_embedding(graph, d: int, seed: int = 0, bound: int = DEFAULT_COORD_BOUND) -> Embedding:
     """Integer coordinates drawn uniformly from [-bound, bound], per seed.
 
@@ -94,9 +84,11 @@ def random_embedding(graph, d: int, seed: int = 0, bound: int = DEFAULT_COORD_BO
     while a trial misses rank r with probability at most r / (2*2^16 + 1)
     (Schwartz-Zippel).
     """
-    d, bound, seed = _index(d, "d"), _index(bound, "bound"), _sampling_integer(seed, "seed")
+    d, bound, seed = _index(d, "d"), _index(bound, "bound"), _index(seed, "seed")
     if d < 1:
         raise PreconditionError("embedding dimension must be >= 1")
+    if bound < 0:
+        raise PreconditionError("coordinate bound must be >= 0")
     g = _as_graph(graph)
     rng = random.Random(seed)
     coords = {
@@ -165,7 +157,7 @@ def _samples(g: Graph, d: int, trials: int, seed: int, field):
     the frame.  On a matrix below the bound every column is read, and the
     rank is the same in any order.
     """
-    seed, trials = _sampling_integer(seed, "seed"), _sampling_integer(trials, "trials")
+    seed, trials = _index(seed, "seed"), _index(trials, "trials")
     if trials < 1:
         raise PreconditionError("need at least one trial")
     # validated once: its primality test costs about 3-5% of one rank mod p on

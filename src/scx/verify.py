@@ -73,12 +73,8 @@ class Scale:
     trials: int = 3
 
     def __post_init__(self):
-        # the bounds are stored as read; seed and trials keep their value for
-        # the sampler's own bool rule (rigidity._samples)
         for name, value in vars(self).items():
-            read = _index(value, name)
-            if name not in ("seed", "trials"):
-                setattr(self, name, read)
+            setattr(self, name, _index(value, name))
 
 
 @dataclass
@@ -660,7 +656,7 @@ def statement_ids() -> list:
 
 
 def run_statement(statement: str, scale: Scale | None = None) -> VerificationReport:
-    if statement not in _REGISTRY:
+    if not isinstance(statement, str) or statement not in _REGISTRY:
         raise UnknownStatementError(
             f"unknown statement {statement!r}; known: {', '.join(_REGISTRY)}"
         )

@@ -1,14 +1,16 @@
 """Every integer argument is read once, where it enters the package, by one
 rule (``errors._index``): a value that is not an integer is refused with
 ``MalformedInputError`` naming the parameter, before any other test, and an
-integer, ``bool`` included, reads as it did before the rule.  The
-face-vector and homology readers take their complex by one rule as well
-(``facevectors._complex``)."""
+integer, ``bool`` included, reads as it did before the rule.  Every public
+callable takes its complex by one rule as well (``complexes._complex``)."""
 
+import dataclasses
+import inspect
 import re
 
 import pytest
 
+import scx
 from scx import (
     MalformedInputError,
     PreconditionError,
@@ -32,6 +34,7 @@ from scx import (
     g2,
     g2_one_family,
     g2_two_catalog,
+    g2_via_rigidity,
     g3,
     g_vector,
     generic_rank,
@@ -46,6 +49,7 @@ from scx import (
     is_normal_pseudomanifold,
     is_r_stacked_ball,
     is_simplex_boundary,
+    join,
     link_g_sum,
     load_complex,
     load_fixture,
@@ -78,6 +82,7 @@ BD4 = simplex_boundary(4)
 BALL = BD4.star([0])  # a 3-ball
 FACET = min(BD4.facets, key=sorted)
 STACKED = stacked_sphere(4, 7)
+CYCLE_JOIN = join(cycle(4), simplex_boundary(2))  # g2 = 1: one stress
 
 #: (call of the value, the parameter's name, whether None is its default)
 PARAMETERS = [
@@ -107,9 +112,19 @@ PARAMETERS = [
      "k", False),
     ("random_embedding(d)", lambda x: random_embedding(skeleton_graph(BD4), x), "d", False),
     ("random_embedding(bound)", lambda x: random_embedding(BD4, 2, bound=x), "bound", False),
+    ("random_embedding(seed)", lambda x: random_embedding(BD4, 2, seed=x), "seed", False),
     ("generic_rank(d)", lambda x: generic_rank(BD4, x), "d", False),
+    ("generic_rank(seed)", lambda x: generic_rank(BD4, 4, seed=x), "seed", False),
+    ("generic_rank(trials)", lambda x: generic_rank(BD4, 4, trials=x), "trials", False),
     ("generic_rank_trials(d)", lambda x: generic_rank_trials(BD4, x), "d", False),
+    ("generic_rank_trials(seed)", lambda x: generic_rank_trials(BD4, 4, seed=x), "seed", False),
+    ("generic_rank_trials(trials)", lambda x: generic_rank_trials(BD4, 4, trials=x), "trials",
+     False),
+    ("g2_via_rigidity(seed)", lambda x: g2_via_rigidity(CYCLE_JOIN, seed=x), "seed", False),
+    ("g2_via_rigidity(trials)", lambda x: g2_via_rigidity(CYCLE_JOIN, trials=x), "trials", False),
     ("stress_basis(d)", lambda x: stress_basis(BD4, d=x), "d", True),
+    ("stress_basis(seed)", lambda x: stress_basis(CYCLE_JOIN, seed=x), "seed", False),
+    ("stress_basis(trials)", lambda x: stress_basis(CYCLE_JOIN, trials=x), "trials", False),
     ("Scale(dmax)", lambda x: Scale(dmax=x), "dmax", False),
     ("Scale(f0max)", lambda x: Scale(f0max=x), "f0max", False),
     ("Scale(cycle_max)", lambda x: Scale(cycle_max=x), "cycle_max", False),
@@ -125,13 +140,21 @@ CASES = [
 ] + [
     # r itself, not r - 1 as the completion's face dimension
     pytest.param(lambda x: inverse_stellar(STACKED, 6, r=x), "r", 2.0, id="inverse_stellar(r)=2.0")
+] + [
+    pytest.param(call, "trials", value, id=f"{label}(trials)={value!r}")
+    for label, call in (
+        ("stress_basis", lambda x: stress_basis(CYCLE_JOIN, trials=x)),
+        ("g2_via_rigidity", lambda x: g2_via_rigidity(CYCLE_JOIN, trials=x)),
+    )
+    for value in ("3", 2.0)
 ]
 
 
 @pytest.mark.parametrize("call, name, value", CASES)
 def test_a_non_integer_is_refused_under_its_parameters_name(call, name, value):
     # each raised TypeError from its first comparison, or a later refusal
-    # under another name (inverse_stellar's r = 2.0 as "face dimension" 1.0)
+    # under another name (inverse_stellar's r = 2.0 as "face dimension" 1.0);
+    # the samplers' seed and trials raised PreconditionError
     message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
         call(value)
@@ -139,7 +162,7 @@ def test_a_non_integer_is_refused_under_its_parameters_name(call, name, value):
 
 @pytest.mark.parametrize("seq", [5, 1.5, None])
 def test_is_m_sequence_refuses_a_sequence_that_is_not_iterable(seq):
-    message = f"^seq must be an iterable of integers, got {seq}$"
+    message = f"^expected an iterable of integers, got {seq}$"
     with pytest.raises(MalformedInputError, match=message):
         is_m_sequence(seq)
 
@@ -168,30 +191,44 @@ class Four:
         (lambda x: boundary_matrix(BD4, x), 1, True),
         (lambda x: missing_face_identity_sides(BD4, (0, 1), x), 1, True),
         (lambda x: random_embedding(BD4, 2, bound=x), 1, True),
+        (lambda x: random_embedding(BD4, 2, seed=x), 1, True),
         (lambda x: generic_rank(BD4, x), 4, Four()),
+        (lambda x: generic_rank_trials(BD4, 4, trials=x, seed=x), 4, Four()),
+        (lambda x: g2_via_rigidity(CYCLE_JOIN, trials=x, seed=x), 1, True),
         (lambda x: stress_basis(BD4, d=x).vectors, 4, Four()),
+        (lambda x: stress_basis(CYCLE_JOIN, trials=x, seed=x), 1, True),
         (lambda x: [e.name for e in standard_catalog(x, 8, 5)], 4, Four()),
-        (lambda x: Scale(dmax=x, f0max=x, cycle_max=x), 4, Four()),
+        (lambda x: Scale(dmax=x, f0max=x, cycle_max=x, seed=x, trials=x), 4, Four()),
+        (lambda x: Scale(seed=x, trials=x), 1, True),
     ],
 )
 def test_bools_and_index_types_read_as_their_integers(call, integer, other):
     # a bool reads as it did before the rule; a type with __index__, once a
-    # TypeError, now reads as the integer it declares
+    # TypeError, now reads as the integer it declares; the samplers refused
+    # both as a seed or trial count
     assert call(other) == call(integer)
 
 
 def test_an_integer_out_of_range_is_refused_as_before():
-    for call in (lambda: cycle(False), lambda: is_r_stacked_ball(BALL, -1)):
+    # a negative coordinate bound raised ValueError from randrange
+    for call in (
+        lambda: cycle(False),
+        lambda: is_r_stacked_ball(BALL, -1),
+        lambda: random_embedding(BD4, 2, bound=-1),
+        lambda: stress_basis(CYCLE_JOIN, trials=False),
+        lambda: g2_via_rigidity(CYCLE_JOIN, trials=False),
+    ):
         with pytest.raises(PreconditionError):
             call()
     assert is_m_sequence((True, 3, 6)) and not is_m_sequence((True, 3, 7))
 
 
-def test_a_scale_stores_its_bounds_as_integers_and_its_sampling_as_given():
-    # the sampling rule refuses a bool seed later, under its own name
-    assert Scale(seed=True, trials=Four()).seed is True
-    assert type(Scale(dmax=True, f0max=Four(), cycle_max=Four()).f0max) is int
+def test_a_scale_stores_every_field_as_an_integer():
+    scale = Scale(dmax=True, f0max=Four(), cycle_max=Four(), seed=True, trials=Four())
+    assert [type(value) for value in vars(scale).values()] == [int] * 5
+    assert (scale.seed, scale.trials) == (1, 4)
     assert Scale() == Scale(6, 14, 8, 0, 3)
+    assert all(report.passed for report in run_all(Scale(seed=True)))
 
 
 FACE_VECTOR_READERS = [f_vector, h_vector, g_vector, extended_g, g1, g2, g3, reduced_euler]
@@ -254,6 +291,8 @@ OTHER_READERS = {
     "crtr_missing_faces_check": lambda x: crtr_missing_faces_check(x, (0, 1)),
     "missing_face_identity_sides": lambda x: missing_face_identity_sides(x, (0, 1), 1),
     "skeleton_graph": skeleton_graph,
+    "join": lambda x: join(x, BD4),
+    "join second": lambda x: join(BD4, x),
     "vertex_participation": vertex_participation,
     "write_scx_text": write_scx_text,
     "write_scx": lambda x: write_scx(x, "never-written.scx"),
@@ -339,3 +378,134 @@ def test_a_face_is_read_as_as_face_reads_it(reader, face):
         as_face(face)
     with pytest.raises(MalformedInputError, match=f"^{re.escape(str(refused.value))}$"):
         FACE_READERS[reader](face)
+
+
+def _fields(record) -> dict:
+    """The constructor arguments that rebuild a dataclass ``record``."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+SMALL = Scale(dmax=4, f0max=8, cycle_max=5)
+EMBEDDING = random_embedding(BD4, 4)
+
+#: valid arguments of every callable that ``scx/__init__.py`` imports, by
+#: parameter name; a parameter left out takes its default
+VALID = {
+    "SimplicialComplex": {"faces": BD4.facets},
+    "Scale": {},
+    "are_isomorphic": {"cx1": BD4, "cx2": BD4},
+    "as_face": {"vertices": (0, 1)},
+    "ball_boundary": {"cx": BALL},
+    "barnette_sphere": {},
+    "betti": {"cx": BD4},
+    "boundary_matrix": {"cx": BD4, "k": 1},
+    "central_retriangulation": {"cx": BD4, "ball": BALL},
+    "chain_complex": {"cx": BD4},
+    "connected_sum": {"cx1": BD4, "facet1": FACET, "cx2": BD4, "facet2": FACET},
+    "cross_polytope_boundary": {"d": 3},
+    "crtr_missing_faces_check": {"cx": BD4, "tau": (0, 1)},
+    "cycle": {"n": 4},
+    "detect_join": {"cx": CYCLE_JOIN},
+    "extended_g": {"cx": BD4},
+    "f_from_h": {"h": h_vector(BD4)},
+    "f_vector": {"cx": BD4},
+    "from_faces": {"faces": BD4.facets},
+    "from_facets": {"facets": BD4.facets},
+    "g1": {"cx": BD4},
+    "g2": {"cx": BD4},
+    "g2_one_family": {"d": 4, "variant": "join", "param": 2},
+    "g2_two_catalog": {"d": 4, "kind": "octahedral"},
+    "g2_via_rigidity": {"cx": CYCLE_JOIN},
+    "g3": {"cx": BD4},
+    "g_vector": {"cx": BD4},
+    "generic_rank": {"graph": BD4, "d": 4},
+    "generic_rank_trials": {"graph": BD4, "d": 4},
+    "h_from_f": {"f": f_vector(BD4)},
+    "h_vector": {"cx": BD4},
+    "interior_faces": {"cx": BALL},
+    "inverse_stellar": {"cx": STACKED, "v": 6},
+    "is_homology_ball": {"cx": BALL},
+    "is_homology_manifold": {"cx": BD4},
+    "is_homology_sphere": {"cx": BD4},
+    "is_m_sequence": {"seq": (1, 3, 6)},
+    "is_normal_pseudomanifold": {"cx": BD4},
+    "is_r_stacked_ball": {"cx": BALL, "r": 1},
+    "is_simplex_boundary": {"cx": BD4},
+    "join": {"cx1": BD4, "cx2": BD4},
+    "link_g_sum": {"cx": BD4, "k": 1},
+    "link_monotonicity_check": {"cx": BD4},
+    "load_complex": {"path": "bd4.scx"},
+    "load_fixture": {"path": "bd4.scx"},
+    "macaulay_pseudopower": {"a": 3, "i": 2},
+    "missing_face_identity_sides": {"cx": BD4, "tau": (0, 1), "k": 1},
+    "random_embedding": {"graph": BD4, "d": 4},
+    "read_scx": {"path": "bd4.scx"},
+    "read_scx_text": {"text": "0 1\n1 2\n0 2\n"},
+    "reduced_euler": {"cx": BD4},
+    "rigidity_matrix": {"graph": BD4, "embedding": EMBEDDING},
+    # run_all and run_statement read None as the default scale
+    "run_all": {"scale": SMALL},
+    "run_statement": {"statement": "Lemma2.2", "scale": SMALL},
+    "simplex_boundary": {"d": 3},
+    "skeleton_completion": {"cx": BD4, "i": 1},
+    "skeleton_graph": {"cx": BD4},
+    "stack_over_facet": {"cx": BD4, "facet": FACET},
+    "stacked_sphere": {"d": 4, "n": 7},
+    "stacked_sphere_with_ridge": {"d": 4, "n": 7},
+    "standard_catalog": {"dmax": 4, "f0max": 8, "cycle_max": 5},
+    "statement_ids": {},
+    "stress_basis": {"cx": CYCLE_JOIN},
+    "suspension": {"cx": BD4},
+    # (4, 5, 6) is a missing facet of the link of 0 in C4 * bd(triangle)
+    "swartz_all": {"cx": CYCLE_JOIN, "v": 0},
+    "swartz_operation": {"cx": CYCLE_JOIN, "v": 0, "tau": (4, 5, 6)},
+    "vertex_participation": {"cx": CYCLE_JOIN},
+    "write_complex": {"cx": BD4, "path": "out.scx"},
+    "write_scx": {"cx": BD4, "path": "out.scx"},
+    "write_scx_text": {"cx": BD4},
+    # records: the fields of one result each
+    "BettiProfile": _fields(betti(BD4)),
+    "BoundaryMatrix": _fields(boundary_matrix(BD4, 1)),
+    "CatalogEntry": _fields(g2_one_family(4, "join", 2)),
+    "Embedding": _fields(EMBEDDING),
+    "FVector": _fields(f_vector(BD4)),
+    "GVector": _fields(g_vector(BD4)),
+    "Graph": _fields(skeleton_graph(BD4)),
+    "HVector": _fields(h_vector(BD4)),
+    "IsoCertificate": _fields(are_isomorphic(BD4, BD4)),
+    "PredicateResult": _fields(is_homology_sphere(BD4)),
+    "RetriangulationRecord": _fields(central_retriangulation(BD4, BALL)[1]),
+    "RigidityMatrix": _fields(rigidity_matrix(BD4, EMBEDDING)),
+    "StackedBallCertificate": _fields(is_r_stacked_ball(BALL, 1)),
+    "StressBasis": _fields(stress_basis(CYCLE_JOIN)),
+    "VerificationReport": {"statement": "Lemma2.2", "claim": "", "instances": 1, "passes": 1},
+}
+
+#: what every parameter is given in turn; no huge integer, since a trial
+#: count or a dimension is a loop bound, not malformed input
+SWEEP = ["a", 1.5, None, -1, True, [], [[0, 0]], object(), CYCLE_JOIN, 5]
+
+
+def test_every_public_callable_returns_or_raises_an_scx_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_complex(BD4, "bd4.scx")
+    public = {
+        name: obj
+        for name, obj in vars(scx).items()
+        if callable(obj) and not name.startswith("_")
+        and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    }
+    assert sorted(public) == sorted(VALID)
+    escaped = []
+    for name, obj in public.items():
+        for param in inspect.signature(obj).parameters:
+            for value in SWEEP:
+                if name in ("run_all", "run_statement") and param == "scale" and value is None:
+                    continue  # the default scale: a whole run, not malformed input
+                try:
+                    obj(**{**VALID[name], param: value})
+                except scx.ScxError:
+                    pass
+                except Exception as exc:  # what escapes is the finding
+                    escaped.append(f"{name}({param}={value!r}): {type(exc).__name__}: {exc}")
+    assert escaped == []

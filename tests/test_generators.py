@@ -61,6 +61,8 @@ def test_parameter_validation():
     "call, message",
     [
         (lambda: stacked_sphere_with_ridge(4, 4), "need n >= d + 1"),
+        # before the closure bound, whose shift by a negative d would raise ValueError
+        (lambda: stacked_sphere_with_ridge(-1, 4), "need d >= 1"),
         (lambda: g2_one_family(3, "cycle", 4), "cycle variant needs d >= 4"),
         (lambda: g2_one_family(4, "wedge", 4), "unknown variant 'wedge'"),
         (lambda: g2_two_catalog(4, "triple_join"), "triple join needs d >= 5"),
@@ -68,7 +70,7 @@ def test_parameter_validation():
         (lambda: g2_two_catalog(4, "crtr_ridge", 3), "crtr_ridge variant needs d = 4 and n >= 4"),
         (lambda: g2_two_catalog(4, "crtr_ridge"), "crtr_ridge variant needs d = 4 and n >= 4"),
     ],
-    ids=["ridge-n", "cycle-d", "variant", "triple-d", "crtr-d", "crtr-n", "crtr-none"],
+    ids=["ridge-n", "ridge-d", "cycle-d", "variant", "triple-d", "crtr-d", "crtr-n", "crtr-none"],
 )
 def test_family_parameters_out_of_range_are_refused(call, message):
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
@@ -133,12 +135,17 @@ def test_a_stacked_sphere_on_2000_vertices_takes_under_2_seconds():
 
 def test_generators_check_the_closure_guard_first(monkeypatch):
     monkeypatch.setattr(complexes, "CLOSURE_GUARD", 2**10)
+
+    def with_ridge(d, n):
+        return stacked_sphere_with_ridge(d, n)[0]
+
     # each first call's closure bound is at most the guard, the next one's over it
     for build, fits, over in (
         (simplex_boundary, (7,), (8,)),
         (cycle, (256,), (257,)),
         (cross_polytope_boundary, (5,), (6,)),
         (stacked_sphere, (3, 66), (3, 67)),
+        (with_ridge, (3, 66), (3, 67)),
     ):
         assert build(*fits).faces()
         with pytest.raises(TooLargeError, match="closure bound"):
@@ -149,6 +156,7 @@ def test_generators_check_the_closure_guard_first(monkeypatch):
         (cycle, (10**12,)),
         (cross_polytope_boundary, (10**9,)),
         (stacked_sphere, (3, 10**12)),
+        (with_ridge, (3, 10**12)),
     ):
         with pytest.raises(TooLargeError, match="closure bound"):
             build(*params)

@@ -572,3 +572,35 @@ def test_every_homology_reader_takes_its_complex_by_one_rule():
     ]
     for node in readers:
         assert [n for n in ast.walk(node) if _named(n, "_complex")], node.name
+
+
+def test_one_rule_per_kind_of_argument():
+    # a bool is refused only as a vertex label; every integer argument reads
+    # a bool by errors._index, so no other isinstance test names bool
+    bool_tests = [
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Call) and _named(node.func, "isinstance")
+        and any(_named(n, "bool") for arg in node.args[1:] for n in ast.walk(arg))
+    ]
+    assert bool_tests == [("complexes.py", "as_face")]
+    # an integer, an iterable, the faces of a complex and a path are each
+    # refused by one reader that turns a caught TypeError or AttributeError
+    # into MalformedInputError; join and is_m_sequence had their own
+    converters = [
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(_named(n, "TypeError") or _named(n, "AttributeError") for n in ast.walk(node.type))
+        and any(
+            isinstance(n, ast.Raise) and n.exc is not None
+            and any(_named(m, "MalformedInputError") for m in ast.walk(n.exc))
+            for n in ast.walk(node)
+        )
+    ]
+    assert sorted(converters) == [
+        ("complexes.py", "__init__"),
+        ("complexes.py", "_items"),
+        ("errors.py", "_index"),
+        ("fileio.py", "_path"),
+    ]

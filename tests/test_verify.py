@@ -36,6 +36,9 @@ def test_registry_contents():
 def test_unknown_statement():
     with pytest.raises(UnknownStatementError):
         run_statement("Lemma9.9")
+    # an unhashable id raised TypeError from the registry lookup
+    with pytest.raises(UnknownStatementError):
+        run_statement([])
 
 
 def test_cheap_statements_pass():
