@@ -95,9 +95,10 @@ def _link_f_vectors(cx: SimplicialComplex) -> dict:
 def h_from_f(f: FVector) -> HVector:
     if not isinstance(f, FVector):
         raise MalformedInputError(f"expected an FVector, got {f!r}")
-    d = f.d
+    fs = [_index(x, "f-vector entry") for x in _items(f.entries, "integers")]
+    d = len(fs) - 1
     entries = tuple(
-        sum((-1) ** (j - i) * comb(d - i, j - i) * f.entries[i] for i in range(j + 1))
+        sum((-1) ** (j - i) * comb(d - i, j - i) * fs[i] for i in range(j + 1))
         for j in range(d + 1)
     )
     return HVector(entries, impure=f.impure)
@@ -106,10 +107,9 @@ def h_from_f(f: FVector) -> HVector:
 def f_from_h(h: HVector) -> FVector:
     if not isinstance(h, HVector):
         raise MalformedInputError(f"expected an HVector, got {h!r}")
-    d = h.d
-    entries = tuple(
-        sum(comb(d - i, j - i) * h.entries[i] for i in range(j + 1)) for j in range(d + 1)
-    )
+    hs = [_index(x, "h-vector entry") for x in _items(h.entries, "integers")]
+    d = len(hs) - 1
+    entries = tuple(sum(comb(d - i, j - i) * hs[i] for i in range(j + 1)) for j in range(d + 1))
     return FVector(entries, impure=h.impure)
 
 

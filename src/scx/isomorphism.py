@@ -2,11 +2,11 @@
 
 Vertices are first partitioned by invariants of the facet masks (facets
 through a vertex, its degree, its neighbours' classes); the search then
-extends an injection vertex by vertex.  Each placed vertex must keep
-adjacency and non-adjacency to those placed before it, and each facet of
-the first complex, once its last vertex is placed, must land on a facet of
-the second.  Past ``ISOMORPHISM_GUARD`` candidate images tried, the search
-raises instead of running away.
+extends an injection of vertex bits, labelled only in the certificate.  Each
+placed vertex must keep adjacency and non-adjacency to those placed before
+it, and each facet mask of the first complex, once its last vertex is placed,
+must land on one of the second.  Past ``ISOMORPHISM_GUARD`` candidate images
+tried, the search raises instead of running away.
 """
 
 from __future__ import annotations
@@ -49,61 +49,58 @@ def _vertex_classes(cx: SimplicialComplex) -> tuple:
 def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertificate:
     """Search for a vertex bijection sending facets to facets."""
     cx1, cx2, none = _complex(cx1), _complex(cx2), IsoCertificate(None)
-    (cls1, _), (cls2, nbrs2) = _vertex_classes(cx1), _vertex_classes(cx2)
+    (cls1, near1), (cls2, near2) = _vertex_classes(cx1), _vertex_classes(cx2)
     if sorted(cls1.values()) != sorted(cls2.values()):  # e.g. the facet-size totals differ
         return none
-    if not cx1.vertices:
+    (bit1, masks1), (bit2, masks2) = cx1._masks, cx2._masks
+    if not bit1:
         return IsoCertificate({})
-    adj1 = cx1.adjacency()
-    candidates = {
-        v: sorted(u for u in cx2.vertices if cls2[u] == cls1[v])
-        for v in cx1.vertices
-    }
-    # rarest class first, then prefer vertices adjacent to already-placed ones.
-    # closing[i] holds the facets whose last vertex is order[i]; the map is
-    # injective and the facet-size totals agree, so once every facet lands on
-    # a facet of cx2, the image of cx1 is all of cx2
-    order, closing = [], []
-    remaining = set(cx1.vertices)
-    while remaining:
-        placed = set(order)
-        pool = [v for v in remaining if adj1[v] & placed] or list(remaining)
-        v = min(pool, key=lambda v: (len(candidates[v]), v))
-        order.append(v)
-        remaining.discard(v)
-        closing.append([f for f in cx1.facets if v in f and remaining.isdisjoint(f)])
-    bit = cx2._masks[0]  # nbrs2 is closed: u's own bit is never in ``used`` below
-    mapping, used, nodes = {}, 0, 0
+    candidates = {b: [bit2[u] for u, c in cls2.items() if c == cls1[v]] for v, b in bit1.items()}
+    # rarest class first, then prefer vertices adjacent to already-placed ones;
+    # bit order is label order.  prior[i] holds the depths of order[i]'s placed
+    # neighbours, closing[i] those of each facet whose last vertex is order[i]:
+    # the map is injective and the facet-size totals agree, so once every
+    # facet lands on a facet of cx2, the image of cx1 is all of cx2
+    order, prior, closing, depth, placed = [], [], [], {}, 0
+    while len(order) < len(bit1):
+        left = [c for c in bit1.values() if not c & placed]
+        pool = [c for c in left if near1[c] & placed] or left
+        b = min(pool, key=lambda c: (len(candidates[c]), c))
+        prior.append([depth[c] for c in _bits(near1[b] & placed)])
+        depth[b], placed = len(order), placed | b
+        order.append(b)
+        closing.append([[depth[c] for c in _bits(m)] for m in masks1 if m & b and m & placed == m])
+    facets2 = set(masks2)  # near2 is closed: u's own bit is never in ``used`` below
+    image, used, nodes = [], 0, 0  # order[i] goes to the bit image[i]
     # stack[i] yields order[i]'s untried images; no recursion, so no depth limit
     stack = [iter(candidates[order[0]])]
     while stack:
         i = len(stack) - 1
-        v = order[i]
-        if v in mapping:  # back from a dead end
-            used ^= bit[mapping.pop(v)]
-        # the placed neighbours of v's image must be the images of v's: this
-        # prunes long before a facet closes when cx1 is not neighborly
-        want = sum(bit[mapping[w]] for w in adj1[v] if w in mapping)
+        if len(image) > i:  # back from a dead end
+            used ^= image.pop()
+        # the placed neighbours of the image must be the images of order[i]'s:
+        # this prunes long before a facet closes when cx1 is not neighborly
+        want = sum(image[j] for j in prior[i])
         for u in stack[-1]:
-            b = bit[u]
-            if used & b:
+            if used & u:
                 continue
             nodes += 1
             if nodes > ISOMORPHISM_GUARD:
                 raise TooLargeError(
                     f"search exceeds the isomorphism guard ({ISOMORPHISM_GUARD} nodes)"
                 )
-            if nbrs2[b] & used != want:
+            if near2[u] & used != want:
                 continue
-            mapping[v] = u
-            if all(frozenset(map(mapping.get, f)) in cx2.facets for f in closing[i]):
+            image.append(u)
+            if all(sum(image[j] for j in f) in facets2 for f in closing[i]):
                 break
-            del mapping[v]
+            image.pop()
         else:
             stack.pop()
             continue
-        used |= b
+        used |= u
         if i + 1 == len(order):
-            return IsoCertificate(dict(mapping))
+            label1, label2 = ({b: v for v, b in bit.items()} for bit in (bit1, bit2))
+            return IsoCertificate({label1[b]: label2[u] for b, u in zip(order, image)})
         stack.append(iter(candidates[order[i + 1]]))
     return none

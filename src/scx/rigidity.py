@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 
 from . import exact
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _items, as_face
 from .errors import (
     InternalCheckError, MalformedInputError, PreconditionError, TooLargeError, _index
 )
@@ -41,12 +41,30 @@ def skeleton_graph(cx: SimplicialComplex) -> Graph:
     return Graph(tuple(sorted(_complex(cx).vertices)), cx.edges())
 
 
+def _vertices(obj) -> tuple:
+    """The vertices of a complex's 1-skeleton, or of a Graph, read as distinct
+    labels by :func:`as_face`; anything else is refused."""
+    if isinstance(obj, SimplicialComplex):
+        return tuple(sorted(obj.vertices))
+    if not isinstance(obj, Graph):
+        raise MalformedInputError(f"expected a Graph or SimplicialComplex, got {type(obj)!r}")
+    vertices = _items(obj.vertices, "vertex labels")
+    as_face(vertices)
+    return vertices
+
+
 def _as_graph(obj) -> Graph:
-    if isinstance(obj, Graph):
-        return obj
+    """The 1-skeleton of a complex, or a Graph read where it enters: its
+    :func:`_vertices`, and each edge two of them, by :func:`as_face`."""
     if isinstance(obj, SimplicialComplex):
         return skeleton_graph(obj)
-    raise PreconditionError(f"expected a Graph or SimplicialComplex, got {type(obj)!r}")
+    vertices = _vertices(obj)
+    labels = frozenset(vertices)
+    edges = tuple(_items(e, "vertex labels") for e in _items(obj.edges, "edges"))
+    for e in edges:
+        if len(as_face(e)) != 2 or not labels.issuperset(e):
+            raise MalformedInputError(f"an edge is two of the graph's vertices, got {e!r}")
+    return Graph(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -89,11 +107,9 @@ def random_embedding(graph, d: int, seed: int = 0, bound: int = DEFAULT_COORD_BO
         raise PreconditionError("embedding dimension must be >= 1")
     if bound < 0:
         raise PreconditionError("coordinate bound must be >= 0")
-    g = _as_graph(graph)
+    vertices = _vertices(graph)  # the edges are not read
     rng = random.Random(seed)
-    coords = {
-        v: tuple(rng.randint(-bound, bound) for _ in range(d)) for v in g.vertices
-    }
+    coords = {v: tuple(rng.randint(-bound, bound) for _ in range(d)) for v in vertices}
     return Embedding(coords, d, seed)
 
 
@@ -121,13 +137,22 @@ def rigidity_matrix(graph, embedding: Embedding) -> RigidityMatrix:
     in u's column block and the negation in v's block."""
     if not isinstance(embedding, Embedding):
         raise MalformedInputError(f"expected an Embedding, got {embedding!r}")
-    g = _as_graph(graph)
-    cols = _columns(g, embedding)
+    g, d = _as_graph(graph), _index(embedding.d, "embedding dimension")
+    given = _items(embedding.coords, "vertex labels")
+    coords = {
+        v: tuple(_index(x, "coordinate") for x in _items(embedding.coords[v], "coordinates"))
+        for v in g.vertices
+        if v in given
+    }
+    wrong = [v for v, p in coords.items() if len(p) != d]
+    if wrong:
+        raise PreconditionError(f"embedding gives {wrong} other than {d} coordinates")
+    cols = _columns(g, Embedding(coords, d, embedding.seed))
     rows = [[0] * len(cols) for _ in g.edges]
     for j, col in enumerate(cols):
         for e, x in col.items():
             rows[e][j] = x
-    return RigidityMatrix(g.edges, g.vertices, embedding.d, tuple(map(tuple, rows)))
+    return RigidityMatrix(g.edges, g.vertices, d, tuple(map(tuple, rows)))
 
 
 def _rank_bound(g: Graph, d: int) -> int:
@@ -244,7 +269,7 @@ def g2_via_rigidity(
             )
     d = cx.dim + 1
     g = skeleton_graph(cx)
-    return len(g.edges) - generic_rank(g, d, trials, seed, field)
+    return len(g.edges) - _kept_sample(g, d, trials, seed, field)[0]
 
 
 #: Bound on the rigidity matrix of a :func:`stress_basis`, rows x cols on its

@@ -23,9 +23,11 @@ with the public ``SimplicialComplex.link`` and ask ``betti`` of it or
 (:func:`components_by_search`) over its powerset closure, and
 :func:`is_homology_manifold_by_faces`, the
 facet-bitmask sweep over every nonempty face link that the vertex-link
-recursion replaced, and :func:`ball_analysis_by_sweep`, the ball analysis
+recursion replaced, :func:`ball_analysis_by_sweep`, the ball analysis
 as one sweep over the ball's own labels, before it was memoised by order
-type.  The retriangulation references at the end are the Swartz moves and
+type, and :func:`are_isomorphic_by_labels`, the isomorphism search on
+labels (a labelled adjacency, labelled facets and a label mapping) that the
+search on vertex bits replaced, with the package's vertex classes and guard.  The retriangulation references at the end are the Swartz moves and
 the inverse stellar move as first written, built from
 ``SimplicialComplex.antistar`` with the package's own record and link
 helpers, each record's vertex changes stated by the reference
@@ -55,8 +57,9 @@ from itertools import chain, combinations
 from math import comb, gcd
 
 from scx.complexes import SimplicialComplex, from_faces, is_simplex_boundary
-from scx.errors import PreconditionError
+from scx.errors import PreconditionError, TooLargeError
 from scx.exact import _reduce, rank_rational, right_nullspace, validate_field
+from scx.facevectors import _complex
 from scx.homology import (
     PredicateResult,
     _ball_checked,
@@ -69,6 +72,7 @@ from scx.homology import (
     is_r_stacked_ball,
     skeleton_completion,
 )
+from scx.isomorphism import ISOMORPHISM_GUARD, IsoCertificate, _vertex_classes
 from scx.retriangulate import _detect_stack_level, _record, _require_sphere_link
 
 
@@ -507,6 +511,69 @@ def are_isomorphic_adjacency(facets1, facets2):
         return False
 
     return dict(mapping) if extend(0) else None
+
+
+def are_isomorphic_by_labels(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertificate:
+    """Search for a vertex bijection sending facets to facets."""
+    cx1, cx2, none = _complex(cx1), _complex(cx2), IsoCertificate(None)
+    (cls1, _), (cls2, nbrs2) = _vertex_classes(cx1), _vertex_classes(cx2)
+    if sorted(cls1.values()) != sorted(cls2.values()):  # e.g. the facet-size totals differ
+        return none
+    if not cx1.vertices:
+        return IsoCertificate({})
+    adj1 = cx1.adjacency()
+    candidates = {
+        v: sorted(u for u in cx2.vertices if cls2[u] == cls1[v])
+        for v in cx1.vertices
+    }
+    # rarest class first, then prefer vertices adjacent to already-placed ones.
+    # closing[i] holds the facets whose last vertex is order[i]; the map is
+    # injective and the facet-size totals agree, so once every facet lands on
+    # a facet of cx2, the image of cx1 is all of cx2
+    order, closing = [], []
+    remaining = set(cx1.vertices)
+    while remaining:
+        placed = set(order)
+        pool = [v for v in remaining if adj1[v] & placed] or list(remaining)
+        v = min(pool, key=lambda v: (len(candidates[v]), v))
+        order.append(v)
+        remaining.discard(v)
+        closing.append([f for f in cx1.facets if v in f and remaining.isdisjoint(f)])
+    bit = cx2._masks[0]  # nbrs2 is closed: u's own bit is never in ``used`` below
+    mapping, used, nodes = {}, 0, 0
+    # stack[i] yields order[i]'s untried images; no recursion, so no depth limit
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        i = len(stack) - 1
+        v = order[i]
+        if v in mapping:  # back from a dead end
+            used ^= bit[mapping.pop(v)]
+        # the placed neighbours of v's image must be the images of v's: this
+        # prunes long before a facet closes when cx1 is not neighborly
+        want = sum(bit[mapping[w]] for w in adj1[v] if w in mapping)
+        for u in stack[-1]:
+            b = bit[u]
+            if used & b:
+                continue
+            nodes += 1
+            if nodes > ISOMORPHISM_GUARD:
+                raise TooLargeError(
+                    f"search exceeds the isomorphism guard ({ISOMORPHISM_GUARD} nodes)"
+                )
+            if nbrs2[b] & used != want:
+                continue
+            mapping[v] = u
+            if all(frozenset(map(mapping.get, f)) in cx2.facets for f in closing[i]):
+                break
+            del mapping[v]
+        else:
+            stack.pop()
+            continue
+        used |= b
+        if i + 1 == len(order):
+            return IsoCertificate(dict(mapping))
+        stack.append(iter(candidates[order[i + 1]]))
+    return none
 
 
 def is_homology_manifold_by_links(cx, field="rational"):

@@ -486,6 +486,10 @@ VALID = {
 SWEEP = ["a", 1.5, None, -1, True, [], [[0, 0]], object(), CYCLE_JOIN, 5]
 
 
+#: a graph parameter is also given a Graph record, whose fields are swept
+GRAPH = skeleton_graph(BD4)
+
+
 def test_every_public_callable_returns_or_raises_an_scx_error(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_complex(BD4, "bd4.scx")
@@ -497,15 +501,31 @@ def test_every_public_callable_returns_or_raises_an_scx_error(tmp_path, monkeypa
     }
     assert sorted(public) == sorted(VALID)
     escaped = []
+
+    def call(name, obj, args, what):
+        try:
+            obj(**args)
+        except scx.ScxError:
+            pass
+        except Exception as exc:  # what escapes is the finding
+            escaped.append(f"{name}({what}): {type(exc).__name__}: {exc}")
+
     for name, obj in public.items():
         for param in inspect.signature(obj).parameters:
             for value in SWEEP:
                 if name in ("run_all", "run_statement") and param == "scale" and value is None:
                     continue  # the default scale: a whole run, not malformed input
-                try:
-                    obj(**{**VALID[name], param: value})
-                except scx.ScxError:
-                    pass
-                except Exception as exc:  # what escapes is the finding
-                    escaped.append(f"{name}({param}={value!r}): {type(exc).__name__}: {exc}")
+                call(name, obj, {**VALID[name], param: value}, f"{param}={value!r}")
+            # a record argument is swept field by field; a Scale's fields are
+            # the Scale constructor's parameters, swept above
+            records = [VALID[name].get(param)] + [GRAPH] * (param == "graph")
+            for record in records:
+                if not dataclasses.is_dataclass(record) or param == "scale":
+                    continue
+                call(name, obj, {**VALID[name], param: record}, f"{param}={record!r}")
+                for field in dataclasses.fields(record):
+                    for value in SWEEP:
+                        bad = dataclasses.replace(record, **{field.name: value})
+                        what = f"{param}.{field.name}={value!r}"
+                        call(name, obj, {**VALID[name], param: bad}, what)
     assert escaped == []

@@ -23,7 +23,8 @@ from scx import (
     standard_catalog,
     suspension,
 )
-from scx.complexes import _closure_masks
+from scx import complexes
+from scx.complexes import _closure_masks, _neighbourhoods
 from scx.facevectors import _link_f_vectors
 from scx.isomorphism import _vertex_classes
 
@@ -91,17 +92,24 @@ def test_empty_and_tiny():
     assert not are_isomorphic(from_facets([[3]]), from_facets([[3], [5]]))
 
 
-def test_one_labelled_adjacency_per_search(census, monkeypatch):
-    # the classes and the images' neighbourhoods are read off the facet
-    # masks, so only the first complex's adjacency is labelled, once
-    built = []
-    adjacency = SimplicialComplex.adjacency
+def test_a_search_labels_no_adjacency_and_no_facet(census, monkeypatch):
+    # the classes, the order and the search read the facet masks and their
+    # neighbourhoods, one pass per complex; labels are read back only for the
+    # certificate.  Suspensions are built from masks, so no facet is labelled
+    # before the search either
+    labelled, adjacencies, passes = [], [], []
+    adjacency, label, near = SimplicialComplex.adjacency, complexes._labelled, _neighbourhoods
     monkeypatch.setattr(
-        SimplicialComplex, "adjacency", lambda cx: built.append(cx) or adjacency(cx)
+        SimplicialComplex, "adjacency", lambda cx: adjacencies.append(cx) or adjacency(cx)
     )
+    monkeypatch.setattr(complexes, "_labelled", lambda *a: labelled.append(a) or label(*a))
+    monkeypatch.setattr(isomorphism, "_neighbourhoods", lambda m: passes.append(m) or near(m))
     cx = census[0]
     copy = relabel(cx, dict(zip(sorted(cx.vertices), (7, 3, 11, 0, 5, 2, 9, 4))))
-    assert are_isomorphic(cx, copy) and built == [cx]
+    a, b = suspension(cx), suspension(copy)
+    cert = are_isomorphic(a, b)
+    assert adjacencies == labelled == [] and len(passes) == 2
+    assert maps_facets_onto_facets(cert, a, b)
 
 
 def test_two_fresh_complexes_build_no_closure(census, monkeypatch):
@@ -307,3 +315,57 @@ def test_small_pairs_with_equal_invariants(facets1, facets2):
     assert oracle.are_isomorphic_adjacency(cx1.facets, cx2.facets) is None
     assert not are_isomorphic(cx1, cx2)
     assert not are_isomorphic(cx2, cx1)
+
+
+def ordered_equal_invariant_pairs(group):
+    pairs = equal_invariant_pairs(group)
+    return [(group[i], group[j]) for a, b in pairs for i, j in ((a, b), (b, a))]
+
+
+def test_search_on_vertex_bits_returns_the_search_on_labels_certificate(census):
+    # the same order, candidates and prunes on vertex bits: the same mapping,
+    # in the same placement order, or None, as the search on labels it replaced
+    rng = random.Random(3)
+    catalog = [entry.complex for entry in standard_catalog(dmax=7, f0max=16)]
+    cases = ordered_equal_invariant_pairs(census) + ordered_equal_invariant_pairs(catalog)
+    for cx in census + catalog:
+        labels = sorted(cx.vertices)
+        images = rng.sample(range(3 * len(labels)), len(labels))
+        cases.append((cx, relabel(cx, dict(zip(labels, images)))))
+    for pair in SMALL_NEGATIVES:
+        cases += [(from_facets(a), from_facets(b)) for a, b in (pair, pair[::-1])]
+    found = 0
+    for a, b in cases:
+        got, expected = are_isomorphic(a, b).mapping, oracle.are_isomorphic_by_labels(a, b).mapping
+        assert got == expected and (got is None or list(got) == list(expected))
+        found += got is not None
+    assert (len(cases), found) == (62 + 12 + 39 + 67 + 6, 12 + 39 + 67)
+
+
+def widened_worst_pair(census, widen):
+    return tuple(widen(census[k]) for k in WORST_PAIR)
+
+
+@pytest.mark.parametrize(
+    "pair, nodes",
+    [
+        (lambda census: (census[36], census[37]), 29_280),
+        (lambda census: widened_worst_pair(census, suspension), 58_386),
+        (lambda census: widened_worst_pair(census, lambda cx: join(cx, simplex_boundary(2))),
+         175_119),
+    ],
+    ids=["census-pair", "suspended", "joined-with-a-triangle"],
+)
+@pytest.mark.parametrize("search", ["bits", "labels"])
+def test_both_searches_visit_the_same_nodes(census, pair, nodes, search, monkeypatch):
+    # each search answers with the guard at its node count and raises one below
+    module, run = {
+        "bits": (isomorphism, are_isomorphic),
+        "labels": (oracle, oracle.are_isomorphic_by_labels),
+    }[search]
+    a, b = pair(census)
+    monkeypatch.setattr(module, "ISOMORPHISM_GUARD", nodes)
+    assert not run(a, b)
+    monkeypatch.setattr(module, "ISOMORPHISM_GUARD", nodes - 1)
+    with pytest.raises(TooLargeError, match="isomorphism guard"):
+        run(a, b)

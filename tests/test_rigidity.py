@@ -1,10 +1,13 @@
+import re
 from math import comb
 
 import pytest
 
 from scx import (
+    Embedding,
     Graph,
     InternalCheckError,
+    MalformedInputError,
     PreconditionError,
     barnette_sphere,
     cross_polytope_boundary,
@@ -58,8 +61,18 @@ def test_rigidity_readers_take_a_graph_or_a_complex():
     assert random_embedding(cx, 2, seed=3) == random_embedding(skeleton_graph(cx), 2, seed=3)
     assert rigidity_matrix(cx, random_embedding(cx, 2)).edges == skeleton_graph(cx).edges
     message = "expected a Graph or SimplicialComplex, got <class 'list'>"
-    with pytest.raises(PreconditionError, match=message):
+    with pytest.raises(MalformedInputError, match=message):
         generic_rank([(0, 1)], 2)
+    # a Graph is read where it enters: an edge on an absent vertex, or fields
+    # that are no labels, are malformed, not a KeyError or TypeError
+    with pytest.raises(MalformedInputError, match=re.escape("got (0, 2)")):
+        generic_rank(Graph((0, 1), ((0, 2),)), 2)
+    with pytest.raises(MalformedInputError, match="expected an iterable of vertex labels, got 5"):
+        generic_rank(Graph(5, 6), 2)
+    # as are an embedding's fields: coordinates too short for its dimension
+    emb = random_embedding(cx, 2)
+    with pytest.raises(PreconditionError, match="other than 3 coordinates"):
+        rigidity_matrix(cx, Embedding(emb.coords, 3, emb.seed))
 
 
 def test_k4_rank_in_the_plane():

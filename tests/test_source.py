@@ -138,8 +138,7 @@ def test_one_component_routine_answers_every_connectivity_question():
 def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
     # complexes._neighbourhoods builds every vertex neighbourhood and
     # complexes._link reads every face link on masks, each with exactly these
-    # callers; only the isomorphism search labels an adjacency, of its first
-    # complex, once
+    # callers; no package code labels an adjacency
     defined = [
         (module, where, node.name)
         for module, where, node in _nodes()
@@ -174,14 +173,18 @@ def test_one_neighbourhood_routine_and_one_link_reader_on_facet_masks():
         for module, where, node in _nodes()
         if isinstance(node, ast.Call) and _named(node.func, "adjacency")
     ]
-    assert adjacency == [("isomorphism.py", "are_isomorphic", "cx1.adjacency()")]
-    assert _uses("adjacency") == [("isomorphism.py", "are_isomorphic")]
+    assert adjacency == []
+    assert _uses("adjacency") == []
 
 
 def test_the_isomorphism_test_reads_no_closure():
     # its vertex classes come from the facet masks and their neighbourhoods,
-    # so neither the link f-vectors nor a closure serve it
-    names = ("_link_f_vectors", "_mask_closure", "_closure_masks")
+    # so neither the link f-vectors nor a closure serve it, and the search
+    # runs on vertex bits: no labelled face, vertex set or adjacency
+    names = (
+        "_link_f_vectors", "_mask_closure", "_closure_masks",
+        "facets", "vertices", "adjacency", "faces", "faces_of_dim", "_labelled",
+    )
     assert [where for name in names for where in _uses(name) if where[0] == "isomorphism.py"] == []
 
 
