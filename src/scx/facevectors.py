@@ -92,6 +92,15 @@ def _link_f_vectors(cx: SimplicialComplex) -> dict:
     return dict(zip(bit, map(tuple, counts)))
 
 
+def _impure(vector) -> bool:
+    """``vector.impure``, refused with ``MalformedInputError`` unless it is
+    ``True`` or ``False``: the rule by which ``h_from_f`` and ``f_from_h``
+    read the flag they carry over."""
+    if vector.impure is True or vector.impure is False:
+        return vector.impure
+    raise MalformedInputError(f"impure must be a bool, got {vector.impure!r}")
+
+
 def h_from_f(f: FVector) -> HVector:
     if not isinstance(f, FVector):
         raise MalformedInputError(f"expected an FVector, got {f!r}")
@@ -101,7 +110,7 @@ def h_from_f(f: FVector) -> HVector:
         sum((-1) ** (j - i) * comb(d - i, j - i) * fs[i] for i in range(j + 1))
         for j in range(d + 1)
     )
-    return HVector(entries, impure=f.impure)
+    return HVector(entries, impure=_impure(f))
 
 
 def f_from_h(h: HVector) -> FVector:
@@ -110,7 +119,7 @@ def f_from_h(h: HVector) -> FVector:
     hs = [_index(x, "h-vector entry") for x in _items(h.entries, "integers")]
     d = len(hs) - 1
     entries = tuple(sum(comb(d - i, j - i) * hs[i] for i in range(j + 1)) for j in range(d + 1))
-    return FVector(entries, impure=h.impure)
+    return FVector(entries, impure=_impure(h))
 
 
 def h_vector(cx: SimplicialComplex) -> HVector:

@@ -1,11 +1,13 @@
 """Registered verification statements over the standard catalog.
 
 Each statement id maps to a one-line claim (in this library's own words)
-and a runner that generates bounded instances, checks the claim exactly on
-each, and reports per-instance pass/fail with a witness string.  Instance
-generation never consumes randomness, so two runs with different seeds may
-differ only through the randomized rank computations, whose results are
-stable by design; reports are therefore deterministic for a fixed scale.
+and a runner that generates bounded instances and checks the claim exactly
+on each as named checks.  One rule, ``_judged``, decides every instance: it
+passes when all of its checks hold, and a failure's detail ends with the
+names of every check that failed.  Instance generation never consumes
+randomness, so two runs with different seeds may differ only through the
+randomized rank computations, whose results are stable by design; reports
+are therefore deterministic for a fixed scale.
 """
 
 from __future__ import annotations
@@ -172,13 +174,23 @@ def _crtr_entries(catalog):
 # statement runners
 
 
+def _judged(name: str, detail: str, **checks) -> tuple:
+    """One instance's ``(name, passed, detail)``: it passes when every named
+    check is truthy, and a failure's detail ends with the names of the false
+    checks, in order.  A refusal is one check that is false."""
+    failed = [check for check, value in checks.items() if not value]
+    if failed:
+        detail += f" [failed: {', '.join(failed)}]"
+    return name, not failed, detail
+
+
 def _run_link_g_sum(catalog, scale):
     for entry in catalog:
         if not entry.complex.is_pure():
             continue
         for k in (1, 2):
             lhs, rhs = link_g_sum(entry.complex, k)
-            yield f"{entry.name}:k={k}", lhs == rhs, f"lhs={lhs} rhs={rhs}"
+            yield _judged(f"{entry.name}:k={k}", f"lhs={lhs} rhs={rhs}", sums=lhs == rhs)
 
 
 def _run_generic_rank(catalog, scale):
@@ -191,11 +203,10 @@ def _run_generic_rank(catalog, scale):
         rank = max(ranks)
         expected = expected_pseudomanifold_rank(cx)
         kernel = cx.n_faces(1) - rank
-        ok = rank == expected and kernel == g2(cx) and len(set(ranks)) == 1
-        yield (
+        yield _judged(
             entry.name,
-            ok,
             f"rank={rank} expected={expected} kernel={kernel} g2={g2(cx)} trials={ranks}",
+            rank=rank == expected, kernel=kernel == g2(cx), trials_agree=len(set(ranks)) == 1,
         )
 
 
@@ -206,11 +217,10 @@ def _run_stress_participation(catalog, scale):
             continue
         basis = stress_basis(cx, seed=scale.seed, trials=scale.trials)
         missing = sorted(v for v, p in basis.participation.items() if not p)
-        ok = not missing and len(basis.vectors) == g2(cx)
-        yield (
+        yield _judged(
             entry.name,
-            ok,
             f"basis={len(basis.vectors)} g2={g2(cx)} non-participating={missing}",
+            participation=not missing, basis=len(basis.vectors) == g2(cx),
         )
 
 
@@ -219,27 +229,24 @@ def _run_link_monotonicity(catalog, scale):
         if entry.complex.dim < 3:
             continue
         res = link_monotonicity_check(entry.complex)
-        yield entry.name, res.ok, f"g2={res.g2_total} violations={res.violations}"
+        yield _judged(entry.name, f"g2={res.g2_total} violations={res.violations}", monotone=res.ok)
 
 
 def _run_one_stacked_fill(catalog, scale):
     for entry in _tagged(catalog, "stacked"):
         cx = entry.complex
         if g2(cx) != 0:
-            yield entry.name, False, f"stacked entry has g2={g2(cx)}"
+            yield _judged(entry.name, f"stacked entry has g2={g2(cx)}", g2=False)
             continue
         filled = skeleton_completion(cx, 1)
         try:
             cert = is_r_stacked_ball(filled, 1)
         except PreconditionError as exc:
-            yield entry.name, False, f"fill is not a ball ({exc})"
+            yield _judged(entry.name, f"fill is not a ball ({exc})", ball=False)
             continue
-        boundary_ok = cert.boundary == cx
-        ok = boundary_ok and cert.ok
-        yield (
-            entry.name,
-            ok,
-            f"boundary-matches={boundary_ok} stackedness={cert.min_stackedness}",
+        yield _judged(
+            entry.name, f"stackedness={cert.min_stackedness}",
+            boundary=cert.boundary == cx, stacked=cert.ok,
         )
 
 
@@ -249,15 +256,12 @@ def _run_central_g_delta(catalog, scale):
             try:
                 out, record = central_retriangulation(entry.complex, ball)
             except PreconditionError as exc:
-                yield f"{entry.name}:{label}", False, f"precondition: {exc}"
+                yield _judged(f"{entry.name}:{label}", f"precondition: {exc}", precondition=False)
                 continue
-            pm = is_normal_pseudomanifold(out)
-            ok = record.prediction_holds() and bool(pm)
-            yield (
+            yield _judged(
                 f"{entry.name}:{label}",
-                ok,
-                f"g {record.g_before}->{record.g_after} predicted {record.predicted}"
-                f" pm={bool(pm)}",
+                f"g {record.g_before}->{record.g_after} predicted {record.predicted}",
+                prediction=record.prediction_holds(), normal_pm=is_normal_pseudomanifold(out),
             )
 
 
@@ -275,37 +279,32 @@ def _run_inverse_g_delta(catalog, scale):
                 cone = record.new_vertices[0]
                 back, undo = inverse_stellar(out, cone)
             except PreconditionError as exc:
-                yield f"{entry.name}:{label}", False, f"precondition: {exc}"
+                yield _judged(f"{entry.name}:{label}", f"precondition: {exc}", precondition=False)
                 continue
-            restored = back == cx
-            iso_ok = bool(are_isomorphic(back, cx))
-            ok = undo.prediction_holds() and restored and iso_ok
-            yield (
+            yield _judged(
                 f"{entry.name}:{label}",
-                ok,
-                f"g {undo.g_before}->{undo.g_after} predicted {undo.predicted}"
-                f" restored={restored} iso={iso_ok}",
+                f"g {undo.g_before}->{undo.g_after} predicted {undo.predicted}",
+                prediction=undo.prediction_holds(), restored=back == cx,
+                isomorphic=are_isomorphic(back, cx),
             )
     # direct undo of the last stacking step
     for d in range(4, scale.dmax + 1):
         for n in (d + 2, d + 3):
             cx = stacked_sphere(d, n)
             out, record = inverse_stellar(cx, n - 1)
-            ok = record.prediction_holds() and g2(out) == 0
-            yield (
+            yield _judged(
                 f"unstack-d{d}-n{n}",
-                ok,
                 f"g {record.g_before}->{record.g_after} predicted {record.predicted}",
+                prediction=record.prediction_holds(), stacked=g2(out) == 0,
             )
     # prime g2=1 sphere with a stacked vertex link: removal lands at g2=0
     for entry in _tagged(catalog, "g2one-cycle"):
         cx = entry.complex
         out, record = inverse_stellar(cx, 0)
-        ok = record.prediction_holds() and g2(out) == 0
-        yield (
+        yield _judged(
             f"{entry.name}:v0",
-            ok,
             f"g {record.g_before}->{record.g_after} predicted {record.predicted}",
+            prediction=record.prediction_holds(), stacked=g2(out) == 0,
         )
 
 
@@ -319,17 +318,16 @@ def _run_star_properties(catalog, scale):
         for i in range(d // 2 + 1, d):
             tau = cx.faces_of_dim(i)[0]
             cert = is_r_stacked_ball(cx.star(tau), d - i)
-            stacked_ok = cert.ok and cert.min_stackedness == d - i
-            yield (
+            yield _judged(
                 f"{entry.name}:star-dim{i}",
-                stacked_ok,
                 f"min-stackedness={cert.min_stackedness} expected={d - i}",
+                stacked=cert.ok, least=cert.min_stackedness == d - i,
             )
             identity = crtr_missing_faces_check(cx, tau)
-            yield (
+            yield _judged(
                 f"{entry.name}:missing-faces-dim{i}",
-                bool(identity),
                 identity.reason or "sides equal at every dimension",
+                identity=identity,
             )
             count += 1
             if count >= 16:
@@ -362,21 +360,15 @@ def _run_swartz_bound(catalog, scale):
         try:
             out, record = swartz_all(cx, vertex)
         except PreconditionError as exc:
-            yield name, False, f"precondition: {exc}"
+            yield _judged(name, f"precondition: {exc}", precondition=False)
             continue
-        drop = g2(cx) - g2(out)
-        ok = (
-            record.steps == expected_steps
-            and record.steps == len(eligible)
-            and drop == record.steps
-            and g2(out) >= 0
-            and g2(cx) >= record.steps
-        )
-        yield (
+        yield _judged(
             name,
-            ok,
             f"steps={record.steps} expected={expected_steps} eligible={len(eligible)}"
             f" g2 {g2(cx)}->{g2(out)}",
+            steps=record.steps == expected_steps, eligible=record.steps == len(eligible),
+            drop=g2(cx) - g2(out) == record.steps, nonnegative=g2(out) >= 0,
+            bound=g2(cx) >= record.steps,
         )
 
 
@@ -387,13 +379,14 @@ def _run_few_vertex_join(catalog, scale):
             continue
         part = detect_join(cx)
         if part is None:
-            yield entry.name, False, "no join decomposition found"
+            yield _judged(entry.name, "no join decomposition found", join=False)
             continue
         side_a, side_b = part
-        ok = is_simplex_boundary(cx.restriction(side_a)) and is_simplex_boundary(
-            cx.restriction(side_b)
+        yield _judged(
+            entry.name, f"partition sizes {len(side_a)}/{len(side_b)}",
+            first_side=is_simplex_boundary(cx.restriction(side_a)),
+            second_side=is_simplex_boundary(cx.restriction(side_b)),
         )
-        yield entry.name, ok, f"partition sizes {len(side_a)}/{len(side_b)}"
 
 
 def _g2_one_members(d: int, f0: int):
@@ -430,13 +423,15 @@ def _run_prime_crtr_classification(catalog, scale, dvals):
             try:
                 out, _ = central_retriangulation(cx, cx.star(tau))
             except PreconditionError as exc:
-                yield name, False, f"precondition: {exc}"
+                yield _judged(name, f"precondition: {exc}", precondition=False)
                 continue
             if not out.is_prime() or g2(out) != 1:
                 continue  # the classification only speaks about prime g2=1 outputs
             members = _g2_one_members(d, len(out.vertices))
-            ok = any(are_isomorphic(out, member) for member in members)
-            yield name, ok, f"f0={len(out.vertices)} candidates={len(members)}"
+            yield _judged(
+                name, f"f0={len(out.vertices)} candidates={len(members)}",
+                in_family=any(are_isomorphic(out, member) for member in members),
+            )
 
 
 def _run_prime_crtr_d45(catalog, scale):
@@ -459,8 +454,10 @@ def _run_prime_crtr_d56(catalog, scale):
             base, ridge = stacked_sphere_with_ridge(d, n + d - 2)
             tau = frozenset(ridge)
         out, _ = central_retriangulation(base, base.star(tau))
-        ok = bool(are_isomorphic(out, entry.complex))
-        yield f"{entry.name}:reconstruction", ok, f"f0={len(out.vertices)}"
+        yield _judged(
+            f"{entry.name}:reconstruction", f"f0={len(out.vertices)}",
+            isomorphic=are_isomorphic(out, entry.complex),
+        )
 
 
 def _run_macaulay_bound(catalog, scale):
@@ -469,10 +466,11 @@ def _run_macaulay_bound(catalog, scale):
         if cx.dim < 3:
             continue
         bound = macaulay_pseudopower(g2(cx), 2)
-        ok = g3(cx) <= bound
-        if g3(cx) >= 0:
-            ok = ok and is_m_sequence((1, extended_g(cx)[1], g2(cx), g3(cx)))
-        yield entry.name, ok, f"g2={g2(cx)} g3={g3(cx)} bound={bound}"
+        yield _judged(
+            entry.name, f"g2={g2(cx)} g3={g3(cx)} bound={bound}",
+            macaulay=g3(cx) <= bound,
+            m_sequence=g3(cx) < 0 or is_m_sequence((1, extended_g(cx)[1], g2(cx), g3(cx))),
+        )
 
 
 def _suspension_bases(d: int):
@@ -495,49 +493,32 @@ def _run_g2_two_construction(catalog, scale):
         for kind, i, base, tau in _suspension_bases(d):
             entry = g2_two_catalog(d, kind, i)
             if g2(base) > 1:
-                yield f"{entry.name}:base", False, f"base has g2={g2(base)}"
+                yield _judged(f"{entry.name}:base", f"base has g2={g2(base)}", base_g2=False)
                 continue
             out, record = central_retriangulation(base, base.star(tau))
-            sphere = is_homology_sphere(entry.complex)
-            ok = (
-                bool(are_isomorphic(out, entry.complex))
-                and g2(out) == 2
-                and out.is_prime()
-                and record.prediction_holds()
-                and bool(sphere)
-            )
-            yield (
-                f"{entry.name}:crtr-of-join",
-                ok,
-                f"g {record.g_before}->{record.g_after} sphere={bool(sphere)}",
+            yield _judged(
+                f"{entry.name}:crtr-of-join", f"g {record.g_before}->{record.g_after}",
+                isomorphic=are_isomorphic(out, entry.complex), g2=g2(out) == 2,
+                prime=out.is_prime(), prediction=record.prediction_holds(),
+                sphere=is_homology_sphere(entry.complex),
             )
 
 
 def _run_g2_two_dim3(catalog, scale):
     for entry in _tagged(catalog, "g2two-octahedral"):
-        sphere = is_homology_sphere(entry.complex)
-        ok = bool(sphere) and g2(entry.complex) == 2 and entry.complex.is_prime()
-        yield (
+        yield _judged(
             f"{entry.name}:exception",
-            ok,
             "registered exception: not produced by a central retriangulation",
+            sphere=is_homology_sphere(entry.complex), g2=g2(entry.complex) == 2,
+            prime=entry.complex.is_prime(),
         )
     for entry in _tagged(catalog, "g2two-crtr"):
-        n = entry.params[1]
+        cx, n = entry.complex, entry.params[1]
         base = join(cycle(n), simplex_boundary(2))
-        sphere = is_homology_sphere(entry.complex)
-        ok = (
-            g2(base) == 1
-            and bool(is_homology_sphere(base))
-            and entry.complex.is_prime()
-            and g2(entry.complex) == 2
-            and bool(sphere)
-            and bool(is_normal_pseudomanifold(entry.complex))
-        )
-        yield (
-            f"{entry.name}:crtr-of-g2one",
-            ok,
-            f"base g2={g2(base)} output g2={g2(entry.complex)} sphere={bool(sphere)}",
+        yield _judged(
+            f"{entry.name}:crtr-of-g2one", f"base g2={g2(base)} output g2={g2(cx)}",
+            base_g2=g2(base) == 1, base_sphere=is_homology_sphere(base), prime=cx.is_prime(),
+            g2=g2(cx) == 2, sphere=is_homology_sphere(cx), normal_pm=is_normal_pseudomanifold(cx),
         )
 
 
@@ -553,17 +534,19 @@ def _run_sum_and_stacking_closure(catalog, scale):
             right,
             min(right.facets, key=sorted),
         )
-        sphere = is_homology_sphere(summed)
-        ok = g2(summed) == 2 and bool(sphere)
-        yield f"sum-of-two-g2one-d{d}", ok, f"g2={g2(summed)} sphere={bool(sphere)}"
+        yield _judged(
+            f"sum-of-two-g2one-d{d}", f"g2={g2(summed)}",
+            g2=g2(summed) == 2, sphere=is_homology_sphere(summed),
+        )
     for entry in _tagged(catalog, "g2two"):
         cx = entry.complex
         if len(cx.vertices) > 9:
             continue
         stacked = stack_over_facet(cx, min(cx.facets, key=sorted))
-        sphere = is_homology_sphere(stacked)
-        ok = g2(stacked) == 2 and bool(sphere)
-        yield f"{entry.name}:stacked", ok, f"g2={g2(stacked)} sphere={bool(sphere)}"
+        yield _judged(
+            f"{entry.name}:stacked", f"g2={g2(stacked)}",
+            g2=g2(stacked) == 2, sphere=is_homology_sphere(stacked),
+        )
 
 
 _REGISTRY = {

@@ -12,6 +12,8 @@ import pytest
 
 import scx
 from scx import (
+    FVector,
+    HVector,
     MalformedInputError,
     PreconditionError,
     Scale,
@@ -28,6 +30,7 @@ from scx import (
     cycle,
     detect_join,
     extended_g,
+    f_from_h,
     f_vector,
     from_facets,
     g1,
@@ -39,6 +42,7 @@ from scx import (
     g_vector,
     generic_rank,
     generic_rank_trials,
+    h_from_f,
     h_vector,
     interior_faces,
     inverse_stellar,
@@ -244,6 +248,28 @@ def test_a_face_vector_reader_refuses_what_is_not_a_complex(reader, value):
     message = f"expected a SimplicialComplex, got {value!r}"
     with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
         reader(value)
+
+
+#: the face-vector conversions, each given a vector of ∂Δ³ with an impure flag
+IMPURE_READERS = {
+    "h_from_f": lambda impure: h_from_f(FVector((1, 4, 6, 4), impure=impure)),
+    "f_from_h": lambda impure: f_from_h(HVector((1, 1, 1, 1), impure=impure)),
+}
+
+
+@pytest.mark.parametrize("reader", IMPURE_READERS.values(), ids=list(IMPURE_READERS))
+@pytest.mark.parametrize("impure", ["a", [], None, 1, 0], ids=repr)
+def test_an_impure_flag_that_is_not_a_bool_is_refused(reader, impure):
+    # each was copied into the result unread: h_from_f gave HVector(..., impure='a')
+    message = f"impure must be a bool, got {impure!r}"
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+        reader(impure)
+
+
+@pytest.mark.parametrize("reader", IMPURE_READERS.values(), ids=list(IMPURE_READERS))
+@pytest.mark.parametrize("impure", [True, False])
+def test_a_bool_impure_flag_passes_through(reader, impure):
+    assert reader(impure).impure is impure
 
 
 #: every homology reader that takes a complex, with its other arguments valid

@@ -607,3 +607,41 @@ def test_one_rule_per_kind_of_argument():
         ("errors.py", "_index"),
         ("fileio.py", "_path"),
     ]
+
+
+
+def test_one_rule_judges_every_verification_instance():
+    # every yield of a runner is `yield _judged(...)` or a `yield from`, so no
+    # runner builds its own (name, ok, detail) or joins its checks with `and`;
+    # and only _judged writes which checks failed
+    runners = {
+        node.name
+        for module, _, node in _nodes()
+        if module == "verify.py" and isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_run_")
+    }
+    assert len(runners) == 17
+    in_runners = [
+        node for module, where, node in _nodes() if module == "verify.py" and where in runners
+    ]
+    judged = [
+        node.value for node in in_runners
+        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call)
+        and _named(node.value.func, "_judged")
+    ]
+    assert len(judged) == sum(isinstance(node, ast.Yield) for node in in_runners) >= 20
+    joined = [
+        ast.unparse(k.value)
+        for call in judged
+        for k in call.keywords
+        if any(isinstance(n, ast.BoolOp) and isinstance(n.op, ast.And) for n in ast.walk(k.value))
+    ]
+    assert joined == []
+    failed_text = [
+        where
+        for module, where, node in _nodes()
+        if module == "verify.py" and isinstance(node, ast.Constant)
+        and isinstance(node.value, str) and "[failed:" in node.value
+    ]
+    assert failed_text == ["_judged"]
+    assert (SOURCE / "verify.py").read_text().count("[failed:") == 1

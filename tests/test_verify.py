@@ -95,7 +95,7 @@ def test_theorem_2_3_reports_a_fill_that_is_not_a_ball(monkeypatch):
     assert len(rep.failures) == rep.instances > 0
     assert all(
         f.endswith(": fill is not a ball (not a homology ball: complex does not have"
-                   " ball homology (witness ()))")
+                   " ball homology (witness ())) [failed: ball]")
         for f in rep.failures
     )
 
@@ -177,8 +177,10 @@ def test_lemma_4_1_reports_a_split_that_is_not_a_join(monkeypatch):
     monkeypatch.setattr(verify, "detect_join", one_vertex_across)
     reports = _run_all_with_a_plant("Lemma4.1")
     ((cx, (a, b)),) = planted
+    # both sides are judged: the side that lost a vertex is no simplex
+    # boundary either, and a failure names every check that broke
     assert reports["Lemma4.1"].failures == [
-        f"{_entry_name(cx)}: partition sizes {len(a)}/{len(b)}"
+        f"{_entry_name(cx)}: partition sizes {len(a)}/{len(b)} [failed: first_side, second_side]"
     ]
 
 
@@ -285,34 +287,95 @@ def _not_a_sphere(original, cx):
     return PredicateResult(False, (), "planted")
 
 
+#: statement -> the checks that its instances name at ``Scale()``, in the
+#: order they are first named
+CHECKS = {
+    "Lemma2.2": ("sums",),
+    "Lemma2.4": ("rank", "kernel", "trials_agree"),
+    "Lemma2.5": ("participation", "basis"),
+    "Lemma2.6": ("monotone",),
+    "Theorem2.3": ("boundary", "stacked"),
+    "Lemma3.3": ("prediction", "normal_pm"),
+    "Lemma3.4": ("stacked", "least", "identity"),
+    "Lemma3.6": ("prediction", "restored", "isomorphic", "stacked"),
+    "Lemma3.8": ("steps", "eligible", "drop", "nonnegative", "bound"),
+    "Lemma4.1": ("first_side", "second_side"),
+    "Prop4.2": ("in_family",),
+    "Lemma4.4": ("macaulay", "m_sequence"),
+    "Theorem4.5": ("in_family", "isomorphic"),
+    "Theorem5.4": ("isomorphic", "g2", "prime", "prediction", "sphere"),
+    "Theorem5.5": ("sphere", "g2", "prime", "base_g2", "base_sphere", "normal_pm"),
+    "Corollary5.6": ("g2", "sphere"),
+}
+
+
+def test_every_instance_is_judged_by_one_rule(monkeypatch):
+    # each instance of run_all() goes through verify._judged once, and the
+    # (statement, check) names it is given are the ones CHECKS lists
+    judged, running, original = [], [], verify._judged
+
+    def recording(name, detail, **checks):
+        judged.append((running[-1], tuple(checks)))
+        return original(name, detail, **checks)
+
+    for sid, (claim, runner) in list(verify._REGISTRY.items()):
+        def run(catalog, scale, sid=sid, runner=runner):
+            running.append(sid)
+            yield from runner(catalog, scale)
+
+        monkeypatch.setitem(verify._REGISTRY, sid, (claim, run))
+    monkeypatch.setattr(verify, "_judged", recording)
+    reports = run_all()
+    assert all(rep.passed for rep in reports)
+    assert len(judged) == sum(rep.instances for rep in reports) == 633
+    for rep in reports:
+        assert sum(sid == rep.statement for sid, _ in judged) == rep.instances
+    named = {}
+    for sid, checks in judged:
+        named.setdefault(sid, {}).update(dict.fromkeys(checks))
+    assert {sid: tuple(checks) for sid, checks in named.items()} == CHECKS
+    assert sum(map(len, CHECKS.values())) == 43
+
+
+def _first_vertex_left_out(original, *args, **kwargs):
+    basis = original(*args, **kwargs)
+    v = min(basis.participation)
+    return dataclasses.replace(basis, participation={**basis.participation, v: False})
+
+
 #: statement -> (module, name, fake, the planted instance's failure detail)
 PLANTS = {
-    "Lemma2.2": (verify, "link_g_sum", _first_call(_lhs_one_above), "lhs=1 rhs=0"),
+    "Lemma2.2": (verify, "link_g_sum", _first_call(_lhs_one_above), "lhs=1 rhs=0 [failed: sums]"),
     "Lemma2.4": (verify, "generic_rank_trials", _first_call(_ranks_one_short),
-                 "rank=9 expected=10 kernel=1 g2=0 trials=[9, 9, 9]"),
+                 "rank=9 expected=10 kernel=1 g2=0 trials=[9, 9, 9] [failed: rank, kernel]"),
+    "Lemma2.5": (verify, "stress_basis", _first_call(_first_vertex_left_out),
+                 "basis=1 g2=1 non-participating=[0] [failed: participation]"),
     "Lemma2.6": (rigidity, "_link_f_vectors", _first_call(_link_g2_above_the_total),
-                 "g2=0 violations=((0, 1),)"),
+                 "g2=0 violations=((0, 1),) [failed: monotone]"),
     "Lemma3.3": (verify, "central_retriangulation", _first_call(_refused),
-                 "precondition: planted refusal"),
+                 "precondition: planted refusal [failed: precondition]"),
     "Lemma3.4": (retriangulate, "_identity_sides", _first_call(_tau_among_the_missing_vertices),
-                 "sides differ at dimension 0"),
+                 "sides differ at dimension 0 [failed: identity]"),
     "Lemma3.6": (verify, "inverse_stellar", _first_call(_undo_off_by_one),
-                 "g (1, 1, 1)->(1, 0, 0) predicted ((1, 1), (2, 0)) restored=True iso=True"),
-    "Lemma3.8": (verify, "swartz_all", _first_call(_refused), "precondition: planted refusal"),
+                 "g (1, 1, 1)->(1, 0, 0) predicted ((1, 1), (2, 0)) [failed: prediction]"),
+    "Lemma3.8": (verify, "swartz_all", _first_call(_refused),
+                 "precondition: planted refusal [failed: precondition]"),
     "Lemma4.1": (verify, "detect_join", _first_call(lambda original, cx: None),
-                 "no join decomposition found"),
-    "Prop4.2": (verify, "are_isomorphic", _isomorphism_withheld, "f0=6 candidates=1"),
+                 "no join decomposition found [failed: join]"),
+    "Prop4.2": (verify, "are_isomorphic", _isomorphism_withheld,
+                "f0=6 candidates=1 [failed: in_family]"),
     "Lemma4.4": (verify, "macaulay_pseudopower",
                  _first_call(lambda original, *args: original(*args) - 1),
-                 "g2=0 g3=0 bound=-1"),
+                 "g2=0 g3=0 bound=-1 [failed: macaulay]"),
     "Theorem4.5": (verify, "central_retriangulation", _first_call(_refused),
-                   "precondition: planted refusal"),
+                   "precondition: planted refusal [failed: precondition]"),
     "Theorem5.4": (verify, "is_homology_sphere", _first_call(_not_a_sphere),
-                   "g (1, 1, 1)->(1, 2, 2) sphere=False"),
+                   "g (1, 1, 1)->(1, 2, 2) [failed: sphere]"),
     "Theorem5.5": (verify, "is_homology_sphere", _first_call(_not_a_sphere),
-                   "registered exception: not produced by a central retriangulation"),
+                   "registered exception: not produced by a central retriangulation"
+                   " [failed: sphere]"),
     "Corollary5.6": (verify, "is_homology_sphere", _first_call(_not_a_sphere),
-                     "g2=2 sphere=False"),
+                     "g2=2 [failed: sphere]"),
 }
 
 
@@ -329,7 +392,7 @@ def test_a_refused_undo_fails_lemma_3_6_as_a_precondition(monkeypatch):
     # the precondition branch of Lemma3.6, beside its planted off-by-one
     reached = _plant(monkeypatch, "Lemma3.6", verify, "inverse_stellar", _first_call(_refused))
     (failure,) = run_statement("Lemma3.6").failures
-    assert failure == f"{reached[0]}: precondition: planted refusal"
+    assert failure == f"{reached[0]}: precondition: planted refusal [failed: precondition]"
 
 
 def test_planted_defects_leave_the_other_reports_alone(monkeypatch):
