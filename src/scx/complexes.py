@@ -33,7 +33,7 @@ from .errors import (
     FaceNotPresentError,
     MalformedInputError,
     PreconditionError,
-    TooLargeError,
+    _guard,
     _index,
 )
 
@@ -72,9 +72,7 @@ JOIN_GUARD = 46_080
 
 def _check_closure_bound(sizes):
     """Stop a closure of facets of ``sizes`` vertices over ``CLOSURE_GUARD``."""
-    bound = sum(1 << s for s in sizes)
-    if bound > CLOSURE_GUARD:
-        raise TooLargeError(f"closure bound {bound} exceeds the guard ({CLOSURE_GUARD})")
+    _guard(sum(1 << s for s in sizes), CLOSURE_GUARD, "closure guard, closure bound")
 
 
 def _closure_masks(masks) -> tuple:
@@ -521,11 +519,7 @@ def detect_join(cx: SimplicialComplex):
     c = len(groups)
     if c < 2:
         return None
-    if len(masks) << (c - 1) > JOIN_GUARD:
-        raise TooLargeError(
-            f"{c} non-edge components and {len(masks)} facets exceed the join-search"
-            f" guard ({JOIN_GUARD})"
-        )
+    _guard(len(masks) << (c - 1), JOIN_GUARD, "join-search guard, sides x facets")
     facets, labels = set(masks), list(bit)
     for choice in range(1, 1 << (c - 1)):
         side_b = sum(g for i, g in enumerate(groups[1:]) if choice >> i & 1)

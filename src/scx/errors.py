@@ -24,7 +24,7 @@ class FaceNotPresentError(PreconditionError):
 
 
 class TooLargeError(ScxError):
-    """Raised by size-guarded algorithms instead of timing out silently."""
+    """Raised by size-guarded algorithms, through :func:`_guard` alone."""
 
 
 class UnknownStatementError(ScxError):
@@ -44,3 +44,12 @@ def _index(value, what: str) -> int:
         return index(value)
     except TypeError:
         raise MalformedInputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _guard(reading: int, bound: int, what: str):
+    """``TooLargeError`` naming ``what`` (the guard and its reading, "at least"
+    if the reading is a lower bound), ``reading`` and ``bound`` when the
+    reading is over its bound; a reading equal to its bound passes: the one
+    rule by which every size guard stops an algorithm that could blow up."""
+    if reading > bound:
+        raise TooLargeError(f"{what}: {reading} exceeds the bound {bound}")

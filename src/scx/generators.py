@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import complexes
 from .complexes import SimplicialComplex, _tuple_order, from_facets, join
-from .errors import InternalCheckError, ParseError, PreconditionError, TooLargeError, _index
+from .errors import InternalCheckError, ParseError, PreconditionError, _guard, _index
 from .facevectors import f_vector, g2
 from .fileio import _path, load_complex
 from .homology import is_normal_pseudomanifold
@@ -26,11 +26,14 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 def _guard_closure(count: int, size: int):
-    """Raise ``TooLargeError`` before ``count`` facets of ``size`` vertices are
-    built if their closure bound, count * 2^size, is over ``CLOSURE_GUARD``."""
-    guard = complexes.CLOSURE_GUARD
-    if size > guard.bit_length() or count << size > guard:
-        raise TooLargeError(f"closure bound {count} * 2^{size} exceeds the guard ({guard})")
+    """Stop ``count`` facets of ``size`` vertices, closure bound count * 2^size,
+    before they are built.  The shift stops at the guard's bit length, so a huge
+    ``size`` builds no huge integer, and the reading is then a lower bound."""
+    _guard(
+        count << min(size, complexes.CLOSURE_GUARD.bit_length()),
+        complexes.CLOSURE_GUARD,
+        "closure guard, closure bound of the planned facets, at least",
+    )
 
 
 def simplex_boundary(d: int) -> SimplicialComplex:

@@ -76,7 +76,7 @@ from .complexes import (
     _order_type,
     _tuple_order,
 )
-from .errors import InternalCheckError, PreconditionError, TooLargeError, _index
+from .errors import InternalCheckError, PreconditionError, _guard, _index
 from .facevectors import FVector, _complex, _entry, h_from_f
 
 
@@ -229,8 +229,7 @@ def _betti(masks: tuple, field) -> BettiProfile:
     faces, _ = _closure_masks(masks)  # faces[j]: the faces with j vertices
     sizes = list(map(len, faces))  # sizes[k + 1] = f_k
     cells = max((rows * cols for rows, cols in zip(sizes, sizes[1:])), default=0)
-    if cells > BETTI_GUARD:
-        raise TooLargeError(f"{cells} boundary-matrix cells exceed the Betti guard ({BETTI_GUARD})")
+    _guard(cells, BETTI_GUARD, "Betti guard, boundary-matrix cells")
     columns = _checked_columns(faces)
     # ranks[k + 1] = rank d_k, with d_{-1} and d_{dim+1} zero
     ranks, cleared = [0] * (len(sizes) + 1), ()
@@ -576,10 +575,7 @@ def skeleton_completion(cx: SimplicialComplex, i: int) -> SimplicialComplex:
                 if cand in nxt:
                     continue
                 tested += 1
-                if tested > COMPLETION_GUARD:
-                    raise TooLargeError(
-                        f"completion exceeds the completion guard ({COMPLETION_GUARD} candidates)"
-                    )
+                _guard(tested, COMPLETION_GUARD, "completion guard, candidates tested")
                 if all(sum(sub) | b in members for sub in itertools.combinations(rest, i)):
                     nxt.add(cand)
         accepted.extend(nxt)

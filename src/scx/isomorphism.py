@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, _bits, _neighbourhoods
-from .errors import TooLargeError
+from .errors import _guard
 from .facevectors import _complex
 
 #: Search nodes, one per candidate image tried, that one call may visit: 9x the most
@@ -85,10 +85,7 @@ def are_isomorphic(cx1: SimplicialComplex, cx2: SimplicialComplex) -> IsoCertifi
             if used & u:
                 continue
             nodes += 1
-            if nodes > ISOMORPHISM_GUARD:
-                raise TooLargeError(
-                    f"search exceeds the isomorphism guard ({ISOMORPHISM_GUARD} nodes)"
-                )
+            _guard(nodes, ISOMORPHISM_GUARD, "isomorphism guard, search nodes")
             if near2[u] & used != want:
                 continue
             image.append(u)

@@ -22,9 +22,7 @@ from math import comb, gcd
 
 from . import exact
 from .complexes import SimplicialComplex, _items, as_face
-from .errors import (
-    InternalCheckError, MalformedInputError, PreconditionError, TooLargeError, _index
-)
+from .errors import InternalCheckError, MalformedInputError, PreconditionError, _guard, _index
 from .facevectors import FVector, _complex, _g2, _link_f_vectors, g2
 from .homology import is_normal_pseudomanifold
 
@@ -138,6 +136,7 @@ def rigidity_matrix(graph, embedding: Embedding) -> RigidityMatrix:
     if not isinstance(embedding, Embedding):
         raise MalformedInputError(f"expected an Embedding, got {embedding!r}")
     g, d = _as_graph(graph), _index(embedding.d, "embedding dimension")
+    seed = _index(embedding.seed, "embedding seed")
     given = _items(embedding.coords, "vertex labels")
     coords = {
         v: tuple(_index(x, "coordinate") for x in _items(embedding.coords[v], "coordinates"))
@@ -147,7 +146,7 @@ def rigidity_matrix(graph, embedding: Embedding) -> RigidityMatrix:
     wrong = [v for v, p in coords.items() if len(p) != d]
     if wrong:
         raise PreconditionError(f"embedding gives {wrong} other than {d} coordinates")
-    cols = _columns(g, Embedding(coords, d, embedding.seed))
+    cols = _columns(g, Embedding(coords, d, seed))
     rows = [[0] * len(cols) for _ in g.edges]
     for j, col in enumerate(cols):
         for e, x in col.items():
@@ -327,10 +326,7 @@ def stress_basis(
     f1, bound = len(g.edges), _rank_bound(g, d)
     if rank < f1:
         cells = (rank if rank == bound else d * len(g.vertices)) * f1
-        if cells > RIGIDITY_GUARD:
-            raise TooLargeError(
-                f"{cells} rigidity-matrix cells exceed the stress guard ({RIGIDITY_GUARD})"
-            )
+        _guard(cells, RIGIDITY_GUARD, "stress guard, rigidity-matrix cells")
         vectors = _stresses(g, emb)
     if len(vectors) > f1 - rank or (rank == bound and len(vectors) != f1 - rank):
         raise InternalCheckError(f"{len(vectors)} stresses where the rank mod p leaves {f1 - rank}")

@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import inspect
+import json
 import sys
 import textwrap
 from pathlib import Path
@@ -8,7 +10,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from scx import cross_polytope_boundary, cycle, homology, join, read_scx_text, simplex_boundary
+from scx import (
+    Scale,
+    cross_polytope_boundary,
+    cycle,
+    homology,
+    join,
+    read_scx_text,
+    run_all,
+    simplex_boundary,
+)
 
 CENSUS = Path(__file__).with_name("census_3spheres_8.txt")
 
@@ -45,6 +56,25 @@ def oct3():
 def cycle_join():
     """The 3-sphere C4 * boundary of a triangle, prime with g2 = 1."""
     return join(cycle(4), simplex_boundary(2))
+
+
+def digest(reports) -> str:
+    """The one rule by which reports are pinned: the first 16 hex digits of
+    the sha256 of the JSON of one report, or of a whole run's list of
+    reports, ``seconds`` left out."""
+
+    def body(report):
+        return {k: v for k, v in report.to_dict().items() if k != "seconds"}
+
+    payload = [body(r) for r in reports] if isinstance(reports, list) else body(reports)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="session")
+def reports():
+    """The reports of one ``run_all()`` at ``Scale()``, by statement, in
+    registry order."""
+    return {rep.statement: rep for rep in run_all(Scale())}
 
 
 def clear_memos():

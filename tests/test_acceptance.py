@@ -37,11 +37,6 @@ def pseudomanifolds(catalog):
     return [e for e in catalog if "normal-pm" in e.tags]
 
 
-@pytest.fixture(scope="module")
-def reports():
-    return {rep.statement: rep for rep in run_all(SCALE)}
-
-
 def _conclude(number, ok, detail):
     print(f"\nACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail

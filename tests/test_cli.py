@@ -586,6 +586,11 @@ def test_stress_with_no_trials_exits_3(tmp_path):
     assert "need at least one trial" in result.output
 
 
+def test_stress_defaults_to_three_trials():
+    (trials,) = [p for p in main.commands["stress"].params if p.name == "trials"]
+    assert trials.default == 3
+
+
 def _reached(*args, **kwargs):
     raise AssertionError("elimination reached")
 

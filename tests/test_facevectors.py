@@ -38,6 +38,11 @@ def test_f_vector_binomials(bd4):
     assert f_vector(bd4).entries == (1, 5, 10, 10, 5)
 
 
+def test_every_face_vector_names_its_d(bd4):
+    # the boundary of the 4-simplex is a 3-sphere: d = 4 in f, h and g alike
+    assert f_vector(bd4).d == h_vector(bd4).d == g_vector(bd4).d == 4
+
+
 def test_f_vector_octahedral_sphere(oct3):
     assert f_vector(oct3).entries == (1, 8, 24, 32, 16)
     assert f_vector(oct3).entries == oracle.face_counts(oct3.facets)

@@ -7,22 +7,13 @@ and the memoised routines swapped for their references in
 ``tests/oracle.py``.  The reports, ``seconds`` left out, must hash alike.
 """
 
-import hashlib
-import json
-
 import pytest
 
 import oracle
+from conftest import digest
 from scx import cli, generators, homology, retriangulate, rigidity, run_all, verify
 from scx.homology import BettiProfile
 from scx.verify import Scale
-
-
-def digest(scale):
-    """The hash of the reports of one ``run_all``, ``seconds`` left out."""
-    reports = run_all(scale)
-    bodies = [{k: v for k, v in r.to_dict().items() if k != "seconds"} for r in reports]
-    return hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def references(monkeypatch):
@@ -56,7 +47,14 @@ def references(monkeypatch):
 def test_run_all_replays_alike_through_the_references(dmax, expected, monkeypatch):
     scale = Scale(dmax=dmax)
     monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
-    assert digest(scale) == expected
+    assert digest(run_all(scale)) == expected
     references(monkeypatch)
     monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
-    assert digest(scale) == expected
+    assert digest(run_all(scale)) == expected
+
+
+def test_the_whole_run_is_pinned_at_two_scales(reports, monkeypatch):
+    # at Scale(), and at dmax=7, the stretch workload
+    assert digest(list(reports.values())) == "792c15270191e222"
+    monkeypatch.setattr(verify, "_CATALOG_MEMO", {})
+    assert digest(run_all(Scale(dmax=7))) == "337acffa5e263a6e"

@@ -1,3 +1,4 @@
+import inspect
 import re
 from math import comb
 
@@ -73,6 +74,22 @@ def test_rigidity_readers_take_a_graph_or_a_complex():
     emb = random_embedding(cx, 2)
     with pytest.raises(PreconditionError, match="other than 3 coordinates"):
         rigidity_matrix(cx, Embedding(emb.coords, 3, emb.seed))
+
+
+def test_rigidity_matrix_reads_the_embedding_seed():
+    # the record's seed is read by errors._index where it enters, as d is
+    cx = simplex_boundary(4)
+    emb = random_embedding(cx, 4)
+    with pytest.raises(MalformedInputError, match="embedding seed must be an integer, got 'a'"):
+        rigidity_matrix(cx, Embedding(emb.coords, emb.d, "a"))
+    assert rigidity_matrix(cx, Embedding(emb.coords, emb.d, True)) == rigidity_matrix(cx, emb)
+
+
+def test_every_sampler_defaults_to_three_trials():
+    for sampler in (stress_basis, vertex_participation, g2_via_rigidity, generic_rank,
+                    generic_rank_trials):
+        assert inspect.signature(sampler).parameters["trials"].default == 3, sampler.__name__
+    assert len(generic_rank_trials(K4, 3)) == 3
 
 
 def test_k4_rank_in_the_plane():

@@ -645,3 +645,35 @@ def test_one_rule_judges_every_verification_instance():
     ]
     assert failed_text == ["_judged"]
     assert (SOURCE / "verify.py").read_text().count("[failed:") == 1
+
+
+def test_one_rule_trips_every_size_guard():
+    # errors._guard alone names TooLargeError, so it alone raises it; and a
+    # *_GUARD constant is read only in the arguments of a _guard call, so no
+    # reading is compared with its bound by hand, not even through an alias
+    assert [
+        (module, where) for module, where, node in _nodes() if _named(node, "TooLargeError")
+    ] == [("errors.py", "_guard")]
+    calls = [
+        (module, where, node)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Call) and _named(node.func, "_guard")
+    ]
+    assert sorted((module, where) for module, where, _ in calls) == [
+        ("complexes.py", "_check_closure_bound"),
+        ("complexes.py", "detect_join"),
+        ("generators.py", "_guard_closure"),
+        ("homology.py", "_betti"),
+        ("homology.py", "skeleton_completion"),
+        ("isomorphism.py", "are_isomorphic"),
+        ("rigidity.py", "stress_basis"),
+    ]
+    inside = {id(n) for _, _, call in calls for arg in call.args for n in ast.walk(arg)}
+    outside = [
+        (module, where, ast.unparse(node))
+        for module, where, node in _nodes()
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and getattr(node, "id", getattr(node, "attr", "")).endswith("_GUARD")
+        and id(node) not in inside
+    ]
+    assert outside == []

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import hashlib
 import json
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from scx import (
     statement_ids,
 )
 from scx import verify
+from conftest import digest
 
 WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads.py"
 
@@ -122,16 +122,11 @@ def _pinned_digests():
     return ast.literal_eval(table)
 
 
-def _digest(report):
-    body = {k: v for k, v in report.to_dict().items() if k != "seconds"}
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def _run_all_with_a_plant(statement):
     """The reports of ``run_all()`` by statement, after checking that the
     planted statement alone fails and every other keeps its digest."""
     reports = {rep.statement: rep for rep in run_all()}
-    changed = {sid for sid, digest in _pinned_digests().items() if _digest(reports[sid]) != digest}
+    changed = {sid for sid, pinned in _pinned_digests().items() if digest(reports[sid]) != pinned}
     assert changed == {statement}
     assert [sid for sid, rep in reports.items() if not rep.passed] == [statement]
     return reports
@@ -388,6 +383,23 @@ def test_a_planted_defect_fails_its_statement_at_the_planted_instance(monkeypatc
     assert failure == f"{name}: {detail}"
 
 
+def _tau_among_the_top_missing_faces(original, cx, tau, dims):
+    # the right side of the top dimension, k = dim + 1, gains tau itself
+    return iter([
+        (k, lhs, rhs | {frozenset(tau)} if k == cx.dim + 1 else rhs)
+        for k, lhs, rhs in original(cx, tau, dims)
+    ])
+
+
+def test_lemma_3_4_checks_the_identity_up_to_the_top_dimension(monkeypatch):
+    # the PLANTS entry breaks dimension 0 only; this one the top dimension
+    # only, so the check must read every dimension to fail
+    reached = _plant(monkeypatch, "Lemma3.4", retriangulate, "_identity_sides",
+                     _first_call(_tau_among_the_top_missing_faces))
+    (failure,) = run_statement("Lemma3.4").failures
+    assert failure == f"{reached[0]}: sides differ at dimension 4 [failed: identity]"
+
+
 def test_a_refused_undo_fails_lemma_3_6_as_a_precondition(monkeypatch):
     # the precondition branch of Lemma3.6, beside its planted off-by-one
     reached = _plant(monkeypatch, "Lemma3.6", verify, "inverse_stellar", _first_call(_refused))
@@ -398,7 +410,7 @@ def test_a_refused_undo_fails_lemma_3_6_as_a_precondition(monkeypatch):
 def test_planted_defects_leave_the_other_reports_alone(monkeypatch):
     reached = {sid: _plant(monkeypatch, sid, *plant) for sid, (*plant, _) in PLANTS.items()}
     reports = {rep.statement: rep for rep in run_all()}
-    changed = {sid for sid, digest in _pinned_digests().items() if _digest(reports[sid]) != digest}
+    changed = {sid for sid, pinned in _pinned_digests().items() if digest(reports[sid]) != pinned}
     assert changed == set(PLANTS)
     for sid, (name,) in reached.items():
         (failure,) = reports[sid].failures
