@@ -28,6 +28,7 @@ complex whose only face is the empty one (dimension -1).
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 
 from .errors import (
     FaceNotPresentError,
@@ -428,8 +429,8 @@ def connected_sum(
         raise PreconditionError(f"{tuple(sorted(f2))} is not a facet of the second complex")
     if len(f1) != len(f2) or not f1:
         raise PreconditionError("glued facets must be nonempty and of equal dimension")
-    if matching is None:
-        matching = dict(zip(sorted(f1), sorted(f2)))
+    if not isinstance(matching, Mapping):  # None matches in sorted order, any other nothing
+        matching = dict(zip(sorted(f1), sorted(f2))) if matching is None else {}
     try:
         bijective = set(matching) == f1 and set(matching.values()) == f2
     except TypeError:  # an unhashable label matches no vertex

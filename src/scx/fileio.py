@@ -92,19 +92,30 @@ def write_scx(cx: SimplicialComplex, path):
     _write_text(path, write_scx_text(cx))
 
 
-def read_json_text(text: str, source: str = "<string>") -> SimplicialComplex:
-    """Structured-object alternative: {"facets": [[...], ...]}."""
+def _json_object(text: str, source: str, **lists) -> dict:
+    """The JSON object in ``text``, whose fields named in ``lists``, where
+    present, are lists of items of the (type, noun) given there; else a
+    ParseError naming ``source``."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "facets" not in obj:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{source}: expected a JSON object")
+    for key, (kind, noun) in lists.items():
+        items = obj.get(key, [])
+        if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
+            raise ParseError(f'{source}: "{key}" must be a list of {noun}')
+    return obj
+
+
+def read_json_text(text: str, source: str = "<string>") -> SimplicialComplex:
+    """Structured-object alternative: {"facets": [[...], ...]}."""
+    obj = _json_object(text, source, facets=(list, "integer lists"))
+    if "facets" not in obj:
         raise ParseError(f'{source}: expected an object with a "facets" field')
-    facets = obj["facets"]
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise ParseError(f'{source}: "facets" must be a list of integer lists')
     try:
-        return from_facets(facets)
+        return from_facets(obj["facets"])
     except MalformedInputError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 

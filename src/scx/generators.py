@@ -10,15 +10,14 @@ pyramid built over the lexicographically largest facet created last.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import complexes
 from .complexes import SimplicialComplex, _tuple_order, from_facets, join
-from .errors import InternalCheckError, ParseError, PreconditionError, _guard, _index
+from .errors import InternalCheckError, PreconditionError, _guard, _index
 from .facevectors import f_vector, g2
-from .fileio import _path, load_complex
+from .fileio import _json_object, _path, _read_text, load_complex
 from .homology import is_normal_pseudomanifold
 from .retriangulate import central_retriangulation
 
@@ -212,19 +211,13 @@ def load_fixture(path) -> CatalogEntry:
     (fields: name, f_vector, g2, tags) and verify the expectations."""
     path = _path(path)
     cx = load_complex(path)
-    meta_path = path.with_suffix(".meta.json")
-    expected = {}
-    name = path.stem
-    tags = {"fixture"}
+    meta_path, meta = path.with_suffix(".meta.json"), {}
     if meta_path.exists():
-        try:
-            meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{meta_path}: invalid JSON: {exc}") from exc
-        name = meta.get("name", name)
-        expected = {key: meta[key] for key in ("f_vector", "g2") if key in meta}
-        tags |= set(meta.get("tags", ()))
-    return CatalogEntry(name, (), cx, expected, frozenset(tags)).verify_expected()
+        lists = {"f_vector": (int, "integers"), "tags": (str, "strings")}
+        meta = _json_object(_read_text(meta_path), str(meta_path), **lists)
+    expected = {key: meta[key] for key in ("f_vector", "g2") if key in meta}
+    tags = frozenset({"fixture", *meta.get("tags", ())})
+    return CatalogEntry(meta.get("name", path.stem), (), cx, expected, tags).verify_expected()
 
 
 def barnette_sphere() -> CatalogEntry:

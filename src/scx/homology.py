@@ -34,9 +34,9 @@ PL ball whose boundary the ridges in one facet generate (Danaraj and Klee
 1974).  Every 1- and 2-sphere is extendably shellable (Danaraj and Klee
 1978) and the search sticks only where no facet can be appended, so below
 dimension 3 it fails exactly on non-spheres, over every field.  A shelled
-ball answers the sphere and manifold tests too: it has trivial homology,
-and its boundary vertices, whose links are balls, are the ones whose links
-are no spheres.
+ball answers the sphere test too, as it has trivial homology; the manifold
+test leaves it to the vertex sweep, which fails at its least boundary
+vertex, whose link is a ball.
 From dimension 3 a failed search proves nothing: a sphere verdict falls
 through to its Betti numbers and face links, a ball to its face-link
 sweep, and verdicts, witnesses, boundaries and interiors are those of
@@ -442,12 +442,10 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
 
     A complex that a greedy search shells with no ridge in one facet
     (:func:`_shells`) is a PL sphere, whose vertex links are PL spheres, and
-    passes with no link read.  One that shells as a PL ball of dimension at
-    least 1 has ball links at its boundary vertices and sphere links inside,
-    so it fails at its least boundary vertex, with no link read.  Otherwise
-    (a point included) :func:`_vertex_sweep` judges every nonempty face
-    once, by the definition by face links: for a face tau = {v} + tau',
-    lk(tau) is the link of tau' in lk(v), so every vertex link is a homology
+    passes with no link read.  Otherwise, a shelled ball and a point
+    included, :func:`_vertex_sweep` judges every nonempty face once, by the
+    definition by face links: for a face tau = {v} + tau', lk(tau) is the
+    link of tau' in lk(v), so every vertex link is a homology
     (dim - 1)-sphere exactly when every nonempty face link has the homology
     of the sphere of complementary dimension.  The witness is the least
     vertex whose link fails, which is the least of the failing faces'
@@ -459,11 +457,7 @@ def is_homology_manifold(cx: SimplicialComplex, field="rational") -> PredicateRe
     shelled, ones = _shells(cx._masks[1], cx._mask_closure)
     if shelled and not ones:
         return PredicateResult(True)
-    if not shelled or cx.dim < 1:  # a point's link is the (-1)-sphere
-        return _vertex_sweep(cx, field)
-    union = functools.reduce(int.__or__, ones)  # the boundary's vertices, as bits
-    least = list(cx._masks[0])[(union & -union).bit_length() - 1]
-    return PredicateResult(False, (least,), "vertex link is not a homology sphere")
+    return _vertex_sweep(cx, field)
 
 
 def _vertex_sweep(cx: SimplicialComplex, field) -> PredicateResult:

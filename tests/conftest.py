@@ -2,11 +2,15 @@ import ast
 import hashlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+
+import scx
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -75,6 +79,16 @@ def reports():
     """The reports of one ``run_all()`` at ``Scale()``, by statement, in
     registry order."""
     return {rep.statement: rep for rep in run_all(Scale())}
+
+
+def optimized_exit_code(code: str) -> int:
+    """The exit code of ``code`` run by ``python -O``, which strips assert
+    statements, with the package and these tests importable: 2 if the flag
+    did not take."""
+    code = "import sys\nif not sys.flags.optimize:\n    raise SystemExit(2)\n" + code
+    paths = [str(Path(scx.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120).returncode
 
 
 def clear_memos():

@@ -237,6 +237,13 @@ def test_an_unhashable_matching_label_is_no_bijection():
         connected_sum(cycle(4), (0, 1), cycle(5), (0, 1), {0: [0], 1: 1})
 
 
+@pytest.mark.parametrize("matching", [[1, 2, 3], (1, 2, 3), {1, 2, 3}])
+def test_a_matching_that_is_no_mapping_is_no_bijection(bd3, matching):
+    # each holds the first facet's vertices, and raised AttributeError on .values()
+    with pytest.raises(PreconditionError, match="^matching must be a bijection between the two facets$"):
+        connected_sum(bd3, (1, 2, 3), bd3, (1, 2, 3), matching=matching)
+
+
 def test_join_of_two_point_pairs():
     square = join(simplex_boundary(1), simplex_boundary(1))
     assert f_vector(square).entries == (1, 4, 4)

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import random
 import signal
@@ -380,17 +379,19 @@ def test_unit_pivot_rank_hands_columns_without_units_to_bareiss():
     assert expected == 30
 
 
-def test_stress_basis_of_octahedral_sphere_is_pinned(monkeypatch):
+def test_stress_basis_of_octahedral_sphere_is_pinned():
     # sha256 of the vectors' repr as the earlier Fraction Gauss-Jordan kernel
     # computed them, on coordinates from [-2**31, 2**31] as the default bound
-    # then was; the fraction-free kernel must give the same basis
-    wide = functools.partial(rigidity.random_embedding, bound=2**31)
-    monkeypatch.setattr(rigidity, "random_embedding", wide)
-    vectors = stress_basis(g2_two_catalog(4, "octahedral").complex, seed=0).vectors
-    assert len(vectors) == 2 and all(len(v) == 24 for v in vectors)
-    assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (
-        "b6a8c878c27269db32fa1af2dc777230a577b49cb5cb47f3e06f7ae5b4ba5fdc"
-    )
+    # then was; the fraction-free kernel of the transposed rigidity matrix
+    # and the stresses solved on the Gale side must give the same basis
+    g = skeleton_graph(g2_two_catalog(4, "octahedral").complex)
+    emb = random_embedding(g, 4, seed=0, bound=2**31)
+    transposed = list(zip(*rigidity_matrix(g, emb).entries))
+    for vectors in (rigidity._stresses(g, emb), tuple(right_nullspace(transposed))):
+        assert len(vectors) == 2 and all(len(v) == 24 for v in vectors)
+        assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (
+            "b6a8c878c27269db32fa1af2dc777230a577b49cb5cb47f3e06f7ae5b4ba5fdc"
+        )
 
 
 def test_validate_field():

@@ -1,11 +1,5 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import scx
 from scx import (
     MalformedInputError,
     PreconditionError,
@@ -32,6 +26,7 @@ from scx import (
 from scx.verify import Scale, catalog_for
 
 import oracle
+from conftest import optimized_exit_code
 
 
 def test_f_vector_binomials(bd4):
@@ -219,11 +214,8 @@ def test_g1_values(cycle_join):
 def test_g_vector_certificate_survives_optimize_flag():
     # `python -O` strips assert statements; the route check must still run
     code = (
-        "import sys\n"
         "import scx.facevectors as fv\n"
         "from scx import InternalCheckError, simplex_boundary\n"
-        "if not sys.flags.optimize:\n"
-        "    raise SystemExit(2)\n"
         "fv._g_direct = lambda f, j: -1\n"
         "try:\n"
         "    fv.g_vector(simplex_boundary(3))\n"
@@ -231,7 +223,4 @@ def test_g_vector_certificate_survives_optimize_flag():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(scx.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
-    assert result.returncode == 0
+    assert optimized_exit_code(code) == 0

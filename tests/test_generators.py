@@ -85,6 +85,24 @@ def test_a_fixture_with_a_malformed_sidecar_is_a_parse_error(tmp_path):
         load_fixture(path)
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ("[1, 2]", "expected a JSON object"),
+        ('"str"', "expected a JSON object"),
+        ('{"tags": 5}', '"tags" must be a list of strings'),
+        ('{"f_vector": 3}', '"f_vector" must be a list of integers'),
+    ],
+)
+def test_a_sidecar_of_the_wrong_shape_is_a_parse_error(tmp_path, meta, message):
+    # the first two raised AttributeError, the last two TypeError
+    path = tmp_path / "bd3.scx"
+    write_scx(simplex_boundary(3), path)
+    path.with_suffix(".meta.json").write_text(meta)
+    with pytest.raises(ParseError, match=f"bd3.meta.json: {re.escape(message)}$"):
+        load_fixture(path)
+
+
 def test_stacked_sphere_smallest_is_simplex_boundary():
     assert stacked_sphere(4, 5) == simplex_boundary(4)
 

@@ -1,11 +1,8 @@
 import functools
-import os
 import random
-import subprocess
 import sys
 import threading
 from itertools import combinations, product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,13 +36,12 @@ from scx import (
     standard_catalog,
     suspension,
 )
-import scx
 from scx import exact, homology, verify
 from scx.homology import _assert_composes_to_zero, _boundary_columns, _face_masks
 
 import oracle
 from oracle import rank_sparse
-from conftest import clear_memos, shelling_off, shells_without_the_s_test
+from conftest import clear_memos, optimized_exit_code, shelling_off, shells_without_the_s_test
 from test_retriangulate import NON_BALL_HOSTS, _non_balls
 
 
@@ -136,10 +132,7 @@ def test_betti_certifies_each_miss(bd3, flipped_d1):
 def test_betti_certificate_survives_optimize_flag():
     # `python -O` strips assert statements; the d.d = 0 check must still run
     code = (
-        "import sys\n"
         "from scx import InternalCheckError, betti, homology, simplex_boundary\n"
-        "if not sys.flags.optimize:\n"
-        "    raise SystemExit(2)\n"
         "original = homology._boundary_columns\n"
         "def flipped(faces, k):\n"
         "    columns = original(faces, k)\n"
@@ -153,10 +146,7 @@ def test_betti_certificate_survives_optimize_flag():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(scx.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
-    assert result.returncode == 0
+    assert optimized_exit_code(code) == 0
 
 
 def test_boundary_columns_follow_the_sign_convention(bd4, oct3, cycle_join):
@@ -1110,11 +1100,15 @@ LOW_BALLS = (
 
 @pytest.mark.parametrize("cx", LOW_BALLS, ids=lambda cx: str(sorted(map(sorted, cx.facets))))
 def test_a_shelled_ball_is_judged_as_the_sweep_judges_it(cx, monkeypatch):
-    # trivial homology, so no sphere, and its least boundary vertex as the
-    # manifold witness, read off the shelling with no Betti number or link;
-    # a point's vertex link, the empty sphere, is still swept
+    # trivial homology, so no sphere, read off the shelling with no Betti
+    # number or link; the manifold test sweeps the vertex links in order, up
+    # to the least boundary vertex, whose link shells as a ball, with no
+    # Betti number either.  A point has no boundary vertex: its one vertex
+    # link, the empty sphere, is swept and passes
     shelled, ones = homology._shells(cx._masks[1], cx._mask_closure)
     assert shelled and ones
+    union = functools.reduce(int.__or__, ones)  # the boundary's vertices, as bits
+    least = union & -union or 1
     fields = ("rational", 2)
     with pytest.MonkeyPatch.context() as off:
         shelling_off(off)
@@ -1126,7 +1120,7 @@ def test_a_shelled_ball_is_judged_as_the_sweep_judges_it(cx, monkeypatch):
     assert verdicts == swept_verdicts
     assert [bool(v) for v in verdicts] == [False, cx.dim == 0] * 2
     assert memo_counts()[0] == 0
-    assert swept == ([] if cx.dim else [1, 1])
+    assert swept == [1 << i for i in range(least.bit_length())] * len(fields)
     clear_memos()
 
 
@@ -1135,21 +1129,16 @@ def _refused_under_optimize(*calls) -> int:
     with ``torus`` bound) with the planted search: 0 when each raises
     ``InternalCheckError`` and the search ran once, as the memo kept it."""
     code = (
-        "import sys\n"
         "from conftest import shells_without_the_s_test\n"
         "from scx import InternalCheckError, from_facets, homology, suspension\n"
         "from scx import is_homology_manifold, is_homology_sphere, is_normal_pseudomanifold\n"
-        "if not sys.flags.optimize:\n"
-        "    raise SystemExit(2)\n"
         "homology._shelling = shells_without_the_s_test()\n"
         f"torus = from_facets({TORUS_7!r})\n"
     )
     for call in calls:
         code += f"try:\n    {call}\nexcept InternalCheckError:\n    pass\nelse:\n    raise SystemExit(1)\n"
     code += "raise SystemExit(0 if homology._shelling.cache_info().misses == 1 else 3)\n"
-    paths = [str(Path(scx.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120).returncode
+    return optimized_exit_code(code)
 
 
 def test_shelling_certificate_survives_optimize_flag():

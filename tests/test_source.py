@@ -523,6 +523,28 @@ def test_only_the_sphere_verdicts_try_a_shelling():
     assert len(reads) == 1 and reads[0].lineno > failed.end_lineno
 
 
+def test_one_sweep_refuses_a_manifold():
+    # homology._vertex_sweep alone names the manifold refusal, and
+    # is_homology_manifold passes a shelled sphere or returns the sweep's
+    # verdict: it reads no ridge in one facet, only whether there is one
+    reason = "vertex link is not a homology sphere"
+    assert {
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Constant) and node.value == reason
+    } == {("homology.py", "_vertex_sweep")}
+    (manifold,) = [
+        node
+        for _, _, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "is_homology_manifold"
+    ]
+    returns = {ast.unparse(n.value) for n in ast.walk(manifold) if isinstance(n, ast.Return)}
+    assert returns == {"PredicateResult(True)", "_vertex_sweep(cx, field)"}
+    tested = {id(n.operand) for n in ast.walk(manifold) if isinstance(getattr(n, "op", None), ast.Not)}
+    reads = [n for n in ast.walk(manifold) if _named(n, "ones") and isinstance(n.ctx, ast.Load)]
+    assert reads and all(id(n) in tested for n in reads)
+
+
 def test_no_homology_function_comes_back_to_itself():
     # the call graph of the functions in homology.py has no cycle: each
     # verdict sweeps its face links in one pass, with no recursion.  A

@@ -1,11 +1,7 @@
 """Stress bases from the stress matrix (``rigidity._stresses``) against the
 left kernel of the whole rigidity matrix (``oracle.left_nullspace``)."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,12 +22,12 @@ from scx import (
     stacked_sphere,
     stress_basis,
 )
-import scx
 import scx.rigidity as rigidity
 from scx import exact
 from scx.rigidity import Embedding, _stresses
 
 import oracle
+from conftest import optimized_exit_code
 
 
 def _agree(g, emb):
@@ -207,11 +203,8 @@ def test_stress_certificates_survive_optimize_flag():
     # `python -O` strips assert statements; a changed entry must still fail
     # the equilibrium check and a lost stress the count at the rank bound
     code = (
-        "import sys\n"
         "import scx.rigidity as rigidity\n"
         "from scx import InternalCheckError, cross_polytope_boundary, stress_basis\n"
-        "if not sys.flags.optimize:\n"
-        "    raise SystemExit(2)\n"
         "original = rigidity._stresses\n"
         "def changed(g, emb):\n"
         "    first, *rest = original(g, emb)\n"
@@ -230,7 +223,4 @@ def test_stress_certificates_survive_optimize_flag():
         "    else:\n"
         "        raise SystemExit(1)\n"
     )
-    src = str(Path(scx.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
-    assert result.returncode == 0
+    assert optimized_exit_code(code) == 0
